@@ -15,6 +15,7 @@ Queues are used in two modes:
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sized
 from dataclasses import dataclass, field
 
 from repro.dsps.tuples import JumboTuple, StreamTuple
@@ -63,6 +64,12 @@ class QueueStats:
 class CommunicationQueue:
     """A bounded FIFO of jumbo tuples between one producer/consumer pair.
 
+    A queued batch is held *by reference* and only needs a length: next
+    to :class:`JumboTuple` the live runtime enqueues columnar batches
+    (``repro.runtime.dataplane.ColumnBatch``), which cross the queue
+    without ever materializing tuples.  Capacity, depth and
+    :class:`QueueStats` count tuples whatever the payload's shape.
+
     Parameters
     ----------
     producer:
@@ -86,7 +93,7 @@ class CommunicationQueue:
         self.consumer = consumer
         self.capacity_tuples = capacity_tuples
         self.stats = QueueStats()
-        self._batches: deque[JumboTuple] = deque()
+        self._batches: deque = deque()
         self._depth_tuples = 0
 
     # ------------------------------------------------------------------
@@ -105,24 +112,25 @@ class CommunicationQueue:
             return True
         return self._depth_tuples + tuples <= self.capacity_tuples
 
-    def offer(self, batch: JumboTuple) -> bool:
+    def offer(self, batch: Sized) -> bool:
         """Try to enqueue ``batch``; returns False when full (no partial add)."""
-        if not batch.tuples:
+        n = len(batch)
+        if n == 0:
             return True
         if (
             self.capacity_tuples is not None
-            and self._depth_tuples + len(batch) > self.capacity_tuples
+            and self._depth_tuples + n > self.capacity_tuples
         ):
             self.stats.rejected_batches += 1
             return False
         self._batches.append(batch)
-        self._depth_tuples += len(batch)
+        self._depth_tuples += n
         self.stats.enqueued_batches += 1
-        self.stats.enqueued_tuples += len(batch)
+        self.stats.enqueued_tuples += n
         self.stats.max_depth_tuples = max(self.stats.max_depth_tuples, self._depth_tuples)
         return True
 
-    def put(self, batch: JumboTuple) -> None:
+    def put(self, batch: Sized) -> None:
         """Enqueue ``batch`` or raise when the queue is full."""
         if not self.offer(batch):
             raise SimulationError(
@@ -142,8 +150,8 @@ class CommunicationQueue:
     def is_empty(self) -> bool:
         return not self._batches
 
-    def poll(self) -> JumboTuple | None:
-        """Dequeue the oldest jumbo tuple, or None when empty."""
+    def poll(self) -> Sized | None:
+        """Dequeue the oldest batch, or None when empty."""
         if not self._batches:
             return None
         batch = self._batches.popleft()
@@ -151,20 +159,26 @@ class CommunicationQueue:
         self.stats.dequeued_tuples += len(batch)
         return batch
 
-    def drain_tuples(self, max_tuples: int | None = None) -> list[StreamTuple]:
-        """Dequeue whole batches until ``max_tuples`` tuples are collected.
+    def drain(self) -> list:
+        """Dequeue everything, in FIFO order, as processable payloads.
 
-        Batches are never split (a jumbo tuple is consumed as a unit), so
-        slightly more than ``max_tuples`` tuples may be returned.
+        Adjacent jumbo tuples coalesce into one ``list[StreamTuple]`` (a
+        consumer pays its per-batch costs once per run of them); any
+        other batch is handed over whole, in its place in the order.
         """
-        drained: list[StreamTuple] = []
+        payloads: list = []
+        tuples: list[StreamTuple] | None = None
         while self._batches:
-            if max_tuples is not None and len(drained) >= max_tuples:
-                break
             batch = self.poll()
-            assert batch is not None
-            drained.extend(batch.tuples)
-        return drained
+            if isinstance(batch, JumboTuple):
+                if tuples is None:
+                    tuples = []
+                    payloads.append(tuples)
+                tuples.extend(batch.tuples)
+            else:
+                payloads.append(batch)
+                tuples = None
+        return payloads
 
 
 class OutputBuffer:

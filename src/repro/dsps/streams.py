@@ -76,6 +76,8 @@ class FieldsGrouping(Grouping):
             raise TopologyError(
                 f"tuple {item.values!r} lacks key fields {self.key_fields}"
             ) from exc
+        if n_consumers == 1:
+            return [0]  # the one replica, whatever the key hashes to
         digest = zlib.crc32(repr(key).encode("utf-8"))
         return [digest % n_consumers]
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import defaultdict
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Generator, Iterator, Mapping
 
 from repro.dsps.operators import Operator, Sink
 from repro.dsps.queues import CommunicationQueue, OutputBuffer, QueueStats
@@ -44,7 +44,6 @@ from repro.runtime.dataplane.columns import (
     VECTORIZED_MODES,
     ColumnBatch,
     columns_available,
-    schema_accepts,
 )
 from repro.runtime.batching import AdaptiveBatchConfig, AdaptiveBatchController
 from repro.runtime.epochs import (
@@ -64,6 +63,13 @@ from repro.runtime.lowering import (
     instantiate_tasks,
 )
 from repro.runtime.results import RunResult, TaskStats
+from repro.runtime.step import (
+    STEP_COUNTERS,
+    ColumnarStep,
+    Delivery,
+    chain_stages,
+    publish_step_counters,
+)
 
 if TYPE_CHECKING:
     from typing import Callable
@@ -357,11 +363,8 @@ class _InlineRun:
             if overload is not None
             else None
         )
-        # runtime.vectorized.{batches,tuples,fallbacks} for this run.
-        self.vec = {"batches": 0, "tuples": 0, "fallbacks": 0}
-        # runtime.fusion.{composed_batches,composed_tuples,fallbacks}:
-        # columnar handoffs between fused stages vs. scalar bursts.
-        self.fus = {"composed_batches": 0, "composed_tuples": 0, "fallbacks": 0}
+        # runtime.vectorized.* / runtime.fusion.* totals for this run.
+        self.metrics = dict.fromkeys(STEP_COUNTERS, 0)
         self.instrumented = registry.enabled
         # Per-task wall-clock: needed for gauges when instrumented, and
         # as the drift detector's Te signal when a barrier observer runs.
@@ -508,10 +511,7 @@ class _InlineRun:
                 result,
                 {key: q.stats for key, q in self.queues.items()},
             )
-            for name, value in self.vec.items():
-                self.registry.counter(f"runtime.vectorized.{name}").inc(value)
-            for name, value in self.fus.items():
-                self.registry.counter(f"runtime.fusion.{name}").inc(value)
+            publish_step_counters(self.registry, self.metrics)
             if self.controller is not None:
                 for name, value in self.controller.report().items():
                     self.registry.counter(f"runtime.batch.{name}").inc(value)
@@ -549,6 +549,21 @@ class _InlineRun:
             for chain in self.spec.fusion
         }
         members = self.spec.fused_member_ids
+        self.stages = chain_stages(chains.values())  # see _deliver
+        # The columnar step and router (repro.runtime.step), rebuilt per
+        # phase because a migration re-instantiates moved operators.
+        # Per-tuple observers — an armed injector, per-call latency
+        # histograms — disable kernels for the run (counted fallbacks).
+        self.step = ColumnarStep(
+            self.instances,
+            self.stats,
+            self.counters,
+            self.buffers,
+            self.metrics,
+            vectorized=self.vectorized,
+            per_tuple=self.injector is not None or self.instrumented,
+            transpose_sinks=False,
+        )
         active: list[tuple[int, Iterator[None]]] = []
         for rt in self.spec.tasks:
             if rt.task_id in members:
@@ -851,22 +866,7 @@ class _InlineRun:
             )
             else None
         )
-        # Columnar fast path: one numpy kernel call per drained batch.
-        # Inline transport never leaves the process, so sinks gain nothing
-        # from a transpose and stay scalar here; a kernel-capable operator
-        # whose batch cannot go columnar (disqualified schema, fault
-        # injection armed, per-tuple timing) is a counted fallback.
-        vectorizable = (
-            self.vectorized != "off"
-            and columns_available()
-            and not isinstance(operator, Sink)
-            and operator.supports_columns()
-        )
-        column_fn = (
-            operator.process_columns
-            if vectorizable and histogram is None and self.injector is None
-            else None
-        )
+        chain = (rt,)
         producers = {edge.producer for edge in rt.in_edges}
         in_queues = [
             self.queues[(edge.producer, edge.consumer)] for edge in rt.in_edges
@@ -879,35 +879,12 @@ class _InlineRun:
                 continue
             progressed = False
             for queue in in_queues:
-                while True:
-                    items = queue.drain_tuples()
-                    if not items:
-                        break
+                for payload in _drain(queue):
                     progressed = True
                     self.ticks += 1
-                    if column_fn is not None:
-                        batch = ColumnBatch.from_tuples(items)
-                        if batch is not None and not schema_accepts(
-                            operator.column_schemas, batch.schema
-                        ):
-                            batch = None  # schema the kernel did not negotiate
-                        if batch is not None:
-                            stats.tuples_in += len(items)
-                            self.vec["batches"] += 1
-                            self.vec["tuples"] += len(items)
-                            for out in column_fn(batch):
-                                if len(out) == 0:
-                                    continue
-                                out.stamp_from(batch, rt.task_id)
-                                stats.record_out_many(
-                                    out.stream, len(out), out.payload_bytes()
-                                )
-                                for item in out.to_tuples():
-                                    yield from self._route(rt, item)
-                            continue
-                        self.vec["fallbacks"] += 1
-                    elif vectorizable:
-                        self.vec["fallbacks"] += 1
+                    items = yield from self._take_columns(chain, payload)
+                    if items is None:
+                        continue
                     if batch_fn is not None:
                         stats.tuples_in += len(items)
                         for index, stream, values in batch_fn(items):
@@ -968,33 +945,10 @@ class _InlineRun:
     # and a linear chain preserves per-tuple FIFO order, so results are
     # bit-identical to running the same spec unfused.
     # ------------------------------------------------------------------
-    def _chain_kernels(self, chain: tuple[TaskRuntime, ...]) -> list:
-        """Per-stage columnar kernels; ``None`` forces the scalar path
-        for that stage (same gates as the unfused columnar fast path)."""
-        if (
-            self.vectorized == "off"
-            or not columns_available()
-            or self.injector is not None
-            or self.instrumented
-        ):
-            return [None] * len(chain)
-        kernels = []
-        for rt in chain:
-            operator = self.instances[rt.task_id]
-            capable = (
-                isinstance(operator, Operator)
-                and not isinstance(operator, Sink)
-                and operator.supports_columns()
-            )
-            kernels.append(operator.process_columns if capable else None)
-        return kernels
-
     def _chain_loop(
         self, chain: tuple[TaskRuntime, ...], final: bool
     ) -> Iterator[None]:
         head = chain[0]
-        head_op = self.instances[head.task_id]
-        kernels = self._chain_kernels(chain)
         histograms = [self._histogram(rt) for rt in chain]
         producers = {edge.producer for edge in head.in_edges}
         in_queues = [
@@ -1010,24 +964,12 @@ class _InlineRun:
                 continue
             progressed = False
             for queue in in_queues:
-                while True:
-                    items = queue.drain_tuples()
-                    if not items:
-                        break
+                for payload in _drain(queue):
                     progressed = True
                     self.ticks += 1
-                    if kernels[0] is not None:
-                        batch = ColumnBatch.from_tuples(items)
-                        if batch is not None and not schema_accepts(
-                            head_op.column_schemas, batch.schema
-                        ):
-                            batch = None
-                        if batch is not None:
-                            yield from self._chain_columns(
-                                chain, kernels, histograms, 0, batch
-                            )
-                            continue
-                        self.vec["fallbacks"] += 1
+                    items = yield from self._take_columns(chain, payload)
+                    if items is None:
+                        continue
                     for item in items:
                         yield from self._chain_item(chain, histograms, 0, item)
             if producers <= self.done:
@@ -1095,54 +1037,34 @@ class _InlineRun:
             # else: emission on a stream with no route — dropped, exactly
             # as _route drops it in the unfused run.
 
-    def _chain_columns(
-        self,
-        chain: tuple[TaskRuntime, ...],
-        kernels: list,
-        histograms: list,
-        position: int,
-        batch: ColumnBatch,
-    ) -> Iterator[None]:
-        """Run one columnar batch through stage ``position`` and onward,
-        keeping it columnar across stages whenever the next kernel
-        negotiates the intermediate schema."""
-        rt = chain[position]
-        stats = self.stats[rt.task_id]
-        stats.tuples_in += len(batch)
-        self.vec["batches"] += 1
-        self.vec["tuples"] += len(batch)
-        if position:
-            # A composed handoff: this batch reached the stage without
-            # ever materializing as tuples or touching a queue.
-            self.fus["composed_batches"] += 1
-            self.fus["composed_tuples"] += len(batch)
-        last = position + 1 == len(chain)
-        for out in kernels[position](batch):
-            if len(out) == 0:
+    def _take_columns(
+        self, chain: tuple[TaskRuntime, ...], payload: "ColumnBatch | list"
+    ) -> Generator[None, None, "list[StreamTuple] | None"]:
+        """Offer a drained payload to the chain head's kernel (an unfused
+        task is a chain of one).  A ColumnBatch goes straight in, a run
+        of scalar jumbo tuples is transposed once (never for a sink);
+        returns ``None`` when the kernel took it, else the tuples left
+        for the scalar paths — a ColumnBatch burst once."""
+        batch = self.step.intake(chain[0].task_id, payload)
+        if batch is not None:
+            yield from self._deliver(self.step.run_columns(chain, 0, batch))
+            return None
+        return payload.to_tuples() if isinstance(payload, ColumnBatch) else payload
+
+    def _deliver(self, deliveries: Iterator[Delivery]) -> Iterator[None]:
+        """Hand the columnar step's deliveries over: onto the edge's
+        queue — suspending while it is full, like any sealed batch — or,
+        addressed to a fused chain member, burst once and run scalar
+        from that stage (kernels are live, so nothing is being timed)."""
+        for producer, consumer, payload in deliveries:
+            stage = self.stages.get(consumer)
+            if stage is None:
+                yield from self._enqueue(producer, consumer, payload)
                 continue
-            out.stamp_from(batch, rt.task_id)
-            stats.record_out_many(out.stream, len(out), out.payload_bytes())
-            if last:
-                for item in out.to_tuples():
-                    yield from self._route(rt, item)
-                continue
-            if out.stream != rt.out_edges[0].stream:
-                continue  # unrouted stream, dropped as in the scalar path
-            next_op = self.instances[chain[position + 1].task_id]
-            kernel = kernels[position + 1]
-            schemas = next_op.column_schemas
-            if kernel is not None and schema_accepts(schemas, out.schema):
-                yield from self._chain_columns(
-                    chain, kernels, histograms, position + 1, out
-                )
-            else:
-                if kernel is not None:
-                    self.vec["fallbacks"] += 1
-                self.fus["fallbacks"] += 1
-                for item in out.to_tuples():
-                    yield from self._chain_item(
-                        chain, histograms, position + 1, item
-                    )
+            chain, position = stage
+            untimed = (None,) * len(chain)
+            for item in payload.to_tuples():
+                yield from self._chain_item(chain, untimed, position, item)
 
     # ------------------------------------------------------------------
     # Routing
@@ -1173,7 +1095,9 @@ class _InlineRun:
                 if sealed is not None:
                     yield from self._enqueue(rt.task_id, consumer, sealed)
 
-    def _enqueue(self, producer: int, consumer: int, batch: JumboTuple) -> Iterator[None]:
+    def _enqueue(
+        self, producer: int, consumer: int, batch: "JumboTuple | ColumnBatch"
+    ) -> Iterator[None]:
         if self.injector is not None and self.injector.take_drop(
             producer, len(batch)
         ):
@@ -1199,6 +1123,17 @@ class _InlineRun:
             sealed = self.buffers[(edge.producer, edge.consumer)].flush()
             if sealed is not None:
                 yield from self._enqueue(edge.producer, edge.consumer, sealed)
+
+
+def _drain(queue: CommunicationQueue) -> Iterator:
+    """Payloads of ``queue`` until it stays empty: a consumer suspended
+    mid-payload lets its producers refill the queue, and each in-queue
+    is exhausted before the next one is looked at."""
+    while True:
+        payloads = queue.drain()
+        if not payloads:
+            return
+        yield from payloads
 
 
 #: Sentinel distinguishing a finished task loop from a yielded suspension.

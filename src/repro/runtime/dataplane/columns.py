@@ -422,16 +422,18 @@ class ColumnBatch:
             yield self
             return
         for start in range(0, n, size):
-            yield self._slice(start, min(start + size, n))
+            yield self.select(slice(start, start + size))
 
-    def _slice(self, a: int, b: int) -> "ColumnBatch":
+    def select(self, rows: slice) -> "ColumnBatch":
+        """The rows a (possibly strided) slice picks, in order: numpy
+        views over the fixed-width columns, no copies."""
         return ColumnBatch(
             self.stream,
             self.source_task,
             self.schema,
-            None if self.event_times is None else self.event_times[a:b],
-            [column[a:b] for column in self.columns],
-            _tuples=None if self._tuples is None else self._tuples[a:b],
+            None if self.event_times is None else self.event_times[rows],
+            [column[rows] for column in self.columns],
+            _tuples=None if self._tuples is None else self._tuples[rows],
         )
 
     # ------------------------------------------------------------------

@@ -98,9 +98,7 @@ from repro.runtime.dataplane import (
     ChannelEndpoint,
     ColumnBatch,
     PickleQueueChannel,
-    columns_available,
     create_dataplane,
-    schema_accepts,
 )
 from repro.runtime.epochs import (
     EpochCheckpoint,
@@ -126,6 +124,13 @@ from repro.runtime.lowering import (
     instantiate_task,
 )
 from repro.runtime.results import RunResult, TaskStats
+from repro.runtime.step import (
+    STEP_COUNTERS,
+    ColumnarStep,
+    Delivery,
+    chain_stages,
+    publish_step_counters,
+)
 
 if TYPE_CHECKING:
     from repro.runtime.backends import OnEpoch
@@ -155,22 +160,6 @@ CRASH_EXIT_CODE = 70
 
 #: Sentinel in the shared status array: worker still running.
 _STATUS_RUNNING = -1000
-
-#: Worker-side metric keys summed into ``runtime.vectorized.{batches,
-#: tuples,fallbacks}`` registry counters by the parent merge.
-_VECTORIZED_COUNTERS = (
-    "vectorized_batches",
-    "vectorized_tuples",
-    "vectorized_fallbacks",
-)
-
-#: Worker-side metric keys summed into ``runtime.fusion.{composed_batches,
-#: composed_tuples,fallbacks}`` registry counters by the parent merge.
-_FUSION_COUNTERS = (
-    "fusion_composed_batches",
-    "fusion_composed_tuples",
-    "fusion_fallbacks",
-)
 
 #: Worker-side error kinds mapped back to typed exceptions in the parent.
 _ERROR_CLASSES = {
@@ -920,12 +909,7 @@ class ProcessPoolBackend(ExecutorBackend):
                 registry.counter(f"{prefix}.spout_throttles").inc(
                     int(metrics.get("spout_throttles", 0))
                 )
-                for key in (
-                    "pickled_bytes_out",
-                    *dataplane_counters,
-                    *_VECTORIZED_COUNTERS,
-                    *_FUSION_COUNTERS,
-                ):
+                for key in ("pickled_bytes_out", *dataplane_counters, *STEP_COUNTERS):
                     totals[key] += metrics.get(key, 0.0)
             registry.counter("runtime.run.pickled_bytes").inc(
                 int(totals["pickled_bytes_out"])
@@ -935,16 +919,7 @@ class ProcessPoolBackend(ExecutorBackend):
                 # runtime.dataplane.dict.{columns,pages,bytes,...}.
                 name = key.replace("dict_", "dict.")
                 registry.counter(f"runtime.dataplane.{name}").inc(int(totals[key]))
-            for key in _VECTORIZED_COUNTERS:
-                name = key.removeprefix("vectorized_")
-                registry.counter(f"runtime.vectorized.{name}").inc(
-                    int(totals[key])
-                )
-            for key in _FUSION_COUNTERS:
-                name = key.removeprefix("fusion_")
-                registry.counter(f"runtime.fusion.{name}").inc(
-                    int(totals[key])
-                )
+            publish_step_counters(registry, totals)
             # Total payload bytes the run moved between workers, whatever
             # the transport: pickled control-queue payloads plus the shm
             # plane's in-ring and out-of-band codec payloads.
@@ -1175,12 +1150,17 @@ class _Worker:
         # inline, so _assign colocated all constituents on this worker.
         # Members are skipped by the scheduling loops — their intra-chain
         # edges stay idle and their instances/stats/state are driven by
-        # the head's chain execution.
-        self.chains: dict[int, tuple[TaskRuntime, ...]] = {
-            chain[0]: tuple(self.rt_by_id[tid] for tid in chain)
-            for chain in spec.fusion
-        }
+        # the head's chain execution.  An unfused task is a chain of one.
         self.fused_members: frozenset[int] = spec.fused_member_ids
+        self.chains: dict[int, tuple[TaskRuntime, ...]] = {
+            rt.task_id: (rt,)
+            for rt in self.mine
+            if not rt.is_spout and rt.task_id not in self.fused_members
+        }
+        for chain in spec.fusion:
+            if chain[0] in self.chains:
+                self.chains[chain[0]] = tuple(self.rt_by_id[tid] for tid in chain)
+        self.stages = chain_stages(self.chains.values())  # see _deliver
         # Batch fast path: operators that override process_batch, used
         # only when no injector is armed (fault ticks are per-tuple).
         self.batch_ops: dict[int, Any] = (
@@ -1193,43 +1173,20 @@ class _Worker:
             if self.injector is None
             else {}
         )
-        # Columnar fast path: tasks whose operator publishes a vectorized
-        # process_columns kernel (sinks qualify only with the default
-        # per-tuple process(), which Sink.process_columns replicates).
-        # column_capable drives fallback accounting; column_ops — actual
-        # kernel dispatch — additionally requires no armed injector, since
-        # fault ticks are per-tuple.
-        self.column_capable: set[int] = (
-            {
-                task_id
-                for task_id, instance in self.instances.items()
-                if isinstance(instance, Operator)
-                and instance.supports_columns()
-                and (
-                    not isinstance(instance, Sink)
-                    or type(instance).process is Sink.process
-                )
-            }
-            if vectorized != "off" and columns_available()
-            else set()
+        self.metrics: dict[str, Any] = defaultdict(float)
+        # Columnar fast path (repro.runtime.step, shared with the inline
+        # run): kernel dispatch, lineage, routing.  An armed injector
+        # needs per-tuple fault ticks, so it disables kernels for the run.
+        self.step = ColumnarStep(
+            self.instances,
+            self.stats,
+            self.counters,
+            self.buffers,
+            self.metrics,
+            vectorized=vectorized,
+            per_tuple=self.injector is not None,
+            transpose_sinks=True,
         )
-        self.column_ops: dict[int, Any] = (
-            {
-                task_id: self.instances[task_id].process_columns
-                for task_id in self.column_capable
-            }
-            if self.injector is None
-            else {}
-        )
-        # Input-schema negotiation per kernel (None = accepts any schema).
-        self.column_schemas: dict[int, frozenset | None] = {
-            task_id: (
-                None
-                if self.instances[task_id].column_schemas is None
-                else frozenset(self.instances[task_id].column_schemas)
-            )
-            for task_id in self.column_ops
-        }
         self.spout_iters: dict[int, Iterator] = {
             rt.task_id: self.instances[rt.task_id].next_batch(max_events)
             for rt in self.mine
@@ -1253,7 +1210,6 @@ class _Worker:
                 if next(iterator, None) is None:
                     self.exhausted_spouts.add(task_id)
                     break
-        self.metrics: dict[str, Any] = defaultdict(float)
 
     # ------------------------------------------------------------------
     # Liveness
@@ -1442,7 +1398,7 @@ class _Worker:
                 # already-decoded payload instead of decoding twice.
                 # Consumers with a columnar kernel get the payload as a
                 # ColumnBatch where the wire format allows.
-                if self.channel.peek_consumer(message) in self.column_ops:
+                if self.channel.peek_consumer(message) in self.step.kernels:
                     producer, consumer, payload = self.channel.unpack_columns(
                         message
                     )
@@ -1629,36 +1585,19 @@ class _Worker:
             if sealed is not None:
                 self._dispatch(rt.task_id, consumer, sealed.tuples)
 
-    def _route_columns(self, rt: TaskRuntime, out: "ColumnBatch") -> None:
-        """Route one columnar output batch to its downstream edges.
-
-        Single-consumer routes keep the batch columnar: every grouping
-        maps to replica 0 when there is only one consumer, so the whole
-        batch goes to the same edge and the per-route counter advances by
-        ``len(out)`` exactly as the scalar loop would.  The edge's pending
-        scalar buffer is flushed first so per-edge FIFO order is
-        preserved.  Multi-consumer routes burst back to tuples and reuse
-        the scalar grouping discipline unchanged.
-        """
-        burst: list[StreamTuple] | None = None
-        for route in rt.routes:
-            if route.stream != out.stream:
-                continue
-            if len(route.consumers) == 1:
-                consumer = route.consumers[0]
-                self.counters[(rt.task_id, route.counter_key)] += len(out)
-                sealed = self.buffers[(rt.task_id, consumer)].flush()
-                if sealed is not None:
-                    self._dispatch(rt.task_id, consumer, sealed.tuples)
-                for chunk in out.chunks(
-                    self.spec.batch_for((rt.task_id, consumer))
-                ):
-                    self._dispatch_columns(rt.task_id, consumer, chunk)
+    def _deliver(self, deliveries: Iterator[Delivery]) -> None:
+        """Hand the columnar step's deliveries over: to a local backlog or
+        a peer's channel, or — addressed to a fused chain member — burst
+        once and run scalar from that stage."""
+        for producer, consumer, payload in deliveries:
+            stage = self.stages.get(consumer)
+            if stage is not None:
+                for item in payload.to_tuples():
+                    self._chain_item(stage[0], stage[1], item)
+            elif isinstance(payload, ColumnBatch):
+                self._dispatch_columns(producer, consumer, payload)
             else:
-                if burst is None:
-                    burst = out.to_tuples()
-                for item in burst:
-                    self._route_one(rt, route, item)
+                self._dispatch(producer, consumer, payload.tuples)
 
     def _flush_task(self, rt: TaskRuntime) -> None:
         for edge in rt.out_edges:
@@ -1750,33 +1689,19 @@ class _Worker:
         key, payload = entry
         self.edge_depth[key] -= len(payload)
         self.edge_stats[key].dequeued_tuples += len(payload)
-        chain = self.chains.get(consumer)
-        if chain is not None:
-            self._process_chain(chain, payload)
+        chain = self.chains[consumer]
+        batch = self.step.intake(consumer, payload)
+        if batch is not None:
+            self._deliver(self.step.run_columns(chain, 0, batch))
             return True
-        stats = self.stats[consumer]
-        kernel = self.column_ops.get(consumer)
-        if kernel is not None:
-            batch = (
-                payload
-                if isinstance(payload, ColumnBatch)
-                else ColumnBatch.from_tuples(payload)
-            )
-            schemas = self.column_schemas[consumer]
-            if batch is not None and not schema_accepts(schemas, batch.schema):
-                batch = None  # schema the kernel did not negotiate
-            if batch is not None:
-                self._process_columns(rt, consumer, stats, kernel, batch)
-                return True
-            # Column-capable consumer, but this batch's schema does not
-            # qualify — fall through to the scalar paths below.
-            self.metrics["vectorized_fallbacks"] += 1
-        elif consumer in self.column_capable:
-            # Kernel disabled for the whole run (fault injection armed).
-            self.metrics["vectorized_fallbacks"] += 1
         tuples = (
             payload.to_tuples() if isinstance(payload, ColumnBatch) else payload
         )
+        if len(chain) > 1:
+            for item in tuples:
+                self._chain_item(chain, 0, item)
+            return True
+        stats = self.stats[consumer]
         batch_fn = self.batch_ops.get(consumer)
         if batch_fn is not None:
             # Batch fast path: one Python call per sealed batch.  The
@@ -1801,26 +1726,6 @@ class _Worker:
                 self._route(rt, out)
         return True
 
-    def _process_columns(
-        self,
-        rt: TaskRuntime,
-        consumer: int,
-        stats: Any,
-        kernel: Any,
-        batch: "ColumnBatch",
-    ) -> None:
-        """Run one columnar kernel invocation and route its outputs."""
-        n = len(batch)
-        stats.tuples_in += n
-        self.metrics["vectorized_batches"] += 1
-        self.metrics["vectorized_tuples"] += n
-        for out in kernel(batch) or ():
-            if len(out) == 0:
-                continue
-            out.stamp_from(batch, consumer)
-            stats.record_out_many(out.stream, len(out), out.payload_bytes())
-            self._route_columns(rt, out)
-
     # ------------------------------------------------------------------
     # Fused chains (same discipline as the inline backend): the head
     # executes every stage in place, per-stage stats and fault ticks
@@ -1829,32 +1734,6 @@ class _Worker:
     # stream is not the intra-chain edge's stream are dropped exactly as
     # the unfused _route would drop them (no matching route).
     # ------------------------------------------------------------------
-    def _process_chain(
-        self, chain: tuple[TaskRuntime, ...], payload: Any
-    ) -> None:
-        head_id = chain[0].task_id
-        kernel = self.column_ops.get(head_id)
-        if kernel is not None:
-            batch = (
-                payload
-                if isinstance(payload, ColumnBatch)
-                else ColumnBatch.from_tuples(payload)
-            )
-            schemas = self.column_schemas[head_id]
-            if batch is not None and not schema_accepts(schemas, batch.schema):
-                batch = None
-            if batch is not None:
-                self._chain_columns(chain, 0, batch)
-                return
-            self.metrics["vectorized_fallbacks"] += 1
-        elif head_id in self.column_capable:
-            self.metrics["vectorized_fallbacks"] += 1
-        tuples = (
-            payload.to_tuples() if isinstance(payload, ColumnBatch) else payload
-        )
-        for item in tuples:
-            self._chain_item(chain, 0, item)
-
     def _chain_item(
         self, chain: tuple[TaskRuntime, ...], position: int, item: StreamTuple
     ) -> None:
@@ -1876,59 +1755,9 @@ class _Worker:
             elif stream == chain_stream:
                 self._chain_item(chain, position + 1, out)
 
-    def _chain_columns(
-        self,
-        chain: tuple[TaskRuntime, ...],
-        position: int,
-        batch: "ColumnBatch",
-    ) -> None:
-        """Run ``batch`` through the chain from ``position`` (columnar).
-
-        Composed stages hand the output batch to the next kernel without
-        materializing tuples; a stage whose successor has no kernel (or
-        did not negotiate the batch's schema) bursts to tuples and
-        continues scalar from there — counted in ``fusion_fallbacks``.
-        """
-        rt = chain[position]
-        stats = self.stats[rt.task_id]
-        n = len(batch)
-        stats.tuples_in += n
-        self.metrics["vectorized_batches"] += 1
-        self.metrics["vectorized_tuples"] += n
-        if position:
-            self.metrics["fusion_composed_batches"] += 1
-            self.metrics["fusion_composed_tuples"] += n
-        kernel = self.column_ops[rt.task_id]
-        last = position == len(chain) - 1
-        chain_stream = None if last else rt.out_edges[0].stream
-        for out in kernel(batch) or ():
-            if len(out) == 0:
-                continue
-            out.stamp_from(batch, rt.task_id)
-            stats.record_out_many(out.stream, len(out), out.payload_bytes())
-            if last:
-                self._route_columns(rt, out)
-                continue
-            if out.stream != chain_stream:
-                continue  # no matching route in the unfused run either
-            next_id = chain[position + 1].task_id
-            next_kernel = self.column_ops.get(next_id)
-            schemas = (
-                self.column_schemas[next_id]
-                if next_kernel is not None
-                else None
-            )
-            if next_kernel is not None and schema_accepts(schemas, out.schema):
-                self._chain_columns(chain, position + 1, out)
-            else:
-                if next_id in self.column_capable:
-                    self.metrics["vectorized_fallbacks"] += 1
-                self.metrics["fusion_fallbacks"] += 1
-                for item in out.to_tuples():
-                    self._chain_item(chain, position + 1, item)
-
     def _complete_chain(self, chain: tuple[TaskRuntime, ...]) -> None:
-        """Finish a fused chain whose head's inputs reached EOF.
+        """Finish a chain (an unfused task is a chain of one) whose
+        head's inputs reached EOF.
 
         Each stage's ``flush()`` feeds the remainder of the chain before
         the next stage flushes — the same order EOF propagation produces
@@ -1936,6 +1765,8 @@ class _Worker:
         buffers and sends EOF downstream, head first.
         """
         if self.slice_final:
+            # flush() ends the *stream*, not an epoch slice: windowed
+            # leftovers are only emitted when the run truly closes.
             for position, rt in enumerate(chain):
                 operator = self.instances[rt.task_id]
                 assert isinstance(operator, Operator)
@@ -1988,25 +1819,6 @@ class _Worker:
                     break
             if live:
                 continue
-            chain = self.chains.get(rt.task_id)
-            if chain is not None:
-                self._complete_chain(chain)
-                progress += 1
-                continue
-            operator = self.instances[rt.task_id]
-            assert isinstance(operator, Operator)
-            stats = self.stats[rt.task_id]
-            if self.slice_final:
-                # flush() ends the *stream*, not an epoch slice: windowed
-                # leftovers are only emitted when the run truly closes.
-                for stream, values in operator.flush():
-                    out = StreamTuple(
-                        values=tuple(values),
-                        stream=stream,
-                        source_task=rt.task_id,
-                    )
-                    stats.record_out(stream, out.payload_size_bytes)
-                    self._route(rt, out)
-            self._flush_task(rt)
+            self._complete_chain(self.chains[rt.task_id])
             progress += 1
         return progress

@@ -47,7 +47,7 @@ class TestCommunicationQueue:
         buffer = OutputBuffer(0, 1, batch_size=3)
         for batch in _batchify(buffer, 6):
             queue.put(batch)
-        drained = queue.drain_tuples()
+        (drained,) = queue.drain()
         assert [t.values[0] for t in drained] == [0, 1, 2, 3, 4, 5]
 
     def test_unbounded_by_default(self):
@@ -86,14 +86,25 @@ class TestCommunicationQueue:
         assert queue.poll() is None
         assert queue.is_empty
 
-    def test_drain_respects_max_but_keeps_batches_whole(self):
-        queue = CommunicationQueue(0, 1)
+    def test_drain_coalesces_jumbo_runs_and_keeps_other_batches_whole(self):
+        # Anything sized may cross the queue by reference (the runtime
+        # enqueues columnar batches); only runs of jumbo tuples coalesce.
+        queue = CommunicationQueue(0, 1, capacity_tuples=16)
         buffer = OutputBuffer(0, 1, batch_size=4)
-        for batch in _batchify(buffer, 12):
+        first, second, third = _batchify(buffer, 12)
+        opaque = ("a", "b", "c")
+        for batch in (first, second, opaque, third):
             queue.put(batch)
-        drained = queue.drain_tuples(max_tuples=5)
-        assert len(drained) == 8  # two whole batches
-        assert queue.depth_tuples == 4
+        assert queue.depth_tuples == 15
+        assert not queue.offer(("d", "e"))  # 15 + 2 > 16, whatever the shape
+        payloads = queue.drain()
+        assert [t.values[0] for t in payloads[0]] == list(range(8))
+        assert payloads[1] is opaque
+        assert [t.values[0] for t in payloads[2]] == [8, 9, 10, 11]
+        assert queue.is_empty and queue.depth_tuples == 0
+        assert queue.stats.enqueued_batches == 4
+        assert queue.stats.dequeued_tuples == queue.stats.enqueued_tuples == 15
+        assert queue.drain() == []
 
     def test_stats_track_depth(self):
         queue = CommunicationQueue(0, 1)
@@ -101,7 +112,7 @@ class TestCommunicationQueue:
         for batch in _batchify(buffer, 6):
             queue.put(batch)
         assert queue.stats.max_depth_tuples == 6
-        queue.drain_tuples()
+        queue.drain()
         assert queue.stats.pending_tuples == 0
         assert queue.stats.dequeued_tuples == 6
 

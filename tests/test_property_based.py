@@ -172,7 +172,7 @@ class TestQueueProperties:
         sealed = buffer.flush()
         if sealed is not None:
             queue.put(sealed)
-        drained = queue.drain_tuples()
+        drained = [t for payload in queue.drain() for t in payload]
         assert [t.values[0] for t in drained] == list(range(n_tuples))
 
     @given(sizes=st.lists(st.integers(1, 20), min_size=1, max_size=20))

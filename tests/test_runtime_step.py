@@ -1,0 +1,635 @@
+"""The shared columnar step and router (``repro.runtime.step``).
+
+Three layers of evidence that keeping batches columnar *between* tasks is
+invisible except for speed:
+
+* router units — the route counter, per-edge FIFO (pending scalar tuples
+  leave before the chunks that follow them), chunking by the live buffer
+  size, and every grouping against the scalar router on random batches;
+* the inline executor end to end — all four applications against their
+  ``vectorized="off"`` run under the conditions that stress the hand-off:
+  queues exactly one batch deep, epoch barriers with a live migration,
+  fused chains fed by a kernel task, sample-keeping and ``on_tuple`` sinks;
+* the gates both executors share — what counts as a fallback, what a
+  sink takes, what a kernel may return.
+"""
+
+import random
+from collections import Counter as Multiset
+from dataclasses import replace as dc_replace
+
+import pytest
+
+from repro.apps import build_application
+from repro.apps.wordcount import Counter, Parser, SentenceSpout, Splitter
+from repro.dsps import LocalEngine
+from repro.dsps.operators import Operator, Sink, Spout
+from repro.dsps.queues import CommunicationQueue, OutputBuffer
+from repro.dsps.streams import (
+    BroadcastGrouping,
+    FieldsGrouping,
+    GlobalGrouping,
+    ShuffleGrouping,
+)
+from repro.dsps.topology import TopologyBuilder
+from repro.dsps.tuples import DEFAULT_STREAM, JumboTuple, StreamTuple
+from repro.errors import TopologyError
+from repro.metrics import MetricsRegistry
+from repro.metrics.registry import NULL_REGISTRY
+from repro.runtime import EpochConfig, Migration, ProcessPoolBackend
+from repro.runtime.backends import _InlineRun
+from repro.runtime.dataplane import ColumnBatch, columns_available
+from repro.runtime.step import ColumnarStep, STEP_COUNTERS, partition
+
+pytestmark = pytest.mark.skipif(
+    not columns_available(), reason="numpy unavailable"
+)
+
+APPS = ("wc", "sd", "fd", "lr")
+EVENTS = 300
+BATCH = 8
+
+
+# ---------------------------------------------------------------------------
+# Fixtures: a producer with one route under a chosen grouping
+# ---------------------------------------------------------------------------
+class _Numbers(Spout):
+    def next_batch(self, max_tuples):
+        for i in range(max_tuples):
+            yield (f"k{i % 5}", i)
+
+
+class _Pass(Operator):
+    """Kernel-capable identity over ("s", "q") rows."""
+
+    declared_fields = {DEFAULT_STREAM: "sq"}
+    column_schemas = ("sq",)
+
+    def process(self, item):
+        yield DEFAULT_STREAM, item.values
+
+    def process_columns(self, batch):
+        yield ColumnBatch.build(DEFAULT_STREAM, "sq", list(batch.columns))
+
+
+def _connect(handle, kind):
+    if kind == "fields":
+        return handle.fields_from("src", 0)
+    return getattr(handle, f"{kind}_from")("src")
+
+
+def route_spec(kind, consumers, batch_size=BATCH):
+    """Lowered spec of spout -> src -> dst(xN, grouping ``kind``) -> sink."""
+    builder = TopologyBuilder("route")
+    builder.set_spout("spout", _Numbers())
+    builder.add_operator("src", _Pass()).shuffle_from("spout")
+    _connect(builder.add_operator("dst", _Pass()), kind)
+    builder.add_sink("sink", Sink()).shuffle_from("dst")
+    engine = LocalEngine(
+        builder.build(),
+        replication={"spout": 1, "src": 1, "dst": consumers, "sink": 1},
+        batch_size=batch_size,
+    )
+    return engine.spec
+
+
+def rows(n, start=0, source=1):
+    return [
+        StreamTuple(
+            values=(f"k{(start + i) % 5}", start + i),
+            source_task=source,
+            event_time_ns=float(start + i),
+        )
+        for i in range(n)
+    ]
+
+
+class Harness:
+    """One producer's routing state, driven scalar or columnar.
+
+    Scalar tuples go through the inline run's own ``_route`` (the
+    reference router); batches through the shared ``route_columns`` with
+    deliveries enqueued as the inline run would.  Unbounded queues, so
+    nothing ever suspends.
+    """
+
+    def __init__(self, spec):
+        self.run = _InlineRun(spec, 0, NULL_REGISTRY)
+        self.rt = next(rt for rt in spec.tasks if rt.component == "src")
+        self.step = ColumnarStep(
+            self.run.instances,
+            self.run.stats,
+            self.run.counters,
+            self.run.buffers,
+            self.run.metrics,
+            vectorized="on",
+            per_tuple=False,
+            transpose_sinks=False,
+        )
+
+    def scalar(self, items):
+        for item in items:
+            assert list(self.run._route(self.rt, item)) == []
+
+    def columnar(self, items):
+        batch = ColumnBatch.from_tuples(items)
+        for producer, consumer, payload in self.step.route_columns(self.rt, batch):
+            self.run.queues[(producer, consumer)].put(payload)
+
+    def finish(self):
+        """Flush, then per-consumer tuple sequences and the counters."""
+        assert list(self.run._flush_buffers(self.rt)) == []
+        received = {}
+        for edge in self.rt.out_edges:
+            queue = self.run.queues[(edge.producer, edge.consumer)]
+            received[edge.consumer] = [
+                (t.values, t.stream, t.source_task, t.event_time_ns)
+                for payload in queue.drain()
+                for t in (
+                    payload.to_tuples()
+                    if isinstance(payload, ColumnBatch)
+                    else payload
+                )
+            ]
+        return received, dict(self.run.counters)
+
+
+# ---------------------------------------------------------------------------
+# Router units
+# ---------------------------------------------------------------------------
+class TestRouter:
+    def test_single_consumer_counter_advances_by_batch_length(self):
+        harness = Harness(route_spec("fields", 1))
+        harness.columnar(rows(21))
+        (key,) = harness.run.counters
+        assert harness.run.counters[key] == 21
+        harness.columnar(rows(5, start=21))
+        assert harness.run.counters[key] == 26
+
+    def test_pending_scalar_tuples_leave_before_the_chunks(self):
+        harness = Harness(route_spec("shuffle", 1))
+        harness.scalar(rows(3))  # below the batch size: stays pending
+        (edge,) = harness.rt.out_edges
+        queue = harness.run.queues[(edge.producer, edge.consumer)]
+        assert queue.is_empty and harness.run.buffers[
+            (edge.producer, edge.consumer)
+        ].pending == 3
+        harness.columnar(rows(4, start=3))
+        first, second = queue.drain()
+        assert [t.values[1] for t in first] == [0, 1, 2]  # scalar, flushed first
+        assert isinstance(second, ColumnBatch)
+        assert second.columns[1].tolist() == [3, 4, 5, 6]
+
+    def test_chunk_size_follows_the_live_buffer(self):
+        harness = Harness(route_spec("shuffle", 1))
+        (edge,) = harness.rt.out_edges
+        key = (edge.producer, edge.consumer)
+        harness.columnar(rows(20))
+        assert [len(p) for p in harness.run.queues[key].drain()] == [8, 8, 4]
+        # A barrier's AIMD step resizes the buffer, not the lowered spec.
+        harness.run.buffers[key].batch_size = 5
+        harness.columnar(rows(12, start=20))
+        assert [len(p) for p in harness.run.queues[key].drain()] == [5, 5, 2]
+        assert harness.run.spec.batch_for(key) == BATCH
+
+    def test_small_batch_is_delivered_by_reference(self):
+        harness = Harness(route_spec("shuffle", 1))
+        batch = ColumnBatch.from_tuples(rows(BATCH))
+        ((_, _, payload),) = harness.step.route_columns(harness.rt, batch)
+        assert payload is batch
+
+    @pytest.mark.parametrize("kind", ("shuffle", "fields", "broadcast", "global"))
+    @pytest.mark.parametrize("consumers", (1, 3, 4))
+    def test_matches_scalar_router_on_random_batches(self, kind, consumers):
+        rng = random.Random(f"{kind}-{consumers}")
+        spec = route_spec(kind, consumers)
+        reference, candidate = Harness(spec), Harness(spec)
+        position = 0
+        for _ in range(12):
+            n = rng.randint(1, 40)
+            items = rows(n, start=position)
+            position += n
+            reference.scalar(items)
+            # The candidate interleaves both shapes, as an operator whose
+            # batches only sometimes qualify for its kernel would.
+            if rng.random() < 0.3:
+                candidate.scalar(items)
+            else:
+                candidate.columnar(items)
+        got, got_counters = candidate.finish()
+        want, want_counters = reference.finish()
+        assert got == want
+        assert got_counters == want_counters
+
+    def test_unrouted_stream_is_dropped(self):
+        harness = Harness(route_spec("shuffle", 2))
+        batch = ColumnBatch.from_tuples(
+            [dc_replace(t, stream="elsewhere") for t in rows(4)]
+        )
+        assert list(harness.step.route_columns(harness.rt, batch)) == []
+        assert not harness.run.counters
+
+
+class TestPartition:
+    def batch(self, n):
+        return ColumnBatch.from_tuples(rows(n))
+
+    @pytest.mark.parametrize("counter", (0, 1, 5, 7))
+    def test_shuffle_rows_follow_the_counter(self, counter):
+        batch = self.batch(10)
+        parts = dict(partition(ShuffleGrouping(), batch, 3, counter))
+        for index, part in parts.items():
+            want = [j for j in range(10) if (counter + j) % 3 == index]
+            assert part.columns[1].tolist() == want
+            assert part.event_times.tolist() == [float(j) for j in want]
+        assert sum(len(p) for p in parts.values()) == 10
+
+    def test_shuffle_skips_consumers_without_rows(self):
+        parts = partition(ShuffleGrouping(), self.batch(2), 4, 3)
+        assert [index for index, _ in parts] == [0, 3]
+
+    def test_broadcast_and_global(self):
+        batch = self.batch(6)
+        assert partition(BroadcastGrouping(), batch, 3, 9) == [
+            (0, batch),
+            (1, batch),
+            (2, batch),
+        ]
+        assert partition(GlobalGrouping(), batch, 3, 9) == [(0, batch)]
+
+    def test_content_keyed_groupings_are_left_to_the_scalar_router(self):
+        class Custom(ShuffleGrouping):
+            def route(self, item, n_consumers, counter):
+                return [0]
+
+        batch = self.batch(6)
+        assert partition(FieldsGrouping(0), batch, 3, 0) is None
+        assert partition(Custom(), batch, 3, 0) is None
+        # One consumer: degenerate whatever the grouping.
+        assert partition(FieldsGrouping(0), batch, 1, 0) == [(0, batch)]
+
+
+class TestFieldsGroupingSingleConsumer:
+    def test_skips_the_hash_but_not_the_key_check(self):
+        grouping = FieldsGrouping(0, 2)
+        assert grouping.route(StreamTuple(values=("a", 1, 2)), 1, 0) == [0]
+        with pytest.raises(TopologyError, match="lacks key fields"):
+            grouping.route(StreamTuple(values=("a",)), 1, 0)
+        # Several consumers: same replica for the same key, as before.
+        picks = {
+            tuple(grouping.route(StreamTuple(values=("a", i, 2)), 4, i))
+            for i in range(8)
+        }
+        assert len(picks) == 1
+
+
+# ---------------------------------------------------------------------------
+# Mixed payloads on one queue
+# ---------------------------------------------------------------------------
+class TestMixedPayloadQueue:
+    def test_depth_and_stats_count_tuples_whatever_the_shape(self):
+        queue = CommunicationQueue(0, 1, capacity_tuples=20)
+        buffer = OutputBuffer(0, 1, batch_size=4)
+        jumbo = [buffer.append(t) for t in rows(8)]
+        first, second = (b for b in jumbo if b is not None)
+        columnar = ColumnBatch.from_tuples(rows(6, start=8))
+        tail = JumboTuple(source_task=0, target_task=1, tuples=rows(3, start=14))
+        for batch in (first, columnar, second, tail):
+            queue.put(batch)
+        assert queue.depth_tuples == 17
+        assert queue.has_space(3) and not queue.has_space(4)
+        assert not queue.offer(ColumnBatch.from_tuples(rows(4)))
+        assert queue.stats.rejected_batches == 1
+        assert queue.offer(columnar.select(slice(0, 0)))  # empty: no-op
+        assert queue.stats.enqueued_batches == 4
+        payloads = queue.drain()
+        # FIFO: the ColumnBatch keeps its place between the jumbo tuples,
+        # which coalesce only with their neighbours.
+        assert [type(p) for p in payloads] == [list, ColumnBatch, list]
+        assert payloads[1] is columnar
+        assert [len(p) for p in payloads] == [4, 6, 7]
+        stats = queue.stats
+        assert stats.enqueued_tuples == stats.dequeued_tuples == 17
+        assert stats.max_depth_tuples == 17 and stats.pending_tuples == 0
+        assert queue.is_empty and not queue.is_full
+
+
+# ---------------------------------------------------------------------------
+# Inline executor parity
+# ---------------------------------------------------------------------------
+def sink_contents(result):
+    """Every sink's retained tuples, in arrival order."""
+    return {
+        component: [
+            [(t.stream, t.values, t.source_task, t.event_time_ns) for t in sink.samples]
+            for sink in sinks
+        ]
+        for component, sinks in result.sinks.items()
+    }
+
+
+def task_counters(result):
+    return {
+        task_id: (
+            stats.tuples_in,
+            stats.tuples_out,
+            dict(stats.out_by_stream),
+            dict(stats.bytes_out_by_stream),
+        )
+        for task_id, stats in result.task_stats.items()
+    }
+
+
+def app_engine(app, vectorized, **kwargs):
+    topology = build_application(app)
+    topology.component("sink").template.keep_samples = 10**6
+    kwargs.setdefault("replication", {name: 1 for name in topology.components})
+    return LocalEngine(topology, vectorized=vectorized, **kwargs)
+
+
+def assert_same_run(reference, candidate, ordered=True):
+    """``ordered=False`` compares sinks as multisets: with bounded queues
+    the interleaving of a sink's *several* producers follows the schedule,
+    which batch shapes legitimately change (per-edge order never does)."""
+    assert candidate.events_ingested == reference.events_ingested
+    assert task_counters(candidate) == task_counters(reference)
+    got, want = sink_contents(candidate), sink_contents(reference)
+    if not ordered:
+        got, want = (
+            {c: [Multiset(s) for s in sinks] for c, sinks in contents.items()}
+            for contents in (got, want)
+        )
+    assert got == want
+
+
+@pytest.fixture(scope="module")
+def scalar_runs():
+    return {app: app_engine(app, "off").run(EVENTS) for app in APPS}
+
+
+class TestInlineParity:
+    @pytest.mark.parametrize("app", APPS)
+    def test_unbounded_queues(self, app, scalar_runs):
+        assert_same_run(scalar_runs[app], app_engine(app, "on").run(EVENTS))
+
+    @pytest.mark.parametrize("app", APPS)
+    def test_queue_one_batch_deep(self, app, monkeypatch):
+        """``queue_capacity == batch_size``: every sealed batch fills its
+        queue, so a producer holding ColumnBatch chunks must block on the
+        first and resume once the consumer has drained it."""
+        blocked_on_columns = set()
+        enqueue = _InlineRun._enqueue
+
+        def spy(self, producer, consumer, batch):
+            queue = self.queues[(producer, consumer)]
+            if isinstance(batch, ColumnBatch) and not queue.has_space(len(batch)):
+                blocked_on_columns.add((producer, consumer))
+            yield from enqueue(self, producer, consumer, batch)
+
+        reference = app_engine(
+            app, "off", batch_size=BATCH, queue_capacity=BATCH
+        ).run(EVENTS)
+        monkeypatch.setattr(_InlineRun, "_enqueue", spy)
+        engine = app_engine(app, "on", batch_size=BATCH, queue_capacity=BATCH)
+        run = _InlineRun(engine.spec, EVENTS, NULL_REGISTRY, vectorized="on")
+        candidate = run.execute()
+        assert_same_run(reference, candidate, ordered=False)
+        # WC's splitter and LR's dispatcher fan out: one input chunk makes
+        # several output chunks, and the second finds the queue full.
+        assert blocked_on_columns or app in ("sd", "fd")
+        for key in blocked_on_columns:
+            stats = run.queues[key].stats
+            assert stats.blocked_batches > 0
+            assert stats.max_depth_tuples <= BATCH
+        assert all(queue.is_empty for queue in run.queues.values())
+
+    @pytest.mark.parametrize("app", APPS)
+    def test_epoch_barriers_with_live_migration(self, app):
+        interval = 100
+        reference = app_engine(app, "off", epoch_interval=interval).run(EVENTS)
+        engine = app_engine(app, "on")
+        seen = []
+
+        def observer(commit):
+            # Quiescence: nothing — in particular no ColumnBatch — is in
+            # flight at a barrier, and pending output stayed scalar.
+            assert all(queue.is_empty for queue in run.queues.values())
+            seen.append(commit.epoch)
+            if commit.epoch != 0:
+                return None
+            moved = tuple(rt.task_id for rt in commit.spec.tasks)
+            spec = dc_replace(
+                commit.spec,
+                tasks=tuple(dc_replace(rt, socket=1) for rt in commit.spec.tasks),
+            )
+            return Migration(spec=spec, moved=moved, detail="test move")
+
+        run = _InlineRun(
+            engine.spec,
+            EVENTS,
+            NULL_REGISTRY,
+            vectorized="on",
+            epochs=EpochConfig(interval=interval),
+            on_epoch=observer,
+        )
+        candidate = run.execute()
+        assert seen and candidate.epochs.migrations == 1
+        # Snapshots are validated plain data at every commit
+        # (check_serializable); the last one still unpickles without numpy
+        # scalars having leaked into operator state.
+        assert set(run.last_checkpoint.payload()) == {"states", "counters", "stats"}
+        assert_same_run(reference, candidate)
+
+    @pytest.mark.parametrize("app", APPS)
+    def test_fused_chain_fed_by_a_kernel_task(self, app, scalar_runs):
+        """Chain heads drain queues too: a head fed ColumnBatch chunks by
+        an upstream kernel (parser -> [dispatcher, ...] in LR; forced
+        here by fusing only the tail of each pipeline) must take them."""
+        engine = app_engine(app, "on", fuse="on")
+        assert engine.spec.fusion
+        # Behead the chain that starts right after the spout, so that the
+        # new head has a kernel task upstream (FD's chain of two stays).
+        spout_fed = {
+            edge.consumer
+            for rt in engine.spec.tasks
+            if rt.is_spout
+            for edge in rt.out_edges
+        }
+        trimmed = tuple(
+            chain[1:] if chain[0] in spout_fed and len(chain) > 2 else chain
+            for chain in engine.spec.fusion
+        )
+        spec = dc_replace(engine.spec, fusion=trimmed)
+        registry_free = _InlineRun(spec, EVENTS, NULL_REGISTRY, vectorized="on")
+        candidate = registry_free.execute()
+        assert_same_run(scalar_runs[app], candidate)
+        assert registry_free.metrics["fusion_composed_batches"] > 0
+
+    @pytest.mark.parametrize("hooked", (True, False))
+    def test_sampling_and_on_tuple_sinks(self, hooked):
+        """A sink that still collects samples, or hooks ``on_tuple``, sees
+        every tuple of a ColumnBatch, in order; one that does neither
+        counts the batch in O(1) once its samples are full."""
+
+        class Recorder(Sink):
+            def __init__(self):
+                super().__init__(keep_samples=5)
+                self.seen = []
+
+            def on_tuple(self, item):
+                self.seen.append((item.values, item.event_time_ns))
+
+        def run(vectorized):
+            builder = TopologyBuilder("wc")
+            builder.set_spout("spout", SentenceSpout(seed=3))
+            builder.add_operator("parser", Parser()).shuffle_from("spout")
+            builder.add_operator("splitter", Splitter()).shuffle_from("parser")
+            builder.add_operator("counter", Counter()).fields_from("splitter", 0)
+            sink = Recorder() if hooked else Sink(keep_samples=5)
+            builder.add_sink("sink", sink).shuffle_from("counter")
+            result = LocalEngine(builder.build(), vectorized=vectorized).run(EVENTS)
+            return result, result.sinks["sink"][0]
+
+        (reference, scalar_sink), (candidate, columnar_sink) = run("off"), run("on")
+        assert columnar_sink.received == scalar_sink.received == EVENTS * 10
+        assert len(columnar_sink.samples) == 5
+        assert sink_contents(candidate) == sink_contents(reference)
+        if hooked:
+            assert columnar_sink.seen == scalar_sink.seen
+            assert len(scalar_sink.seen) == scalar_sink.received
+
+
+# ---------------------------------------------------------------------------
+# Gates shared by both executors
+# ---------------------------------------------------------------------------
+class _QuietKernel(_Pass):
+    """A filter that drops everything may return ``None``, not ``()``."""
+
+    def process(self, item):
+        return ()
+
+    def process_columns(self, batch):
+        return None
+
+
+class _ScalarSink(Sink):
+    """Opts out of columnar intake by overriding ``process``."""
+
+    def process(self, item):
+        return super().process(item)
+
+
+def small_topology(operator, sink):
+    builder = TopologyBuilder("gates")
+    builder.set_spout("spout", _Numbers())
+    builder.add_operator("op", operator).shuffle_from("spout")
+    builder.add_sink("sink", sink).shuffle_from("op")
+    return builder.build()
+
+
+def step_counters(registry):
+    return {
+        key.removeprefix("runtime.vectorized."): value
+        for key, value in registry.snapshot()["counters"].items()
+        if key.startswith("runtime.vectorized.")
+    }
+
+
+def inline_metrics(topology, vectorized="on", **kwargs):
+    engine = LocalEngine(topology, vectorized=vectorized, **kwargs)
+    run = _InlineRun(engine.spec, 100, NULL_REGISTRY, vectorized=vectorized)
+    return run.execute(), run.metrics
+
+
+class TestSharedGates:
+    def test_kernel_returning_none_emits_nothing(self):
+        result, metrics = inline_metrics(small_topology(_QuietKernel(), Sink()))
+        assert result.sink_received() == 0
+        assert metrics["vectorized_batches"] > 0
+
+    def test_inline_sink_takes_columns_but_never_transposes(self):
+        # Kernel upstream: the sink counts each chunk through process_columns.
+        result, metrics = inline_metrics(
+            small_topology(_Pass(), Sink()), batch_size=BATCH
+        )
+        assert result.sink_received() == 100
+        chunks = -(-100 // BATCH)
+        assert metrics["vectorized_batches"] == 1 + chunks  # op once, sink per chunk
+        assert metrics["vectorized_fallbacks"] == 0
+
+        # Scalar upstream: the sink's batches stay scalar and are not
+        # "fallbacks" — no kernel would have won anything on them.
+        class Plain(Operator):
+            def process(self, item):
+                yield DEFAULT_STREAM, item.values
+
+        result, metrics = inline_metrics(small_topology(Plain(), Sink()))
+        assert result.sink_received() == 100
+        assert all(metrics[key] == 0 for key in STEP_COUNTERS)
+
+    def test_process_overriding_sink_is_a_counted_fallback_on_both_backends(self):
+        result, metrics = inline_metrics(small_topology(_Pass(), _ScalarSink()))
+        assert result.sink_received() == 100
+        assert metrics["vectorized_fallbacks"] > 0
+        registry = MetricsRegistry()
+        result = LocalEngine(
+            small_topology(_Pass(), _ScalarSink()),
+            backend=ProcessPoolBackend(n_workers=2, vectorized="on"),
+            registry=registry,
+            queue_budget=4096,
+        ).run(100)
+        assert result.sink_received() == 100
+        counters = step_counters(registry)
+        assert counters["batches"] > 0 and counters["fallbacks"] > 0
+
+    @pytest.mark.parametrize("backend", ("inline", "process"))
+    def test_chain_hand_off_to_a_scalar_stage_bursts_once(self, backend):
+        """kernel -> scalar-only operator inside one fused chain: the step
+        addresses the batch to the member, the executor runs it scalar."""
+
+        class Double(Operator):
+            def process(self, item):
+                yield DEFAULT_STREAM, (item.values[0], item.values[1] * 2)
+
+        def build():
+            builder = TopologyBuilder("handoff")
+            builder.set_spout("spout", _Numbers())
+            builder.add_operator("first", _Pass()).shuffle_from("spout")
+            builder.add_operator("second", Double()).shuffle_from("first")
+            builder.add_sink("sink", Sink(keep_samples=1000)).shuffle_from("second")
+            return builder.build()
+
+        reference = LocalEngine(build(), vectorized="off").run(100)
+        if backend == "inline":
+            engine = LocalEngine(build(), vectorized="on", fuse="on")
+            assert engine.spec.fusion == ((1, 2),)
+            run = _InlineRun(engine.spec, 100, NULL_REGISTRY, vectorized="on")
+            candidate, metrics = run.execute(), run.metrics
+        else:
+            registry = MetricsRegistry()
+            candidate = LocalEngine(
+                build(),
+                backend=ProcessPoolBackend(n_workers=2, vectorized="on"),
+                fuse="on",
+                registry=registry,
+            ).run(100)
+            metrics = {
+                key.removeprefix("runtime.").replace(".", "_", 1): value
+                for key, value in registry.snapshot()["counters"].items()
+            }
+        assert_same_run(reference, candidate)
+        assert metrics["fusion_fallbacks"] > 0
+        assert metrics["fusion_composed_batches"] == 0
+        assert metrics["vectorized_fallbacks"] == 0  # "second" has no kernel
+
+    def test_off_mode_and_per_tuple_observers_disable_kernels(self):
+        _, metrics = inline_metrics(small_topology(_Pass(), Sink()), "off")
+        assert all(metrics[key] == 0 for key in STEP_COUNTERS)
+        # A live registry times every process() call: one counted
+        # fallback per drained batch at the kernel-capable operator, none
+        # at the sink (its batches are scalar).
+        registry = MetricsRegistry()
+        LocalEngine(
+            small_topology(_Pass(), Sink()), vectorized="auto", registry=registry
+        ).run(100)
+        assert step_counters(registry) == {"batches": 0, "tuples": 0, "fallbacks": 1}
