@@ -9,7 +9,7 @@ of whether fraud was detected.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 try:  # numpy backs the optional vectorized kernels only.
     import numpy as np
@@ -17,7 +17,6 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
     np = None  # type: ignore[assignment]
 
 from repro.dsps.operators import (
-    BatchEmission,
     Emission,
     Operator,
     OperatorContext,
@@ -139,25 +138,6 @@ class MarkovPredictor(Operator):
         if is_fraud:
             self.flagged += 1
         yield DEFAULT_STREAM, (entity, score, is_fraud)
-
-    def process_batch(
-        self, items: Sequence[StreamTuple]
-    ) -> Iterable[BatchEmission]:
-        transition = _TRANSITION_SCORE
-        threshold = self.threshold
-        for index, item in enumerate(items):
-            entity, trace = item.values
-            states = trace.split(",")
-            score = 0.0
-            for previous, current in zip(states, states[1:]):
-                score += transition.get(
-                    (previous, current), _UNSEEN_TRANSITION_SCORE
-                )
-            is_fraud = score >= threshold
-            self.scored += 1
-            if is_fraud:
-                self.flagged += 1
-            yield index, DEFAULT_STREAM, (entity, score, is_fraud)
 
     def process_columns(self, batch: ColumnBatch) -> Iterable[ColumnBatch]:
         # Scoring walks each trace's transition pairs in order (float

@@ -29,7 +29,7 @@ on LR by construction: there is no "s" column to promote.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 try:  # numpy backs the optional vectorized kernels only.
     import numpy as np
@@ -37,7 +37,6 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
     np = None  # type: ignore[assignment]
 
 from repro.dsps.operators import (
-    BatchEmission,
     Emission,
     Operator,
     OperatorContext,
@@ -345,20 +344,6 @@ class CountVehicles(Operator):
         self._vehicles[key].add(item.values[_POS_VID])
         yield COUNTS_STREAM, (*key, len(self._vehicles[key]))
 
-    def process_batch(
-        self, items: Sequence[StreamTuple]
-    ) -> Iterable[BatchEmission]:
-        minute_of = self._minute
-        vehicles_of = self._vehicles
-        for index, item in enumerate(items):
-            key = _segment_key(item.values)
-            minute = item.values[_POS_TIME] // self.minute_length
-            if minute_of.get(key) != minute:
-                minute_of[key] = minute
-                vehicles_of[key] = set()
-            vehicles_of[key].add(item.values[_POS_VID])
-            yield index, COUNTS_STREAM, (*key, len(vehicles_of[key]))
-
     def process_columns(self, batch: ColumnBatch) -> Iterable[ColumnBatch]:
         # Per-segment distinct counting is inherently sequential (each
         # row's count depends on the set built by its predecessors), so
@@ -492,36 +477,6 @@ class TollNotifier(Operator):
     # No declared_fields: TOLL_STREAM mixes arity-4 segment records with
     # arity-3 vehicle notifications, so the codec infers (and falls back)
     # per batch instead.
-    def process_batch(
-        self, items: Sequence[StreamTuple]
-    ) -> Iterable[BatchEmission]:
-        for index, item in enumerate(items):
-            stream = item.stream
-            if stream == DETECT_STREAM:
-                xway, direction, segment, _time = item.values
-                self._accidents.add((xway, direction, segment))
-                continue
-            if stream == LAS_STREAM:
-                xway, direction, segment, lav = item.values
-                key = (xway, direction, segment)
-                self._lav[key] = lav
-                yield index, TOLL_STREAM, (*key, self._toll_for(key))
-                continue
-            if stream == COUNTS_STREAM:
-                xway, direction, segment, count = item.values
-                key = (xway, direction, segment)
-                self._counts[key] = count
-                yield index, TOLL_STREAM, (*key, self._toll_for(key))
-                continue
-            key = _segment_key(item.values)
-            toll = self._toll_for(key)
-            if toll > 0:
-                self.tolls_charged += 1
-            yield index, TOLL_STREAM, (
-                item.values[_POS_VID],
-                toll,
-                item.values[_POS_TIME],
-            )
 
     def process_columns(self, batch: ColumnBatch) -> Iterable[ColumnBatch]:
         # Wire batches carry one stream each, so the per-tuple stream

@@ -14,7 +14,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 try:  # numpy backs the optional vectorized kernels only.
     import numpy as np
@@ -22,7 +22,6 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
     np = None  # type: ignore[assignment]
 
 from repro.dsps.operators import (
-    BatchEmission,
     Emission,
     Operator,
     OperatorContext,
@@ -125,13 +124,6 @@ class Splitter(Operator):
         for word in item.values[0].split():
             yield DEFAULT_STREAM, (word,)
 
-    def process_batch(
-        self, items: Sequence[StreamTuple]
-    ) -> Iterable[BatchEmission]:
-        for index, item in enumerate(items):
-            for word in item.values[0].split():
-                yield index, DEFAULT_STREAM, (word,)
-
     def process_columns(self, batch: ColumnBatch) -> Iterable[ColumnBatch]:
         codes = self._codes
         table = self._table
@@ -169,16 +161,6 @@ class Counter(Operator):
         count = self.counts.get(word, 0) + 1
         self.counts[word] = count
         yield DEFAULT_STREAM, (word, count)
-
-    def process_batch(
-        self, items: Sequence[StreamTuple]
-    ) -> Iterable[BatchEmission]:
-        counts = self.counts
-        for index, item in enumerate(items):
-            word = item.values[0]
-            count = counts.get(word, 0) + 1
-            counts[word] = count
-            yield index, DEFAULT_STREAM, (word, count)
 
     def process_columns(self, batch: ColumnBatch) -> Iterable[ColumnBatch]:
         """Whole-batch unique-counts kernel.

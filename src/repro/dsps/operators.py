@@ -46,9 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime dependency
 #: An emitted record: (stream name, values tuple).
 Emission = tuple[str, tuple[Any, ...]]
 
-#: A batch-mode emitted record: (input tuple index, stream name, values).
-BatchEmission = tuple[int, str, tuple[Any, ...]]
-
 
 @dataclass(frozen=True)
 class OperatorContext:
@@ -86,26 +83,6 @@ class Operator(ABC):
     def process(self, item: StreamTuple) -> Iterable[Emission]:
         """Handle one input tuple; yield ``(stream, values)`` emissions."""
 
-    def process_batch(
-        self, items: Sequence[StreamTuple]
-    ) -> Iterable[BatchEmission]:
-        """Handle one jumbo batch; yield ``(index, stream, values)``.
-
-        Executors call this instead of per-tuple :meth:`process` for
-        operators that override it (the batch fast path: one Python call
-        per sealed batch instead of one per tuple).  Overrides must be
-        *emission-order equivalent* to the per-tuple path: yield inputs'
-        emissions grouped by ascending input ``index``, each input's
-        emissions in its :meth:`process` order, with identical state
-        updates — executors fall back to per-tuple dispatch whenever
-        they need to interleave per-tuple work (fault injection,
-        per-tuple timing), and results must not depend on which path
-        ran.
-        """
-        for index, item in enumerate(items):
-            for stream, values in self.process(item):
-                yield index, stream, values
-
     def process_columns(
         self, batch: "ColumnBatch"
     ) -> "Iterable[ColumnBatch]":
@@ -123,10 +100,10 @@ class Operator(ABC):
         Overrides must be **bit-identical** to the scalar path: same
         per-stream output multiset, same state updates, same float
         arithmetic order where results depend on it.  Executors fall
-        through to :meth:`process_batch`/:meth:`process` whenever a batch
-        does not qualify (non-columnar schema, fault injection, per-tuple
-        histograms, ``--vectorized off``), and results must not depend on
-        which path ran.
+        through to :meth:`process` whenever a batch does not qualify
+        (non-columnar schema, fault injection, per-tuple histograms,
+        ``--vectorized off``), and results must not depend on which path
+        ran.
         """
         raise NotImplementedError
 

@@ -26,11 +26,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import defaultdict
 from time import perf_counter
-from typing import TYPE_CHECKING, Generator, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from repro.dsps.operators import Operator, Sink
 from repro.dsps.queues import CommunicationQueue, OutputBuffer, QueueStats
-from repro.dsps.tuples import JumboTuple, StreamTuple
+from repro.dsps.tuples import JumboTuple
 from repro.errors import (
     ExecutionError,
     InjectedFaultError,
@@ -52,6 +52,8 @@ from repro.runtime.epochs import (
     EpochConfig,
     EpochReport,
     Migration,
+    fast_forward,
+    restore_tasks,
 )
 from repro.runtime.fusion import validate_fuse
 from repro.runtime.overload import OverloadConfig, OverloadManager, SendRetryPolicy
@@ -65,8 +67,8 @@ from repro.runtime.lowering import (
 from repro.runtime.results import RunResult, TaskStats
 from repro.runtime.step import (
     STEP_COUNTERS,
-    ColumnarStep,
     Delivery,
+    TaskStep,
     chain_stages,
     publish_step_counters,
 )
@@ -403,13 +405,6 @@ class _InlineRun:
             if epochs is not None
             else None
         )
-        if resume is not None:
-            if epochs is None:
-                raise ExecutionError(
-                    "resume from a checkpoint requires epoch barriers "
-                    "(pass an EpochConfig)"
-                )
-            self._restore(resume)
         # Persistent per-spout iterators: one source per run, paused at
         # phase boundaries instead of re-created per phase.
         self.spout_iters = {
@@ -418,35 +413,31 @@ class _InlineRun:
             if rt.is_spout
         }
         if resume is not None:
-            self._fast_forward_spouts()
+            if epochs is None:
+                raise ExecutionError(
+                    "resume from a checkpoint requires epoch barriers "
+                    "(pass an EpochConfig)"
+                )
+            self._restore(resume)
 
     def _restore(self, checkpoint: EpochCheckpoint) -> None:
         """Rebuild runtime state from a committed checkpoint (recovery)."""
-        payload = checkpoint.payload()
-        for task_id, state in payload["states"].items():
-            if state is not None:
-                self.instances[task_id].restore_state(state)
-        self.counters.update(payload["counters"])
-        self.stats = payload["stats"]
+        restore_tasks(
+            checkpoint.payload(), self.instances, self.counters, self.stats
+        )
         self.events = checkpoint.events_ingested
         self.spout_produced.update(checkpoint.spout_produced)
         self.start_epoch = checkpoint.epoch + 1
         self.last_checkpoint = checkpoint
+        for task_id in self.spout_iters:
+            self._fast_forward(task_id)
 
-    def _fast_forward_spouts(self) -> None:
-        """Advance each spout's source past the tuples of committed epochs.
-
-        Sources are deterministic seeded generators, so re-drawing (and
-        discarding) the already-committed prefix replays them to the
-        exact resume position without recording stats or fault ticks.
-        """
-        for task_id, iterator in self.spout_iters.items():
-            for _ in range(self.spout_produced[task_id]):
-                try:
-                    next(iterator)
-                except StopIteration:
-                    self.exhausted.add(task_id)
-                    break
+    def _fast_forward(self, task_id: int) -> None:
+        """Replay spout ``task_id``'s source to its committed position."""
+        if not fast_forward(
+            self.spout_iters[task_id], self.spout_produced[task_id]
+        ):
+            self.exhausted.add(task_id)
 
     # ------------------------------------------------------------------
     # Scheduler
@@ -550,30 +541,46 @@ class _InlineRun:
         }
         members = self.spec.fused_member_ids
         self.stages = chain_stages(chains.values())  # see _deliver
-        # The columnar step and router (repro.runtime.step), rebuilt per
-        # phase because a migration re-instantiates moved operators.
-        # Per-tuple observers — an armed injector, per-call latency
-        # histograms — disable kernels for the run (counted fallbacks).
-        self.step = ColumnarStep(
+        # The task step (repro.runtime.step), rebuilt per phase because
+        # a migration re-instantiates moved operators and the overload
+        # ladder only moves at barriers.  Its per-tuple observers — an
+        # armed injector, per-call latency histograms — disable kernels
+        # for the run (counted fallbacks).
+        self.step = TaskStep(
             self.instances,
             self.stats,
             self.counters,
             self.buffers,
             self.metrics,
             vectorized=self.vectorized,
-            per_tuple=self.injector is not None or self.instrumented,
             transpose_sinks=False,
+            tick=self._fault_tick if self.injector is not None else None,
+            histograms=(
+                {
+                    rt.task_id: self.registry.histogram(
+                        f"engine.{rt.component}.{rt.task.replica_start}.process_ns"
+                    )
+                    for rt in self.spec.tasks
+                }
+                if self.instrumented
+                else None
+            ),
+            shedder=(
+                self.overload.shedder
+                if self.overload is not None and self.overload.shed_active
+                else None
+            ),
         )
         active: list[tuple[int, Iterator[None]]] = []
         for rt in self.spec.tasks:
             if rt.task_id in members:
                 continue  # executed inline by its chain head
             if rt.is_spout:
-                loop = self._spout_loop(rt, limit, final)
-            elif rt.task_id in chains:
-                loop = self._chain_loop(chains[rt.task_id], final)
+                loop = self._spout_loop(rt, limit)
             else:
-                loop = self._operator_loop(rt, final)
+                loop = self._chain_loop(chains.get(rt.task_id, (rt,)), final)
+            if self.injector is not None:
+                loop = _park_when_stalled(loop)
             active.append((rt.task_id, loop))
         while active:
             before = self.ticks
@@ -716,14 +723,8 @@ class _InlineRun:
                 # A moved spout restarts its deterministic source and
                 # fast-forwards to the committed position.
                 self.instances[task_id] = instance
-                iterator = instance.next_batch(self.max_events)
-                for _ in range(self.spout_produced[task_id]):
-                    try:
-                        next(iterator)
-                    except StopIteration:
-                        self.exhausted.add(task_id)
-                        break
-                self.spout_iters[task_id] = iterator
+                self.spout_iters[task_id] = instance.next_batch(self.max_events)
+                self._fast_forward(task_id)
         pause_ns = (perf_counter() - started) * 1e9
         report = self.epoch_report
         assert report is not None
@@ -760,10 +761,11 @@ class _InlineRun:
         )
 
     def _sockets_of(self, task_ids) -> tuple[int, ...]:
+        task_ids = set(task_ids)
         sockets = {
             rt.socket if rt.socket is not None else 0
             for rt in self.spec.tasks
-            if rt.task_id in set(task_ids)
+            if rt.task_id in task_ids
         }
         return tuple(sorted(sockets))
 
@@ -771,11 +773,9 @@ class _InlineRun:
     # Fault injection
     # ------------------------------------------------------------------
     def _fault_tick(self, rt: TaskRuntime) -> None:
-        """Count one tuple at ``rt``; act on a fired crash/raise fault.
-
-        ``stall`` and ``drop`` faults only flip injector state here; the
-        task loops and :meth:`_enqueue` honor them at their call sites.
-        """
+        """The step's fault tick: count one tuple at ``rt`` and act on a
+        fired crash/raise/stall fault.  ``drop`` faults only flip
+        injector state here; :meth:`_enqueue` honors them."""
         fault = self.injector.tick(rt.task_id)
         if fault is None:
             return
@@ -792,29 +792,17 @@ class _InlineRun:
                 f"injected operator failure: {fault.describe()}",
                 failed_sockets=(socket,),
             )
+        if fault.kind == "stall":
+            raise _Stalled
 
     # ------------------------------------------------------------------
-    # Task loops (generators: ``yield`` = cannot progress right now)
+    # Task loops (generators: ``yield`` = cannot progress right now).
+    # What a task *does* with a tuple is repro.runtime.step's; the loops
+    # own the queues it is fetched from and enqueued on.
     # ------------------------------------------------------------------
-    def _histogram(self, rt: TaskRuntime):
-        if not self.instrumented:
-            return None
-        return self.registry.histogram(
-            f"engine.{rt.component}.{rt.task.replica_start}.process_ns"
-        )
-
-    def _spout_loop(self, rt: TaskRuntime, limit: int, final: bool) -> Iterator[None]:
-        stats = self.stats[rt.task_id]
-        histogram = self._histogram(rt)
+    def _spout_loop(self, rt: TaskRuntime, limit: int) -> Iterator[None]:
+        histogram = self.step.histograms.get(rt.task_id)
         iterator = self.spout_iters[rt.task_id]
-        # Load shedding applies at the sources, before any downstream
-        # work is invested; the shed rung is constant within a phase
-        # (the ladder only moves at barriers), so bind it here once.
-        shed = (
-            self.overload.shedder
-            if self.overload is not None and self.overload.shed_active
-            else None
-        )
         # ``produced`` is cumulative across phases (and across a resume):
         # event times and epoch boundaries count from the run's origin.
         produced = self.spout_produced[rt.task_id]
@@ -824,154 +812,36 @@ class _InlineRun:
             except StopIteration:
                 self.exhausted.add(rt.task_id)
                 break
-            if self.injector is not None:
-                self._fault_tick(rt)
-                if self.injector.is_stalled(rt.task_id):
-                    while True:  # simulated stall: never produce again
-                        yield
             started = perf_counter() if histogram is not None else 0.0
-            item = StreamTuple(
-                values=values,
-                source_task=rt.task_id,
-                event_time_ns=float(produced),
-            )
-            stats.record_out(item.stream, item.payload_size_bytes)
-            if shed is None:
-                yield from self._route(rt, item)
-            else:
-                yield from self._route(rt, item, shed_offset=produced)
+            for producer, consumer, sealed in self.step.emit(rt, values, produced):
+                yield from self._enqueue(producer, consumer, sealed)
             produced += 1
             self.spout_produced[rt.task_id] = produced
             self.events += 1
             self.ticks += 1
             if histogram is not None:
                 histogram.observe((perf_counter() - started) * 1e9)
-        yield from self._flush_buffers(rt)
+        yield from self._deliver(self.step.flush_buffers(rt))
         self.done.add(rt.task_id)
 
-    def _operator_loop(self, rt: TaskRuntime, final: bool) -> Iterator[None]:
-        operator = self.instances[rt.task_id]
-        assert isinstance(operator, Operator)
-        stats = self.stats[rt.task_id]
-        histogram = self._histogram(rt)
-        # Batch fast path: one process_batch call per drained batch, for
-        # operators that override it.  Only when nothing needs to observe
-        # individual tuples — fault ticks and per-tuple timing both do.
-        batch_fn = (
-            operator.process_batch
-            if (
-                histogram is None
-                and self.injector is None
-                and type(operator).process_batch is not Operator.process_batch
-            )
-            else None
-        )
-        chain = (rt,)
-        producers = {edge.producer for edge in rt.in_edges}
-        in_queues = [
-            self.queues[(edge.producer, edge.consumer)] for edge in rt.in_edges
-        ]
-        while True:
-            if self.injector is not None and self.injector.is_stalled(rt.task_id):
-                # Simulated stall: stop consuming forever.  The scheduler's
-                # no-progress watchdog converts this into a StallError.
-                yield
-                continue
-            progressed = False
-            for queue in in_queues:
-                for payload in _drain(queue):
-                    progressed = True
-                    self.ticks += 1
-                    items = yield from self._take_columns(chain, payload)
-                    if items is None:
-                        continue
-                    if batch_fn is not None:
-                        stats.tuples_in += len(items)
-                        for index, stream, values in batch_fn(items):
-                            out = items[index].derive(
-                                values, stream=stream, source_task=rt.task_id
-                            )
-                            stats.record_out(stream, out.payload_size_bytes)
-                            yield from self._route(rt, out)
-                        continue
-                    for item in items:
-                        stats.tuples_in += 1
-                        if self.injector is not None:
-                            self._fault_tick(rt)
-                            if self.injector.is_stalled(rt.task_id):
-                                # Simulated stall mid-batch: stop right here
-                                # and never progress again; the scheduler's
-                                # no-progress watchdog raises StallError.
-                                while True:
-                                    yield
-                        if histogram is None:
-                            emitted = operator.process(item)
-                        else:
-                            # Timed path: materialize the generator so the
-                            # observed wall-clock covers the whole per-tuple
-                            # work of the operator.
-                            started = perf_counter()
-                            emitted = list(operator.process(item))
-                            histogram.observe((perf_counter() - started) * 1e9)
-                        for stream, values in emitted:
-                            out = item.derive(
-                                values, stream=stream, source_task=rt.task_id
-                            )
-                            stats.record_out(stream, out.payload_size_bytes)
-                            yield from self._route(rt, out)
-            if producers <= self.done:
-                if all(queue.is_empty for queue in in_queues):
-                    break
-                continue
-            if not progressed:
-                yield
-        if final:
-            # flush() ends the *stream*, not a phase: windowed leftovers
-            # are only emitted once the run truly closes.
-            for stream, values in operator.flush():
-                out = StreamTuple(
-                    values=tuple(values), stream=stream, source_task=rt.task_id
-                )
-                stats.record_out(stream, out.payload_size_bytes)
-                yield from self._route(rt, out)
-        yield from self._flush_buffers(rt)
-        self.done.add(rt.task_id)
-
-    # ------------------------------------------------------------------
-    # Fused chains: the head executes every stage inline (see
-    # repro.runtime.fusion).  Intermediates never touch a queue; the
-    # chain tail routes through its own (real) out-edges.  Per-stage
-    # stats, fault ticks and histograms match the unfused run exactly,
-    # and a linear chain preserves per-tuple FIFO order, so results are
-    # bit-identical to running the same spec unfused.
-    # ------------------------------------------------------------------
     def _chain_loop(
         self, chain: tuple[TaskRuntime, ...], final: bool
     ) -> Iterator[None]:
+        """Drive one fused chain — an unfused task is a chain of one —
+        from its head's input queues.  Intermediates never touch a
+        queue; the tail routes through its own (real) out-edges."""
         head = chain[0]
-        histograms = [self._histogram(rt) for rt in chain]
         producers = {edge.producer for edge in head.in_edges}
         in_queues = [
             self.queues[(edge.producer, edge.consumer)] for edge in head.in_edges
         ]
         while True:
-            if self.injector is not None and any(
-                self.injector.is_stalled(rt.task_id) for rt in chain
-            ):
-                # A stalled stage stalls the whole chain: there is no
-                # queue in front of it to absorb input.
-                yield
-                continue
             progressed = False
             for queue in in_queues:
                 for payload in _drain(queue):
                     progressed = True
                     self.ticks += 1
-                    items = yield from self._take_columns(chain, payload)
-                    if items is None:
-                        continue
-                    for item in items:
-                        yield from self._chain_item(chain, histograms, 0, item)
+                    yield from self._deliver(self.step.run(chain, payload))
             if producers <= self.done:
                 if all(queue.is_empty for queue in in_queues):
                     break
@@ -979,121 +849,24 @@ class _InlineRun:
             if not progressed:
                 yield
         if final:
-            # Staged flush: stage i's trailing output runs through stages
-            # i+1.. before those flush — exactly the order the unfused
-            # run produces (a downstream operator only flushes once its
-            # producer has flushed and drained).
-            for position, rt in enumerate(chain):
-                operator = self.instances[rt.task_id]
-                stats = self.stats[rt.task_id]
-                for stream, values in operator.flush():
-                    out = StreamTuple(
-                        values=tuple(values), stream=stream, source_task=rt.task_id
-                    )
-                    stats.record_out(stream, out.payload_size_bytes)
-                    if position + 1 == len(chain):
-                        yield from self._route(rt, out)
-                    elif stream == rt.out_edges[0].stream:
-                        yield from self._chain_item(
-                            chain, histograms, position + 1, out
-                        )
+            yield from self._deliver(self.step.flush_chain(chain))
         for rt in chain:
-            yield from self._flush_buffers(rt)
-        for rt in chain:
-            self.done.add(rt.task_id)
-
-    def _chain_item(
-        self,
-        chain: tuple[TaskRuntime, ...],
-        histograms: list,
-        position: int,
-        item: StreamTuple,
-    ) -> Iterator[None]:
-        """Run one tuple through stage ``position`` and onward."""
-        rt = chain[position]
-        operator = self.instances[rt.task_id]
-        stats = self.stats[rt.task_id]
-        stats.tuples_in += 1
-        if self.injector is not None:
-            self._fault_tick(rt)
-            if self.injector.is_stalled(rt.task_id):
-                while True:  # stall mid-chain: never progress again
-                    yield
-        histogram = histograms[position]
-        if histogram is None:
-            emitted = operator.process(item)
-        else:
-            started = perf_counter()
-            emitted = list(operator.process(item))
-            histogram.observe((perf_counter() - started) * 1e9)
-        last = position + 1 == len(chain)
-        for stream, values in emitted:
-            out = item.derive(values, stream=stream, source_task=rt.task_id)
-            stats.record_out(stream, out.payload_size_bytes)
-            if last:
-                yield from self._route(rt, out)
-            elif stream == rt.out_edges[0].stream:
-                yield from self._chain_item(chain, histograms, position + 1, out)
-            # else: emission on a stream with no route — dropped, exactly
-            # as _route drops it in the unfused run.
-
-    def _take_columns(
-        self, chain: tuple[TaskRuntime, ...], payload: "ColumnBatch | list"
-    ) -> Generator[None, None, "list[StreamTuple] | None"]:
-        """Offer a drained payload to the chain head's kernel (an unfused
-        task is a chain of one).  A ColumnBatch goes straight in, a run
-        of scalar jumbo tuples is transposed once (never for a sink);
-        returns ``None`` when the kernel took it, else the tuples left
-        for the scalar paths — a ColumnBatch burst once."""
-        batch = self.step.intake(chain[0].task_id, payload)
-        if batch is not None:
-            yield from self._deliver(self.step.run_columns(chain, 0, batch))
-            return None
-        return payload.to_tuples() if isinstance(payload, ColumnBatch) else payload
+            yield from self._deliver(self.step.flush_buffers(rt))
+        self.done.update(rt.task_id for rt in chain)
 
     def _deliver(self, deliveries: Iterator[Delivery]) -> Iterator[None]:
-        """Hand the columnar step's deliveries over: onto the edge's
-        queue — suspending while it is full, like any sealed batch — or,
-        addressed to a fused chain member, burst once and run scalar
-        from that stage (kernels are live, so nothing is being timed)."""
+        """Hand the step's deliveries over: onto the edge's queue —
+        suspending while it is full — or, addressed to a fused chain
+        member, back to the step to run scalar from that stage."""
         for producer, consumer, payload in deliveries:
             stage = self.stages.get(consumer)
             if stage is None:
                 yield from self._enqueue(producer, consumer, payload)
-                continue
-            chain, position = stage
-            untimed = (None,) * len(chain)
-            for item in payload.to_tuples():
-                yield from self._chain_item(chain, untimed, position, item)
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    def _route(
-        self, rt: TaskRuntime, item: StreamTuple, shed_offset: int | None = None
-    ) -> Iterator[None]:
-        for route in rt.routes:
-            if route.stream != item.stream:
-                continue
-            key = (rt.task_id, route.counter_key)
-            indices = route.grouping.route(
-                item, len(route.consumers), self.counters[key]
-            )
-            # Routing counters advance whether or not the tuple is shed,
-            # so a shed run routes survivors exactly like an unshed run.
-            self.counters[key] += 1
-            for index in indices:
-                consumer = route.consumers[index]
-                if shed_offset is not None and self.overload.shedder.should_shed(
-                    (rt.task_id, consumer),
-                    shed_offset,
-                    item,
-                    getattr(self.instances[rt.task_id], "sheddable", None),
-                ):
-                    continue
-                sealed = self.buffers[(rt.task_id, consumer)].append(item)
-                if sealed is not None:
-                    yield from self._enqueue(rt.task_id, consumer, sealed)
+            else:
+                chain, position = stage
+                yield from self._deliver(
+                    self.step.run_rows(chain, position, payload)
+                )
 
     def _enqueue(
         self, producer: int, consumer: int, batch: "JumboTuple | ColumnBatch"
@@ -1118,11 +891,20 @@ class _InlineRun:
         queue.put(batch)
         self.ticks += 1
 
-    def _flush_buffers(self, rt: TaskRuntime) -> Iterator[None]:
-        for edge in rt.out_edges:
-            sealed = self.buffers[(edge.producer, edge.consumer)].flush()
-            if sealed is not None:
-                yield from self._enqueue(edge.producer, edge.consumer, sealed)
+
+class _Stalled(Exception):
+    """An injected stall fired in the task loop that was running."""
+
+
+def _park_when_stalled(loop: Iterator[None]) -> Iterator[None]:
+    """Run ``loop`` until a stall fault fires in it, then never progress
+    again — mid-batch, mid-chain, wherever it was.  The scheduler's
+    no-progress watchdog converts that into a :class:`StallError`."""
+    try:
+        yield from loop
+    except _Stalled:
+        while True:
+            yield
 
 
 def _drain(queue: CommunicationQueue) -> Iterator:

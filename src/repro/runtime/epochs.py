@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, MutableMapping
 
 from repro.errors import ExecutionError
 
@@ -45,6 +45,8 @@ __all__ = [
     "EpochReport",
     "Migration",
     "check_serializable",
+    "fast_forward",
+    "restore_tasks",
 ]
 
 #: Checkpoint blobs use pickle protocol 5, same as the data plane's codec
@@ -164,6 +166,37 @@ class EpochCheckpoint:
             f"epoch {self.epoch}: {self.events_ingested} events, "
             f"{self.snapshot_bytes} checkpoint bytes"
         )
+
+
+def restore_tasks(
+    payload: Mapping[str, Any],
+    instances: Mapping[int, Any],
+    counters: MutableMapping[Any, int],
+    stats: MutableMapping[int, Any],
+) -> None:
+    """Resume the tasks in ``instances`` from a checkpoint ``payload``:
+    operator state, routing counters, cumulative per-task statistics.
+    ``instances`` may be a partition of the checkpointed tasks (one
+    worker's share); the rest of the payload is ignored."""
+    for task_id, state in payload["states"].items():
+        if state is not None and task_id in instances:
+            instances[task_id].restore_state(state)
+    counters.update(payload["counters"])
+    for task_id, task_stats in payload["stats"].items():
+        if task_id in stats:
+            stats[task_id] = task_stats
+
+
+def fast_forward(iterator: Iterator, produced: int) -> bool:
+    """Advance a spout's source past its ``produced`` committed tuples;
+    False when it dried up first.
+
+    Sources are deterministic seeded generators, so re-drawing (and
+    discarding) the committed prefix replays them to the exact resume
+    position without recording stats or fault ticks.
+    """
+    dry = object()
+    return all(next(iterator, dry) is not dry for _ in range(produced))
 
 
 @dataclass(frozen=True)

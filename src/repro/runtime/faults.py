@@ -276,10 +276,11 @@ class FaultInjector:
     def tick(self, task_id: int) -> Fault | None:
         """Count one tuple at ``task_id``; return a fault if one fires.
 
-        ``stall`` and ``drop`` faults are additionally recorded in
-        :attr:`stalled` / pending-drop state so backends can honor them
-        at the right call sites; the fault is still returned so callers
-        can log/act uniformly.
+        A ``drop`` fault is additionally recorded as a pending drop,
+        which the backend's send path consumes (:meth:`take_drop`), and
+        a ``stall`` in :attr:`stalled`, which names the task in the
+        resulting ``StallError``; the fault is still returned so the
+        backend's fault tick acts on every kind in one place.
         """
         armed = self._armed.get(task_id)
         if not armed:
@@ -305,9 +306,6 @@ class FaultInjector:
         self.dropped_batches += 1
         self.dropped_tuples += n_tuples
         return True
-
-    def is_stalled(self, task_id: int) -> bool:
-        return task_id in self.stalled
 
     # ------------------------------------------------------------------
     # Reporting

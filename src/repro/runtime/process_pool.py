@@ -75,7 +75,7 @@ import multiprocessing as mp
 
 from repro.dsps.operators import Operator, Sink
 from repro.dsps.queues import OutputBuffer, QueueStats
-from repro.dsps.tuples import StreamTuple
+from repro.dsps.tuples import JumboTuple, StreamTuple
 from repro.errors import (
     ExecutionError,
     InjectedFaultError,
@@ -105,6 +105,8 @@ from repro.runtime.epochs import (
     EpochCommit,
     EpochConfig,
     EpochReport,
+    fast_forward,
+    restore_tasks,
 )
 from repro.runtime.batching import AdaptiveBatchConfig, AdaptiveBatchController
 from repro.runtime.faults import FaultInjector, merge_fault_summaries
@@ -126,8 +128,8 @@ from repro.runtime.lowering import (
 from repro.runtime.results import RunResult, TaskStats
 from repro.runtime.step import (
     STEP_COUNTERS,
-    ColumnarStep,
     Delivery,
+    TaskStep,
     chain_stages,
     publish_step_counters,
 )
@@ -1109,16 +1111,13 @@ class _Worker:
         self.counters: dict[tuple[int, str], int] = defaultdict(int)
         if epoch_ctx is not None and epoch_ctx.get("blob") is not None:
             # Resume this worker's partition from the previous epoch's
-            # checkpoint: restore operator state, routing counters and
-            # cumulative per-task statistics.
-            payload = pickle.loads(epoch_ctx["blob"])
-            for task_id, state in payload["states"].items():
-                if task_id in self.instances and state is not None:
-                    self.instances[task_id].restore_state(state)
-            self.counters.update(payload["counters"])
-            for task_id, stats in payload["stats"].items():
-                if task_id in self.stats:
-                    self.stats[task_id] = stats
+            # checkpoint.
+            restore_tasks(
+                pickle.loads(epoch_ctx["blob"]),
+                self.instances,
+                self.counters,
+                self.stats,
+            )
         # Inbound bookkeeping: one stats block and backlog per in-edge of a
         # local task.  Arrival mode queues (edge, tuples) per consumer in
         # arrival order; ordered mode queues per edge.
@@ -1161,31 +1160,24 @@ class _Worker:
             if chain[0] in self.chains:
                 self.chains[chain[0]] = tuple(self.rt_by_id[tid] for tid in chain)
         self.stages = chain_stages(self.chains.values())  # see _deliver
-        # Batch fast path: operators that override process_batch, used
-        # only when no injector is armed (fault ticks are per-tuple).
-        self.batch_ops: dict[int, Any] = (
-            {
-                task_id: instance.process_batch
-                for task_id, instance in self.instances.items()
-                if isinstance(instance, Operator)
-                and type(instance).process_batch is not Operator.process_batch
-            }
-            if self.injector is None
-            else {}
-        )
         self.metrics: dict[str, Any] = defaultdict(float)
-        # Columnar fast path (repro.runtime.step, shared with the inline
-        # run): kernel dispatch, lineage, routing.  An armed injector
-        # needs per-tuple fault ticks, so it disables kernels for the run.
-        self.step = ColumnarStep(
+        # The task step (repro.runtime.step, shared with the inline run).
+        # An armed injector needs per-tuple fault ticks, so it disables
+        # kernels for the run; the shed rung is constant within a slice.
+        self.step = TaskStep(
             self.instances,
             self.stats,
             self.counters,
             self.buffers,
             self.metrics,
             vectorized=vectorized,
-            per_tuple=self.injector is not None,
             transpose_sinks=True,
+            tick=self._fault_tick if self.injector is not None else None,
+            shedder=(
+                self.shedder
+                if self.shedder is not None and self.shedder.active
+                else None
+            ),
         )
         self.spout_iters: dict[int, Iterator] = {
             rt.task_id: self.instances[rt.task_id].next_batch(max_events)
@@ -1203,13 +1195,8 @@ class _Worker:
         # are the slice delta (the parent accumulates across slices).
         self.spout_start: dict[int, int] = dict(self.spout_produced)
         for task_id, start in self.spout_start.items():
-            # Deterministic seeded sources replay to the resume position
-            # by re-drawing (and discarding) the committed prefix.
-            iterator = self.spout_iters[task_id]
-            for _ in range(start):
-                if next(iterator, None) is None:
-                    self.exhausted_spouts.add(task_id)
-                    break
+            if not fast_forward(self.spout_iters[task_id], start):
+                self.exhausted_spouts.add(task_id)
 
     # ------------------------------------------------------------------
     # Liveness
@@ -1244,8 +1231,11 @@ class _Worker:
     # ------------------------------------------------------------------
     # Fault injection
     # ------------------------------------------------------------------
-    def _fault_tick(self, task_id: int) -> None:
-        fault = self.injector.tick(task_id)
+    def _fault_tick(self, rt: TaskRuntime) -> None:
+        """The step's fault tick: count one tuple at ``rt`` and act on a
+        fired crash/raise/stall fault (``drop`` faults only flip
+        injector state; :meth:`_dispatch` honors them)."""
+        fault = self.injector.tick(rt.task_id)
         if fault is None:
             return
         if fault.kind == "crash":
@@ -1422,43 +1412,31 @@ class _Worker:
             return self.edge_depth[(producer, consumer)] >= capacity
         return self.channel.dest_full(self.owner[consumer])
 
-    def _dispatch(self, producer: int, consumer: int, tuples: list[StreamTuple]) -> None:
-        if not tuples:
+    def _dispatch(self, producer: int, consumer: int, payload: Any) -> None:
+        """Send one batch — a sealed jumbo tuple, a bare tuple list or a
+        ColumnBatch, shipped whole — to ``consumer``, wherever it runs."""
+        if isinstance(payload, JumboTuple):
+            payload = payload.tuples
+        if not len(payload):
             return
         if self.injector is not None and self.injector.take_drop(
-            producer, len(tuples)
+            producer, len(payload)
         ):
             # Injected message loss: the batch vanishes before delivery.
             return
         if self.owner[consumer] == self.me:
-            self._deliver_local(producer, consumer, tuples)
+            self._deliver_local(producer, consumer, payload)
             return
-        # pack() seals the batch exactly once — byte counters live there,
-        # so an overflow-admission retry inside _blocking_put can never
-        # double-count a batch.
+        # Packing seals the batch exactly once — byte counters live
+        # there, so an overflow-admission retry inside _blocking_put can
+        # never double-count a batch.
         dest = self.owner[consumer]
-        message = self.channel.pack(dest, producer, consumer, tuples)
-        self._blocking_put(dest, message)
-
-    def _dispatch_columns(
-        self, producer: int, consumer: int, batch: "ColumnBatch"
-    ) -> None:
-        """Columnar twin of :meth:`_dispatch`: ship a ColumnBatch whole."""
-        if len(batch) == 0:
-            return
-        if self.injector is not None and self.injector.take_drop(
-            producer, len(batch)
-        ):
-            # Unreachable in practice (kernels are disabled while the
-            # injector is armed) but kept so drop accounting can never
-            # silently diverge between the two dispatch paths.
-            return
-        if self.owner[consumer] == self.me:
-            self._deliver_local(producer, consumer, batch)
-            return
-        dest = self.owner[consumer]
-        message = self.channel.pack_columns(dest, producer, consumer, batch)
-        self._blocking_put(dest, message)
+        pack = (
+            self.channel.pack_columns
+            if isinstance(payload, ColumnBatch)
+            else self.channel.pack
+        )
+        self._blocking_put(dest, pack(dest, producer, consumer, payload))
 
     def _deliver_local(self, producer: int, consumer: int, tuples: Any) -> None:
         key = (producer, consumer)
@@ -1546,64 +1524,22 @@ class _Worker:
             self._blocking_put(self.owner[consumer], ("eof", producer, consumer))
 
     # ------------------------------------------------------------------
-    # Routing (same counter/grouping discipline as the inline backend)
+    # Step deliveries
     # ------------------------------------------------------------------
-    def _route(
-        self,
-        rt: TaskRuntime,
-        item: StreamTuple,
-        shed_offset: int | None = None,
-    ) -> None:
-        for route in rt.routes:
-            if route.stream == item.stream:
-                self._route_one(rt, route, item, shed_offset)
-
-    def _route_one(
-        self,
-        rt: TaskRuntime,
-        route: Any,
-        item: StreamTuple,
-        shed_offset: int | None = None,
-    ) -> None:
-        key = (rt.task_id, route.counter_key)
-        indices = route.grouping.route(
-            item, len(route.consumers), self.counters[key]
-        )
-        # Counters advance whether or not the tuple is shed, so the
-        # surviving tuples route exactly as they would without shedding.
-        self.counters[key] += 1
-        for index in indices:
-            consumer = route.consumers[index]
-            if shed_offset is not None and self.shedder.should_shed(
-                (rt.task_id, consumer),
-                shed_offset,
-                item,
-                getattr(self.instances[rt.task_id], "sheddable", None),
-            ):
-                continue
-            sealed = self.buffers[(rt.task_id, consumer)].append(item)
-            if sealed is not None:
-                self._dispatch(rt.task_id, consumer, sealed.tuples)
-
     def _deliver(self, deliveries: Iterator[Delivery]) -> None:
-        """Hand the columnar step's deliveries over: to a local backlog or
-        a peer's channel, or — addressed to a fused chain member — burst
-        once and run scalar from that stage."""
+        """Hand the step's deliveries over: to a local backlog or a
+        peer's channel, or — addressed to a fused chain member — back to
+        the step to run scalar from that stage."""
         for producer, consumer, payload in deliveries:
             stage = self.stages.get(consumer)
-            if stage is not None:
-                for item in payload.to_tuples():
-                    self._chain_item(stage[0], stage[1], item)
-            elif isinstance(payload, ColumnBatch):
-                self._dispatch_columns(producer, consumer, payload)
+            if stage is None:
+                self._dispatch(producer, consumer, payload)
             else:
-                self._dispatch(producer, consumer, payload.tuples)
+                chain, position = stage
+                self._deliver(self.step.run_rows(chain, position, payload))
 
     def _flush_task(self, rt: TaskRuntime) -> None:
-        for edge in rt.out_edges:
-            sealed = self.buffers[(edge.producer, edge.consumer)].flush()
-            if sealed is not None:
-                self._dispatch(edge.producer, edge.consumer, sealed.tuples)
+        self._deliver(self.step.flush_buffers(rt))
         for edge in rt.out_edges:
             self._send_eof(edge.producer, edge.consumer)
         self.completed.add(rt.task_id)
@@ -1613,7 +1549,6 @@ class _Worker:
     # ------------------------------------------------------------------
     def _step_spouts(self) -> int:
         progress = 0
-        shedding = self.shedder is not None and self.shedder.active
         for rt in self.mine:
             if not rt.is_spout or rt.task_id in self.completed:
                 continue
@@ -1626,7 +1561,6 @@ class _Worker:
                 self.metrics["spout_throttles"] += 1
                 continue
             iterator = self.spout_iters[rt.task_id]
-            stats = self.stats[rt.task_id]
             produced = self.spout_produced[rt.task_id]
             exhausted = rt.task_id in self.exhausted_spouts
             chunk = max(0, min(_SPOUT_CHUNK, self.slice_limit - produced))
@@ -1635,18 +1569,7 @@ class _Worker:
                 if values is None:
                     exhausted = True
                     break
-                if self.injector is not None:
-                    self._fault_tick(rt.task_id)
-                item = StreamTuple(
-                    values=values,
-                    source_task=rt.task_id,
-                    event_time_ns=float(produced),
-                )
-                stats.record_out(item.stream, item.payload_size_bytes)
-                if shedding:
-                    self._route(rt, item, shed_offset=produced)
-                else:
-                    self._route(rt, item)
+                self._deliver(self.step.emit(rt, values, produced))
                 produced += 1
                 progress += 1
             self.spout_produced[rt.task_id] = produced
@@ -1689,101 +1612,16 @@ class _Worker:
         key, payload = entry
         self.edge_depth[key] -= len(payload)
         self.edge_stats[key].dequeued_tuples += len(payload)
-        chain = self.chains[consumer]
-        batch = self.step.intake(consumer, payload)
-        if batch is not None:
-            self._deliver(self.step.run_columns(chain, 0, batch))
-            return True
-        tuples = (
-            payload.to_tuples() if isinstance(payload, ColumnBatch) else payload
-        )
-        if len(chain) > 1:
-            for item in tuples:
-                self._chain_item(chain, 0, item)
-            return True
-        stats = self.stats[consumer]
-        batch_fn = self.batch_ops.get(consumer)
-        if batch_fn is not None:
-            # Batch fast path: one Python call per sealed batch.  The
-            # override contract (emission-order equivalence) makes this
-            # indistinguishable from the per-tuple loop below.
-            stats.tuples_in += len(tuples)
-            for index, stream, values in batch_fn(tuples):
-                item = tuples[index]
-                out = item.derive(values, stream=stream, source_task=consumer)
-                stats.record_out(stream, out.payload_size_bytes)
-                self._route(rt, out)
-            return True
-        operator = self.instances[consumer]
-        assert isinstance(operator, Operator)
-        for item in tuples:
-            stats.tuples_in += 1
-            if self.injector is not None:
-                self._fault_tick(consumer)
-            for stream, values in operator.process(item):
-                out = item.derive(values, stream=stream, source_task=consumer)
-                stats.record_out(stream, out.payload_size_bytes)
-                self._route(rt, out)
+        self._deliver(self.step.run(self.chains[consumer], payload))
         return True
-
-    # ------------------------------------------------------------------
-    # Fused chains (same discipline as the inline backend): the head
-    # executes every stage in place, per-stage stats and fault ticks
-    # match the unfused run, intermediates never touch a queue, and the
-    # tail routes through its real out-edges.  Mid-chain emissions whose
-    # stream is not the intra-chain edge's stream are dropped exactly as
-    # the unfused _route would drop them (no matching route).
-    # ------------------------------------------------------------------
-    def _chain_item(
-        self, chain: tuple[TaskRuntime, ...], position: int, item: StreamTuple
-    ) -> None:
-        """Run ``item`` through the chain from ``position`` (scalar)."""
-        rt = chain[position]
-        stats = self.stats[rt.task_id]
-        stats.tuples_in += 1
-        if self.injector is not None:
-            self._fault_tick(rt.task_id)
-        operator = self.instances[rt.task_id]
-        assert isinstance(operator, Operator)
-        last = position == len(chain) - 1
-        chain_stream = None if last else rt.out_edges[0].stream
-        for stream, values in operator.process(item):
-            out = item.derive(values, stream=stream, source_task=rt.task_id)
-            stats.record_out(stream, out.payload_size_bytes)
-            if last:
-                self._route(rt, out)
-            elif stream == chain_stream:
-                self._chain_item(chain, position + 1, out)
 
     def _complete_chain(self, chain: tuple[TaskRuntime, ...]) -> None:
         """Finish a chain (an unfused task is a chain of one) whose
-        head's inputs reached EOF.
-
-        Each stage's ``flush()`` feeds the remainder of the chain before
-        the next stage flushes — the same order EOF propagation produces
-        in the unfused run — then every constituent flushes its output
-        buffers and sends EOF downstream, head first.
-        """
+        head's inputs reached EOF: on the final slice the staged
+        ``flush()``, then every constituent flushes its output buffers
+        and sends EOF downstream, head first."""
         if self.slice_final:
-            # flush() ends the *stream*, not an epoch slice: windowed
-            # leftovers are only emitted when the run truly closes.
-            for position, rt in enumerate(chain):
-                operator = self.instances[rt.task_id]
-                assert isinstance(operator, Operator)
-                stats = self.stats[rt.task_id]
-                last = position == len(chain) - 1
-                chain_stream = None if last else rt.out_edges[0].stream
-                for stream, values in operator.flush():
-                    out = StreamTuple(
-                        values=tuple(values),
-                        stream=stream,
-                        source_task=rt.task_id,
-                    )
-                    stats.record_out(stream, out.payload_size_bytes)
-                    if last:
-                        self._route(rt, out)
-                    elif stream == chain_stream:
-                        self._chain_item(chain, position + 1, out)
+            self._deliver(self.step.flush_chain(chain))
         for rt in chain:
             self._flush_task(rt)
 

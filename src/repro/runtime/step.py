@@ -1,31 +1,48 @@
-"""The columnar task step and router, shared by both executors.
+"""The task step and router, shared by both executors.
 
-BriskStream hands a jumbo tuple between operators *by reference*: one
-queue insertion per batch, no per-tuple copy (Section 5.2).  This module
-is that discipline for :class:`ColumnBatch` payloads, written once and
-scheduler-agnostic: it decides whether a payload may take a task's
-columnar kernel (:meth:`ColumnarStep.intake`), runs the kernel — through
-a fused chain kernel-to-kernel — stamping lineage and updating
-``TaskStats`` (:meth:`ColumnarStep.run_columns`), and routes each output
-batch to its consumers without bursting it
-(:meth:`ColumnarStep.route_columns`).
+BriskStream's executor is one loop per operator: fetch a jumbo tuple,
+process it, partition the output, enqueue *by reference* — one queue
+insertion per batch, no per-tuple copy (Section 5.2).  This module is
+that loop body, written once and scheduler-agnostic; it is the only
+place in the runtime that calls ``Operator.process``, ``Operator.flush``
+or ``Grouping.route``.
 
-The step never touches a queue, a channel or a clock.  It *yields
-deliveries* — ``(producer, consumer, payload)`` with ``payload`` a sealed
-:class:`~repro.dsps.tuples.JumboTuple` or a :class:`ColumnBatch` — and the
-executor that drives it owns how a delivery travels: the inline run
-enqueues it on a bounded in-memory queue (suspending while it is full),
-a process worker dispatches it locally or packs it onto a channel.  A
-delivery addressed to the next member of a fused chain (no queue exists
-for that edge) means the hand-off was not negotiated columnar: the
-executor bursts the batch once and runs the chain scalar from there.
+A drained payload enters through :meth:`TaskStep.run`.  It takes the
+task's columnar kernel when :meth:`~TaskStep.intake` lets it
+(:meth:`~TaskStep.run_columns`: kernel-to-kernel through a fused chain,
+lineage stamped, outputs routed without bursting by
+:meth:`~TaskStep.route_columns`) and goes row at a time otherwise
+(:meth:`~TaskStep.run_item`, routed by :meth:`~TaskStep.route`).  Spouts
+enter through :meth:`~TaskStep.emit`; closing a stream is
+:meth:`~TaskStep.flush_chain`, closing a phase
+:meth:`~TaskStep.flush_buffers`.  An unfused task is a chain of one.
+
+The step never touches a queue, a channel or a clock it was not handed.
+It *yields deliveries* — ``(producer, consumer, payload)`` with
+``payload`` a sealed :class:`~repro.dsps.tuples.JumboTuple` or a
+:class:`ColumnBatch` — and the executor that drives it owns how a
+delivery travels: the inline run enqueues it on a bounded in-memory
+queue (suspending while it is full), a process worker dispatches it
+locally or packs it onto a channel.  A delivery addressed to the next
+member of a fused chain (no queue exists for that edge) means the
+hand-off was not negotiated columnar: the executor hands it back to
+:meth:`~TaskStep.run_rows`, which bursts it once and continues scalar.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping, MutableMapping, Sequence
+from time import perf_counter
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    MutableMapping,
+    Sequence,
+)
 
-from repro.dsps.operators import Operator, Sink
+from repro.dsps.operators import Emission, Operator, Sink
 from repro.dsps.queues import OutputBuffer
 from repro.dsps.streams import BroadcastGrouping, GlobalGrouping, ShuffleGrouping
 from repro.dsps.tuples import StreamTuple
@@ -36,6 +53,7 @@ from repro.runtime.dataplane.columns import (
     schema_accepts,
 )
 from repro.runtime.lowering import RouteSpec, TaskRuntime
+from repro.runtime.overload import Shedder
 from repro.runtime.results import TaskStats
 
 #: ``(producer task, consumer task, JumboTuple | ColumnBatch)``.
@@ -109,33 +127,49 @@ def partition(
     return None
 
 
-class ColumnarStep:
-    """Columnar execution state of one executor's task partition.
+#: What ``flush()`` output derives from: no input tuple, event time zero.
+_NO_INPUT = StreamTuple(values=())
+
+
+class TaskStep:
+    """Execution state of one executor's task partition.
 
     Parameters
     ----------
     instances, stats, counters, buffers:
         The executor's own live tables (task id → operator / ``TaskStats``,
         route-counter key → count, edge → :class:`OutputBuffer`), shared
-        by reference: the scalar paths the executor keeps and this step
-        advance the same counters and flush the same buffers, which is
-        what keeps per-edge FIFO and the routing sequence identical
-        whichever path a batch took.
+        by reference: the scalar and the columnar path advance the same
+        counters and fill the same buffers, which is what keeps per-edge
+        FIFO and the routing sequence identical whichever path a batch
+        took.
     metrics:
         Mapping the :data:`STEP_COUNTERS` are accumulated into.
     vectorized:
         The run's ``--vectorized`` mode; ``"off"`` (or no numpy) makes
         no task kernel-capable and every counter stays zero.
-    per_tuple:
-        Something must observe individual tuples (armed fault injector,
-        per-call latency histograms): kernels are disabled and every
-        batch at a kernel-capable task is a counted fallback.
     transpose_sinks:
         Whether a *scalar* batch arriving at a sink is transposed for
         ``Sink.process_columns``.  Workers do (their sinks mostly see
         wire-decoded columns anyway); the inline run does not — a
         transpose buys a sink nothing — and only hands its sinks the
         ``ColumnBatch`` payloads that reach them as such.
+    tick:
+        The executor's fault tick, called with the :class:`TaskRuntime`
+        once per tuple a task takes in (per event a spout emits) while
+        an injector is armed.  How a fired fault *acts* is the
+        executor's: the inline run raises the typed error or parks the
+        task, a worker really exits or stops heartbeating.
+    histograms:
+        Task id → histogram observing the wall time of each
+        ``process()`` call (the instrumented inline run).
+    shedder:
+        The overload ladder's shedder while its shed rung is active:
+        spout output is offered to it per consumer before buffering.
+
+    ``tick`` and ``histograms`` observe individual tuples, so either one
+    disables kernels for the run: every batch at a kernel-capable task
+    is then a counted fallback.
     """
 
     def __init__(
@@ -147,13 +181,19 @@ class ColumnarStep:
         metrics: MutableMapping[str, Any],
         *,
         vectorized: str,
-        per_tuple: bool,
         transpose_sinks: bool,
+        tick: Callable[[TaskRuntime], None] | None = None,
+        histograms: Mapping[int, Any] | None = None,
+        shedder: Shedder | None = None,
     ) -> None:
+        self.instances = instances
         self.stats = stats
         self.counters = counters
         self.buffers = buffers
         self.metrics = metrics
+        self.tick = tick
+        self.histograms = histograms or {}
+        self.shedder = shedder
         #: Tasks whose operator publishes a kernel (drives fallback
         #: accounting: only work a kernel *could* have taken counts).
         self.capable: set[int] = set()
@@ -168,6 +208,7 @@ class ColumnarStep:
         self.columnar_only: set[int] = set()
         if vectorized == "off" or not columns_available():
             return
+        per_tuple = tick is not None or bool(histograms)
         for task_id, operator in instances.items():
             if not isinstance(operator, Operator) or not operator.supports_columns():
                 continue
@@ -184,6 +225,18 @@ class ColumnarStep:
     # ------------------------------------------------------------------
     # Intake
     # ------------------------------------------------------------------
+    def run(
+        self,
+        chain: Sequence[TaskRuntime],
+        payload: "ColumnBatch | Sequence[StreamTuple]",
+    ) -> Iterator[Delivery]:
+        """Run one drained payload through ``chain`` from its head: in
+        the head's kernel when it qualifies, row at a time otherwise."""
+        batch = self.intake(chain[0].task_id, payload)
+        if batch is not None:
+            return self.run_columns(chain, 0, batch)
+        return self.run_rows(chain, 0, payload)
+
     def intake(
         self, task_id: int, payload: "ColumnBatch | Sequence[StreamTuple]"
     ) -> ColumnBatch | None:
@@ -207,13 +260,13 @@ class ColumnarStep:
         return None
 
     # ------------------------------------------------------------------
-    # Step
+    # Columnar step
     # ------------------------------------------------------------------
     def run_columns(
         self, chain: Sequence[TaskRuntime], position: int, batch: ColumnBatch
     ) -> Iterator[Delivery]:
         """Run ``batch`` through the kernel of ``chain[position]`` and
-        onward; an unfused task is a chain of one.
+        onward.
 
         Composed stages hand the output batch to the next kernel without
         materializing tuples or touching a queue; the tail's outputs are
@@ -255,8 +308,159 @@ class ColumnarStep:
                 yield task_id, next_id, out
 
     # ------------------------------------------------------------------
+    # Scalar step
+    # ------------------------------------------------------------------
+    def run_rows(
+        self,
+        chain: Sequence[TaskRuntime],
+        position: int,
+        payload: "ColumnBatch | Iterable[StreamTuple]",
+    ) -> Iterator[Delivery]:
+        """Run ``payload`` row at a time from ``chain[position]`` onward;
+        a :class:`ColumnBatch` is burst to tuples once, here.
+
+        Per-stage ``TaskStats``, fault ticks and histograms are those of
+        the unfused run, and a linear chain keeps per-tuple FIFO order,
+        so fusing changes no result.
+        """
+        if isinstance(payload, ColumnBatch):
+            payload = payload.to_tuples()
+        return self._pass_on(
+            chain, position, self._processed(chain[position], payload)
+        )
+
+    def run_item(
+        self, chain: Sequence[TaskRuntime], position: int, item: StreamTuple
+    ) -> Iterator[Delivery]:
+        """Run one tuple through ``chain[position]`` and onward."""
+        return self._pass_on(
+            chain, position, self._processed(chain[position], (item,))
+        )
+
+    def flush_chain(self, chain: Sequence[TaskRuntime]) -> Iterator[Delivery]:
+        """Close the stream at ``chain``: every stage's ``flush()``.
+
+        Staged: stage *i*'s trailing output runs through stages *i+1…*
+        before those flush — the order the unfused run produces, where a
+        downstream operator only flushes once its producer has flushed
+        and drained.  ``flush()`` ends the *stream*, not a phase or an
+        epoch slice: executors call this once the run truly closes.
+        """
+        for position, rt in enumerate(chain):
+            trailing = self.instances[rt.task_id].flush()
+            yield from self._pass_on(chain, position, ((_NO_INPUT, trailing),))
+
+    def _processed(
+        self, rt: TaskRuntime, items: Iterable[StreamTuple]
+    ) -> Iterator[tuple[StreamTuple, Iterable[Emission]]]:
+        """Each tuple ``rt`` takes in, with what its operator emits for
+        it: counted, fault-ticked and — when instrumented — timed."""
+        task_id = rt.task_id
+        stats = self.stats[task_id]
+        tick = self.tick
+        process = self.instances[task_id].process
+        histogram = self.histograms.get(task_id)
+        for item in items:
+            stats.tuples_in += 1
+            if tick is not None:
+                tick(rt)
+            if histogram is None:
+                yield item, process(item)
+            else:
+                # Materialize the generator so the observed wall clock
+                # covers the operator's whole per-tuple work.
+                started = perf_counter()
+                emitted = list(process(item))
+                histogram.observe((perf_counter() - started) * 1e9)
+                yield item, emitted
+
+    def _pass_on(
+        self,
+        chain: Sequence[TaskRuntime],
+        position: int,
+        work: Iterable[tuple[StreamTuple, Iterable[Emission]]],
+    ) -> Iterator[Delivery]:
+        """Account what ``chain[position]`` emitted — ``work`` pairs each
+        parent tuple with its emissions — and pass it on: the tail's
+        output is routed, a member's enters the next stage."""
+        rt = chain[position]
+        task_id = rt.task_id
+        stats = self.stats[task_id]
+        last = position + 1 == len(chain)
+        for parent, emitted in work:
+            for stream, values in emitted:
+                out = parent.derive(values, stream=stream, source_task=task_id)
+                stats.record_out(stream, out.payload_size_bytes)
+                if last:
+                    yield from self.route(rt, out)
+                elif stream == rt.out_edges[0].stream:
+                    yield from self.run_item(chain, position + 1, out)
+                # else: a stream the intra-chain edge does not carry —
+                # dropped, as route() drops it in the unfused run.
+
+    def emit(self, rt: TaskRuntime, values: tuple, produced: int) -> list[Delivery]:
+        """Emit spout ``rt``'s next event.  ``produced`` is the spout's
+        cumulative position — across phases, slices and a resume — which
+        stamps the event time and keys the shed decision."""
+        if self.tick is not None:
+            self.tick(rt)
+        item = StreamTuple(
+            values=values, source_task=rt.task_id, event_time_ns=float(produced)
+        )
+        self.stats[rt.task_id].record_out(item.stream, item.payload_size_bytes)
+        # Load is shed at the sources, before any downstream work is
+        # invested in it.
+        return self.route(rt, item, None if self.shedder is None else produced)
+
+    def flush_buffers(self, rt: TaskRuntime) -> Iterator[Delivery]:
+        """Seal and deliver whatever ``rt``'s output buffers still hold."""
+        for edge in rt.out_edges:
+            sealed = self.buffers[(edge.producer, edge.consumer)].flush()
+            if sealed is not None:
+                yield edge.producer, edge.consumer, sealed
+
+    # ------------------------------------------------------------------
     # Router
     # ------------------------------------------------------------------
+    def route(
+        self,
+        rt: TaskRuntime,
+        item: StreamTuple,
+        shed_offset: int | None = None,
+        routes: Iterable[RouteSpec] | None = None,
+    ) -> list[Delivery]:
+        """Route one tuple into the output buffers of its consumers;
+        returns the jumbo tuples that sealed, as deliveries.
+
+        ``shed_offset`` offers the tuple to the shedder, per consumer,
+        under that offset.  Route counters advance whether or not it is
+        shed, so a shed run routes the survivors exactly like an unshed
+        one.  ``routes`` restricts routing to some of ``rt``'s routes.
+        """
+        task_id = rt.task_id
+        counters = self.counters
+        deliveries: list[Delivery] = []
+        for route in rt.routes if routes is None else routes:
+            if route.stream != item.stream:
+                continue
+            consumers = route.consumers
+            key = (task_id, route.counter_key)
+            indices = route.grouping.route(item, len(consumers), counters[key])
+            counters[key] += 1
+            for index in indices:
+                consumer = consumers[index]
+                if shed_offset is not None and self.shedder.should_shed(
+                    (task_id, consumer),
+                    shed_offset,
+                    item,
+                    getattr(self.instances[task_id], "sheddable", None),
+                ):
+                    continue
+                sealed = self.buffers[(task_id, consumer)].append(item)
+                if sealed is not None:
+                    deliveries.append((task_id, consumer, sealed))
+        return deliveries
+
     def route_columns(self, rt: TaskRuntime, out: ColumnBatch) -> Iterator[Delivery]:
         """Route one columnar output batch to its downstream edges.
 
@@ -282,7 +486,9 @@ class ColumnarStep:
             if parts is None:
                 if burst is None:
                     burst = out.to_tuples()
-                yield from self._route_burst(task_id, route, burst)
+                only = (route,)
+                for item in burst:
+                    yield from self.route(rt, item, routes=only)
                 continue
             self.counters[key] += len(out)
             for index, rows in parts:
@@ -293,22 +499,3 @@ class ColumnarStep:
                     yield task_id, consumer, sealed
                 for chunk in rows.chunks(buffer.batch_size):
                     yield task_id, consumer, chunk
-
-    def _route_burst(
-        self, task_id: int, route: RouteSpec, items: list[StreamTuple]
-    ) -> Iterator[Delivery]:
-        """The scalar router's loop over a burst batch (one route)."""
-        counters = self.counters
-        key = (task_id, route.counter_key)
-        consumers = route.consumers
-        n_consumers = len(consumers)
-        pick = route.grouping.route
-        buffers = self.buffers
-        for item in items:
-            indices = pick(item, n_consumers, counters[key])
-            counters[key] += 1
-            for index in indices:
-                consumer = consumers[index]
-                sealed = buffers[(task_id, consumer)].append(item)
-                if sealed is not None:
-                    yield task_id, consumer, sealed

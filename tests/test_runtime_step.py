@@ -1,8 +1,11 @@
-"""The shared columnar step and router (``repro.runtime.step``).
+"""The shared task step and router (``repro.runtime.step``).
 
-Three layers of evidence that keeping batches columnar *between* tasks is
-invisible except for speed:
+Evidence that one step serves both executors, and that keeping batches
+columnar *between* tasks is invisible except for speed:
 
+* scalar step units — a fused chain through ``run_item`` against the same
+  tasks run unfused, the staged ``flush_chain``, shedding in ``route`` —
+  and a structural guard: no executor calls an operator or a grouping;
 * router units — the route counter, per-edge FIFO (pending scalar tuples
   leave before the chunks that follow them), chunking by the live buffer
   size, and every grouping against the scalar router on random batches;
@@ -14,11 +17,15 @@ invisible except for speed:
   sink takes, what a kernel may return.
 """
 
+import ast
 import random
 from collections import Counter as Multiset
 from dataclasses import replace as dc_replace
+from pathlib import Path
 
 import pytest
+
+import repro.runtime
 
 from repro.apps import build_application
 from repro.apps.wordcount import Counter, Parser, SentenceSpout, Splitter
@@ -39,7 +46,8 @@ from repro.metrics.registry import NULL_REGISTRY
 from repro.runtime import EpochConfig, Migration, ProcessPoolBackend
 from repro.runtime.backends import _InlineRun
 from repro.runtime.dataplane import ColumnBatch, columns_available
-from repro.runtime.step import ColumnarStep, STEP_COUNTERS, partition
+from repro.runtime.overload import Shedder
+from repro.runtime.step import STEP_COUNTERS, TaskStep, chain_stages, partition
 
 pytestmark = pytest.mark.skipif(
     not columns_available(), reason="numpy unavailable"
@@ -107,38 +115,40 @@ def rows(n, start=0, source=1):
 class Harness:
     """One producer's routing state, driven scalar or columnar.
 
-    Scalar tuples go through the inline run's own ``_route`` (the
-    reference router); batches through the shared ``route_columns`` with
-    deliveries enqueued as the inline run would.  Unbounded queues, so
-    nothing ever suspends.
+    Scalar tuples go through the shared ``route`` (the reference
+    router); batches through the shared ``route_columns``; deliveries
+    are enqueued as the inline run would.  Unbounded queues, so nothing
+    ever suspends.
     """
 
     def __init__(self, spec):
         self.run = _InlineRun(spec, 0, NULL_REGISTRY)
         self.rt = next(rt for rt in spec.tasks if rt.component == "src")
-        self.step = ColumnarStep(
+        self.step = TaskStep(
             self.run.instances,
             self.run.stats,
             self.run.counters,
             self.run.buffers,
             self.run.metrics,
             vectorized="on",
-            per_tuple=False,
             transpose_sinks=False,
         )
 
+    def enqueue(self, deliveries):
+        for producer, consumer, payload in deliveries:
+            self.run.queues[(producer, consumer)].put(payload)
+
     def scalar(self, items):
         for item in items:
-            assert list(self.run._route(self.rt, item)) == []
+            self.enqueue(self.step.route(self.rt, item))
 
     def columnar(self, items):
         batch = ColumnBatch.from_tuples(items)
-        for producer, consumer, payload in self.step.route_columns(self.rt, batch):
-            self.run.queues[(producer, consumer)].put(payload)
+        self.enqueue(self.step.route_columns(self.rt, batch))
 
     def finish(self):
         """Flush, then per-consumer tuple sequences and the counters."""
-        assert list(self.run._flush_buffers(self.rt)) == []
+        self.enqueue(self.step.flush_buffers(self.rt))
         received = {}
         for edge in self.rt.out_edges:
             queue = self.run.queues[(edge.producer, edge.consumer)]
@@ -152,6 +162,200 @@ class Harness:
                 )
             ]
         return received, dict(self.run.counters)
+
+
+# ---------------------------------------------------------------------------
+# Scalar step units
+# ---------------------------------------------------------------------------
+class _Pairs(Operator):
+    """Holds every other tuple back: emits the sum of each pair, a copy
+    of every input on a side stream nobody subscribes to, and the odd
+    one out at ``flush()``.  ``LOG`` records the call order."""
+
+    LOG: list = []
+
+    def __init__(self, name):
+        self.name = name
+        self.held = None
+
+    def process(self, item):
+        self.LOG.append(("process", self.name, item.values))
+        yield "side", item.values
+        if self.held is None:
+            self.held = item.values[0]
+        else:
+            yield DEFAULT_STREAM, (self.held + item.values[0],)
+            self.held = None
+
+    def flush(self):
+        self.LOG.append(("flush", self.name))
+        if self.held is not None:
+            yield DEFAULT_STREAM, (self.held,)
+            self.held = None
+
+
+class _Synchronous:
+    """The smallest executor the step admits: every delivery runs its
+    consumer in place, as a worker does for a local edge."""
+
+    def __init__(self, fuse, replicas=1, shedder=None):
+        builder = TopologyBuilder("pairs")
+        builder.set_spout("spout", _Numbers())
+        previous = "spout"
+        for name in "abc":
+            builder.add_operator(name, _Pairs(name)).shuffle_from(previous)
+            previous = name
+        builder.add_sink("sink", Sink(keep_samples=10**6)).shuffle_from("c")
+        replication = {"spout": 1, "a": 1, "b": 1, "c": 1, "sink": replicas}
+        spec = LocalEngine(
+            builder.build(), replication=replication, fuse=fuse, batch_size=3
+        ).spec
+        self.run = _InlineRun(spec, 0, NULL_REGISTRY)  # lowered tables only
+        self.by_name = {rt.component: rt for rt in reversed(spec.tasks)}
+        by_id = {rt.task_id: rt for rt in spec.tasks}
+        self.chains = {rt.task_id: (rt,) for rt in spec.tasks}
+        for chain in spec.fusion:
+            self.chains[chain[0]] = tuple(by_id[tid] for tid in chain)
+        self.stages = chain_stages(self.chains.values())
+        self.step = TaskStep(
+            self.run.instances,
+            self.run.stats,
+            self.run.counters,
+            self.run.buffers,
+            self.run.metrics,
+            vectorized="off",
+            transpose_sinks=False,
+            shedder=shedder,
+        )
+
+    def deliver(self, deliveries):
+        for _producer, consumer, payload in deliveries:
+            if consumer in self.stages:
+                chain, position = self.stages[consumer]
+                self.deliver(self.step.run_rows(chain, position, payload))
+            else:
+                self.deliver(self.step.run(self.chains[consumer], payload.tuples))
+
+    def close(self):
+        """End of stream, upstream first: each chain flushes once its
+        producers have flushed and drained."""
+        for rt in self.run.spec.tasks:
+            if rt.task_id in self.stages:
+                continue
+            chain = self.chains[rt.task_id]
+            if not rt.is_spout:
+                self.deliver(self.step.flush_chain(chain))
+            for member in chain:
+                self.deliver(self.step.flush_buffers(member))
+
+    def outcome(self):
+        """Sink contents, per-task counters, the tail's route counters."""
+        result = self.run._snapshot(partial=False)
+        tail = self.by_name["c"].task_id
+        return {
+            "sinks": sink_contents(result)["sink"],
+            "stats": task_counters(result),
+            # A fused hand-off crosses no route; the tail's are real.
+            "tail_counters": {
+                key: n for key, n in self.run.counters.items() if key[0] == tail
+            },
+        }
+
+
+class TestScalarStep:
+    @pytest.fixture(autouse=True)
+    def fresh_log(self, monkeypatch):
+        monkeypatch.setattr(_Pairs, "LOG", [])
+
+    def feed(self, executor, n):
+        head = executor.by_name["a"]
+        chain = executor.chains[head.task_id]
+        for item in rows(n, source=0):
+            item = dc_replace(item, values=(item.values[1],))
+            executor.deliver(executor.step.run_item(chain, 0, item))
+
+    def test_chain_of_three_equals_the_three_tasks_unfused(self):
+        unfused, fused = _Synchronous("off", replicas=2), _Synchronous("on", replicas=2)
+        assert [len(c) for c in fused.chains.values()].count(3) == 1
+        assert all(len(c) == 1 for c in unfused.chains.values())
+        for executor in (unfused, fused):
+            self.feed(executor, 23)
+            executor.close()
+        want, got = unfused.outcome(), fused.outcome()
+        assert got == want
+        assert sorted(map(len, got["sinks"])) == [1, 2]  # 23 -> 12 -> 6 -> 3
+        # Every stage emitted on "side" (counted in its stats), no route
+        # carries it, and mid-chain it never reached the next stage.
+        a, b = (got["stats"][fused.by_name[n].task_id] for n in "ab")
+        assert a[2] == {"side": 23, DEFAULT_STREAM: 12}
+        assert b[0] == 12 and b[2]["side"] == 12
+
+    def test_flush_chain_is_staged(self):
+        fused = _Synchronous("on")
+        chain = fused.chains[fused.by_name["a"].task_id]
+        self.feed(fused, 1)  # a holds it; b and c saw nothing
+        fused.deliver(fused.step.flush_chain(chain))
+        assert _Pairs.LOG[1:] == [
+            ("flush", "a"),
+            ("process", "b", (0,)),  # a's leftover, before b flushes
+            ("flush", "b"),
+            ("process", "c", (0,)),  # b's through c, before c flushes
+            ("flush", "c"),
+        ]
+        # Same order as end-of-stream propagation through real queues.
+        unfused = _Synchronous("off")
+        del _Pairs.LOG[:]
+        self.feed(unfused, 1)
+        unfused.close()
+        assert _Pairs.LOG[1:] == [
+            ("flush", "a"),
+            ("process", "b", (0,)),
+            ("flush", "b"),
+            ("process", "c", (0,)),
+            ("flush", "c"),
+        ]
+        # Flush output derives from no input: event time zero, own source.
+        fused.close()
+        tail = fused.by_name["c"].task_id
+        assert fused.outcome()["sinks"] == [[(DEFAULT_STREAM, (0,), tail, 0.0)]]
+        assert fused.outcome() == unfused.outcome()
+
+    def test_shedding_advances_the_route_counters_exactly_as_unshed(self):
+        shedder = Shedder("random", 0.5, seed=5)
+        shedder.active = True
+        unshed, shed = _Synchronous("off", replicas=3), _Synchronous(
+            "off", replicas=3, shedder=shedder
+        )
+        tail = shed.by_name["c"]
+        for executor, offsets in ((unshed, [None] * 40), (shed, range(40))):
+            for item, offset in zip(rows(40, source=tail.task_id), offsets):
+                executor.deliver(executor.step.route(tail, item, offset))
+            executor.deliver(executor.step.flush_buffers(tail))
+        assert shed.run.counters == unshed.run.counters
+        dropped = sum(shedder.shed.values())
+        assert 0 < dropped < 40 and sum(shedder.offered.values()) == 40
+        # The survivors went to the replica the unshed run sent them to.
+        want, got = unshed.outcome()["sinks"], shed.outcome()["sinks"]
+        assert sum(map(len, got)) == 40 - dropped
+        assert all(set(g) <= set(w) for g, w in zip(got, want))
+
+
+class TestExecutorsOwnNoOperatorCalls:
+    """``step.py`` is the only caller of ``Operator.process`` /
+    ``flush`` and ``Grouping.route`` (and of ``OutputBuffer.flush``):
+    an executor that grows its own copy of the loop body fails here."""
+
+    @pytest.mark.parametrize("module", ("backends", "process_pool"))
+    def test_no_process_flush_or_route_calls(self, module):
+        path = Path(repro.runtime.__file__).with_name(f"{module}.py")
+        calls = [
+            f"{module}.py:{node.lineno} .{node.func.attr}("
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("process", "flush", "route")
+        ]
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------
