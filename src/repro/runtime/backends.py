@@ -26,7 +26,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import defaultdict
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from repro.dsps.operators import Operator, Sink
 from repro.dsps.queues import CommunicationQueue, OutputBuffer, QueueStats
@@ -36,7 +36,6 @@ from repro.errors import (
     InjectedFaultError,
     QueueDeadlockError,
     StallError,
-    TopologyError,
     WorkerCrashError,
 )
 from repro.metrics.registry import NULL_REGISTRY, MetricsRegistry
@@ -45,22 +44,23 @@ from repro.runtime.dataplane.columns import (
     ColumnBatch,
     columns_available,
 )
-from repro.runtime.batching import AdaptiveBatchConfig, AdaptiveBatchController
+from repro.runtime.batching import AdaptiveBatchConfig
 from repro.runtime.epochs import (
+    BarrierState,
     EpochCheckpoint,
     EpochCommit,
     EpochConfig,
-    EpochReport,
+    EpochDriver,
     Migration,
     fast_forward,
     restore_tasks,
+    snapshot_tasks,
 )
 from repro.runtime.fusion import validate_fuse
-from repro.runtime.overload import OverloadConfig, OverloadManager, SendRetryPolicy
+from repro.runtime.overload import OverloadConfig, SendRetryPolicy
 from repro.runtime.lowering import (
     RuntimeSpec,
     TaskRuntime,
-    apply_edge_batches,
     instantiate_task,
     instantiate_tasks,
 )
@@ -296,8 +296,6 @@ class InlineBackend(ExecutorBackend):
         resume: EpochCheckpoint | None = None,
         on_epoch: "OnEpoch | None" = None,
     ) -> RunResult:
-        if max_events < 0:
-            raise TopologyError("max_events must be >= 0")
         require_vectorized(self.vectorized)
         registry = registry if registry is not None else NULL_REGISTRY
         return _InlineRun(
@@ -317,12 +315,12 @@ class InlineBackend(ExecutorBackend):
 class _InlineRun:
     """Mutable state of one inline execution (one object per ``run()``).
 
-    With epoch barriers enabled the run is a sequence of *phases*: each
-    phase advances every spout to the next epoch boundary and drains the
-    DAG to quiescence (fresh cooperative generators over the persistent
-    queues/instances/counters), after which the run commits a checkpoint
-    and optionally applies a live migration before the next phase.
-    Without barriers there is exactly one final phase — the historical
+    The executor half of :class:`~repro.runtime.epochs.EpochDriver`'s
+    contract.  A run is a sequence of *phases*: each advances every
+    spout to the next epoch boundary and drains the DAG to quiescence
+    (fresh cooperative generators over the persistent
+    queues/instances/counters); the driver commits in between.  Without
+    barriers there is exactly one final phase — the historical
     single-pass schedule, bit-for-bit.
     """
 
@@ -334,43 +332,23 @@ class _InlineRun:
         injector: "FaultInjector | None" = None,
         *,
         vectorized: str = "auto",
-        batching: AdaptiveBatchConfig | None = None,
-        overload: OverloadConfig | None = None,
-        epochs: EpochConfig | None = None,
-        resume: EpochCheckpoint | None = None,
-        on_epoch: "OnEpoch | None" = None,
+        **barriers: Any,
     ) -> None:
         self.spec = spec
         self.max_events = max_events
         self.registry = registry
         self.injector = injector
         self.vectorized = vectorized
-        self.epochs = epochs
-        self.on_epoch = on_epoch
-        # Adaptive batch sizing only ever adjusts at epoch barriers; an
-        # epoch-less run keeps its lowered sizes.
-        self.controller = (
-            AdaptiveBatchController(spec, batching)
-            if batching is not None
-            else None
-        )
-        # Overload control steps at the same barriers (docs/overload.md).
-        if overload is not None and epochs is None:
-            raise ExecutionError(
-                "overload control requires epoch barriers (pass an "
-                "EpochConfig / --epoch-interval)"
-            )
-        self.overload = (
-            OverloadManager(spec, overload, epochs.interval, registry)
-            if overload is not None
-            else None
-        )
+        #: ``barriers`` are the driver's keywords: ``epochs``, ``resume``,
+        #: ``on_epoch``, ``batching``, ``overload``.
+        self.driver = EpochDriver(spec, max_events, registry, **barriers)
+        resume = self.driver.checkpoint
         # runtime.vectorized.* / runtime.fusion.* totals for this run.
         self.metrics = dict.fromkeys(STEP_COUNTERS, 0)
         self.instrumented = registry.enabled
         # Per-task wall-clock: needed for gauges when instrumented, and
         # as the drift detector's Te signal when a barrier observer runs.
-        self.collect_wall = self.instrumented or on_epoch is not None
+        self.collect_wall = self.instrumented or self.driver.on_epoch is not None
         self.wall: dict[int, float] = defaultdict(float)
         self.instances = instantiate_tasks(spec)
         self.stats = {
@@ -395,16 +373,8 @@ class _InlineRun:
             rt.task_id: 0 for rt in spec.tasks if rt.is_spout
         }
         self.exhausted: set[int] = set()  # spouts whose source dried up
-        self.start_epoch = 0
-        self.last_checkpoint: EpochCheckpoint | None = None
-        self.epoch_report = (
-            EpochReport(
-                interval=epochs.interval,
-                resumed_from=resume.epoch if resume is not None else None,
-            )
-            if epochs is not None
-            else None
-        )
+        #: When the first spout reached the current phase's boundary.
+        self.boundary_at: float | None = None
         # Persistent per-spout iterators: one source per run, paused at
         # phase boundaries instead of re-created per phase.
         self.spout_iters = {
@@ -413,24 +383,18 @@ class _InlineRun:
             if rt.is_spout
         }
         if resume is not None:
-            if epochs is None:
-                raise ExecutionError(
-                    "resume from a checkpoint requires epoch barriers "
-                    "(pass an EpochConfig)"
-                )
-            self._restore(resume)
+            # Rebuild runtime state from the committed checkpoint.
+            restore_tasks(
+                resume.payload(), self.instances, self.counters, self.stats
+            )
+            self.events = resume.events_ingested
+            self.spout_produced.update(resume.spout_produced)
+            for task_id in self.spout_iters:
+                self._fast_forward(task_id)
 
-    def _restore(self, checkpoint: EpochCheckpoint) -> None:
-        """Rebuild runtime state from a committed checkpoint (recovery)."""
-        restore_tasks(
-            checkpoint.payload(), self.instances, self.counters, self.stats
-        )
-        self.events = checkpoint.events_ingested
-        self.spout_produced.update(checkpoint.spout_produced)
-        self.start_epoch = checkpoint.epoch + 1
-        self.last_checkpoint = checkpoint
-        for task_id in self.spout_iters:
-            self._fast_forward(task_id)
+    @property
+    def last_checkpoint(self) -> EpochCheckpoint | None:
+        return self.driver.checkpoint
 
     def _fast_forward(self, task_id: int) -> None:
         """Replay spout ``task_id``'s source to its committed position."""
@@ -443,86 +407,9 @@ class _InlineRun:
     # Scheduler
     # ------------------------------------------------------------------
     def execute(self) -> RunResult:
-        try:
-            return self._execute()
-        except ExecutionError as exc:
-            # Attach partial progress so failed runs stay observable: the
-            # supervisor turns this into a partial run report and into
-            # duplicate-delivery accounting for at-least-once replays —
-            # plus the last committed checkpoint, which upgrades replay
-            # to resume-from-epoch when barriers are enabled.
-            if exc.partial_result is None:
-                exc.partial_result = self._snapshot(partial=True)
-            if getattr(exc, "last_checkpoint", None) is None:
-                exc.last_checkpoint = self.last_checkpoint
-            raise
+        return self.driver.run(self)
 
-    def _execute(self) -> RunResult:
-        if self.epochs is None:
-            self._run_phase(self.max_events, final=True)
-        else:
-            interval = self.epochs.interval
-            epoch = self.start_epoch
-            # Cumulative per-spout admission target.  Without overload
-            # control every epoch admits exactly one interval, so the
-            # target is (epoch + 1) * interval, bit-identical to the
-            # historical arithmetic; the throttle rung shrinks the
-            # per-epoch allowance so backlogged queues can drain.
-            limit = min(self.max_events, epoch * interval)
-            while True:
-                allowance = (
-                    self.overload.spout_allowance()
-                    if self.overload is not None
-                    else interval
-                )
-                limit = min(self.max_events, limit + allowance)
-                final = limit >= self.max_events
-                self._run_phase(limit, final=final)
-                if not final and self.exhausted >= set(self.spout_produced):
-                    # Sources dried up before the event budget: commit
-                    # what ran, then close the stream with a flush-only
-                    # final phase.
-                    self._commit(epoch)
-                    self._run_phase(limit, final=True)
-                    final = True
-                if final:
-                    break
-                self._commit(epoch)
-                epoch += 1
-
-        result = self._snapshot(partial=False)
-        if self.instrumented:
-            for rt in self.spec.tasks:
-                self.registry.gauge(
-                    f"engine.{rt.component}.{rt.task.replica_start}.task_wall_ns"
-                ).set(self.wall[rt.task_id] * 1e9)
-            publish_engine_metrics(
-                self.registry,
-                self.spec,
-                result,
-                {key: q.stats for key, q in self.queues.items()},
-            )
-            publish_step_counters(self.registry, self.metrics)
-            if self.controller is not None:
-                for name, value in self.controller.report().items():
-                    self.registry.counter(f"runtime.batch.{name}").inc(value)
-                for (producer, consumer), size in sorted(
-                    self.spec.edge_batch_size.items()
-                ):
-                    self.registry.gauge(
-                        f"runtime.batch.size.{producer}-{consumer}"
-                    ).set(size)
-            if self.epoch_report is not None:
-                report = self.epoch_report
-                self.registry.gauge("runtime.epoch.interval").set(report.interval)
-                self.registry.gauge("runtime.epoch.committed").set(report.committed)
-                self.registry.gauge("runtime.epoch.barrier_ns").set(report.barrier_ns)
-                self.registry.gauge("runtime.epoch.snapshot_bytes").set(
-                    report.snapshot_bytes
-                )
-        return result
-
-    def _run_phase(self, limit: int, final: bool) -> None:
+    def run_phase(self, limit: int, final: bool, directive: Mapping) -> float:
         """Run every task until quiescence at the phase boundary.
 
         ``limit`` is the *cumulative* per-spout production bound for this
@@ -530,7 +417,11 @@ class _InlineRun:
         single phase of an epoch-less run).  ``final`` phases additionally
         run each operator's :meth:`~repro.dsps.operators.Operator.flush`.
         """
+        entered = perf_counter()
+        for key, size in directive.get("edge_batches", {}).items():
+            self.buffers[key].batch_size = size
         self.done = set()
+        self.boundary_at = None
         # Fused chains are re-read from the spec each phase: a live
         # migration may have re-derived them (refit_fusion), and the
         # eliminated edges' queues are guaranteed empty at the barrier.
@@ -546,6 +437,7 @@ class _InlineRun:
         # ladder only moves at barriers.  Its per-tuple observers — an
         # armed injector, per-call latency histograms — disable kernels
         # for the run (counted fallbacks).
+        manager = self.driver.manager
         self.step = TaskStep(
             self.instances,
             self.stats,
@@ -566,8 +458,8 @@ class _InlineRun:
                 else None
             ),
             shedder=(
-                self.overload.shedder
-                if self.overload is not None and self.overload.shed_active
+                manager.shedder
+                if manager is not None and manager.shed_active
                 else None
             ),
         )
@@ -582,6 +474,7 @@ class _InlineRun:
             if self.injector is not None:
                 loop = _park_when_stalled(loop)
             active.append((rt.task_id, loop))
+        resume_ns = (perf_counter() - entered) * 1e9
         while active:
             before = self.ticks
             survivors: list[tuple[int, Iterator[None]]] = []
@@ -613,87 +506,31 @@ class _InlineRun:
                     message,
                     failed_sockets=self._sockets_of(stalled),
                 )
+        return resume_ns
 
     # ------------------------------------------------------------------
     # Barrier commits and live migration
     # ------------------------------------------------------------------
-    def _sink_received(self) -> int:
-        return sum(
-            instance.received
-            for instance in self.instances.values()
-            if isinstance(instance, Sink)
-        )
-
-    def _commit(self, epoch: int) -> None:
-        """Commit the quiescent state as a checkpoint; run the observer."""
-        report = self.epoch_report
-        assert report is not None
+    def collect(self) -> BarrierState:
+        """The quiescent state, snapshotted and validated in place."""
         started = perf_counter()
-        states = {
-            task_id: instance.snapshot_state()
-            for task_id, instance in self.instances.items()
-            if isinstance(instance, Operator)
-        }
-        checkpoint = EpochCheckpoint.capture(
-            epoch,
-            events_ingested=self.events,
-            spout_produced=self.spout_produced,
+        states, sink_received = snapshot_tasks(self.instances)
+        return BarrierState(
             states=states,
             counters=self.counters,
             stats=self.stats,
-            sink_received=self._sink_received(),
+            spout_produced=self.spout_produced,
+            exhausted=self.exhausted,
+            sink_received=sink_received,
+            queue_stats={key: q.stats for key, q in self.queues.items()},
+            task_wall_ns={t: s * 1e9 for t, s in self.wall.items()},
+            quiesce_ns=(
+                (started - self.boundary_at) * 1e9 if self.boundary_at else 0.0
+            ),
+            snapshot_ns=(perf_counter() - started) * 1e9,
         )
-        report.barrier_ns += (perf_counter() - started) * 1e9
-        report.committed += 1
-        report.snapshot_bytes = checkpoint.snapshot_bytes
-        report.events.append(
-            {
-                "kind": "commit",
-                "epoch": epoch,
-                "events_ingested": self.events,
-                "snapshot_bytes": checkpoint.snapshot_bytes,
-            }
-        )
-        self.last_checkpoint = checkpoint
-        overload_state = None
-        if self.overload is not None:
-            # Step the degradation ladder before the AIMD step so the
-            # batch-shrink rung can force pressure this same barrier.
-            self.overload.observe_queue_stats(
-                epoch, {key: q.stats for key, q in self.queues.items()}
-            )
-            overload_state = self.overload.commit_state()
-        if self.controller is not None:
-            # AIMD step over the epoch window; live output buffers pick
-            # the new sizes up immediately, and the spec carries them so
-            # a migration (which rebuilds from the spec) preserves them.
-            pressure: frozenset = frozenset()
-            if self.overload is not None and self.overload.force_batch_pressure:
-                pressure = frozenset(self.queues)
-            changed = self.controller.observe(
-                {key: q.stats for key, q in self.queues.items()}, pressure
-            )
-            if changed:
-                self.spec = apply_edge_batches(self.spec, changed)
-                for key, size in changed.items():
-                    self.buffers[key].batch_size = size
-        if self.on_epoch is not None:
-            commit = EpochCommit(
-                epoch=epoch,
-                spec=self.spec,
-                checkpoint=checkpoint,
-                task_stats=self.stats,
-                task_wall_ns={t: s * 1e9 for t, s in self.wall.items()},
-                events_ingested=self.events,
-                overload=overload_state,
-            )
-            migration = self.on_epoch(commit)
-            if migration is not None:
-                self._apply_migration(epoch, migration, checkpoint)
 
-    def _apply_migration(
-        self, epoch: int, migration: Migration, checkpoint: EpochCheckpoint
-    ) -> None:
+    def migrate(self, migration: Migration, checkpoint: EpochCheckpoint) -> None:
         """Hand the committed state to the re-placed tasks and resume.
 
         The stream is already paused at the barrier; moved tasks are
@@ -701,44 +538,21 @@ class _InlineRun:
         checkpoint blob* — migration exercises the exact serialize →
         deserialize → restore path a cross-process handoff needs.
         """
-        new_spec = migration.spec
-        if {rt.task_id for rt in new_spec.tasks} != set(self.instances):
-            raise ExecutionError(
-                "live migration cannot add or remove tasks; "
-                "replication changes require a restart"
-            )
-        started = perf_counter()
+        new_spec = self.spec = migration.spec
         payload = checkpoint.payload()
-        self.spec = new_spec
         by_id = {rt.task_id: rt for rt in new_spec.tasks}
         for task_id in migration.moved:
-            rt = by_id[task_id]
-            instance = instantiate_task(new_spec, rt)
+            instance = instantiate_task(new_spec, by_id[task_id])
+            self.instances[task_id] = instance
             if isinstance(instance, Operator):
                 state = payload["states"].get(task_id)
                 if state is not None:
                     instance.restore_state(state)
-                self.instances[task_id] = instance
             else:
                 # A moved spout restarts its deterministic source and
                 # fast-forwards to the committed position.
-                self.instances[task_id] = instance
                 self.spout_iters[task_id] = instance.next_batch(self.max_events)
                 self._fast_forward(task_id)
-        pause_ns = (perf_counter() - started) * 1e9
-        report = self.epoch_report
-        assert report is not None
-        report.migrations += 1
-        report.migration_pause_ns += pause_ns
-        report.events.append(
-            {
-                "kind": "migration",
-                "epoch": epoch,
-                "moved": sorted(migration.moved),
-                "pause_ns": round(pause_ns),
-                "detail": migration.detail,
-            }
-        )
 
     def _snapshot(self, partial: bool) -> RunResult:
         """Current run state as a result (complete or mid-failure)."""
@@ -753,12 +567,25 @@ class _InlineRun:
             task_stats=self.stats,
             sinks=dict(sinks),
             fault_summary=self.injector.summary() if self.injector else None,
-            epochs=self.epoch_report,
-            overload=(
-                self.overload.finish() if self.overload is not None else None
-            ),
             partial=partial,
         )
+
+    def result(self, partial: bool) -> RunResult:
+        """The run as a result; a complete one is published."""
+        result = self._snapshot(partial)
+        if self.instrumented and not partial:
+            for rt in self.spec.tasks:
+                self.registry.gauge(
+                    f"engine.{rt.component}.{rt.task.replica_start}.task_wall_ns"
+                ).set(self.wall[rt.task_id] * 1e9)
+            publish_engine_metrics(
+                self.registry,
+                self.spec,
+                result,
+                {key: q.stats for key, q in self.queues.items()},
+            )
+            publish_step_counters(self.registry, self.metrics)
+        return result
 
     def _sockets_of(self, task_ids) -> tuple[int, ...]:
         task_ids = set(task_ids)
@@ -821,6 +648,8 @@ class _InlineRun:
             self.ticks += 1
             if histogram is not None:
                 histogram.observe((perf_counter() - started) * 1e9)
+        if self.boundary_at is None:
+            self.boundary_at = perf_counter()
         yield from self._deliver(self.step.flush_buffers(rt))
         self.done.add(rt.task_id)
 

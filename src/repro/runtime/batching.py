@@ -21,8 +21,8 @@ multiplicative-decrease**, per edge:
   there is amortization left on the table.  Half-empty batches mean the
   flow is trickle-bound and growing the size would only add latency.
 
-Adjustments happen **only at epoch barriers** (the inline backend's
-``_commit``, the process backend's slice boundary) so they compose with
+Adjustments happen **only at epoch barriers** (the commit step of
+:class:`~repro.runtime.epochs.EpochDriver`) so they compose with
 live reconfiguration: a migrated spec simply carries the controller's
 sizes forward in :attr:`RuntimeSpec.edge_batch_size`.  Sizes are clamped
 to ``[min_batch, max_batch]`` and to each edge's queue capacity, and the
@@ -76,11 +76,11 @@ class AdaptiveBatchConfig:
 class AdaptiveBatchController:
     """Per-edge AIMD batch sizing driven by windowed queue statistics.
 
-    One controller instance survives the whole run (it lives in the
-    parent / inline scheduler, never in workers); backends feed it one
-    *window* of observations per epoch via :meth:`observe_window` — or
-    cumulative :class:`~repro.dsps.queues.QueueStats` via
-    :meth:`observe`, which differences them internally.
+    One controller instance survives the whole run (it lives with the
+    epoch driver, never in workers), which feeds it the run's cumulative
+    :class:`~repro.dsps.queues.QueueStats` once per barrier via
+    :meth:`observe`; that differences them into one *window* and takes
+    the AIMD step, :meth:`observe_window`.
     """
 
     def __init__(
@@ -146,7 +146,7 @@ class AdaptiveBatchController:
         stats: dict[EdgeKey, object],
         pressure_keys: frozenset[EdgeKey] | set[EdgeKey] = frozenset(),
     ) -> dict[EdgeKey, int]:
-        """AIMD step over *cumulative* queue stats (inline backend)."""
+        """AIMD step over *cumulative* queue stats (both executors)."""
         window: dict[EdgeKey, tuple[int, int, int]] = {}
         for key, st in stats.items():
             now = (st.enqueued_batches, st.enqueued_tuples, st.blocked_batches)

@@ -21,9 +21,19 @@ Checkpoints serve two consumers:
   state is handed to the re-placed tasks and the stream resumes — a
   pause-at-barrier migration in the style of Madsen et al. (PAPERS.md).
 
-Everything here is backend-agnostic plain data; the barrier protocols
-themselves live in :mod:`repro.runtime.backends` (inline) and
-:mod:`repro.runtime.process_pool` (one worker pool per epoch slice).
+The epoch loop and the commit sequence are written once, here
+(:class:`EpochDriver`, which states what an executor supplies): capture
+-> overload step -> AIMD step -> ``on_epoch`` -> migration.  Inline
+phases are cooperative generators over persistent queues; process
+workers live for the whole run and quiesce on barrier markers
+(:mod:`repro.runtime.process_pool`)::
+
+    spout --marker--> task ... --marker--> sink      (every edge, in band)
+    task: marker on every in-edge, depth 0 -> flush, forward, park
+    worker: all tasks parked -> validate + snapshot its share -> report
+    parent: union reports -> seal checkpoint -> observers -> directive
+    worker: resume {limit, final, shed, edge_batches}
+
 See docs/reconfiguration.md for the full protocol walk-through.
 """
 
@@ -31,22 +41,31 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, MutableMapping
+from time import perf_counter
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, MutableMapping
 
-from repro.errors import ExecutionError
+from repro.dsps.operators import Operator, Sink
+from repro.errors import ExecutionError, TopologyError
+from repro.metrics.registry import MetricsRegistry
+from repro.runtime.batching import AdaptiveBatchConfig, AdaptiveBatchController
+from repro.runtime.lowering import RuntimeSpec, apply_edge_batches
+from repro.runtime.overload import OverloadConfig, OverloadManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.lowering import RuntimeSpec
+    from repro.runtime.results import RunResult
 
 __all__ = [
+    "BarrierState",
     "EpochCheckpoint",
     "EpochCommit",
     "EpochConfig",
+    "EpochDriver",
     "EpochReport",
     "Migration",
     "check_serializable",
     "fast_forward",
     "restore_tasks",
+    "snapshot_tasks",
 ]
 
 #: Checkpoint blobs use pickle protocol 5, same as the data plane's codec
@@ -54,7 +73,11 @@ __all__ = [
 #: process boundary.
 CHECKPOINT_PICKLE_PROTOCOL = 5
 
+#: What a commit's barrier splits into (``EpochReport``, ``runtime.epoch.*``).
+BARRIER_PARTS = ("quiesce", "snapshot", "commit", "resume")
+
 _SCALAR_TYPES = (str, int, float, bool, bytes, type(None))
+_EXACT_SCALARS = frozenset(_SCALAR_TYPES)
 
 
 @dataclass(frozen=True)
@@ -70,6 +93,25 @@ class EpochConfig:
             )
 
 
+def _plain(value: Any) -> bool:
+    """True when ``value`` is plain data.  Whole containers of exact
+    scalar types are vetted in C; only what is left (nested containers,
+    subclasses — still accepted) is visited node by node."""
+    if type(value) in _EXACT_SCALARS:
+        return True
+    if isinstance(value, dict):
+        if not (
+            _EXACT_SCALARS.issuperset(map(type, value)) or all(map(_plain, value))
+        ):
+            return False
+        items: Any = value.values()
+    elif isinstance(value, (list, tuple)):
+        items = value
+    else:
+        return isinstance(value, _SCALAR_TYPES)
+    return _EXACT_SCALARS.issuperset(map(type, items)) or all(map(_plain, items))
+
+
 def check_serializable(value: Any, path: str = "state") -> None:
     """Enforce the operator state contract: plain data only.
 
@@ -79,18 +121,25 @@ def check_serializable(value: Any, path: str = "state") -> None:
     objects — raises :class:`ExecutionError` naming the offending path,
     *before* the value reaches a codec that might accept it silently
     (pickle would happily move a deque, but the shm codec or a future
-    JSON checkpoint store would not).
+    JSON checkpoint store would not).  The path is only built once
+    something was rejected: a second, slow walk names the offender.
     """
-    if isinstance(value, bool) or isinstance(value, _SCALAR_TYPES):
+    if not _plain(value):
+        _name_offender(value, path)
+
+
+def _name_offender(value: Any, path: str) -> None:
+    """Raise for the first non-plain node under ``value``, depth first."""
+    if isinstance(value, _SCALAR_TYPES):
         return
     if isinstance(value, dict):
         for key, item in value.items():
-            check_serializable(key, f"{path}.key({key!r})")
-            check_serializable(item, f"{path}[{key!r}]")
+            _name_offender(key, f"{path}.key({key!r})")
+            _name_offender(item, f"{path}[{key!r}]")
         return
     if isinstance(value, (list, tuple)):
         for index, item in enumerate(value):
-            check_serializable(item, f"{path}[{index}]")
+            _name_offender(item, f"{path}[{index}]")
         return
     raise ExecutionError(
         f"operator state at {path} is not codec-serializable: "
@@ -124,6 +173,16 @@ class EpochCheckpoint:
 
     @classmethod
     def capture(
+        cls, epoch: int, *, states: Mapping[int, Any], **parts: Any
+    ) -> "EpochCheckpoint":
+        """Validate the operator states, then :meth:`seal` them (same
+        arguments)."""
+        for task_id, state in states.items():
+            check_serializable(state, path=f"task {task_id} state")
+        return cls.seal(epoch, states=states, **parts)
+
+    @classmethod
+    def seal(
         cls,
         epoch: int,
         *,
@@ -134,9 +193,8 @@ class EpochCheckpoint:
         stats: Mapping[int, Any],
         sink_received: int,
     ) -> "EpochCheckpoint":
-        """Validate the operator states and seal them into a blob."""
-        for task_id, state in states.items():
-            check_serializable(state, path=f"task {task_id} state")
+        """Seal states their owner already validated into a blob (a
+        worker walks its own share before shipping it)."""
         blob = pickle.dumps(
             {
                 "states": dict(states),
@@ -161,11 +219,38 @@ class EpochCheckpoint:
         """Deserialize the blob (states / counters / stats)."""
         return pickle.loads(self.blob)
 
+    def tick_counts(self) -> dict[int, int]:
+        """Per-task tuple counts at this checkpoint, for seeding a
+        :class:`~repro.runtime.faults.FaultInjector`: spouts tick once
+        per produced tuple, operators once per consumed one, so fault
+        trigger offsets stay run-absolute across a resume."""
+        base = {
+            task_id: stats.tuples_in
+            for task_id, stats in self.payload()["stats"].items()
+        }
+        base.update(self.spout_produced)
+        return base
+
     def describe(self) -> str:
         return (
             f"epoch {self.epoch}: {self.events_ingested} events, "
             f"{self.snapshot_bytes} checkpoint bytes"
         )
+
+
+def snapshot_tasks(instances: Mapping[int, Any]) -> tuple[dict[int, Any], int]:
+    """Snapshot every operator in ``instances`` — one executor's tasks —
+    validating each state where it lives; also what its sinks received
+    so far.  The inverse of :func:`restore_tasks`."""
+    states: dict[int, Any] = {}
+    sink_received = 0
+    for task_id, instance in instances.items():
+        if isinstance(instance, Operator):
+            states[task_id] = state = instance.snapshot_state()
+            check_serializable(state, path=f"task {task_id} state")
+        if isinstance(instance, Sink):
+            sink_received += instance.received
+    return states, sink_received
 
 
 def restore_tasks(
@@ -242,31 +327,292 @@ class Migration:
 
 @dataclass
 class EpochReport:
-    """Per-run epoch/barrier accounting, attached to ``RunResult``."""
+    """Per-run epoch/barrier accounting, attached to ``RunResult``.
+
+    Each ``commit`` entry of :attr:`events` splits its barrier into
+    ``quiesce_ns`` (first spout at the boundary -> last task parked),
+    ``snapshot_ns`` (validate + ``snapshot_state``, the slowest worker),
+    ``commit_ns`` (sealing the blob) and ``resume_ns`` (directive issued
+    -> stream moving again); :meth:`total` sums one of them over the run.
+    """
 
     interval: int
     committed: int = 0
     #: Epoch index this run resumed after (recovery), or None.
     resumed_from: int | None = None
-    #: Wall time spent inside barrier commits (snapshot + serialize).
-    barrier_ns: float = 0.0
     #: Size of the last committed checkpoint blob.
     snapshot_bytes: int = 0
     #: Live migrations applied at barriers.
     migrations: int = 0
-    #: Wall time spent paused while applying migrations.
+    #: Wall time spent paused while applying migrations (inline: restore
+    #: the moved tasks; process: stop the pool, relaunch it from the
+    #: checkpoint under the new spec).
     migration_pause_ns: float = 0.0
     #: Barrier/migration timeline (dicts, run-report ready).
     events: list[dict] = field(default_factory=list)
+
+    def total(self, part: str) -> int:
+        """Sum of the commits' ``<part>_ns`` over the run."""
+        return sum(entry.get(f"{part}_ns", 0) for entry in self.events)
+
+    @property
+    def barrier_ns(self) -> int:
+        """Wall time spent inside barrier commits (snapshot + serialize)."""
+        return self.total("snapshot") + self.total("commit")
 
     def to_dict(self) -> dict:
         return {
             "interval": self.interval,
             "committed": self.committed,
             "resumed_from": self.resumed_from,
-            "barrier_ns": round(self.barrier_ns),
+            "barrier_ns": self.barrier_ns,
+            **{f"{part}_ns": self.total(part) for part in BARRIER_PARTS},
             "snapshot_bytes": self.snapshot_bytes,
             "migrations": self.migrations,
             "migration_pause_ns": round(self.migration_pause_ns),
             "timeline": list(self.events),
         }
+
+
+@dataclass
+class BarrierState:
+    """A quiescent executor at an epoch boundary (``collect()``).  The
+    ``states`` were validated where they live (:func:`snapshot_tasks`,
+    in parallel on the process backend); counters are cumulative."""
+
+    states: Mapping[int, Any]
+    counters: Mapping[Any, int]
+    stats: Mapping[int, Any]
+    spout_produced: Mapping[int, int]
+    #: Spouts whose source dried up before the event budget.
+    exhausted: set[int]
+    sink_received: int
+    #: Per-edge :class:`~repro.dsps.queues.QueueStats`.
+    queue_stats: Mapping[tuple[int, int], Any]
+    #: Edges whose worker stalled on its transport this epoch (shm ring
+    #: full, blocked remote send) — pressure beyond ``blocked_batches``.
+    pressure: frozenset[tuple[int, int]] = frozenset()
+    task_wall_ns: Mapping[int, float] = field(default_factory=dict)
+    quiesce_ns: float = 0.0
+    snapshot_ns: float = 0.0
+
+
+class EpochDriver:
+    """The epoch loop and barrier commit sequence of one execution.
+
+    ``run(executor)`` drives any executor that supplies ``spec`` (the
+    deployed spec; the driver swaps it when AIMD resizes edges) and:
+
+    ``run_phase(limit, final, directive) -> resume_ns``
+        Advance every spout to the cumulative position ``limit`` (or
+        until it dries up) and run to quiescence; a ``final`` phase also
+        closes the stream (``flush()``).  ``directive`` is what the last
+        commit changed: ``{"shed": ctx | None, "edge_batches": {...}}``.
+    ``collect() -> BarrierState``
+        The quiescent state after a non-final phase.
+    ``migrate(migration, checkpoint)``
+        Apply a live plan change at the barrier that produced it.
+    ``result(partial) -> RunResult``
+        The run so far; without an :class:`EpochConfig`, one final phase.
+    """
+
+    def __init__(
+        self,
+        spec: RuntimeSpec,
+        max_events: int,
+        registry: MetricsRegistry,
+        *,
+        epochs: EpochConfig | None = None,
+        resume: EpochCheckpoint | None = None,
+        on_epoch: "Callable[[EpochCommit], Migration | None] | None" = None,
+        batching: AdaptiveBatchConfig | None = None,
+        overload: OverloadConfig | None = None,
+    ) -> None:
+        if max_events < 0:
+            raise TopologyError("max_events must be >= 0")
+        if epochs is None and (overload is not None or resume is not None):
+            raise ExecutionError(
+                "overload control and resume from a checkpoint require epoch "
+                "barriers (pass an EpochConfig / --epoch-interval)"
+            )
+        self.max_events = max_events
+        self.registry = registry
+        self.on_epoch = on_epoch
+        #: Newest committed checkpoint (``resume`` until the first commit).
+        self.checkpoint = resume
+        self.report = (
+            EpochReport(
+                interval=epochs.interval,
+                resumed_from=resume.epoch if resume is not None else None,
+            )
+            if epochs is not None
+            else None
+        )
+        # Both observers step at barriers only: an epoch-less run keeps
+        # its lowered batch sizes.
+        self.controller = (
+            AdaptiveBatchController(spec, batching) if batching is not None else None
+        )
+        self.manager = (
+            OverloadManager(spec, overload, epochs.interval, registry)
+            if overload is not None
+            else None
+        )
+
+    def run(self, executor: Any) -> "RunResult":
+        try:
+            self._loop(executor)
+        except ExecutionError as exc:
+            # Failed runs stay observable: partial progress feeds the
+            # supervisor's duplicate accounting, the last committed
+            # checkpoint upgrades its replay to resume-from-epoch.
+            if exc.partial_result is None:
+                exc.partial_result = self._finish(executor, partial=True)
+            if getattr(exc, "last_checkpoint", None) is None:
+                exc.last_checkpoint = self.checkpoint
+            raise
+        return self._finish(executor, partial=False)
+
+    def _loop(self, executor: Any) -> None:
+        if self.report is None:  # no barriers: one final phase
+            executor.run_phase(self.max_events, True, {})
+            return
+        interval = self.report.interval
+        epoch = self.checkpoint.epoch + 1 if self.checkpoint is not None else 0
+        # Cumulative per-spout admission target.  Without overload
+        # control every epoch admits exactly one interval — (epoch + 1)
+        # * interval; the throttle rung shrinks the per-epoch allowance
+        # so backlogged queues can drain.
+        limit = min(self.max_events, epoch * interval)
+        directive: dict = {}
+        committed: dict | None = None
+        dried = False
+        while True:
+            if not dried:
+                allowance = (
+                    self.manager.spout_allowance()
+                    if self.manager is not None
+                    else interval
+                )
+                limit = min(self.max_events, limit + allowance)
+            # Sources that dried up before the event budget: what ran is
+            # committed, a flush-only final phase closes the stream.
+            final = dried or limit >= self.max_events
+            resume_ns = executor.run_phase(limit, final, directive)
+            if committed is not None:
+                committed["resume_ns"] = round(resume_ns)
+            if final:
+                return
+            state = executor.collect()
+            directive, committed = self._commit(executor, epoch, state)
+            dried = set(state.spout_produced) <= state.exhausted
+            epoch += 1
+
+    def _commit(
+        self, executor: Any, epoch: int, state: BarrierState
+    ) -> tuple[dict, dict]:
+        """Seal the quiescent state as a checkpoint, step the observers,
+        apply a migration; returns the next phase's directive and the
+        timeline entry (its ``resume_ns`` is known one phase later)."""
+        report = self.report
+        started = perf_counter()
+        events = sum(state.spout_produced.values())
+        checkpoint = self.checkpoint = EpochCheckpoint.seal(
+            epoch,
+            events_ingested=events,
+            spout_produced=state.spout_produced,
+            states=state.states,
+            counters=state.counters,
+            stats=state.stats,
+            sink_received=state.sink_received,
+        )
+        commit_ns = (perf_counter() - started) * 1e9
+        report.committed += 1
+        report.snapshot_bytes = checkpoint.snapshot_bytes
+        entry = {
+            "kind": "commit",
+            "epoch": epoch,
+            "events_ingested": events,
+            "snapshot_bytes": checkpoint.snapshot_bytes,
+            "quiesce_ns": round(state.quiesce_ns),
+            "snapshot_ns": round(state.snapshot_ns),
+            "commit_ns": round(commit_ns),
+            "resume_ns": 0,
+        }
+        report.events.append(entry)
+        overload_state = None
+        if self.manager is not None:
+            # The ladder steps before AIMD so its batch-shrink rung can
+            # force pressure at this same barrier.
+            self.manager.observe_queue_stats(epoch, state.queue_stats, state.pressure)
+            overload_state = self.manager.commit_state()
+        changed: dict = {}
+        if self.controller is not None:
+            pressure = set(state.pressure)
+            if self.manager is not None and self.manager.force_batch_pressure:
+                pressure.update(state.queue_stats)
+            changed = self.controller.observe(state.queue_stats, pressure)
+            if changed:
+                # Live output buffers pick the sizes up from the
+                # directive; the spec carries them so that a migration,
+                # which rebuilds from the spec, preserves them.
+                executor.spec = apply_edge_batches(executor.spec, changed)
+        if self.on_epoch is not None:
+            migration = self.on_epoch(
+                EpochCommit(
+                    epoch=epoch,
+                    spec=executor.spec,
+                    checkpoint=checkpoint,
+                    task_stats=state.stats,
+                    task_wall_ns=state.task_wall_ns,
+                    events_ingested=events,
+                    overload=overload_state,
+                )
+            )
+            if migration is not None:
+                if {rt.task_id for rt in migration.spec.tasks} != set(state.stats):
+                    raise ExecutionError(
+                        "live migration cannot add or remove tasks; "
+                        "replication changes require a restart"
+                    )
+                started = perf_counter()
+                executor.migrate(migration, checkpoint)
+                pause_ns = (perf_counter() - started) * 1e9
+                report.migrations += 1
+                report.migration_pause_ns += pause_ns
+                report.events.append(
+                    {
+                        "kind": "migration",
+                        "epoch": epoch,
+                        "moved": sorted(migration.moved),
+                        "pause_ns": round(pause_ns),
+                        "detail": migration.detail,
+                    }
+                )
+        shed = self.manager.shed_context() if self.manager is not None else None
+        return {"shed": shed, "edge_batches": changed}, entry
+
+    def _finish(self, executor: Any, partial: bool) -> "RunResult":
+        """The executor's result with the barrier accounting attached —
+        and published, on a complete run."""
+        result = executor.result(partial)
+        result.epochs = self.report
+        if self.manager is not None:
+            result.overload = self.manager.finish()
+        registry = self.registry
+        if partial or not registry.enabled:
+            return result
+        if self.controller is not None:
+            for name, value in self.controller.report().items():
+                registry.counter(f"runtime.batch.{name}").inc(value)
+            for (producer, consumer), size in sorted(
+                executor.spec.edge_batch_size.items()
+            ):
+                registry.gauge(f"runtime.batch.size.{producer}-{consumer}").set(size)
+        if self.report is not None:
+            report = self.report
+            for name in ("interval", "committed", "snapshot_bytes", "barrier_ns"):
+                registry.gauge(f"runtime.epoch.{name}").set(getattr(report, name))
+            for part in BARRIER_PARTS:
+                registry.gauge(f"runtime.epoch.{part}_ns").set(report.total(part))
+        return result

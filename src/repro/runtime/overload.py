@@ -521,12 +521,12 @@ class OverloadReport:
 class OverloadManager:
     """One overload-control loop per run, stepped at epoch barriers.
 
-    Backends feed one window of per-edge queue statistics per epoch
-    (cumulative stats via :meth:`observe_queue_stats` for the inline
-    scheduler, per-slice deltas via :meth:`observe_windows` for the
-    process pool) and read back directives: whether to force AIMD batch
-    pressure, whether shedding is active, the spout admission allowance
-    for the next epoch, and whether a degrade replan is requested.
+    The epoch driver (:class:`repro.runtime.epochs.EpochDriver`) feeds
+    it the run's cumulative per-edge queue statistics once per barrier
+    (:meth:`observe_queue_stats` — the same dialect from both executors)
+    and reads back directives: whether to force AIMD batch pressure,
+    whether shedding is active, the spout admission allowance for the
+    next epoch, and whether a degrade replan is requested.
     """
 
     def __init__(
@@ -596,10 +596,10 @@ class OverloadManager:
         stats: Mapping[EdgeKey, object],
         pressure_keys: frozenset[EdgeKey] | set[EdgeKey] = frozenset(),
     ) -> int:
-        """Step from *cumulative* QueueStats (inline backend)."""
+        """One ladder step from *cumulative* QueueStats; returns the rung."""
         windows: dict[EdgeKey, EdgeWindow] = {}
         for key, st in stats.items():
-            now = (
+            seen = (
                 st.enqueued_batches,
                 st.enqueued_tuples,
                 st.dequeued_tuples,
@@ -607,23 +607,14 @@ class OverloadManager:
                 st.max_depth_tuples,
             )
             prev = self._last.get(key, (0, 0, 0, 0, 0))
-            self._last[key] = now
+            self._last[key] = seen
             windows[key] = EdgeWindow(
-                enqueued_batches=now[0] - prev[0],
-                enqueued_tuples=now[1] - prev[1],
-                dequeued_tuples=now[2] - prev[2],
-                blocked_batches=now[3] - prev[3],
-                peak_depth=now[4],
+                enqueued_batches=seen[0] - prev[0],
+                enqueued_tuples=seen[1] - prev[1],
+                dequeued_tuples=seen[2] - prev[2],
+                blocked_batches=seen[3] - prev[3],
+                peak_depth=seen[4],
             )
-        return self.observe_windows(epoch, windows, pressure_keys)
-
-    def observe_windows(
-        self,
-        epoch: int,
-        windows: Mapping[EdgeKey, EdgeWindow],
-        pressure_keys: frozenset[EdgeKey] | set[EdgeKey] = frozenset(),
-    ) -> int:
-        """Step from per-epoch deltas (process backend); returns the rung."""
         now = perf_counter()
         wall_s = max(now - self._wall_mark, 1e-9)
         self._wall_mark = now

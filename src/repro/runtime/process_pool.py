@@ -32,6 +32,20 @@ topologies at the cost of buffering (capacities are not enforced in this
 mode, since strict edge order may require holding later edges' input
 arbitrarily long).
 
+Epoch barriers
+--------------
+Operators stay put and only tuples move: one pool runs the whole
+execution.  At a non-final epoch boundary a spout flushes and sends a
+**barrier marker** down each out-edge — the EOF message on the EOF path,
+which the next phase resets; a task with the marker on every in-edge and
+nothing queued flushes, forwards it and parks; a worker whose tasks are
+all parked snapshots its own share, posts one barrier report and blocks,
+heartbeating, for the parent's ``resume`` directive
+(:meth:`_Worker._barrier`; the sequence is drawn in
+:mod:`repro.runtime.epochs`).  State crosses a process boundary only
+when a pool is launched from a checkpoint: a supervised ``resume=``, or
+a migration, which stops the pool and relaunches it re-partitioned.
+
 Liveness
 --------
 Every worker stamps a shared heartbeat slot once per scheduling loop, and
@@ -39,12 +53,13 @@ the parent writes observed exit codes into a shared status array.  Three
 watchdogs turn what used to be silent hangs into typed, bounded errors
 (see docs/robustness.md):
 
-* the **parent watchdog** polls worker results, converting a dead worker
+* the **parent watchdog** polls worker reports, converting a dead worker
   into :class:`~repro.errors.WorkerCrashError` and a stale-but-alive
   worker (or an exhausted overall budget) into
   :class:`~repro.errors.StallError`, always with a partial
-  :class:`~repro.runtime.results.RunResult` merged from the workers that
-  did finish;
+  :class:`~repro.runtime.results.RunResult`: task counters as last
+  reported, sink deliveries from shared counters the sinks' workers
+  stamp per batch, so they survive whichever worker died;
 * a **blocked send** (:meth:`_Worker._blocking_put`) raises
   :class:`~repro.errors.WorkerCrashError` as soon as the parent marks the
   destination worker dead, and :class:`~repro.errors.QueueDeadlockError`
@@ -62,18 +77,18 @@ the watchdogs above are what detect it.
 from __future__ import annotations
 
 import os
-import pickle
 import queue as queue_mod
 import random
 import time
 import traceback
 from collections import defaultdict, deque
-from time import monotonic, perf_counter
+from dataclasses import replace
+from time import monotonic, monotonic_ns, perf_counter
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 import multiprocessing as mp
 
-from repro.dsps.operators import Operator, Sink
+from repro.dsps.operators import Sink
 from repro.dsps.queues import OutputBuffer, QueueStats
 from repro.dsps.tuples import JumboTuple, StreamTuple
 from repro.errors import (
@@ -81,7 +96,6 @@ from repro.errors import (
     InjectedFaultError,
     QueueDeadlockError,
     StallError,
-    TopologyError,
     WorkerCrashError,
 )
 from repro.metrics.registry import NULL_REGISTRY, MetricsRegistry
@@ -101,30 +115,25 @@ from repro.runtime.dataplane import (
     create_dataplane,
 )
 from repro.runtime.epochs import (
+    BarrierState,
     EpochCheckpoint,
-    EpochCommit,
     EpochConfig,
-    EpochReport,
+    EpochDriver,
+    Migration,
     fast_forward,
     restore_tasks,
+    snapshot_tasks,
 )
-from repro.runtime.batching import AdaptiveBatchConfig, AdaptiveBatchController
+from repro.runtime.batching import AdaptiveBatchConfig
 from repro.runtime.faults import FaultInjector, merge_fault_summaries
 from repro.runtime.overload import (
     CircuitBreaker,
-    EdgeWindow,
     OverloadConfig,
-    OverloadManager,
     SendRetryPolicy,
     Shedder,
     decorrelated_jitter,
 )
-from repro.runtime.lowering import (
-    RuntimeSpec,
-    TaskRuntime,
-    apply_edge_batches,
-    instantiate_task,
-)
+from repro.runtime.lowering import RuntimeSpec, TaskRuntime, instantiate_task
 from repro.runtime.results import RunResult, TaskStats
 from repro.runtime.step import (
     STEP_COUNTERS,
@@ -136,7 +145,6 @@ from repro.runtime.step import (
 
 if TYPE_CHECKING:
     from repro.runtime.backends import OnEpoch
-    from repro.runtime.faults import Fault
 
 #: Default bound, in jumbo batches, of each worker's inbox queue.
 DEFAULT_INBOX_BATCHES = 64
@@ -194,8 +202,12 @@ class ProcessPoolBackend(ExecutorBackend):
     inbox_batches:
         Bound, in jumbo batches, of each worker's inbox.
     timeout_s:
-        Parent-side bound on the whole execution; exceeding it raises
-        :class:`~repro.errors.StallError` (never a silent hang).
+        Bound on the whole execution: one deadline, armed when
+        ``execute()`` starts and shipped to the workers once, that every
+        epoch, barrier observer (``on_epoch``) and migration relaunch
+        draws on — it is not re-armed per epoch.  Exceeding it raises
+        :class:`~repro.errors.StallError` (never a silent hang).  A
+        supervised retry is a new ``execute()`` with a new deadline.
     heartbeat_timeout_s:
         A worker whose heartbeat is older than this is considered stalled
         (parent side) or dead (peer side, combined with the status
@@ -222,15 +234,16 @@ class ProcessPoolBackend(ExecutorBackend):
     batching:
         Optional :class:`~repro.runtime.batching.AdaptiveBatchConfig`
         enabling the per-edge AIMD batch-size controller.  Adjustments
-        happen only at epoch barriers (one AIMD step per slice, fed by
-        that slice's per-edge queue statistics and worker pressure
-        signals), so runs without an :class:`EpochConfig` keep their
+        happen only at epoch barriers (one AIMD step per commit, fed by
+        the workers' cumulative per-edge queue statistics and pressure
+        signals; the next ``resume`` directive resizes the live output
+        buffers), so runs without an :class:`EpochConfig` keep their
         configured sizes.  See docs/fusion.md.
     overload:
         Optional :class:`~repro.runtime.overload.OverloadConfig` arming
         the overload-control ladder (lag SLOs, load shedding, spout
         throttling).  Like adaptive batching it is stepped once per
-        epoch slice, so it requires an :class:`EpochConfig`.  See
+        barrier commit, so it requires an :class:`EpochConfig`.  See
         docs/overload.md.
     send_retry:
         Optional :class:`~repro.runtime.overload.SendRetryPolicy`
@@ -361,577 +374,375 @@ class ProcessPoolBackend(ExecutorBackend):
         resume: "EpochCheckpoint | None" = None,
         on_epoch: "OnEpoch | None" = None,
     ) -> RunResult:
-        if max_events < 0:
-            raise TopologyError("max_events must be >= 0")
         require_vectorized(self.vectorized)
         registry = registry if registry is not None else NULL_REGISTRY
-        if epochs is not None:
-            return self._execute_epochs(
-                spec, max_events, registry, injector, epochs, resume, on_epoch
-            )
-        if self.overload is not None:
-            raise ExecutionError(
-                "overload control requires epoch barriers "
-                "(pass an EpochConfig / --epoch-interval)"
-            )
-        if resume is not None:
-            raise ExecutionError(
-                "resume from a checkpoint requires epoch barriers "
-                "(pass an EpochConfig)"
-            )
-        n_workers, outcomes = self._run_slice(spec, max_events, injector, None)
-        return self._merge(spec, registry, n_workers, outcomes)
+        driver = EpochDriver(
+            spec,
+            max_events,
+            registry,
+            epochs=epochs,
+            resume=resume,
+            on_epoch=on_epoch,
+            batching=self.batching,
+            overload=self.overload,
+        )
+        run = _PoolRun(self, spec, max_events, registry, injector, driver)
+        try:
+            return driver.run(run)
+        finally:
+            run.stop()
 
-    def _run_slice(
+
+#: Per-worker counters summed into ``runtime.dataplane.*``.
+_DATAPLANE_COUNTERS = (
+    "ring_full_blocks",
+    "bytes_inline",
+    "bytes_oob",
+    "codec_fallbacks",
+    "dict_columns",
+    "dict_pages",
+    "dict_bytes",
+    "dict_promotions",
+    "dict_demotions",
+)
+
+#: Per-worker counters published as ``runtime.worker.<id>.*``.
+_WORKER_COUNTERS = (
+    "send_blocks",
+    "pickled_bytes_out",
+    "remote_batches_out",
+    "overflow_admissions",
+    "spout_throttles",
+)
+
+
+class _PoolRun:
+    """Parent side of one process-backend execution (one per ``run()``):
+    the executor half of :class:`~repro.runtime.epochs.EpochDriver`'s
+    contract.  A phase is a ``resume`` directive to every parked worker,
+    then one report per worker — a *barrier report* (its share of the
+    epoch snapshot: states and counts) after a non-final phase, the
+    final outcome (with its ``Sink`` instances) after the last.  A pool
+    is only ever started by :meth:`_launch`, under ``self.spec`` and
+    from the driver's checkpoint (module docstring, Epoch barriers).
+    """
+
+    def __init__(
         self,
+        backend: ProcessPoolBackend,
         spec: RuntimeSpec,
         max_events: int,
+        registry: MetricsRegistry,
         injector: "FaultInjector | None",
-        epoch_ctx: dict | None,
-    ) -> tuple[int, list[tuple]]:
-        """Launch one worker pool and collect every worker's outcome.
+        driver: EpochDriver,
+    ) -> None:
+        self.backend = backend
+        self.spec = spec
+        self.max_events = max_events
+        self.registry = registry
+        self.injector = injector
+        self.driver = driver
+        # One deadline for the whole execution.  The workers get a copy,
+        # so a blocked send or a parked worker gives up when the *run* is
+        # out of budget (CLOCK_MONOTONIC is comparable across processes
+        # on every platform we fork on).
+        self.deadline = monotonic() + backend.timeout_s
+        self.workers: list = []
+        #: Latest report per worker of the live pool.
+        self.reports: dict[int, dict] = {}
+        #: Cumulative metrics / queue stats of pools a migration stopped.
+        self.carried: list[dict] = []
+        self.edge_stats: dict[tuple[int, int], QueueStats] = {}
 
-        ``epoch_ctx`` (barrier runs only) carries the epoch slice bounds
-        and the previous checkpoint to each worker; ``None`` runs the
-        whole event budget in one pool — the historical behavior.
-        """
-        n_workers, owner = self._assign(spec)
-        worker_sockets = self._sockets_of_workers(spec, owner)
-        schedule: tuple["Fault", ...] = injector.schedule if injector else ()
-        attempt = injector.attempt if injector else 0
-        # The parent watchdog arms its own copy of this deadline in
-        # _await_outcomes; shipping it to the workers lets a blocked send
-        # give up when the *run* is out of budget, not just when its own
-        # send deadline expires (CLOCK_MONOTONIC is comparable across
-        # processes on every platform we fork on).
-        run_deadline = monotonic() + self.timeout_s
+    # ------------------------------------------------------------------
+    # Pool lifetime
+    # ------------------------------------------------------------------
+    def _launch(self) -> None:
+        """Fork a pool under ``self.spec``; every worker restores its
+        partition from the newest committed checkpoint (``resume=``
+        before the first commit), if any, and parks for its first
+        directive."""
+        backend, spec = self.backend, self.spec
+        n_workers, owner = backend._assign(spec)
+        self.worker_sockets = backend._sockets_of_workers(spec, owner)
         ctx = _mp_context()
-        # The data plane owns the run's transport resources (control
-        # queues, shm ring segments); closing it in the finally below is
-        # what guarantees no shared-memory segment survives the run, even
+        # The data plane owns the pool's transport resources (control
+        # queues, shm ring segments); closing it in stop() is what
+        # guarantees no shared-memory segment survives the run, even
         # when workers crashed or the watchdog fired mid-flight.
-        plane = create_dataplane(
-            self.dataplane,
+        self.plane = create_dataplane(
+            backend.dataplane,
             ctx,
             n_workers,
-            self.inbox_batches,
-            ring_bytes=self.ring_bytes,
+            backend.inbox_batches,
+            ring_bytes=backend.ring_bytes,
             edge_schemas=spec.edge_schemas,
-            string_dict=self.string_dict,
+            string_dict=backend.string_dict,
         )
-        results: Any = ctx.Queue()
+        self.results: Any = ctx.Queue()
         # Shared liveness state: heartbeat timestamps (monotonic seconds,
-        # stamped by each worker once per loop) and exit-status slots the
+        # stamped by each worker once per loop), exit-status slots the
         # parent fills in as soon as it observes a death, so blocked peers
-        # can distinguish "dead" from "slow".
-        heartbeats = ctx.Array("d", [monotonic()] * n_workers, lock=False)
-        status = ctx.Array("i", [_STATUS_RUNNING] * n_workers, lock=False)
-        workers = [
+        # can distinguish "dead" from "slow", and one delivery counter per
+        # sink task, which outlives the worker that stamps it.
+        self.heartbeats = ctx.Array("d", [monotonic()] * n_workers, lock=False)
+        self.status = ctx.Array("i", [_STATUS_RUNNING] * n_workers, lock=False)
+        self.progress = ctx.Array("q", len(spec.sink_tasks), lock=False)
+        self.controls = [ctx.Pipe(duplex=False) for _ in range(n_workers)]
+        self.reports = {}
+        injector = self.injector
+        self.workers = [
             ctx.Process(
                 target=_worker_main,
-                args=(
-                    worker_id,
-                    spec,
-                    owner,
-                    max_events,
-                    plane.endpoint(worker_id),
-                    results,
-                    self.ordered,
-                    heartbeats,
-                    status,
-                    self.heartbeat_timeout_s,
-                    self.send_timeout_s,
-                    schedule,
-                    attempt,
-                    self.vectorized,
-                    epoch_ctx,
-                    self.send_retry,
-                    run_deadline,
+                args=(worker_id, spec, owner, self.max_events),
+                kwargs=dict(
+                    channel=self.plane.endpoint(worker_id),
+                    ordered=backend.ordered,
+                    heartbeats=self.heartbeats,
+                    status=self.status,
+                    heartbeat_timeout_s=backend.heartbeat_timeout_s,
+                    schedule=injector.schedule if injector else (),
+                    attempt=injector.attempt if injector else 0,
+                    vectorized=backend.vectorized,
+                    send_retry=backend.send_retry,
+                    run_deadline=self.deadline,
+                    checkpoint=self.driver.checkpoint,
+                    edge_stats=self.edge_stats,
+                    results=self.results,
+                    control=self.controls[worker_id][0],
+                    progress=self.progress,
                 ),
                 daemon=True,
             )
             for worker_id in range(n_workers)
         ]
-        for process in workers:
+        for process in self.workers:
             process.start()
-        outcomes: list[tuple] = []
-        try:
-            self._await_outcomes(
-                workers, results, heartbeats, status, worker_sockets, outcomes
-            )
-        finally:
-            for process in workers:
-                if process.is_alive():
-                    process.terminate()
-            for process in workers:
-                process.join(timeout=5.0)
-            plane.close()
-            results.cancel_join_thread()
-        return n_workers, outcomes
 
-    def _execute_epochs(
-        self,
-        spec: RuntimeSpec,
-        max_events: int,
-        registry: MetricsRegistry,
-        injector: "FaultInjector | None",
-        epochs: "EpochConfig",
-        resume: "EpochCheckpoint | None",
-        on_epoch: "OnEpoch | None",
-    ) -> RunResult:
-        """Barrier protocol: one worker pool per epoch slice.
+    def stop(self) -> None:
+        """Tear the pool down: whatever is still alive is terminated (a
+        parked worker holds nothing the checkpoint does not), and closing
+        the plane unlinks every segment."""
+        if not self.workers:
+            return
+        for process in self.workers:
+            if process.is_alive():
+                process.terminate()
+        for process in self.workers:
+            process.join(timeout=5.0)
+        self.plane.close()
+        self.results.cancel_join_thread()
+        for receiver, sender in self.controls:
+            receiver.close()
+            sender.close()
+        self.workers = []
 
-        The process backend's epoch barrier is *stop-and-resume*: each
-        slice runs the dataflow to completion over the next
-        ``interval``-events window per spout (suppressing windowed
-        ``flush()`` on non-final slices), the workers return their
-        operator snapshots in the result payload, and the parent commits
-        them as the epoch checkpoint before launching the next pool.
-        Quiescence is therefore free — pool teardown is the barrier —
-        and a migration is just the next slice launching under the new
-        placement (re-partitioning tasks over workers by socket).
+    # ------------------------------------------------------------------
+    # EpochDriver contract
+    # ------------------------------------------------------------------
+    def run_phase(self, limit: int, final: bool, directive: Mapping) -> float:
+        if not self.workers:
+            self._launch()
+        issued = monotonic_ns()
+        for _, sender in self.controls:
+            sender.send({"limit": limit, "final": final, **directive})
+        self._await()
+        return max(r["resumed_at"] for r in self.reports.values()) - issued
+
+    def _union(self, key: str) -> dict:
+        """One mapping out of every worker's latest ``key`` share."""
+        return {
+            k: v for report in self.reports.values() for k, v in report[key].items()
+        }
+
+    def collect(self) -> BarrierState:
+        """Union the workers' barrier reports (each already validated
+        its own states)."""
+        reports = list(self.reports.values())
+        union = self._union
+        boundaries = [r["boundary_at"] for r in reports if r["boundary_at"]]
+        parked = max(r["parked_at"] for r in reports)
+        return BarrierState(
+            states=union("states"),
+            counters=union("counters"),
+            stats=union("stats"),
+            spout_produced=union("spout_produced"),
+            exhausted={t for r in reports for t in r["exhausted"]},
+            sink_received=sum(r["sink_received"] for r in reports),
+            queue_stats=union("edge_stats"),
+            pressure=frozenset(e for r in reports for e in r["pressure"]),
+            # No task_wall_ns: per-task wall-clock is an inline-backend
+            # signal; workers only report per-process busy time.
+            quiesce_ns=float(parked - min(boundaries)) if boundaries else 0.0,
+            snapshot_ns=max(r["snapshot_ns"] for r in reports),
+        )
+
+    def migrate(self, migration: Migration, checkpoint: EpochCheckpoint) -> None:
+        """Stop the quiescent pool and relaunch it, re-partitioned under
+        the new placement, from the checkpoint just committed; the
+        stopped pool's cumulative metrics and queue stats carry over."""
+        self.carried += [r["metrics"] for r in self.reports.values()]
+        self.edge_stats.update(self._union("edge_stats"))
+        self.stop()
+        self.spec = migration.spec
+        self._launch()
+
+    # ------------------------------------------------------------------
+    # Watchdog
+    # ------------------------------------------------------------------
+    def _await(self) -> None:
+        """Collect one report per worker under the parent watchdog.
+
+        Raises a typed :class:`ExecutionError` subclass on any worker
+        failure, stall or timeout — this method never blocks unboundedly.
         """
-        report = EpochReport(
-            interval=epochs.interval,
-            resumed_from=resume.epoch if resume is not None else None,
-        )
-        spout_ids = {rt.task_id for rt in spec.tasks if rt.is_spout}
-        spout_produced = {task_id: 0 for task_id in spout_ids}
-        blob: bytes | None = None
-        tick_base: dict[int, int] = {}
-        checkpoint = resume
-        epoch = 0
-        if resume is not None:
-            blob = resume.blob
-            spout_produced.update(resume.spout_produced)
-            payload = resume.payload()
-            tick_base = {
-                task_id: stats.tuples_in
-                for task_id, stats in payload["stats"].items()
-            }
-            tick_base.update(resume.spout_produced)
-            epoch = resume.epoch + 1
-        fault_summaries: list[dict[str, float]] = []
-        exhausted: set[int] = set()
-        controller = (
-            AdaptiveBatchController(spec, self.batching)
-            if self.batching is not None
-            else None
-        )
-        manager = (
-            OverloadManager(spec, self.overload, epochs.interval, registry)
-            if self.overload is not None
-            else None
-        )
-        # The spout budget is a *cumulative admission target*: each epoch
-        # extends it by the token-bucket allowance (the full interval
-        # while healthy — integer-identical to the historical
-        # ``(epoch + 1) * interval`` — a fraction of it while the
-        # throttle rung is active).
-        limit = min(max_events, epoch * epochs.interval)
-        while True:
-            allowance = (
-                manager.spout_allowance()
-                if manager is not None
-                else epochs.interval
-            )
-            limit = min(max_events, limit + allowance)
-            final = limit >= max_events or exhausted >= spout_ids
-            epoch_ctx = {
-                "blob": blob,
-                "spout_produced": dict(spout_produced),
-                "limit": limit,
-                "final": final,
-                "tick_base": dict(tick_base),
-                "shed": manager.shed_context() if manager is not None else None,
-            }
-            try:
-                n_workers, outcomes = self._run_slice(
-                    spec, max_events, injector, epoch_ctx
-                )
-            except ExecutionError as exc:
-                if getattr(exc, "last_checkpoint", None) is None:
-                    exc.last_checkpoint = checkpoint
-                raise
-            states: dict[int, Any] = {}
-            counters: dict[Any, int] = {}
-            stats_map: dict[int, TaskStats] = {}
-            sink_received = 0
-            for outcome in outcomes:
-                payload = outcome[6].get("epoch") or {}
-                states.update(payload.get("states", {}))
-                counters.update(payload.get("counters", {}))
-                spout_produced.update(payload.get("spout_produced", {}))
-                exhausted.update(payload.get("exhausted", ()))
-                stats_map.update(outcome[3])
-                for sink in outcome[4].values():
-                    sink_received += sink.received
-                summary = outcome[6].get("fault_summary")
-                if summary:
-                    fault_summaries.append(summary)
-            if controller is not None or manager is not None:
-                # Pressure beyond blocked_batches: a worker that stalled
-                # on its shm ring or blocked on remote sends marks all
-                # its remote out-edges as pressured (the transport does
-                # not say which edge, so all of that worker's candidates
-                # count).  Shared by the AIMD batch controller and the
-                # overload detector.
-                _, slice_owner = self._assign(spec)
-                pressure: set[tuple[int, int]] = set()
-                for outcome in outcomes:
-                    worker_id = outcome[1]
-                    metrics_blob = outcome[6]
-                    if metrics_blob.get("ring_full_blocks", 0) or metrics_blob.get(
-                        "send_blocks", 0
-                    ):
-                        for rt in spec.tasks:
-                            if slice_owner.get(rt.task_id) != worker_id:
-                                continue
-                            for edge in rt.out_edges:
-                                if slice_owner.get(edge.consumer) != worker_id:
-                                    pressure.add((edge.producer, edge.consumer))
-            if manager is not None:
-                # One ladder step per slice.  Worker pools are fresh each
-                # slice, so the per-edge QueueStats they report *are* the
-                # window deltas the lag tracker and detector want.
-                windows: dict[tuple[int, int], EdgeWindow] = {}
-                for outcome in outcomes:
-                    for key, st in outcome[5].items():
-                        windows[key] = EdgeWindow(
-                            enqueued_batches=st.enqueued_batches,
-                            enqueued_tuples=st.enqueued_tuples,
-                            dequeued_tuples=st.dequeued_tuples,
-                            blocked_batches=st.blocked_batches,
-                            peak_depth=st.max_depth_tuples,
-                        )
-                    manager.merge_shed_snapshot(
-                        outcome[6].get("overload_shed")
-                    )
-                manager.observe_windows(epoch, windows, frozenset(pressure))
-            if controller is not None:
-                # One AIMD step per slice, from the same window deltas.
-                # While the ladder's batch-shrink rung is active every
-                # edge is treated as pressured so batches shrink toward
-                # their floor (finer batches drain bounded queues sooner).
-                window: dict[tuple[int, int], tuple[int, int, int]] = {}
-                for outcome in outcomes:
-                    for key, st in outcome[5].items():
-                        window[key] = (
-                            st.enqueued_batches,
-                            st.enqueued_tuples,
-                            st.blocked_batches,
-                        )
-                batch_pressure: set[tuple[int, int]] = set(pressure)
-                if manager is not None and manager.force_batch_pressure:
-                    batch_pressure.update(window)
-                changed = controller.observe_window(window, batch_pressure)
-                if changed and not final:
-                    spec = apply_edge_batches(spec, changed)
-            if final:
-                result = self._merge(spec, registry, n_workers, outcomes)
-                result.events_ingested = sum(spout_produced.values())
-                if fault_summaries:
-                    result.fault_summary = merge_fault_summaries(
-                        *fault_summaries
-                    )
-                result.epochs = report
-                if manager is not None:
-                    result.overload = manager.finish()
-                if registry.enabled:
-                    registry.gauge("runtime.epoch.interval").set(report.interval)
-                    registry.gauge("runtime.epoch.committed").set(
-                        report.committed
-                    )
-                    registry.gauge("runtime.epoch.barrier_ns").set(
-                        report.barrier_ns
-                    )
-                    registry.gauge("runtime.epoch.snapshot_bytes").set(
-                        report.snapshot_bytes
-                    )
-                    if controller is not None:
-                        for name, value in controller.report().items():
-                            registry.counter(f"runtime.batch.{name}").inc(value)
-                        for (p, c), size in spec.edge_batch_size.items():
-                            registry.gauge(f"runtime.batch.size.{p}-{c}").set(
-                                size
-                            )
-                return result
-            started = perf_counter()
-            checkpoint = EpochCheckpoint.capture(
-                epoch,
-                events_ingested=sum(spout_produced.values()),
-                spout_produced=spout_produced,
-                states=states,
-                counters=counters,
-                stats=stats_map,
-                sink_received=sink_received,
-            )
-            report.barrier_ns += (perf_counter() - started) * 1e9
-            report.committed += 1
-            report.snapshot_bytes = checkpoint.snapshot_bytes
-            report.events.append(
-                {
-                    "kind": "commit",
-                    "epoch": epoch,
-                    "events_ingested": checkpoint.events_ingested,
-                    "snapshot_bytes": checkpoint.snapshot_bytes,
-                }
-            )
-            blob = checkpoint.blob
-            tick_base = {
-                task_id: stats.tuples_in
-                for task_id, stats in stats_map.items()
-            }
-            tick_base.update(spout_produced)
-            if on_epoch is not None:
-                commit = EpochCommit(
-                    epoch=epoch,
-                    spec=spec,
-                    checkpoint=checkpoint,
-                    task_stats=stats_map,
-                    # Per-task wall-clock is an inline-backend signal;
-                    # workers only report per-process busy time.
-                    task_wall_ns={},
-                    events_ingested=checkpoint.events_ingested,
-                    overload=(
-                        manager.commit_state() if manager is not None else None
-                    ),
-                )
-                migration = on_epoch(commit)
-                if migration is not None:
-                    started = perf_counter()
-                    spec = migration.spec
-                    pause_ns = (perf_counter() - started) * 1e9
-                    report.migrations += 1
-                    report.migration_pause_ns += pause_ns
-                    report.events.append(
-                        {
-                            "kind": "migration",
-                            "epoch": epoch,
-                            "moved": sorted(migration.moved),
-                            "pause_ns": round(pause_ns),
-                            "detail": migration.detail,
-                        }
-                    )
-            epoch += 1
-
-    def _await_outcomes(
-        self,
-        workers: list,
-        results: Any,
-        heartbeats: Any,
-        status: Any,
-        worker_sockets: Mapping[int, tuple[int, ...]],
-        outcomes: list[tuple],
-    ) -> None:
-        """Collect one outcome per worker under the parent watchdog.
-
-        Successful outcomes accumulate into ``outcomes`` (also on
-        failure, so the caller can merge partial progress).  Raises a
-        typed :class:`ExecutionError` subclass on any worker failure,
-        stall or timeout — this method never blocks unboundedly.
-        """
-        deadline = monotonic() + self.timeout_s
+        backend = self.backend
+        workers = self.workers
         pending = set(range(len(workers)))
 
         def drain(timeout: float) -> bool:
             try:
-                outcome = results.get(timeout=timeout)
+                message = self.results.get(timeout=timeout)
             except queue_mod.Empty:
                 return False
-            if outcome[0] == "error":
-                _, worker_id, error_kind, message, trace = outcome
-                error_cls = _ERROR_CLASSES.get(error_kind, ExecutionError)
-                raise error_cls(
-                    f"worker {worker_id} failed: {message}\n{trace}",
-                    partial_result=self._partial(outcomes),
+            if message[0] == "error":
+                _, worker_id, error_kind, text, trace = message
+                raise _ERROR_CLASSES.get(error_kind, ExecutionError)(
+                    f"worker {worker_id} failed: {text}\n{trace}",
                     failed_workers=(worker_id,),
-                    failed_sockets=worker_sockets.get(worker_id, ()),
+                    failed_sockets=self.worker_sockets.get(worker_id, ()),
                 )
-            outcomes.append(outcome)
-            pending.discard(outcome[1])
+            _, worker_id, report = message
+            self.reports[worker_id] = report
+            pending.discard(worker_id)
             return True
+
+        def sockets_of(worker_ids: list[int]) -> tuple[int, ...]:
+            return tuple(
+                sorted(s for w in worker_ids for s in self.worker_sockets.get(w, ()))
+            )
 
         while pending:
             if drain(_POLL_INTERVAL_S):
                 continue
             now = monotonic()
-            dead = [
-                wid
-                for wid in sorted(pending)
-                if not workers[wid].is_alive()
-            ]
+            dead = [w for w in sorted(pending) if not workers[w].is_alive()]
             if dead:
                 # Publish the deaths so blocked peers stop waiting, then
                 # give the result queue a grace window: a worker that
                 # exited cleanly may still have its outcome in flight.
                 for wid in dead:
-                    status[wid] = workers[wid].exitcode or 0
+                    self.status[wid] = workers[wid].exitcode or 0
                 grace = monotonic() + _DEATH_GRACE_S
                 while monotonic() < grace and pending & set(dead):
                     drain(_POLL_INTERVAL_S)
                 lost = sorted(pending & set(dead))
                 if lost:
                     codes = {wid: workers[wid].exitcode for wid in lost}
-                    sockets = tuple(
-                        sorted(
-                            s
-                            for wid in lost
-                            for s in worker_sockets.get(wid, ())
-                        )
-                    )
                     raise WorkerCrashError(
                         f"worker(s) {lost} died without reporting a result "
                         f"(exit codes {codes})",
-                        partial_result=self._partial(outcomes),
                         failed_workers=tuple(lost),
-                        failed_sockets=sockets,
+                        failed_sockets=sockets_of(lost),
                     )
                 continue
             stale = [
-                wid
-                for wid in sorted(pending)
-                if now - heartbeats[wid] > self.heartbeat_timeout_s
+                w
+                for w in sorted(pending)
+                if now - self.heartbeats[w] > backend.heartbeat_timeout_s
             ]
             if stale:
-                ages = {wid: round(now - heartbeats[wid], 2) for wid in stale}
-                sockets = tuple(
-                    sorted(
-                        s for wid in stale for s in worker_sockets.get(wid, ())
-                    )
-                )
+                ages = {w: round(now - self.heartbeats[w], 2) for w in stale}
                 raise StallError(
                     f"worker(s) {stale} stopped heartbeating "
                     f"(last heartbeat {ages} s ago, "
-                    f"watchdog {self.heartbeat_timeout_s}s)",
-                    partial_result=self._partial(outcomes),
+                    f"watchdog {backend.heartbeat_timeout_s}s)",
                     failed_workers=tuple(stale),
-                    failed_sockets=sockets,
+                    failed_sockets=sockets_of(stale),
                 )
-            if now > deadline:
+            if now > self.deadline:
                 raise StallError(
-                    f"process backend timed out after {self.timeout_s}s "
+                    f"process backend timed out after {backend.timeout_s}s "
                     f"waiting for worker results (workers {sorted(pending)} "
                     "still running)",
-                    partial_result=self._partial(outcomes),
                     failed_workers=tuple(sorted(pending)),
                 )
 
-    def _partial(self, outcomes: list[tuple]) -> RunResult | None:
-        """Merge the outcomes received so far into a partial result."""
-        if not outcomes:
-            return None
-        result = self._merge(None, NULL_REGISTRY, len(outcomes), outcomes)
-        result.partial = True
-        return result
-
-    def _merge(
-        self,
-        spec: RuntimeSpec | None,
-        registry: MetricsRegistry,
-        n_workers: int,
-        outcomes: list[tuple],
-    ) -> RunResult:
-        events = 0
-        task_stats: dict[int, TaskStats] = {}
+    # ------------------------------------------------------------------
+    # Result
+    # ------------------------------------------------------------------
+    def result(self, partial: bool) -> RunResult:
+        """Merge the workers' latest reports into a result: of a
+        complete run, the final outcomes.  A partial one (failure path)
+        takes task counters from whatever reports did arrive — the last
+        barrier's, for workers that died or were still running — and sink
+        deliveries from the shared progress slots, live up to the failure
+        whichever worker it hit."""
+        spec = self.spec
+        reports = self.reports
         sinks_by_task: dict[int, Sink] = {}
-        edge_stats: dict[tuple[int, int], QueueStats] = {}
-        worker_metrics: dict[int, dict[str, float]] = {}
-        fault_summaries: list[dict[str, float]] = []
-        for _, worker_id, worker_events, stats, sinks, edges, metrics in outcomes:
-            events += worker_events
-            task_stats.update(stats)
-            sinks_by_task.update(sinks)
-            edge_stats.update(edges)
-            worker_metrics[worker_id] = metrics
-            summary = metrics.get("fault_summary")
-            if summary:
-                fault_summaries.append(summary)
+        for report in reports.values():
+            sinks_by_task.update(report.get("sinks", ()))
         sinks: dict[str, list[Sink]] = defaultdict(list)
-        if spec is not None:
-            for rt in spec.tasks:
-                if rt.task_id in sinks_by_task:
-                    sinks[rt.component].append(sinks_by_task[rt.task_id])
-            topology_name = spec.topology.name
-        else:
-            # Partial merge (failure path): no spec ordering available;
-            # group surviving sinks by their task's component label.
-            for task_id, sink in sinks_by_task.items():
-                component = task_stats[task_id].component
-                sinks[component].append(sink)
-            topology_name = next(
-                (s.component for s in task_stats.values()), "partial"
-            )
+        for slot, rt in enumerate(spec.sink_tasks):
+            sink = sinks_by_task.get(rt.task_id)
+            if sink is None and partial and self.workers:
+                sink = Sink()
+                sink.received = self.progress[slot]
+            if sink is not None:
+                sinks[rt.component].append(sink)
+        # Run-level figures also count the pools a migration stopped.
+        metrics_of = {worker_id: r["metrics"] for worker_id, r in reports.items()}
+        every = [*self.carried, *metrics_of.values()]
+        summaries = [metrics.get("fault_summary") for metrics in every]
         result = RunResult(
-            topology_name=topology_name,
-            events_ingested=events,
-            task_stats=task_stats,
+            topology_name=spec.topology.name,
+            events_ingested=sum(self._union("spout_produced").values()),
+            task_stats=self._union("stats"),
             sinks=dict(sinks),
             fault_summary=(
-                merge_fault_summaries(*fault_summaries)
-                if fault_summaries
-                else None
+                merge_fault_summaries(*summaries) if any(summaries) else None
             ),
+            partial=partial,
         )
-        if spec is not None and registry.enabled:
-            publish_engine_metrics(registry, spec, result, edge_stats)
-            registry.gauge("runtime.run.workers").set(n_workers)
-            totals = defaultdict(float)
-            dataplane_counters = (
-                "ring_full_blocks",
-                "bytes_inline",
-                "bytes_oob",
-                "codec_fallbacks",
-                "dict_columns",
-                "dict_pages",
-                "dict_bytes",
-                "dict_promotions",
-                "dict_demotions",
+        manager = self.driver.manager
+        if manager is not None and not partial:
+            for metrics in every:
+                manager.merge_shed_snapshot(metrics.get("overload_shed"))
+        registry = self.registry
+        if partial or not registry.enabled:
+            return result
+        publish_engine_metrics(registry, spec, result, self._union("edge_stats"))
+        registry.gauge("runtime.run.workers").set(len(reports))
+        totals = {
+            key: sum(metrics.get(key, 0.0) for metrics in every)
+            for key in ("pickled_bytes_out", *_DATAPLANE_COUNTERS, *STEP_COUNTERS)
+        }
+        for worker_id, metrics in sorted(metrics_of.items()):
+            prefix = f"runtime.worker.{worker_id}"
+            for key in ("busy_fraction", "blocked_send_ns"):
+                registry.gauge(f"{prefix}.{key}").set(metrics.get(key, 0.0))
+            for key in _WORKER_COUNTERS:
+                registry.counter(f"{prefix}.{key}").inc(int(metrics.get(key, 0)))
+        registry.counter("runtime.run.pickled_bytes").inc(
+            int(totals["pickled_bytes_out"])
+        )
+        for key in _DATAPLANE_COUNTERS:
+            # dict_* counters publish under a dotted sub-namespace:
+            # runtime.dataplane.dict.{columns,pages,bytes,...}.
+            name = key.replace("dict_", "dict.")
+            registry.counter(f"runtime.dataplane.{name}").inc(int(totals[key]))
+        publish_step_counters(registry, totals)
+        # Total payload bytes the run moved between workers, whatever
+        # the transport: pickled control-queue payloads plus the shm
+        # plane's in-ring and out-of-band codec payloads.
+        registry.counter("runtime.run.dataplane_bytes").inc(
+            int(
+                totals["pickled_bytes_out"]
+                + totals["bytes_inline"]
+                + totals["bytes_oob"]
             )
-            for worker_id, metrics in sorted(worker_metrics.items()):
-                prefix = f"runtime.worker.{worker_id}"
-                registry.gauge(f"{prefix}.busy_fraction").set(
-                    metrics.get("busy_fraction", 0.0)
-                )
-                registry.gauge(f"{prefix}.blocked_send_ns").set(
-                    metrics.get("blocked_send_ns", 0.0)
-                )
-                registry.counter(f"{prefix}.send_blocks").inc(
-                    int(metrics.get("send_blocks", 0))
-                )
-                registry.counter(f"{prefix}.pickled_bytes_out").inc(
-                    int(metrics.get("pickled_bytes_out", 0))
-                )
-                registry.counter(f"{prefix}.remote_batches_out").inc(
-                    int(metrics.get("remote_batches_out", 0))
-                )
-                registry.counter(f"{prefix}.overflow_admissions").inc(
-                    int(metrics.get("overflow_admissions", 0))
-                )
-                registry.counter(f"{prefix}.spout_throttles").inc(
-                    int(metrics.get("spout_throttles", 0))
-                )
-                for key in ("pickled_bytes_out", *dataplane_counters, *STEP_COUNTERS):
-                    totals[key] += metrics.get(key, 0.0)
-            registry.counter("runtime.run.pickled_bytes").inc(
-                int(totals["pickled_bytes_out"])
-            )
-            for key in dataplane_counters:
-                # dict_* counters publish under a dotted sub-namespace:
-                # runtime.dataplane.dict.{columns,pages,bytes,...}.
-                name = key.replace("dict_", "dict.")
-                registry.counter(f"runtime.dataplane.{name}").inc(int(totals[key]))
-            publish_step_counters(registry, totals)
-            # Total payload bytes the run moved between workers, whatever
-            # the transport: pickled control-queue payloads plus the shm
-            # plane's in-ring and out-of-band codec payloads.
-            registry.counter("runtime.run.dataplane_bytes").inc(
-                int(
-                    totals["pickled_bytes_out"]
-                    + totals["bytes_inline"]
-                    + totals["bytes_oob"]
-                )
-            )
+        )
         return result
 
 
@@ -943,58 +754,23 @@ def _worker_main(
     spec: RuntimeSpec,
     owner: Mapping[int, int],
     max_events: int,
-    endpoint: Any,
-    results: Any,
-    ordered: bool,
-    heartbeats: Any,
-    status: Any,
-    heartbeat_timeout_s: float,
-    send_timeout_s: float,
-    schedule: tuple,
-    attempt: int,
-    vectorized: str = "auto",
-    epoch_ctx: dict | None = None,
-    send_retry: SendRetryPolicy | None = None,
-    run_deadline: float | None = None,
+    **kwargs: Any,
 ) -> None:
     worker = None
+    results = kwargs["results"]
     try:
-        worker = _Worker(
-            worker_id,
-            spec,
-            owner,
-            max_events,
-            endpoint,
-            ordered,
-            heartbeats=heartbeats,
-            status=status,
-            heartbeat_timeout_s=heartbeat_timeout_s,
-            send_timeout_s=send_timeout_s,
-            schedule=schedule,
-            attempt=attempt,
-            vectorized=vectorized,
-            epoch_ctx=epoch_ctx,
-            send_retry=send_retry,
-            run_deadline=run_deadline,
-        )
-        results.put(worker.run())
-    except ExecutionError as exc:
-        results.put(
-            (
-                "error",
-                worker_id,
-                type(exc).__name__,
-                str(exc),
-                traceback.format_exc(),
-            )
-        )
+        worker = _Worker(worker_id, spec, owner, max_events, **kwargs)
+        worker.run()
     except BaseException as exc:
+        # Typed runtime errors keep their class and message across the
+        # process boundary; anything else travels as its repr.
+        typed = isinstance(exc, ExecutionError)
         results.put(
             (
                 "error",
                 worker_id,
-                "ExecutionError",
-                repr(exc),
+                type(exc).__name__ if typed else "ExecutionError",
+                str(exc) if typed else repr(exc),
                 traceback.format_exc(),
             )
         )
@@ -1006,7 +782,8 @@ def _worker_main(
 
 
 class _Worker:
-    """One worker process: runs its task partition to completion."""
+    """One worker process: runs its task partition, phase after phase,
+    for the whole run."""
 
     def __init__(
         self,
@@ -1024,9 +801,13 @@ class _Worker:
         schedule: tuple = (),
         attempt: int = 0,
         vectorized: str = "auto",
-        epoch_ctx: dict | None = None,
         send_retry: SendRetryPolicy | None = None,
         run_deadline: float | None = None,
+        checkpoint: EpochCheckpoint | None = None,
+        edge_stats: Mapping[tuple[int, int], QueueStats] | None = None,
+        results: Any = None,
+        control: Any = None,
+        progress: Any = None,
     ) -> None:
         self.me = worker_id
         self.spec = spec
@@ -1043,7 +824,8 @@ class _Worker:
         self.heartbeats = heartbeats
         self.status = status
         self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.send_timeout_s = send_timeout_s
+        self.results = results
+        self.control = control
         # Blocked-send retry/backoff state (repro.runtime.overload): one
         # circuit breaker per destination, a jitter RNG that only shapes
         # sleep timing (never data), and the run watchdog's deadline so a
@@ -1060,34 +842,24 @@ class _Worker:
         self.mine: list[TaskRuntime] = [
             rt for rt in spec.tasks if self.owner[rt.task_id] == worker_id
         ]
-        self.epoch_ctx = epoch_ctx
-        self.slice_limit = (
-            max_events if epoch_ctx is None else epoch_ctx["limit"]
-        )
-        self.slice_final = True if epoch_ctx is None else epoch_ctx["final"]
-        # Shed directive for this slice (overload ladder, parent side):
-        # spout-side deterministic shedding keyed by the spout's
+        # The current phase, set by each resume directive: the cumulative
+        # per-spout bound, and whether it closes the stream.
+        self.limit = max_events
+        self.final = True
+        # Spout-side deterministic shedding, keyed by the spout's
         # cumulative tuple offset, so the decision stream is identical
-        # across slices, backends and replays.
-        shed_ctx = epoch_ctx.get("shed") if epoch_ctx is not None else None
-        if shed_ctx is not None:
-            self.shedder: Shedder | None = Shedder(
-                shed_ctx["mode"], shed_ctx["rate"], shed_ctx["seed"]
-            )
-            self.shedder.active = shed_ctx["active"]
-        else:
-            self.shedder = None
+        # across phases, backends and replays; built by the first
+        # directive that carries the ladder's shed context.
+        self.shedder: Shedder | None = None
         self.injector = (
             FaultInjector(
                 tuple(schedule),
                 attempt,
                 tasks={rt.task_id for rt in self.mine},
-                # Relaunched epoch slices seed the per-task tuple counts so
-                # trigger offsets stay run-absolute and spent faults from
-                # earlier slices of this attempt never re-fire.
-                base_counts=(
-                    epoch_ctx.get("tick_base") if epoch_ctx else None
-                ),
+                # A pool launched from a checkpoint seeds the per-task
+                # tuple counts so trigger offsets stay run-absolute and
+                # faults spent before it never re-fire.
+                base_counts=checkpoint.tick_counts() if checkpoint else None,
             )
             if schedule
             else None
@@ -1109,18 +881,11 @@ class _Worker:
             for edge in rt.out_edges
         }
         self.counters: dict[tuple[int, str], int] = defaultdict(int)
-        if epoch_ctx is not None and epoch_ctx.get("blob") is not None:
-            # Resume this worker's partition from the previous epoch's
-            # checkpoint.
-            restore_tasks(
-                pickle.loads(epoch_ctx["blob"]),
-                self.instances,
-                self.counters,
-                self.stats,
-            )
         # Inbound bookkeeping: one stats block and backlog per in-edge of a
         # local task.  Arrival mode queues (edge, tuples) per consumer in
-        # arrival order; ordered mode queues per edge.
+        # arrival order; ordered mode queues per edge.  The stats are
+        # cumulative over the run: a pool relaunched by a migration
+        # continues from the stopped pool's.
         self.edge_stats: dict[tuple[int, int], QueueStats] = {}
         self.edge_depth: dict[tuple[int, int], int] = {}
         self.edge_backlog: dict[tuple[int, int], deque] = {}
@@ -1129,13 +894,15 @@ class _Worker:
             self.arrival[rt.task_id] = deque()
             for edge in rt.in_edges:
                 key = (edge.producer, edge.consumer)
-                self.edge_stats[key] = QueueStats()
+                self.edge_stats[key] = (
+                    replace(edge_stats[key])
+                    if edge_stats and key in edge_stats
+                    else QueueStats()
+                )
                 self.edge_depth[key] = 0
                 self.edge_backlog[key] = deque()
         self.eof: set[tuple[int, int]] = set()
         self.completed: set[int] = set()
-        self.events = 0
-        self.max_events = max_events
         # A received batch refused hard admission, already decoded — kept
         # as (producer, consumer, payload) so a retry never re-decodes
         # (and the shm ring slot it came from is already released).  The
@@ -1163,7 +930,7 @@ class _Worker:
         self.metrics: dict[str, Any] = defaultdict(float)
         # The task step (repro.runtime.step, shared with the inline run).
         # An armed injector needs per-tuple fault ticks, so it disables
-        # kernels for the run; the shed rung is constant within a slice.
+        # kernels for the run; the shedder follows the directives.
         self.step = TaskStep(
             self.instances,
             self.stats,
@@ -1173,30 +940,41 @@ class _Worker:
             vectorized=vectorized,
             transpose_sinks=True,
             tick=self._fault_tick if self.injector is not None else None,
-            shedder=(
-                self.shedder
-                if self.shedder is not None and self.shedder.active
-                else None
-            ),
         )
         self.spout_iters: dict[int, Iterator] = {
             rt.task_id: self.instances[rt.task_id].next_batch(max_events)
             for rt in self.mine
             if rt.is_spout
         }
+        #: Cumulative per-spout positions, across phases and a resume.
         self.spout_produced: dict[int, int] = {t: 0 for t in self.spout_iters}
         self.exhausted_spouts: set[int] = set()
-        if epoch_ctx is not None:
-            for task_id in self.spout_produced:
-                self.spout_produced[task_id] = epoch_ctx["spout_produced"].get(
-                    task_id, 0
-                )
-        # Per-spout production at slice start: events this worker reports
-        # are the slice delta (the parent accumulates across slices).
-        self.spout_start: dict[int, int] = dict(self.spout_produced)
-        for task_id, start in self.spout_start.items():
-            if not fast_forward(self.spout_iters[task_id], start):
-                self.exhausted_spouts.add(task_id)
+        #: Sink task id -> its slot of the shared delivery counters.
+        self.sink_slots = {
+            rt.task_id: slot
+            for slot, rt in enumerate(spec.sink_tasks if progress is not None else ())
+            if rt.task_id in self.instances
+        }
+        self.progress = progress
+        if checkpoint is not None:
+            # Resume this partition: state, counters and stats from the
+            # blob, each source re-drawn to its committed position.
+            restore_tasks(
+                checkpoint.payload(), self.instances, self.counters, self.stats
+            )
+            for task_id, iterator in self.spout_iters.items():
+                produced = checkpoint.spout_produced.get(task_id, 0)
+                self.spout_produced[task_id] = produced
+                if not fast_forward(iterator, produced):
+                    self.exhausted_spouts.add(task_id)
+            for task_id in self.sink_slots:
+                self._stamp_progress(task_id)
+        # Barrier bookkeeping (monotonic ns; comparable across workers).
+        self.boundary_at: int | None = None  # first local spout at the boundary
+        self.resumed_at = 0
+        self.blocks_seen = 0.0  # transport stalls reported so far
+        self.started = perf_counter()
+        self.idle_s = 0.0
 
     # ------------------------------------------------------------------
     # Liveness
@@ -1249,16 +1027,33 @@ class _Worker:
         if fault.kind == "stall":
             # Stop heartbeating and stop working: the parent watchdog
             # converts this into a StallError within its timeout.
-            self.metrics["stalled"] = 1.0
             while True:
                 time.sleep(_IDLE_SLEEP_S * 50)
 
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def run(self) -> tuple:
-        started = perf_counter()
-        idle_s = 0.0
+    def run(self) -> None:
+        """Phase after phase until the final one: park for the parent's
+        directive, run to the phase boundary, report."""
+        directive = self._await_directive()
+        while True:
+            self._resume(directive)
+            self._run_phase()
+            if self.final:
+                sinks = {
+                    task_id: instance
+                    for task_id, instance in self.instances.items()
+                    if isinstance(instance, Sink)
+                }
+                self._report("ok", sinks=sinks)
+                return
+            directive = self._barrier()
+
+    def _run_phase(self) -> None:
+        """Until every local task has closed its outputs for the phase:
+        spouts at the boundary, the others once a marker (an EOF that
+        the next ``resume`` resets) arrived on every in-edge."""
         idle_since: float | None = None
         while len(self.completed) < len(self.mine):
             self._beat()
@@ -1275,58 +1070,111 @@ class _Worker:
                     self._check_dead_producers()
                     idle_since = now
                 time.sleep(_IDLE_SLEEP_S)
-                idle_s += _IDLE_SLEEP_S
+                self.idle_s += _IDLE_SLEEP_S
             else:
                 idle_since = None
-        wall_s = max(perf_counter() - started, 1e-9)
-        self.metrics["busy_fraction"] = max(0.0, 1.0 - idle_s / wall_s)
-        self.metrics["wall_ns"] = wall_s * 1e9
-        for key, value in self.channel.snapshot_metrics().items():
-            self.metrics[key] += value
-        if self.injector is not None:
-            self.metrics["fault_summary"] = self.injector.summary()
-        if self.shedder is not None:
-            # Per-slice shed accounting; the parent folds every worker's
-            # snapshot into the run-level OverloadReport.
-            self.metrics["overload_shed"] = self.shedder.snapshot()
-        if self.breakers:
-            self.metrics["send_breaker_opens"] = float(
-                sum(b.opens for b in self.breakers.values())
-            )
-            self.metrics["send_breaker_probes"] = float(
-                sum(b.probes for b in self.breakers.values())
-            )
-        if self.epoch_ctx is not None:
-            # Barrier payload: this worker's share of the epoch snapshot.
-            # The parent unions the shares and seals them as the
-            # EpochCheckpoint once every worker has reported.
-            self.metrics["epoch"] = {
-                "states": {
-                    task_id: instance.snapshot_state()
-                    for task_id, instance in self.instances.items()
-                    if isinstance(instance, Operator)
-                },
-                "counters": dict(self.counters),
-                "spout_produced": dict(self.spout_produced),
-                "exhausted": sorted(self.exhausted_spouts),
-            }
-        sinks = {
-            rt.task_id: self.instances[rt.task_id]
+
+    # ------------------------------------------------------------------
+    # Barriers
+    # ------------------------------------------------------------------
+    def _barrier(self) -> dict:
+        """Every local task is parked at the epoch boundary: validate and
+        snapshot this worker's share of the checkpoint in place, post it
+        as one small report, and wait for the parent's answer."""
+        parked_at = monotonic_ns()
+        started = perf_counter()
+        states, sink_received = snapshot_tasks(self.instances)
+        # Pressure beyond blocked_batches: a worker that stalled on its
+        # shm ring or blocked on remote sends this epoch marks all its
+        # remote out-edges as pressured (the transport does not say
+        # which edge).  Shared by the AIMD controller and the ladder.
+        blocks = self.metrics["send_blocks"] + self.channel.metrics["ring_full_blocks"]
+        pressure = [
+            (edge.producer, edge.consumer)
             for rt in self.mine
-            if isinstance(self.instances[rt.task_id], Sink)
-        }
-        self._beat()
-        # Plain dict for pickling; defaultdict factory is module-level safe
-        # anyway, but the result payload should be inert.
-        return (
-            "ok",
-            self.me,
-            self.events,
-            self.stats,
-            sinks,
-            self.edge_stats,
-            dict(self.metrics),
+            for edge in rt.out_edges
+            if blocks > self.blocks_seen and self.owner[edge.consumer] != self.me
+        ]
+        self.blocks_seen = blocks
+        self._report(
+            "barrier",
+            states=states,
+            counters=dict(self.counters),
+            sink_received=sink_received,
+            pressure=pressure,
+            parked_at=parked_at,
+            snapshot_ns=(perf_counter() - started) * 1e9,
         )
+        return self._await_directive()
+
+    def _await_directive(self) -> dict:
+        """Park until the parent answers ``resume {...}`` (or stops the
+        pool).  Parked workers keep heartbeating — a slow barrier
+        observer (an RLAS re-plan takes seconds) must not read as a
+        stall — and give up with the run's deadline."""
+        parked = perf_counter()
+        while not self.control.poll(_POLL_INTERVAL_S):
+            self._beat()
+            if self.run_deadline is not None and monotonic() > self.run_deadline:
+                raise StallError(
+                    f"worker {self.me}: parked at a barrier past the run deadline"
+                )
+        self.idle_s += perf_counter() - parked
+        return self.control.recv()
+
+    def _resume(self, directive: Mapping) -> None:
+        """Start the next phase on warm state: new bounds, the ladder's
+        shed rung, AIMD's batch sizes; markers and completions reset."""
+        self.limit = directive["limit"]
+        self.final = directive["final"]
+        shed = directive.get("shed")
+        if shed is not None:
+            if self.shedder is None:
+                self.shedder = Shedder(shed["mode"], shed["rate"], shed["seed"])
+            self.shedder.active = shed["active"]
+            self.step.shedder = self.shedder if shed["active"] else None
+        for key, size in directive.get("edge_batches", {}).items():
+            if key in self.buffers:
+                self.buffers[key].batch_size = size
+        self.eof.clear()
+        self.completed.clear()
+        self.boundary_at = None
+        self.resumed_at = monotonic_ns()
+
+    def _report(self, kind: str, **extra: Any) -> None:
+        """Post this worker's cumulative counters to the parent, plus
+        what only a barrier (``states`` ...) or the end (``sinks``) has."""
+        wall_s = max(perf_counter() - self.started, 1e-9)
+        metrics = dict(self.metrics)
+        metrics["busy_fraction"] = max(0.0, 1.0 - self.idle_s / wall_s)
+        for key, value in self.channel.snapshot_metrics().items():
+            metrics[key] = metrics.get(key, 0.0) + value
+        if self.injector is not None:
+            metrics["fault_summary"] = self.injector.summary()
+        if self.shedder is not None:
+            # The parent folds every worker's final snapshot into the
+            # run-level OverloadReport.
+            metrics["overload_shed"] = self.shedder.snapshot()
+        self._beat()
+        self.results.put(
+            (
+                kind,
+                self.me,
+                {
+                    "stats": self.stats,
+                    "spout_produced": dict(self.spout_produced),
+                    "exhausted": sorted(self.exhausted_spouts),
+                    "edge_stats": self.edge_stats,
+                    "metrics": metrics,
+                    "boundary_at": self.boundary_at,
+                    "resumed_at": self.resumed_at,
+                    **extra,
+                },
+            )
+        )
+
+    def _stamp_progress(self, task_id: int) -> None:
+        self.progress[self.sink_slots[task_id]] = self.instances[task_id].received
 
     # ------------------------------------------------------------------
     # Receiving
@@ -1563,7 +1411,7 @@ class _Worker:
             iterator = self.spout_iters[rt.task_id]
             produced = self.spout_produced[rt.task_id]
             exhausted = rt.task_id in self.exhausted_spouts
-            chunk = max(0, min(_SPOUT_CHUNK, self.slice_limit - produced))
+            chunk = max(0, min(_SPOUT_CHUNK, self.limit - produced))
             for _ in range(chunk):
                 values = next(iterator, None)
                 if values is None:
@@ -1575,10 +1423,11 @@ class _Worker:
             self.spout_produced[rt.task_id] = produced
             if exhausted:
                 self.exhausted_spouts.add(rt.task_id)
-            if exhausted or produced >= self.slice_limit:
-                # Source dried up, or the slice boundary (epoch barrier)
-                # was reached: close this spout's outputs for the slice.
-                self.events += produced - self.spout_start.get(rt.task_id, 0)
+            if exhausted or produced >= self.limit:
+                # Source dried up, or the phase boundary (epoch barrier)
+                # was reached: flush, then a marker down every out-edge.
+                if self.boundary_at is None:
+                    self.boundary_at = monotonic_ns()
                 self._flush_task(rt)
                 progress += 1
         return progress
@@ -1613,14 +1462,17 @@ class _Worker:
         self.edge_depth[key] -= len(payload)
         self.edge_stats[key].dequeued_tuples += len(payload)
         self._deliver(self.step.run(self.chains[consumer], payload))
+        if consumer in self.sink_slots:
+            self._stamp_progress(consumer)
         return True
 
     def _complete_chain(self, chain: tuple[TaskRuntime, ...]) -> None:
         """Finish a chain (an unfused task is a chain of one) whose
-        head's inputs reached EOF: on the final slice the staged
+        head's inputs reached EOF: in the final phase the staged
         ``flush()``, then every constituent flushes its output buffers
-        and sends EOF downstream, head first."""
-        if self.slice_final:
+        and sends EOF — the barrier marker, in any other phase —
+        downstream, head first."""
+        if self.final:
             self._deliver(self.step.flush_chain(chain))
         for rt in chain:
             self._flush_task(rt)

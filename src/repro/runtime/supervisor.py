@@ -212,7 +212,7 @@ class Supervisor(ExecutorBackend):
                 FaultInjector(
                     schedule,
                     attempt,
-                    base_counts=self._base_counts(checkpoint),
+                    base_counts=checkpoint.tick_counts() if checkpoint else None,
                 )
                 if schedule
                 else None
@@ -296,26 +296,6 @@ class Supervisor(ExecutorBackend):
     # ------------------------------------------------------------------
     # Attempt-loop helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _base_counts(
-        checkpoint: "EpochCheckpoint | None",
-    ) -> dict[int, int] | None:
-        """Per-task tuple counts at a checkpoint, for injector seeding.
-
-        Spouts tick once per produced tuple, operators once per consumed
-        tuple, so the checkpoint's spout positions and cumulative
-        ``tuples_in`` reproduce the counts a full replay would have
-        reached — fault trigger offsets stay run-absolute across resumes.
-        """
-        if checkpoint is None:
-            return None
-        base = {
-            task_id: stats.tuples_in
-            for task_id, stats in checkpoint.payload()["stats"].items()
-        }
-        base.update(checkpoint.spout_produced)
-        return base
-
     def _account_failure(
         self,
         report: RecoveryReport,

@@ -9,15 +9,35 @@ live migration (moving tasks between sockets at a barrier does not
 change results).  See docs/reconfiguration.md.
 """
 
+import multiprocessing
+import os
+import signal
+import time
 from collections import Counter as Multiset
 from dataclasses import replace as dc_replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import load_application
-from repro.dsps import LocalEngine
-from repro.errors import ExecutionError
-from repro.runtime import EpochConfig, FaultPlan, Migration, check_serializable
+from repro.dsps import LocalEngine, Sink, Spout, TopologyBuilder
+from repro.dsps.operators import MapOperator
+from repro.errors import ExecutionError, StallError, WorkerCrashError
+from repro.metrics import MetricsRegistry
+from repro.runtime import (
+    AdaptiveBatchConfig,
+    EpochConfig,
+    FaultPlan,
+    Migration,
+    ProcessPoolBackend,
+    check_serializable,
+    shm_available,
+)
+from repro.runtime import process_pool
+from repro.runtime.dataplane import SHM_NAME_PREFIX
+from repro.runtime.process_pool import CRASH_EXIT_CODE, _Worker
 
 EVENTS = 300
 INTERVAL = 100
@@ -101,7 +121,7 @@ class TestEpochParityInline:
 
 
 class TestEpochParityProcess:
-    """Per-epoch pool relaunch produces the same totals."""
+    """Quiescing one persistent pool at markers produces the same totals."""
 
     def test_process_backend_matches_inline(self, baselines):
         result = build_engine(
@@ -195,3 +215,507 @@ class TestResumeFromEpoch:
         baseline = baselines["wc"]
         assert resumed.sink_received() == baseline.sink_received()
         assert sink_multiset(resumed) == sink_multiset(baseline)
+
+
+# ---------------------------------------------------------------------------
+# check_serializable: the exact-type fast path against the original walk
+# ---------------------------------------------------------------------------
+_SCALARS = (str, int, float, bool, bytes, type(None))
+
+
+def reference_check(value, path="state"):
+    """``check_serializable`` as it was before the fast path: one walk
+    that formats the path of every node it visits."""
+    if isinstance(value, bool) or isinstance(value, _SCALARS):
+        return
+    if isinstance(value, dict):
+        for key, item in value.items():
+            reference_check(key, f"{path}.key({key!r})")
+            reference_check(item, f"{path}[{key!r}]")
+        return
+    if isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            reference_check(item, f"{path}[{index}]")
+        return
+    raise ExecutionError(
+        f"operator state at {path} is not codec-serializable: "
+        f"{type(value).__name__!r} (allowed: dict/list/tuple/str/int/"
+        "float/bool/bytes/None; see Operator.snapshot_state)"
+    )
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Tuple(tuple):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Opaque:
+    def __repr__(self):
+        return "<opaque>"
+
+    def __hash__(self):
+        return 7
+
+    def __eq__(self, other):
+        return isinstance(other, _Opaque)
+
+
+_plain_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 5),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+    st.builds(_Int, st.integers(0, 3)),
+)
+_rejected_leaves = st.one_of(
+    st.builds(_Opaque),
+    st.frozensets(st.integers(0, 3), max_size=2),
+    st.builds(set),
+    st.builds(bytearray),
+)
+_keys = st.one_of(
+    st.text(max_size=2),
+    st.integers(0, 4),
+    st.tuples(st.integers(0, 2), st.text(max_size=1)),
+    st.builds(_Opaque),
+    st.frozensets(st.integers(0, 2), max_size=1),
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.lists(children, max_size=3).map(_List),
+        st.lists(children, max_size=3).map(_Tuple),
+        st.dictionaries(_keys, children, max_size=4),
+        st.dictionaries(_keys, children, max_size=3).map(_Dict),
+    )
+
+
+_values = st.recursive(
+    st.one_of(_plain_leaves, _rejected_leaves), _containers, max_leaves=25
+)
+
+
+class TestCheckSerializableEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(_values)
+    def test_same_verdict_and_same_message(self, value):
+        expected = None
+        try:
+            reference_check(value, "task 3 state")
+        except ExecutionError as exc:
+            expected = str(exc)
+        got = None
+        try:
+            check_serializable(value, "task 3 state")
+        except ExecutionError as exc:
+            got = str(exc)
+        assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# The process backend's barrier: persistent workers, marker alignment
+# ---------------------------------------------------------------------------
+def process_backend(ordered=False, dataplane="pickle", **kwargs):
+    kwargs.setdefault("timeout_s", 60.0)
+    kwargs.setdefault("heartbeat_timeout_s", 5.0)
+    return ProcessPoolBackend(
+        n_workers=2, ordered=ordered, dataplane=dataplane, **kwargs
+    )
+
+
+def task_counts(result):
+    return {
+        task_id: (stats.tuples_in, stats.tuples_out)
+        for task_id, stats in result.task_stats.items()
+    }
+
+
+def assert_same_run(reference, candidate):
+    assert candidate.events_ingested == reference.events_ingested
+    assert candidate.sink_received() == reference.sink_received()
+    assert task_counts(candidate) == task_counts(reference)
+    assert sink_multiset(candidate) == sink_multiset(reference)
+    assert candidate.epochs.committed == reference.epochs.committed
+
+
+def shm_segments():
+    return {p.name for p in Path("/dev/shm").glob(f"{SHM_NAME_PREFIX}*")}
+
+
+class _Finite(Spout):
+    """A source that dries up after 130 events, whatever the budget."""
+
+    def next_batch(self, max_tuples):
+        for i in range(min(max_tuples, 130)):
+            yield (i,)
+
+
+def finite_topology():
+    builder = TopologyBuilder("finite")
+    builder.set_spout("spout", _Finite())
+    builder.add_operator(
+        "double", MapOperator(lambda values: (values[0] * 2,))
+    ).shuffle_from("spout")
+    builder.add_sink("sink", Sink(keep_samples=10**6)).shuffle_from("double")
+    return builder.build()
+
+
+class TestPersistentWorkerParity:
+    """Counters and sink multisets of a barrier run on one persistent
+    pool equal the inline barrier run at the same interval."""
+
+    @pytest.fixture(scope="class")
+    def inline_runs(self):
+        return {
+            (app, interval): build_engine(app, epoch_interval=interval).run(EVENTS)
+            for app in ("wc", "lr")
+            for interval in (100, 70)
+        }
+
+    @pytest.mark.parametrize("dataplane", ["pickle", "shm"])
+    @pytest.mark.parametrize("interval", [100, 70])  # divides 300 / does not
+    @pytest.mark.parametrize("app", ["wc", "lr"])
+    def test_matches_inline(self, app, interval, dataplane, inline_runs):
+        if dataplane == "shm" and not shm_available():
+            pytest.skip("no POSIX shared memory")
+        # LR's multi-input operators need the ordered discipline to
+        # reproduce the inline interleaving tuple for tuple.
+        result = build_engine(
+            app,
+            backend=process_backend(ordered=(app == "lr"), dataplane=dataplane),
+            epoch_interval=interval,
+        ).run(EVENTS)
+        assert_same_run(inline_runs[app, interval], result)
+
+    @pytest.mark.parametrize("dataplane", ["pickle", "shm"])
+    def test_source_dries_up_before_the_budget(self, dataplane):
+        if dataplane == "shm" and not shm_available():
+            pytest.skip("no POSIX shared memory")
+        reference = LocalEngine(finite_topology(), epoch_interval=50).run(EVENTS)
+        result = LocalEngine(
+            finite_topology(),
+            backend=process_backend(dataplane=dataplane),
+            epoch_interval=50,
+        ).run(EVENTS)
+        assert reference.events_ingested == 130
+        assert reference.epochs.committed == 3  # 50, 100, 130 (dry)
+        assert_same_run(reference, result)
+
+    def test_many_barriers_on_more_workers_than_cores(self, baselines):
+        """Thirty park/report/resume rounds on four workers (the host has
+        two cores): a lost marker, report or directive would hang the
+        run into its watchdog or change a count."""
+        started = time.perf_counter()
+        result = build_engine(
+            "wc",
+            backend=ProcessPoolBackend(n_workers=4, timeout_s=60.0),
+            epoch_interval=10,
+        ).run(EVENTS)
+        assert time.perf_counter() - started < 30.0
+        assert result.epochs.committed == 29
+        assert multiprocessing.active_children() == []
+        assert task_counts(result) == task_counts(baselines["wc"])
+        assert sink_multiset(result) == sink_multiset(baselines["wc"])
+
+    @pytest.mark.parametrize("fuse", [None, "on"])
+    def test_markers_align_with_queues_one_batch_deep(self, fuse):
+        """A fused chain (WC) and a multi-in-edge fan-in (LR) park on
+        their markers while every sealed batch fills its queue."""
+        batch = 8
+        bounds = dict(batch_size=batch, queue_capacity=batch, epoch_interval=70)
+        reference = build_engine("wc", **bounds).run(EVENTS)
+        engine = build_engine("wc", backend=process_backend(), fuse=fuse, **bounds)
+        assert bool(engine.spec.fusion) == (fuse == "on")
+        assert_same_run(reference, engine.run(EVENTS))
+        # Arrival order interleaves LR's fan-in differently from the
+        # inline run; what each component consumed and produced does not
+        # depend on it.
+        reference = build_engine("lr", **bounds).run(EVENTS)
+        result = build_engine("lr", backend=process_backend(), **bounds).run(EVENTS)
+        assert any(
+            len(rt.in_edges) > 1 for rt in build_engine("lr").spec.tasks
+        )
+        components = {s.component for s in reference.task_stats.values()}
+        for component in components:
+            assert result.component_in(component) == reference.component_in(component)
+            assert result.component_out(component) == reference.component_out(component)
+        assert result.epochs.committed == reference.epochs.committed
+
+
+def execute(engine, on_epoch=None, interval=INTERVAL, resume=None, registry=None):
+    return engine.backend.execute(
+        engine.spec,
+        EVENTS,
+        registry,
+        epochs=EpochConfig(interval=interval),
+        resume=resume,
+        on_epoch=on_epoch,
+    )
+
+
+def worker_pids():
+    return sorted(child.pid for child in multiprocessing.active_children())
+
+
+class TestOnePoolPerRun:
+    """A clean run with k epochs forks its workers once and draws each
+    source event once."""
+
+    @pytest.fixture
+    def fast_forwards(self, tmp_path, monkeypatch):
+        """Every ``fast_forward`` call a worker makes, as log lines
+        (workers are forked, so they inherit the spy)."""
+        log = tmp_path / "fast_forward.log"
+        log.touch()
+        real = process_pool.fast_forward
+
+        def spy(iterator, produced):
+            with log.open("a") as handle:
+                handle.write(f"{os.getpid()} {produced}\n")
+            return real(iterator, produced)
+
+        monkeypatch.setattr(process_pool, "fast_forward", spy)
+        return lambda: log.read_text().splitlines()
+
+    def test_same_pids_at_every_barrier_and_no_redraw(self, baselines, fast_forwards):
+        pids, commits = [], []
+
+        def observer(commit):
+            pids.append(worker_pids())
+            commits.append(commit)
+
+        engine = build_engine("wc", backend=process_backend())
+        result = execute(engine, observer, interval=70)
+        assert result.epochs.committed == len(pids) == 4
+        assert len(pids[0]) == 2 and all(p == pids[0] for p in pids)
+        assert fast_forwards() == []
+        assert sink_multiset(result) == sink_multiset(baselines["wc"])
+        # Launching from a checkpoint is where the committed prefix is
+        # re-drawn: once per spout, in one worker.
+        resumed = execute(engine, interval=70, resume=commits[1].checkpoint)
+        assert [line.split()[1] for line in fast_forwards()] == ["140"]
+        assert resumed.epochs.resumed_from == 1
+        assert sink_multiset(resumed) == sink_multiset(baselines["wc"])
+
+    def test_migration_relaunches_the_pool_from_the_checkpoint(
+        self, baselines, fast_forwards
+    ):
+        pids = []
+
+        def relocate(commit):
+            pids.append(worker_pids())
+            if commit.epoch != 0:
+                return None
+            moved = tuple(rt.task_id for rt in commit.spec.tasks)
+            spec = dc_replace(
+                commit.spec,
+                tasks=tuple(
+                    dc_replace(rt, socket=rt.task_id % 2)
+                    for rt in commit.spec.tasks
+                ),
+            )
+            return Migration(spec=spec, moved=moved, detail="test shuffle")
+
+        registry = MetricsRegistry()
+        engine = build_engine("wc", backend=process_backend())
+        result = execute(engine, relocate, registry=registry)
+        assert result.epochs.migrations == 1
+        # The pause is the stop -> relaunch hand-off, not an assignment.
+        assert result.epochs.migration_pause_ns > 1e6
+        assert not set(pids[0]) & set(pids[1])
+        assert [line.split()[1] for line in fast_forwards()] == ["100"]
+        assert result.sink_received() == baselines["wc"].sink_received()
+        assert sink_multiset(result) == sink_multiset(baselines["wc"])
+        # Run totals count the stopped pool as well.
+        plain = MetricsRegistry()
+        execute(build_engine("wc", backend=process_backend()), registry=plain)
+        assert (
+            registry.snapshot()["counters"]["runtime.vectorized.tuples"]
+            == plain.snapshot()["counters"]["runtime.vectorized.tuples"]
+        )
+
+    def test_aimd_resizes_live_buffers(self, baselines):
+        pids = []
+        registry = MetricsRegistry()
+        engine = build_engine(
+            "wc",
+            backend=process_backend(batching=AdaptiveBatchConfig()),
+            queue_budget=2048,
+        )
+        result = execute(
+            engine, lambda commit: pids.append(worker_pids()), registry=registry
+        )
+        snapshot = registry.snapshot()
+        assert snapshot["counters"]["runtime.batch.increases"] > 0
+        assert pids[0] == pids[-1]  # resized in place, no new pool
+        grown = [
+            name.removeprefix("runtime.batch.size.")
+            for name, size in snapshot["gauges"].items()
+            if name.startswith("runtime.batch.size.") and size > 64
+        ]
+        assert grown
+        for edge in grown:
+            counters = snapshot["counters"]
+            mean = (
+                counters[f"engine.queue.{edge}.enqueued_tuples"]
+                / counters[f"engine.queue.{edge}.enqueued_batches"]
+            )
+            assert mean > 64  # whole-run mean: later epochs sealed bigger
+        assert sink_multiset(result) == sink_multiset(baselines["wc"])
+
+    def test_counters_describe_the_whole_run(self):
+        """Dataplane and step counters of a barrier run equal those of
+        the same run without barriers, give or take the barrier flushes
+        (they used to describe the last epoch's pool only)."""
+        if not shm_available():
+            pytest.skip("no POSIX shared memory")
+        snapshots = {}
+        for interval in (None, INTERVAL):
+            registry = MetricsRegistry()
+            result = build_engine(
+                "wc",
+                backend=process_backend(dataplane="shm"),
+                epoch_interval=interval,
+                registry=registry,
+            ).run(EVENTS)
+            snapshots[interval] = registry.snapshot()["counters"]
+        plain, barriers = snapshots[None], snapshots[INTERVAL]
+        for name in ("runtime.vectorized.tuples", "runtime.fusion.composed_tuples"):
+            assert barriers[name] == plain[name]
+        # Each commit flushes every edge's partial batch once.
+        flushes = result.epochs.committed * len(build_engine("wc").spec.edges)
+        extra = barriers["runtime.vectorized.batches"] - plain["runtime.vectorized.batches"]
+        assert 0 <= extra <= flushes
+        ratio = barriers["runtime.run.dataplane_bytes"] / plain["runtime.run.dataplane_bytes"]
+        assert 1.0 <= ratio < 1.1
+
+
+class TestBarrierExplainsItself:
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_commit_entries_and_gauges(self, backend):
+        registry = MetricsRegistry()
+        kwargs = {"backend": process_backend()} if backend == "process" else {}
+        result = build_engine(
+            "wc", epoch_interval=INTERVAL, registry=registry, **kwargs
+        ).run(EVENTS)
+        commits = [e for e in result.epochs.events if e["kind"] == "commit"]
+        assert len(commits) == 2
+        gauges = registry.snapshot()["gauges"]
+        for part in ("quiesce", "snapshot", "commit", "resume"):
+            assert all(entry[f"{part}_ns"] > 0 for entry in commits)
+            assert gauges[f"runtime.epoch.{part}_ns"] == pytest.approx(
+                sum(entry[f"{part}_ns"] for entry in commits), abs=len(commits)
+            )
+        assert gauges["runtime.epoch.barrier_ns"] == pytest.approx(
+            gauges["runtime.epoch.snapshot_ns"] + gauges["runtime.epoch.commit_ns"]
+        )
+
+
+class TestBarrierFaults:
+    """Failures inside the barrier itself, not only at tuple offsets."""
+
+    def _engine(self, **kwargs):
+        return build_engine("wc", backend=process_backend(dataplane="shm"), **kwargs)
+
+    def _assert_crash(self, engine, observer, committed_epoch):
+        if not shm_available():
+            pytest.skip("no POSIX shared memory")
+        before = shm_segments()
+        with pytest.raises(WorkerCrashError) as excinfo:
+            execute(engine, observer)
+        assert excinfo.value.last_checkpoint.epoch == committed_epoch
+        assert excinfo.value.failed_workers
+        assert shm_segments() == before
+        assert multiprocessing.active_children() == []
+
+    def test_worker_killed_while_parked(self):
+        """After its report, before ``resume``: the commit stands."""
+
+        def kill_one(commit):
+            if commit.epoch == 1:
+                victim = multiprocessing.active_children()[0]
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=5.0)
+
+        self._assert_crash(self._engine(), kill_one, committed_epoch=1)
+
+    def test_worker_killed_between_marker_and_report(self, monkeypatch):
+        """All its tasks parked, nothing reported: the epoch is lost,
+        the previous commit is what a retry resumes from."""
+        barrier = _Worker._barrier
+        seen = []
+
+        def die_at_the_second(self):
+            seen.append(self.me)
+            if self.me == 1 and len(seen) == 2:
+                os._exit(CRASH_EXIT_CODE)
+            return barrier(self)
+
+        monkeypatch.setattr(_Worker, "_barrier", die_at_the_second)
+        self._assert_crash(self._engine(), None, committed_epoch=0)
+
+    def test_crash_mid_epoch_resumes_with_fewer_duplicates(self, baselines):
+        """The sink dies on its 1500th tuple, half way through the second
+        epoch (a commit every 1000): a replay re-delivers everything it
+        had received, a resume only what came after the commit."""
+
+        def run(epoch_interval):
+            return build_engine(
+                "wc",
+                backend=process_backend(),
+                fault_plan=FaultPlan(
+                    seed=1, kinds=("crash",), target="sink", at_tuple=1500
+                ),
+                recovery_policy="retry",
+                epoch_interval=epoch_interval,
+            ).run(EVENTS)
+
+        replayed, resumed = run(None), run(INTERVAL)
+        for result in (replayed, resumed):
+            assert result.recovery.completed is True
+            assert result.recovery.restarts == 1
+            assert result.sink_received() == baselines["wc"].sink_received()
+            assert sink_multiset(result) == sink_multiset(baselines["wc"])
+        assert resumed.recovery.resumed_from_epoch == 0
+        # The delivery counters are stamped per batch, so each figure is
+        # exact to within one batch of 64.
+        assert 1499 - 64 <= replayed.recovery.duplicate_deliveries <= 1499
+        assert 499 - 64 <= resumed.recovery.duplicate_deliveries <= 499
+
+
+class TestOneDeadline:
+    def test_parked_workers_outlive_a_slow_observer(self, baselines):
+        """An ``on_epoch`` slower than the heartbeat watchdog is not a
+        stall: parked workers keep heartbeating."""
+
+        def slow(commit):
+            if commit.epoch == 0:
+                time.sleep(1.2)
+
+        engine = build_engine(
+            "wc", backend=process_backend(heartbeat_timeout_s=0.5)
+        )
+        result = execute(engine, slow)
+        assert sink_multiset(result) == sink_multiset(baselines["wc"])
+
+    def test_timeout_bounds_the_whole_run_not_each_epoch(self):
+        engine = build_engine("wc", backend=process_backend(timeout_s=1.0))
+        with pytest.raises(StallError):
+            execute(engine, lambda commit: time.sleep(0.7))
+        assert multiprocessing.active_children() == []
