@@ -40,7 +40,7 @@ from repro.dsps.tuples import StreamTuple
 from repro.metrics import MetricsRegistry, format_table
 from repro.runtime import BatchCodec, ProcessPoolBackend, shm_available
 
-from support import QUICK, bundle, write_result
+from support import QUICK, bundle, pinned_plan, write_result
 
 EVENTS = 3_000 if QUICK else 12_000
 WORKERS = 2
@@ -99,9 +99,10 @@ def _codec_stage() -> dict:
 
 
 def _timed(topology, dataplane, registry=None):
-    engine = LocalEngine(
-        topology,
-        replication=REPLICATION,
+    # Pinned to alternating sockets: a transport bake-off needs every
+    # hop on the wire, which the backend's own placement now avoids.
+    engine = LocalEngine.from_plan(
+        pinned_plan(topology, REPLICATION, workers=WORKERS),
         registry=registry,
         backend=ProcessPoolBackend(n_workers=WORKERS, dataplane=dataplane),
         queue_budget=QUEUE_BUDGET,
@@ -392,9 +393,9 @@ def _zipf_topology():
 
 
 def _timed_strings(string_dict, registry=None):
-    engine = LocalEngine(
-        _zipf_topology(),
-        replication=REPLICATION,
+    # Pinned like _timed: the word column has to cross workers.
+    engine = LocalEngine.from_plan(
+        pinned_plan(_zipf_topology(), REPLICATION, workers=WORKERS),
         registry=registry,
         backend="process",
         n_workers=WORKERS,

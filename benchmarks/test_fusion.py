@@ -39,7 +39,7 @@ from repro.dsps.engine import LocalEngine
 from repro.metrics import MetricsRegistry, format_table
 from repro.runtime import AdaptiveBatchConfig, ProcessPoolBackend, shm_available
 
-from support import QUICK, write_result
+from support import QUICK, pinned_plan, write_result
 
 EVENTS = 4_000 if QUICK else 16_000
 WORKERS = 2
@@ -66,8 +66,14 @@ def _runtime_counters(registry: MetricsRegistry, prefix: str) -> dict[str, int]:
 def _timed_wc(fused: bool, registry: MetricsRegistry | None = None):
     topology = build_wordcount()
     topology.component("sink").template.keep_samples = 0
-    engine = LocalEngine(
-        topology,
+    # Both maps are pinned to what the backend dealt out when the floor
+    # was set: sockets alternating along the pipeline for the baseline
+    # (every hop a ring), the chain on one socket with spout and sink on
+    # the other for the contender.  Batching goes on the instance only:
+    # the engine rejects backend options beside a ready-made backend.
+    sockets = {0: 0, 1: 1, 2: 1, 3: 1, 4: 0} if fused else None
+    engine = LocalEngine.from_plan(
+        pinned_plan(topology, sockets=sockets, workers=WORKERS),
         registry=registry,
         backend=ProcessPoolBackend(
             n_workers=WORKERS,
@@ -76,7 +82,6 @@ def _timed_wc(fused: bool, registry: MetricsRegistry | None = None):
         ),
         queue_budget=QUEUE_BUDGET,
         fuse="auto" if fused else "off",
-        adaptive_batch=fused,
         epoch_interval=EPOCH_INTERVAL if fused else None,
     )
     started = perf_counter()

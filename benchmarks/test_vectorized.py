@@ -45,7 +45,7 @@ from repro.metrics import MetricsRegistry, format_table
 from repro.runtime import ProcessPoolBackend, shm_available
 from repro.runtime.dataplane import columns_available
 
-from support import QUICK, write_result
+from support import QUICK, pinned_plan, write_result
 
 EVENTS = 4_000 if QUICK else 16_000
 PARITY_EVENTS = 200
@@ -101,8 +101,10 @@ def _vectorized_counters(registry: MetricsRegistry) -> dict[str, int]:
 def _timed_wc(vectorized: str, registry: MetricsRegistry | None = None):
     # Replication 1 everywhere keeps every route single-consumer: the
     # whole pipeline stays columnar instead of bursting at fan-out.
-    engine = LocalEngine(
-        _topology("wc", keep_samples=0),
+    # Pinned to alternating sockets so that it stays columnar *on the
+    # wire* too: the backend's own placement would keep most hops local.
+    engine = LocalEngine.from_plan(
+        pinned_plan(_topology("wc", keep_samples=0), workers=WORKERS),
         registry=registry,
         backend=ProcessPoolBackend(
             n_workers=WORKERS, dataplane="shm", vectorized=vectorized

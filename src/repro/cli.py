@@ -126,21 +126,31 @@ def _overload_config(args: argparse.Namespace) -> OverloadConfig | None:
     )
 
 
-def _run_backend(args: argparse.Namespace):
-    """Resolve cmd_run's backend, applying the watchdog override."""
+def _run_backend(args: argparse.Namespace) -> dict:
+    """cmd_run's backend as engine keywords: by name with its options
+    beside it, or — the watchdog override has no engine keyword — built
+    here with the options inside (the engine rejects both at once)."""
+    options = dict(
+        n_workers=args.workers,
+        dataplane=args.dataplane,
+        vectorized=args.vectorized,
+        string_dict=args.string_dict,
+    )
     if args.backend == "process" and args.watchdog_timeout is not None:
-        return ProcessPoolBackend(
-            n_workers=args.workers,
-            heartbeat_timeout_s=args.watchdog_timeout,
-            dataplane=args.dataplane,
-            vectorized=args.vectorized,
-            string_dict=args.string_dict,
-            batching=(
-                AdaptiveBatchConfig() if args.adaptive_batch else None
-            ),
-            overload=_overload_config(args),
-        )
-    return args.backend
+        return {
+            "backend": ProcessPoolBackend(
+                heartbeat_timeout_s=args.watchdog_timeout,
+                batching=AdaptiveBatchConfig() if args.adaptive_batch else None,
+                overload=_overload_config(args),
+                **options,
+            )
+        }
+    return {
+        "backend": args.backend,
+        "adaptive_batch": args.adaptive_batch or None,
+        "overload": _overload_config(args),
+        **options,
+    }
 
 
 def _run_fusion(args: argparse.Namespace, profiles) -> FusionConfig:
@@ -165,8 +175,11 @@ def _recovery_data(recovery, fault_summary) -> dict:
 
 
 def _run_data(result) -> dict:
-    """Full run-report payload: recovery + epoch + reconfig + overload."""
+    """Full run-report payload: recovery + placement + epoch + reconfig +
+    overload."""
     data = _recovery_data(result.recovery, result.fault_summary)
+    if result.placement is not None:
+        data["placement"] = result.placement.to_dict()
     if result.epochs is not None:
         data["epochs"] = result.epochs.to_dict()
     if result.reconfig is not None:
@@ -323,20 +336,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         engine_kwargs = dict(
             batch_size=args.batch_size,
             registry=registry,
-            backend=_run_backend(args),
             queue_capacity=args.queue_capacity,
-            n_workers=args.workers,
-            dataplane=args.dataplane,
-            vectorized=args.vectorized,
-            string_dict=args.string_dict,
             fault_plan=fault_plan,
             recovery_policy=args.recovery_policy,
             max_restarts=args.max_restarts,
             degrade=degrade,
             epoch_interval=args.epoch_interval,
             fuse=_run_fusion(args, profiles),
-            adaptive_batch=args.adaptive_batch or None,
-            overload=_overload_config(args),
+            **_run_backend(args),
         )
         if args.adapt:
             plan, controller = _adapt_setup(args, topology, profiles, registry)
@@ -399,6 +406,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     )
     print(f"sink received: {result.sink_received()} tuples")
+    if result.placement is not None:
+        print(f"placement: {result.placement.describe()}")
     _print_epochs(result)
     _print_reconfig(result)
     _print_overload(result)

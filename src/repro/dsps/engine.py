@@ -187,7 +187,10 @@ class LocalEngine:
             the hot path stays the uninstrumented loop.
         backend:
             Executor backend name (``"inline"``/``"process"``) or a
-            ready-made :class:`~repro.runtime.backends.ExecutorBackend`.
+            ready-made :class:`~repro.runtime.backends.ExecutorBackend`
+            — which carries its own options: the backend arguments
+            below configure a backend built from its name, and beside
+            an instance each raises :class:`~repro.errors.ExecutionError`.
         queue_capacity:
             Uniform per-edge tuple bound.  ``None`` together with
             ``queue_budget=None`` leaves queues unbounded (the historical
@@ -198,7 +201,7 @@ class LocalEngine:
             ``queue_capacity``).
         n_workers:
             Worker-process count when ``backend="process"`` is given by
-            name; ignored otherwise.
+            name; ignored by the inline backend.
         dataplane:
             Remote-batch transport when ``backend="process"`` is given by
             name: ``"pickle"`` (default) or ``"shm"`` (shared-memory

@@ -26,6 +26,11 @@ deployed placement (intra-chain edges execute inline, skipping queues and
 codecs) and sizes each surviving edge's jumbo batches with a per-edge
 AIMD controller stepped at epoch barriers; see docs/fusion.md.
 
+The placement layer (:mod:`repro.runtime.placement`, imported by the
+process backend on demand: it sits on the optimizer stack, which imports
+this package) places the tasks of an unplaced spec on worker processes
+with RLAS, the workers standing in for sockets; see docs/runtime.md.
+
 The overload-control layer (:mod:`repro.runtime.overload`) adds lag
 SLOs, a hysteretic degradation ladder (batch shrink, deterministic load
 shedding, spout throttling, degrade replans) and retrying channel sends
@@ -108,6 +113,7 @@ from repro.runtime.lowering import (
 from repro.runtime.process_pool import ProcessPoolBackend
 from repro.runtime.reconfigure import ReconfigController, ReconfigReport
 from repro.runtime.results import (
+    Placement,
     RecoveryEvent,
     RecoveryReport,
     RunResult,
@@ -168,6 +174,7 @@ __all__ = [
     "InlineBackend",
     "ProcessPoolBackend",
     "RECOVERY_POLICIES",
+    "Placement",
     "RecoveryEvent",
     "RecoveryReport",
     "RouteSpec",

@@ -26,7 +26,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import defaultdict
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, NamedTuple
 
 from repro.dsps.operators import Operator, Sink
 from repro.dsps.queues import CommunicationQueue, OutputBuffer, QueueStats
@@ -155,23 +155,23 @@ def resolve_backend(
 ) -> ExecutorBackend:
     """Turn a backend name (or pass through an instance) into a backend.
 
-    ``n_workers``/``ordered``/``dataplane`` only apply when constructing
-    the process backend from its name; the inline backend runs in one
-    process and moves no bytes, so any requested data plane is accepted
-    and ignored there.  ``vectorized`` selects the columnar kernel mode
-    (see :data:`~repro.runtime.dataplane.columns.VECTORIZED_MODES`) on
-    both backends; ``None`` means ``auto``.  ``fuse`` is validated here
-    for early CLI errors but lives on the *spec* (fused chains are
-    derived at lowering time by :func:`repro.runtime.fusion.plan_fusion`);
-    ``batching`` arms the adaptive per-edge batch-size controller on
-    either backend.  ``overload`` arms the overload-control ladder
-    (:mod:`repro.runtime.overload`) on either backend; ``send_retry``
-    tunes the process backend's blocking-send retry/circuit-breaker
-    policy and is accepted-and-ignored by the inline backend (which
-    never crosses a process boundary).  ``string_dict`` selects the
-    adaptive string-dictionary mode for the shm codec (see
-    :data:`~repro.runtime.dataplane.codec.STRING_DICT_MODES`); the
-    inline backend accepts-and-ignores it for the same reason.
+    Every keyword but ``fuse`` configures a backend *constructed from its
+    name*; an instance was configured by whoever built it, so handing one
+    in together with any of them raises :class:`ExecutionError` naming
+    the argument rather than dropping it.  By name, the inline backend
+    runs in one process and moves no bytes: it accepts and ignores
+    ``n_workers``, ``ordered``, ``dataplane``, ``string_dict`` (the shm
+    codec's adaptive string-dictionary mode,
+    :data:`~repro.runtime.dataplane.codec.STRING_DICT_MODES`) and
+    ``send_retry`` (the blocking-send retry/circuit-breaker policy).
+    ``vectorized`` selects the columnar kernel mode (see
+    :data:`~repro.runtime.dataplane.columns.VECTORIZED_MODES`; ``None``
+    means ``auto``), ``batching`` arms the adaptive per-edge batch-size
+    controller and ``overload`` the overload-control ladder
+    (:mod:`repro.runtime.overload`) on either backend.  ``fuse`` is
+    validated here for early CLI errors but lives on the *spec* (fused
+    chains are derived at lowering time by
+    :func:`repro.runtime.fusion.plan_fusion`).
     """
     if n_workers is not None and n_workers < 1:
         raise ExecutionError(f"n_workers must be >= 1, got {n_workers}")
@@ -196,6 +196,23 @@ def resolve_backend(
     if fuse is not None:
         validate_fuse(fuse)
     if isinstance(backend, ExecutorBackend):
+        ignored = {
+            "n_workers": n_workers,
+            "ordered": ordered or None,
+            "dataplane": dataplane,
+            "vectorized": vectorized,
+            "string_dict": string_dict,
+            "batching": batching,
+            "overload": overload,
+            "send_retry": send_retry,
+        }
+        for name, value in ignored.items():
+            if value is not None:
+                raise ExecutionError(
+                    f"{name}= configures a backend built from its name; "
+                    f"a {type(backend).__name__} instance was passed, which "
+                    "would ignore it — set it on the instance"
+                )
         return backend
     if backend == "inline":
         return InlineBackend(
@@ -332,6 +349,7 @@ class _InlineRun:
         injector: "FaultInjector | None" = None,
         *,
         vectorized: str = "auto",
+        collect_wall: bool = False,
         **barriers: Any,
     ) -> None:
         self.spec = spec
@@ -346,9 +364,12 @@ class _InlineRun:
         # runtime.vectorized.* / runtime.fusion.* totals for this run.
         self.metrics = dict.fromkeys(STEP_COUNTERS, 0)
         self.instrumented = registry.enabled
-        # Per-task wall-clock: needed for gauges when instrumented, and
-        # as the drift detector's Te signal when a barrier observer runs.
-        self.collect_wall = self.instrumented or self.driver.on_epoch is not None
+        # Per-task wall-clock: needed for gauges when instrumented, as the
+        # drift detector's Te signal when a barrier observer runs, and by
+        # :func:`inline_rounds`.
+        self.collect_wall = (
+            collect_wall or self.instrumented or self.driver.on_epoch is not None
+        )
         self.wall: dict[int, float] = defaultdict(float)
         self.instances = instantiate_tasks(spec)
         self.stats = {
@@ -719,6 +740,46 @@ class _InlineRun:
             queue.stats.blocked_ns += (perf_counter() - blocked_from) * 1e9
         queue.put(batch)
         self.ticks += 1
+
+
+class InlineSample(NamedTuple):
+    """What :func:`inline_rounds` yields: cumulative and live — read it
+    before asking for the next round."""
+
+    #: Wall time per task id, measured per scheduler turn (kernels on).
+    task_wall_ns: Mapping[int, float]
+    stats: Mapping[int, TaskStats]
+    queue_stats: Mapping[tuple[int, int], QueueStats]
+    spout_produced: Mapping[int, int]
+    #: Task ids that ran their columnar kernel.
+    kernels: frozenset[int]
+
+
+def inline_rounds(
+    spec: RuntimeSpec, rounds: int, round_events: int, *, vectorized: str = "auto"
+) -> Iterator[InlineSample]:
+    """Run the first ``rounds * round_events`` events per spout of
+    ``spec`` inline, on a private instantiation (fresh operator clones,
+    queues and counters — nothing another run of the spec touches),
+    yielding after each round what a barrier observer would see, without
+    a registry, a snapshot or a commit."""
+    run = _InlineRun(
+        spec,
+        rounds * round_events,
+        NULL_REGISTRY,
+        vectorized=vectorized,
+        collect_wall=True,
+    )
+    queue_stats = {key: queue.stats for key, queue in run.queues.items()}
+    for index in range(rounds):
+        run.run_phase((index + 1) * round_events, False, {})
+        yield InlineSample(
+            {task_id: wall * 1e9 for task_id, wall in run.wall.items()},
+            run.stats,
+            queue_stats,
+            run.spout_produced,
+            frozenset(run.step.kernels),
+        )
 
 
 class _Stalled(Exception):

@@ -158,6 +158,11 @@ class RuntimeSpec:
         """True when at least one queue carries a finite capacity."""
         return any(c is not None for c in self.queue_capacity.values())
 
+    @property
+    def placed(self) -> bool:
+        """True when at least one task carries a plan socket."""
+        return any(rt.socket is not None for rt in self.tasks)
+
     def socket_groups(self) -> dict[int, list[int]]:
         """Task ids grouped by placement socket (socket 0 when unplaced)."""
         groups: dict[int, list[int]] = {}
@@ -166,6 +171,14 @@ class RuntimeSpec:
                 rt.task_id
             )
         return groups
+
+    def cut_edges(self, owner: Mapping[int, int]) -> list[tuple[int, int]]:
+        """Edges whose ends ``owner`` (task id → worker) keeps apart."""
+        return [
+            (edge.producer, edge.consumer)
+            for edge in self.edges
+            if owner[edge.producer] != owner[edge.consumer]
+        ]
 
     def describe(self) -> str:
         """Human-readable lowering summary."""

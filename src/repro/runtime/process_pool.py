@@ -3,9 +3,11 @@
 The GIL limits the inline backend to one core, so this backend partitions
 the lowered task table across ``multiprocessing`` workers — by plan socket
 when the spec carries a placement (one worker per socket, mirroring
-BriskStream's NUMA partitioning), round-robin otherwise — and ships
-sealed jumbo batches between workers as pickled payloads over bounded
-``mp.Queue`` inboxes.
+BriskStream's NUMA partitioning), otherwise where RLAS puts each task
+with the workers as its sockets (:mod:`repro.runtime.placement`: costs
+calibrated on the run's first events, crossing a process boundary as
+``Tf``) — and ships sealed jumbo batches between workers as pickled
+payloads over bounded ``mp.Queue`` inboxes.
 
 Flow control happens at three levels:
 
@@ -134,7 +136,7 @@ from repro.runtime.overload import (
     decorrelated_jitter,
 )
 from repro.runtime.lowering import RuntimeSpec, TaskRuntime, instantiate_task
-from repro.runtime.results import RunResult, TaskStats
+from repro.runtime.results import Placement, RunResult, TaskStats
 from repro.runtime.step import (
     STEP_COUNTERS,
     Delivery,
@@ -194,8 +196,7 @@ class ProcessPoolBackend(ExecutorBackend):
     ----------
     n_workers:
         Worker process count.  Defaults to one worker per placement
-        socket when the spec is placed on more than one socket, else
-        ``min(4, cpu_count)``.
+        socket when the spec is placed, else ``min(4, cpu_count)``.
     ordered:
         Process each task's input edges in strict declaration order
         (see module docstring).  Default False (arrival order).
@@ -316,43 +317,76 @@ class ProcessPoolBackend(ExecutorBackend):
             if send_retry is not None
             else SendRetryPolicy(deadline_s=send_timeout_s)
         )
+        #: The last searched ``(spec, placement)``, for :meth:`_place`.
+        self._placed: "tuple[RuntimeSpec, Placement] | None" = None
 
     # ------------------------------------------------------------------
     # Parent side
     # ------------------------------------------------------------------
-    def _assign(self, spec: RuntimeSpec) -> tuple[int, dict[int, int]]:
-        """Partition task ids over workers, grouping by plan socket."""
-        groups = spec.socket_groups()
-        sockets = sorted(groups)
-        n = self.n_workers
-        if n is None:
-            n = len(sockets) if len(sockets) > 1 else min(4, os.cpu_count() or 1)
-        n = max(1, n)
-        owner: dict[int, int] = {}
-        if len(sockets) >= n:
+    def _n_workers(self, spec: RuntimeSpec) -> int:
+        """The pool's width: ``n_workers`` as constructed — forked in
+        full even when the plan or the search fills fewer — else one
+        worker per plan socket, else up to four of the host's cores."""
+        if self.n_workers is not None:
+            return self.n_workers
+        if spec.placed:
+            return len(spec.socket_groups())
+        return min(4, os.cpu_count() or 1)
+
+    def _place(
+        self,
+        spec: RuntimeSpec,
+        max_events: int,
+        injector: "FaultInjector | None",
+        resume: "EpochCheckpoint | None",
+    ) -> "Placement | None":
+        """Where RLAS puts the tasks of an unplaced ``spec`` (None when
+        it carries plan sockets): decided once per execution, and reused
+        when the same run is relaunched from a checkpoint (a supervised
+        ``resume=``)."""
+        if spec.placed:
+            return None
+        if resume is not None and self._placed is not None:
+            placed_spec, placement = self._placed
+            if placed_spec is spec:
+                return placement
+        # Imported here: the optimizer stack imports the runtime package.
+        from repro.runtime.placement import place
+
+        # Calibrating on kernels the workers will not run would misprice
+        # every task: an armed injector makes them tick per tuple.
+        vectorized = "off" if injector is not None else self.vectorized
+        placement = place(spec, self._n_workers(spec), max_events, vectorized)
+        self._placed = (spec, placement)
+        return placement
+
+    def _assign(
+        self, spec: RuntimeSpec, searched: "Placement | None"
+    ) -> "Placement":
+        """Partition task ids over workers: grouped by plan socket when
+        the spec carries a placement, else as this execution's search
+        decided.  A plan is never spread further than it asks: with fewer
+        sockets than workers the workers beyond them host no task."""
+        if spec.placed:
             # One worker per socket (wrapping when sockets > workers) keeps
             # same-socket tasks colocated, so their edges stay in-process.
-            for index, socket in enumerate(sockets):
-                for task_id in groups[socket]:
-                    owner[task_id] = index % n
-        else:
-            # Fewer socket groups than workers: spread tasks round-robin so
-            # every worker gets a share of the pipeline.
-            position = 0
-            for socket in sockets:
-                for task_id in groups[socket]:
-                    owner[task_id] = position % n
-                    position += 1
+            n = self._n_workers(spec)
+            groups = spec.socket_groups()
+            owner = {
+                task_id: index % n
+                for index, socket in enumerate(sorted(groups))
+                for task_id in groups[socket]
+            }
+            searched = Placement(owner, n, "plan", spec.cut_edges(owner))
         # A fused chain executes inline in its head's scheduling loop, so
         # every constituent must live in the head's process.  Chains only
-        # span one socket (plan_fusion's eligibility rule), so this never
-        # fights the socket partitioning above — it only overrides the
-        # round-robin spread.
+        # span one socket (plan_fusion's eligibility rule) and the search
+        # never cuts one: this restates it where the workers rely on it.
+        owner = searched.owner
         for chain in spec.fusion:
-            head_owner = owner[chain[0]]
             for task_id in chain[1:]:
-                owner[task_id] = head_owner
-        return n, owner
+                owner[task_id] = owner[chain[0]]
+        return searched
 
     def _sockets_of_workers(
         self, spec: RuntimeSpec, owner: Mapping[int, int]
@@ -386,7 +420,8 @@ class ProcessPoolBackend(ExecutorBackend):
             batching=self.batching,
             overload=self.overload,
         )
-        run = _PoolRun(self, spec, max_events, registry, injector, driver)
+        searched = self._place(spec, max_events, injector, resume)
+        run = _PoolRun(self, spec, max_events, registry, injector, driver, searched)
         try:
             return driver.run(run)
         finally:
@@ -435,6 +470,7 @@ class _PoolRun:
         registry: MetricsRegistry,
         injector: "FaultInjector | None",
         driver: EpochDriver,
+        searched: "Placement | None",
     ) -> None:
         self.backend = backend
         self.spec = spec
@@ -442,6 +478,15 @@ class _PoolRun:
         self.registry = registry
         self.injector = injector
         self.driver = driver
+        #: The execution's search (None: the spec carries plan sockets),
+        #: and the task→worker map the live pool was forked under.
+        self.searched = searched
+        self.placement: "Placement | None" = None
+        #: Seconds the pool spent streaming (phase resumed to last report)
+        #: and the events a ``resume=`` checkpoint had ingested before it.
+        self.streamed_s = 0.0
+        resume = driver.checkpoint
+        self.resumed_events = resume.events_ingested if resume is not None else 0
         # One deadline for the whole execution.  The workers get a copy,
         # so a blocked send or a parked worker gives up when the *run* is
         # out of budget (CLOCK_MONOTONIC is comparable across processes
@@ -463,7 +508,9 @@ class _PoolRun:
         before the first commit), if any, and parks for its first
         directive."""
         backend, spec = self.backend, self.spec
-        n_workers, owner = backend._assign(spec)
+        self.placement = backend._assign(spec, self.searched)
+        # The pool is n_workers wide even if the search left one empty.
+        n_workers, owner = self.placement.n_workers, self.placement.owner
         self.worker_sockets = backend._sockets_of_workers(spec, owner)
         ctx = _mp_context()
         # The data plane owns the pool's transport resources (control
@@ -547,7 +594,9 @@ class _PoolRun:
         for _, sender in self.controls:
             sender.send({"limit": limit, "final": final, **directive})
         self._await()
-        return max(r["resumed_at"] for r in self.reports.values()) - issued
+        resumed = max(r["resumed_at"] for r in self.reports.values())
+        self.streamed_s += (monotonic_ns() - resumed) / 1e9
+        return resumed - issued
 
     def _union(self, key: str) -> dict:
         """One mapping out of every worker's latest ``key`` share."""
@@ -703,16 +752,22 @@ class _PoolRun:
             fault_summary=(
                 merge_fault_summaries(*summaries) if any(summaries) else None
             ),
+            placement=self.placement,
             partial=partial,
         )
         manager = self.driver.manager
         if manager is not None and not partial:
             for metrics in every:
                 manager.merge_shed_snapshot(metrics.get("overload_shed"))
+        if not partial:
+            self.placement.settle(
+                result.events_ingested - self.resumed_events, self.streamed_s
+            )
         registry = self.registry
         if partial or not registry.enabled:
             return result
         publish_engine_metrics(registry, spec, result, self._union("edge_stats"))
+        self.placement.publish(registry)
         registry.gauge("runtime.run.workers").set(len(reports))
         totals = {
             key: sum(metrics.get(key, 0.0) for metrics in every)
@@ -1069,8 +1124,10 @@ class _Worker:
                     # Long idle: are we waiting on a dead upstream worker?
                     self._check_dead_producers()
                     idle_since = now
+                # Timed, not assumed: a 200 us sleep takes a millisecond
+                # or more on a busy host, and busy_fraction is 1 - idle.
                 time.sleep(_IDLE_SLEEP_S)
-                self.idle_s += _IDLE_SLEEP_S
+                self.idle_s += monotonic() - now
             else:
                 idle_since = None
 

@@ -14,9 +14,14 @@ timeline — restarts, replans, duplicate-delivery accounting).  Both stay
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.dsps.operators import Sink
+from repro.metrics.reporting import relative_error
+
+if TYPE_CHECKING:
+    from repro.metrics.registry import MetricsRegistry
 
 
 @dataclass
@@ -101,6 +106,85 @@ class RecoveryReport:
 
 
 @dataclass
+class Placement:
+    """One process-backend ``execute()``'s task→worker decision (see
+    :mod:`repro.runtime.placement`), run-report ready."""
+
+    owner: dict[int, int]
+    n_workers: int
+    #: ``plan`` (the spec carried sockets), ``calibrated`` (Te, selectivity
+    #: and traffic measured on the run's first events; message and codec
+    #: costs :mod:`repro.runtime.placement`'s constants) or ``prior``
+    #: (nothing measured).
+    source: str
+    cut_edges: list[tuple[int, int]]
+    #: Modelled load of each worker relative to the busiest one.
+    load_share: list[float] = field(default_factory=list)
+    #: Ingress the busiest worker's core admits (calibrated runs only:
+    #: the prior's costs have no unit).
+    predicted_events_per_s: float | None = None
+    #: Ring messages per ingested event over the cut edges.
+    messages_per_event: float | None = None
+    sample_events: int = 0
+    calibrate_ms: float = 0.0
+    search_ms: float = 0.0
+    bnb_nodes: int = 0
+    delivered_events_per_s: float | None = None
+    #: |predicted - delivered| / delivered (Table 4, for this runtime).
+    rel_error: float | None = None
+
+    def settle(self, events: int, seconds: float) -> None:
+        """Score the prediction against what the run delivered while it
+        streamed (pool start-up and barrier commits excluded)."""
+        if events and seconds > 0:
+            self.delivered_events_per_s = events / seconds
+            if self.predicted_events_per_s is not None:
+                self.rel_error = relative_error(
+                    self.delivered_events_per_s, self.predicted_events_per_s
+                )
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    def describe(self) -> str:
+        parts = [
+            f"[{self.source}] "
+            + " | ".join(
+                ",".join(str(t) for t, w in sorted(self.owner.items()) if w == worker)
+                for worker in range(self.n_workers)
+            ),
+            f"{len(self.cut_edges)} cut edges",
+        ]
+        if self.predicted_events_per_s is not None:
+            parts.append(f"{self.messages_per_event:.3f} messages/event")
+            parts.append(f"predicted {self.predicted_events_per_s:,.0f} events/s")
+        if self.rel_error is not None:
+            parts[-1] += (
+                f" (delivered {self.delivered_events_per_s:,.0f}, "
+                f"rel. error {self.rel_error:.2f})"
+            )
+        parts.append(
+            f"calibrate {self.calibrate_ms:.1f} ms, search {self.search_ms:.1f} ms, "
+            f"{self.bnb_nodes} B&B nodes"
+        )
+        return "; ".join(parts)
+
+    def publish(self, registry: "MetricsRegistry") -> None:
+        """``runtime.placement.*`` (docs/metrics.md)."""
+        values = {
+            key: value
+            for key, value in self.to_dict().items()
+            if isinstance(value, (int, float)) and key != "n_workers"
+        }
+        values["calibrated"] = float(self.source == "calibrated")
+        values["cut_edges"] = len(self.cut_edges)
+        values.update((f"owner.{t}", w) for t, w in self.owner.items())
+        values.update((f"load_share.{w}", s) for w, s in enumerate(self.load_share))
+        for key, value in values.items():
+            registry.gauge(f"runtime.placement.{key}").set(value)
+
+
+@dataclass
 class TaskStats:
     """Per-task functional counters collected during a run."""
 
@@ -161,6 +245,8 @@ class RunResult:
     #: Overload-control ladder timeline and shed accounting
     #: (:class:`~repro.runtime.overload.OverloadReport`, armed runs only).
     overload: object | None = None
+    #: The process backend's task→worker decision.
+    placement: Placement | None = None
     #: True when this result describes an aborted attempt's partial state.
     partial: bool = False
 

@@ -12,7 +12,9 @@ from collections import Counter as Multiset
 import pytest
 
 from repro.apps import load_application
+from repro.core.plan import ExecutionPlan
 from repro.dsps import LocalEngine
+from repro.dsps.graph import ExecutionGraph
 from repro.errors import ExecutionError
 from repro.metrics import MetricsRegistry
 from repro.runtime import ProcessPoolBackend, resolve_backend, shm_available
@@ -39,9 +41,23 @@ needs_shm = pytest.mark.skipif(
 )
 
 
-def run_app(app, *, backend="inline", registry=None, **kwargs):
+def run_app(app, *, backend="inline", registry=None, alternate=False, **kwargs):
+    """``alternate`` pins the owner map through the plan path, sockets
+    alternating along the topological task order: tests that assert on
+    transport counters need every stream on the wire, whatever the
+    backend's own placement would keep local."""
     topology, _profiles = load_application(app)
     topology.component("sink").template.keep_samples = 10**6
+    if alternate:
+        graph = ExecutionGraph(topology, REPLICATION[app], group_size=1)
+        sockets = {
+            task.task_id: position % 2
+            for position, task in enumerate(graph.topological_task_order())
+        }
+        engine = LocalEngine.from_plan(
+            ExecutionPlan(graph, sockets), backend=backend, registry=registry, **kwargs
+        )
+        return engine.run(EVENTS)
     engine = LocalEngine(
         topology,
         replication=REPLICATION[app],
@@ -197,9 +213,10 @@ class TestStringDictRecovery:
         backend = process_backend(
             "wc", "shm", vectorized="on", string_dict="on"
         )
-        reference = run_app("wc", backend=backend)
+        reference = run_app("wc", backend=backend, alternate=True)
         faulty = run_app(
             "wc",
+            alternate=True,
             backend=process_backend(
                 "wc", "shm", vectorized="on", string_dict="on"
             ),
@@ -216,7 +233,10 @@ class TestDataplaneMetrics:
     def test_shm_run_reports_inline_bytes(self):
         registry = MetricsRegistry()
         result = run_app(
-            "wc", backend=process_backend("wc", "shm"), registry=registry
+            "wc",
+            backend=process_backend("wc", "shm"),
+            registry=registry,
+            alternate=True,
         )
         assert result.sink_received() == EVENTS * 10
         counters = registry.snapshot()["counters"]
@@ -228,7 +248,12 @@ class TestDataplaneMetrics:
 
     def test_pickle_run_reports_dataplane_bytes(self):
         registry = MetricsRegistry()
-        run_app("wc", backend=process_backend("wc", "pickle"), registry=registry)
+        run_app(
+            "wc",
+            backend=process_backend("wc", "pickle"),
+            registry=registry,
+            alternate=True,
+        )
         counters = registry.snapshot()["counters"]
         assert counters["runtime.run.pickled_bytes"] > 0
         assert (
@@ -245,6 +270,7 @@ class TestDataplaneMetrics:
                 "wc", "shm", vectorized="on", string_dict="on"
             ),
             registry=registry,
+            alternate=True,
         )
         assert result.sink_received() == EVENTS * 10
         counters = registry.snapshot()["counters"]
@@ -269,6 +295,7 @@ class TestDataplaneMetrics:
                 "wc", "shm", vectorized="on", string_dict="off"
             ),
             registry=registry,
+            alternate=True,
         )
         counters = registry.snapshot()["counters"]
         assert counters.get("runtime.dataplane.dict.promotions", 0) == 0

@@ -23,7 +23,14 @@ from repro.core.plan import collocated_plan
 from repro.dsps import LocalEngine
 from repro.errors import ExecutionError
 from repro.metrics import MetricsRegistry
-from repro.runtime import InlineBackend, ProcessPoolBackend, resolve_backend
+from repro.runtime import (
+    AdaptiveBatchConfig,
+    InlineBackend,
+    OverloadConfig,
+    ProcessPoolBackend,
+    SendRetryPolicy,
+    resolve_backend,
+)
 
 EVENTS = 300
 
@@ -70,6 +77,44 @@ class TestBackendResolution:
     def test_instance_passthrough(self):
         backend = InlineBackend()
         assert resolve_backend(backend) is backend
+
+    @pytest.mark.parametrize(
+        "argument",
+        [
+            {"n_workers": 2},
+            {"ordered": True},
+            {"dataplane": "pickle"},
+            {"vectorized": "off"},
+            {"string_dict": "off"},
+            {"batching": AdaptiveBatchConfig()},
+            {"overload": OverloadConfig()},
+            {"send_retry": SendRetryPolicy()},
+        ],
+        ids=lambda argument: next(iter(argument)),
+    )
+    @pytest.mark.parametrize("backend", [InlineBackend(), ProcessPoolBackend()])
+    def test_instance_rejects_what_it_would_ignore(self, backend, argument):
+        (name,) = argument
+        with pytest.raises(ExecutionError, match=f"^{name}= configures"):
+            resolve_backend(backend, **argument)
+
+    def test_instance_accepts_fuse_which_lives_on_the_spec(self):
+        backend = ProcessPoolBackend()
+        assert resolve_backend(backend, fuse="auto") is backend
+
+    def test_engine_names_the_argument_an_instance_would_drop(self):
+        # The case ROADMAP item 1 records: AIMD asked of the engine next
+        # to a ready-made backend used to run without it, silently.
+        topology, _ = load_application("wc")
+        with pytest.raises(ExecutionError, match="^batching= configures"):
+            LocalEngine(
+                topology,
+                backend=ProcessPoolBackend(n_workers=2),
+                adaptive_batch=True,
+                epoch_interval=100,
+            )
+        with pytest.raises(ExecutionError, match="^n_workers= configures"):
+            LocalEngine(topology, backend=InlineBackend(), n_workers=2)
 
     def test_unknown_name(self):
         with pytest.raises(ExecutionError, match="unknown backend 'threads'"):

@@ -59,15 +59,15 @@ def build_engine(app, *, fuse=None, backend="inline", vectorized="off", **kwargs
     topology.component("sink").template.keep_samples = 10**6
     replication = {name: 1 for name in topology.components}
     if backend == "process":
-        # Instance backends pass through resolve_backend untouched, so
-        # the adaptive config must land on the instance itself (the CLI
-        # watchdog path does the same).
+        # resolve_backend rejects backend options beside an instance, so
+        # the adaptive config lands on the instance and only there (the
+        # CLI watchdog path does the same).
         backend = ProcessPoolBackend(
             n_workers=2,
             ordered=(app == "lr"),
             vectorized=vectorized,
             batching=(
-                AdaptiveBatchConfig() if kwargs.get("adaptive_batch") else None
+                AdaptiveBatchConfig() if kwargs.pop("adaptive_batch", None) else None
             ),
         )
         vectorized = None

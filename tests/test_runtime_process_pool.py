@@ -153,6 +153,47 @@ class TestBacklogDrainOrder:
         assert got is late_edge_batch
 
 
+class TestIdleAccounting:
+    def test_idle_time_is_the_sleep_it_got_not_the_sleep_it_asked_for(
+        self, monkeypatch
+    ):
+        """``busy_fraction`` is ``1 - idle_s / wall``: an idle turn asks
+        for 200 us and, on a busy host, gets a millisecond or more."""
+        import time
+
+        from repro.runtime import process_pool
+
+        topology, _ = load_application("wc")
+        spec = LocalEngine(topology).spec
+        sink = spec.sink_tasks[0]
+        (edge,) = sink.in_edges
+        owner = {rt.task_id: int(rt.is_sink) for rt in spec.tasks}
+        inboxes = [queue.Queue(), queue.Queue()]
+        worker = _Worker(1, spec, owner, 100, inboxes, False)
+
+        slept = []
+        real_sleep = time.sleep
+
+        def slow_sleep(_seconds):
+            started = time.perf_counter()
+            real_sleep(0.002)
+            slept.append(time.perf_counter() - started)
+
+        monkeypatch.setattr(process_pool.time, "sleep", slow_sleep)
+        feeder = threading.Timer(
+            0.05, inboxes[1].put, [("eof", edge.producer, edge.consumer)]
+        )
+        feeder.start()
+        worker._run_phase()
+        feeder.join(timeout=5.0)
+        assert not feeder.is_alive()
+        assert worker.completed == {sink.task_id}
+        assert len(slept) >= 5
+        assert worker.idle_s >= sum(slept) * 0.99
+        # ... and not more than the loop's whole wall could hold.
+        assert worker.idle_s <= sum(slept) + 0.05
+
+
 class TestBoundedBlockingPut:
     def _two_worker_setup(self, *, status, send_timeout_s=0.2):
         own_inbox = queue.Queue()
