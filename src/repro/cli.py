@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from repro.apps import APP_NAMES, build_wordcount, load_application
 from repro.core import PerformanceModel, RLASOptimizer, TfMode
@@ -72,6 +73,9 @@ def _optimize(args: argparse.Namespace, registry: MetricsRegistry | None = None)
     machine = _machine(args)
     model = PerformanceModel(profiles, machine)
     rate = args.rate or saturation_ingress(topology, model)
+    if registry is None:
+        registry = MetricsRegistry()  # the planner's own clocks, not emitted
+    started = time.perf_counter()
     plan = RLASOptimizer(
         topology,
         profiles,
@@ -82,7 +86,14 @@ def _optimize(args: argparse.Namespace, registry: MetricsRegistry | None = None)
         registry=registry,
         opt_workers=args.opt_workers,
     ).optimize()
+    planning_s = time.perf_counter() - started
     print(plan.describe())
+    print(
+        f"  planning {planning_s:.2f} s: "
+        f"search {registry.histogram('rlas.bnb.search_runtime_s').total:.2f} s · "
+        f"refine {registry.histogram('rlas.refine.runtime_s').total:.2f} s · "
+        f"rebalance {registry.gauge('rlas.scaling.rebalance_s').snapshot():.2f} s"
+    )
     return plan, rate, profiles, machine
 
 

@@ -48,8 +48,13 @@ import time
 from dataclasses import dataclass
 
 from repro.core.constraints import resource_report
-from repro.core.model import IncrementalEvaluator, ModelResult, PerformanceModel
-from repro.core.plan import ExecutionPlan, empty_plan
+from repro.core.model import (
+    Feasibility,
+    IncrementalEvaluator,
+    ModelResult,
+    PerformanceModel,
+)
+from repro.core.plan import ExecutionPlan
 from repro.dsps.graph import ExecutionGraph
 from repro.errors import PlanError
 
@@ -129,28 +134,27 @@ class PlacementResult:
 
 @dataclass
 class _Node:
-    """A live node on the DFS stack."""
+    """A branch kept by best fit: a live node once the search pushes it."""
 
     bound: float
+    #: Best-fit rank among its siblings (ties on the stack pop in it).
     rank: int
-    plan: ExecutionPlan
-    #: Per-socket replica load / canonical class counts of ``plan``,
-    #: threaded through the search so nodes need no O(placed) rebuild.
-    load: dict | None = None
-    counts: dict | None = None
-
-
-@dataclass
-class _Child:
-    """A freshly branched placement with its one-time evaluation."""
-
-    plan: ExecutionPlan
-    signature: frozenset
-    bound: float
-    feasible: bool
+    #: Task -> socket of the placed prefix; a plan object is built only
+    #: for a placement that becomes the incumbent.
+    placement: dict[int, int]
+    signature: frozenset | None = None
     result: ModelResult | None = None  # populated on the batch path only
+    #: Per-socket replica load / canonical class counts of ``placement``,
+    #: threaded through the search so nodes need no O(placed) rebuild —
+    #: and, on the incremental path, its constraint sums (None: refold).
     load: dict | None = None
     counts: dict | None = None
+    check: Feasibility | None = None
+    #: The evaluator record of this node's last placement and the parent
+    #: placement it applies to: popped straight after its parent's probe,
+    #: the node re-enters the evaluator without a re-propagation.
+    redo: tuple | None = None
+    parent: dict | None = None
 
 
 def _search_worker(payload, shared_bound, queue, index: int) -> None:
@@ -181,11 +185,7 @@ def _search_worker(payload, shared_bound, queue, index: int) -> None:
         solver._prepare(graph)
         stats = solver._stats = SearchStats()
         stack = [
-            _Node(
-                bound=bound,
-                rank=rank,
-                plan=ExecutionPlan(graph=graph, placement=placement),
-            )
+            _Node(bound=bound, rank=rank, placement=placement)
             for bound, rank, placement in nodes
         ]
         best_plan, best_value, _best_result = solver._search(
@@ -265,13 +265,17 @@ class PlacementOptimizer:
         self.branch_width = branch_width
         self.workers = workers
         self.use_incremental = use_incremental
+        self._graph: ExecutionGraph | None = None
         self._topo_tasks: list = []
         self._task_classes: dict[int, tuple] = {}
-        self._class_of: list[tuple] = []
+        self._class_of: list[int] = []
         self._weight_of: list[int] = []
         self._rounded_latency: list[list[float]] = []
         self._evaluator: IncrementalEvaluator | None = None
         self._tt_cache: dict[frozenset, tuple] = {}
+        self._candidates: dict[tuple[int, ...], list[int]] = {}
+        #: The placement dict the evaluator's state currently stands for.
+        self._synced: dict[int, int] | None = None
         self._stats = SearchStats()
 
     # ------------------------------------------------------------------
@@ -312,7 +316,7 @@ class PlacementOptimizer:
                 stats.solutions_found += 1
                 stats.time_to_best_s = time.perf_counter() - start
 
-        root = _Node(bound=float("inf"), rank=0, plan=empty_plan(graph))
+        root = _Node(bound=float("inf"), rank=0, placement={})
         if self.workers > 1 and self._fork_context() is not None:
             best_plan, best_value, best_result = self._search_parallel(
                 graph,
@@ -360,9 +364,16 @@ class PlacementOptimizer:
     # ------------------------------------------------------------------
     def _prepare(self, graph: ExecutionGraph) -> None:
         """Bind per-search state: topo order, task classes, evaluator."""
+        self._graph = graph
         self._topo_tasks = graph.topological_task_order()
         self._task_classes = self._equivalence_classes(graph)
-        self._class_of = [self._task_classes[t.task_id] for t in graph.tasks]
+        # Signatures hash every (class, socket) key per candidate: number
+        # the classes once instead of re-hashing their nested tuples.
+        number: dict[tuple, int] = {}
+        self._class_of = [
+            number.setdefault(self._task_classes[t.task_id], len(number))
+            for t in graph.tasks
+        ]
         self._weight_of = [t.weight for t in graph.tasks]
         machine = self.machine
         self._rounded_latency = [
@@ -370,6 +381,8 @@ class PlacementOptimizer:
             for i in machine.sockets
         ]
         self._tt_cache = {}
+        self._candidates = {}
+        self._synced = None
         self._evaluator = (
             self.model.evaluator(graph, self.ingress_rate)
             if self.use_incremental
@@ -420,7 +433,7 @@ class PlacementOptimizer:
                 continue
             stats.nodes_expanded += 1
             live: list[_Node] = []
-            for rank, child in enumerate(self._branch(node)):
+            for child in self._branch(node):
                 if child.signature in visited:
                     stats.nodes_deduplicated += 1
                     continue
@@ -428,16 +441,18 @@ class PlacementOptimizer:
                 if incumbent is not None and child.bound <= incumbent:
                     stats.nodes_pruned += 1
                     continue
-                if child.plan.is_complete:
+                if len(child.placement) == len(self._topo_tasks):
                     # Bounding and full evaluation coincide on complete
                     # plans, so this child is already a valued solution.
-                    if child.feasible and child.bound > best_value:
-                        best_plan = child.plan
+                    if child.bound > best_value:
+                        best_plan = ExecutionPlan(
+                            graph=self._graph, placement=child.placement
+                        )
                         best_value = child.bound
                         if child.result is not None:
                             best_result = child.result
                         elif materialize:
-                            best_result = self._materialize(child.plan)
+                            best_result = self._materialize(best_plan)
                         else:
                             best_result = None
                         stats.solutions_found += 1
@@ -449,15 +464,7 @@ class PlacementOptimizer:
                         if incumbent is None or best_value > incumbent:
                             incumbent = best_value
                     continue
-                live.append(
-                    _Node(
-                        bound=child.bound,
-                        rank=rank,
-                        plan=child.plan,
-                        load=child.load,
-                        counts=child.counts,
-                    )
-                )
+                live.append(child)
                 stats.children_generated += 1
             # LIFO stack: push so the most promising pops first — highest
             # bound last; on tied bounds, the best-fit-ranked child last.
@@ -515,7 +522,7 @@ class PlacementOptimizer:
         processes = []
         for index, group in enumerate(groups):
             nodes = [
-                (node.bound, node.rank, dict(node.plan.placement))
+                (node.bound, node.rank, node.placement)
                 for node in reversed(group)  # reversed: best pops first
             ]
             payload = (
@@ -576,7 +583,7 @@ class PlacementOptimizer:
         self._stats.evaluations += 1
         evaluator = self._evaluator
         if evaluator is not None:
-            evaluator.reset(plan.placement)
+            self._sync(plan.placement)
             if not evaluator.check().feasible:
                 return None
             return plan, evaluator.throughput, evaluator.result()
@@ -593,9 +600,19 @@ class PlacementOptimizer:
         """
         evaluator = self._evaluator
         if evaluator is not None:
-            evaluator.reset(plan.placement)
+            self._sync(plan.placement)
             return evaluator.result()
         return self.model.evaluate(plan, self.ingress_rate, bounding=True)
+
+    def _sync(self, placement: dict[int, int], redo: tuple | None = None) -> None:
+        """Bring the evaluator to ``placement`` — by ``redo``, the record of
+        its last step, when given; by a diff-propagating reset otherwise —
+        and remember which dict its state now stands for."""
+        if redo is not None:
+            self._evaluator.redo(redo)
+        elif placement is not self._synced:
+            self._evaluator.reset(placement)
+        self._synced = placement
 
     def _collect_eval_counters(self, stats: SearchStats) -> None:
         """Copy the evaluator's delta/full split into the search stats."""
@@ -607,7 +624,7 @@ class PlacementOptimizer:
     # ------------------------------------------------------------------
     # Branching
     # ------------------------------------------------------------------
-    def _branch(self, node: _Node) -> list[_Child]:
+    def _branch(self, node: _Node) -> list[_Node]:
         """Expand a live node: place the next task in topological order.
 
         Placing tasks producer-first means every task's output rate is
@@ -620,57 +637,53 @@ class PlacementOptimizer:
         than a greedy line: the top-k candidate sockets are explored, and
         the bounding function prunes the rest.
         """
-        plan = node.plan
-        task_id = self._next_task(plan)
+        task_id = self._next_task(node.placement)
         if task_id is None:
             return []
-        return self._place_task(plan, task_id, node.load, node.counts)
+        return self._place_task(node, task_id)
 
-    def _next_task(self, plan: ExecutionPlan) -> int | None:
+    def _next_task(self, placement: dict[int, int]) -> int | None:
         """First unplaced task in topological order.
 
-        Search plans always place a prefix of the topological order (the
+        Search nodes always place a prefix of the topological order (the
         root is empty and every branch extends by ``_next_task``), so the
         next task is simply the one at index ``len(placement)``.
         """
-        depth = len(plan.placement)
+        depth = len(placement)
         if depth >= len(self._topo_tasks):
             return None
         return self._topo_tasks[depth].task_id
 
-    def _place_task(
-        self,
-        plan: ExecutionPlan,
-        task_id: int,
-        load: dict | None = None,
-        counts: dict | None = None,
-    ) -> list[_Child]:
+    def _place_task(self, node: _Node, task_id: int) -> list[_Node]:
         """Branch one task over its best candidate sockets.
 
         Candidates are ranked best-fit style: maximize the task's output
         rate, break ties towards collocation (low ``Tf``), then the socket
         with the least remaining CPU (pack tight, keep whole sockets free
         for downstream operators), then the lowest socket id.  Only the
-        effective branch width's best candidates become children.  Sockets
-        whose core budget the task cannot fit are skipped without a model
-        evaluation (the dominant case late in a packed search).
+        effective branch width's best candidates become children — and
+        only those get a placement of their own; a probed candidate is a
+        tuple.  Sockets whose core budget the task cannot fit are skipped
+        without a model evaluation (the dominant case late in a packed
+        search).
         """
+        placement = node.placement
         weight_of = self._weight_of
         weight = weight_of[task_id]
         class_of = self._class_of
-        if load is None or counts is None:
-            load = {}
-            counts = {}
-            for placed_id, socket in plan.placement.items():
-                load[socket] = load.get(socket, 0) + weight_of[placed_id]
+        if node.load is None or node.counts is None:
+            node.load = {}
+            node.counts = {}
+            for placed_id, socket in placement.items():
+                node.load[socket] = node.load.get(socket, 0) + weight_of[placed_id]
                 key = (class_of[placed_id], socket)
-                counts[key] = counts.get(key, 0) + 1
+                node.counts[key] = node.counts.get(key, 0) + 1
         probe = (
             self._probe_incremental
             if self._evaluator is not None
             else self._probe_batch
         )
-        feasible = probe(plan, task_id, weight, load, counts)
+        feasible = probe(node, task_id, weight)
         if not feasible:
             return []
         # Best fit: max output rate; among equals prefer collocation (low
@@ -679,21 +692,28 @@ class PlacementOptimizer:
         feasible.sort(key=lambda entry: (-entry[0], entry[1], entry[2], entry[3]))
         self._stats.best_fit_commits += 1
         task_class = class_of[task_id]
-        chosen: list[_Child] = []
-        for _, _, _, socket, child in feasible[: self.branch_width]:
-            child_load = dict(load)
-            child_load[socket] = child_load.get(socket, 0) + weight
-            child_counts = dict(counts)
+        chosen: list[_Node] = []
+        for rank, (*_, socket, evaluated) in enumerate(feasible[: self.branch_width]):
+            load = dict(node.load)
+            load[socket] = load.get(socket, 0) + weight
+            counts = dict(node.counts)
             key = (task_class, socket)
-            child_counts[key] = child_counts.get(key, 0) + 1
-            child.load = child_load
-            child.counts = child_counts
-            chosen.append(child)
+            counts[key] = counts.get(key, 0) + 1
+            chosen.append(
+                _Node(
+                    rank=rank,
+                    placement={**placement, task_id: socket},
+                    parent=placement,
+                    load=load,
+                    counts=counts,
+                    **evaluated,
+                )
+            )
         return chosen
 
     @staticmethod
     def _child_signature(
-        base_counts: dict[tuple, int], task_class: tuple, socket: int
+        base_counts: dict[tuple, int], task_class: int, socket: int
     ) -> frozenset:
         """Signature of parent + one placement, without a full recount.
 
@@ -711,50 +731,47 @@ class PlacementOptimizer:
         return signature
 
     def _probe_incremental(
-        self,
-        plan: ExecutionPlan,
-        task_id: int,
-        weight: int,
-        load: dict[int, int],
-        base_counts: dict[tuple, int],
-    ) -> list[tuple[float, float, float, int, _Child]]:
-        """Evaluate candidate sockets through apply/undo + the cache."""
+        self, node: _Node, task_id: int, weight: int
+    ) -> list[tuple[float, float, float, int, dict]]:
+        """Evaluate candidate sockets through apply/undo + the cache.
+
+        One ``(output rate, Tf, remaining CPU, socket, evaluated)`` per
+        feasible candidate: the ranking key, then what a kept child takes
+        along — its signature and bound and, when freshly probed, its
+        constraint check and the evaluator record that re-enters it.
+
+        The task probed is the last placed in id order and moves no placed
+        task's row, so a candidate's check is the node's own plus that one
+        task's terms; a node popped straight after its parent's probe
+        finds the evaluator where that probe left it and redoes its own
+        step instead of re-propagating it.
+        """
         machine = self.machine
         stats = self._stats
         cache = self._tt_cache
         evaluator = self._evaluator
-        evaluator.reset(plan.placement)
+        placement = node.placement
+        self._sync(placement, node.redo if node.parent is self._synced else None)
+        base = node.check if node.check is not None else evaluator.check()
         task_class = self._class_of[task_id]
-        feasible: list[tuple[float, float, float, int, _Child]] = []
-        for socket in self._candidate_sockets(plan):
-            if load.get(socket, 0) + weight > machine.cores_per_socket:
+        feasible: list[tuple[float, float, float, int, dict]] = []
+        for socket in self._candidate_sockets(node.load):
+            if node.load.get(socket, 0) + weight > machine.cores_per_socket:
                 continue
-            child_plan = plan.assign({task_id: socket})
-            signature = self._child_signature(base_counts, task_class, socket)
+            signature = self._child_signature(node.counts, task_class, socket)
             stats.evaluations += 1
             cached = cache.get(signature)
             if cached is not None:
                 stats.cache_hits += 1
                 ok, bound, out_rate, tf_ns, remaining_cpu = cached
-                if not ok:
-                    continue
-                feasible.append(
-                    (
-                        out_rate,
-                        tf_ns,
-                        remaining_cpu,
-                        socket,
-                        _Child(
-                            plan=child_plan,
-                            signature=signature,
-                            bound=bound,
-                            feasible=True,
-                        ),
+                if ok:
+                    evaluated = {"signature": signature, "bound": bound}
+                    feasible.append(
+                        (out_rate, tf_ns, remaining_cpu, socket, evaluated)
                     )
-                )
                 continue
             evaluator.apply(task_id, socket)
-            check = evaluator.check()
+            check = evaluator.check(base, task_id)
             if not check.feasible:
                 cache[signature] = (False, 0.0, 0.0, 0.0, 0.0)
                 evaluator.undo()
@@ -768,31 +785,18 @@ class PlacementOptimizer:
             )
             bound = evaluator.throughput
             cache[signature] = (True, bound, out_rate, tf_ns, remaining_cpu)
-            feasible.append(
-                (
-                    out_rate,
-                    tf_ns,
-                    remaining_cpu,
-                    socket,
-                    _Child(
-                        plan=child_plan,
-                        signature=signature,
-                        bound=bound,
-                        feasible=True,
-                    ),
-                )
-            )
-            evaluator.undo()
+            evaluated = {
+                "signature": signature,
+                "bound": bound,
+                "check": check,
+                "redo": evaluator.undo(keep=True),
+            }
+            feasible.append((out_rate, tf_ns, remaining_cpu, socket, evaluated))
         return feasible
 
     def _probe_batch(
-        self,
-        plan: ExecutionPlan,
-        task_id: int,
-        weight: int,
-        load: dict[int, int],
-        base_counts: dict[tuple, int],
-    ) -> list[tuple[float, float, float, int, _Child]]:
+        self, node: _Node, task_id: int, weight: int
+    ) -> list[tuple[float, float, float, int, dict]]:
         """Evaluate candidate sockets with one full model run each.
 
         The pre-incremental path, kept for differential testing and the
@@ -800,11 +804,13 @@ class PlacementOptimizer:
         """
         machine = self.machine
         task_class = self._class_of[task_id]
-        feasible: list[tuple[float, float, float, int, _Child]] = []
-        for socket in self._candidate_sockets(plan):
-            if load.get(socket, 0) + weight > machine.cores_per_socket:
+        feasible: list[tuple[float, float, float, int, dict]] = []
+        for socket in self._candidate_sockets(node.load):
+            if node.load.get(socket, 0) + weight > machine.cores_per_socket:
                 continue
-            child_plan = plan.assign({task_id: socket})
+            child_plan = ExecutionPlan(
+                graph=self._graph, placement={**node.placement, task_id: socket}
+            )
             self._stats.evaluations += 1
             result = self.model.evaluate(child_plan, self.ingress_rate, bounding=True)
             report = resource_report(child_plan, result, machine, self.profiles)
@@ -816,52 +822,41 @@ class PlacementOptimizer:
                 - report.usage(socket).cpu_ns_per_s
                 + own.processed_rate * own.t_ns
             )
+            evaluated = {
+                "signature": self._child_signature(node.counts, task_class, socket),
+                "bound": result.throughput,
+                "result": result,
+            }
             feasible.append(
-                (
-                    own.output_rate,
-                    own.tf_ns,
-                    remaining_cpu,
-                    socket,
-                    _Child(
-                        plan=child_plan,
-                        signature=self._child_signature(
-                            base_counts, task_class, socket
-                        ),
-                        bound=result.throughput,
-                        feasible=True,
-                        result=result,
-                    ),
-                )
+                (own.output_rate, own.tf_ns, remaining_cpu, socket, evaluated)
             )
         return feasible
 
-    def _candidate_sockets(
-        self, plan: ExecutionPlan, extra_used: tuple[int, ...] = ()
-    ) -> list[int]:
+    def _candidate_sockets(self, load: dict[int, int]) -> list[int]:
         """Sockets to branch over, deduplicated by interchangeability.
 
         Two sockets are interchangeable when they host the same occupants
         and sit at the same NUMA distance from every socket already in use
         — branching both would explore isomorphic subtrees (the paper's
-        "S1 is identical to S0 at this point" observation).
+        "S1 is identical to S0 at this point" observation).  No two used
+        sockets host the same tasks, so only empty ones can be: the answer
+        is every used socket plus the first empty one of each distance
+        pattern — a function of the used set alone, kept per search.
         """
-        used = sorted(plan.used_sockets() | set(extra_used))
-        grouped: dict[int, list[int]] = {}
-        for task_id, socket in plan.placement.items():
-            grouped.setdefault(socket, []).append(task_id)
-        occupants = {
-            socket: tuple(sorted(members)) for socket, members in grouped.items()
-        }
-        signatures: dict[tuple, int] = {}
-        latency = self._rounded_latency
-        for socket in self.machine.sockets:
-            load = occupants.get(socket, ())
-            row = latency[socket]
-            relation = tuple(row[u] for u in used)
-            signature = (load, relation)
-            if signature not in signatures:
-                signatures[signature] = socket
-        return sorted(signatures.values())
+        used = tuple(sorted(load))
+        candidates = self._candidates.get(used)
+        if candidates is None:
+            latency = self._rounded_latency
+            relations: set[tuple] = set()
+            candidates = self._candidates[used] = []
+            for socket in self.machine.sockets:
+                if socket not in load:
+                    relation = tuple(latency[socket][u] for u in used)
+                    if relation in relations:
+                        continue
+                    relations.add(relation)
+                candidates.append(socket)
+        return candidates
 
     # ------------------------------------------------------------------
     # Redundancy elimination helpers

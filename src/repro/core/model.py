@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -198,10 +198,13 @@ class _CompiledTask:
         "spout_share",
         "is_sink",
         "in_edges",
+        "producers",
     )
 
     def __init__(self) -> None:
         self.in_edges: list[_CompiledEdge] = []
+        #: Task ids of ``in_edges``' producers (set once edges are known).
+        self.producers: frozenset[int] = frozenset()
 
 
 class _CompiledGraph:
@@ -282,6 +285,8 @@ class _CompiledGraph:
         self._consumers = {
             producer: tuple(sorted(seen)) for producer, seen in consumers.items()
         }
+        for ct in self.tasks:
+            ct.producers = frozenset(edge.producer for edge in ct.in_edges)
 
     def downstream_closure(self, task_id: int) -> tuple[int, ...]:
         """Task ids whose model state can depend on ``task_id``'s placement.
@@ -537,12 +542,24 @@ _FULL_EVAL_FRACTION = 0.6
 class Feasibility:
     """Outcome of one constraint check (Eqs. 3-5) over evaluator state."""
 
-    __slots__ = ("feasible", "cpu")
+    __slots__ = ("feasible", "cpu", "memory", "replicas", "interconnect")
 
-    def __init__(self, feasible: bool, cpu: list[float]) -> None:
+    def __init__(
+        self,
+        feasible: bool,
+        cpu: list[float],
+        memory: list[float],
+        replicas: list[int],
+        interconnect: list[list[float]],
+    ) -> None:
         self.feasible = feasible
         #: Per-socket CPU demand (ns of work per second), Eq. 3's left side.
         self.cpu = cpu
+        #: Per-socket memory traffic (Eq. 4) and replica count (cores).
+        self.memory = memory
+        self.replicas = replicas
+        #: Bytes per second from socket i to socket j, Eq. 5's left side.
+        self.interconnect = interconnect
 
 
 class IncrementalEvaluator:
@@ -631,21 +648,67 @@ class IncrementalEvaluator:
 
         Saves an undo record; re-propagates the task's dependency closure.
         """
-        if not 0 <= task_id < self._n:
-            raise PlanError(f"unknown task id {task_id}")
-        affected = self._compiled.downstream_closure(task_id)
-        prev_socket = self._socket[task_id]
-        prev_throughput = self._throughput
-        self._socket[task_id] = socket
-        written = self._run_delta((task_id,), affected, collect=True)
-        self._undo.append((task_id, prev_socket, prev_throughput, written))
+        self._apply(((task_id, socket),))
 
-    def undo(self) -> None:
-        """Revert the most recent :meth:`apply` (LIFO)."""
+    def _apply(self, moves: Sequence[tuple[int, int | None]]) -> None:
+        """Re-place every task of ``moves`` in one delta, one undo record."""
+        socket_of = self._socket
+        for task_id, _ in moves:
+            if not 0 <= task_id < self._n:
+                raise PlanError(f"unknown task id {task_id}")
+        previous = [(task_id, socket_of[task_id]) for task_id, _ in moves]
+        prev_throughput = self._throughput
+        for task_id, socket in moves:
+            socket_of[task_id] = socket
+        written = self._run_delta([task_id for task_id, _ in moves], collect=True)
+        self._undo.append((previous, prev_throughput, written))
+
+    def undo(self, keep: bool = False) -> tuple | None:
+        """Revert the most recent :meth:`apply` (LIFO).
+
+        With ``keep``, returns the record :meth:`redo` takes to bring the
+        reverted state back without recomputing it.
+        """
         if not self._undo:
             raise PlanError("nothing to undo")
-        task_id, prev_socket, prev_throughput, states = self._undo.pop()
-        self._socket[task_id] = prev_socket
+        return self._restore(self._undo.pop(), keep)
+
+    def redo(self, record: tuple) -> None:
+        """Re-enter the state an ``undo(keep=True)`` left; the evaluator
+        must be where that undo put it.  A jump, like :meth:`reset` (the
+        undo history is cleared), but it recomputes nothing and counts as
+        no evaluation."""
+        self._undo.clear()
+        self._restore(record, False)
+
+    def _restore(self, record: tuple, invert: bool) -> tuple | None:
+        previous, throughput, states = record
+        socket_of = self._socket
+        inverse = None
+        if invert:
+            inverse = (
+                [(task_id, socket_of[task_id]) for task_id, _ in previous],
+                self._throughput,
+                [
+                    (
+                        i,
+                        (
+                            self._input_rate[i],
+                            self._tf[i],
+                            self._overhead[i],
+                            self._t[i],
+                            self._capacity[i],
+                            self._processed[i],
+                            self._oversupplied[i],
+                            self._out[i],
+                            self._icx[i],
+                        ),
+                    )
+                    for i, _ in states
+                ],
+            )
+        for task_id, socket in reversed(previous):
+            socket_of[task_id] = socket
         for i, state in states:
             (
                 self._input_rate[i],
@@ -658,7 +721,29 @@ class IncrementalEvaluator:
                 self._out[i],
                 self._icx[i],
             ) = state
-        self._throughput = prev_throughput
+        self._throughput = throughput
+        return inverse
+
+    def try_moves(
+        self,
+        moves: Sequence[tuple[int, int | None]],
+        threshold: float,
+        accept: Callable[[], bool],
+    ) -> bool:
+        """Apply ``moves`` (distinct tasks) as one step; keep it iff
+        ``throughput > threshold`` and ``accept()``, else undo it.
+
+        The local searches' keep-or-undo primitive.  A kept step is a
+        commitment: like :meth:`reset` it drops the undo history, which
+        therefore cannot grow with the moves a climb accepts (and no older
+        record can be replayed over it).  A rejected step leaves no trace.
+        """
+        self._apply(moves)
+        if self.throughput > threshold and accept():
+            self._undo.clear()
+            return True
+        self.undo()
+        return False
 
     def reset(self, placement: Mapping[int, int]) -> None:
         """Synchronize to ``placement``, re-propagating only the diff.
@@ -673,23 +758,23 @@ class IncrementalEvaluator:
                 socket_of[i] = new
                 changed.append(i)
         self._undo.clear()
-        if not changed:
-            return
+        if changed:
+            self._run_delta(changed)
+
+    def _run_delta(
+        self, changed: list[int], collect: bool = False
+    ) -> list[tuple] | None:
+        """Re-propagate what re-placing ``changed`` can affect: the union
+        of their downstream closures, or everything when that is most of
+        the graph or a spout moved."""
+        closure = self._compiled.downstream_closure
         if len(changed) == 1:
-            affected = self._compiled.downstream_closure(changed[0])
+            affected = closure(changed[0])
         else:
             seen: set[int] = set()
             for i in changed:
-                seen.update(self._compiled.downstream_closure(i))
+                seen.update(closure(i))
             affected = tuple(sorted(seen))
-        self._run_delta(changed, affected)
-
-    def _run_delta(
-        self,
-        changed: tuple[int, ...] | list[int],
-        affected: tuple[int, ...],
-        collect: bool = False,
-    ) -> list[tuple] | None:
         tasks = self._tasks
         touches_spout = any(tasks[i].spout_share > 0.0 for i in changed)
         if touches_spout or len(affected) >= _FULL_EVAL_FRACTION * self._n:
@@ -741,13 +826,12 @@ class IncrementalEvaluator:
         written: list[tuple] | None = [] if collect else None
         for i in indices:
             ct = tasks[i]
-            if i not in changed:
-                for edge in ct.in_edges:
-                    producer = edge.producer
-                    if producer in changed or producer in out_changed:
-                        break
-                else:
-                    continue
+            if (
+                i not in changed
+                and changed.isdisjoint(ct.producers)
+                and out_changed.isdisjoint(ct.producers)
+            ):
+                continue
             socket = socket_of[i]
             contribs: list[tuple[int, int, float]] = []
             if not ct.in_edges:
@@ -855,63 +939,80 @@ class IncrementalEvaluator:
             self._t[task_id],
         )
 
-    def check(self) -> Feasibility:
+    def check(
+        self, base: Feasibility | None = None, last: int | None = None
+    ) -> Feasibility:
         """Constraint check of the current placement (Eqs. 3-5 + cores).
 
         Unplaced tasks contribute no demand — B&B's relaxed sub-problem.
-        Socket folds run in task-id order, matching the order
-        :func:`repro.core.constraints.resource_report` sees for plans built
-        producer-first.
+        Every per-socket sum is a left fold over the placed tasks in
+        task-id order, whatever order the placement was given in; for a
+        plan built producer-first that is also the order
+        :func:`repro.core.constraints.resource_report` folds in.
+
+        With ``base`` — the check of this placement without task ``last``,
+        which no placed task follows in id order and whose placing changed
+        no placed task's row — only ``last``'s terms are added to copies of
+        ``base``'s sums: the same folds, one step further, the same bits.
         """
-        machine = self._machine
         ns = self._n_sockets
-        cpu = [0.0] * ns
-        mem = [0.0] * ns
-        replicas = [0] * ns
+        if base is None:
+            cpu = [0.0] * ns
+            mem = [0.0] * ns
+            replicas = [0] * ns
+            matrix = [[0.0] * ns for _ in range(ns)]
+            folded = range(self._n)
+        else:
+            cpu = base.cpu.copy()
+            mem = base.memory.copy()
+            replicas = base.replicas.copy()
+            matrix = base.interconnect
+            folded = (last,)
         socket_of = self._socket
         tasks = self._tasks
         processed = self._processed
         t = self._t
-        for i in range(self._n):
+        icx = self._icx
+        for i in folded:
             s = socket_of[i]
             if s is None:
                 continue
             cpu[s] += processed[i] * t[i]
             mem[s] += processed[i] * tasks[i].memory_bytes
             replicas[s] += tasks[i].weight
-        feasible = True
+            if icx[i]:
+                if base is not None:
+                    matrix = [row.copy() for row in matrix]
+                for a, b, value in icx[i]:
+                    matrix[a][b] += value
+        feasible = self._fits(cpu, mem, replicas, matrix)
+        return Feasibility(feasible, cpu, mem, replicas, matrix)
+
+    def _fits(
+        self,
+        cpu: list[float],
+        mem: list[float],
+        replicas: list[int],
+        matrix: list[list[float]],
+    ) -> bool:
+        machine = self._machine
         cpu_capacity = machine.cpu_capacity
         local_bandwidth = machine.local_bandwidth
         cores = machine.cores_per_socket
-        for s in range(ns):
+        sockets = range(self._n_sockets)
+        for s in sockets:
             if (
                 cpu[s] > cpu_capacity
                 or mem[s] > local_bandwidth
                 or replicas[s] > cores
             ):
-                feasible = False
-                break
-        if feasible and ns > 1 and any(self._icx):
-            matrix = self._interconnect_matrix()
-            bandwidth = self._bandwidth
-            for i in range(ns):
-                row = matrix[i]
-                limit = bandwidth[i]
-                for j in range(ns):
-                    if i != j and row[j] > 0 and row[j] > limit[j]:
-                        feasible = False
-                        break
-                if not feasible:
-                    break
-        return Feasibility(feasible, cpu)
-
-    def _interconnect_matrix(self) -> list[list[float]]:
-        ns = self._n_sockets
-        matrix = [[0.0] * ns for _ in range(ns)]
-        for contribs in self._icx:
-            for i, j, value in contribs:
-                matrix[i][j] += value
-        return matrix
+                return False
+            row = matrix[s]
+            limit = self._bandwidth[s]
+            for j in sockets:
+                if j != s and row[j] > 0 and row[j] > limit[j]:
+                    return False
+        return True
 
     def result(self) -> ModelResult:
         """Materialize the full :class:`ModelResult` of the current state.

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.constraints import resource_report
 from repro.core.model import ModelResult, PerformanceModel
 from repro.core.plan import ExecutionPlan
 from repro.errors import PlanError
@@ -33,6 +32,15 @@ class RefinementStats:
     initial_throughput: float = 0.0
     final_throughput: float = 0.0
 
+    def publish(self, registry, runtime_s: float) -> None:
+        """Accumulate this run, and the wall time it took, into a metrics
+        registry (one plan refines many times; the counters add up)."""
+        registry.counter("rlas.refine.runs").inc()
+        registry.counter("rlas.refine.evaluations").inc(self.evaluations)
+        registry.counter("rlas.refine.moves_accepted").inc(self.moves_accepted)
+        registry.counter("rlas.refine.swaps_accepted").inc(self.swaps_accepted)
+        registry.histogram("rlas.refine.runtime_s").observe(runtime_s)
+
 
 def refine_plan(
     plan: ExecutionPlan,
@@ -42,6 +50,15 @@ def refine_plan(
     top_k: int = 24,
 ) -> tuple[ExecutionPlan, ModelResult, RefinementStats]:
     """Improve ``plan`` by moving/swapping high-RMA tasks between sockets.
+
+    Every candidate is scored on one
+    :class:`~repro.core.model.IncrementalEvaluator`: a move, or both
+    halves of a swap, is one ``try_moves`` delta and a rejected candidate
+    its undo — the rows the moved tasks can change, not a model pass and a
+    plan object per candidate.  Throughput, rates and the feasibility
+    verdict (Eqs. 3-5, folded per socket in task-id order) are those of
+    the batch model bit for bit and do not depend on the insertion order
+    of ``plan.placement``.
 
     Parameters
     ----------
@@ -60,71 +77,59 @@ def refine_plan(
     """
     if not plan.is_complete:
         raise PlanError("refinement needs a complete plan")
-    machine = model.machine
-    stats = RefinementStats()
+    evaluator = model.evaluator(plan.graph, ingress_rate)
+    evaluator.reset(plan.placement)
+    placement = dict(plan.placement)
+    stats = RefinementStats(evaluations=1, initial_throughput=evaluator.throughput)
 
-    def evaluate(candidate: ExecutionPlan) -> tuple[ModelResult, bool]:
+    def feasible() -> bool:
+        return evaluator.check().feasible
+
+    def improves(*moves: tuple[int, int]) -> bool:
+        """Keep ``moves`` iff they are feasible and model strictly better."""
         stats.evaluations += 1
-        result = model.evaluate(candidate, ingress_rate)
-        report = resource_report(candidate, result, machine, model.profiles)
-        return result, report.is_feasible
+        threshold = evaluator.throughput * (1 + 1e-9)
+        kept = evaluator.try_moves(moves, threshold, feasible)
+        if kept:
+            placement.update(moves)
+        return kept
 
-    best_plan = plan
-    best_result, feasible = evaluate(plan)
-    if not feasible:
-        # Refinement never starts from an infeasible plan; return as-is.
-        stats.initial_throughput = stats.final_throughput = best_result.throughput
-        return best_plan, best_result, stats
-    stats.initial_throughput = best_result.throughput
+    def fetch_ns(task_id: int) -> float:
+        return evaluator.task_values(task_id)[1]
 
-    for _ in range(max_passes):
+    # Refinement never starts from an infeasible plan; return it as-is.
+    for _ in range(max_passes if feasible() else 0):
         stats.passes += 1
         improved = False
-        hot_tasks = sorted(
-            best_result.rates.values(), key=lambda r: r.tf_ns, reverse=True
-        )[:top_k]
-        hot_ids = [r.task_id for r in hot_tasks if r.tf_ns > 0]
-        if not hot_ids:
-            break
-
+        hot_ids = [
+            task_id
+            for task_id in sorted(
+                range(plan.graph.n_tasks), key=fetch_ns, reverse=True
+            )[:top_k]
+            if fetch_ns(task_id) > 0
+        ]
         for task_id in hot_ids:
-            current_socket = best_plan.placement[task_id]
+            home = placement[task_id]
             # Move the task to each other socket.
-            for socket in machine.sockets:
-                if socket == current_socket:
-                    continue
-                candidate = _with_move(best_plan, {task_id: socket})
-                result, ok = evaluate(candidate)
-                if ok and result.throughput > best_result.throughput * (1 + 1e-9):
-                    best_plan, best_result = candidate, result
-                    stats.moves_accepted += 1
-                    improved = True
-                    break
-            else:
-                # Move found nothing: try swapping with a task elsewhere.
-                for other_id in hot_ids:
-                    other_socket = best_plan.placement[other_id]
-                    if other_id == task_id or other_socket == current_socket:
-                        continue
-                    candidate = _with_move(
-                        best_plan,
-                        {task_id: other_socket, other_id: current_socket},
-                    )
-                    result, ok = evaluate(candidate)
-                    if ok and result.throughput > best_result.throughput * (1 + 1e-9):
-                        best_plan, best_result = candidate, result
-                        stats.swaps_accepted += 1
-                        improved = True
-                        break
+            if any(
+                socket != home and improves((task_id, socket))
+                for socket in model.machine.sockets
+            ):
+                stats.moves_accepted += 1
+                improved = True
+            # Move found nothing: try swapping with a task elsewhere.
+            elif any(
+                other_id != task_id
+                and placement[other_id] != home
+                and improves((task_id, placement[other_id]), (other_id, home))
+                for other_id in hot_ids
+            ):
+                stats.swaps_accepted += 1
+                improved = True
         if not improved:
             break
 
-    stats.final_throughput = best_result.throughput
-    return best_plan, best_result, stats
-
-
-def _with_move(plan: ExecutionPlan, moves: dict[int, int]) -> ExecutionPlan:
-    """Copy of ``plan`` with some tasks re-placed."""
-    placement = dict(plan.placement)
-    placement.update(moves)
-    return ExecutionPlan(graph=plan.graph, placement=placement)
+    stats.final_throughput = evaluator.throughput
+    if stats.moves_accepted or stats.swaps_accepted:
+        plan = ExecutionPlan(graph=plan.graph, placement=placement)
+    return plan, evaluator.result(), stats

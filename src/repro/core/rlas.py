@@ -19,6 +19,7 @@ that is the throughput the machine would actually deliver.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from repro.core.compression import expand_plan
@@ -138,13 +139,15 @@ class RLASOptimizer:
         model_result = scaling.placement.model_result
         assert plan is not None and model_result is not None
         if self.final_refine_passes > 0:
-            plan, model_result, _stats = refine_plan(
+            started = time.perf_counter()
+            plan, model_result, stats = refine_plan(
                 plan,
                 planning_model,
                 self.ingress_rate,
                 max_passes=self.final_refine_passes,
                 top_k=32,
             )
+            stats.publish(self.registry, time.perf_counter() - started)
         expanded = expand_plan(plan)
         realized_model = PerformanceModel(
             self.profiles, self.machine, system=self.system, tf_mode=TfMode.RELATIVE

@@ -174,7 +174,8 @@ class ScalingOptimizer:
             the scaler reacts to it by adding replicas.
         registry:
             Metrics sink for search statistics (B&B node counts, scaling
-            iterations, time-to-best); defaults to the no-op registry.
+            iterations, time-to-best, refinement and rebalance time);
+            defaults to the no-op registry.
         workers:
             Parallel B&B search processes per placement optimization
             (``1`` = deterministic sequential search; see
@@ -275,7 +276,13 @@ class ScalingOptimizer:
             iterations[-1].scaled_component = ",".join(scaled)
 
         if best is not None:
+            # The endgame's wall outside refinement, which has its own clock.
+            refining = self.registry.histogram("rlas.refine.runtime_s")
+            entered, refined = time.perf_counter(), refining.total
             rebalanced = self._attempt_rebalance(placer, best)
+            self.registry.gauge("rlas.scaling.rebalance_s").set(
+                time.perf_counter() - entered - (refining.total - refined)
+            )
             if rebalanced is not None and rebalanced.throughput > best.throughput:
                 iterations.append(
                     ScalingIteration(
@@ -427,13 +434,15 @@ class ScalingOptimizer:
         """Polish a feasible placement with the local-search pass."""
         if result.plan is None or self.refine_passes < 1:
             return result
-        plan, model_result, _stats = refine_plan(
+        started = time.perf_counter()
+        plan, model_result, stats = refine_plan(
             result.plan,
             self.model,
             self.ingress_rate,
             max_passes=self.refine_passes,
             top_k=self.refine_top_k,
         )
+        stats.publish(self.registry, time.perf_counter() - started)
         if model_result.throughput <= result.throughput:
             return result
         return PlacementResult(

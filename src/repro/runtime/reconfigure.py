@@ -444,28 +444,19 @@ class ReconfigController:
             if socket is not None and socket != deployed[task_id]
         ]
         if candidate_moves:
-            for task_id, socket in candidate_moves:
-                evaluator.apply(task_id, socket)
-            if evaluator.throughput <= before or not acceptable():
-                for _ in candidate_moves:
-                    evaluator.undo()
+            evaluator.try_moves(candidate_moves, before, acceptable)
         n_sockets = self.plan.machine.n_sockets
         task_ids = sorted(deployed)
         for _ in range(self._REFINE_PASSES):
             improved = False
             for task_id in task_ids:
                 current = evaluator.placement().get(task_id)
-                best = evaluator.throughput
                 for socket in range(n_sockets):
-                    if socket == current:
-                        continue
-                    evaluator.apply(task_id, socket)
-                    if evaluator.throughput > best and acceptable():
-                        best = evaluator.throughput
+                    if socket != current and evaluator.try_moves(
+                        [(task_id, socket)], evaluator.throughput, acceptable
+                    ):
                         current = socket
                         improved = True
-                    else:
-                        evaluator.undo()
             if not improved:
                 break
         return before, evaluator.throughput, evaluator.placement()

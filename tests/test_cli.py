@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -38,6 +40,14 @@ class TestParser:
         out = capsys.readouterr().out
         assert "RLAS plan" in out
         assert "replication" in out
+        # Where the planning time went, with or without --emit-metrics.
+        phases = re.search(
+            r"planning ([\d.]+) s: search ([\d.]+) s · refine ([\d.]+) s"
+            r" · rebalance ([\d.]+) s",
+            out,
+        )
+        total, *parts = map(float, phases.groups())
+        assert sum(parts) <= total + 0.02  # each part rounds to 10 ms
 
     def test_simulate_small(self, capsys):
         assert main(["simulate", "--app", "fd", "--sockets", "1"]) == 0

@@ -9,13 +9,17 @@ after every step.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import PerformanceModel, empty_plan
 from repro.core.constraints import resource_report
 from repro.dsps import ExecutionGraph
+from repro.errors import PlanError
 from repro.hardware import server_a
 
 from tests.conftest import build_pipeline, pipeline_profiles
@@ -166,6 +170,137 @@ class TestRandomizedEquivalence:
         sink_id = graph.tasks_of("sink")[0].task_id
         evaluator.apply(sink_id, 1)
         assert evaluator.incremental_evals == start_incremental + 1
+
+
+class TestExtendedCheck:
+    @pytest.mark.parametrize("app", APPS)
+    def test_one_more_task_is_the_full_fold(self, app, machine):
+        """The B&B's per-candidate check — its node's sums plus the task
+        just placed — equals folding every placed task again, bit for bit
+        (CPU, memory, replicas, interconnect and the verdict)."""
+        from repro.core.model import Feasibility
+
+        topology, profiles = _bundle(app)
+        model = PerformanceModel(profiles, machine)
+        graph = ExecutionGraph(topology, {n: 3 for n in topology.components})
+        evaluator = model.evaluator(graph, 2_000_000.0)
+        rng = random.Random(app)
+        base = evaluator.check()
+        crossing = False
+        for task in graph.tasks:  # producer-first, as the search places
+            evaluator.apply(task.task_id, rng.choice(list(machine.sockets)))
+            extended = evaluator.check(base, task.task_id)
+            full = evaluator.check()
+            for name in Feasibility.__slots__:
+                assert getattr(extended, name) == getattr(full, name), name
+            crossing = crossing or any(map(any, full.interconnect))
+            base = extended
+        assert crossing and sum(base.replicas) == graph.total_replicas
+
+
+#: Every piece of state an evaluator carries between calls.
+_STATE = (
+    "_socket",
+    "_input_rate",
+    "_tf",
+    "_overhead",
+    "_t",
+    "_capacity",
+    "_processed",
+    "_oversupplied",
+    "_out",
+    "_icx",
+    "_throughput",
+)
+_SOCKETS = 4
+_WC_TASKS = 10  # five components, two replicas each
+
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from(("apply", "undo", "bounce", "keep", "refuse", "miss")),
+        st.integers(0, _WC_TASKS - 1),
+        st.integers(1, _WC_TASKS - 1),
+        st.integers(0, _SOCKETS - 1),
+        st.integers(0, _SOCKETS - 1),
+    ),
+    max_size=24,
+)
+
+
+class TestTryMoves:
+    """``try_moves`` — refinement's swap, the reconfiguration climb's move —
+    nested inside outstanding applies, kept or rejected either way, and the
+    B&B's ``undo(keep=True)`` / ``redo`` between them."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        start=st.lists(
+            st.integers(0, _SOCKETS - 1), min_size=_WC_TASKS, max_size=_WC_TASKS
+        ),
+        steps=_steps,
+    )
+    def test_state_equals_a_fresh_evaluators(self, start, steps):
+        topology, profiles = _bundle("wc")
+        model = PerformanceModel(profiles, server_a(_SOCKETS))
+        graph = ExecutionGraph(topology, {n: 2 for n in topology.components})
+        assert graph.n_tasks == _WC_TASKS
+        evaluator = model.evaluator(graph, 80_000.0)
+        evaluator.reset(dict(enumerate(start)))
+        history = [dict(enumerate(start))]  # placements undo walks back through
+        for kind, task, offset, socket, other_socket in steps:
+            current = history[-1]
+            if kind == "apply":
+                evaluator.apply(task, socket)
+                history.append({**current, task: socket})
+            elif kind == "undo":
+                if len(history) > 1:
+                    evaluator.undo()
+                    history.pop()
+            elif kind == "bounce":
+                # What the B&B does between a probe and the pop of the
+                # child it kept: undo, then re-enter without recomputing.
+                if len(history) > 1:
+                    evals = evaluator.incremental_evals + evaluator.full_evals
+                    record = evaluator.undo(keep=True)
+                    assert evaluator.placement() == history[-2]
+                    evaluator.redo(record)
+                    assert evaluator.incremental_evals + evaluator.full_evals == evals
+                    history = [current]
+            else:
+                moves = [
+                    (task, socket),
+                    ((task + offset) % _WC_TASKS, other_socket),
+                ]
+                kept = evaluator.try_moves(
+                    moves,
+                    math.inf if kind == "miss" else -math.inf,
+                    lambda: kind == "keep",
+                )
+                assert kept == (kind == "keep")
+                if kept:
+                    history = [{**current, **dict(moves)}]
+            assert evaluator.placement() == history[-1]
+            fresh = model.evaluator(graph, 80_000.0)
+            fresh.reset(history[-1])
+            for name in _STATE:
+                assert getattr(evaluator, name) == getattr(fresh, name), name
+        if len(history) == 1:
+            with pytest.raises(PlanError):
+                evaluator.undo()  # a kept step dropped the history
+
+    def test_one_step_one_delta(self, machine):
+        """A swap is one re-propagation, not one per task moved."""
+        topology, profiles = _bundle("wc")
+        model = PerformanceModel(profiles, machine)
+        graph = ExecutionGraph(topology, {n: 2 for n in topology.components})
+        evaluator = model.evaluator(graph, 80_000.0)
+        evaluator.reset({t.task_id: t.task_id % 2 for t in graph.tasks})
+        sinks = [t.task_id for t in graph.tasks_of("sink")]
+        before = evaluator.incremental_evals + evaluator.full_evals
+        evaluator.try_moves(
+            [(sinks[0], 1), (sinks[1], 0)], -math.inf, lambda: False
+        )
+        assert evaluator.incremental_evals + evaluator.full_evals == before + 1
 
 
 class TestEvaluatorFactory:

@@ -101,3 +101,96 @@ class TestFixedModes:
         ).optimize()
         lower = rlas_fix_lower(topology, profiles, machine, rate, compress_ratio=2)
         assert rlas.realized_throughput >= lower.realized_throughput * 0.9
+
+
+#: The two plans ``benchmarks/perf`` times as ``rlas_plan``: throughput to
+#: the last bit, replication, and what the search and the refinement did
+#: to get there.  A change to any of these is a change of algorithm, not
+#: of speed, and only the traced benchmark would otherwise notice.
+_PINNED = {
+    "wc": (
+        39115338.164251216,
+        {"spout": 2, "parser": 2, "splitter": 7, "counter": 35, "sink": 26},
+        {
+            "rlas.bnb.searches": 8,
+            "rlas.bnb.nodes_expanded": 1368,
+            "rlas.bnb.nodes_pruned": 476,
+            "rlas.bnb.nodes_deduplicated": 491,
+            "rlas.bnb.children_generated": 1406,
+            "rlas.bnb.plans_evaluated": 2925,
+            "rlas.bnb.solutions_found": 27,
+            "rlas.bnb.cache_hits": 491,
+            "rlas.scaling.iterations": 8,
+            "rlas.scaling.graph_builds": 15,
+            "rlas.refine.runs": 12,
+            "rlas.refine.evaluations": 1832,
+            "rlas.refine.moves_accepted": 0,
+            "rlas.refine.swaps_accepted": 5,
+        },
+        {"rlas.model.incremental_evals": 3677, "rlas.model.full_evals": 152},
+    ),
+    "lr": (
+        3214665.149840727,
+        {
+            "spout": 1,
+            "parser": 1,
+            "dispatcher": 1,
+            "avg_speed": 10,
+            "las_avg_speed": 3,
+            "accident_detect": 5,
+            "count_vehicles": 11,
+            "accident_notify": 4,
+            "toll_notify": 32,
+            "daily_expenditure": 1,
+            "account_balance": 1,
+            "sink": 2,
+        },
+        {
+            "rlas.bnb.searches": 6,
+            "rlas.bnb.nodes_expanded": 2058,
+            "rlas.bnb.nodes_pruned": 314,
+            "rlas.bnb.nodes_deduplicated": 1576,
+            "rlas.bnb.children_generated": 2133,
+            "rlas.bnb.plans_evaluated": 4563,
+            "rlas.bnb.solutions_found": 15,
+            "rlas.bnb.cache_hits": 1576,
+            "rlas.scaling.iterations": 6,
+            "rlas.scaling.graph_builds": 9,
+            "rlas.refine.runs": 10,
+            "rlas.refine.evaluations": 1868,
+            "rlas.refine.moves_accepted": 7,
+            "rlas.refine.swaps_accepted": 5,
+        },
+        {"rlas.model.incremental_evals": 4975, "rlas.model.full_evals": 85},
+    ),
+}
+
+
+@pytest.mark.parametrize("app", sorted(_PINNED))
+def test_benchmark_plan_and_search_tree_are_pinned(app):
+    from repro.apps import load_application
+    from repro.hardware import server_a
+    from repro.metrics import MetricsRegistry
+
+    throughput, replication, tree, evaluator_ceiling = _PINNED[app]
+    topology, profiles = load_application(app)
+    machine = server_a(4)
+    rate = saturation_ingress(topology, PerformanceModel(profiles, machine))
+    registry = MetricsRegistry()
+    plan = RLASOptimizer(
+        topology, profiles, machine, rate, max_iterations=32, registry=registry
+    ).optimize()
+    assert plan.realized_throughput == throughput
+    assert plan.throughput == throughput
+    assert plan.replication == replication
+    snapshot = registry.snapshot()
+    counters = snapshot["counters"]
+    assert {name: counters[name] for name in tree} == tree
+    # What the search asks of its evaluator may fall, never rise.
+    for name, ceiling in evaluator_ceiling.items():
+        assert 0 < counters[name] <= ceiling
+    # Where the time went is on record: one observation per refinement.
+    assert snapshot["histograms"]["rlas.refine.runtime_s"]["count"] == tree[
+        "rlas.refine.runs"
+    ]
+    assert snapshot["gauges"]["rlas.scaling.rebalance_s"] > 0
