@@ -30,12 +30,10 @@ from repro.runtime import (
     SHED_MODES,
     STRING_DICT_MODES,
     VECTORIZED_MODES,
-    AdaptiveBatchConfig,
     DegradeContext,
     FaultPlan,
     FusionConfig,
     OverloadConfig,
-    ProcessPoolBackend,
     ReconfigController,
 )
 from repro.simulation import DiscreteEventSimulator, FlowSimulator
@@ -84,7 +82,6 @@ def _optimize(args: argparse.Namespace, registry: MetricsRegistry | None = None)
         tf_mode=TfMode(args.tf_mode),
         compress_ratio=args.compress_ratio,
         registry=registry,
-        opt_workers=args.opt_workers,
     ).optimize()
     planning_s = time.perf_counter() - started
     print(plan.describe())
@@ -120,59 +117,81 @@ def cmd_machines(args: argparse.Namespace) -> int:
     return 0
 
 
-def _overload_config(args: argparse.Namespace) -> OverloadConfig | None:
-    """Build cmd_run's overload config from ``--max-lag-ms``/``--shed``.
+def _run_config(args: argparse.Namespace, profiles) -> dict:
+    """cmd_run's flags as :class:`~repro.runtime.config.RunConfig`
+    fields — the one place a flag becomes a run option.
 
-    Overload control is armed when either knob departs from its inert
-    default; with both at rest the run carries no overload machinery at
-    all, preserving pre-overload behavior bit for bit.
+    Overload control is armed when ``--max-lag-ms`` or ``--shed`` departs
+    from its inert default; with both at rest the run carries no overload
+    machinery at all.  ``--fuse`` gets the app's measured profiles and
+    the selected machine model attached, so ``auto`` applies the RLAS
+    cost model's profitability test; ``degrade`` replans against the
+    same two.
     """
-    if args.max_lag_ms is None and args.shed == "off":
-        return None
-    return OverloadConfig(
-        max_lag_ms=args.max_lag_ms,
-        shed_mode=args.shed,
-        shed_rate=args.shed_rate,
-        shed_seed=args.shed_seed,
-    )
-
-
-def _run_backend(args: argparse.Namespace) -> dict:
-    """cmd_run's backend as engine keywords: by name with its options
-    beside it, or — the watchdog override has no engine keyword — built
-    here with the options inside (the engine rejects both at once)."""
-    options = dict(
+    armed = args.max_lag_ms is not None or args.shed != "off"
+    machine = _machine(args)
+    return dict(
+        batch_size=args.batch_size,
+        queue_capacity=args.queue_capacity,
+        fuse=FusionConfig(mode=args.fuse, profiles=profiles, machine=machine),
+        backend=args.backend,
+        vectorized=args.vectorized,
         n_workers=args.workers,
         dataplane=args.dataplane,
-        vectorized=args.vectorized,
         string_dict=args.string_dict,
-    )
-    if args.backend == "process" and args.watchdog_timeout is not None:
-        return {
-            "backend": ProcessPoolBackend(
-                heartbeat_timeout_s=args.watchdog_timeout,
-                batching=AdaptiveBatchConfig() if args.adaptive_batch else None,
-                overload=_overload_config(args),
-                **options,
+        heartbeat_timeout_s=args.watchdog_timeout,
+        epoch_interval=args.epoch_interval,
+        adaptive_batch=args.adaptive_batch,
+        overload=(
+            OverloadConfig(
+                max_lag_ms=args.max_lag_ms,
+                shed_mode=args.shed,
+                shed_rate=args.shed_rate,
+                shed_seed=args.shed_seed,
             )
-        }
-    return {
-        "backend": args.backend,
-        "adaptive_batch": args.adaptive_batch or None,
-        "overload": _overload_config(args),
-        **options,
-    }
-
-
-def _run_fusion(args: argparse.Namespace, profiles) -> FusionConfig:
-    """cmd_run's fusion config: mode from ``--fuse``, with the app's
-    measured profiles and the selected machine model attached so ``auto``
-    applies the RLAS cost model's profitability test."""
-    return FusionConfig(
-        mode=args.fuse,
-        profiles=profiles,
-        machine=_machine(args),
+            if armed
+            else None
+        ),
+        fault_plan=(
+            FaultPlan.from_cli(args.inject_faults) if args.inject_faults else None
+        ),
+        recovery_policy=args.recovery_policy,
+        max_restarts=args.max_restarts,
+        degrade=(
+            DegradeContext(profiles=profiles, machine=machine)
+            if args.recovery_policy == "degrade"
+            else None
+        ),
     )
+
+
+#: Flags a run report's ``meta`` repeats flat, beside ``meta.config``.
+_META_FLAGS = (
+    "app",
+    "events",
+    "batch_size",
+    "backend",
+    "dataplane",
+    "vectorized",
+    "string_dict",
+    "fuse",
+    "adaptive_batch",
+    "epoch_interval",
+    "adapt",
+    "max_lag_ms",
+    "shed",
+)
+
+
+def _run_meta(args: argparse.Namespace, topology, engine, **outcome) -> dict:
+    """A run report's ``meta``, the same for a finished and a failed
+    run: how it was asked for, and — once an engine was built — the
+    config it ran under."""
+    meta = {flag: getattr(args, flag) for flag in _META_FLAGS}
+    meta["topology"] = topology.name
+    meta["config"] = engine.config.to_dict() if engine is not None else None
+    meta.update(outcome)
+    return meta
 
 
 def _recovery_data(recovery, fault_summary) -> dict:
@@ -231,12 +250,7 @@ def _adapt_setup(args: argparse.Namespace, topology, profiles, registry):
     controller can migrate), and a :class:`ReconfigController` watches
     every epoch barrier for workload drift.
     """
-    if args.epoch_interval is None:
-        raise ExecutionError(
-            "--adapt requires --epoch-interval: live reconfiguration "
-            "happens at epoch barriers"
-        )
-    machine = _SERVERS[args.server](args.sockets)
+    machine = _machine(args)
     model = PerformanceModel(profiles, machine)
     rate = args.rate or saturation_ingress(topology, model)
     plan = RLASOptimizer(topology, profiles, machine, rate).optimize()
@@ -335,34 +349,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     """Execute an application on the functional engine, fully instrumented."""
     topology, profiles = load_application(args.app)
     registry = MetricsRegistry()
+    engine = None
     try:
         topology = _shifted_topology(args, topology)
-        fault_plan = (
-            FaultPlan.from_cli(args.inject_faults) if args.inject_faults else None
-        )
-        degrade = None
-        if args.recovery_policy == "degrade":
-            machine = _SERVERS[args.server](args.sockets)
-            degrade = DegradeContext(profiles=profiles, machine=machine)
-        engine_kwargs = dict(
-            batch_size=args.batch_size,
-            registry=registry,
-            queue_capacity=args.queue_capacity,
-            fault_plan=fault_plan,
-            recovery_policy=args.recovery_policy,
-            max_restarts=args.max_restarts,
-            degrade=degrade,
-            epoch_interval=args.epoch_interval,
-            fuse=_run_fusion(args, profiles),
-            **_run_backend(args),
-        )
+        options = _run_config(args, profiles)
         if args.adapt:
             plan, controller = _adapt_setup(args, topology, profiles, registry)
             engine = LocalEngine.from_plan(
-                plan.expanded_plan, reconfig=controller, **engine_kwargs
+                plan.expanded_plan, registry=registry, reconfig=controller, **options
             )
         else:
-            engine = LocalEngine(topology, **engine_kwargs)
+            engine = LocalEngine(topology, registry=registry, **options)
         result = engine.run(args.events)
     except ExecutionError as exc:
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -377,20 +374,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             args,
             "engine-run",
             registry,
-            meta={
-                "app": args.app,
-                "events": args.events,
-                "batch_size": args.batch_size,
-                "backend": args.backend,
-                "dataplane": args.dataplane,
-                "vectorized": args.vectorized,
-                "string_dict": args.string_dict,
-                "fuse": args.fuse,
-                "adaptive_batch": bool(args.adaptive_batch),
-                "topology": topology.name,
-                "failed": True,
-                "error": type(exc).__name__,
-            },
+            meta=_run_meta(
+                args, topology, engine, failed=True, error=type(exc).__name__
+            ),
             data=_recovery_data(
                 exc.recovery,
                 partial.fault_summary if partial is not None else None,
@@ -427,22 +413,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         args,
         "engine-run",
         registry,
-        meta={
-            "app": args.app,
-            "events": args.events,
-            "batch_size": args.batch_size,
-            "backend": args.backend,
-            "dataplane": args.dataplane,
-            "vectorized": args.vectorized,
-            "string_dict": args.string_dict,
-            "fuse": args.fuse,
-            "adaptive_batch": bool(args.adaptive_batch),
-            "topology": topology.name,
-            "epoch_interval": args.epoch_interval,
-            "adapt": bool(args.adapt),
-            "max_lag_ms": args.max_lag_ms,
-            "shed": args.shed,
-        },
+        meta=_run_meta(args, topology, engine),
         data=_run_data(result),
     )
     return 0
@@ -745,12 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="relative (RLAS) / worst (fix L) / zero (fix U)",
         )
         p.add_argument("--compress-ratio", type=int, default=5)
-        p.add_argument(
-            "--opt-workers",
-            type=int,
-            default=1,
-            help="parallel B&B search processes (1 = deterministic sequential)",
-        )
         p.add_argument(
             "--emit-metrics",
             metavar="PATH",

@@ -26,24 +26,22 @@ The paper's three branching heuristics appear as follows:
 3. **Graph compression** is handled upstream by building the execution
    graph with ``group_size > 1`` (see :mod:`repro.core.compression`).
 
-Evaluation cost, the innermost loop of the search, is paid three ways
+Evaluation cost, the innermost loop of the search, is paid two ways
 (see docs/optimizer.md):
 
 * an :class:`~repro.core.model.IncrementalEvaluator` re-propagates only
   the topological suffix a single placement step can affect, instead of
   re-running the full model per candidate;
 * a **transposition cache** keyed by the canonical placement signature
-  reuses the evaluation of previously seen (equivalent) sub-problems;
-* an optional **multi-worker search** (``workers=N``, stdlib
-  ``multiprocessing``) partitions the root frontier over processes that
-  share the incumbent bound through a ``multiprocessing.Value``.  The
-  default ``workers=1`` search is strictly sequential and returns
-  bit-identical plans and statistics to the pre-incremental solver.
+  reuses the evaluation of previously seen (equivalent) sub-problems.
+
+The search is strictly sequential and deterministic: at 0.1–0.5 s a
+search, forking and merging a parallel frontier costs more than it saves
+(docs/benchmarks.md, ISSUE 20).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass
 
@@ -73,24 +71,9 @@ class SearchStats:
     cache_hits: int = 0
     incremental_evals: int = 0
     full_evals: int = 0
-    workers: int = 1
     runtime_s: float = 0.0
     time_to_best_s: float = 0.0
     optimal: bool = True
-
-    def merge_counters(self, other: "SearchStats") -> None:
-        """Fold a worker's counters into this (aggregate) record."""
-        self.nodes_expanded += other.nodes_expanded
-        self.nodes_pruned += other.nodes_pruned
-        self.nodes_deduplicated += other.nodes_deduplicated
-        self.children_generated += other.children_generated
-        self.evaluations += other.evaluations
-        self.solutions_found += other.solutions_found
-        self.best_fit_commits += other.best_fit_commits
-        self.cache_hits += other.cache_hits
-        self.incremental_evals += other.incremental_evals
-        self.full_evals += other.full_evals
-        self.optimal = self.optimal and other.optimal
 
     def publish(self, registry, prefix: str = "rlas.bnb") -> None:
         """Accumulate this search's counts into a metrics registry.
@@ -157,57 +140,6 @@ class _Node:
     parent: dict | None = None
 
 
-def _search_worker(payload, shared_bound, queue, index: int) -> None:
-    """Entry point of one parallel search process.
-
-    Runs a strictly sequential search over its share of the root frontier,
-    pruning against (and publishing into) the shared incumbent bound, and
-    reports ``(index, best placement or None, best value, stats)``.
-    """
-    (
-        model,
-        graph,
-        ingress_rate,
-        branch_width,
-        use_incremental,
-        nodes,
-        node_budget,
-        no_solution_budget,
-    ) = payload
-    try:
-        solver = PlacementOptimizer(
-            model,
-            ingress_rate,
-            max_nodes=node_budget,
-            branch_width=branch_width,
-            use_incremental=use_incremental,
-        )
-        solver._prepare(graph)
-        stats = solver._stats = SearchStats()
-        stack = [
-            _Node(bound=bound, rank=rank, placement=placement)
-            for bound, rank, placement in nodes
-        ]
-        best_plan, best_value, _best_result = solver._search(
-            stack,
-            set(),
-            None,
-            0.0,
-            None,
-            stats,
-            time.perf_counter(),
-            node_budget,
-            no_solution_budget,
-            shared_bound=shared_bound,
-            materialize=False,
-        )[:3]
-        solver._collect_eval_counters(stats)
-        placement = dict(best_plan.placement) if best_plan is not None else None
-        queue.put((index, placement, best_value, stats, None))
-    except Exception as exc:  # surface worker failures to the parent
-        queue.put((index, None, 0.0, SearchStats(), repr(exc)))
-
-
 class PlacementOptimizer:
     """B&B solver for the operator placement problem."""
 
@@ -217,7 +149,6 @@ class PlacementOptimizer:
         ingress_rate: float,
         max_nodes: int | None = None,
         branch_width: int = 2,
-        workers: int = 1,
         use_incremental: bool = True,
     ) -> None:
         """
@@ -237,13 +168,6 @@ class PlacementOptimizer:
         branch_width:
             Candidate sockets explored per task placement (1 = pure
             greedy best-fit; larger values trade runtime for optimality).
-        workers:
-            Search processes.  ``1`` (default) is strictly sequential and
-            deterministic; ``N > 1`` partitions the root frontier over
-            ``N`` processes sharing the incumbent bound (each worker gets
-            the full node budget, so a parallel search explores at least
-            as much of the tree).  Requires a POSIX ``fork`` start method;
-            falls back to the sequential search where unavailable.
         use_incremental:
             Evaluate candidates with the delta-propagating
             :class:`~repro.core.model.IncrementalEvaluator` plus the
@@ -255,15 +179,12 @@ class PlacementOptimizer:
             raise PlanError("ingress rate must be positive")
         if branch_width < 1:
             raise PlanError("branch width must be >= 1")
-        if workers < 1:
-            raise PlanError("workers must be >= 1")
         self.model = model
         self.machine = model.machine
         self.profiles = model.profiles
         self.ingress_rate = ingress_rate
         self.max_nodes = max_nodes
         self.branch_width = branch_width
-        self.workers = workers
         self.use_incremental = use_incremental
         self._graph: ExecutionGraph | None = None
         self._topo_tasks: list = []
@@ -291,7 +212,7 @@ class PlacementOptimizer:
         ``initial_plan`` optionally seeds the incumbent (e.g. a first-fit
         plan) so pruning can start early (Appendix D discussion).
         """
-        stats = self._stats = SearchStats(workers=self.workers)
+        stats = self._stats = SearchStats()
         start = time.perf_counter()
         node_budget = (
             self.max_nodes
@@ -316,31 +237,17 @@ class PlacementOptimizer:
                 stats.solutions_found += 1
                 stats.time_to_best_s = time.perf_counter() - start
 
-        root = _Node(bound=float("inf"), rank=0, placement={})
-        if self.workers > 1 and self._fork_context() is not None:
-            best_plan, best_value, best_result = self._search_parallel(
-                graph,
-                root,
-                best_plan,
-                best_value,
-                best_result,
-                stats,
-                start,
-                node_budget,
-                no_solution_budget,
-            )
-        else:
-            best_plan, best_value, best_result = self._search(
-                [root],
-                set(),
-                best_plan,
-                best_value,
-                best_result,
-                stats,
-                start,
-                node_budget,
-                no_solution_budget,
-            )[:3]
+        best_plan, best_value, best_result = self._search(
+            [_Node(bound=float("inf"), rank=0, placement={})],
+            set(),
+            best_plan,
+            best_value,
+            best_result,
+            stats,
+            start,
+            node_budget,
+            no_solution_budget,
+        )
 
         self._collect_eval_counters(stats)
         stats.runtime_s = time.perf_counter() - start
@@ -360,7 +267,7 @@ class PlacementOptimizer:
         )
 
     # ------------------------------------------------------------------
-    # Search core (shared by the sequential path and every worker)
+    # Search core
     # ------------------------------------------------------------------
     def _prepare(self, graph: ExecutionGraph) -> None:
         """Bind per-search state: topo order, task classes, evaluator."""
@@ -400,23 +307,9 @@ class PlacementOptimizer:
         start: float,
         node_budget: int,
         no_solution_budget: int,
-        shared_bound=None,
-        frontier_limit: int | None = None,
-        materialize: bool = True,
-    ) -> tuple[ExecutionPlan | None, float, ModelResult | None, list[_Node]]:
-        """Run the DFS main loop; returns the incumbent and leftover stack.
-
-        ``shared_bound`` (a ``multiprocessing.Value``) lets parallel
-        workers prune against the best value any sibling has found.
-        ``frontier_limit`` stops the loop once the stack holds that many
-        live nodes (used to build the root frontier for partitioning).
-        ``materialize=False`` skips building full ``ModelResult`` objects
-        for incumbents (workers return placements; the parent
-        re-materializes once).
-        """
+    ) -> tuple[ExecutionPlan | None, float, ModelResult | None]:
+        """Run the DFS main loop; returns the incumbent."""
         while stack:
-            if frontier_limit is not None and len(stack) >= frontier_limit:
-                break
             if stats.nodes_expanded >= node_budget or (
                 best_plan is None and stats.nodes_expanded >= no_solution_budget
             ):
@@ -424,10 +317,6 @@ class PlacementOptimizer:
                 break
             node = stack.pop()
             incumbent = best_value if best_plan is not None else None
-            if shared_bound is not None:
-                shared = shared_bound.value
-                if shared > 0.0 and (incumbent is None or shared > incumbent):
-                    incumbent = shared
             if incumbent is not None and node.bound <= incumbent:
                 stats.nodes_pruned += 1
                 continue
@@ -449,20 +338,14 @@ class PlacementOptimizer:
                             graph=self._graph, placement=child.placement
                         )
                         best_value = child.bound
-                        if child.result is not None:
-                            best_result = child.result
-                        elif materialize:
-                            best_result = self._materialize(best_plan)
-                        else:
-                            best_result = None
+                        best_result = (
+                            child.result
+                            if child.result is not None
+                            else self._materialize(best_plan)
+                        )
                         stats.solutions_found += 1
                         stats.time_to_best_s = time.perf_counter() - start
-                        if shared_bound is not None:
-                            with shared_bound.get_lock():
-                                if best_value > shared_bound.value:
-                                    shared_bound.value = best_value
-                        if incumbent is None or best_value > incumbent:
-                            incumbent = best_value
+                        incumbent = best_value
                     continue
                 live.append(child)
                 stats.children_generated += 1
@@ -470,108 +353,7 @@ class PlacementOptimizer:
             # bound last; on tied bounds, the best-fit-ranked child last.
             live.sort(key=lambda n: (n.bound, -n.rank))
             stack.extend(live)
-        return best_plan, best_value, best_result, stack
-
-    def _search_parallel(
-        self,
-        graph: ExecutionGraph,
-        root: _Node,
-        best_plan: ExecutionPlan | None,
-        best_value: float,
-        best_result: ModelResult | None,
-        stats: SearchStats,
-        start: float,
-        node_budget: int,
-        no_solution_budget: int,
-    ) -> tuple[ExecutionPlan | None, float, ModelResult | None]:
-        """Partition the root frontier over ``workers`` processes.
-
-        The parent expands the tree sequentially until the stack holds a
-        few subtrees per worker, deals them out round-robin from the most
-        promising down, and merges the workers' incumbents (ties break to
-        the lowest worker index).  Workers share the incumbent bound via a
-        ``multiprocessing.Value`` so one worker's solution prunes the
-        others' subtrees.
-        """
-        frontier_target = max(self.workers * 4, self.workers + 1)
-        best_plan, best_value, best_result, frontier = self._search(
-            [root],
-            set(),
-            best_plan,
-            best_value,
-            best_result,
-            stats,
-            start,
-            node_budget,
-            no_solution_budget,
-            frontier_limit=frontier_target,
-        )
-        if not frontier:
-            return best_plan, best_value, best_result  # solved while seeding
-
-        ctx = self._fork_context()
-        n_workers = min(self.workers, len(frontier))
-        groups: list[list[_Node]] = [[] for _ in range(n_workers)]
-        # The stack pops from the end: deal from the most promising node
-        # down so every worker receives a comparable mix of subtrees.
-        for position, node in enumerate(reversed(frontier)):
-            groups[position % n_workers].append(node)
-
-        shared_bound = ctx.Value("d", best_value if best_plan is not None else 0.0)
-        queue = ctx.SimpleQueue()
-        processes = []
-        for index, group in enumerate(groups):
-            nodes = [
-                (node.bound, node.rank, node.placement)
-                for node in reversed(group)  # reversed: best pops first
-            ]
-            payload = (
-                self.model,
-                graph,
-                self.ingress_rate,
-                self.branch_width,
-                self.use_incremental,
-                nodes,
-                node_budget,
-                no_solution_budget,
-            )
-            process = ctx.Process(
-                target=_search_worker,
-                args=(payload, shared_bound, queue, index),
-                daemon=True,
-            )
-            process.start()
-            processes.append(process)
-
-        outcomes = sorted(queue.get() for _ in processes)
-        for process in processes:
-            process.join()
-        failures = [error for *_ignored, error in outcomes if error is not None]
-        if failures and all(error is not None for *_ignored, error in outcomes):
-            raise PlanError(f"all placement search workers failed: {failures[0]}")
-        for _index, placement, value, worker_stats, error in outcomes:
-            if error is not None:
-                continue
-            stats.merge_counters(worker_stats)
-            if placement is not None and value > best_value:
-                best_plan = ExecutionPlan(graph=graph, placement=placement)
-                best_value = value
-                best_result = None
-                stats.time_to_best_s = time.perf_counter() - start
-        if best_plan is not None and best_result is None:
-            best_result = self._materialize(best_plan)
         return best_plan, best_value, best_result
-
-    @staticmethod
-    def _fork_context():
-        """The ``fork`` multiprocessing context, or None where unsupported.
-
-        Forked workers inherit the graph/model without pickling, which
-        keeps lambdas-in-operators (common in tests and notebooks) legal.
-        """
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return None
-        return multiprocessing.get_context("fork")
 
     # ------------------------------------------------------------------
     # Evaluation

@@ -99,7 +99,6 @@ class RLASOptimizer:
         max_nodes: int | None = None,
         final_refine_passes: int = 3,
         registry: MetricsRegistry | None = None,
-        opt_workers: int = 1,
     ) -> None:
         self.topology = topology
         self.profiles = profiles
@@ -113,8 +112,6 @@ class RLASOptimizer:
         self.max_nodes = max_nodes
         self.final_refine_passes = final_refine_passes
         self.registry = registry if registry is not None else NULL_REGISTRY
-        #: Parallel B&B search processes (``--opt-workers``; 1 = sequential).
-        self.opt_workers = opt_workers
 
     def optimize(
         self, initial_replication: dict[str, int] | None = None
@@ -132,7 +129,6 @@ class RLASOptimizer:
             max_iterations=self.max_iterations,
             max_nodes=self.max_nodes,
             registry=self.registry,
-            workers=self.opt_workers,
         )
         scaling = scaler.optimize(initial_replication)
         plan = scaling.placement.plan

@@ -146,7 +146,6 @@ class ScalingOptimizer:
         refine_passes: int = 1,
         refine_top_k: int = 12,
         registry: MetricsRegistry | None = None,
-        workers: int = 1,
     ) -> None:
         """
         Parameters
@@ -176,10 +175,6 @@ class ScalingOptimizer:
             Metrics sink for search statistics (B&B node counts, scaling
             iterations, time-to-best, refinement and rebalance time);
             defaults to the no-op registry.
-        workers:
-            Parallel B&B search processes per placement optimization
-            (``1`` = deterministic sequential search; see
-            :class:`~repro.core.bnb.PlacementOptimizer`).
         """
         if compress_ratio < 1:
             raise PlanError("compress ratio must be >= 1")
@@ -197,7 +192,6 @@ class ScalingOptimizer:
         self.refine_passes = refine_passes
         self.refine_top_k = refine_top_k
         self.registry = registry if registry is not None else NULL_REGISTRY
-        self.workers = workers
         #: Distinct execution graphs built (memoized); regression-tested.
         self._graph_builds = 0
         self._graph_cache: dict[tuple[frozenset, int], ExecutionGraph] = {}
@@ -233,7 +227,6 @@ class ScalingOptimizer:
             self.model,
             self.ingress_rate,
             max_nodes=self.max_nodes,
-            workers=self.workers,
         )
 
         best: ScalingResult | None = None

@@ -4,7 +4,8 @@ This package owns the single translation from ``(Topology, ExecutionPlan)``
 to runnable state (:mod:`repro.runtime.lowering`), the result types every
 executor produces (:mod:`repro.runtime.results`), and the executor
 backends themselves (:mod:`repro.runtime.backends`,
-:mod:`repro.runtime.process_pool`).  The functional engine facade
+:mod:`repro.runtime.process_pool`), configured by the one declaration of
+a run's options (:mod:`repro.runtime.config`).  The functional engine facade
 (:class:`repro.dsps.engine.LocalEngine`) and the discrete-event simulator
 both build on the same lowering, so live runs and simulated runs share
 queue topology, routing and iteration orders by construction.
@@ -45,6 +46,7 @@ from repro.runtime.backends import (
     publish_engine_metrics,
     resolve_backend,
 )
+from repro.runtime.config import RunConfig
 from repro.runtime.epochs import (
     EpochCheckpoint,
     EpochCommit,
@@ -178,6 +180,7 @@ __all__ = [
     "RecoveryEvent",
     "RecoveryReport",
     "RouteSpec",
+    "RunConfig",
     "RunResult",
     "RuntimeSpec",
     "Supervisor",

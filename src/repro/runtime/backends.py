@@ -39,12 +39,8 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.metrics.registry import NULL_REGISTRY, MetricsRegistry
-from repro.runtime.dataplane.columns import (
-    VECTORIZED_MODES,
-    ColumnBatch,
-    columns_available,
-)
-from repro.runtime.batching import AdaptiveBatchConfig
+from repro.runtime.config import RunConfig, reject_executor_options
+from repro.runtime.dataplane.columns import ColumnBatch, columns_available
 from repro.runtime.epochs import (
     BarrierState,
     EpochCheckpoint,
@@ -56,8 +52,6 @@ from repro.runtime.epochs import (
     restore_tasks,
     snapshot_tasks,
 )
-from repro.runtime.fusion import validate_fuse
-from repro.runtime.overload import OverloadConfig, SendRetryPolicy
 from repro.runtime.lowering import (
     RuntimeSpec,
     TaskRuntime,
@@ -92,6 +86,14 @@ class ExecutorBackend(ABC):
     #: Short name used by the CLI's ``--backend`` flag and in metrics.
     name: str = "abstract"
 
+    #: The run's options (:class:`~repro.runtime.config.RunConfig`
+    #: documents each; a backend reads the executor ones).  The defaults,
+    #: for a subclass whose constructor takes none.
+    config = RunConfig()
+
+    def __init__(self, **options: Any) -> None:
+        self.config = RunConfig.of(backend=self.name, **options)
+
     @abstractmethod
     def execute(
         self,
@@ -122,15 +124,6 @@ class ExecutorBackend(ABC):
         """
 
 
-def validate_vectorized(vectorized: str) -> None:
-    """Reject unknown ``--vectorized`` modes with a typed error."""
-    if vectorized not in VECTORIZED_MODES:
-        raise ExecutionError(
-            f"unknown vectorized mode {vectorized!r}; "
-            f"expected one of {VECTORIZED_MODES}"
-        )
-
-
 def require_vectorized(vectorized: str) -> None:
     """Enforce mode ``on``: columnar kernels must actually be runnable."""
     if vectorized == "on" and not columns_available():
@@ -141,96 +134,26 @@ def require_vectorized(vectorized: str) -> None:
 
 
 def resolve_backend(
-    backend: "str | ExecutorBackend",
-    *,
-    n_workers: int | None = None,
-    ordered: bool = False,
-    dataplane: str | None = None,
-    vectorized: str | None = None,
-    string_dict: str | None = None,
-    fuse: str | None = None,
-    batching: AdaptiveBatchConfig | None = None,
-    overload: OverloadConfig | None = None,
-    send_retry: SendRetryPolicy | None = None,
+    backend: "str | ExecutorBackend", **options: Any
 ) -> ExecutorBackend:
-    """Turn a backend name (or pass through an instance) into a backend.
+    """Turn a backend name into a backend built from ``options``
+    (:class:`~repro.runtime.config.RunConfig` fields), or pass an
+    instance through.
 
-    Every keyword but ``fuse`` configures a backend *constructed from its
-    name*; an instance was configured by whoever built it, so handing one
-    in together with any of them raises :class:`ExecutionError` naming
-    the argument rather than dropping it.  By name, the inline backend
-    runs in one process and moves no bytes: it accepts and ignores
-    ``n_workers``, ``ordered``, ``dataplane``, ``string_dict`` (the shm
-    codec's adaptive string-dictionary mode,
-    :data:`~repro.runtime.dataplane.codec.STRING_DICT_MODES`) and
-    ``send_retry`` (the blocking-send retry/circuit-breaker policy).
-    ``vectorized`` selects the columnar kernel mode (see
-    :data:`~repro.runtime.dataplane.columns.VECTORIZED_MODES`; ``None``
-    means ``auto``), ``batching`` arms the adaptive per-edge batch-size
-    controller and ``overload`` the overload-control ladder
-    (:mod:`repro.runtime.overload`) on either backend.  ``fuse`` is
-    validated here for early CLI errors but lives on the *spec* (fused
-    chains are derived at lowering time by
-    :func:`repro.runtime.fusion.plan_fusion`).
+    Beside an instance, an option it would have read raises
+    (:func:`~repro.runtime.config.reject_executor_options`).  By name,
+    the inline backend runs in one process and moves no bytes: it
+    accepts the process backend's options and ignores them.
     """
-    if n_workers is not None and n_workers < 1:
-        raise ExecutionError(f"n_workers must be >= 1, got {n_workers}")
-    if dataplane is not None:
-        from repro.runtime.dataplane import DATAPLANE_NAMES
-
-        if dataplane not in DATAPLANE_NAMES:
-            raise ExecutionError(
-                f"unknown dataplane {dataplane!r}; "
-                f"expected one of {DATAPLANE_NAMES}"
-            )
-    if vectorized is not None:
-        validate_vectorized(vectorized)
-    if string_dict is not None:
-        from repro.runtime.dataplane import STRING_DICT_MODES
-
-        if string_dict not in STRING_DICT_MODES:
-            raise ExecutionError(
-                f"unknown string_dict {string_dict!r}; "
-                f"expected one of {STRING_DICT_MODES}"
-            )
-    if fuse is not None:
-        validate_fuse(fuse)
     if isinstance(backend, ExecutorBackend):
-        ignored = {
-            "n_workers": n_workers,
-            "ordered": ordered or None,
-            "dataplane": dataplane,
-            "vectorized": vectorized,
-            "string_dict": string_dict,
-            "batching": batching,
-            "overload": overload,
-            "send_retry": send_retry,
-        }
-        for name, value in ignored.items():
-            if value is not None:
-                raise ExecutionError(
-                    f"{name}= configures a backend built from its name; "
-                    f"a {type(backend).__name__} instance was passed, which "
-                    "would ignore it — set it on the instance"
-                )
+        reject_executor_options(backend, options)
         return backend
     if backend == "inline":
-        return InlineBackend(
-            vectorized=vectorized or "auto", batching=batching, overload=overload
-        )
+        return InlineBackend(**options)
     if backend == "process":
         from repro.runtime.process_pool import ProcessPoolBackend
 
-        return ProcessPoolBackend(
-            n_workers=n_workers,
-            ordered=ordered,
-            dataplane=dataplane if dataplane is not None else "pickle",
-            vectorized=vectorized or "auto",
-            string_dict=string_dict or "auto",
-            batching=batching,
-            overload=overload,
-            send_retry=send_retry,
-        )
+        return ProcessPoolBackend(**options)
     raise ExecutionError(
         f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}"
     )
@@ -290,18 +213,6 @@ class InlineBackend(ExecutorBackend):
 
     name = "inline"
 
-    def __init__(
-        self,
-        *,
-        vectorized: str = "auto",
-        batching: AdaptiveBatchConfig | None = None,
-        overload: OverloadConfig | None = None,
-    ) -> None:
-        validate_vectorized(vectorized)
-        self.vectorized = vectorized
-        self.batching = batching
-        self.overload = overload
-
     def execute(
         self,
         spec: RuntimeSpec,
@@ -313,16 +224,17 @@ class InlineBackend(ExecutorBackend):
         resume: EpochCheckpoint | None = None,
         on_epoch: "OnEpoch | None" = None,
     ) -> RunResult:
-        require_vectorized(self.vectorized)
+        config = self.config
+        require_vectorized(config.vectorized)
         registry = registry if registry is not None else NULL_REGISTRY
         return _InlineRun(
             spec,
             max_events,
             registry,
             injector,
-            vectorized=self.vectorized,
-            batching=self.batching,
-            overload=self.overload,
+            vectorized=config.vectorized,
+            batching=config.adaptive_batch,
+            overload=config.overload,
             epochs=epochs,
             resume=resume,
             on_epoch=on_epoch,

@@ -64,6 +64,7 @@ __all__ = [
     "Migration",
     "check_serializable",
     "fast_forward",
+    "require_barriers",
     "restore_tasks",
     "snapshot_tasks",
 ]
@@ -90,6 +91,30 @@ class EpochConfig:
         if self.interval < 1:
             raise ExecutionError(
                 f"epoch interval must be >= 1, got {self.interval}"
+            )
+
+
+#: What acts only at an epoch barrier, by option name.
+_BARRIER_BOUND = {
+    "adaptive_batch": "adaptive batch sizing adjusts at epoch barriers",
+    "overload": "overload control steps at epoch barriers",
+    "reconfig": "live reconfiguration requires epoch barriers",
+    "resume": "resume from a checkpoint requires epoch barriers",
+}
+
+
+def require_barriers(barriers: Any, **acting: Any) -> None:
+    """The barrier rule: an option that acts only at an epoch barrier
+    (``acting``, by name; ``None`` = not asked for) would silently do
+    nothing in a run that has none (``barriers`` is None) — fail loudly
+    instead.  Enforced by :class:`EpochDriver`, where a run's barriers
+    are known, and by the engine at construction, to fail fast."""
+    if barriers is not None:
+        return
+    for name, value in acting.items():
+        if value is not None:
+            raise ExecutionError(
+                f"{_BARRIER_BOUND[name]}: pass epoch_interval together with {name}"
             )
 
 
@@ -430,11 +455,9 @@ class EpochDriver:
     ) -> None:
         if max_events < 0:
             raise TopologyError("max_events must be >= 0")
-        if epochs is None and (overload is not None or resume is not None):
-            raise ExecutionError(
-                "overload control and resume from a checkpoint require epoch "
-                "barriers (pass an EpochConfig / --epoch-interval)"
-            )
+        require_barriers(
+            epochs, adaptive_batch=batching, overload=overload, resume=resume
+        )
         self.max_events = max_events
         self.registry = registry
         self.on_epoch = on_epoch
@@ -448,8 +471,6 @@ class EpochDriver:
             if epochs is not None
             else None
         )
-        # Both observers step at barriers only: an epoch-less run keeps
-        # its lowered batch sizes.
         self.controller = (
             AdaptiveBatchController(spec, batching) if batching is not None else None
         )

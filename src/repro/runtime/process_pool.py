@@ -105,12 +105,8 @@ from repro.runtime.backends import (
     ExecutorBackend,
     publish_engine_metrics,
     require_vectorized,
-    validate_vectorized,
 )
 from repro.runtime.dataplane import (
-    DATAPLANE_NAMES,
-    DEFAULT_RING_BYTES,
-    STRING_DICT_MODES,
     ChannelEndpoint,
     ColumnBatch,
     PickleQueueChannel,
@@ -126,11 +122,9 @@ from repro.runtime.epochs import (
     restore_tasks,
     snapshot_tasks,
 )
-from repro.runtime.batching import AdaptiveBatchConfig
 from repro.runtime.faults import FaultInjector, merge_fault_summaries
 from repro.runtime.overload import (
     CircuitBreaker,
-    OverloadConfig,
     SendRetryPolicy,
     Shedder,
     decorrelated_jitter,
@@ -147,9 +141,6 @@ from repro.runtime.step import (
 
 if TYPE_CHECKING:
     from repro.runtime.backends import OnEpoch
-
-#: Default bound, in jumbo batches, of each worker's inbox queue.
-DEFAULT_INBOX_BATCHES = 64
 
 #: Events a spout generates per scheduling quantum.
 _SPOUT_CHUNK = 256
@@ -190,135 +181,19 @@ def _mp_context() -> mp.context.BaseContext:
 
 
 class ProcessPoolBackend(ExecutorBackend):
-    """Execute a lowered spec on a pool of worker processes.
-
-    Parameters
-    ----------
-    n_workers:
-        Worker process count.  Defaults to one worker per placement
-        socket when the spec is placed, else ``min(4, cpu_count)``.
-    ordered:
-        Process each task's input edges in strict declaration order
-        (see module docstring).  Default False (arrival order).
-    inbox_batches:
-        Bound, in jumbo batches, of each worker's inbox.
-    timeout_s:
-        Bound on the whole execution: one deadline, armed when
-        ``execute()`` starts and shipped to the workers once, that every
-        epoch, barrier observer (``on_epoch``) and migration relaunch
-        draws on — it is not re-armed per epoch.  Exceeding it raises
-        :class:`~repro.errors.StallError` (never a silent hang).  A
-        supervised retry is a new ``execute()`` with a new deadline.
-    heartbeat_timeout_s:
-        A worker whose heartbeat is older than this is considered stalled
-        (parent side) or dead (peer side, combined with the status
-        array).  Workers heartbeat once per scheduling loop, so normal
-        operation refreshes it every few milliseconds.
-    send_timeout_s:
-        Worker-side bound on one blocked remote send; exceeding it with
-        the peer still alive raises
-        :class:`~repro.errors.QueueDeadlockError`.
-    dataplane:
-        Transport for remote batches: ``"pickle"`` (default — pickled
-        payloads inside the control queues, the historical behavior) or
-        ``"shm"`` (binary-codec payloads written once into per-pair
-        shared-memory rings, descriptors over the control queues).  See
-        docs/dataplane.md.
-    ring_bytes:
-        Capacity of each per-worker-pair ring when ``dataplane="shm"``.
-    vectorized:
-        Columnar kernel mode: ``"auto"`` (default — use vectorized
-        ``process_columns`` kernels when numpy is available, falling
-        through per batch otherwise), ``"on"`` (fail if numpy is
-        missing) or ``"off"`` (scalar execution only).  See
-        docs/vectorized.md.
-    batching:
-        Optional :class:`~repro.runtime.batching.AdaptiveBatchConfig`
-        enabling the per-edge AIMD batch-size controller.  Adjustments
-        happen only at epoch barriers (one AIMD step per commit, fed by
-        the workers' cumulative per-edge queue statistics and pressure
-        signals; the next ``resume`` directive resizes the live output
-        buffers), so runs without an :class:`EpochConfig` keep their
-        configured sizes.  See docs/fusion.md.
-    overload:
-        Optional :class:`~repro.runtime.overload.OverloadConfig` arming
-        the overload-control ladder (lag SLOs, load shedding, spout
-        throttling).  Like adaptive batching it is stepped once per
-        barrier commit, so it requires an :class:`EpochConfig`.  See
-        docs/overload.md.
-    send_retry:
-        Optional :class:`~repro.runtime.overload.SendRetryPolicy`
-        overriding the blocked-send retry/backoff/circuit-breaker
-        behaviour; by default the policy's deadline is
-        ``send_timeout_s`` (preserving the historical bound) with
-        decorrelated-jitter sleeps and a half-open probe circuit.
-    """
+    """Execute a lowered spec on a pool of worker processes, configured
+    by the executor fields of :class:`~repro.runtime.config.RunConfig`."""
 
     name = "process"
 
-    def __init__(
-        self,
-        n_workers: int | None = None,
-        *,
-        ordered: bool = False,
-        inbox_batches: int = DEFAULT_INBOX_BATCHES,
-        timeout_s: float = 300.0,
-        heartbeat_timeout_s: float = 10.0,
-        send_timeout_s: float = 30.0,
-        dataplane: str = "pickle",
-        ring_bytes: int = DEFAULT_RING_BYTES,
-        vectorized: str = "auto",
-        string_dict: str = "auto",
-        batching: AdaptiveBatchConfig | None = None,
-        overload: OverloadConfig | None = None,
-        send_retry: SendRetryPolicy | None = None,
-    ) -> None:
-        if n_workers is not None and n_workers < 1:
-            raise ExecutionError(f"n_workers must be >= 1, got {n_workers}")
-        if inbox_batches < 1:
-            raise ExecutionError(f"inbox_batches must be >= 1, got {inbox_batches}")
-        if timeout_s <= 0:
-            raise ExecutionError(f"timeout_s must be positive, got {timeout_s}")
-        if heartbeat_timeout_s <= 0:
-            raise ExecutionError(
-                f"heartbeat_timeout_s must be positive, got {heartbeat_timeout_s}"
-            )
-        if send_timeout_s <= 0:
-            raise ExecutionError(
-                f"send_timeout_s must be positive, got {send_timeout_s}"
-            )
-        if dataplane not in DATAPLANE_NAMES:
-            raise ExecutionError(
-                f"unknown dataplane {dataplane!r}; "
-                f"expected one of {DATAPLANE_NAMES}"
-            )
-        if ring_bytes < 4096:
-            raise ExecutionError(f"ring_bytes must be >= 4096, got {ring_bytes}")
-        validate_vectorized(vectorized)
-        if string_dict not in STRING_DICT_MODES:
-            raise ExecutionError(
-                f"unknown string_dict {string_dict!r}; "
-                f"expected one of {STRING_DICT_MODES}"
-            )
-        self.n_workers = n_workers
-        self.ordered = ordered
-        self.inbox_batches = inbox_batches
-        self.timeout_s = timeout_s
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.send_timeout_s = send_timeout_s
-        self.dataplane = dataplane
-        self.ring_bytes = ring_bytes
-        self.vectorized = vectorized
-        self.string_dict = string_dict
-        self.batching = batching
-        self.overload = overload
-        self.send_retry = (
-            send_retry
-            if send_retry is not None
-            else SendRetryPolicy(deadline_s=send_timeout_s)
-        )
+    def __init__(self, **options: Any) -> None:
+        super().__init__(**options)
         #: The last searched ``(spec, placement)``, for :meth:`_place`.
         self._placed: "tuple[RuntimeSpec, Placement] | None" = None
+
+    @property
+    def dataplane(self) -> str:
+        return self.config.dataplane
 
     # ------------------------------------------------------------------
     # Parent side
@@ -327,8 +202,8 @@ class ProcessPoolBackend(ExecutorBackend):
         """The pool's width: ``n_workers`` as constructed — forked in
         full even when the plan or the search fills fewer — else one
         worker per plan socket, else up to four of the host's cores."""
-        if self.n_workers is not None:
-            return self.n_workers
+        if self.config.n_workers is not None:
+            return self.config.n_workers
         if spec.placed:
             return len(spec.socket_groups())
         return min(4, os.cpu_count() or 1)
@@ -355,7 +230,7 @@ class ProcessPoolBackend(ExecutorBackend):
 
         # Calibrating on kernels the workers will not run would misprice
         # every task: an armed injector makes them tick per tuple.
-        vectorized = "off" if injector is not None else self.vectorized
+        vectorized = "off" if injector is not None else self.config.vectorized
         placement = place(spec, self._n_workers(spec), max_events, vectorized)
         self._placed = (spec, placement)
         return placement
@@ -408,7 +283,8 @@ class ProcessPoolBackend(ExecutorBackend):
         resume: "EpochCheckpoint | None" = None,
         on_epoch: "OnEpoch | None" = None,
     ) -> RunResult:
-        require_vectorized(self.vectorized)
+        config = self.config
+        require_vectorized(config.vectorized)
         registry = registry if registry is not None else NULL_REGISTRY
         driver = EpochDriver(
             spec,
@@ -417,8 +293,8 @@ class ProcessPoolBackend(ExecutorBackend):
             epochs=epochs,
             resume=resume,
             on_epoch=on_epoch,
-            batching=self.batching,
-            overload=self.overload,
+            batching=config.adaptive_batch,
+            overload=config.overload,
         )
         searched = self._place(spec, max_events, injector, resume)
         run = _PoolRun(self, spec, max_events, registry, injector, driver, searched)
@@ -491,7 +367,7 @@ class _PoolRun:
         # so a blocked send or a parked worker gives up when the *run* is
         # out of budget (CLOCK_MONOTONIC is comparable across processes
         # on every platform we fork on).
-        self.deadline = monotonic() + backend.timeout_s
+        self.deadline = monotonic() + backend.config.timeout_s
         self.workers: list = []
         #: Latest report per worker of the live pool.
         self.reports: dict[int, dict] = {}
@@ -508,6 +384,7 @@ class _PoolRun:
         before the first commit), if any, and parks for its first
         directive."""
         backend, spec = self.backend, self.spec
+        config = backend.config
         self.placement = backend._assign(spec, self.searched)
         # The pool is n_workers wide even if the search left one empty.
         n_workers, owner = self.placement.n_workers, self.placement.owner
@@ -518,13 +395,13 @@ class _PoolRun:
         # guarantees no shared-memory segment survives the run, even
         # when workers crashed or the watchdog fired mid-flight.
         self.plane = create_dataplane(
-            backend.dataplane,
+            config.dataplane,
             ctx,
             n_workers,
-            backend.inbox_batches,
-            ring_bytes=backend.ring_bytes,
+            config.inbox_batches,
+            ring_bytes=config.ring_bytes,
             edge_schemas=spec.edge_schemas,
-            string_dict=backend.string_dict,
+            string_dict=config.string_dict,
         )
         self.results: Any = ctx.Queue()
         # Shared liveness state: heartbeat timestamps (monotonic seconds,
@@ -544,14 +421,15 @@ class _PoolRun:
                 args=(worker_id, spec, owner, self.max_events),
                 kwargs=dict(
                     channel=self.plane.endpoint(worker_id),
-                    ordered=backend.ordered,
+                    ordered=config.ordered,
                     heartbeats=self.heartbeats,
                     status=self.status,
-                    heartbeat_timeout_s=backend.heartbeat_timeout_s,
+                    heartbeat_timeout_s=config.heartbeat_timeout_s,
+                    send_timeout_s=config.send_timeout_s,
                     schedule=injector.schedule if injector else (),
                     attempt=injector.attempt if injector else 0,
-                    vectorized=backend.vectorized,
-                    send_retry=backend.send_retry,
+                    vectorized=config.vectorized,
+                    send_retry=config.send_retry,
                     run_deadline=self.deadline,
                     checkpoint=self.driver.checkpoint,
                     edge_stats=self.edge_stats,
@@ -645,7 +523,7 @@ class _PoolRun:
         Raises a typed :class:`ExecutionError` subclass on any worker
         failure, stall or timeout — this method never blocks unboundedly.
         """
-        backend = self.backend
+        config = self.backend.config
         workers = self.workers
         pending = set(range(len(workers)))
 
@@ -698,20 +576,20 @@ class _PoolRun:
             stale = [
                 w
                 for w in sorted(pending)
-                if now - self.heartbeats[w] > backend.heartbeat_timeout_s
+                if now - self.heartbeats[w] > config.heartbeat_timeout_s
             ]
             if stale:
                 ages = {w: round(now - self.heartbeats[w], 2) for w in stale}
                 raise StallError(
                     f"worker(s) {stale} stopped heartbeating "
                     f"(last heartbeat {ages} s ago, "
-                    f"watchdog {backend.heartbeat_timeout_s}s)",
+                    f"watchdog {config.heartbeat_timeout_s}s)",
                     failed_workers=tuple(stale),
                     failed_sockets=sockets_of(stale),
                 )
             if now > self.deadline:
                 raise StallError(
-                    f"process backend timed out after {backend.timeout_s}s "
+                    f"process backend timed out after {config.timeout_s}s "
                     f"waiting for worker results (workers {sorted(pending)} "
                     "still running)",
                     failed_workers=tuple(sorted(pending)),

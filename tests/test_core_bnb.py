@@ -190,29 +190,14 @@ class TestIncrementalParity:
         assert "rlas.model.full_evals" in names
 
 
-class TestParallelSearch:
-    def test_workers_match_sequential_throughput(self, model, topology):
-        graph = ExecutionGraph(topology, {n: 2 for n in topology.components})
-        sequential = PlacementOptimizer(model, 1e7).optimize(graph)
-        parallel = PlacementOptimizer(model, 1e7, workers=3).optimize(graph)
-        assert parallel.plan is not None
-        assert parallel.throughput == sequential.throughput
-        assert parallel.stats.workers == 3
-
-    def test_single_worker_is_default_and_deterministic(self, model, topology):
+class TestDeterministicTieBreak:
+    def test_repeated_searches_are_identical(self, model, topology):
         graph = ExecutionGraph(topology, {n: 2 for n in topology.components})
         first = PlacementOptimizer(model, 1e7).optimize(graph)
         second = PlacementOptimizer(model, 1e7).optimize(graph)
         assert first.plan.placement == second.plan.placement
         assert _counter_tuple(first.stats) == _counter_tuple(second.stats)
-        assert first.stats.workers == 1
 
-    def test_invalid_workers_rejected(self, model):
-        with pytest.raises(PlanError):
-            PlacementOptimizer(model, 1e6, workers=0)
-
-
-class TestDeterministicTieBreak:
     def test_symmetric_machine_uses_lowest_socket(self, model, topology):
         """All sockets look identical to the first task: candidate
         deduplication plus the (rate, collocation, remaining-cpu,

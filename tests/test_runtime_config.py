@@ -1,0 +1,407 @@
+"""One ``RunConfig``: a run's options are declared, checked and reported
+in one place, whichever door they come through.
+
+The doors are :class:`LocalEngine`, ``LocalEngine.from_plan``,
+:func:`resolve_backend`, the two backend constructors and ``repro run``.
+These tests keep it one place: a door that re-declares an option, a rule
+that one door forgets, a CLI flag that never reaches the engine or an
+option that is silently dropped each fail here.
+"""
+
+import inspect
+import json
+import re
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+
+from repro.apps import load_application
+from repro.cli import _run_config, build_parser, main
+from repro.core.plan import collocated_plan
+from repro.dsps.engine import LocalEngine
+from repro.dsps.graph import ExecutionGraph
+from repro.errors import ExecutionError, PlanError
+from repro.hardware import server_a, server_b
+from repro.metrics import load_report
+from repro.runtime import (
+    AdaptiveBatchConfig,
+    DegradeContext,
+    FaultPlan,
+    FusionConfig,
+    InlineBackend,
+    OverloadConfig,
+    ProcessPoolBackend,
+    SendRetryPolicy,
+    resolve_backend,
+)
+from repro.runtime.config import RunConfig
+
+FIELDS = [f.name for f in fields(RunConfig)]
+
+
+@pytest.fixture(scope="module")
+def wc():
+    topology, profiles = load_application("wc")
+    graph = ExecutionGraph(topology, {n: 1 for n in topology.components}, group_size=1)
+    return topology, profiles, collocated_plan(graph)
+
+
+@pytest.fixture(scope="module")
+def doors(wc):
+    """Every door as "build it from these options and run nothing": a
+    rule may fire when the door is built or when its run starts, and
+    reads the same either way."""
+    topology, _, plan = wc
+    spec = LocalEngine(topology).spec
+    return {
+        "LocalEngine": lambda **o: LocalEngine(topology, **o).run(0),
+        "from_plan": lambda **o: LocalEngine.from_plan(plan, **o).run(0),
+        "resolve_backend": lambda backend="process", **o: resolve_backend(
+            backend, **o
+        ).execute(spec, 0),
+        "InlineBackend": lambda **o: InlineBackend(**o).execute(spec, 0),
+        "ProcessPoolBackend": lambda **o: ProcessPoolBackend(**o).execute(spec, 0),
+    }
+
+
+EVERY = (
+    "LocalEngine",
+    "from_plan",
+    "resolve_backend",
+    "InlineBackend",
+    "ProcessPoolBackend",
+)
+BY_NAME = EVERY[:3]  # doors that take a backend by name
+ENGINE = EVERY[:2]  # doors that supervise and reconfigure
+
+
+class TestDoorsDeclareNothingTwice:
+    #: The only fields a door may name itself: its subject (a backend
+    #: name *or instance*) and the engine's positional ``batch_size``.
+    DOORS = {
+        LocalEngine.__init__: {"backend", "batch_size"},
+        LocalEngine.from_plan: {"backend"},
+        resolve_backend: {"backend"},
+        InlineBackend.__init__: set(),
+        ProcessPoolBackend.__init__: set(),
+    }
+
+    @pytest.mark.parametrize("door", DOORS, ids=lambda door: door.__qualname__)
+    def test_signature_names_no_field(self, door):
+        parameters = inspect.signature(door).parameters
+        assert set(parameters) & set(FIELDS) <= self.DOORS[door]
+        assert any(
+            p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
+        ), "run options arrive as **options"
+
+    @pytest.mark.parametrize("spelled", ["its default", "None"])
+    @pytest.mark.parametrize("door", EVERY)
+    def test_accepts_every_field(self, door, spelled, doors):
+        defaults = RunConfig()
+        options = {
+            name: getattr(defaults, name) if spelled == "its default" else None
+            for name in FIELDS
+        }
+        options["backend"] = "inline"
+        if door not in BY_NAME:
+            del options["backend"]
+        doors[door](**options)
+
+    def test_there_are_no_more_options_than_before(self):
+        assert len(FIELDS) <= 23
+
+
+#: (bad options, exception, message, the doors the option exists at).
+# fmt: off
+RULES = [
+    ({"dataplane": "rdma"}, ExecutionError, "unknown dataplane 'rdma'", EVERY),
+    ({"vectorized": "turbo"}, ExecutionError, "unknown vectorized mode 'turbo'", EVERY),
+    ({"string_dict": "zstd"}, ExecutionError, "unknown string_dict 'zstd'", EVERY),
+    ({"backend": "threads"}, ExecutionError, "unknown backend 'threads'", BY_NAME),
+    ({"fuse": "sometimes"}, PlanError, "unknown fuse mode 'sometimes'", EVERY),
+    ({"n_workers": 0}, ExecutionError, "n_workers must be >= 1, got 0", EVERY),
+    ({"batch_size": 0}, ExecutionError, "batch_size must be >= 1, got 0", EVERY),
+    ({"queue_capacity": 0}, ExecutionError, "queue_capacity must be positive, got 0", EVERY),
+    ({"queue_budget": -64}, ExecutionError, "queue_budget must be positive, got -64", EVERY),
+    ({"inbox_batches": 0}, ExecutionError, "inbox_batches must be >= 1, got 0", EVERY),
+    ({"ring_bytes": 4095}, ExecutionError, "ring_bytes must be >= 4096, got 4095", EVERY),
+    ({"timeout_s": 0}, ExecutionError, "timeout_s must be positive, got 0", EVERY),
+    ({"heartbeat_timeout_s": -1.0}, ExecutionError, "heartbeat_timeout_s must be positive, got -1.0", EVERY),
+    ({"send_timeout_s": 0.0}, ExecutionError, "send_timeout_s must be positive, got 0.0", EVERY),
+    ({"epoch_interval": 0}, ExecutionError, "epoch interval must be >= 1, got 0", ENGINE),
+    ({"recovery_policy": "degrade"}, ExecutionError, "policy 'degrade' needs a DegradeContext", ENGINE),
+    ({"recovery_policy": "reboot"}, ExecutionError, "unknown recovery policy 'reboot'", ENGINE),
+    ({"adaptive_batch": True}, ExecutionError, "adaptive batch sizing adjusts at epoch barriers: pass epoch_interval", EVERY),
+    ({"batching": AdaptiveBatchConfig()}, ExecutionError, "adaptive batch sizing adjusts at epoch barriers: pass epoch_interval", EVERY),
+    ({"overload": {"shed_mode": "random"}}, ExecutionError, "overload control steps at epoch barriers: pass epoch_interval", EVERY),
+    ({"reconfig": object()}, ExecutionError, "live reconfiguration requires epoch barriers: pass epoch_interval", ENGINE),
+    ({"bogus": 1}, TypeError, "unexpected keyword argument 'bogus'", EVERY),
+    ({"batching": AdaptiveBatchConfig(), "adaptive_batch": True}, TypeError, "are one option", EVERY),
+]
+# fmt: on
+
+
+class TestEveryRuleThroughEveryDoor:
+    @pytest.mark.parametrize(
+        "options,error,message,through",
+        RULES,
+        ids=lambda value: "+".join(value) if isinstance(value, dict) else None,
+    )
+    def test_same_error_from_each(self, options, error, message, through, doors):
+        for door in through:
+            with pytest.raises(error, match=re.escape(message)) as caught:
+                doors[door](**options)
+            assert type(caught.value) is error, door
+
+    def test_engine_options_lie_over_an_instance(self, wc):
+        topology, _, _ = wc
+        backend = ProcessPoolBackend(n_workers=2, dataplane="shm")
+        engine = LocalEngine(
+            topology, backend=backend, queue_budget=512, epoch_interval=100
+        )
+        assert engine.backend is backend
+        config = engine.config
+        assert (config.backend, config.n_workers) == ("process", 2)
+        assert config.dataplane == "shm"
+        assert (config.queue_budget, config.epoch_interval) == (512, 100)
+        assert backend.config.epoch_interval is None  # the instance stays as built
+
+    @pytest.mark.parametrize(
+        "option",
+        ["inbox_batches", "ring_bytes", "timeout_s", "heartbeat_timeout_s", "send_timeout_s"],
+    )  # fmt: skip
+    def test_instance_rejects_every_executor_option(self, option, wc):
+        topology, _, _ = wc
+        with pytest.raises(ExecutionError, match=f"^{option}= configures"):
+            LocalEngine(topology, backend=ProcessPoolBackend(), **{option: 8192})
+
+
+class TestNormalizedOnce:
+    def test_spellings_read_back_as_configs(self):
+        config = RunConfig.of(
+            fuse="auto",
+            adaptive_batch=True,
+            overload={"shed_mode": "random"},
+            epoch_interval=10,
+        )
+        assert config.fuse == FusionConfig(mode="auto")
+        assert config.adaptive_batch == AdaptiveBatchConfig()
+        assert config.overload == OverloadConfig(shed_mode="random")
+        assert RunConfig.of(**dict.fromkeys(FIELDS)) == RunConfig()  # None: default
+        off = RunConfig.of(adaptive_batch=False, overload=False, fuse=None)
+        assert (off.adaptive_batch, off.overload, off.fuse.mode) == (None, None, "off")
+        respelled = RunConfig.of(batching=AdaptiveBatchConfig(min_batch=4))
+        assert respelled.adaptive_batch.min_batch == 4
+
+    def test_to_dict_is_json_and_repeats(self, wc):
+        _, profiles, _ = wc
+
+        def build():
+            return RunConfig.of(
+                backend="process",
+                fuse=FusionConfig(mode="auto", profiles=profiles, machine=server_a(2)),
+                adaptive_batch=True,
+                overload=OverloadConfig(max_lag_ms=50.0, shed_mode="random"),
+                send_retry=SendRetryPolicy(),
+                fault_plan=FaultPlan.from_cli("seed=7,kinds=crash|stall,n=2,at=100"),
+                recovery_policy="degrade",
+                degrade=DegradeContext(profiles=profiles, machine=server_a(2)),
+                epoch_interval=100,
+            ).to_dict()
+
+        first = build()
+        assert list(first) == FIELDS
+        assert json.loads(json.dumps(first)) == json.loads(json.dumps(build()))
+        assert " at 0x" not in json.dumps(first)
+        assert first["overload"]["max_lag_ms"] == 50.0
+        assert first["fault_plan"]["kinds"] == ["crash", "stall"]
+        assert first["fuse"]["mode"] == "auto"
+        assert first["fuse"]["profiles"] == "ProfileSet"
+        assert first["degrade"]["machine"] == "MachineSpec"
+
+
+# ---------------------------------------------------------------------------
+# repro run: flag <-> field
+# ---------------------------------------------------------------------------
+#: flag -> (argv that sets it, argv of the run it is compared with, the
+#: fields it must change — and no other).
+# fmt: off
+FLAG_FIELDS = {
+    "--batch-size": (["--batch-size", "32"], [], {"batch_size": 32}),
+    "--backend": (["--backend", "process"], [], {"backend": "process"}),
+    "--workers": (["--workers", "3"], [], {"n_workers": 3}),
+    "--dataplane": (["--dataplane", "shm"], [], {"dataplane": "shm"}),
+    "--vectorized": (["--vectorized", "off"], [], {"vectorized": "off"}),
+    "--string-dict": (["--string-dict", "on"], [], {"string_dict": "on"}),
+    "--fuse": (["--fuse", "off"], [], {"fuse": lambda fuse: fuse.mode == "off"}),
+    "--adaptive-batch": (["--adaptive-batch"], [], {"adaptive_batch": AdaptiveBatchConfig()}),
+    "--queue-capacity": (["--queue-capacity", "128"], [], {"queue_capacity": 128}),
+    "--epoch-interval": (["--epoch-interval", "250"], [], {"epoch_interval": 250}),
+    "--max-lag-ms": (["--max-lag-ms", "40"], [], {"overload": OverloadConfig(max_lag_ms=40.0)}),
+    "--shed": (["--shed", "semantic"], [], {"overload": OverloadConfig(shed_mode="semantic")}),
+    "--shed-rate": (
+        ["--shed", "random", "--shed-rate", "0.25"],
+        ["--shed", "random"],
+        {"overload": OverloadConfig(shed_mode="random", shed_rate=0.25)},
+    ),
+    "--shed-seed": (
+        ["--shed", "random", "--shed-seed", "9"],
+        ["--shed", "random"],
+        {"overload": OverloadConfig(shed_mode="random", shed_seed=9)},
+    ),
+    "--inject-faults": (
+        ["--inject-faults", "seed=7,kinds=crash,n=1,at=150"],
+        [],
+        {"fault_plan": FaultPlan(seed=7, kinds=("crash",), n_faults=1, at_tuple=150)},
+    ),
+    "--recovery-policy": (["--recovery-policy", "retry"], [], {"recovery_policy": "retry"}),
+    "--max-restarts": (["--max-restarts", "7"], [], {"max_restarts": 7}),
+    "--watchdog-timeout": (["--watchdog-timeout", "5"], [], {"heartbeat_timeout_s": 5.0}),
+    "--server": (["--server", "B"], [], {"fuse": lambda fuse: fuse.machine == server_b(4)}),
+    "--sockets": (["--sockets", "2"], [], {"fuse": lambda fuse: fuse.machine == server_a(2)}),
+}
+# fmt: on
+
+#: Flags that say *what* to run or where to report it, not how.
+NOT_OPTIONS = {
+    "--help", "--events", "--adapt", "--replace-threshold", "--reoptimize-threshold",
+    "--rate", "--shift-at", "--shift-words", "--emit-metrics",
+}  # fmt: skip
+
+
+class TestFlagToField:
+    @staticmethod
+    def config(argv, profiles):
+        args = build_parser().parse_args(["run", "wc", *argv])
+        return RunConfig.of(**_run_config(args, profiles))
+
+    def test_every_run_flag_is_accounted_for(self):
+        subcommands = next(
+            a for a in build_parser()._actions if a.dest == "command"
+        )
+        flags = {
+            action.option_strings[-1]
+            for action in subcommands.choices["run"]._actions
+            if action.option_strings
+        }
+        assert flags == set(FLAG_FIELDS) | NOT_OPTIONS
+
+    @pytest.mark.parametrize("flag", FLAG_FIELDS)
+    def test_flag_changes_its_fields_and_nothing_else(self, flag, wc):
+        _, profiles, _ = wc
+        argv, beside, expected = FLAG_FIELDS[flag]
+        before, after = self.config(beside, profiles), self.config(argv, profiles)
+        changed = {
+            name for name in FIELDS if getattr(before, name) != getattr(after, name)
+        }
+        assert changed == set(expected)
+        for name, value in expected.items():
+            got = getattr(after, name)
+            assert value(got) if callable(value) else got == value
+
+    def test_degrade_gets_its_context(self, wc):
+        _, profiles, _ = wc
+        config = self.config(
+            ["--recovery-policy", "degrade", "--sockets", "2"], profiles
+        )
+        assert config.degrade == DegradeContext(profiles=profiles, machine=server_a(2))
+
+    def test_defaults_are_the_configs_own(self, wc):
+        _, profiles, _ = wc
+        flags = self.config([], profiles)
+        own = RunConfig(fuse=flags.fuse)  # the CLI fuses (auto) by default
+        assert flags == own
+
+
+# ---------------------------------------------------------------------------
+# Bugfixes
+# ---------------------------------------------------------------------------
+class TestOptionsThatUsedToDoNothing:
+    SILENT = [
+        "run", "wc", "--events", "50", "--backend", "process", "--workers", "2",
+        "--adaptive-batch",
+    ]  # fmt: skip
+
+    def test_watchdog_flag_does_not_bypass_the_barrier_rule(self, capsys):
+        for argv in (self.SILENT, [*self.SILENT, "--watchdog-timeout", "5"]):
+            assert main(argv) == 1
+            assert (
+                "adaptive batch sizing adjusts at epoch barriers"
+                in capsys.readouterr().err
+            )
+
+    def test_shed_without_barriers_reads_the_same_on_every_path(self, capsys):
+        said = set()
+        for extra in ([], ["--backend", "process", "--watchdog-timeout", "5"]):
+            argv = ["run", "wc", "--events", "50", "--shed", "random", *extra]
+            assert main(argv) == 1
+            said.add(capsys.readouterr().err)
+        assert len(said) == 1
+        assert "overload control steps at epoch barriers" in said.pop()
+
+    @pytest.mark.parametrize("backend", [InlineBackend, ProcessPoolBackend])
+    def test_batching_without_epochs_raises_at_execute(self, backend, wc):
+        topology, _, _ = wc
+        spec = LocalEngine(topology).spec
+        with pytest.raises(ExecutionError, match="adaptive batch sizing adjusts"):
+            backend(batching=AdaptiveBatchConfig()).execute(spec, 200)
+
+
+class TestReportRemembersTheConfig:
+    ARGV = [
+        "run", "wc", "--events", "300", "--epoch-interval", "100", "--max-lag-ms", "50",
+        "--shed", "random", "--workers", "2", "--queue-capacity", "256",
+        "--recovery-policy", "retry", "--max-restarts", "2", "--watchdog-timeout", "7",
+        "--inject-faults", "seed=7,kinds=crash,n=1,at=150",
+    ]  # fmt: skip
+
+    def test_failed_and_finished_reports_carry_the_same_config(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        finished, failed = tmp_path / "ok.json", tmp_path / "failed.json"
+        assert main([*self.ARGV, "--emit-metrics", str(finished)]) == 0
+
+        def crash(self, max_events):
+            raise ExecutionError("boom")
+
+        monkeypatch.setattr(LocalEngine, "run", crash)
+        assert main([*self.ARGV, "--emit-metrics", str(failed)]) == 1
+        capsys.readouterr()
+        ok, bad = load_report(finished).meta, load_report(failed).meta
+        assert bad.pop("failed") is True and bad.pop("error") == "ExecutionError"
+        assert bad == ok
+        assert (ok["app"], ok["epoch_interval"], ok["max_lag_ms"], ok["shed"]) == (
+            "wc", 100, 50.0, "random",
+        )  # fmt: skip
+        config = ok["config"]
+        assert list(config) == sorted(FIELDS)  # reports sort their keys
+        assert config["epoch_interval"] == 100
+        assert (config["n_workers"], config["queue_capacity"]) == (2, 256)
+        assert (config["recovery_policy"], config["max_restarts"]) == ("retry", 2)
+        assert config["heartbeat_timeout_s"] == 7.0
+        assert config["fault_plan"]["at_tuple"] == 150
+        assert config["overload"]["shed_mode"] == "random"
+
+    def test_a_run_that_never_got_an_engine_says_so(self, tmp_path, capsys):
+        target = tmp_path / "m.json"
+        argv = ["run", "wc", "--adaptive-batch", "--emit-metrics", str(target)]
+        assert main(argv) == 1
+        capsys.readouterr()
+        meta = load_report(target).meta
+        assert meta["failed"] is True and meta["config"] is None
+        assert meta["adaptive_batch"] is True
+
+
+# ---------------------------------------------------------------------------
+# Docs: one options table
+# ---------------------------------------------------------------------------
+def test_docs_options_table_lists_exactly_the_fields():
+    page = Path(__file__).resolve().parent.parent / "docs" / "runtime.md"
+    section = page.read_text().split("## Run options", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        line.split("|")[1].strip().strip("`")
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+    assert rows == FIELDS
