@@ -143,27 +143,6 @@ def bundle(app: str):
     return load_application(app)
 
 
-def pinned_plan(topology, replication=None, sockets=None, workers: int = 2):
-    """A plan that pins the process backend's task→worker map (one
-    worker per socket).  Without ``sockets`` (task id → socket) they
-    alternate along the topological task order, so every stream between
-    consecutive stages crosses a worker: the transport-heavy map the
-    backend dealt out before it placed tasks itself (ISSUE 18), which
-    the transport, kernel and fusion bake-offs were tuned on and keep
-    measuring."""
-    if replication is None:
-        replication = {
-            name: spec.parallelism_hint for name, spec in topology.components.items()
-        }
-    graph = ExecutionGraph(topology, replication, group_size=1)
-    if sockets is None:
-        sockets = {
-            task.task_id: position % workers
-            for position, task in enumerate(graph.topological_task_order())
-        }
-    return ExecutionPlan(graph, sockets)
-
-
 @lru_cache(maxsize=None)
 def machine(server: str = "A", sockets: int = 8) -> MachineSpec:
     factory = {"A": server_a, "B": server_b}[server]

@@ -24,7 +24,6 @@ from repro.errors import ExecutionError
 from repro.hardware import server_a, server_b
 from repro.metrics import MetricsRegistry, build_report, format_table, write_report
 from repro.runtime import (
-    DATAPLANE_NAMES,
     FUSE_MODES,
     RECOVERY_POLICIES,
     SHED_MODES,
@@ -137,7 +136,6 @@ def _run_config(args: argparse.Namespace, profiles) -> dict:
         backend=args.backend,
         vectorized=args.vectorized,
         n_workers=args.workers,
-        dataplane=args.dataplane,
         string_dict=args.string_dict,
         heartbeat_timeout_s=args.watchdog_timeout,
         epoch_interval=args.epoch_interval,
@@ -171,7 +169,6 @@ _META_FLAGS = (
     "events",
     "batch_size",
     "backend",
-    "dataplane",
     "vectorized",
     "string_dict",
     "fuse",
@@ -513,23 +510,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for --backend process",
     )
     run.add_argument(
-        "--dataplane",
-        choices=DATAPLANE_NAMES,
-        default="pickle",
-        help=(
-            "remote-batch transport for --backend process: pickle "
-            "(control-queue payloads) or shm (shared-memory rings + "
-            "binary codec; see docs/dataplane.md)"
-        ),
-    )
-    run.add_argument(
         "--vectorized",
         choices=VECTORIZED_MODES,
         default="auto",
         help=(
             "columnar kernel dispatch: auto (use numpy kernels when "
-            "operator and schema qualify), on (require numpy) or off "
-            "(scalar dispatch only; see docs/vectorized.md)"
+            "operator and schema qualify) or off (scalar dispatch only; "
+            "see docs/vectorized.md)"
         ),
     )
     run.add_argument(
@@ -539,9 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "adaptive string-dictionary encoding on the shm data plane: "
             "auto (per-edge columns promote to int32 codes once observed "
-            "repetition warrants it), on (promote every string column "
-            "immediately) or off (raw strings on the wire; see "
-            "docs/dataplane.md)"
+            "repetition warrants it) or off (raw strings on the wire; "
+            "see docs/dataplane.md)"
         ),
     )
     run.add_argument(
@@ -550,9 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=(
             "runtime operator-chain fusion: auto (fuse profitable "
-            "same-socket 1:1 edges), on (require fusion; fail if an "
-            "eligible edge crosses sockets) or off (run the spec as "
-            "lowered; see docs/fusion.md)"
+            "same-socket 1:1 edges) or off (run the spec as lowered; "
+            "see docs/fusion.md)"
         ),
     )
     run.add_argument(

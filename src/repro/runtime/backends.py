@@ -40,7 +40,7 @@ from repro.errors import (
 )
 from repro.metrics.registry import NULL_REGISTRY, MetricsRegistry
 from repro.runtime.config import RunConfig, reject_executor_options
-from repro.runtime.dataplane.columns import ColumnBatch, columns_available
+from repro.runtime.dataplane.columns import ColumnBatch
 from repro.runtime.epochs import (
     BarrierState,
     EpochCheckpoint,
@@ -122,15 +122,6 @@ class ExecutorBackend(ABC):
         with barriers enabled the raised :class:`ExecutionError` carries
         the last committed checkpoint as ``last_checkpoint``.
         """
-
-
-def require_vectorized(vectorized: str) -> None:
-    """Enforce mode ``on``: columnar kernels must actually be runnable."""
-    if vectorized == "on" and not columns_available():
-        raise ExecutionError(
-            "vectorized mode 'on' requires numpy, which is not importable; "
-            "use 'auto' to fall through to scalar execution"
-        )
 
 
 def resolve_backend(
@@ -225,7 +216,6 @@ class InlineBackend(ExecutorBackend):
         on_epoch: "OnEpoch | None" = None,
     ) -> RunResult:
         config = self.config
-        require_vectorized(config.vectorized)
         registry = registry if registry is not None else NULL_REGISTRY
         return _InlineRun(
             spec,

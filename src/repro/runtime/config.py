@@ -18,7 +18,6 @@ Sub-configs validate themselves where they are built
 (:class:`~repro.runtime.fusion.FusionConfig`,
 :class:`~repro.runtime.overload.OverloadConfig`,
 :class:`~repro.runtime.batching.AdaptiveBatchConfig`,
-:class:`~repro.runtime.overload.SendRetryPolicy`,
 :class:`~repro.runtime.epochs.EpochConfig`, the
 :class:`~repro.runtime.supervisor.Supervisor`'s policy rules); the one
 cross-option rule — what acts only at an epoch barrier needs barriers —
@@ -35,12 +34,11 @@ from repro.errors import ExecutionError
 from repro.runtime.batching import AdaptiveBatchConfig
 from repro.runtime.dataplane import (
     DATAPLANE_NAMES,
-    DEFAULT_RING_BYTES,
     STRING_DICT_MODES,
     VECTORIZED_MODES,
 )
 from repro.runtime.fusion import FusionConfig, as_fusion_config
-from repro.runtime.overload import OverloadConfig, SendRetryPolicy
+from repro.runtime.overload import OverloadConfig
 
 if TYPE_CHECKING:
     from repro.runtime.faults import FaultPlan
@@ -56,12 +54,8 @@ _EXECUTOR_OPTIONS = frozenset(
         "ordered",
         "dataplane",
         "string_dict",
-        "inbox_batches",
-        "ring_bytes",
         "timeout_s",
         "heartbeat_timeout_s",
-        "send_timeout_s",
-        "send_retry",
         "adaptive_batch",
         "overload",
     }
@@ -115,7 +109,7 @@ class RunConfig:
     #: consumer's input edges; ``queue_capacity`` overrides it.
     queue_budget: int | None = None
     #: Runtime operator-chain fusion (docs/fusion.md): a mode name
-    #: (``"auto"``/``"on"``/``"off"``) or a
+    #: (``"auto"``/``"off"``) or a
     #: :class:`~repro.runtime.fusion.FusionConfig`; reads back as the
     #: config.  Off by default.  Fused chains live on the *spec*.
     fuse: "FusionConfig | str" = as_fusion_config(None)
@@ -125,9 +119,8 @@ class RunConfig:
     #: ``"process"``, or a custom backend's own ``name``).
     backend: str = "inline"
     #: Columnar kernel dispatch (docs/vectorized.md): ``"auto"`` (use a
-    #: vectorized kernel when numpy, operator and schema allow, falling
-    #: through per batch otherwise), ``"on"`` (fail without numpy) or
-    #: ``"off"`` (scalar dispatch only).
+    #: vectorized kernel when operator and schema allow, falling through
+    #: per batch otherwise) or ``"off"`` (scalar dispatch only).
     vectorized: str = "auto"
     #: Worker processes of the process backend — forked in full even
     #: when the plan or the placement search fills fewer.  ``None``: one
@@ -140,19 +133,18 @@ class RunConfig:
     #: arrival order.
     ordered: bool = False
     #: Process backend: transport for remote batches
-    #: (docs/dataplane.md): ``"pickle"`` (pickled payloads inside the
-    #: control queues) or ``"shm"`` (binary-codec payloads written once
-    #: into per-pair shared-memory rings, descriptors over the queues).
-    dataplane: str = "pickle"
+    #: (docs/dataplane.md): ``"shm"`` (binary-codec payloads written once
+    #: into per-pair shared-memory rings, descriptors over the control
+    #: queues; a host without working POSIX shared memory gets the
+    #: pickle plane instead, and the run's placement says so) or
+    #: ``"pickle"`` (pickled payloads inside the control queues — the
+    #: reference the parity tests compare against).
+    dataplane: str = "shm"
     #: shm data plane: adaptive string-dictionary encoding: ``"auto"``
     #: (a per-edge string column promotes to dictionary codes once
-    #: observed repetition warrants it), ``"on"`` (every string column
-    #: promotes immediately) or ``"off"`` (raw strings on the wire).
+    #: observed repetition warrants it) or ``"off"`` (raw strings on the
+    #: wire).
     string_dict: str = "auto"
-    #: Process backend: bound, in jumbo batches, of each worker's inbox.
-    inbox_batches: int = 64
-    #: shm data plane: capacity of each per-worker-pair ring.
-    ring_bytes: int = DEFAULT_RING_BYTES
     #: Process backend: bound on the whole execution.  One deadline,
     #: armed when ``execute()`` starts and shipped to the workers once,
     #: that every epoch, barrier observer and migration relaunch draws
@@ -163,13 +155,6 @@ class RunConfig:
     #: stalled (parent side) or dead (peer side, with the status array).
     #: Workers stamp it once per scheduling loop, every few milliseconds.
     heartbeat_timeout_s: float = 10.0
-    #: Process backend: bound on one blocked remote send; past it with
-    #: the peer still alive, :class:`~repro.errors.QueueDeadlockError`.
-    send_timeout_s: float = 30.0
-    #: Process backend: blocked-send retry / backoff / circuit-breaker
-    #: policy; ``None`` is the default policy with ``send_timeout_s`` as
-    #: its deadline.
-    send_retry: SendRetryPolicy | None = None
 
     # -- barriers ------------------------------------------------------
     #: Commit a consistent operator-state checkpoint every this many
@@ -239,21 +224,11 @@ class RunConfig:
                 f"unknown string_dict {self.string_dict!r}; "
                 f"expected one of {STRING_DICT_MODES}"
             )
-        if self.inbox_batches < 1:
-            raise ExecutionError(
-                f"inbox_batches must be >= 1, got {self.inbox_batches}"
-            )
-        if self.ring_bytes < 4096:
-            raise ExecutionError(f"ring_bytes must be >= 4096, got {self.ring_bytes}")
         if self.timeout_s <= 0:
             raise ExecutionError(f"timeout_s must be positive, got {self.timeout_s}")
         if self.heartbeat_timeout_s <= 0:
             raise ExecutionError(
                 f"heartbeat_timeout_s must be positive, got {self.heartbeat_timeout_s}"
-            )
-        if self.send_timeout_s <= 0:
-            raise ExecutionError(
-                f"send_timeout_s must be positive, got {self.send_timeout_s}"
             )
 
     @classmethod

@@ -4,11 +4,12 @@ backend.
 Two coordinated halves (see docs/dataplane.md):
 
 * **Transport** (:mod:`repro.runtime.dataplane.channels`) — how sealed
-  jumbo batches cross worker processes: the historical
-  :class:`PickleQueueChannel` (pickled payloads through the bounded
-  control queue, still the default) or the :class:`ShmRingChannel`
+  jumbo batches cross worker processes: the :class:`ShmRingChannel`
   (write-once shared-memory rings per worker pair, descriptor-only
-  control messages — the paper's pass-by-reference transfer).
+  control messages — the paper's pass-by-reference transfer) or, by
+  name or on a host without POSIX shared memory, the historical
+  :class:`PickleQueueChannel` (pickled payloads through the bounded
+  control queue).
 * **Codec** (:mod:`repro.runtime.dataplane.codec`) — the compact binary
   columnar batch format the shm channel uses instead of per-batch
   pickle, with per-edge schema caching and an always-correct pickle

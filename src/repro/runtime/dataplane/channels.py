@@ -8,9 +8,11 @@ OS-pipe-backed ``mp.Queue``.  This module makes the transport pluggable:
 
 * :class:`PickleQueueChannel` — the original behavior, refactored out of
   ``process_pool.py``: batches travel as pickled payloads inside the
-  bounded control queue.  Still the default.
-* :class:`ShmRingChannel` — the pass-by-reference analogue.  One
-  fixed-size :class:`ShmRing` (a SPSC byte ring over
+  bounded control queue.  The reference the parity tests compare
+  against, and what :func:`create_dataplane` hands back on a host
+  without working POSIX shared memory.
+* :class:`ShmRingChannel` — the default, the pass-by-reference
+  analogue.  One fixed-size :class:`ShmRing` (a SPSC byte ring over
   ``multiprocessing.shared_memory``) per ordered producer→consumer
   *worker* pair.  A sealed batch is encoded once with the binary
   :class:`~repro.runtime.dataplane.codec.BatchCodec` and written once
@@ -63,14 +65,18 @@ from repro.errors import ExecutionError
 from repro.runtime.dataplane.codec import BatchCodec
 from repro.runtime.dataplane.columns import ColumnBatch
 
-#: Data-plane names accepted by ``--dataplane`` and ``create_dataplane``.
+#: Data-plane names ``RunConfig.dataplane`` and ``create_dataplane`` accept.
 DATAPLANE_NAMES = ("pickle", "shm")
 
 #: Shared-memory segment name prefix (kept short for macOS's 31-char cap).
 SHM_NAME_PREFIX = "rdp"
 
-#: Default per-pair ring capacity in bytes.
+#: Per-pair ring capacity in bytes.
 DEFAULT_RING_BYTES = 1 << 20
+
+#: Bound, in jumbo batches, of each worker's inbox (the control queue
+#: backpressure, spout throttling and the blocked-send watchdogs act on).
+DEFAULT_INBOX_BATCHES = 64
 
 #: Ring header: two u64 positions (write, read).
 _RING_HEADER_BYTES = 16
@@ -463,10 +469,10 @@ class DataPlane(ABC):
 
     name: str = "abstract"
 
-    def __init__(self, ctx: Any, n_workers: int, inbox_batches: int) -> None:
+    def __init__(self, ctx: Any, n_workers: int) -> None:
         self.n_workers = n_workers
         self.inboxes = [
-            ctx.Queue(maxsize=inbox_batches) for _ in range(n_workers)
+            ctx.Queue(maxsize=DEFAULT_INBOX_BATCHES) for _ in range(n_workers)
         ]
 
     @abstractmethod
@@ -492,13 +498,11 @@ class ShmDataPlane(DataPlane):
         self,
         ctx: Any,
         n_workers: int,
-        inbox_batches: int,
         *,
-        ring_bytes: int = DEFAULT_RING_BYTES,
         edge_schemas: Mapping[tuple[int, int], str] | None = None,
         string_dict: str = "auto",
     ) -> None:
-        super().__init__(ctx, n_workers, inbox_batches)
+        super().__init__(ctx, n_workers)
         self.edge_schemas = dict(edge_schemas or {})
         self.string_dict = string_dict
         self.rings: dict[tuple[int, int], ShmRing] = {}
@@ -509,12 +513,13 @@ class ShmDataPlane(DataPlane):
                     if sender == dest:
                         continue
                     name = f"{run_tag}_{sender}_{dest}"
-                    self.rings[(sender, dest)] = ShmRing.create(name, ring_bytes)
+                    self.rings[(sender, dest)] = ShmRing.create(
+                        name, DEFAULT_RING_BYTES
+                    )
         except Exception as exc:
             self.close()
             raise ExecutionError(
-                f"cannot create shared-memory rings ({exc!r}); "
-                "use --dataplane pickle on this platform"
+                f"cannot create shared-memory rings ({exc!r})"
             ) from exc
 
     def endpoint(self, worker_id: int) -> ShmRingChannel:
@@ -538,29 +543,19 @@ def create_dataplane(
     name: str,
     ctx: Any,
     n_workers: int,
-    inbox_batches: int,
     *,
-    ring_bytes: int = DEFAULT_RING_BYTES,
     edge_schemas: Mapping[tuple[int, int], str] | None = None,
     string_dict: str = "auto",
 ) -> DataPlane:
-    """Build the parent-side data plane for one execution attempt."""
-    if name == "pickle":
-        return PickleDataPlane(ctx, n_workers, inbox_batches)
-    if name == "shm":
-        if not shm_available():
-            raise ExecutionError(
-                "dataplane 'shm' is unavailable: this platform has no "
-                "working POSIX shared memory; use --dataplane pickle"
-            )
-        return ShmDataPlane(
-            ctx,
-            n_workers,
-            inbox_batches,
-            ring_bytes=ring_bytes,
-            edge_schemas=edge_schemas,
-            string_dict=string_dict,
+    """Build the parent-side data plane for one pool: the shm plane, or
+    the pickle plane when asked for by name or when this platform has no
+    working POSIX shared memory.  The plane's ``name`` says which."""
+    if name not in DATAPLANE_NAMES:
+        raise ExecutionError(
+            f"unknown dataplane {name!r}; expected one of {DATAPLANE_NAMES}"
         )
-    raise ExecutionError(
-        f"unknown dataplane {name!r}; expected one of {DATAPLANE_NAMES}"
-    )
+    if name == "shm" and shm_available():
+        return ShmDataPlane(
+            ctx, n_workers, edge_schemas=edge_schemas, string_dict=string_dict
+        )
+    return PickleDataPlane(ctx, n_workers)

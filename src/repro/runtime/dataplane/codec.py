@@ -94,10 +94,11 @@ _MAGIC_COLUMNAR = 1
 _HEADER = struct.Struct("<IqH")  # n, source_task, stream length
 
 #: ``--string-dict`` modes.  "auto" promotes per (edge, column) once the
-#: observed repetition proves worthwhile, "on" promotes every string
-#: column at first sight, "off" never dictionary-encodes.  Decoding
-#: understands "D" payloads in every mode — the wire is self-describing.
-STRING_DICT_MODES = ("auto", "on", "off")
+#: observed repetition proves worthwhile (at first sight with
+#: ``dict_min_observed=0, dict_max_ratio=1.0``), "off" never
+#: dictionary-encodes.  Decoding understands "D" payloads in both — the
+#: wire is self-describing.
+STRING_DICT_MODES = ("auto", "off")
 
 #: Auto mode decides once per (edge, column): on the first batch that
 #: carries the running observation count past this many strings, the
@@ -132,7 +133,7 @@ class _ColumnDict:
         self.codes: dict[str, int] | None = None  # string -> code
         self.table: list[str] | None = None  # code -> string
         self.shipped = 0  # table entries already delivered in-band
-        self.observed = 0  # strings sampled while raw (auto mode)
+        self.observed = 0  # strings sampled while raw
         self.seen: set[str] | None = None  # distinct sample while raw
         self.xlate_table: list | None = None  # kernel table (identity)
         self.xlate_map = None  # <i4 array: kernel code -> edge code
@@ -203,10 +204,10 @@ class BatchCodec:
         """Promoted per-(edge, column) dictionary to encode with, or
         ``None`` to stay raw.
 
-        ``values`` is only sampled while the column is raw in ``auto``
-        mode; ``kernel_dict`` marks a column the producing kernel already
-        hands over as a :class:`DictColumn`, which promotes immediately
-        (the repetition decision was effectively made upstream).
+        ``values`` is only sampled while the column is raw;
+        ``kernel_dict`` marks a column the producing kernel already hands
+        over as a :class:`DictColumn`, which promotes immediately (the
+        repetition decision was effectively made upstream).
         """
         if self.string_dict == "off":
             return None
@@ -218,7 +219,7 @@ class BatchCodec:
             return state
         if state.status != "raw":  # demoted / rejected: raw for good
             return None
-        if self.string_dict == "on" or kernel_dict:
+        if kernel_dict:
             self._promote(state)
             return state
         state.observed += len(values)

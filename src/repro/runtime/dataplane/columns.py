@@ -53,10 +53,10 @@ DICT_TYPECODE = "D"
 BATCH_TYPECODES = FIELD_TYPECODES + DICT_TYPECODE
 
 #: Vectorized execution modes accepted by backends and the CLI:
-#: ``auto`` uses columnar kernels when available and falls through
-#: silently, ``on`` demands numpy and fails loudly when it is missing,
-#: ``off`` disables columnar dispatch entirely.
-VECTORIZED_MODES = ("auto", "on", "off")
+#: ``auto`` uses a columnar kernel where operator and schema allow and
+#: falls through per batch otherwise, ``off`` disables columnar dispatch
+#: entirely.
+VECTORIZED_MODES = ("auto", "off")
 
 #: Dtype negotiation table: wire typecode -> numpy dtype for the
 #: fixed-width columns that support zero-copy views.  Variable-length

@@ -33,9 +33,6 @@ Modes (``--fuse``):
     available (the CLI passes them), each candidate must additionally
     clear :func:`repro.core.fusion.fusion_candidates`' benefit-ratio bar
     against the RLAS cost model.
-``on``
-    Fuse every structurally eligible edge and *fail* if one crosses
-    sockets — the caller asked for fusion and the placement forbids it.
 
 :func:`refit_fusion` re-derives chains for a migrated spec so live
 replans (:mod:`repro.runtime.reconfigure`) respect fusion: a chain whose
@@ -55,7 +52,7 @@ if TYPE_CHECKING:
     from repro.core.profiles import ProfileSet, SystemProfile
 
 #: Valid ``--fuse`` modes, in documentation order.
-FUSE_MODES = ("auto", "on", "off")
+FUSE_MODES = ("auto", "off")
 
 #: Benefit-ratio bar a candidate must clear under ``auto`` when a cost
 #: model is available; matches :func:`repro.core.fusion.auto_fuse`.
@@ -166,15 +163,8 @@ def plan_fusion(spec: RuntimeSpec, config: FusionConfig) -> RuntimeSpec:
     chosen: dict[int, int] = {}  # producer task id -> consumer task id
     for producer, consumer in _eligible_pairs(spec):
         if _socket_of(producer) != _socket_of(consumer):
-            if config.mode == "on":
-                raise PlanError(
-                    f"--fuse on: fusible edge {producer.task.label} -> "
-                    f"{consumer.task.label} crosses sockets "
-                    f"{_socket_of(producer)} -> {_socket_of(consumer)}; "
-                    "co-locate the pair or use --fuse auto"
-                )
             continue
-        if config.mode == "auto" and ratios is not None:
+        if ratios is not None:
             ratio = ratios.get((producer.component, consumer.component))
             if ratio is None or ratio < config.min_benefit:
                 continue
@@ -195,15 +185,11 @@ def plan_fusion(spec: RuntimeSpec, config: FusionConfig) -> RuntimeSpec:
 def refit_fusion(spec: RuntimeSpec) -> RuntimeSpec:
     """Re-derive fused chains after a placement change (live migration).
 
-    Structural-only (no cost model mid-run), honouring the spec's
-    original mode; ``on`` demotes to ``auto`` semantics here because
-    aborting a live stream over a migration the controller itself chose
-    would be strictly worse than running the edge through a queue.
+    Structural-only: there is no cost model mid-run.
     """
     if spec.fuse_mode == "off":
         return spec
-    refit = plan_fusion(spec, FusionConfig(mode="auto"))
-    return dc_replace(refit, fuse_mode=spec.fuse_mode)
+    return plan_fusion(spec, FusionConfig(mode="auto"))
 
 
 def chain_map(spec: RuntimeSpec) -> dict[int, tuple[int, ...]]:

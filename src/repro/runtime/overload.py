@@ -49,8 +49,8 @@ reconfiguration (reconfigure.py):
   tuples the producing operator declared sheddable
   (:meth:`repro.dsps.operators.Operator.sheddable`); accuracy loss is
   accounted per edge in the run report.
-* :class:`SendRetryPolicy` / :class:`CircuitBreaker` — replace the
-  process backend's fixed ``send_timeout_s`` fail with a deadline +
+* :class:`SendRetryPolicy` / :class:`CircuitBreaker` — bound a blocked
+  process-backend send by a deadline +
   decorrelated-jitter backoff + half-open probe, so a transient peer
   stall recovers instead of killing the run (process_pool.py's
   ``_blocking_put``, both pickle and shm planes).
@@ -394,9 +394,9 @@ class Shedder:
 class SendRetryPolicy:
     """Retry/timeout/backoff policy for blocking channel sends.
 
-    Replaces the fixed ``send_timeout_s`` fail: a blocked send now
-    retries under decorrelated-jitter backoff until ``deadline_s`` (or
-    the run's global watchdog deadline, whichever is sooner).  After
+    A blocked send retries under decorrelated-jitter backoff until
+    ``deadline_s`` (or the run's global watchdog deadline, whichever is
+    sooner).  After
     ``open_after_s`` of continuous blocking the circuit *opens* and the
     sender stops hammering the peer, probing half-open once per
     ``probe_interval_s`` while it keeps heartbeating and draining its

@@ -6,8 +6,9 @@ when the spec carries a placement (one worker per socket, mirroring
 BriskStream's NUMA partitioning), otherwise where RLAS puts each task
 with the workers as its sockets (:mod:`repro.runtime.placement`: costs
 calibrated on the run's first events, crossing a process boundary as
-``Tf``) — and ships sealed jumbo batches between workers as pickled
-payloads over bounded ``mp.Queue`` inboxes.
+``Tf``) — and ships sealed jumbo batches between workers over the data
+plane (:mod:`repro.runtime.dataplane`): shared-memory rings, with
+descriptors over bounded ``mp.Queue`` inboxes.
 
 Flow control happens at three levels:
 
@@ -16,10 +17,11 @@ Flow control happens at three levels:
   append makes the producer process the consumer's backlog in place
   until the batch fits;
 * **remote edges** are physically bounded by the consumer worker's inbox
-  (``inbox_batches`` jumbo batches): a full inbox blocks the sending
-  task.  While blocked, a worker keeps draining its *own* inbox (admitting
-  over-capacity batches rather than deadlocking; such overflow is counted
-  and reported) so that mutually-sending workers always make progress;
+  (``DEFAULT_INBOX_BATCHES`` jumbo batches): a full inbox blocks the
+  sending task.  While blocked, a worker keeps draining its *own* inbox
+  (admitting over-capacity batches rather than deadlocking; such
+  overflow is counted and reported) so that mutually-sending workers
+  always make progress;
 * **spouts** additionally check every downstream channel before
   generating a chunk and pause while any is full, so ingestion is
   throttled by the slowest consumer — the live analogue of the DES's
@@ -65,7 +67,8 @@ watchdogs turn what used to be silent hangs into typed, bounded errors
 * a **blocked send** (:meth:`_Worker._blocking_put`) raises
   :class:`~repro.errors.WorkerCrashError` as soon as the parent marks the
   destination worker dead, and :class:`~repro.errors.QueueDeadlockError`
-  when the send exceeds ``send_timeout_s`` with the peer still alive;
+  when the send exceeds its :class:`~repro.runtime.overload.SendRetryPolicy`
+  deadline with the peer still alive;
 * an **idle worker** whose upstream producers' workers died raises
   :class:`~repro.errors.WorkerCrashError` instead of waiting forever for
   EOF markers that will never arrive.
@@ -101,11 +104,8 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.metrics.registry import NULL_REGISTRY, MetricsRegistry
-from repro.runtime.backends import (
-    ExecutorBackend,
-    publish_engine_metrics,
-    require_vectorized,
-)
+from repro.runtime.backends import ExecutorBackend, publish_engine_metrics
+from repro.runtime.config import RunConfig
 from repro.runtime.dataplane import (
     ChannelEndpoint,
     ColumnBatch,
@@ -190,10 +190,6 @@ class ProcessPoolBackend(ExecutorBackend):
         super().__init__(**options)
         #: The last searched ``(spec, placement)``, for :meth:`_place`.
         self._placed: "tuple[RuntimeSpec, Placement] | None" = None
-
-    @property
-    def dataplane(self) -> str:
-        return self.config.dataplane
 
     # ------------------------------------------------------------------
     # Parent side
@@ -284,7 +280,6 @@ class ProcessPoolBackend(ExecutorBackend):
         on_epoch: "OnEpoch | None" = None,
     ) -> RunResult:
         config = self.config
-        require_vectorized(config.vectorized)
         registry = registry if registry is not None else NULL_REGISTRY
         driver = EpochDriver(
             spec,
@@ -398,11 +393,10 @@ class _PoolRun:
             config.dataplane,
             ctx,
             n_workers,
-            config.inbox_batches,
-            ring_bytes=config.ring_bytes,
             edge_schemas=spec.edge_schemas,
             string_dict=config.string_dict,
         )
+        self.placement.dataplane = self.plane.name
         self.results: Any = ctx.Queue()
         # Shared liveness state: heartbeat timestamps (monotonic seconds,
         # stamped by each worker once per loop), exit-status slots the
@@ -421,15 +415,11 @@ class _PoolRun:
                 args=(worker_id, spec, owner, self.max_events),
                 kwargs=dict(
                     channel=self.plane.endpoint(worker_id),
-                    ordered=config.ordered,
+                    config=config,
                     heartbeats=self.heartbeats,
                     status=self.status,
-                    heartbeat_timeout_s=config.heartbeat_timeout_s,
-                    send_timeout_s=config.send_timeout_s,
                     schedule=injector.schedule if injector else (),
                     attempt=injector.attempt if injector else 0,
-                    vectorized=config.vectorized,
-                    send_retry=config.send_retry,
                     run_deadline=self.deadline,
                     checkpoint=self.driver.checkpoint,
                     edge_stats=self.edge_stats,
@@ -725,16 +715,13 @@ class _Worker:
         owner: Mapping[int, int],
         max_events: int,
         channel: Any,
-        ordered: bool,
+        config: RunConfig,
         *,
         heartbeats: Any = None,
         status: Any = None,
-        heartbeat_timeout_s: float = 10.0,
-        send_timeout_s: float = 30.0,
         schedule: tuple = (),
         attempt: int = 0,
-        vectorized: str = "auto",
-        send_retry: SendRetryPolicy | None = None,
+        send_policy: SendRetryPolicy | None = None,
         run_deadline: float | None = None,
         checkpoint: EpochCheckpoint | None = None,
         edge_stats: Mapping[tuple[int, int], QueueStats] | None = None,
@@ -753,22 +740,18 @@ class _Worker:
         else:
             self.channel = PickleQueueChannel(worker_id, list(channel))
         self.channel.connect()
-        self.ordered = ordered
+        self.ordered = config.ordered
         self.heartbeats = heartbeats
         self.status = status
-        self.heartbeat_timeout_s = heartbeat_timeout_s
+        self.heartbeat_timeout_s = config.heartbeat_timeout_s
         self.results = results
         self.control = control
         # Blocked-send retry/backoff state (repro.runtime.overload): one
         # circuit breaker per destination, a jitter RNG that only shapes
         # sleep timing (never data), and the run watchdog's deadline so a
         # stalled send cannot outlive ``timeout_s`` by up to the send
-        # deadline.
-        self.send_policy = (
-            send_retry
-            if send_retry is not None
-            else SendRetryPolicy(deadline_s=send_timeout_s)
-        )
+        # deadline.  (``send_policy`` is the white-box tests' seam.)
+        self.send_policy = send_policy or SendRetryPolicy()
         self.run_deadline = run_deadline
         self.breakers: dict[int, CircuitBreaker] = {}
         self.send_rng = random.Random(0x5EED ^ worker_id)
@@ -870,7 +853,7 @@ class _Worker:
             self.counters,
             self.buffers,
             self.metrics,
-            vectorized=vectorized,
+            vectorized=config.vectorized,
             transpose_sinks=True,
             tick=self._fault_tick if self.injector is not None else None,
         )

@@ -118,6 +118,10 @@ class Placement:
     #: (nothing measured).
     source: str
     cut_edges: list[tuple[int, int]]
+    #: The data plane the pool's cut edges ran over: ``shm``, or
+    #: ``pickle`` — by name, or because the host has no POSIX shm.
+    #: Empty until a pool is launched under the placement.
+    dataplane: str = ""
     #: Modelled load of each worker relative to the busiest one.
     load_share: list[float] = field(default_factory=list)
     #: Ingress the busiest worker's core admits (calibrated runs only:
@@ -153,7 +157,8 @@ class Placement:
                 ",".join(str(t) for t, w in sorted(self.owner.items()) if w == worker)
                 for worker in range(self.n_workers)
             ),
-            f"{len(self.cut_edges)} cut edges",
+            f"{len(self.cut_edges)} cut edges"
+            + (f" over {self.dataplane}" if self.dataplane else ""),
         ]
         if self.predicted_events_per_s is not None:
             parts.append(f"{self.messages_per_event:.3f} messages/event")

@@ -24,6 +24,10 @@ from repro.runtime.dataplane.codec import FIELD_TYPECODES
 
 EDGE = (0, 1)
 
+#: Auto mode with the observation window shut: every string column
+#: promotes on its first batch, low-cardinality losers included.
+FIRST_SIGHT = dict(string_dict="auto", dict_min_observed=0, dict_max_ratio=1.0)
+
 _VALUE_STRATEGIES = {
     "q": st.integers(min_value=-(2**63), max_value=2**63 - 1),
     "d": st.floats(allow_nan=False, allow_infinity=False),
@@ -240,7 +244,7 @@ class TestDictCodec:
     )
     def test_dict_path_matches_raw_path(self, word_batches):
         raw = BatchCodec({EDGE: "s"}, string_dict="off")
-        encoder = BatchCodec({EDGE: "s"}, string_dict="on")
+        encoder = BatchCodec({EDGE: "s"}, **FIRST_SIGHT)
         decoder = BatchCodec({EDGE: "s"})
         for words in word_batches:
             original = make_tuples([(word,) for word in words])
@@ -260,7 +264,7 @@ class TestDictCodec:
         # Surrogate-bearing strings cannot utf-8 encode; the dict path
         # must roll back its table additions and the batch must still
         # round-trip via the pickle fallback.
-        encoder = BatchCodec({EDGE: "s"}, string_dict="on")
+        encoder = BatchCodec({EDGE: "s"}, **FIRST_SIGHT)
         decoder = BatchCodec()
         original = make_tuples([(text,)])
         decoded = decoder.decode(encoder.encode(EDGE, original), edge=EDGE)
@@ -269,7 +273,7 @@ class TestDictCodec:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=1, max_value=20))
     def test_all_none_column_falls_back_then_recovers(self, n_rows):
-        encoder = BatchCodec({EDGE: "s"}, string_dict="on")
+        encoder = BatchCodec({EDGE: "s"}, **FIRST_SIGHT)
         decoder = BatchCodec()
         nones = make_tuples([(None,)] * n_rows)
         assert_batches_equal(
@@ -312,7 +316,7 @@ class TestDictCodec:
 
     def test_forced_dict_demotes_past_entry_cap(self):
         encoder = BatchCodec(
-            {EDGE: "s"}, string_dict="on", dict_max_entries=8
+            {EDGE: "s"}, **FIRST_SIGHT, dict_max_entries=8
         )
         decoder = BatchCodec()
         first = make_tuples([(f"w{i}",) for i in range(8)])
@@ -328,7 +332,7 @@ class TestDictCodec:
         assert encoder.fallback_batches == 0
 
     def test_repeat_batches_ship_empty_pages_and_shrink(self):
-        encoder = BatchCodec({EDGE: "s"}, string_dict="on")
+        encoder = BatchCodec({EDGE: "s"}, **FIRST_SIGHT)
         original = make_tuples([("alpha",), ("beta",)] * 8)
         first = encoder.encode(EDGE, original)
         pages = encoder.dict_pages
@@ -337,9 +341,12 @@ class TestDictCodec:
         # only the 8-byte empty page header plus codes.
         assert len(second) < len(first)
         assert encoder.dict_pages == pages
+        # ... which is what dictionaries are for: fewer bytes than the
+        # same repetitive batch with every string spelled out.
+        assert len(second) < len(BatchCodec({EDGE: "s"}).encode(EDGE, original))
 
     def test_fresh_consumer_detects_page_gap(self):
-        encoder = BatchCodec({EDGE: "s"}, string_dict="on")
+        encoder = BatchCodec({EDGE: "s"}, **FIRST_SIGHT)
         encoder.encode(EDGE, make_tuples([("alpha",)]))
         stale = encoder.encode(EDGE, make_tuples([("beta",)]))
         fresh = BatchCodec()

@@ -291,7 +291,7 @@ class TestDictColumn:
         assert list(clone.columns[0]) == self.WORDS
 
     def test_wire_round_trip_shares_code_memory(self):
-        codec = BatchCodec({EDGE: "s"}, string_dict="on")
+        codec = BatchCodec({EDGE: "s"}, string_dict="auto")
         batch = ColumnBatch.build("default", "s", [self.make()])
         batch.stamp_from(
             ColumnBatch.from_tuples(

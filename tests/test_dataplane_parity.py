@@ -1,13 +1,15 @@
 """Data-plane parity suite: pickle vs shm must be semantically invisible.
 
 Every example application is run through the inline backend (the seed
-semantics), the process backend on the default pickle plane, and the
-process backend on the shared-memory plane.  All three must agree on the
-sink multiset, events ingested and per-task tuple counts — the data plane
-may only change *how* bytes move, never *which* tuples arrive.
+semantics), the process backend on the pickle reference plane, and the
+process backend on the default shared-memory plane.  All three must
+agree on the sink multiset, events ingested and per-task tuple counts —
+the data plane may only change *how* bytes move, never *which* tuples
+arrive.
 """
 
 from collections import Counter as Multiset
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.dsps.graph import ExecutionGraph
 from repro.errors import ExecutionError
 from repro.metrics import MetricsRegistry
 from repro.runtime import ProcessPoolBackend, resolve_backend, shm_available
+from repro.runtime.dataplane import SHM_NAME_PREFIX, channels
 
 EVENTS = 300
 
@@ -68,6 +71,10 @@ def run_app(app, *, backend="inline", registry=None, alternate=False, **kwargs):
     return engine.run(EVENTS)
 
 
+def shm_segments():
+    return {p.name for p in Path("/dev/shm").glob(f"{SHM_NAME_PREFIX}*")}
+
+
 def process_backend(app, dataplane, **kwargs):
     ordered = app == "lr"
     return ProcessPoolBackend(
@@ -100,8 +107,28 @@ def assert_parity(reference, candidate):
 
 class TestDataplaneResolution:
     def test_resolve_accepts_both_planes(self):
-        assert resolve_backend("process", dataplane="pickle").dataplane == "pickle"
-        assert resolve_backend("process", dataplane="shm").dataplane == "shm"
+        for plane in ("pickle", "shm"):
+            backend = resolve_backend("process", dataplane=plane)
+            assert backend.config.dataplane == plane
+        assert resolve_backend("process").config.dataplane == "shm"
+
+    def test_default_plane_is_pickle_on_a_host_without_shm(self, monkeypatch):
+        # The transport is picked from what the code can observe: no
+        # working POSIX shm, no rings — and the run says which plane ran.
+        monkeypatch.setattr(channels, "shm_available", lambda: False)
+        before = shm_segments()
+        registry = MetricsRegistry()
+        candidate = run_app(
+            "wc", backend=ProcessPoolBackend(n_workers=2), registry=registry
+        )
+        assert_parity(run_app("wc"), candidate)
+        assert candidate.placement.dataplane == "pickle"
+        assert "over pickle" in candidate.placement.describe()
+        counters = registry.snapshot()["counters"]
+        assert counters["runtime.run.dataplane_bytes"] == counters[
+            "runtime.run.pickled_bytes"
+        ]
+        assert shm_segments() == before
 
     def test_resolve_rejects_unknown_plane(self):
         with pytest.raises(ExecutionError, match="unknown dataplane"):
@@ -140,7 +167,7 @@ class TestStringDictParity:
     """Dictionary encoding must be semantically invisible on every plane.
 
     The matrix runs each app under ``string_dict`` off and auto, on both
-    the pickle and shm planes with vectorized kernels on, and compares
+    the pickle and shm planes with vectorized kernels, and compares
     sink multisets, ingest counts and per-task tuple counts against the
     inline reference.  ``auto`` promotes WC's word edge and FD's trace
     edge mid-run, so the matrix exercises the raw->dict transition, the
@@ -158,9 +185,7 @@ class TestStringDictParity:
     def test_shm_dict_matches_inline(self, app, mode, references):
         candidate = run_app(
             app,
-            backend=process_backend(
-                app, "shm", vectorized="on", string_dict=mode
-            ),
+            backend=process_backend(app, "shm", string_dict=mode),
         )
         assert_parity(references[app], candidate)
 
@@ -169,23 +194,9 @@ class TestStringDictParity:
     def test_pickle_dict_matches_inline(self, app, mode, references):
         candidate = run_app(
             app,
-            backend=process_backend(
-                app, "pickle", vectorized="on", string_dict=mode
-            ),
+            backend=process_backend(app, "pickle", string_dict=mode),
         )
         assert_parity(references[app], candidate)
-
-    @needs_shm
-    def test_forced_dict_matches_inline(self, references):
-        # ``on`` skips the observation window: every string column is
-        # promoted on its first batch, including low-cardinality losers.
-        candidate = run_app(
-            "wc",
-            backend=process_backend(
-                "wc", "shm", vectorized="on", string_dict="on"
-            ),
-        )
-        assert_parity(references["wc"], candidate)
 
     def test_backend_rejects_unknown_mode(self):
         with pytest.raises(ExecutionError, match="unknown string_dict"):
@@ -210,17 +221,14 @@ class TestStringDictRecovery:
     def test_dict_state_resets_exactly_once_under_crash_retry(self):
         from repro.runtime import FaultPlan
 
-        backend = process_backend(
-            "wc", "shm", vectorized="on", string_dict="on"
-        )
-        reference = run_app("wc", backend=backend, alternate=True)
+        reference = run_app("wc", backend=process_backend("wc", "shm"), alternate=True)
         faulty = run_app(
             "wc",
             alternate=True,
-            backend=process_backend(
-                "wc", "shm", vectorized="on", string_dict="on"
-            ),
-            fault_plan=FaultPlan(seed=3, kinds=("crash",), at_tuple=20),
+            backend=process_backend("wc", "shm"),
+            # Splitter #1 dies 100 sentences in: ~500 words down each of
+            # its out-edges, past the 256 the dictionaries promote at.
+            fault_plan=FaultPlan(seed=3, kinds=("crash",), at_tuple=100),
             recovery_policy="retry",
         )
         assert faulty.recovery.completed is True
@@ -263,17 +271,28 @@ class TestDataplaneMetrics:
 
     @needs_shm
     def test_dict_run_publishes_dict_counters(self):
-        registry = MetricsRegistry()
+        registry, raw_registry = MetricsRegistry(), MetricsRegistry()
         result = run_app(
             "wc",
-            backend=process_backend(
-                "wc", "shm", vectorized="on", string_dict="on"
-            ),
+            backend=process_backend("wc", "shm"),
             registry=registry,
+            alternate=True,
+        )
+        run_app(
+            "wc",
+            backend=process_backend("wc", "shm", string_dict="off"),
+            registry=raw_registry,
             alternate=True,
         )
         assert result.sink_received() == EVENTS * 10
         counters = registry.snapshot()["counters"]
+        # Auto rejects the all-distinct sentence column (pages for it
+        # would inflate the wire) and still cuts the plane's total.
+        raw_counters = raw_registry.snapshot()["counters"]
+        assert (
+            counters["runtime.run.dataplane_bytes"]
+            < raw_counters["runtime.run.dataplane_bytes"]
+        )
         assert counters["runtime.dataplane.dict.promotions"] >= 1
         assert counters["runtime.dataplane.dict.columns"] >= 1
         assert counters["runtime.dataplane.dict.pages"] >= 1
@@ -291,9 +310,7 @@ class TestDataplaneMetrics:
         registry = MetricsRegistry()
         run_app(
             "wc",
-            backend=process_backend(
-                "wc", "shm", vectorized="on", string_dict="off"
-            ),
+            backend=process_backend("wc", "shm", string_dict="off"),
             registry=registry,
             alternate=True,
         )

@@ -133,6 +133,9 @@ class TestActiveSheddingIsDeterministic:
         assert first.overload.shed > 0  # the ladder actually engaged
         assert first.overload.shed_by_edge == again.overload.shed_by_edge
         assert_parity(first, again)
+        # Shedding trades deliveries: fewer reach the sink than unshed.
+        unshed = run_app("wc", **self.PRESSURE)
+        assert first.sink_received() < unshed.sink_received()
 
     def test_different_seeds_shed_different_tuples(self):
         base = run_app("wc", overload=self.SHED, **self.PRESSURE)

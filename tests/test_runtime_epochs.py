@@ -433,7 +433,7 @@ class TestPersistentWorkerParity:
         assert task_counts(result) == task_counts(baselines["wc"])
         assert sink_multiset(result) == sink_multiset(baselines["wc"])
 
-    @pytest.mark.parametrize("fuse", [None, "on"])
+    @pytest.mark.parametrize("fuse", [None, "auto"])
     def test_markers_align_with_queues_one_batch_deep(self, fuse):
         """A fused chain (WC) and a multi-in-edge fan-in (LR) park on
         their markers while every sealed batch fills its queue."""
@@ -441,7 +441,7 @@ class TestPersistentWorkerParity:
         bounds = dict(batch_size=batch, queue_capacity=batch, epoch_interval=70)
         reference = build_engine("wc", **bounds).run(EVENTS)
         engine = build_engine("wc", backend=process_backend(), fuse=fuse, **bounds)
-        assert bool(engine.spec.fusion) == (fuse == "on")
+        assert bool(engine.spec.fusion) == (fuse == "auto")
         assert_same_run(reference, engine.run(EVENTS))
         # Arrival order interleaves LR's fan-in differently from the
         # inline run; what each component consumed and produced does not

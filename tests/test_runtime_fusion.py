@@ -6,7 +6,7 @@ multisets — while skipping the intra-chain queues entirely.  The parity
 matrix here drives every example application through both backends, both
 kernel modes and both fusion settings against one unfused scalar inline
 baseline per app.  Around the matrix: unit tests for the chain planner
-(eligibility, socket discipline, the ``on``-mode failure, live refit),
+(eligibility, socket discipline, live refit),
 the AIMD batch-size controller, the spec-level batch validation, and
 fault recovery with a crash landing *inside* a fused chain.
 """
@@ -133,7 +133,7 @@ class TestPlanFusion:
 
     def test_as_fusion_config_coercion(self):
         assert as_fusion_config(None).mode == "off"
-        assert as_fusion_config("on").mode == "on"
+        assert as_fusion_config("auto").mode == "auto"
         config = FusionConfig(mode="auto")
         assert as_fusion_config(config) is config
 
@@ -153,7 +153,7 @@ class TestPlanFusion:
             assert all(tid in engine.spec.fused_member_ids for tid in chain[1:])
 
     def test_spout_and_sink_edges_never_fuse(self):
-        spec = plan_fusion(wc_spec(), FusionConfig(mode="on"))
+        spec = plan_fusion(wc_spec(), FusionConfig(mode="auto"))
         spout = next(rt.task_id for rt in spec.tasks if rt.is_spout)
         sink = next(rt.task_id for rt in spec.tasks if rt.is_sink)
         for chain in spec.fusion:
@@ -194,16 +194,6 @@ class TestPlanFusion:
         # sockets now; nothing is left to fuse.
         assert fused.fusion == ()
 
-    def test_cross_socket_fails_under_on(self):
-        spec = wc_spec()
-        tasks = tuple(
-            dc_replace(rt, socket=1 if rt.component == "splitter" else 0)
-            for rt in spec.tasks
-        )
-        spec = dc_replace(spec, tasks=tasks)
-        with pytest.raises(PlanError, match="crosses sockets"):
-            plan_fusion(spec, FusionConfig(mode="on"))
-
     def test_profitability_bar_applies_under_auto(self):
         # An impossible benefit bar rejects every candidate.
         topology, profiles = load_application("wc")
@@ -221,7 +211,7 @@ class TestPlanFusion:
         assert engine_spec.fusion == ()
 
     def test_refit_dissolves_and_revives_chains(self):
-        spec = plan_fusion(wc_spec(), FusionConfig(mode="on"))
+        spec = plan_fusion(wc_spec(), FusionConfig(mode="auto"))
         assert spec.fusion == ((1, 2, 3),)
         moved = dc_replace(
             spec,
@@ -232,7 +222,7 @@ class TestPlanFusion:
         )
         refit = refit_fusion(moved)
         assert refit.fusion == ((1, 2),)  # counter left the socket
-        assert refit.fuse_mode == "on"  # mode survives the refit
+        assert refit.fuse_mode == "auto"
         back = refit_fusion(
             dc_replace(
                 refit,
@@ -382,7 +372,8 @@ class TestFusionParity:
     @pytest.mark.parametrize("backend", ["inline", "process"])
     @pytest.mark.parametrize(
         "vectorized",
-        ["off", pytest.param("on", marks=needs_numpy)],
+        # The ids say whether kernels run; the mode that runs them is "auto".
+        ["off", pytest.param("auto", marks=needs_numpy, id="on")],
     )
     def test_fused_matches_unfused_baseline(
         self, baselines, app, backend, vectorized

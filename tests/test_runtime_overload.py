@@ -489,6 +489,7 @@ class TestChaosLadder:
         assert report.throttled_epochs > 0
         assert 0 < report.shed <= report.offered
         assert report.shed == sum(report.shed_by_edge.values())
+        assert report.accuracy_loss() > 0  # ... and accounted for
         assert report.p99_lag_ms() <= report.max_lag_ms  # within SLO
         gauges = registry.snapshot()["gauges"]
         assert "runtime.overload.lag_ms.e2e" in gauges

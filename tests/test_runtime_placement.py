@@ -262,7 +262,7 @@ class TestSearch:
         assert first.owner[0] == 0
 
     def test_fused_chain_stays_with_its_head(self):
-        engine = app_engine("wc", fuse="on")
+        engine = app_engine("wc", fuse="auto")
         spec = engine.spec
         assert spec.fusion == ((1, 2, 3),)
         # Costs under which cutting inside the chain would balance best.

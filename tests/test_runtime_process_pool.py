@@ -11,7 +11,7 @@ end-to-end suites can only observe indirectly:
   arrival order, ordered mode in strict edge-declaration order;
 * ``_blocking_put``: a full peer inbox blocks with bounded patience —
   a dead peer raises WorkerCrashError, a live-but-stuck one raises
-  QueueDeadlockError after ``send_timeout_s`` (this path used to spin
+  QueueDeadlockError after its send deadline (this path used to spin
   forever).
 """
 
@@ -28,7 +28,8 @@ from repro.errors import (
     QueueDeadlockError,
     WorkerCrashError,
 )
-from repro.runtime import ProcessPoolBackend
+from repro.runtime import ProcessPoolBackend, SendRetryPolicy
+from repro.runtime.config import RunConfig
 from repro.runtime.process_pool import _STATUS_RUNNING, _Worker
 
 
@@ -45,7 +46,7 @@ def make_worker(*, ordered=False, queue_capacity=None, inboxes=None, **kwargs):
             owner,
             100,
             inboxes if inboxes is not None else [queue.Queue()],
-            ordered,
+            RunConfig(ordered=ordered),
             **kwargs,
         ),
         spec,
@@ -68,11 +69,11 @@ class TestConstructorValidation:
         "kwargs",
         [
             {"n_workers": 0},
-            {"inbox_batches": 0},
             {"timeout_s": 0},
             {"timeout_s": -5.0},
             {"heartbeat_timeout_s": 0},
-            {"send_timeout_s": -1.0},
+            {"vectorized": "on"},
+            {"string_dict": "on"},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -140,7 +141,7 @@ class TestBacklogDrainOrder:
         spec = engine.spec
         rt = next(r for r in spec.tasks if len(r.in_edges) >= 2)
         owner = {t.task_id: 0 for t in spec.tasks}
-        worker = _Worker(0, spec, owner, 100, [queue.Queue()], True)
+        worker = _Worker(0, spec, owner, 100, [queue.Queue()], RunConfig(ordered=True))
         keys = [(e.producer, e.consumer) for e in rt.in_edges]
         late_edge_batch = tuples_of(2, producer=keys[1][0])
         worker._enqueue_backlog(keys[1], late_edge_batch)
@@ -169,7 +170,7 @@ class TestIdleAccounting:
         (edge,) = sink.in_edges
         owner = {rt.task_id: int(rt.is_sink) for rt in spec.tasks}
         inboxes = [queue.Queue(), queue.Queue()]
-        worker = _Worker(1, spec, owner, 100, inboxes, False)
+        worker = _Worker(1, spec, owner, 100, inboxes, RunConfig())
 
         slept = []
         real_sleep = time.sleep
@@ -195,14 +196,14 @@ class TestIdleAccounting:
 
 
 class TestBoundedBlockingPut:
-    def _two_worker_setup(self, *, status, send_timeout_s=0.2):
+    def _two_worker_setup(self, *, status):
         own_inbox = queue.Queue()
         peer_inbox = queue.Queue(maxsize=1)
         peer_inbox.put(("batch", 0, 0, b"full"))  # peer inbox already full
         worker, _spec = make_worker(
             inboxes=[own_inbox, peer_inbox],
             status=status,
-            send_timeout_s=send_timeout_s,
+            send_policy=SendRetryPolicy(deadline_s=0.2),
         )
         return worker
 
@@ -214,7 +215,7 @@ class TestBoundedBlockingPut:
 
     def test_live_stuck_peer_raises_deadlock_after_timeout(self):
         status = [_STATUS_RUNNING, _STATUS_RUNNING]
-        worker = self._two_worker_setup(status=status, send_timeout_s=0.2)
+        worker = self._two_worker_setup(status=status)
         with pytest.raises(QueueDeadlockError, match="blocked"):
             worker._blocking_put(1, ("batch", 0, 0, b"payload"))
 
@@ -235,7 +236,7 @@ class TestBoundedBlockingPut:
         worker, spec = make_worker(
             inboxes=[own_inbox, peer_inbox],
             status=[_STATUS_RUNNING, _STATUS_RUNNING],
-            send_timeout_s=0.2,
+            send_policy=SendRetryPolicy(deadline_s=0.2),
         )
         # An EOF waiting in our own inbox must be absorbed while blocked
         # (soft receive), not left to deadlock the worker graph.
@@ -261,7 +262,7 @@ class TestSealedBatchByteAccounting:
         worker, spec = make_worker(
             inboxes=[own_inbox, peer_inbox],
             status=[_STATUS_RUNNING, _STATUS_RUNNING],
-            send_timeout_s=5.0,
+            send_policy=SendRetryPolicy(deadline_s=5.0),
         )
         producer, consumer = some_edge(spec)
         worker.owner[consumer] = 1  # force the remote-dispatch path

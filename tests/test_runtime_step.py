@@ -130,7 +130,7 @@ class Harness:
             self.run.counters,
             self.run.buffers,
             self.run.metrics,
-            vectorized="on",
+            vectorized="auto",
             transpose_sinks=False,
         )
 
@@ -275,7 +275,7 @@ class TestScalarStep:
             executor.deliver(executor.step.run_item(chain, 0, item))
 
     def test_chain_of_three_equals_the_three_tasks_unfused(self):
-        unfused, fused = _Synchronous("off", replicas=2), _Synchronous("on", replicas=2)
+        unfused, fused = _Synchronous("off", replicas=2), _Synchronous("auto", replicas=2)
         assert [len(c) for c in fused.chains.values()].count(3) == 1
         assert all(len(c) == 1 for c in unfused.chains.values())
         for executor in (unfused, fused):
@@ -291,7 +291,7 @@ class TestScalarStep:
         assert b[0] == 12 and b[2]["side"] == 12
 
     def test_flush_chain_is_staged(self):
-        fused = _Synchronous("on")
+        fused = _Synchronous("auto")
         chain = fused.chains[fused.by_name["a"].task_id]
         self.feed(fused, 1)  # a holds it; b and c saw nothing
         fused.deliver(fused.step.flush_chain(chain))
@@ -574,7 +574,7 @@ def scalar_runs():
 class TestInlineParity:
     @pytest.mark.parametrize("app", APPS)
     def test_unbounded_queues(self, app, scalar_runs):
-        assert_same_run(scalar_runs[app], app_engine(app, "on").run(EVENTS))
+        assert_same_run(scalar_runs[app], app_engine(app, "auto").run(EVENTS))
 
     @pytest.mark.parametrize("app", APPS)
     def test_queue_one_batch_deep(self, app, monkeypatch):
@@ -594,8 +594,8 @@ class TestInlineParity:
             app, "off", batch_size=BATCH, queue_capacity=BATCH
         ).run(EVENTS)
         monkeypatch.setattr(_InlineRun, "_enqueue", spy)
-        engine = app_engine(app, "on", batch_size=BATCH, queue_capacity=BATCH)
-        run = _InlineRun(engine.spec, EVENTS, NULL_REGISTRY, vectorized="on")
+        engine = app_engine(app, "auto", batch_size=BATCH, queue_capacity=BATCH)
+        run = _InlineRun(engine.spec, EVENTS, NULL_REGISTRY, vectorized="auto")
         candidate = run.execute()
         assert_same_run(reference, candidate, ordered=False)
         # WC's splitter and LR's dispatcher fan out: one input chunk makes
@@ -611,7 +611,7 @@ class TestInlineParity:
     def test_epoch_barriers_with_live_migration(self, app):
         interval = 100
         reference = app_engine(app, "off", epoch_interval=interval).run(EVENTS)
-        engine = app_engine(app, "on")
+        engine = app_engine(app, "auto")
         seen = []
 
         def observer(commit):
@@ -632,7 +632,7 @@ class TestInlineParity:
             engine.spec,
             EVENTS,
             NULL_REGISTRY,
-            vectorized="on",
+            vectorized="auto",
             epochs=EpochConfig(interval=interval),
             on_epoch=observer,
         )
@@ -649,7 +649,7 @@ class TestInlineParity:
         """Chain heads drain queues too: a head fed ColumnBatch chunks by
         an upstream kernel (parser -> [dispatcher, ...] in LR; forced
         here by fusing only the tail of each pipeline) must take them."""
-        engine = app_engine(app, "on", fuse="on")
+        engine = app_engine(app, "auto", fuse="auto")
         assert engine.spec.fusion
         # Behead the chain that starts right after the spout, so that the
         # new head has a kernel task upstream (FD's chain of two stays).
@@ -664,7 +664,7 @@ class TestInlineParity:
             for chain in engine.spec.fusion
         )
         spec = dc_replace(engine.spec, fusion=trimmed)
-        registry_free = _InlineRun(spec, EVENTS, NULL_REGISTRY, vectorized="on")
+        registry_free = _InlineRun(spec, EVENTS, NULL_REGISTRY, vectorized="auto")
         candidate = registry_free.execute()
         assert_same_run(scalar_runs[app], candidate)
         assert registry_free.metrics["fusion_composed_batches"] > 0
@@ -694,7 +694,7 @@ class TestInlineParity:
             result = LocalEngine(builder.build(), vectorized=vectorized).run(EVENTS)
             return result, result.sinks["sink"][0]
 
-        (reference, scalar_sink), (candidate, columnar_sink) = run("off"), run("on")
+        (reference, scalar_sink), (candidate, columnar_sink) = run("off"), run("auto")
         assert columnar_sink.received == scalar_sink.received == EVENTS * 10
         assert len(columnar_sink.samples) == 5
         assert sink_contents(candidate) == sink_contents(reference)
@@ -739,7 +739,7 @@ def step_counters(registry):
     }
 
 
-def inline_metrics(topology, vectorized="on", **kwargs):
+def inline_metrics(topology, vectorized="auto", **kwargs):
     engine = LocalEngine(topology, vectorized=vectorized, **kwargs)
     run = _InlineRun(engine.spec, 100, NULL_REGISTRY, vectorized=vectorized)
     return run.execute(), run.metrics
@@ -778,7 +778,7 @@ class TestSharedGates:
         registry = MetricsRegistry()
         result = LocalEngine(
             small_topology(_Pass(), _ScalarSink()),
-            backend=ProcessPoolBackend(n_workers=2, vectorized="on"),
+            backend=ProcessPoolBackend(n_workers=2, vectorized="auto"),
             registry=registry,
             queue_budget=4096,
         ).run(100)
@@ -805,16 +805,16 @@ class TestSharedGates:
 
         reference = LocalEngine(build(), vectorized="off").run(100)
         if backend == "inline":
-            engine = LocalEngine(build(), vectorized="on", fuse="on")
+            engine = LocalEngine(build(), vectorized="auto", fuse="auto")
             assert engine.spec.fusion == ((1, 2),)
-            run = _InlineRun(engine.spec, 100, NULL_REGISTRY, vectorized="on")
+            run = _InlineRun(engine.spec, 100, NULL_REGISTRY, vectorized="auto")
             candidate, metrics = run.execute(), run.metrics
         else:
             registry = MetricsRegistry()
             candidate = LocalEngine(
                 build(),
-                backend=ProcessPoolBackend(n_workers=2, vectorized="on"),
-                fuse="on",
+                backend=ProcessPoolBackend(n_workers=2, vectorized="auto"),
+                fuse="auto",
                 registry=registry,
             ).run(100)
             metrics = {

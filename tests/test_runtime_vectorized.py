@@ -1,7 +1,7 @@
 """Vectorized execution tests: kernel/scalar parity and fallback rules.
 
 The columnar fast path must be invisible except for speed — every test
-here runs the same workload with ``vectorized="on"`` and ``"off"`` and
+here runs the same workload with ``vectorized="auto"`` and ``"off"`` and
 demands identical sink contents and per-task counters, then checks the
 ``runtime.vectorized.*`` accounting for the documented fallback triggers
 (non-columnar schemas, armed fault injection, ``off`` mode).
@@ -19,9 +19,15 @@ from repro.dsps.topology import TopologyBuilder
 from repro.dsps.tuples import DEFAULT_STREAM
 from repro.errors import ExecutionError
 from repro.metrics import MetricsRegistry
-from repro.runtime import FaultPlan, ProcessPoolBackend
+from repro.runtime import (
+    FUSE_MODES,
+    STRING_DICT_MODES,
+    VECTORIZED_MODES,
+    FaultPlan,
+    ProcessPoolBackend,
+)
 from repro.runtime.backends import resolve_backend
-from repro.runtime.dataplane import VECTORIZED_MODES, columns_available
+from repro.runtime.dataplane import columns_available
 
 pytestmark = pytest.mark.skipif(
     not columns_available(), reason="numpy unavailable"
@@ -94,7 +100,7 @@ class TestParity:
     @pytest.mark.parametrize("app", ("wc", "sd"))
     def test_inline_on_off_identical(self, app):
         off = run_app(app, "off")
-        on = run_app(app, "on")
+        on = run_app(app, "auto")
         assert sink_multiset(off) == sink_multiset(on)
         assert task_counters(off) == task_counters(on)
         assert off.sink_received() == on.sink_received()
@@ -109,7 +115,7 @@ class TestParity:
         on = run_app(
             app,
             None,
-            backend=ProcessPoolBackend(n_workers=2, vectorized="on"),
+            backend=ProcessPoolBackend(n_workers=2, vectorized="auto"),
         )
         assert sink_multiset(off) == sink_multiset(on)
         assert task_counters(off) == task_counters(on)
@@ -236,8 +242,8 @@ class TestModeValidation:
         with pytest.raises(ExecutionError):
             ProcessPoolBackend(vectorized="turbo")
 
-    def test_modes_are_documented_triple(self):
-        assert VECTORIZED_MODES == ("auto", "on", "off")
+    def test_modes_are_two_valued(self):
+        assert VECTORIZED_MODES == FUSE_MODES == STRING_DICT_MODES == ("auto", "off")
 
     def test_cli_accepts_vectorized_flag(self, capsys):
         from repro.cli import main
