@@ -31,10 +31,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator
 
-try:  # numpy backs the optional vectorized kernels only.
-    import numpy as np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.dsps.operators import (
     Emission,

@@ -115,25 +115,43 @@ class AdaptiveController:
         self.reoptimize_threshold = reoptimize_threshold
         self.history: list[AdaptationAction] = []
 
+    def decide(
+        self, new_profiles: ProfileSet
+    ) -> tuple[AdaptationAction, float]:
+        """The threshold verdict on freshly profiled statistics, and the
+        drift magnitude it was read from — the decision without the
+        re-plan, for callers that plan for themselves (the live
+        reconfiguration controller searches once, pinned to the deployed
+        replication)."""
+        magnitude = max(
+            (r.magnitude for r in detect_drift(self.profiles, new_profiles)),
+            default=0.0,
+        )
+        if magnitude < self.replace_threshold:
+            return AdaptationAction.NONE, magnitude
+        if magnitude < self.reoptimize_threshold:
+            return AdaptationAction.REPLACE, magnitude
+        return AdaptationAction.REOPTIMIZE, magnitude
+
+    def adopt(self, action: AdaptationAction, new_profiles: ProfileSet) -> None:
+        """Record ``action``; one that re-plans makes ``new_profiles``
+        the baseline later drift is measured against."""
+        if action is not AdaptationAction.NONE:
+            self.profiles = new_profiles
+        self.history.append(action)
+
     def observe(self, new_profiles: ProfileSet) -> AdaptationAction:
         """React to freshly profiled statistics.
 
         Returns the action taken; :attr:`plan` is updated in place for
         REPLACE/REOPTIMIZE.
         """
-        reports = detect_drift(self.profiles, new_profiles)
-        magnitude = max((r.magnitude for r in reports), default=0.0)
-        if magnitude < self.replace_threshold:
-            action = AdaptationAction.NONE
-        elif magnitude < self.reoptimize_threshold:
-            action = AdaptationAction.REPLACE
+        action, _ = self.decide(new_profiles)
+        if action is AdaptationAction.REPLACE:
             self.plan = self._replace(new_profiles)
-            self.profiles = new_profiles
-        else:
-            action = AdaptationAction.REOPTIMIZE
+        elif action is AdaptationAction.REOPTIMIZE:
             self.plan = self._reoptimize(new_profiles)
-            self.profiles = new_profiles
-        self.history.append(action)
+        self.adopt(action, new_profiles)
         return action
 
     def replan_placement(

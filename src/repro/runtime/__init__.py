@@ -65,7 +65,6 @@ from repro.runtime.dataplane import (
     DictColumn,
     PickleQueueChannel,
     ShmRingChannel,
-    columns_available,
     shm_available,
 )
 from repro.runtime.faults import (
@@ -138,7 +137,6 @@ __all__ = [
     "STRING_DICT_MODES",
     "VECTORIZED_MODES",
     "DictColumn",
-    "columns_available",
     "DEFAULT_QUEUE_BUDGET",
     "DegradeContext",
     "EpochCheckpoint",

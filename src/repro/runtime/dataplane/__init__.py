@@ -43,7 +43,6 @@ from repro.runtime.dataplane.columns import (
     VECTORIZED_MODES,
     ColumnBatch,
     DictColumn,
-    columns_available,
     schema_accepts,
     schema_dtypes,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "STRING_DICT_MODES",
     "VECTORIZED_MODES",
     "schema_accepts",
-    "columns_available",
     "schema_dtypes",
     "PickleDataPlane",
     "PickleQueueChannel",

@@ -229,9 +229,11 @@ class ChannelEndpoint(ABC):
 
     The worker keeps all scheduling/liveness logic (bounded blocking
     sends, soft draining, EOF bookkeeping) and talks to the transport
-    only through this interface.  ``pack`` serializes a sealed batch
-    exactly once — byte counters live here, so retried puts of the same
-    message can never double-count (see docs/dataplane.md).
+    only through this interface.  ``pack`` serializes a sealed batch —
+    a tuple list or a :class:`ColumnBatch`, columnar end-to-end where the
+    content allows — exactly once: byte counters live here, so retried
+    puts of the same message can never double-count (see
+    docs/dataplane.md).
 
     Endpoints are built parent-side (picklable) and activated in the
     worker process via :meth:`connect`.
@@ -257,13 +259,25 @@ class ChannelEndpoint(ABC):
     # -- serialization --------------------------------------------------
     @abstractmethod
     def pack(
-        self, dest: int, producer: int, consumer: int, tuples: list[StreamTuple]
+        self,
+        dest: int,
+        producer: int,
+        consumer: int,
+        payload: "list[StreamTuple] | ColumnBatch",
     ) -> tuple:
         """Serialize one sealed batch into a control message for ``dest``."""
 
     @abstractmethod
-    def unpack(self, message: tuple) -> tuple[int, int, list[StreamTuple]]:
-        """Inverse of :meth:`pack`: ``(producer, consumer, tuples)``."""
+    def unpack(
+        self, message: tuple, columns: bool = False
+    ) -> "tuple[int, int, list[StreamTuple] | ColumnBatch]":
+        """Inverse of :meth:`pack`: ``(producer, consumer, payload)``.
+
+        Rows by default.  ``columns=True`` prefers a :class:`ColumnBatch`
+        and still hands back rows when the payload cannot be columnar
+        (pickle fallbacks, row-packed pickle messages, empty batches);
+        such callers must accept either payload shape.
+        """
 
     def peek_consumer(self, message: tuple) -> int:
         """Consumer task id of a data message, without unpacking it.
@@ -273,27 +287,6 @@ class ChannelEndpoint(ABC):
         paying for the payload.
         """
         return message[3] if message[0] == "shm" else message[2]
-
-    def pack_columns(
-        self, dest: int, producer: int, consumer: int, batch: ColumnBatch
-    ) -> tuple:
-        """Serialize one :class:`ColumnBatch` into a control message.
-
-        Default burst-and-pack keeps any endpoint correct; the concrete
-        channels override it to keep the payload columnar end-to-end.
-        """
-        return self.pack(dest, producer, consumer, batch.to_tuples())
-
-    def unpack_columns(
-        self, message: tuple
-    ) -> "tuple[int, int, ColumnBatch | list[StreamTuple]]":
-        """Unpack preferring a :class:`ColumnBatch` payload.
-
-        Falls back to row unpacking when the payload cannot stay
-        columnar (pickle fallbacks, row-packed messages); callers must
-        accept either payload shape.
-        """
-        return self.unpack(message)
 
     # -- control queue --------------------------------------------------
     def try_put(self, dest: int, message: tuple) -> bool:
@@ -322,26 +315,27 @@ class PickleQueueChannel(ChannelEndpoint):
     plane = "pickle"
 
     def pack(
-        self, dest: int, producer: int, consumer: int, tuples: list[StreamTuple]
+        self,
+        dest: int,
+        producer: int,
+        consumer: int,
+        payload: "list[StreamTuple] | ColumnBatch",
     ) -> tuple:
-        payload = pickle.dumps(tuples, protocol=pickle.HIGHEST_PROTOCOL)
-        self.metrics["pickled_bytes_out"] += len(payload)
+        # A ColumnBatch ships as the object itself: the receiver loads
+        # it and bursts only if it must.
+        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        self.metrics["pickled_bytes_out"] += len(blob)
         self.metrics["remote_batches_out"] += 1
-        return ("batch", producer, consumer, payload)
+        return ("batch", producer, consumer, blob)
 
-    def unpack(self, message: tuple) -> tuple[int, int, list[StreamTuple]]:
-        _, producer, consumer, payload = message
-        return producer, consumer, pickle.loads(payload)
-
-    def pack_columns(
-        self, dest: int, producer: int, consumer: int, batch: ColumnBatch
-    ) -> tuple:
-        # Ship the ColumnBatch object itself: the receiver's unpack
-        # (columns or rows) loads it and bursts only if it must.
-        payload = pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
-        self.metrics["pickled_bytes_out"] += len(payload)
-        self.metrics["remote_batches_out"] += 1
-        return ("batch", producer, consumer, payload)
+    def unpack(
+        self, message: tuple, columns: bool = False
+    ) -> "tuple[int, int, list[StreamTuple] | ColumnBatch]":
+        _, producer, consumer, blob = message
+        payload = pickle.loads(blob)
+        if not columns and isinstance(payload, ColumnBatch):
+            payload = payload.to_tuples()
+        return producer, consumer, payload
 
 
 class ShmRingChannel(ChannelEndpoint):
@@ -404,55 +398,46 @@ class ShmRingChannel(ChannelEndpoint):
         return snapshot
 
     def pack(
-        self, dest: int, producer: int, consumer: int, tuples: list[StreamTuple]
+        self,
+        dest: int,
+        producer: int,
+        consumer: int,
+        payload: "list[StreamTuple] | ColumnBatch",
     ) -> tuple:
-        payload = self.codec.encode((producer, consumer), tuples)
-        return self._ship(dest, producer, consumer, payload)
-
-    def pack_columns(
-        self, dest: int, producer: int, consumer: int, batch: ColumnBatch
-    ) -> tuple:
-        # Same wire format as pack() on the burst rows, emitted straight
-        # from the columns — the receiver cannot tell which side packed.
-        payload = self.codec.encode_columns((producer, consumer), batch)
-        return self._ship(dest, producer, consumer, payload)
-
-    def _ship(
-        self, dest: int, producer: int, consumer: int, payload: bytes
-    ) -> tuple:
+        # One wire format whichever shape was handed over — the receiver
+        # cannot tell which side packed.
+        encode = (
+            self.codec.encode_columns
+            if isinstance(payload, ColumnBatch)
+            else self.codec.encode
+        )
+        wire = encode((producer, consumer), payload)
         self.metrics["remote_batches_out"] += 1
         ring = self.send_rings.get(dest)
         if ring is not None:
-            start = ring.try_write(payload)
+            start = ring.try_write(wire)
             if start is not None:
-                self.metrics["bytes_inline"] += len(payload)
-                return ("shm", self.me, producer, consumer, start, len(payload))
+                self.metrics["bytes_inline"] += len(wire)
+                return ("shm", self.me, producer, consumer, start, len(wire))
             self.metrics["ring_full_blocks"] += 1
-        self.metrics["bytes_oob"] += len(payload)
-        return ("batch", producer, consumer, payload)
+        self.metrics["bytes_oob"] += len(wire)
+        return ("batch", producer, consumer, wire)
 
-    def _consume(self, message: tuple) -> tuple[int, int, bytes]:
+    def unpack(
+        self, message: tuple, columns: bool = False
+    ) -> "tuple[int, int, list[StreamTuple] | ColumnBatch]":
         if message[0] == "shm":
             _, sender, producer, consumer, start, length = message
             payload = self.recv_rings[sender].consume(start, length)
         else:
             _, producer, consumer, payload = message
-        return producer, consumer, payload
-
-    def unpack(self, message: tuple) -> tuple[int, int, list[StreamTuple]]:
-        producer, consumer, payload = self._consume(message)
         edge = (producer, consumer)
+        if columns:
+            batch = self.codec.decode_columns(payload, edge)
+            if batch is not None:
+                return producer, consumer, batch
+            # pickle fallback or empty: rows it is
         return producer, consumer, self.codec.decode(payload, edge)
-
-    def unpack_columns(
-        self, message: tuple
-    ) -> "tuple[int, int, ColumnBatch | list[StreamTuple]]":
-        producer, consumer, payload = self._consume(message)
-        edge = (producer, consumer)
-        batch = self.codec.decode_columns(payload, edge)
-        if batch is None:  # pickle fallback or empty: rows it is
-            return producer, consumer, self.codec.decode(payload, edge)
-        return producer, consumer, batch
 
 
 # ----------------------------------------------------------------------

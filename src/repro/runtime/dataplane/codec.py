@@ -60,12 +60,14 @@ batch, regardless of how many tuples it carries; correctness never
 depends on the schema being right.
 
 The columnar wire layout doubles as the in-memory layout of
-:class:`~repro.runtime.dataplane.columns.ColumnBatch`:
-:meth:`BatchCodec.decode_columns` exposes the fixed-width columns as
-zero-copy numpy views over the payload, and
-:meth:`BatchCodec.encode_columns` emits bytes *identical* to
-:meth:`BatchCodec.encode` on the equivalent tuple list, so either end of
-an edge can pick rows or columns independently.
+:class:`~repro.runtime.dataplane.columns.ColumnBatch`, and the format is
+written out once: :meth:`BatchCodec.encode_columns` is the encoder and
+:meth:`BatchCodec.decode_columns` the decoder (fixed-width columns come
+back as zero-copy numpy views over the payload).  The row entry points
+are a transpose on either side of them — :meth:`BatchCodec.encode` is
+``ColumnBatch.from_tuples`` (the one acceptance rule) in front of the
+encoder, :meth:`BatchCodec.decode` is ``to_tuples`` behind the decoder —
+so either end of an edge can pick rows or columns independently.
 """
 
 from __future__ import annotations
@@ -74,7 +76,9 @@ import pickle
 import struct
 import sys
 from itertools import accumulate
-from typing import Iterable, Mapping
+from typing import Mapping
+
+import numpy as np
 
 from repro.dsps.tuples import StreamTuple
 from repro.runtime.dataplane.columns import (  # noqa: F401  (re-exports)
@@ -84,7 +88,6 @@ from repro.runtime.dataplane.columns import (  # noqa: F401  (re-exports)
     ColumnBatch,
     DictColumn,
     infer_schema,
-    np,
     validate_schema,
 )
 
@@ -389,109 +392,96 @@ class BatchCodec:
     def encode(
         self, edge: tuple[int, int], tuples: list[StreamTuple]
     ) -> bytes:
-        """Serialize a sealed batch for ``edge``; never raises on content."""
-        if tuples:
-            schema = self.schemas.get(edge)
-            if schema is None and edge not in self.schemas:
-                schema = infer_schema(tuples[0].values)
-                self.schemas[edge] = schema
-        else:
-            schema = ""
+        """Serialize a sealed batch for ``edge``; never raises on content.
+
+        A row batch is a transpose in front of :meth:`encode_columns`:
+        :meth:`ColumnBatch.from_tuples` is the one acceptance rule, and a
+        batch it declines is the pickle fallback.
+        """
+        if not tuples:
+            self.encoded_batches += 1
+            return bytes([_MAGIC_COLUMNAR]) + _HEADER.pack(0, 0, 0) + b"\x00"
+        schema = self.schemas.get(edge)
+        if schema is None and edge not in self.schemas:
+            schema = self.schemas[edge] = infer_schema(tuples[0].values)
         if schema is not None:
-            payload = self._encode_columnar(edge, schema, tuples)
-            if payload is not None:
-                self.encoded_batches += 1
-                return payload
-        self.fallback_batches += 1
+            batch = ColumnBatch.from_tuples(tuples, schema)
+            if batch is not None:
+                return self.encode_columns(edge, batch)
+        return self._pickled(tuples)
+
+    def _pickled(self, tuples: list[StreamTuple]) -> bytes:
+        self.fallback_batches += 1  # one per batch, never per tuple
         return bytes([_MAGIC_PICKLE]) + pickle.dumps(tuples, protocol=5)
 
-    def _encode_columnar(
-        self, edge: tuple[int, int], schema: str, tuples: list[StreamTuple]
-    ) -> bytes | None:
-        n = len(tuples)
-        if n == 0:
-            return bytes([_MAGIC_COLUMNAR]) + _HEADER.pack(0, 0, 0) + b"\x00"
-        first = tuples[0]
-        stream = first.stream
-        source = first.source_task
-        arity = len(schema)
-        for item in tuples:
-            if (
-                item.stream != stream
-                or item.source_task != source
-                or len(item.values) != arity
-            ):
-                return None
+    def encode_columns(
+        self, edge: tuple[int, int], batch: ColumnBatch
+    ) -> bytes:
+        """Serialize a :class:`ColumnBatch` for ``edge`` — the one
+        encoder; the receiving end decodes the payload with either
+        :meth:`decode` or :meth:`decode_columns`, whichever its consumer
+        wants.  Content the wire format cannot hold falls back to pickled
+        tuples and counts one :attr:`fallback_batches` increment.
+        """
         try:
-            stream_bytes = stream.encode("utf-8")
-            times = struct.pack(
-                f"<{n}d", *(t.event_time_ns for t in tuples)
-            )
-            # One C-level transpose instead of an attribute walk per field.
-            columns = tuple(zip(*(t.values for t in tuples)))
+            n = len(batch)
+            stream_bytes = batch.stream.encode("utf-8")
+            schema = batch.schema
             wire_schema = list(schema)
             commits: list = []  # dict-page state, applied only on success
             body: list[bytes] = []
             for index, code in enumerate(schema):
-                column = columns[index]
-                if code == "q":
-                    if any(type(v) is not int for v in column):
-                        return None
-                    body.append(struct.pack(f"<{n}q", *column))
-                elif code == "d":
-                    if any(type(v) is not float for v in column):
-                        return None
-                    body.append(struct.pack(f"<{n}d", *column))
-                elif code == "?":
-                    if any(type(v) is not bool for v in column):
-                        return None
-                    body.append(struct.pack(f"<{n}?", *column))
-                elif code == "s":
-                    if any(type(v) is not str for v in column):
-                        return None
-                    state = self._dict_state(edge, index, column)
-                    codes = (
-                        self._dict_codes(state, column)
-                        if state is not None
-                        else None
+                column = batch.columns[index]
+                if code in COLUMN_DTYPES:
+                    body.append(
+                        column.astype(COLUMN_DTYPES[code], copy=False)
+                        .tobytes()
                     )
+                    continue
+                if code == "y":
+                    blobs = column
+                else:  # "s", or a kernel's "D" (promoted at first sight)
+                    coded = code == DICT_TYPECODE
+                    state = self._dict_state(
+                        edge, index, column, kernel_dict=coded
+                    )
+                    codes = None
+                    if state is not None:
+                        codes = (
+                            self._xlate(state, column)
+                            if coded
+                            else self._dict_codes(state, column)
+                        )
                     if codes is not None:
                         page, n_new, new_len, nbytes = self._dict_page(
                             state
                         )
                         body.extend(page)
-                        body.append(struct.pack(f"<{n}i", *codes))
+                        body.append(np.asarray(codes, dtype="<i4").tobytes())
                         wire_schema[index] = DICT_TYPECODE
                         commits.append((state, new_len, n_new, nbytes))
-                    else:
-                        blobs = [v.encode("utf-8") for v in column]
-                        body.append(
-                            struct.pack(f"<{n}I", *map(len, blobs))
-                        )
-                        body.append(b"".join(blobs))
-                else:  # 'y'
-                    if any(type(v) is not bytes for v in column):
-                        return None
-                    body.append(struct.pack(f"<{n}I", *map(len, column)))
-                    body.append(b"".join(column))
-        except (struct.error, OverflowError, UnicodeEncodeError, TypeError):
-            # Out-of-range int64, surrogate strings, wrong event_time type.
-            return None
-        payload = b"".join(
-            [
-                bytes([_MAGIC_COLUMNAR]),
-                _HEADER.pack(n, source, len(stream_bytes)),
-                stream_bytes,
-                bytes([arity]),
-                "".join(wire_schema).encode("ascii"),
-                times,
-                *body,
-            ]
-        )
-        self._commit_pages(commits)
-        return payload
-
-    def _commit_pages(self, commits: list) -> None:
+                        continue
+                    # Dict off, not promoted or demoted: raw strings.
+                    wire_schema[index] = "s"
+                    blobs = [v.encode("utf-8") for v in column]
+                body.append(struct.pack(f"<{n}I", *map(len, blobs)))
+                body.append(b"".join(blobs))
+            payload = b"".join(
+                [
+                    bytes([_MAGIC_COLUMNAR]),
+                    _HEADER.pack(n, batch.source_task, len(stream_bytes)),
+                    stream_bytes,
+                    bytes([len(schema)]),
+                    "".join(wire_schema).encode("ascii"),
+                    batch.event_times.astype("<f8", copy=False).tobytes(),
+                    *body,
+                ]
+            )
+        except (struct.error, OverflowError, UnicodeEncodeError, TypeError,
+                ValueError, AttributeError):
+            # Surrogate strings, non-bytes blobs, an unstamped batch.
+            return self._pickled(batch.to_tuples())
+        self.encoded_batches += 1
         # Only now is the payload guaranteed to ship: advance the shipped
         # watermark and account the page bytes.  Entries left unshipped by
         # a failed batch ride the next successful page instead.
@@ -500,6 +490,7 @@ class BatchCodec:
             if n_new:
                 self.dict_pages += 1
             self.dict_bytes += nbytes
+        return payload
 
     # ------------------------------------------------------------------
     # Decode
@@ -515,178 +506,23 @@ class BatchCodec:
         """
         if payload[0] == _MAGIC_PICKLE:
             return pickle.loads(payload[1:])
-        n, source, stream_len = _HEADER.unpack_from(payload, 1)
-        offset = 1 + _HEADER.size
-        stream = payload[offset : offset + stream_len].decode("utf-8")
-        offset += stream_len
-        arity = payload[offset]
-        offset += 1
-        schema = payload[offset : offset + arity].decode("ascii")
-        offset += arity
-        times = struct.unpack_from(f"<{n}d", payload, offset)
-        offset += 8 * n
-        columns: list[Iterable] = []
-        for index, code in enumerate(schema):
-            if code in "qd":
-                columns.append(struct.unpack_from(f"<{n}{code}", payload, offset))
-                offset += 8 * n
-            elif code == "?":
-                columns.append(struct.unpack_from(f"<{n}?", payload, offset))
-                offset += n
-            elif code == DICT_TYPECODE:
-                offset, table = self._apply_page(payload, offset, edge, index)
-                codes = struct.unpack_from(f"<{n}i", payload, offset)
-                offset += 4 * n
-                columns.append([table[c] for c in codes])
-            else:
-                lengths = struct.unpack_from(f"<{n}I", payload, offset)
-                offset += 4 * n
-                ends = list(accumulate(lengths, initial=offset))
-                offset = ends[-1]
-                if code == "s":
-                    columns.append(
-                        [
-                            payload[a:b].decode("utf-8")
-                            for a, b in zip(ends, ends[1:])
-                        ]
-                    )
-                else:
-                    columns.append(
-                        [payload[a:b] for a, b in zip(ends, ends[1:])]
-                    )
-        rows = list(zip(*columns)) if arity else [()] * n
-        # Hot path: bypass the frozen-dataclass __init__ (which pays one
-        # object.__setattr__ per field) by writing the instance dict of a
-        # bare instance directly.  Field semantics are unchanged — frozen
-        # dataclasses keep a normal __dict__.
-        new = StreamTuple.__new__
-        out = []
-        for index in range(n):
-            item = new(StreamTuple)
-            d = item.__dict__
-            d["values"] = rows[index]
-            d["stream"] = stream
-            d["source_task"] = source
-            d["event_time_ns"] = times[index]
-            out.append(item)
-        return out
-
-    # ------------------------------------------------------------------
-    # Columnar views (vectorized execution)
-    # ------------------------------------------------------------------
-    def encode_columns(
-        self, edge: tuple[int, int], batch: ColumnBatch
-    ) -> bytes:
-        """Serialize a :class:`ColumnBatch` for ``edge``.
-
-        Emits the exact bytes :meth:`encode` would produce for
-        ``batch.to_tuples()`` — the fixed-width columns are dumped with
-        ``ndarray.tobytes()`` instead of per-value ``struct.pack`` — so
-        the receiving end decodes it with either :meth:`decode` or
-        :meth:`decode_columns`, whichever its consumer wants.  Content
-        the wire format cannot hold falls back to pickled tuples and
-        counts one :attr:`fallback_batches` increment, like :meth:`encode`.
-        """
-        try:
-            n = len(batch)
-            stream_bytes = batch.stream.encode("utf-8")
-            schema = batch.schema
-            wire_schema = list(schema)
-            commits: list = []
-            body: list[bytes] = []
-            for index, code in enumerate(schema):
-                column = batch.columns[index]
-                if code in COLUMN_DTYPES:
-                    body.append(
-                        column.astype(COLUMN_DTYPES[code], copy=False)
-                        .tobytes()
-                    )
-                elif code == DICT_TYPECODE:
-                    state = self._dict_state(
-                        edge, index, column, kernel_dict=True
-                    )
-                    codes = (
-                        self._xlate(state, column)
-                        if state is not None
-                        else None
-                    )
-                    if codes is None:
-                        # Dict off or demoted: decay to raw strings.
-                        blobs = [
-                            v.encode("utf-8") for v in column.tolist()
-                        ]
-                        body.append(
-                            struct.pack(f"<{n}I", *map(len, blobs))
-                        )
-                        body.append(b"".join(blobs))
-                        wire_schema[index] = "s"
-                    else:
-                        page, n_new, new_len, nbytes = self._dict_page(
-                            state
-                        )
-                        body.extend(page)
-                        body.append(codes.astype("<i4", copy=False).tobytes())
-                        commits.append((state, new_len, n_new, nbytes))
-                elif code == "s":
-                    state = self._dict_state(edge, index, column)
-                    codes = (
-                        self._dict_codes(state, column)
-                        if state is not None
-                        else None
-                    )
-                    if codes is not None:
-                        page, n_new, new_len, nbytes = self._dict_page(
-                            state
-                        )
-                        body.extend(page)
-                        body.append(struct.pack(f"<{n}i", *codes))
-                        wire_schema[index] = DICT_TYPECODE
-                        commits.append((state, new_len, n_new, nbytes))
-                    else:
-                        blobs = [v.encode("utf-8") for v in column]
-                        body.append(
-                            struct.pack(f"<{n}I", *map(len, blobs))
-                        )
-                        body.append(b"".join(blobs))
-                else:  # 'y'
-                    body.append(struct.pack(f"<{n}I", *map(len, column)))
-                    body.append(b"".join(column))
-            payload = b"".join(
-                [
-                    bytes([_MAGIC_COLUMNAR]),
-                    _HEADER.pack(n, batch.source_task, len(stream_bytes)),
-                    stream_bytes,
-                    bytes([len(schema)]),
-                    "".join(wire_schema).encode("ascii"),
-                    batch.event_times.astype("<f8", copy=False).tobytes(),
-                    *body,
-                ]
-            )
-            self.encoded_batches += 1
-            self._commit_pages(commits)
-            return payload
-        except (struct.error, OverflowError, UnicodeEncodeError, TypeError,
-                ValueError, AttributeError):
-            self.fallback_batches += 1  # one per batch, never per tuple
-            return bytes([_MAGIC_PICKLE]) + pickle.dumps(
-                batch.to_tuples(), protocol=5
-            )
+        batch = self.decode_columns(payload, edge)
+        return [] if batch is None else batch.to_tuples()
 
     def decode_columns(
         self, payload: bytes, edge: tuple[int, int] | None = None
     ) -> ColumnBatch | None:
-        """Decode a columnar payload into a :class:`ColumnBatch`, or
-        ``None`` when the payload is a pickle fallback, is empty, or
-        numpy is unavailable (callers then use :meth:`decode`).
+        """Decode a columnar payload into a :class:`ColumnBatch` — the
+        one decoder — or ``None`` when the payload is a pickle fallback
+        or empty (callers then use :meth:`decode`).
 
         Fixed-width columns ("q"/"d"/"?") and the event-time column are
         **zero-copy, read-only** ``np.frombuffer`` views over ``payload``;
         "D" columns are zero-copy ``<i4`` code views wrapped in a
         :class:`DictColumn` sharing the per-``(edge, column)`` mirror
-        table; variable-length columns materialize Python lists exactly
-        as :meth:`decode` would.
+        table; variable-length columns materialize Python lists.
         """
-        if np is None or payload[0] == _MAGIC_PICKLE:
+        if payload[0] == _MAGIC_PICKLE:
             return None
         n, source, stream_len = _HEADER.unpack_from(payload, 1)
         if n == 0:
@@ -721,15 +557,11 @@ class BatchCodec:
                 offset += 4 * n
                 ends = list(accumulate(lengths, initial=offset))
                 offset = ends[-1]
+                spans = zip(ends, ends[1:])
                 if code == "s":
                     columns.append(
-                        [
-                            payload[a:b].decode("utf-8")
-                            for a, b in zip(ends, ends[1:])
-                        ]
+                        [payload[a:b].decode("utf-8") for a, b in spans]
                     )
                 else:
-                    columns.append(
-                        [payload[a:b] for a, b in zip(ends, ends[1:])]
-                    )
+                    columns.append([payload[a:b] for a, b in spans])
         return ColumnBatch(stream, source, schema, times, columns)

@@ -29,10 +29,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-try:  # numpy is required for columnar execution, not for the engine.
-    import numpy as np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.dsps.tuples import StreamTuple
 
@@ -67,11 +64,6 @@ COLUMN_DTYPES = {"q": "<i8", "d": "<f8", "?": "|b1"}
 #: types a columnar batch can hold; ``tests/test_dataplane_columns.py``
 #: asserts the two stay in sync.
 _FIXED_PAYLOAD_BYTES = {"q": 28, "d": 24, "?": 16}
-
-
-def columns_available() -> bool:
-    """True when numpy is importable, i.e. columnar kernels can run."""
-    return np is not None
 
 
 def validate_schema(code: str, *, allow_dict: bool = False) -> None:
@@ -173,17 +165,14 @@ class DictColumn:
 
     def __getitem__(self, item):
         """Int -> decoded string; slice/fancy index -> coded sub-column."""
-        if isinstance(item, (int,)) or (
-            np is not None and isinstance(item, np.integer)
-        ):
+        if isinstance(item, (int, np.integer)):
             return self.table[self.codes[item]]
         if isinstance(item, slice):
             return DictColumn(self.codes[item], self.table)
         return DictColumn(self.codes[np.asarray(item)], self.table)
 
     def __iter__(self):
-        table = self.table
-        return (table[c] for c in self.codes)
+        return iter(self.tolist())
 
     def tolist(self) -> list:
         """Decoded strings, sharing the table's (interned) objects."""
@@ -258,7 +247,10 @@ class ColumnBatch:
         self._tuples = _tuples
 
     def __len__(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
+        if self.columns:
+            return len(self.columns[0])
+        # Zero-arity rows: only the event-time column knows the count.
+        return 0 if self.event_times is None else len(self.event_times)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -274,13 +266,13 @@ class ColumnBatch:
         cls, tuples: Sequence[StreamTuple], schema: str | None = None
     ) -> "ColumnBatch | None":
         """Transpose a scalar batch into columns, or ``None`` if it does
-        not qualify (same acceptance rules as the codec's columnar path:
-        uniform stream/source/arity and exact field types throughout).
-        The produced columns are **copies** — mutating them never aliases
-        the input tuples.
+        not qualify: uniform stream/source/arity and exact field types
+        throughout.  This is the runtime's single acceptance rule — the
+        step's kernel intake and the codec's row encoder both go through
+        it.  The produced columns are **copies** — mutating them never
+        aliases the input tuples.
         """
-        n = len(tuples)
-        if n == 0 or np is None:
+        if not tuples:
             return None
         first = tuples[0]
         stream = first.stream
@@ -350,8 +342,6 @@ class ColumnBatch:
         and leave ``event_times``/``source_task`` for the executor to
         stamp from the input batch via :meth:`stamp_from`.
         """
-        if np is None:  # pragma: no cover - kernels only run with numpy
-            raise RuntimeError("ColumnBatch.build requires numpy")
         validate_schema(schema, allow_dict=True)
         if len(columns) != len(schema):
             raise ValueError(
@@ -461,8 +451,10 @@ class ColumnBatch:
         rows = list(zip(*cols)) if cols else [()] * n
         stream = self.stream
         source = self.source_task
-        # Same fast path as BatchCodec.decode: bypass the frozen-dataclass
-        # __init__ by writing the instance dict directly.
+        # Hot path: bypass the frozen-dataclass __init__ (which pays one
+        # object.__setattr__ per field) by writing the instance dict of a
+        # bare instance directly.  Field semantics are unchanged — frozen
+        # dataclasses keep a normal __dict__.
         new = StreamTuple.__new__
         out = []
         for i in range(n):

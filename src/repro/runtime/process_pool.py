@@ -106,12 +106,7 @@ from repro.errors import (
 from repro.metrics.registry import NULL_REGISTRY, MetricsRegistry
 from repro.runtime.backends import ExecutorBackend, publish_engine_metrics
 from repro.runtime.config import RunConfig
-from repro.runtime.dataplane import (
-    ChannelEndpoint,
-    ColumnBatch,
-    PickleQueueChannel,
-    create_dataplane,
-)
+from repro.runtime.dataplane import ChannelEndpoint, create_dataplane
 from repro.runtime.epochs import (
     BarrierState,
     EpochCheckpoint,
@@ -714,7 +709,7 @@ class _Worker:
         spec: RuntimeSpec,
         owner: Mapping[int, int],
         max_events: int,
-        channel: Any,
+        channel: ChannelEndpoint,
         config: RunConfig,
         *,
         heartbeats: Any = None,
@@ -732,13 +727,7 @@ class _Worker:
         self.me = worker_id
         self.spec = spec
         self.owner = dict(owner)
-        # Accept either a ChannelEndpoint (normal path, built by the data
-        # plane in the parent) or a bare list of inbox queues (white-box
-        # tests), which gets the historical pickle channel.
-        if isinstance(channel, ChannelEndpoint):
-            self.channel = channel
-        else:
-            self.channel = PickleQueueChannel(worker_id, list(channel))
+        self.channel = channel
         self.channel.connect()
         self.ordered = config.ordered
         self.heartbeats = heartbeats
@@ -1154,12 +1143,11 @@ class _Worker:
                 # already-decoded payload instead of decoding twice.
                 # Consumers with a columnar kernel get the payload as a
                 # ColumnBatch where the wire format allows.
-                if self.channel.peek_consumer(message) in self.step.kernels:
-                    producer, consumer, payload = self.channel.unpack_columns(
-                        message
-                    )
-                else:
-                    producer, consumer, payload = self.channel.unpack(message)
+                producer, consumer, payload = self.channel.unpack(
+                    message,
+                    columns=self.channel.peek_consumer(message)
+                    in self.step.kernels,
+                )
             if self._admit(producer, consumer, payload, soft):
                 received += 1
             else:
@@ -1197,12 +1185,9 @@ class _Worker:
         # there, so an overflow-admission retry inside _blocking_put can
         # never double-count a batch.
         dest = self.owner[consumer]
-        pack = (
-            self.channel.pack_columns
-            if isinstance(payload, ColumnBatch)
-            else self.channel.pack
+        self._blocking_put(
+            dest, self.channel.pack(dest, producer, consumer, payload)
         )
-        self._blocking_put(dest, pack(dest, producer, consumer, payload))
 
     def _deliver_local(self, producer: int, consumer: int, tuples: Any) -> None:
         key = (producer, consumer)

@@ -15,17 +15,17 @@ dataflow.  This module closes the loop:
    each epoch window into observed per-component execution costs and
    selectivities, and folds them into the deployed profile set.
 2. **Decide.**  The observed profiles feed
-   :meth:`AdaptiveController.observe`: drift below the replace threshold
-   does nothing; above it, the controller re-places (or fully
-   re-optimizes) the plan.  When the overload ladder's top rung requests
-   a replan (``EpochCommit.overload``, see :mod:`repro.runtime.overload`
-   and docs/overload.md), sustained backpressure alone escalates to a
-   placement replan even if the profile drift stayed under threshold.  A re-optimized plan whose replication differs
-   from the deployed one cannot be applied live (a running dataflow can
-   move tasks at a barrier but not add or remove them), so the controller
-   falls back to :meth:`AdaptiveController.replan_placement` pinned to
-   the deployed replication — replication changes remain a restart-level
-   response.
+   :meth:`AdaptiveController.decide`: drift below the replace threshold
+   does nothing; above it, the controller replans.  When the overload
+   ladder's top rung requests a replan (``EpochCommit.overload``, see
+   :mod:`repro.runtime.overload` and docs/overload.md), sustained
+   backpressure alone escalates to a placement replan even if the
+   profile drift stayed under threshold.  A plan whose replication
+   differs from the deployed one cannot be applied live (a running
+   dataflow can move tasks at a barrier but not add or remove them), so
+   the one search a replan runs is
+   :meth:`AdaptiveController.replan_placement` pinned to the deployed
+   replication — replication changes remain a restart-level response.
 3. **Score.**  Before migrating, the candidate placement is scored
    against the deployed one under the *observed* profiles with
    :class:`~repro.core.model.IncrementalEvaluator`: the deployed
@@ -188,7 +188,7 @@ class ReconfigController:
     # Barrier observer (the executor's ``on_epoch`` callback)
     # ------------------------------------------------------------------
     def on_epoch(self, commit: EpochCommit) -> Migration | None:
-        from repro.core.adaptation import AdaptationAction, detect_drift
+        from repro.core.adaptation import AdaptationAction
 
         self.report.observations += 1
         self.registry.counter("runtime.reconfig.observations").inc()
@@ -197,15 +197,12 @@ class ReconfigController:
             # First commit: nothing to diff yet — this window calibrates.
             return None
         observed = self._observed_profiles(commit, prev)
-        magnitude = max(
-            (
-                r.magnitude
-                for r in detect_drift(self.controller.profiles, observed)
-            ),
-            default=0.0,
-        )
+        # The verdict only: the controller's own re-plan may change
+        # replication, which a running dataflow cannot follow, so the
+        # one search that counts is _migration_for's.
+        action, magnitude = self.controller.decide(observed)
+        self.controller.adopt(action, observed)
         self.registry.gauge("runtime.reconfig.drift_magnitude").set(magnitude)
-        action = self.controller.observe(observed)
         overload = commit.overload or {}
         if action is AdaptationAction.NONE and overload.get("replan_requested"):
             # The overload ladder's top rung: sustained backpressure is
@@ -313,9 +310,7 @@ class ReconfigController:
             rt.task_id: (rt.socket if rt.socket is not None else 0)
             for rt in spec.tasks
         }
-        # The adaptation controller's own plan (``controller.plan``) may
-        # change replication, which a running dataflow cannot follow — a
-        # migration can move tasks between sockets at a barrier but not
+        # A migration can move tasks between sockets at a barrier but not
         # add or remove them.  The *live* candidate is therefore always a
         # placement-only replan pinned to the deployed replication and
         # seeded with the deployed placement, so the search never returns

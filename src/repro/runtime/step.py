@@ -49,7 +49,6 @@ from repro.dsps.tuples import StreamTuple
 from repro.metrics.registry import MetricsRegistry
 from repro.runtime.dataplane.columns import (
     ColumnBatch,
-    columns_available,
     schema_accepts,
 )
 from repro.runtime.lowering import RouteSpec, TaskRuntime
@@ -146,8 +145,8 @@ class TaskStep:
     metrics:
         Mapping the :data:`STEP_COUNTERS` are accumulated into.
     vectorized:
-        The run's ``--vectorized`` mode; ``"off"`` (or no numpy) makes
-        no task kernel-capable and every counter stays zero.
+        The run's ``--vectorized`` mode; ``"off"`` makes no task
+        kernel-capable and every counter stays zero.
     transpose_sinks:
         Whether a *scalar* batch arriving at a sink is transposed for
         ``Sink.process_columns``.  Workers do (their sinks mostly see
@@ -206,7 +205,7 @@ class TaskStep:
         self.schemas: dict[int, frozenset | None] = {}
         #: Sinks that take columnar payloads only (see ``transpose_sinks``).
         self.columnar_only: set[int] = set()
-        if vectorized == "off" or not columns_available():
+        if vectorized == "off":
             return
         per_tuple = tick is not None or bool(histograms)
         for task_id, operator in instances.items():

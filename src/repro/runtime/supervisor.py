@@ -115,15 +115,10 @@ class Supervisor(ExecutorBackend):
         Upper bound on restarts (``retry``/``degrade``); exceeding it
         re-raises the last failure with the report attached.
     backoff_base_s / backoff_max_s:
-        Backoff parameters between restarts.  With jitter (the default)
-        each restart sleeps one decorrelated-jitter step —
-        ``min(max, uniform(base, prev * 3))`` — so supervisors that
-        failed together restart desynchronized instead of
-        thundering-herding the shared sockets; with
-        ``backoff_jitter=False`` the historical pure exponential
-        ``min(base * 2**(restart-1), max)`` is kept.
-    backoff_jitter:
-        Enable decorrelated jitter (default True).
+        Backoff parameters between restarts.  Each restart sleeps one
+        decorrelated-jitter step — ``min(max, uniform(base, prev * 3))``
+        — so supervisors that failed together restart desynchronized
+        instead of thundering-herding the shared sockets.
     backoff_seed:
         Seed for the jitter RNG, so a supervised run's backoff schedule
         is reproducible.
@@ -144,7 +139,6 @@ class Supervisor(ExecutorBackend):
         max_restarts: int = 3,
         backoff_base_s: float = 0.05,
         backoff_max_s: float = 2.0,
-        backoff_jitter: bool = True,
         backoff_seed: int = 0,
         degrade: DegradeContext | None = None,
         sleep: Callable[[float], None] = time.sleep,
@@ -169,7 +163,6 @@ class Supervisor(ExecutorBackend):
         self.max_restarts = max_restarts
         self.backoff_base_s = backoff_base_s
         self.backoff_max_s = backoff_max_s
-        self.backoff_jitter = backoff_jitter
         self.backoff_seed = backoff_seed
         self._backoff_rng = random.Random(backoff_seed)
         self._prev_backoff_s = backoff_base_s
@@ -333,23 +326,17 @@ class Supervisor(ExecutorBackend):
         checkpoint: "EpochCheckpoint | None" = None,
     ) -> int:
         report.restarts += 1
-        if self.backoff_jitter and self.backoff_base_s > 0:
-            # Decorrelated jitter: grows like the exponential schedule in
-            # expectation but desynchronizes supervisors that failed at
-            # the same moment (thundering-herd restarts on shared
-            # sockets).  Seeded, so the schedule is reproducible.
-            backoff = decorrelated_jitter(
-                self._backoff_rng,
-                self.backoff_base_s,
-                self.backoff_max_s,
-                self._prev_backoff_s,
-            )
-            self._prev_backoff_s = backoff
-        else:
-            backoff = min(
-                self.backoff_base_s * (2 ** (report.restarts - 1)),
-                self.backoff_max_s,
-            )
+        # Decorrelated jitter: grows like the exponential schedule in
+        # expectation but desynchronizes supervisors that failed at the
+        # same moment (thundering-herd restarts on shared sockets).
+        # Seeded, so the schedule is reproducible; a zero base never
+        # sleeps.
+        backoff = self._prev_backoff_s = decorrelated_jitter(
+            self._backoff_rng,
+            self.backoff_base_s,
+            self.backoff_max_s,
+            self._prev_backoff_s,
+        )
         if backoff > 0:
             self.sleep(backoff)
         report.record(

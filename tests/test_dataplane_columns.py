@@ -6,6 +6,7 @@ plus schema negotiation, scalar interop fidelity and the accounting
 helpers the executors rely on.
 """
 
+import multiprocessing
 import pickle
 
 import numpy as np
@@ -16,18 +17,15 @@ from repro.runtime.dataplane import (
     BatchCodec,
     ColumnBatch,
     DictColumn,
-    columns_available,
+    create_dataplane,
     schema_accepts,
+    shm_available,
 )
 from repro.runtime.dataplane.columns import (
     COLUMN_DTYPES,
     _FIXED_PAYLOAD_BYTES,
     schema_dtypes,
     take,
-)
-
-pytestmark = pytest.mark.skipif(
-    not columns_available(), reason="numpy unavailable"
 )
 
 EDGE = (0, 1)
@@ -70,6 +68,17 @@ class TestFromTuples:
 
     def test_empty_batch_declines(self):
         assert ColumnBatch.from_tuples([]) is None
+
+    def test_zero_arity_rows_keep_their_count(self):
+        """No field column to measure: the event times carry the count,
+        through the transpose, the wire and back."""
+        original = make_tuples([(), (), ()])
+        assert len(ColumnBatch.from_tuples(original)) == 3
+        codec = BatchCodec()
+        payload = codec.encode(EDGE, original)
+        assert len(codec.decode_columns(payload, EDGE)) == 3
+        assert codec.decode(payload, EDGE) == original
+        assert codec.fallback_batches == 0
 
     def test_mixed_stream_declines(self):
         tuples = make_tuples([(1,)], stream="a") + make_tuples(
@@ -333,3 +342,87 @@ class TestHelpers:
         ]
         assert clone.stream == batch.stream
         assert clone.source_task == batch.source_task
+
+
+def _kernel_dict_batch():
+    words = DictColumn([0, 1, 2, 2, 1, 0], ["a", "bb", "ccc"])
+    return ColumnBatch(
+        "default", 3, "Dq", np.arange(6, dtype="<f8"), [words, np.arange(6)]
+    )
+
+
+#: name -> (payload factory, the codec takes it columnar)
+CHANNEL_PAYLOADS = {
+    "rows": (lambda: make_tuples(MIXED_ROWS), True),
+    "batch": (lambda: ColumnBatch.from_tuples(make_tuples(MIXED_ROWS)), True),
+    "none_field": (lambda: make_tuples([(1, None), (2, "x")]), False),
+    "kernel_dict": (_kernel_dict_batch, True),
+    "empty": (list, True),
+}
+
+
+class TestChannelContract:
+    """``ChannelEndpoint``: one ``pack`` taking either payload shape, one
+    ``unpack(message, columns=...)`` — on both planes."""
+
+    @pytest.fixture(
+        params=[
+            "pickle",
+            pytest.param(
+                "shm",
+                marks=pytest.mark.skipif(
+                    not shm_available(), reason="no POSIX shared memory"
+                ),
+            ),
+        ]
+    )
+    def endpoints(self, request):
+        plane = create_dataplane(
+            request.param, multiprocessing.get_context(), 2
+        )
+        sender, receiver = plane.endpoint(0), plane.endpoint(1)
+        try:
+            sender.connect()
+            receiver.connect()
+            yield sender, receiver
+        finally:
+            sender.close()
+            receiver.close()
+            plane.close()
+
+    @pytest.mark.parametrize("columns", [False, True], ids=["rows", "columns"])
+    @pytest.mark.parametrize("kind", CHANNEL_PAYLOADS)
+    def test_round_trip(self, endpoints, kind, columns):
+        sender, receiver = endpoints
+        make, columnar = CHANNEL_PAYLOADS[kind]
+        payload = make()
+        want = (
+            payload.to_tuples() if isinstance(payload, ColumnBatch) else payload
+        )
+        message = sender.pack(1, 4, 9, payload)
+        assert receiver.peek_consumer(message) == 9
+        producer, consumer, got = receiver.unpack(message, columns=columns)
+        assert (producer, consumer) == (4, 9)
+        # Which shapes can come back columnar: whatever the codec encoded
+        # as columns with rows in it (shm), a shipped ColumnBatch (pickle).
+        # Everything else — a fallback payload above all — is rows.
+        if sender.plane == "shm":
+            stays_columnar = columnar and len(want) > 0
+        else:
+            stays_columnar = isinstance(payload, ColumnBatch)
+        if columns and stays_columnar:
+            assert isinstance(got, ColumnBatch)
+            got = got.to_tuples()
+        assert isinstance(got, list)
+        assert got == want
+        assert [tuple(map(type, t.values)) for t in got] == [
+            tuple(map(type, t.values)) for t in want
+        ]
+        metrics = sender.snapshot_metrics()
+        assert metrics["remote_batches_out"] == 1
+        if sender.plane == "shm":
+            assert metrics["codec_fallbacks"] == (0 if columnar else 1)
+            assert metrics["bytes_inline"] > 0 and "bytes_oob" not in metrics
+        else:
+            assert "codec_fallbacks" not in metrics
+            assert metrics["pickled_bytes_out"] == len(message[3])

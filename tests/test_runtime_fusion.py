@@ -29,7 +29,6 @@ from repro.runtime import (
     apply_edge_batches,
     as_fusion_config,
     chain_map,
-    columns_available,
     lower_graph,
     plan_fusion,
     refit_fusion,
@@ -48,11 +47,6 @@ EXPECTED_CHAINS = {
     "fd": ((1, 2),),
     "lr": ((1, 2), (3, 8)),
 }
-
-needs_numpy = pytest.mark.skipif(
-    not columns_available(), reason="numpy not importable"
-)
-
 
 def build_engine(app, *, fuse=None, backend="inline", vectorized="off", **kwargs):
     topology, _profiles = load_application(app)
@@ -373,7 +367,7 @@ class TestFusionParity:
     @pytest.mark.parametrize(
         "vectorized",
         # The ids say whether kernels run; the mode that runs them is "auto".
-        ["off", pytest.param("auto", marks=needs_numpy, id="on")],
+        ["off", pytest.param("auto", id="on")],
     )
     def test_fused_matches_unfused_baseline(
         self, baselines, app, backend, vectorized

@@ -30,6 +30,7 @@ from repro.errors import (
 )
 from repro.runtime import ProcessPoolBackend, SendRetryPolicy
 from repro.runtime.config import RunConfig
+from repro.runtime.dataplane import PickleQueueChannel
 from repro.runtime.process_pool import _STATUS_RUNNING, _Worker
 
 
@@ -45,7 +46,7 @@ def make_worker(*, ordered=False, queue_capacity=None, inboxes=None, **kwargs):
             spec,
             owner,
             100,
-            inboxes if inboxes is not None else [queue.Queue()],
+            PickleQueueChannel(0, inboxes or [queue.Queue()]),
             RunConfig(ordered=ordered),
             **kwargs,
         ),
@@ -141,7 +142,14 @@ class TestBacklogDrainOrder:
         spec = engine.spec
         rt = next(r for r in spec.tasks if len(r.in_edges) >= 2)
         owner = {t.task_id: 0 for t in spec.tasks}
-        worker = _Worker(0, spec, owner, 100, [queue.Queue()], RunConfig(ordered=True))
+        worker = _Worker(
+            0,
+            spec,
+            owner,
+            100,
+            PickleQueueChannel(0, [queue.Queue()]),
+            RunConfig(ordered=True),
+        )
         keys = [(e.producer, e.consumer) for e in rt.in_edges]
         late_edge_batch = tuples_of(2, producer=keys[1][0])
         worker._enqueue_backlog(keys[1], late_edge_batch)
@@ -170,7 +178,9 @@ class TestIdleAccounting:
         (edge,) = sink.in_edges
         owner = {rt.task_id: int(rt.is_sink) for rt in spec.tasks}
         inboxes = [queue.Queue(), queue.Queue()]
-        worker = _Worker(1, spec, owner, 100, inboxes, RunConfig())
+        worker = _Worker(
+            1, spec, owner, 100, PickleQueueChannel(1, inboxes), RunConfig()
+        )
 
         slept = []
         real_sleep = time.sleep

@@ -45,13 +45,9 @@ from repro.metrics import MetricsRegistry
 from repro.metrics.registry import NULL_REGISTRY
 from repro.runtime import EpochConfig, Migration, ProcessPoolBackend
 from repro.runtime.backends import _InlineRun
-from repro.runtime.dataplane import ColumnBatch, columns_available
+from repro.runtime.dataplane import ColumnBatch
 from repro.runtime.overload import Shedder
 from repro.runtime.step import STEP_COUNTERS, TaskStep, chain_stages, partition
-
-pytestmark = pytest.mark.skipif(
-    not columns_available(), reason="numpy unavailable"
-)
 
 APPS = ("wc", "sd", "fd", "lr")
 EVENTS = 300

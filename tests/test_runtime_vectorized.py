@@ -27,11 +27,6 @@ from repro.runtime import (
     ProcessPoolBackend,
 )
 from repro.runtime.backends import resolve_backend
-from repro.runtime.dataplane import columns_available
-
-pytestmark = pytest.mark.skipif(
-    not columns_available(), reason="numpy unavailable"
-)
 
 EVENTS = 200
 
