@@ -79,6 +79,10 @@ class CommunicationQueue:
     capacity_tuples:
         Maximum number of buffered tuples before the queue reports itself
         full (``None`` = unbounded, the functional engine's default).
+    stats:
+        Counters to continue from: the edge's cumulative
+        :class:`QueueStats` when a relaunched worker pool takes it over
+        (``None`` = a fresh edge).
     """
 
     def __init__(
@@ -86,13 +90,14 @@ class CommunicationQueue:
         producer: int,
         consumer: int,
         capacity_tuples: int | None = None,
+        stats: QueueStats | None = None,
     ) -> None:
         if capacity_tuples is not None and capacity_tuples < 1:
             raise SimulationError("queue capacity must be >= 1 tuple")
         self.producer = producer
         self.consumer = consumer
         self.capacity_tuples = capacity_tuples
-        self.stats = QueueStats()
+        self.stats = stats if stats is not None else QueueStats()
         self._batches: deque = deque()
         self._depth_tuples = 0
 
@@ -112,15 +117,17 @@ class CommunicationQueue:
             return True
         return self._depth_tuples + tuples <= self.capacity_tuples
 
-    def offer(self, batch: Sized) -> bool:
-        """Try to enqueue ``batch``; returns False when full (no partial add)."""
+    def offer(self, batch: Sized, force: bool = False) -> bool:
+        """Try to enqueue ``batch``; returns False when full (no partial add).
+
+        ``force`` admits it over capacity — soft admission: a process
+        worker blocked on a send of its own must keep taking what its
+        peers send, or two mutually-sending workers deadlock.
+        """
         n = len(batch)
         if n == 0:
             return True
-        if (
-            self.capacity_tuples is not None
-            and self._depth_tuples + n > self.capacity_tuples
-        ):
+        if not force and not self.has_space(n):
             self.stats.rejected_batches += 1
             return False
         self._batches.append(batch)

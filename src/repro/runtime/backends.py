@@ -28,8 +28,8 @@ from collections import defaultdict
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, NamedTuple
 
-from repro.dsps.operators import Operator, Sink
-from repro.dsps.queues import CommunicationQueue, OutputBuffer, QueueStats
+from repro.dsps.operators import Sink
+from repro.dsps.queues import CommunicationQueue, QueueStats
 from repro.dsps.tuples import JumboTuple
 from repro.errors import (
     ExecutionError,
@@ -48,24 +48,10 @@ from repro.runtime.epochs import (
     EpochConfig,
     EpochDriver,
     Migration,
-    fast_forward,
-    restore_tasks,
-    snapshot_tasks,
 )
-from repro.runtime.lowering import (
-    RuntimeSpec,
-    TaskRuntime,
-    instantiate_task,
-    instantiate_tasks,
-)
+from repro.runtime.lowering import RuntimeSpec, TaskRuntime
 from repro.runtime.results import RunResult, TaskStats
-from repro.runtime.step import (
-    STEP_COUNTERS,
-    Delivery,
-    TaskStep,
-    chain_stages,
-    publish_step_counters,
-)
+from repro.runtime.step import Delivery, TaskStep, publish_step_counters
 
 if TYPE_CHECKING:
     from typing import Callable
@@ -232,12 +218,14 @@ class InlineBackend(ExecutorBackend):
 
 
 class _InlineRun:
-    """Mutable state of one inline execution (one object per ``run()``).
+    """One inline execution (one object per ``run()``): the cooperative
+    scheduler over a :class:`~repro.runtime.step.TaskStep` hosting every
+    task of the spec.
 
     The executor half of :class:`~repro.runtime.epochs.EpochDriver`'s
     contract.  A run is a sequence of *phases*: each advances every
     spout to the next epoch boundary and drains the DAG to quiescence
-    (fresh cooperative generators over the persistent
+    (fresh cooperative generators over the host's persistent
     queues/instances/counters); the driver commits in between.  Without
     barriers there is exactly one final phase — the historical
     single-pass schedule, bit-for-bit.
@@ -255,16 +243,11 @@ class _InlineRun:
         **barriers: Any,
     ) -> None:
         self.spec = spec
-        self.max_events = max_events
         self.registry = registry
         self.injector = injector
-        self.vectorized = vectorized
         #: ``barriers`` are the driver's keywords: ``epochs``, ``resume``,
         #: ``on_epoch``, ``batching``, ``overload``.
         self.driver = EpochDriver(spec, max_events, registry, **barriers)
-        resume = self.driver.checkpoint
-        # runtime.vectorized.* / runtime.fusion.* totals for this run.
-        self.metrics = dict.fromkeys(STEP_COUNTERS, 0)
         self.instrumented = registry.enabled
         # Per-task wall-clock: needed for gauges when instrumented, as the
         # drift detector's Te signal when a barrier observer runs, and by
@@ -273,58 +256,35 @@ class _InlineRun:
             collect_wall or self.instrumented or self.driver.on_epoch is not None
         )
         self.wall: dict[int, float] = defaultdict(float)
-        self.instances = instantiate_tasks(spec)
-        self.stats = {
-            rt.task_id: TaskStats(task_id=rt.task_id, component=rt.component)
-            for rt in spec.tasks
-        }
-        self.queues: dict[tuple[int, int], CommunicationQueue] = {}
-        self.buffers: dict[tuple[int, int], OutputBuffer] = {}
-        for edge in spec.edges:
-            key = (edge.producer, edge.consumer)
-            self.queues[key] = CommunicationQueue(
-                edge.producer, edge.consumer, spec.queue_capacity[key]
-            )
-            self.buffers[key] = OutputBuffer(
-                edge.producer, edge.consumer, spec.batch_for(key)
-            )
-        self.counters: dict[tuple[int, str], int] = defaultdict(int)
+        # The task host.  Its per-tuple observers — an armed injector,
+        # per-call latency histograms — disable kernels for the run
+        # (counted fallbacks).
+        self.step = TaskStep(
+            spec,
+            max_events,
+            checkpoint=self.driver.checkpoint,
+            vectorized=vectorized,
+            transpose_sinks=False,
+            tick=self._fault_tick if injector is not None else None,
+            histograms=(
+                {
+                    rt.task_id: registry.histogram(
+                        f"engine.{rt.component}.{rt.task.replica_start}.process_ns"
+                    )
+                    for rt in spec.tasks
+                }
+                if self.instrumented
+                else None
+            ),
+        )
         self.done: set[int] = set()  # tasks finished in the current phase
-        self.events = 0
         self.ticks = 0  # processed batches/events; stall detector input
-        self.spout_produced: dict[int, int] = {
-            rt.task_id: 0 for rt in spec.tasks if rt.is_spout
-        }
-        self.exhausted: set[int] = set()  # spouts whose source dried up
         #: When the first spout reached the current phase's boundary.
         self.boundary_at: float | None = None
-        # Persistent per-spout iterators: one source per run, paused at
-        # phase boundaries instead of re-created per phase.
-        self.spout_iters = {
-            rt.task_id: self.instances[rt.task_id].next_batch(max_events)
-            for rt in spec.tasks
-            if rt.is_spout
-        }
-        if resume is not None:
-            # Rebuild runtime state from the committed checkpoint.
-            restore_tasks(
-                resume.payload(), self.instances, self.counters, self.stats
-            )
-            self.events = resume.events_ingested
-            self.spout_produced.update(resume.spout_produced)
-            for task_id in self.spout_iters:
-                self._fast_forward(task_id)
 
     @property
     def last_checkpoint(self) -> EpochCheckpoint | None:
         return self.driver.checkpoint
-
-    def _fast_forward(self, task_id: int) -> None:
-        """Replay spout ``task_id``'s source to its committed position."""
-        if not fast_forward(
-            self.spout_iters[task_id], self.spout_produced[task_id]
-        ):
-            self.exhausted.add(task_id)
 
     # ------------------------------------------------------------------
     # Scheduler
@@ -341,59 +301,23 @@ class _InlineRun:
         run each operator's :meth:`~repro.dsps.operators.Operator.flush`.
         """
         entered = perf_counter()
-        for key, size in directive.get("edge_batches", {}).items():
-            self.buffers[key].batch_size = size
+        step = self.step
+        step.resize(directive.get("edge_batches", {}))
+        # The overload ladder only moves at barriers.
+        manager = self.driver.manager
+        step.shedder = (
+            manager.shedder if manager is not None and manager.shed_active else None
+        )
         self.done = set()
         self.boundary_at = None
-        # Fused chains are re-read from the spec each phase: a live
-        # migration may have re-derived them (refit_fusion), and the
-        # eliminated edges' queues are guaranteed empty at the barrier.
-        by_id = {rt.task_id: rt for rt in self.spec.tasks}
-        chains = {
-            chain[0]: tuple(by_id[tid] for tid in chain)
-            for chain in self.spec.fusion
-        }
-        members = self.spec.fused_member_ids
-        self.stages = chain_stages(chains.values())  # see _deliver
-        # The task step (repro.runtime.step), rebuilt per phase because
-        # a migration re-instantiates moved operators and the overload
-        # ladder only moves at barriers.  Its per-tuple observers — an
-        # armed injector, per-call latency histograms — disable kernels
-        # for the run (counted fallbacks).
-        manager = self.driver.manager
-        self.step = TaskStep(
-            self.instances,
-            self.stats,
-            self.counters,
-            self.buffers,
-            self.metrics,
-            vectorized=self.vectorized,
-            transpose_sinks=False,
-            tick=self._fault_tick if self.injector is not None else None,
-            histograms=(
-                {
-                    rt.task_id: self.registry.histogram(
-                        f"engine.{rt.component}.{rt.task.replica_start}.process_ns"
-                    )
-                    for rt in self.spec.tasks
-                }
-                if self.instrumented
-                else None
-            ),
-            shedder=(
-                manager.shedder
-                if manager is not None and manager.shed_active
-                else None
-            ),
-        )
         active: list[tuple[int, Iterator[None]]] = []
-        for rt in self.spec.tasks:
-            if rt.task_id in members:
+        for rt in step.mine:
+            if rt.task_id in step.stages:
                 continue  # executed inline by its chain head
             if rt.is_spout:
                 loop = self._spout_loop(rt, limit)
             else:
-                loop = self._chain_loop(chains.get(rt.task_id, (rt,)), final)
+                loop = self._chain_loop(step.chains[rt.task_id], final)
             if self.injector is not None:
                 loop = _park_when_stalled(loop)
             active.append((rt.task_id, loop))
@@ -412,7 +336,7 @@ class _InlineRun:
             if active and self.ticks == before:
                 blocked = [
                     f"{p}->{c}"
-                    for (p, c), q in self.queues.items()
+                    for (p, c), q in self.step.queues.items()
                     if q.is_full
                 ]
                 stalled = sorted(self.injector.stalled) if self.injector else []
@@ -437,15 +361,16 @@ class _InlineRun:
     def collect(self) -> BarrierState:
         """The quiescent state, snapshotted and validated in place."""
         started = perf_counter()
-        states, sink_received = snapshot_tasks(self.instances)
+        step = self.step
+        states, sink_received = step.snapshot()
         return BarrierState(
             states=states,
-            counters=self.counters,
-            stats=self.stats,
-            spout_produced=self.spout_produced,
-            exhausted=self.exhausted,
+            counters=step.counters,
+            stats=step.stats,
+            spout_produced=step.spout_produced,
+            exhausted=step.exhausted,
             sink_received=sink_received,
-            queue_stats={key: q.stats for key, q in self.queues.items()},
+            queue_stats=step.queue_stats,
             task_wall_ns={t: s * 1e9 for t, s in self.wall.items()},
             quiesce_ns=(
                 (started - self.boundary_at) * 1e9 if self.boundary_at else 0.0
@@ -454,40 +379,21 @@ class _InlineRun:
         )
 
     def migrate(self, migration: Migration, checkpoint: EpochCheckpoint) -> None:
-        """Hand the committed state to the re-placed tasks and resume.
-
-        The stream is already paused at the barrier; moved tasks are
-        re-instantiated under the new placement and restored *from the
-        checkpoint blob* — migration exercises the exact serialize →
-        deserialize → restore path a cross-process handoff needs.
-        """
-        new_spec = self.spec = migration.spec
-        payload = checkpoint.payload()
-        by_id = {rt.task_id: rt for rt in new_spec.tasks}
-        for task_id in migration.moved:
-            instance = instantiate_task(new_spec, by_id[task_id])
-            self.instances[task_id] = instance
-            if isinstance(instance, Operator):
-                state = payload["states"].get(task_id)
-                if state is not None:
-                    instance.restore_state(state)
-            else:
-                # A moved spout restarts its deterministic source and
-                # fast-forwards to the committed position.
-                self.spout_iters[task_id] = instance.next_batch(self.max_events)
-                self._fast_forward(task_id)
+        """Hand the committed state to the re-placed tasks and resume."""
+        self.spec = migration.spec
+        self.step.migrate(migration.spec, migration.moved, checkpoint)
 
     def _snapshot(self, partial: bool) -> RunResult:
         """Current run state as a result (complete or mid-failure)."""
         sinks: dict[str, list[Sink]] = defaultdict(list)
         for rt in self.spec.tasks:
-            instance = self.instances[rt.task_id]
+            instance = self.step.instances[rt.task_id]
             if isinstance(instance, Sink):
                 sinks[rt.component].append(instance)
         return RunResult(
             topology_name=self.spec.topology.name,
-            events_ingested=self.events,
-            task_stats=self.stats,
+            events_ingested=sum(self.step.spout_produced.values()),
+            task_stats=self.step.stats,
             sinks=dict(sinks),
             fault_summary=self.injector.summary() if self.injector else None,
             partial=partial,
@@ -502,12 +408,9 @@ class _InlineRun:
                     f"engine.{rt.component}.{rt.task.replica_start}.task_wall_ns"
                 ).set(self.wall[rt.task_id] * 1e9)
             publish_engine_metrics(
-                self.registry,
-                self.spec,
-                result,
-                {key: q.stats for key, q in self.queues.items()},
+                self.registry, self.spec, result, self.step.queue_stats
             )
-            publish_step_counters(self.registry, self.metrics)
+            publish_step_counters(self.registry, self.step.metrics)
         return result
 
     def _sockets_of(self, task_ids) -> tuple[int, ...]:
@@ -551,29 +454,23 @@ class _InlineRun:
     # own the queues it is fetched from and enqueued on.
     # ------------------------------------------------------------------
     def _spout_loop(self, rt: TaskRuntime, limit: int) -> Iterator[None]:
-        histogram = self.step.histograms.get(rt.task_id)
-        iterator = self.spout_iters[rt.task_id]
-        # ``produced`` is cumulative across phases (and across a resume):
+        step = self.step
+        histogram = step.histograms.get(rt.task_id)
+        # Positions are cumulative across phases (and across a resume):
         # event times and epoch boundaries count from the run's origin.
-        produced = self.spout_produced[rt.task_id]
-        while produced < limit and rt.task_id not in self.exhausted:
-            try:
-                values = next(iterator)
-            except StopIteration:
-                self.exhausted.add(rt.task_id)
+        while step.spout_produced[rt.task_id] < limit:
+            values = step.draw(rt)
+            if values is None:
                 break
             started = perf_counter() if histogram is not None else 0.0
-            for producer, consumer, sealed in self.step.emit(rt, values, produced):
+            for producer, consumer, sealed in step.emit(rt, values):
                 yield from self._enqueue(producer, consumer, sealed)
-            produced += 1
-            self.spout_produced[rt.task_id] = produced
-            self.events += 1
             self.ticks += 1
             if histogram is not None:
                 histogram.observe((perf_counter() - started) * 1e9)
         if self.boundary_at is None:
             self.boundary_at = perf_counter()
-        yield from self._deliver(self.step.flush_buffers(rt))
+        yield from self._deliver(step.flush_buffers(rt))
         self.done.add(rt.task_id)
 
     def _chain_loop(
@@ -585,7 +482,8 @@ class _InlineRun:
         head = chain[0]
         producers = {edge.producer for edge in head.in_edges}
         in_queues = [
-            self.queues[(edge.producer, edge.consumer)] for edge in head.in_edges
+            self.step.queues[(edge.producer, edge.consumer)]
+            for edge in head.in_edges
         ]
         while True:
             progressed = False
@@ -611,7 +509,7 @@ class _InlineRun:
         suspending while it is full — or, addressed to a fused chain
         member, back to the step to run scalar from that stage."""
         for producer, consumer, payload in deliveries:
-            stage = self.stages.get(consumer)
+            stage = self.step.stages.get(consumer)
             if stage is None:
                 yield from self._enqueue(producer, consumer, payload)
             else:
@@ -631,7 +529,7 @@ class _InlineRun:
             # the supervisor detects the loss from the fault summary.
             self.ticks += 1
             return
-        queue = self.queues[(producer, consumer)]
+        queue = self.step.queues[(producer, consumer)]
         if not queue.has_space(len(batch)):
             # Blocking-producer backpressure: suspend until the consumer
             # drains enough of the queue for the sealed batch to fit.
@@ -672,15 +570,15 @@ def inline_rounds(
         vectorized=vectorized,
         collect_wall=True,
     )
-    queue_stats = {key: queue.stats for key, queue in run.queues.items()}
+    step = run.step
     for index in range(rounds):
         run.run_phase((index + 1) * round_events, False, {})
         yield InlineSample(
             {task_id: wall * 1e9 for task_id, wall in run.wall.items()},
-            run.stats,
-            queue_stats,
-            run.spout_produced,
-            frozenset(run.step.kernels),
+            step.stats,
+            step.queue_stats,
+            step.spout_produced,
+            frozenset(step.kernels),
         )
 
 

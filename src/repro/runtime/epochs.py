@@ -42,9 +42,8 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, MutableMapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-from repro.dsps.operators import Operator, Sink
 from repro.errors import ExecutionError, TopologyError
 from repro.metrics.registry import MetricsRegistry
 from repro.runtime.batching import AdaptiveBatchConfig, AdaptiveBatchController
@@ -63,10 +62,7 @@ __all__ = [
     "EpochReport",
     "Migration",
     "check_serializable",
-    "fast_forward",
     "require_barriers",
-    "restore_tasks",
-    "snapshot_tasks",
 ]
 
 #: Checkpoint blobs use pickle protocol 5, same as the data plane's codec
@@ -263,52 +259,6 @@ class EpochCheckpoint:
         )
 
 
-def snapshot_tasks(instances: Mapping[int, Any]) -> tuple[dict[int, Any], int]:
-    """Snapshot every operator in ``instances`` — one executor's tasks —
-    validating each state where it lives; also what its sinks received
-    so far.  The inverse of :func:`restore_tasks`."""
-    states: dict[int, Any] = {}
-    sink_received = 0
-    for task_id, instance in instances.items():
-        if isinstance(instance, Operator):
-            states[task_id] = state = instance.snapshot_state()
-            check_serializable(state, path=f"task {task_id} state")
-        if isinstance(instance, Sink):
-            sink_received += instance.received
-    return states, sink_received
-
-
-def restore_tasks(
-    payload: Mapping[str, Any],
-    instances: Mapping[int, Any],
-    counters: MutableMapping[Any, int],
-    stats: MutableMapping[int, Any],
-) -> None:
-    """Resume the tasks in ``instances`` from a checkpoint ``payload``:
-    operator state, routing counters, cumulative per-task statistics.
-    ``instances`` may be a partition of the checkpointed tasks (one
-    worker's share); the rest of the payload is ignored."""
-    for task_id, state in payload["states"].items():
-        if state is not None and task_id in instances:
-            instances[task_id].restore_state(state)
-    counters.update(payload["counters"])
-    for task_id, task_stats in payload["stats"].items():
-        if task_id in stats:
-            stats[task_id] = task_stats
-
-
-def fast_forward(iterator: Iterator, produced: int) -> bool:
-    """Advance a spout's source past its ``produced`` committed tuples;
-    False when it dried up first.
-
-    Sources are deterministic seeded generators, so re-drawing (and
-    discarding) the committed prefix replays them to the exact resume
-    position without recording stats or fault ticks.
-    """
-    dry = object()
-    return all(next(iterator, dry) is not dry for _ in range(produced))
-
-
 @dataclass(frozen=True)
 class EpochCommit:
     """What an ``on_epoch`` observer sees at each barrier.
@@ -402,8 +352,8 @@ class EpochReport:
 @dataclass
 class BarrierState:
     """A quiescent executor at an epoch boundary (``collect()``).  The
-    ``states`` were validated where they live (:func:`snapshot_tasks`,
-    in parallel on the process backend); counters are cumulative."""
+    ``states`` were validated where they live (``TaskStep.snapshot``, in
+    parallel on the process backend); counters are cumulative."""
 
     states: Mapping[int, Any]
     counters: Mapping[Any, int]

@@ -192,6 +192,21 @@ def refit_fusion(spec: RuntimeSpec) -> RuntimeSpec:
     return plan_fusion(spec, FusionConfig(mode="auto"))
 
 
+def with_sockets(
+    spec: RuntimeSpec, sockets: Mapping[int, int | None]
+) -> RuntimeSpec:
+    """``spec`` re-placed: each task on ``sockets[task id]`` (a task not
+    named keeps its socket) with the fused chains re-derived — a chain
+    the move split dissolves back into its queued edges, newly
+    co-located pairs fuse.  The one way a running spec changes sockets:
+    a live migration and a degraded re-plan both come through here."""
+    tasks = tuple(
+        dc_replace(rt, socket=sockets.get(rt.task_id, rt.socket))
+        for rt in spec.tasks
+    )
+    return refit_fusion(dc_replace(spec, tasks=tasks))
+
+
 def chain_map(spec: RuntimeSpec) -> dict[int, tuple[int, ...]]:
     """Chain-head task id -> full chain (including the head)."""
     return {chain[0]: chain for chain in spec.fusion}

@@ -426,8 +426,8 @@ class CircuitBreaker:
         self.policy = policy
         self.blocked_since: float | None = None
         self.next_probe = 0.0
+        #: Times the circuit opened (``runtime.worker.<id>.circuit_opens``).
         self.opens = 0
-        self.probes = 0
 
     @property
     def open(self) -> bool:
@@ -435,12 +435,7 @@ class CircuitBreaker:
 
     def allow(self, now: float) -> bool:
         """Whether a ``try_put`` attempt is allowed right now."""
-        if not self.open:
-            return True
-        if now >= self.next_probe:
-            self.probes += 1
-            return True
-        return False
+        return not self.open or now >= self.next_probe
 
     def on_blocked(self, now: float) -> None:
         if self.blocked_since is None:

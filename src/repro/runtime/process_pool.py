@@ -87,15 +87,14 @@ import random
 import time
 import traceback
 from collections import defaultdict, deque
-from dataclasses import replace
 from time import monotonic, monotonic_ns, perf_counter
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 import multiprocessing as mp
 
 from repro.dsps.operators import Sink
-from repro.dsps.queues import OutputBuffer, QueueStats
-from repro.dsps.tuples import JumboTuple, StreamTuple
+from repro.dsps.queues import QueueStats
+from repro.dsps.tuples import JumboTuple
 from repro.errors import (
     ExecutionError,
     InjectedFaultError,
@@ -113,9 +112,6 @@ from repro.runtime.epochs import (
     EpochConfig,
     EpochDriver,
     Migration,
-    fast_forward,
-    restore_tasks,
-    snapshot_tasks,
 )
 from repro.runtime.faults import FaultInjector, merge_fault_summaries
 from repro.runtime.overload import (
@@ -124,13 +120,12 @@ from repro.runtime.overload import (
     Shedder,
     decorrelated_jitter,
 )
-from repro.runtime.lowering import RuntimeSpec, TaskRuntime, instantiate_task
-from repro.runtime.results import Placement, RunResult, TaskStats
+from repro.runtime.lowering import RuntimeSpec, TaskRuntime
+from repro.runtime.results import Placement, RunResult
 from repro.runtime.step import (
     STEP_COUNTERS,
     Delivery,
     TaskStep,
-    chain_stages,
     publish_step_counters,
 )
 
@@ -314,6 +309,7 @@ _WORKER_COUNTERS = (
     "remote_batches_out",
     "overflow_admissions",
     "spout_throttles",
+    "circuit_opens",
 )
 
 
@@ -700,8 +696,9 @@ def _worker_main(
 
 
 class _Worker:
-    """One worker process: runs its task partition, phase after phase,
-    for the whole run."""
+    """One worker process: steps a :class:`~repro.runtime.step.TaskStep`
+    hosting its share of the tasks, phase after phase, for the whole
+    run — scheduling quanta, channels, liveness and barrier reports."""
 
     def __init__(
         self,
@@ -725,7 +722,6 @@ class _Worker:
         progress: Any = None,
     ) -> None:
         self.me = worker_id
-        self.spec = spec
         self.owner = dict(owner)
         self.channel = channel
         self.channel.connect()
@@ -744,9 +740,6 @@ class _Worker:
         self.run_deadline = run_deadline
         self.breakers: dict[int, CircuitBreaker] = {}
         self.send_rng = random.Random(0x5EED ^ worker_id)
-        self.mine: list[TaskRuntime] = [
-            rt for rt in spec.tasks if self.owner[rt.task_id] == worker_id
-        ]
         # The current phase, set by each resume directive: the cumulative
         # per-spout bound, and whether it closes the stream.
         self.limit = max_events
@@ -756,11 +749,12 @@ class _Worker:
         # across phases, backends and replays; built by the first
         # directive that carries the ladder's shed context.
         self.shedder: Shedder | None = None
+        mine = [task_id for task_id, wid in self.owner.items() if wid == worker_id]
         self.injector = (
             FaultInjector(
                 tuple(schedule),
                 attempt,
-                tasks={rt.task_id for rt in self.mine},
+                tasks=set(mine),
                 # A pool launched from a checkpoint seeds the per-task
                 # tuple counts so trigger offsets stay run-absolute and
                 # faults spent before it never re-fire.
@@ -769,43 +763,29 @@ class _Worker:
             if schedule
             else None
         )
-        self.instances = {
-            rt.task_id: instantiate_task(spec, rt) for rt in self.mine
-        }
-        self.stats = {
-            rt.task_id: TaskStats(task_id=rt.task_id, component=rt.component)
-            for rt in self.mine
-        }
-        self.buffers = {
-            (edge.producer, edge.consumer): OutputBuffer(
-                edge.producer,
-                edge.consumer,
-                spec.batch_for((edge.producer, edge.consumer)),
-            )
-            for rt in self.mine
-            for edge in rt.out_edges
-        }
-        self.counters: dict[tuple[int, str], int] = defaultdict(int)
-        # Inbound bookkeeping: one stats block and backlog per in-edge of a
-        # local task.  Arrival mode queues (edge, tuples) per consumer in
-        # arrival order; ordered mode queues per edge.  The stats are
-        # cumulative over the run: a pool relaunched by a migration
-        # continues from the stopped pool's.
-        self.edge_stats: dict[tuple[int, int], QueueStats] = {}
-        self.edge_depth: dict[tuple[int, int], int] = {}
-        self.edge_backlog: dict[tuple[int, int], deque] = {}
-        self.arrival: dict[int, deque] = {}
-        for rt in self.mine:
-            self.arrival[rt.task_id] = deque()
-            for edge in rt.in_edges:
-                key = (edge.producer, edge.consumer)
-                self.edge_stats[key] = (
-                    replace(edge_stats[key])
-                    if edge_stats and key in edge_stats
-                    else QueueStats()
-                )
-                self.edge_depth[key] = 0
-                self.edge_backlog[key] = deque()
+        # The task host: this worker's partition (a fused chain runs
+        # inline in its head, so _assign colocated all its members
+        # here), resumed from the checkpoint the pool was launched from;
+        # its input queues continue a stopped pool's cumulative stats.
+        # An armed injector needs per-tuple fault ticks, so it disables
+        # kernels for the run; the shedder follows the directives.
+        # Ordered mode cannot bound its queues (module docstring).
+        self.step = TaskStep(
+            spec,
+            max_events,
+            tasks=mine,
+            checkpoint=checkpoint,
+            vectorized=config.vectorized,
+            transpose_sinks=True,
+            tick=self._fault_tick if self.injector is not None else None,
+            bounded=not config.ordered,
+            queue_stats=edge_stats,
+        )
+        #: The step's counters; this worker adds its transport counters.
+        self.metrics = self.step.metrics
+        #: Arrival mode: per consumer, the in-edges of its queued
+        #: batches in the order they arrived.
+        self.arrival: dict[int, deque] = {task_id: deque() for task_id in mine}
         self.eof: set[tuple[int, int]] = set()
         self.completed: set[int] = set()
         # A received batch refused hard admission, already decoded — kept
@@ -814,64 +794,14 @@ class _Worker:
         # payload is a tuple list or, for columnar consumers, possibly a
         # ColumnBatch; both support len() everywhere admission cares.
         self.held: tuple[int, int, Any] | None = None
-        self.rt_by_id: dict[int, TaskRuntime] = {
-            rt.task_id: rt for rt in spec.tasks
-        }
-        # Fused chains (repro.runtime.fusion): the head runs every stage
-        # inline, so _assign colocated all constituents on this worker.
-        # Members are skipped by the scheduling loops — their intra-chain
-        # edges stay idle and their instances/stats/state are driven by
-        # the head's chain execution.  An unfused task is a chain of one.
-        self.fused_members: frozenset[int] = spec.fused_member_ids
-        self.chains: dict[int, tuple[TaskRuntime, ...]] = {
-            rt.task_id: (rt,)
-            for rt in self.mine
-            if not rt.is_spout and rt.task_id not in self.fused_members
-        }
-        for chain in spec.fusion:
-            if chain[0] in self.chains:
-                self.chains[chain[0]] = tuple(self.rt_by_id[tid] for tid in chain)
-        self.stages = chain_stages(self.chains.values())  # see _deliver
-        self.metrics: dict[str, Any] = defaultdict(float)
-        # The task step (repro.runtime.step, shared with the inline run).
-        # An armed injector needs per-tuple fault ticks, so it disables
-        # kernels for the run; the shedder follows the directives.
-        self.step = TaskStep(
-            self.instances,
-            self.stats,
-            self.counters,
-            self.buffers,
-            self.metrics,
-            vectorized=config.vectorized,
-            transpose_sinks=True,
-            tick=self._fault_tick if self.injector is not None else None,
-        )
-        self.spout_iters: dict[int, Iterator] = {
-            rt.task_id: self.instances[rt.task_id].next_batch(max_events)
-            for rt in self.mine
-            if rt.is_spout
-        }
-        #: Cumulative per-spout positions, across phases and a resume.
-        self.spout_produced: dict[int, int] = {t: 0 for t in self.spout_iters}
-        self.exhausted_spouts: set[int] = set()
         #: Sink task id -> its slot of the shared delivery counters.
         self.sink_slots = {
             rt.task_id: slot
             for slot, rt in enumerate(spec.sink_tasks if progress is not None else ())
-            if rt.task_id in self.instances
+            if rt.task_id in self.step.instances
         }
         self.progress = progress
         if checkpoint is not None:
-            # Resume this partition: state, counters and stats from the
-            # blob, each source re-drawn to its committed position.
-            restore_tasks(
-                checkpoint.payload(), self.instances, self.counters, self.stats
-            )
-            for task_id, iterator in self.spout_iters.items():
-                produced = checkpoint.spout_produced.get(task_id, 0)
-                self.spout_produced[task_id] = produced
-                if not fast_forward(iterator, produced):
-                    self.exhausted_spouts.add(task_id)
             for task_id in self.sink_slots:
                 self._stamp_progress(task_id)
         # Barrier bookkeeping (monotonic ns; comparable across workers).
@@ -896,7 +826,7 @@ class _Worker:
         """Raise if an idle wait depends on EOFs from a dead worker."""
         if self.status is None:
             return
-        for rt in self.mine:
+        for rt in self.step.mine:
             if rt.task_id in self.completed:
                 continue
             for edge in rt.in_edges:
@@ -948,7 +878,7 @@ class _Worker:
             if self.final:
                 sinks = {
                     task_id: instance
-                    for task_id, instance in self.instances.items()
+                    for task_id, instance in self.step.instances.items()
                     if isinstance(instance, Sink)
                 }
                 self._report("ok", sinks=sinks)
@@ -960,7 +890,7 @@ class _Worker:
         spouts at the boundary, the others once a marker (an EOF that
         the next ``resume`` resets) arrived on every in-edge."""
         idle_since: float | None = None
-        while len(self.completed) < len(self.mine):
+        while len(self.completed) < len(self.step.mine):
             self._beat()
             progress = self._receive(limit=64, soft=False)
             progress += self._step_spouts()
@@ -990,7 +920,7 @@ class _Worker:
         as one small report, and wait for the parent's answer."""
         parked_at = monotonic_ns()
         started = perf_counter()
-        states, sink_received = snapshot_tasks(self.instances)
+        states, sink_received = self.step.snapshot()
         # Pressure beyond blocked_batches: a worker that stalled on its
         # shm ring or blocked on remote sends this epoch marks all its
         # remote out-edges as pressured (the transport does not say
@@ -998,7 +928,7 @@ class _Worker:
         blocks = self.metrics["send_blocks"] + self.channel.metrics["ring_full_blocks"]
         pressure = [
             (edge.producer, edge.consumer)
-            for rt in self.mine
+            for rt in self.step.mine
             for edge in rt.out_edges
             if blocks > self.blocks_seen and self.owner[edge.consumer] != self.me
         ]
@@ -1006,7 +936,7 @@ class _Worker:
         self._report(
             "barrier",
             states=states,
-            counters=dict(self.counters),
+            counters=dict(self.step.counters),
             sink_received=sink_received,
             pressure=pressure,
             parked_at=parked_at,
@@ -1040,9 +970,7 @@ class _Worker:
                 self.shedder = Shedder(shed["mode"], shed["rate"], shed["seed"])
             self.shedder.active = shed["active"]
             self.step.shedder = self.shedder if shed["active"] else None
-        for key, size in directive.get("edge_batches", {}).items():
-            if key in self.buffers:
-                self.buffers[key].batch_size = size
+        self.step.resize(directive.get("edge_batches", {}))
         self.eof.clear()
         self.completed.clear()
         self.boundary_at = None
@@ -1054,6 +982,7 @@ class _Worker:
         wall_s = max(perf_counter() - self.started, 1e-9)
         metrics = dict(self.metrics)
         metrics["busy_fraction"] = max(0.0, 1.0 - self.idle_s / wall_s)
+        metrics["circuit_opens"] = sum(b.opens for b in self.breakers.values())
         for key, value in self.channel.snapshot_metrics().items():
             metrics[key] = metrics.get(key, 0.0) + value
         if self.injector is not None:
@@ -1068,10 +997,10 @@ class _Worker:
                 kind,
                 self.me,
                 {
-                    "stats": self.stats,
-                    "spout_produced": dict(self.spout_produced),
-                    "exhausted": sorted(self.exhausted_spouts),
-                    "edge_stats": self.edge_stats,
+                    "stats": self.step.stats,
+                    "spout_produced": dict(self.step.spout_produced),
+                    "exhausted": sorted(self.step.exhausted),
+                    "edge_stats": self.step.queue_stats,
                     "metrics": metrics,
                     "boundary_at": self.boundary_at,
                     "resumed_at": self.resumed_at,
@@ -1081,38 +1010,19 @@ class _Worker:
         )
 
     def _stamp_progress(self, task_id: int) -> None:
-        self.progress[self.sink_slots[task_id]] = self.instances[task_id].received
+        self.progress[self.sink_slots[task_id]] = self.step.instances[
+            task_id
+        ].received
 
     # ------------------------------------------------------------------
     # Receiving
     # ------------------------------------------------------------------
-    def _admit(self, producer: int, consumer: int, payload: Any, soft: bool) -> bool:
-        """Admit a received batch into the consumer's backlog.
-
-        ``payload`` is a tuple list or a ColumnBatch (both sized).
-        Returns False when hard admission is refused (over capacity); the
-        caller must hold the message and retry later.
-        """
-        key = (producer, consumer)
-        capacity = self.spec.queue_capacity[key]
-        if capacity is not None and not self.ordered:
-            if self.edge_depth[key] + len(payload) > capacity:
-                if not soft:
-                    return False
-                self.metrics["overflow_admissions"] += 1
-        self._enqueue_backlog(key, payload)
-        return True
-
-    def _enqueue_backlog(self, key: tuple[int, int], payload: Any) -> None:
-        stats = self.edge_stats[key]
-        stats.enqueued_batches += 1
-        stats.enqueued_tuples += len(payload)
-        self.edge_depth[key] += len(payload)
-        stats.max_depth_tuples = max(stats.max_depth_tuples, self.edge_depth[key])
-        if self.ordered:
-            self.edge_backlog[key].append(payload)
-        else:
-            self.arrival[key[1]].append((key, payload))
+    def _land(self, key: tuple[int, int], payload: Any) -> None:
+        """Queue an admitted batch (a tuple list or a ColumnBatch) on
+        its in-edge; arrival mode also notes when it came."""
+        self.step.queues[key].offer(payload, force=True)
+        if not self.ordered:
+            self.arrival[key[1]].append(key)
 
     def _receive(self, limit: int, soft: bool) -> int:
         """Drain up to ``limit`` inbox messages; returns how many landed.
@@ -1148,11 +1058,14 @@ class _Worker:
                     columns=self.channel.peek_consumer(message)
                     in self.step.kernels,
                 )
-            if self._admit(producer, consumer, payload, soft):
-                received += 1
-            else:
-                self.held = (producer, consumer, payload)
-                break
+            key = (producer, consumer)
+            if not self.step.queues[key].has_space(len(payload)):
+                if not soft:
+                    self.held = (producer, consumer, payload)
+                    break
+                self.metrics["overflow_admissions"] += 1
+            self._land(key, payload)
+            received += 1
         return received
 
     # ------------------------------------------------------------------
@@ -1160,10 +1073,7 @@ class _Worker:
     # ------------------------------------------------------------------
     def _channel_full(self, producer: int, consumer: int) -> bool:
         if self.owner[consumer] == self.me:
-            capacity = self.spec.queue_capacity[(producer, consumer)]
-            if capacity is None or self.ordered:
-                return False
-            return self.edge_depth[(producer, consumer)] >= capacity
+            return self.step.queues[(producer, consumer)].is_full
         return self.channel.dest_full(self.owner[consumer])
 
     def _dispatch(self, producer: int, consumer: int, payload: Any) -> None:
@@ -1191,24 +1101,18 @@ class _Worker:
 
     def _deliver_local(self, producer: int, consumer: int, tuples: Any) -> None:
         key = (producer, consumer)
-        capacity = self.spec.queue_capacity[key]
-        if capacity is not None and not self.ordered:
-            # Hard local bound: make room by processing the consumer's
-            # backlog in place (always possible — head batches only flow
-            # downstream, and the graph is acyclic).
-            blocked_from = None
-            while (
-                self.edge_depth[key] + len(tuples) > capacity
-                and self._process_one(consumer)
-            ):
-                if blocked_from is None:
-                    blocked_from = perf_counter()
-                    self.edge_stats[key].blocked_batches += 1
-            if blocked_from is not None:
-                self.edge_stats[key].blocked_ns += (
-                    perf_counter() - blocked_from
-                ) * 1e9
-        self._enqueue_backlog(key, tuples)
+        queue = self.step.queues[key]
+        # Hard local bound: make room by processing the consumer's
+        # backlog in place (always possible — head batches only flow
+        # downstream, and the graph is acyclic).
+        blocked_from = None
+        while not queue.has_space(len(tuples)) and self._process_one(consumer):
+            if blocked_from is None:
+                blocked_from = perf_counter()
+                queue.stats.blocked_batches += 1
+        if blocked_from is not None:
+            queue.stats.blocked_ns += (perf_counter() - blocked_from) * 1e9
+        self._land(key, tuples)
 
     def _blocking_put(self, target_worker: int, message: tuple) -> None:
         """Send to a peer inbox, retrying with bounded patience.
@@ -1282,7 +1186,7 @@ class _Worker:
         peer's channel, or — addressed to a fused chain member — back to
         the step to run scalar from that stage."""
         for producer, consumer, payload in deliveries:
-            stage = self.stages.get(consumer)
+            stage = self.step.stages.get(consumer)
             if stage is None:
                 self._dispatch(producer, consumer, payload)
             else:
@@ -1300,7 +1204,7 @@ class _Worker:
     # ------------------------------------------------------------------
     def _step_spouts(self) -> int:
         progress = 0
-        for rt in self.mine:
+        for rt in self.step.mine:
             if not rt.is_spout or rt.task_id in self.completed:
                 continue
             if any(
@@ -1311,22 +1215,18 @@ class _Worker:
                 # downstream drains.
                 self.metrics["spout_throttles"] += 1
                 continue
-            iterator = self.spout_iters[rt.task_id]
-            produced = self.spout_produced[rt.task_id]
-            exhausted = rt.task_id in self.exhausted_spouts
-            chunk = max(0, min(_SPOUT_CHUNK, self.limit - produced))
-            for _ in range(chunk):
-                values = next(iterator, None)
+            step = self.step
+            produced = step.spout_produced[rt.task_id]
+            for _ in range(max(0, min(_SPOUT_CHUNK, self.limit - produced))):
+                values = step.draw(rt)
                 if values is None:
-                    exhausted = True
                     break
-                self._deliver(self.step.emit(rt, values, produced))
-                produced += 1
+                self._deliver(step.emit(rt, values))
                 progress += 1
-            self.spout_produced[rt.task_id] = produced
-            if exhausted:
-                self.exhausted_spouts.add(rt.task_id)
-            if exhausted or produced >= self.limit:
+            if (
+                rt.task_id in step.exhausted
+                or step.spout_produced[rt.task_id] >= self.limit
+            ):
                 # Source dried up, or the phase boundary (epoch barrier)
                 # was reached: flush, then a marker down every out-edge.
                 if self.boundary_at is None:
@@ -1338,33 +1238,31 @@ class _Worker:
     # ------------------------------------------------------------------
     # Operators
     # ------------------------------------------------------------------
-    def _next_batch(self, rt: TaskRuntime) -> tuple[tuple[int, int], list[StreamTuple]] | None:
+    def _next_batch(self, rt: TaskRuntime) -> Any:
+        """The next queued batch of ``rt``, or None when it has to wait."""
+        queues = self.step.queues
         if self.ordered:
             # Strict edge order: only the earliest edge that is still live
             # may be processed; if it has no data yet, wait.
             for edge in rt.in_edges:
                 key = (edge.producer, edge.consumer)
-                backlog = self.edge_backlog[key]
-                if backlog:
-                    return key, backlog.popleft()
+                batch = queues[key].poll()
+                if batch is not None:
+                    return batch
                 if key not in self.eof:
                     return None
             return None
         fifo = self.arrival[rt.task_id]
-        if not fifo:
-            return None
-        return fifo.popleft()
+        return queues[fifo.popleft()].poll() if fifo else None
 
     def _process_one(self, consumer: int) -> bool:
-        """Process one backlog batch of task ``consumer``; False when none."""
-        rt = self.rt_by_id[consumer]
-        entry = self._next_batch(rt)
-        if entry is None:
+        """Process one queued batch of chain head ``consumer``; False
+        when none."""
+        chain = self.step.chains[consumer]
+        payload = self._next_batch(chain[0])
+        if payload is None:
             return False
-        key, payload = entry
-        self.edge_depth[key] -= len(payload)
-        self.edge_stats[key].dequeued_tuples += len(payload)
-        self._deliver(self.step.run(self.chains[consumer], payload))
+        self._deliver(self.step.run(chain, payload))
         if consumer in self.sink_slots:
             self._stamp_progress(consumer)
         return True
@@ -1382,36 +1280,26 @@ class _Worker:
 
     def _step_process(self, quantum: int) -> int:
         progress = 0
-        for rt in self.mine:
-            if (
-                rt.is_spout
-                or rt.task_id in self.completed
-                or rt.task_id in self.fused_members
-            ):
+        for head in self.step.chains:
+            if head in self.completed:
                 continue
             for _ in range(quantum):
-                if not self._process_one(rt.task_id):
+                if not self._process_one(head):
                     break
                 progress += 1
         return progress
 
     def _complete_ready(self) -> int:
         progress = 0
-        for rt in self.mine:
-            if (
-                rt.is_spout
-                or rt.task_id in self.completed
-                or rt.task_id in self.fused_members
-            ):
+        queues = self.step.queues
+        for head, chain in self.step.chains.items():
+            if head in self.completed:
                 continue
-            live = False
-            for edge in rt.in_edges:
+            for edge in chain[0].in_edges:
                 key = (edge.producer, edge.consumer)
-                if key not in self.eof or self.edge_depth[key] > 0:
-                    live = True
+                if key not in self.eof or not queues[key].is_empty:
                     break
-            if live:
-                continue
-            self._complete_chain(self.chains[rt.task_id])
-            progress += 1
+            else:
+                self._complete_chain(chain)
+                progress += 1
         return progress

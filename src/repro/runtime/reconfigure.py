@@ -46,12 +46,13 @@ selectivity (a workload shift changes measured selectivities exactly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.errors import ExecutionError, PlanError, ProfilingError
 from repro.metrics.registry import NULL_REGISTRY, MetricsRegistry
 from repro.runtime.epochs import EpochCommit, Migration
+from repro.runtime.fusion import with_sockets
 
 # The planning stack (repro.core.*) imports the dsps/runtime layers for
 # graph and plan types, so importing it at module scope here would close
@@ -372,20 +373,10 @@ class ReconfigController:
             modeled_before=before,
             modeled_after=after,
         )
-        new_tasks = tuple(
-            dc_replace(rt, socket=target.get(rt.task_id, rt.socket))
-            for rt in spec.tasks
-        )
-        # Re-derive fused chains under the new placement: a chain whose
-        # members drifted onto different sockets dissolves back into its
-        # queued edges, and newly co-located pairs fuse (no-op when the
+        # Chains are re-derived under the new placement (a no-op when the
         # run started with fusion off).
-        from repro.runtime.fusion import refit_fusion
-
         return Migration(
-            spec=refit_fusion(dc_replace(spec, tasks=new_tasks)),
-            moved=moved,
-            detail=detail,
+            spec=with_sockets(spec, target), moved=moved, detail=detail
         )
 
     #: Hill-climbing passes over all tasks during candidate refinement.

@@ -1,11 +1,17 @@
-"""The task step and router, shared by both executors.
+"""The task host, step and router, shared by both executors.
 
 BriskStream's executor is one loop per operator: fetch a jumbo tuple,
 process it, partition the output, enqueue *by reference* — one queue
-insertion per batch, no per-tuple copy (Section 5.2).  This module is
-that loop body, written once and scheduler-agnostic; it is the only
-place in the runtime that calls ``Operator.process``, ``Operator.flush``
-or ``Grouping.route``.
+insertion per batch, no per-tuple copy (Section 5.2) — and it is the
+same loop wherever RLAS puts the replica.  :class:`TaskStep` is that
+loop body together with the state it runs on, written once and
+scheduler-agnostic: it builds a partition of a lowered spec (operator
+instances, ``TaskStats``, output buffers, route counters, one input
+queue per in-edge, spout positions, fused chains and kernels), restores
+it from a checkpoint, snapshots it at a barrier and re-instantiates
+moved tasks on a migration.  It is the only place in the runtime that
+calls ``Operator.process`` / ``flush`` / ``snapshot_state`` /
+``restore_state``, ``Spout.next_batch`` or ``Grouping.route``.
 
 A drained payload enters through :meth:`TaskStep.run`.  It takes the
 task's columnar kernel when :meth:`~TaskStep.intake` lets it
@@ -17,33 +23,27 @@ enter through :meth:`~TaskStep.emit`; closing a stream is
 :meth:`~TaskStep.flush_chain`, closing a phase
 :meth:`~TaskStep.flush_buffers`.  An unfused task is a chain of one.
 
-The step never touches a queue, a channel or a clock it was not handed.
+The step never moves a batch or reads a clock it was not handed.
 It *yields deliveries* — ``(producer, consumer, payload)`` with
 ``payload`` a sealed :class:`~repro.dsps.tuples.JumboTuple` or a
 :class:`ColumnBatch` — and the executor that drives it owns how a
-delivery travels: the inline run enqueues it on a bounded in-memory
-queue (suspending while it is full), a process worker dispatches it
-locally or packs it onto a channel.  A delivery addressed to the next
-member of a fused chain (no queue exists for that edge) means the
-hand-off was not negotiated columnar: the executor hands it back to
-:meth:`~TaskStep.run_rows`, which bursts it once and continues scalar.
+delivery travels: the inline run enqueues it on the consumer's queue
+(suspending while it is full), a process worker does the same for a
+local consumer and packs it onto a channel for a remote one.  A delivery
+addressed to the next member of a fused chain (that edge's queue stays
+idle) means the hand-off was not negotiated columnar: the executor hands
+it back to :meth:`~TaskStep.run_rows`, which bursts it once and
+continues scalar.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from time import perf_counter
-from typing import (
-    Any,
-    Callable,
-    Iterable,
-    Iterator,
-    Mapping,
-    MutableMapping,
-    Sequence,
-)
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.dsps.operators import Emission, Operator, Sink
-from repro.dsps.queues import OutputBuffer
+from repro.dsps.queues import CommunicationQueue, OutputBuffer, QueueStats
 from repro.dsps.streams import BroadcastGrouping, GlobalGrouping, ShuffleGrouping
 from repro.dsps.tuples import StreamTuple
 from repro.metrics.registry import MetricsRegistry
@@ -51,7 +51,13 @@ from repro.runtime.dataplane.columns import (
     ColumnBatch,
     schema_accepts,
 )
-from repro.runtime.lowering import RouteSpec, TaskRuntime
+from repro.runtime.epochs import EpochCheckpoint, check_serializable
+from repro.runtime.lowering import (
+    RouteSpec,
+    RuntimeSpec,
+    TaskRuntime,
+    instantiate_task,
+)
 from repro.runtime.overload import Shedder
 from repro.runtime.results import TaskStats
 
@@ -78,20 +84,6 @@ def publish_step_counters(
     for key in STEP_COUNTERS:
         name = key.replace("_", ".", 1)
         registry.counter(f"runtime.{name}").inc(int(totals.get(key, 0)))
-
-
-def chain_stages(
-    chains: Iterable[Sequence[TaskRuntime]],
-) -> dict[int, tuple[Sequence[TaskRuntime], int]]:
-    """Fused member task id → ``(chain, position)``.  Members have no
-    queue in front of them, so the executor runs a delivery addressed
-    to one in place, scalar, from that stage of its chain."""
-    return {
-        rt.task_id: (chain, position)
-        for chain in chains
-        for position, rt in enumerate(chain)
-        if position
-    }
 
 
 def partition(
@@ -131,19 +123,20 @@ _NO_INPUT = StreamTuple(values=())
 
 
 class TaskStep:
-    """Execution state of one executor's task partition.
+    """One executor's task partition: its state and its step.
 
     Parameters
     ----------
-    instances, stats, counters, buffers:
-        The executor's own live tables (task id → operator / ``TaskStats``,
-        route-counter key → count, edge → :class:`OutputBuffer`), shared
-        by reference: the scalar and the columnar path advance the same
-        counters and fill the same buffers, which is what keeps per-edge
-        FIFO and the routing sequence identical whichever path a batch
-        took.
-    metrics:
-        Mapping the :data:`STEP_COUNTERS` are accumulated into.
+    spec, max_events:
+        The lowered spec and the per-spout event budget the sources are
+        opened with.
+    tasks:
+        Ids of the tasks hosted here (``None`` = every task of ``spec``:
+        the inline run).  A fused chain is hosted whole.
+    checkpoint:
+        Resume the partition from this committed epoch instead of from
+        the start of the stream: operator states, route counters and
+        statistics from its blob, every source re-drawn to its position.
     vectorized:
         The run's ``--vectorized`` mode; ``"off"`` makes no task
         kernel-capable and every counter stays zero.
@@ -162,37 +155,129 @@ class TaskStep:
     histograms:
         Task id → histogram observing the wall time of each
         ``process()`` call (the instrumented inline run).
-    shedder:
-        The overload ladder's shedder while its shed rung is active:
-        spout output is offered to it per consumer before buffering.
+    bounded:
+        Whether the input queues enforce the spec's capacities (a worker
+        in ``ordered`` mode cannot: strict edge order may have to hold a
+        later edge's input arbitrarily long).
+    queue_stats:
+        Per-edge :class:`QueueStats` the input queues continue from (a
+        pool relaunched by a migration).
 
     ``tick`` and ``histograms`` observe individual tuples, so either one
     disables kernels for the run: every batch at a kernel-capable task
     is then a counted fallback.
+
+    The scalar and the columnar path advance the same :attr:`counters`
+    and fill the same :attr:`buffers`, which is what keeps per-edge FIFO
+    and the routing sequence identical whichever path a batch took.
     """
 
     def __init__(
         self,
-        instances: Mapping[int, Any],
-        stats: Mapping[int, TaskStats],
-        counters: MutableMapping[tuple[int, str], int],
-        buffers: Mapping[tuple[int, int], OutputBuffer],
-        metrics: MutableMapping[str, Any],
+        spec: RuntimeSpec,
+        max_events: int,
         *,
+        tasks: Iterable[int] | None = None,
+        checkpoint: EpochCheckpoint | None = None,
         vectorized: str,
         transpose_sinks: bool,
         tick: Callable[[TaskRuntime], None] | None = None,
         histograms: Mapping[int, Any] | None = None,
-        shedder: Shedder | None = None,
+        bounded: bool = True,
+        queue_stats: Mapping[tuple[int, int], QueueStats] | None = None,
     ) -> None:
-        self.instances = instances
-        self.stats = stats
-        self.counters = counters
-        self.buffers = buffers
-        self.metrics = metrics
+        self.max_events = max_events
+        self.vectorized = vectorized
+        self.transpose_sinks = transpose_sinks
         self.tick = tick
         self.histograms = histograms or {}
-        self.shedder = shedder
+        #: The overload ladder's shedder while its shed rung is active
+        #: (set by the executor at a barrier): spout output is offered
+        #: to it per consumer before buffering.
+        self.shedder: Shedder | None = None
+        #: :data:`STEP_COUNTERS`, plus whatever the executor counts.
+        self.metrics: dict[str, float] = defaultdict(float)
+        hosted = None if tasks is None else set(tasks)
+        #: The hosted tasks, in spec order.
+        self.mine = tuple(
+            rt for rt in spec.tasks if hosted is None or rt.task_id in hosted
+        )
+        self.instances: dict[int, Any] = {}
+        #: Per-spout source position: the live iterator (one per run,
+        #: paused at phase boundaries), how many events it has emitted —
+        #: cumulative across phases and a resume — and whether it dried
+        #: up before the event budget.
+        self.spout_iters: dict[int, Iterator] = {}
+        self.spout_produced: dict[int, int] = {}
+        self.exhausted: set[int] = set()
+        for rt in self.mine:
+            self._instantiate(spec, rt)
+        self.stats = {
+            rt.task_id: TaskStats(task_id=rt.task_id, component=rt.component)
+            for rt in self.mine
+        }
+        self.counters: dict[tuple[int, str], int] = defaultdict(int)
+        #: One input queue per in-edge, one output buffer per out-edge.
+        self.queues: dict[tuple[int, int], CommunicationQueue] = {}
+        self.buffers: dict[tuple[int, int], OutputBuffer] = {}
+        for edge in spec.edges:
+            key = (edge.producer, edge.consumer)
+            if edge.consumer in self.instances:
+                self.queues[key] = CommunicationQueue(
+                    *key,
+                    spec.queue_capacity[key] if bounded else None,
+                    (queue_stats or {}).get(key),
+                )
+            if edge.producer in self.instances:
+                self.buffers[key] = OutputBuffer(*key, spec.batch_for(key))
+        self._bind(spec)
+        if checkpoint is not None:
+            payload = checkpoint.payload()
+            self._restore(checkpoint, payload, self.instances)
+            self.counters.update(
+                (key, count)
+                for key, count in payload["counters"].items()
+                if key[0] in self.instances
+            )
+            for task_id, task_stats in payload["stats"].items():
+                if task_id in self.stats:
+                    self.stats[task_id] = task_stats
+
+    # ------------------------------------------------------------------
+    # The partition: build, restore, snapshot, migrate
+    # ------------------------------------------------------------------
+    def _instantiate(self, spec: RuntimeSpec, rt: TaskRuntime) -> None:
+        instance = self.instances[rt.task_id] = instantiate_task(spec, rt)
+        if rt.is_spout:
+            self.spout_iters[rt.task_id] = instance.next_batch(self.max_events)
+            self.spout_produced.setdefault(rt.task_id, 0)
+
+    def _bind(self, spec: RuntimeSpec) -> None:
+        """Derive what follows from ``spec.fusion`` and the live
+        instances: the chains, their stages and the kernel tables."""
+        by_id = {rt.task_id: rt for rt in self.mine}
+        members = spec.fused_member_ids
+        #: Head task id → chain, for every hosted task an executor
+        #: schedules: spouts and fused members (run inline by their
+        #: head) have none; an unfused task is a chain of one.
+        self.chains: dict[int, tuple[TaskRuntime, ...]] = {
+            rt.task_id: (rt,)
+            for rt in self.mine
+            if not rt.is_spout and rt.task_id not in members
+        }
+        for chain in spec.fusion:
+            if chain[0] in self.chains:
+                self.chains[chain[0]] = tuple(by_id[tid] for tid in chain)
+        #: Fused member task id → ``(chain, position)``.  Nothing is ever
+        #: queued in front of a member, so the executor runs a delivery
+        #: addressed to one in place, scalar, from that stage of its
+        #: chain (:meth:`run_rows`).
+        self.stages: dict[int, tuple[tuple[TaskRuntime, ...], int]] = {
+            rt.task_id: (chain, position)
+            for chain in self.chains.values()
+            for position, rt in enumerate(chain)
+            if position
+        }
         #: Tasks whose operator publishes a kernel (drives fallback
         #: accounting: only work a kernel *could* have taken counts).
         self.capable: set[int] = set()
@@ -205,21 +290,97 @@ class TaskStep:
         self.schemas: dict[int, frozenset | None] = {}
         #: Sinks that take columnar payloads only (see ``transpose_sinks``).
         self.columnar_only: set[int] = set()
-        if vectorized == "off":
+        if self.vectorized == "off":
             return
-        per_tuple = tick is not None or bool(histograms)
-        for task_id, operator in instances.items():
+        per_tuple = self.tick is not None or bool(self.histograms)
+        for task_id, operator in self.instances.items():
             if not isinstance(operator, Operator) or not operator.supports_columns():
                 continue
             self.capable.add(task_id)
             is_sink = isinstance(operator, Sink)
-            if is_sink and not transpose_sinks:
+            if is_sink and not self.transpose_sinks:
                 self.columnar_only.add(task_id)
             if per_tuple or (is_sink and type(operator).process is not Sink.process):
                 continue
             self.kernels[task_id] = operator.process_columns
             accepted = operator.column_schemas
             self.schemas[task_id] = None if accepted is None else frozenset(accepted)
+
+    def _restore(
+        self,
+        checkpoint: EpochCheckpoint,
+        payload: Mapping[str, Any],
+        task_ids: Iterable[int],
+    ) -> None:
+        """Hand freshly instantiated tasks what ``checkpoint`` committed
+        for them: an operator its state, a spout its position."""
+        for task_id in task_ids:
+            if task_id in self.spout_iters:
+                produced = checkpoint.spout_produced.get(task_id, 0)
+                self.spout_produced[task_id] = produced
+                self.fast_forward(task_id, produced)
+            else:
+                state = payload["states"].get(task_id)
+                if state is not None:
+                    self.instances[task_id].restore_state(state)
+
+    def fast_forward(self, task_id: int, produced: int) -> None:
+        """Advance spout ``task_id``'s source past its ``produced``
+        committed tuples.
+
+        Sources are deterministic seeded generators, so re-drawing (and
+        discarding) the committed prefix replays them to the exact resume
+        position without recording stats or fault ticks.
+        """
+        iterator = self.spout_iters[task_id]
+        if not all(next(iterator, None) is not None for _ in range(produced)):
+            self.exhausted.add(task_id)
+
+    def snapshot(self) -> tuple[dict[int, Any], int]:
+        """Every hosted operator's state, validated where it lives, and
+        what the hosted sinks received so far."""
+        states: dict[int, Any] = {}
+        sink_received = 0
+        for task_id, instance in self.instances.items():
+            if isinstance(instance, Operator):
+                states[task_id] = state = instance.snapshot_state()
+                check_serializable(state, path=f"task {task_id} state")
+            if isinstance(instance, Sink):
+                sink_received += instance.received
+        return states, sink_received
+
+    def migrate(
+        self, spec: RuntimeSpec, moved: Iterable[int], checkpoint: EpochCheckpoint
+    ) -> None:
+        """Continue under ``spec`` — same tasks, new sockets — at the
+        barrier that committed ``checkpoint``.
+
+        The stream is paused and every queue empty; moved tasks are
+        re-instantiated under the new placement and restored *from the
+        checkpoint blob* — the exact serialize → deserialize → restore
+        path a cross-process handoff needs — and the chains are
+        re-derived (a migration may have refit them).  Counters,
+        statistics, queues and buffers carry on.
+        """
+        hosted = self.instances
+        self.mine = tuple(rt for rt in spec.tasks if rt.task_id in hosted)
+        by_id = {rt.task_id: rt for rt in self.mine}
+        moved = [task_id for task_id in moved if task_id in hosted]
+        for task_id in moved:
+            self._instantiate(spec, by_id[task_id])
+        self._restore(checkpoint, checkpoint.payload(), moved)
+        self._bind(spec)
+
+    def resize(self, edge_batches: Mapping[tuple[int, int], int]) -> None:
+        """Apply a barrier's AIMD step to the live output buffers."""
+        for key, size in edge_batches.items():
+            if key in self.buffers:
+                self.buffers[key].batch_size = size
+
+    @property
+    def queue_stats(self) -> dict[tuple[int, int], QueueStats]:
+        """The input queues' cumulative :class:`QueueStats`, per edge."""
+        return {key: queue.stats for key, queue in self.queues.items()}
 
     # ------------------------------------------------------------------
     # Intake
@@ -397,19 +558,34 @@ class TaskStep:
                 # else: a stream the intra-chain edge does not carry —
                 # dropped, as route() drops it in the unfused run.
 
-    def emit(self, rt: TaskRuntime, values: tuple, produced: int) -> list[Delivery]:
-        """Emit spout ``rt``'s next event.  ``produced`` is the spout's
-        cumulative position — across phases, slices and a resume — which
-        stamps the event time and keys the shed decision."""
+    def draw(self, rt: TaskRuntime) -> tuple | None:
+        """Spout ``rt``'s next event, or ``None`` once its source has
+        dried up (which :attr:`exhausted` then records)."""
+        values = next(self.spout_iters[rt.task_id], None)
+        if values is None:
+            self.exhausted.add(rt.task_id)
+        return values
+
+    def emit(self, rt: TaskRuntime, values: tuple) -> list[Delivery]:
+        """Emit the event spout ``rt`` just drew.  The spout's cumulative
+        position — across phases, slices and a resume — stamps the event
+        time and keys the shed decision, and advances once the event is
+        routed."""
+        task_id = rt.task_id
         if self.tick is not None:
             self.tick(rt)
+        produced = self.spout_produced[task_id]
         item = StreamTuple(
-            values=values, source_task=rt.task_id, event_time_ns=float(produced)
+            values=values, source_task=task_id, event_time_ns=float(produced)
         )
-        self.stats[rt.task_id].record_out(item.stream, item.payload_size_bytes)
+        self.stats[task_id].record_out(item.stream, item.payload_size_bytes)
         # Load is shed at the sources, before any downstream work is
         # invested in it.
-        return self.route(rt, item, None if self.shedder is None else produced)
+        deliveries = self.route(
+            rt, item, None if self.shedder is None else produced
+        )
+        self.spout_produced[task_id] = produced + 1
+        return deliveries
 
     def flush_buffers(self, rt: TaskRuntime) -> Iterator[Delivery]:
         """Seal and deliver whatever ``rt``'s output buffers still hold."""

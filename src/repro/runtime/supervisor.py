@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable
 
@@ -60,6 +60,7 @@ from repro.metrics.registry import NULL_REGISTRY, MetricsRegistry
 from repro.runtime.backends import ExecutorBackend
 from repro.runtime.epochs import EpochCheckpoint, EpochConfig
 from repro.runtime.faults import FaultInjector, FaultPlan, merge_fault_summaries
+from repro.runtime.fusion import with_sockets
 from repro.runtime.overload import decorrelated_jitter
 from repro.runtime.lowering import RuntimeSpec
 from repro.runtime.results import RecoveryReport, RunResult
@@ -411,20 +412,16 @@ class Supervisor(ExecutorBackend):
                 f"degrade: no feasible placement on {surviving} surviving "
                 f"socket(s)"
             )
-        new_tasks = tuple(
-            replace(rt, socket=placement.plan.socket_of(rt.task_id))
-            for rt in spec.tasks
-        )
+        sockets = {
+            rt.task_id: placement.plan.socket_of(rt.task_id) for rt in spec.tasks
+        }
         report.replans += 1
         report.replanned_placements.append(
             {
                 "attempt": attempt,
                 "surviving_sockets": surviving,
                 "modeled_throughput": placement.throughput,
-                "placement": {
-                    rt.task_id: placement.plan.socket_of(rt.task_id)
-                    for rt in spec.tasks
-                },
+                "placement": sockets,
             }
         )
         report.record(
@@ -439,7 +436,7 @@ class Supervisor(ExecutorBackend):
         )
         # Queue capacities and batch size are kept: degrade moves tasks,
         # it does not resize the memory the spec was admitted with.
-        return replace(spec, tasks=new_tasks)
+        return with_sockets(spec, sockets)
 
     # ------------------------------------------------------------------
     # Metrics

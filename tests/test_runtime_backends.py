@@ -19,6 +19,7 @@ from collections import Counter as Multiset
 import pytest
 
 from repro.apps import load_application
+from repro.apps.linear_road import build_linear_road
 from repro.core.plan import collocated_plan
 from repro.dsps import LocalEngine
 from repro.errors import ExecutionError
@@ -250,14 +251,27 @@ class TestProcessParity:
         ) == sum(s.spike_count for s in reference.sinks["sink"])
 
     def test_lr_ordered_mode(self):
-        replication = None  # parallelism hints (all 1 for LR)
-        reference = run_app("lr", replication=replication)
-        candidate = run_app(
-            "lr",
-            replication=replication,
-            backend=ProcessPoolBackend(n_workers=2, ordered=True),
-        )
+        """Where arrival order shows: at this seed, length and batch
+        size ``accident_notify`` emits 22 tuples when its inputs are
+        taken as they arrive (every run, on 2 and on 4 workers) and none
+        inline.  At the default batch size arrival order happens to
+        reproduce the inline counts, and ``ordered`` could be ignored
+        unnoticed."""
+
+        def run(backend):
+            topology = build_linear_road(seed=7)
+            topology.component("sink").template.keep_samples = 10**6
+            return LocalEngine(topology, backend=backend, batch_size=4).run(8000)
+
+        reference = run("inline")
+        candidate = run(ProcessPoolBackend(n_workers=2, ordered=True))
         assert_parity(reference, candidate)
+        (notifier,) = (
+            stats
+            for stats in candidate.task_stats.values()
+            if stats.component == "accident_notify"
+        )
+        assert notifier.tuples_in > 0 and notifier.tuples_out == 0
 
     def test_single_worker_degenerates_cleanly(self):
         reference = run_app("wc")

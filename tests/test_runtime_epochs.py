@@ -35,9 +35,9 @@ from repro.runtime import (
     check_serializable,
     shm_available,
 )
-from repro.runtime import process_pool
 from repro.runtime.dataplane import SHM_NAME_PREFIX
 from repro.runtime.process_pool import CRASH_EXIT_CODE, _Worker
+from repro.runtime.step import TaskStep
 
 EVENTS = 300
 INTERVAL = 100
@@ -479,18 +479,18 @@ class TestOnePoolPerRun:
 
     @pytest.fixture
     def fast_forwards(self, tmp_path, monkeypatch):
-        """Every ``fast_forward`` call a worker makes, as log lines
-        (workers are forked, so they inherit the spy)."""
+        """Every ``TaskStep.fast_forward`` call a worker makes, as log
+        lines (workers are forked, so they inherit the spy)."""
         log = tmp_path / "fast_forward.log"
         log.touch()
-        real = process_pool.fast_forward
+        real = TaskStep.fast_forward
 
-        def spy(iterator, produced):
+        def spy(step, task_id, produced):
             with log.open("a") as handle:
                 handle.write(f"{os.getpid()} {produced}\n")
-            return real(iterator, produced)
+            return real(step, task_id, produced)
 
-        monkeypatch.setattr(process_pool, "fast_forward", spy)
+        monkeypatch.setattr(TaskStep, "fast_forward", spy)
         return lambda: log.read_text().splitlines()
 
     def test_same_pids_at_every_barrier_and_no_redraw(self, baselines, fast_forwards):

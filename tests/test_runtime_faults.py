@@ -20,6 +20,7 @@ import os
 import subprocess
 import sys
 from collections import Counter as Multiset
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -58,8 +59,10 @@ def build_engine(app, **kwargs):
     topology, profiles = load_application(app)
     topology.component("sink").template.keep_samples = 10**6
     if kwargs.pop("with_degrade", False):
+        # Four cores a socket, so that a re-plan has to spread the tasks:
+        # on Server A's 18 every task lands on socket 0.
         kwargs["degrade"] = DegradeContext(
-            profiles=profiles, machine=server_a(4)
+            profiles=profiles, machine=replace(server_a(4), cores_per_socket=4)
         )
     return LocalEngine(topology, **kwargs)
 
@@ -223,13 +226,33 @@ class TestChaosMatrixInline:
             fault_plan=FaultPlan(seed=3, kinds=(kind,), at_tuple=AT),
             recovery_policy="degrade",
             with_degrade=True,
+            fuse="auto",
         )
+        executed = []
+        inner = engine.backend.backend
+        execute = inner.execute
+
+        def recording(spec, *args, **kwargs):
+            executed.append(spec)
+            return execute(spec, *args, **kwargs)
+
+        inner.execute = recording
         result = engine.run(EVENTS)
         recovery = result.recovery
         assert recovery.completed is True
         assert recovery.replans == 1
         assert recovery.degraded_sockets  # at least one socket dropped
         assert "replan" in [e.kind for e in recovery.events]
+        # The replanned spec's chains were re-derived under its sockets:
+        # none spans two (the unplaced spec fused everything it could; the
+        # re-plan splits WC's chain of three and both of LR's).
+        first, replanned = executed
+        assert first.fusion and replanned.placed
+        socket = {rt.task_id: rt.socket for rt in replanned.tasks}
+        assert all(
+            len({socket[task_id] for task_id in chain}) == 1
+            for chain in replanned.fusion
+        )
         baseline = baselines[app]
         assert result.sink_received() == baseline.sink_received()
         assert sink_multiset(result) == sink_multiset(baseline)

@@ -345,7 +345,6 @@ class TestCircuitBreaker:
         assert breaker.open and breaker.opens == 1
         assert not breaker.allow(0.62)  # inside the probe interval
         assert breaker.allow(0.66)  # half-open probe
-        assert breaker.probes == 1
         breaker.on_blocked(0.66)  # probe failed: next probe rescheduled
         assert not breaker.allow(0.68)
         breaker.on_success()

@@ -5,9 +5,10 @@ stand-ins for the mp inboxes, lists for the shared liveness arrays) to
 pin the admission-control and bounded-blocking behavior that the
 end-to-end suites can only observe indirectly:
 
-* ``_admit``: hard admission refuses over-capacity batches (backpressure
-  holds the message), soft admission always lands and is counted;
-* ``_enqueue_backlog``: arrival mode drains cross-edge batches in
+* ``_receive``: hard admission refuses over-capacity batches (backpressure
+  holds the message), soft admission always lands and is counted — on
+  the host's input queues, the ``CommunicationQueue`` the inline run uses;
+* ``_land`` / ``_next_batch``: arrival mode drains cross-edge batches in
   arrival order, ordered mode in strict edge-declaration order;
 * ``_blocking_put``: a full peer inbox blocks with bounded patience —
   a dead peer raises WorkerCrashError, a live-but-stuck one raises
@@ -83,40 +84,52 @@ class TestConstructorValidation:
 
 
 class TestAdmission:
+    """Batches arrive as a peer would send them: packed onto this
+    worker's own inbox, admitted by ``_receive``."""
+
+    def arrive(self, worker, spec, *sizes):
+        producer, consumer = some_edge(spec)
+        for n in sizes:
+            worker.channel.try_put(
+                0, worker.channel.pack(0, producer, consumer, tuples_of(n))
+            )
+        return worker.step.queues[(producer, consumer)]
+
     def test_hard_admission_refuses_over_capacity(self):
         worker, spec = make_worker(queue_capacity=64)
-        producer, consumer = some_edge(spec)
-        assert worker._admit(producer, consumer, tuples_of(60), soft=False)
+        queue = self.arrive(worker, spec, 60, 10)
         # 60 buffered + 10 more would exceed the 64-tuple capacity.
-        assert not worker._admit(producer, consumer, tuples_of(10), soft=False)
-        assert worker.edge_depth[(producer, consumer)] == 60
+        assert worker._receive(limit=8, soft=False) == 1
+        assert queue.depth_tuples == 60
+        assert worker.held is not None and len(worker.held[2]) == 10
+        assert worker._receive(limit=8, soft=False) == 0  # still held
         assert worker.metrics["overflow_admissions"] == 0
 
     def test_soft_admission_always_lands_and_is_counted(self):
         worker, spec = make_worker(queue_capacity=64)
-        producer, consumer = some_edge(spec)
-        assert worker._admit(producer, consumer, tuples_of(60), soft=True)
-        assert worker._admit(producer, consumer, tuples_of(10), soft=True)
-        assert worker.edge_depth[(producer, consumer)] == 70
+        queue = self.arrive(worker, spec, 60, 10)
+        assert worker._receive(limit=8, soft=True) == 2
+        assert queue.depth_tuples == 70
+        assert worker.held is None
         assert worker.metrics["overflow_admissions"] == 1
 
     def test_unbounded_edges_never_refuse(self):
         worker, spec = make_worker(queue_capacity=None)
-        producer, consumer = some_edge(spec)
-        for _ in range(10):
-            assert worker._admit(producer, consumer, tuples_of(64), soft=False)
-        assert worker.edge_depth[(producer, consumer)] == 640
+        queue = self.arrive(worker, spec, *[64] * 10)
+        assert worker._receive(limit=16, soft=False) == 10
+        assert queue.depth_tuples == 640
 
     def test_depth_and_stats_bookkeeping(self):
         worker, spec = make_worker(queue_capacity=256)
         key = some_edge(spec)
-        worker._enqueue_backlog(key, tuples_of(64))
-        worker._enqueue_backlog(key, tuples_of(32))
-        stats = worker.edge_stats[key]
+        worker._land(key, tuples_of(64))
+        worker._land(key, tuples_of(32))
+        queue = worker.step.queues[key]
+        stats = queue.stats
         assert stats.enqueued_batches == 2
         assert stats.enqueued_tuples == 96
         assert stats.max_depth_tuples == 96
-        assert worker.edge_depth[key] == 96
+        assert queue.depth_tuples == 96
 
 
 class TestBacklogDrainOrder:
@@ -127,18 +140,19 @@ class TestBacklogDrainOrder:
         keys = [(e.producer, e.consumer) for e in rt.in_edges]
         first = tuples_of(3, producer=keys[0][0])
         second = tuples_of(2, producer=keys[0][0])
-        worker._enqueue_backlog(keys[0], first)
-        worker._enqueue_backlog(keys[0], second)
-        got_key, got = worker._next_batch(rt)
-        assert got_key == keys[0]
-        assert got is first  # FIFO: first-arrived batch drains first
-        _, got2 = worker._next_batch(rt)
-        assert got2 is second
+        worker._land(keys[0], first)
+        worker._land(keys[0], second)
+        # FIFO: first-arrived batch drains first
+        assert worker._next_batch(rt) is first
+        assert worker._next_batch(rt) is second
+        assert worker._next_batch(rt) is None
+        stats = worker.step.queues[keys[0]].stats
+        assert stats.dequeued_tuples == 5 and stats.pending_tuples == 0
 
     def test_ordered_mode_respects_edge_declaration_order(self):
         # LR has true multi-input operators; use one to get >= 2 in-edges.
         topology, _ = load_application("lr")
-        engine = LocalEngine(topology)
+        engine = LocalEngine(topology, queue_capacity=64)
         spec = engine.spec
         rt = next(r for r in spec.tasks if len(r.in_edges) >= 2)
         owner = {t.task_id: 0 for t in spec.tasks}
@@ -151,15 +165,16 @@ class TestBacklogDrainOrder:
             RunConfig(ordered=True),
         )
         keys = [(e.producer, e.consumer) for e in rt.in_edges]
-        late_edge_batch = tuples_of(2, producer=keys[1][0])
-        worker._enqueue_backlog(keys[1], late_edge_batch)
+        late_edge_batch = tuples_of(64, producer=keys[1][0])
+        worker._land(keys[1], late_edge_batch)
+        # Strict edge order may hold a later edge's input arbitrarily
+        # long, so ordered mode does not enforce capacities.
+        assert not worker._channel_full(*keys[1])
         # The earliest declared edge has no data and no EOF: ordered mode
         # must wait for it rather than consume the later edge.
         assert worker._next_batch(rt) is None
         worker.eof.add(keys[0])
-        got_key, got = worker._next_batch(rt)
-        assert got_key == keys[1]
-        assert got is late_edge_batch
+        assert worker._next_batch(rt) is late_edge_batch
 
 
 class TestIdleAccounting:
@@ -213,7 +228,7 @@ class TestBoundedBlockingPut:
         worker, _spec = make_worker(
             inboxes=[own_inbox, peer_inbox],
             status=status,
-            send_policy=SendRetryPolicy(deadline_s=0.2),
+            send_policy=SendRetryPolicy(deadline_s=0.2, open_after_s=0.05),
         )
         return worker
 
@@ -228,6 +243,14 @@ class TestBoundedBlockingPut:
         worker = self._two_worker_setup(status=status)
         with pytest.raises(QueueDeadlockError, match="blocked"):
             worker._blocking_put(1, ("batch", 0, 0, b"payload"))
+        # Blocked for the whole 0.2 s send budget, past the policy's
+        # 0.05 s threshold: the circuit opened once, and the worker's
+        # next report says so.
+        worker.results = queue.Queue()
+        worker._report("ok")
+        _kind, _worker_id, report = worker.results.get_nowait()
+        assert report["metrics"]["circuit_opens"] == 1
+        assert report["metrics"]["send_blocks"] == 1
 
     def test_send_completes_when_peer_drains(self):
         own_inbox = queue.Queue()

@@ -47,7 +47,7 @@ from repro.runtime import EpochConfig, Migration, ProcessPoolBackend
 from repro.runtime.backends import _InlineRun
 from repro.runtime.dataplane import ColumnBatch
 from repro.runtime.overload import Shedder
-from repro.runtime.step import STEP_COUNTERS, TaskStep, chain_stages, partition
+from repro.runtime.step import STEP_COUNTERS, TaskStep, partition
 
 APPS = ("wc", "sd", "fd", "lr")
 EVENTS = 300
@@ -118,21 +118,13 @@ class Harness:
     """
 
     def __init__(self, spec):
-        self.run = _InlineRun(spec, 0, NULL_REGISTRY)
+        self.spec = spec
+        self.step = TaskStep(spec, 0, vectorized="auto", transpose_sinks=False)
         self.rt = next(rt for rt in spec.tasks if rt.component == "src")
-        self.step = TaskStep(
-            self.run.instances,
-            self.run.stats,
-            self.run.counters,
-            self.run.buffers,
-            self.run.metrics,
-            vectorized="auto",
-            transpose_sinks=False,
-        )
 
     def enqueue(self, deliveries):
         for producer, consumer, payload in deliveries:
-            self.run.queues[(producer, consumer)].put(payload)
+            self.step.queues[(producer, consumer)].put(payload)
 
     def scalar(self, items):
         for item in items:
@@ -147,7 +139,7 @@ class Harness:
         self.enqueue(self.step.flush_buffers(self.rt))
         received = {}
         for edge in self.rt.out_edges:
-            queue = self.run.queues[(edge.producer, edge.consumer)]
+            queue = self.step.queues[(edge.producer, edge.consumer)]
             received[edge.consumer] = [
                 (t.values, t.stream, t.source_task, t.event_time_ns)
                 for payload in queue.drain()
@@ -157,7 +149,7 @@ class Harness:
                     else payload
                 )
             ]
-        return received, dict(self.run.counters)
+        return received, dict(self.step.counters)
 
 
 # ---------------------------------------------------------------------------
@@ -206,23 +198,11 @@ class _Synchronous:
         spec = LocalEngine(
             builder.build(), replication=replication, fuse=fuse, batch_size=3
         ).spec
-        self.run = _InlineRun(spec, 0, NULL_REGISTRY)  # lowered tables only
+        self.run = _InlineRun(spec, 0, NULL_REGISTRY, vectorized="off")
         self.by_name = {rt.component: rt for rt in reversed(spec.tasks)}
-        by_id = {rt.task_id: rt for rt in spec.tasks}
-        self.chains = {rt.task_id: (rt,) for rt in spec.tasks}
-        for chain in spec.fusion:
-            self.chains[chain[0]] = tuple(by_id[tid] for tid in chain)
-        self.stages = chain_stages(self.chains.values())
-        self.step = TaskStep(
-            self.run.instances,
-            self.run.stats,
-            self.run.counters,
-            self.run.buffers,
-            self.run.metrics,
-            vectorized="off",
-            transpose_sinks=False,
-            shedder=shedder,
-        )
+        self.step = self.run.step
+        self.step.shedder = shedder
+        self.chains, self.stages = self.step.chains, self.step.stages
 
     def deliver(self, deliveries):
         for _producer, consumer, payload in deliveries:
@@ -238,7 +218,7 @@ class _Synchronous:
         for rt in self.run.spec.tasks:
             if rt.task_id in self.stages:
                 continue
-            chain = self.chains[rt.task_id]
+            chain = self.chains.get(rt.task_id, (rt,))
             if not rt.is_spout:
                 self.deliver(self.step.flush_chain(chain))
             for member in chain:
@@ -253,7 +233,7 @@ class _Synchronous:
             "stats": task_counters(result),
             # A fused hand-off crosses no route; the tail's are real.
             "tail_counters": {
-                key: n for key, n in self.run.counters.items() if key[0] == tail
+                key: n for key, n in self.step.counters.items() if key[0] == tail
             },
         }
 
@@ -327,7 +307,7 @@ class TestScalarStep:
             for item, offset in zip(rows(40, source=tail.task_id), offsets):
                 executor.deliver(executor.step.route(tail, item, offset))
             executor.deliver(executor.step.flush_buffers(tail))
-        assert shed.run.counters == unshed.run.counters
+        assert shed.step.counters == unshed.step.counters
         dropped = sum(shedder.shed.values())
         assert 0 < dropped < 40 and sum(shedder.offered.values()) == 40
         # The survivors went to the replica the unshed run sent them to.
@@ -338,18 +318,32 @@ class TestScalarStep:
 
 class TestExecutorsOwnNoOperatorCalls:
     """``step.py`` is the only caller of ``Operator.process`` /
-    ``flush`` and ``Grouping.route`` (and of ``OutputBuffer.flush``):
-    an executor that grows its own copy of the loop body fails here."""
+    ``flush`` and ``Grouping.route`` (and of ``OutputBuffer.flush``),
+    and the only builder, restorer and snapshotter of a task partition:
+    an executor that grows its own copy of the loop body, or of the
+    tables it runs on, fails here."""
+
+    STEP_CALLS = ("process", "flush", "route")
+    STATE_CALLS = (
+        "restore_state",
+        "snapshot_state",
+        "next_batch",
+        "instantiate_task",
+        "instantiate_tasks",
+        "restore_tasks",
+        "snapshot_tasks",
+        "fast_forward",
+    )
 
     @pytest.mark.parametrize("module", ("backends", "process_pool"))
     def test_no_process_flush_or_route_calls(self, module):
         path = Path(repro.runtime.__file__).with_name(f"{module}.py")
         calls = [
-            f"{module}.py:{node.lineno} .{node.func.attr}("
+            f"{module}.py:{node.lineno} {name}("
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("process", "flush", "route")
+            for name in [getattr(node.func, "attr", getattr(node.func, "id", None))]
+            if name in self.STEP_CALLS + self.STATE_CALLS
         ]
         assert calls == []
 
@@ -361,17 +355,17 @@ class TestRouter:
     def test_single_consumer_counter_advances_by_batch_length(self):
         harness = Harness(route_spec("fields", 1))
         harness.columnar(rows(21))
-        (key,) = harness.run.counters
-        assert harness.run.counters[key] == 21
+        (key,) = harness.step.counters
+        assert harness.step.counters[key] == 21
         harness.columnar(rows(5, start=21))
-        assert harness.run.counters[key] == 26
+        assert harness.step.counters[key] == 26
 
     def test_pending_scalar_tuples_leave_before_the_chunks(self):
         harness = Harness(route_spec("shuffle", 1))
         harness.scalar(rows(3))  # below the batch size: stays pending
         (edge,) = harness.rt.out_edges
-        queue = harness.run.queues[(edge.producer, edge.consumer)]
-        assert queue.is_empty and harness.run.buffers[
+        queue = harness.step.queues[(edge.producer, edge.consumer)]
+        assert queue.is_empty and harness.step.buffers[
             (edge.producer, edge.consumer)
         ].pending == 3
         harness.columnar(rows(4, start=3))
@@ -385,12 +379,12 @@ class TestRouter:
         (edge,) = harness.rt.out_edges
         key = (edge.producer, edge.consumer)
         harness.columnar(rows(20))
-        assert [len(p) for p in harness.run.queues[key].drain()] == [8, 8, 4]
+        assert [len(p) for p in harness.step.queues[key].drain()] == [8, 8, 4]
         # A barrier's AIMD step resizes the buffer, not the lowered spec.
-        harness.run.buffers[key].batch_size = 5
+        harness.step.buffers[key].batch_size = 5
         harness.columnar(rows(12, start=20))
-        assert [len(p) for p in harness.run.queues[key].drain()] == [5, 5, 2]
-        assert harness.run.spec.batch_for(key) == BATCH
+        assert [len(p) for p in harness.step.queues[key].drain()] == [5, 5, 2]
+        assert harness.spec.batch_for(key) == BATCH
 
     def test_small_batch_is_delivered_by_reference(self):
         harness = Harness(route_spec("shuffle", 1))
@@ -427,7 +421,7 @@ class TestRouter:
             [dc_replace(t, stream="elsewhere") for t in rows(4)]
         )
         assert list(harness.step.route_columns(harness.rt, batch)) == []
-        assert not harness.run.counters
+        assert not harness.step.counters
 
 
 class TestPartition:
@@ -581,7 +575,7 @@ class TestInlineParity:
         enqueue = _InlineRun._enqueue
 
         def spy(self, producer, consumer, batch):
-            queue = self.queues[(producer, consumer)]
+            queue = self.step.queues[(producer, consumer)]
             if isinstance(batch, ColumnBatch) and not queue.has_space(len(batch)):
                 blocked_on_columns.add((producer, consumer))
             yield from enqueue(self, producer, consumer, batch)
@@ -598,10 +592,10 @@ class TestInlineParity:
         # several output chunks, and the second finds the queue full.
         assert blocked_on_columns or app in ("sd", "fd")
         for key in blocked_on_columns:
-            stats = run.queues[key].stats
+            stats = run.step.queues[key].stats
             assert stats.blocked_batches > 0
             assert stats.max_depth_tuples <= BATCH
-        assert all(queue.is_empty for queue in run.queues.values())
+        assert all(queue.is_empty for queue in run.step.queues.values())
 
     @pytest.mark.parametrize("app", APPS)
     def test_epoch_barriers_with_live_migration(self, app):
@@ -613,7 +607,7 @@ class TestInlineParity:
         def observer(commit):
             # Quiescence: nothing — in particular no ColumnBatch — is in
             # flight at a barrier, and pending output stayed scalar.
-            assert all(queue.is_empty for queue in run.queues.values())
+            assert all(queue.is_empty for queue in run.step.queues.values())
             seen.append(commit.epoch)
             if commit.epoch != 0:
                 return None
@@ -663,7 +657,7 @@ class TestInlineParity:
         registry_free = _InlineRun(spec, EVENTS, NULL_REGISTRY, vectorized="auto")
         candidate = registry_free.execute()
         assert_same_run(scalar_runs[app], candidate)
-        assert registry_free.metrics["fusion_composed_batches"] > 0
+        assert registry_free.step.metrics["fusion_composed_batches"] > 0
 
     @pytest.mark.parametrize("hooked", (True, False))
     def test_sampling_and_on_tuple_sinks(self, hooked):
@@ -738,7 +732,7 @@ def step_counters(registry):
 def inline_metrics(topology, vectorized="auto", **kwargs):
     engine = LocalEngine(topology, vectorized=vectorized, **kwargs)
     run = _InlineRun(engine.spec, 100, NULL_REGISTRY, vectorized=vectorized)
-    return run.execute(), run.metrics
+    return run.execute(), run.step.metrics
 
 
 class TestSharedGates:
@@ -804,7 +798,7 @@ class TestSharedGates:
             engine = LocalEngine(build(), vectorized="auto", fuse="auto")
             assert engine.spec.fusion == ((1, 2),)
             run = _InlineRun(engine.spec, 100, NULL_REGISTRY, vectorized="auto")
-            candidate, metrics = run.execute(), run.metrics
+            candidate, metrics = run.execute(), run.step.metrics
         else:
             registry = MetricsRegistry()
             candidate = LocalEngine(
