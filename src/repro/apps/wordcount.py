@@ -27,7 +27,7 @@ from repro.dsps.operators import (
 )
 from repro.dsps.topology import Topology, TopologyBuilder
 from repro.dsps.tuples import DEFAULT_STREAM, StreamTuple
-from repro.runtime.dataplane.columns import ColumnBatch, DictColumn
+from repro.runtime.dataplane.columns import ColumnBatch, DictColumn, StringTable
 
 from repro.apps.workloads import sentences
 
@@ -115,7 +115,7 @@ class Splitter(Operator):
 
     def __init__(self) -> None:
         self._codes: dict[str, int] = {}
-        self._table: list[str] = []
+        self._table = StringTable()
 
     def process(self, item: StreamTuple) -> Iterable[Emission]:
         for word in item.values[0].split():

@@ -41,6 +41,14 @@ def sentences(
     controller reacts to (see docs/reconfiguration.md).
     """
     rng = random.Random(seed)
+    # ``rng.choice(_WORDS)``, ten times a sentence, is most of a Word
+    # Count source's cost: draw the index with the rejection loop
+    # ``Random._randbelow`` runs, inline.  Same calls on the same
+    # generator, so the stream is the one ``choice`` gives
+    # (tests/test_apps_workloads.py holds the two together).
+    getrandbits = rng.getrandbits
+    n_words = len(_WORDS)
+    bits = n_words.bit_length()
     produced = 0
     while True:
         length = words_per_sentence
@@ -53,7 +61,13 @@ def sentences(
         if empty_fraction > 0.0 and rng.random() < empty_fraction:
             yield ("",)
         else:
-            yield (" ".join(rng.choice(_WORDS) for _ in range(length)),)
+            words = []
+            for _ in range(length):
+                index = getrandbits(bits)
+                while index >= n_words:
+                    index = getrandbits(bits)
+                words.append(_WORDS[index])
+            yield (" ".join(words),)
         produced += 1
 
 

@@ -17,9 +17,17 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sized
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.dsps.tuples import JumboTuple, StreamTuple
 from repro.errors import SimulationError
+
+#: The most rows one hand-off carries: the ceiling AIMD puts on a sealed
+#: batch (:mod:`repro.runtime.batching`) and the bound on a coalesced run
+#: of columnar batches (:meth:`CommunicationQueue.take`) — the size the
+#: benchmark's kernel probes measure at.  Unbounded runs buy nothing
+#: more per call and hold every merged copy at once.
+MAX_BATCH_ROWS = 1024
 
 
 @dataclass
@@ -166,25 +174,51 @@ class CommunicationQueue:
         self.stats.dequeued_tuples += len(batch)
         return batch
 
-    def drain(self) -> list:
-        """Dequeue everything, in FIFO order, as processable payloads.
+    def take(self, max_batches: int | None = None) -> tuple[Any, int]:
+        """Dequeue the run of adjacent compatible batches at the head as
+        one processable payload: ``(payload, batches merged)``, or
+        ``(None, 0)`` when empty.
 
-        Adjacent jumbo tuples coalesce into one ``list[StreamTuple]`` (a
-        consumer pays its per-batch costs once per run of them); any
-        other batch is handed over whole, in its place in the order.
+        A consumer pays its per-batch costs once per run.  Adjacent jumbo
+        tuples coalesce into one ``list[StreamTuple]``; a batch that can
+        say which neighbours :meth:`join <repro.runtime.dataplane.
+        ColumnBatch.joins>` it coalesces with them through its type's
+        ``concat``, up to :data:`MAX_BATCH_ROWS` rows; any other batch is
+        handed over whole.  At most ``max_batches`` are merged, and only
+        what is already waiting: nothing is held back for a fuller run.
         """
-        payloads: list = []
-        tuples: list[StreamTuple] | None = None
-        while self._batches:
-            batch = self.poll()
-            if isinstance(batch, JumboTuple):
-                if tuples is None:
-                    tuples = []
-                    payloads.append(tuples)
-                tuples.extend(batch.tuples)
+        head = self.poll()
+        if head is None:
+            return None, 0
+        jumbo = isinstance(head, JumboTuple)
+        joins = None if jumbo else getattr(head, "joins", None)
+        if not jumbo and joins is None:
+            return head, 1
+        run = [head]
+        rows = len(head)
+        waiting = self._batches
+        while waiting and len(run) != max_batches:
+            batch = waiting[0]
+            if jumbo:
+                if not isinstance(batch, JumboTuple):
+                    break
             else:
-                payloads.append(batch)
-                tuples = None
+                rows += len(batch)
+                if rows > MAX_BATCH_ROWS or not joins(batch):
+                    break
+            run.append(self.poll())
+        if jumbo:
+            return [item for batch in run for item in batch.tuples], len(run)
+        if len(run) == 1:
+            return head, 1
+        return type(head).concat(run), len(run)
+
+    def drain(self) -> list:
+        """Dequeue everything, in FIFO order: the payloads :meth:`take`
+        hands over until the queue is empty."""
+        payloads: list = []
+        while self._batches:
+            payloads.append(self.take()[0])
         return payloads
 
 

@@ -29,7 +29,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, NamedTuple
 
 from repro.dsps.operators import Sink
-from repro.dsps.queues import CommunicationQueue, QueueStats
+from repro.dsps.queues import MAX_BATCH_ROWS, CommunicationQueue, QueueStats
 from repro.dsps.tuples import JumboTuple
 from repro.errors import (
     ExecutionError,
@@ -455,10 +455,20 @@ class _InlineRun:
     # ------------------------------------------------------------------
     def _spout_loop(self, rt: TaskRuntime, limit: int) -> Iterator[None]:
         step = self.step
-        histogram = step.histograms.get(rt.task_id)
+        task_id = rt.task_id
+        histogram = step.histograms.get(task_id)
+        # Fixed for the phase: the shed rung only moves at barriers.
+        columnar = step.columnar_sources
         # Positions are cumulative across phases (and across a resume):
         # event times and epoch boundaries count from the run's origin.
-        while step.spout_produced[rt.task_id] < limit:
+        while step.spout_produced[task_id] < limit and task_id not in step.exhausted:
+            if columnar:
+                room = limit - step.spout_produced[task_id]
+                yield from self._deliver(
+                    step.emit_columns(rt, min(room, MAX_BATCH_ROWS))
+                )
+                self.ticks += 1
+                continue
             values = step.draw(rt)
             if values is None:
                 break
@@ -551,8 +561,9 @@ class InlineSample(NamedTuple):
     stats: Mapping[int, TaskStats]
     queue_stats: Mapping[tuple[int, int], QueueStats]
     spout_produced: Mapping[int, int]
-    #: Task ids that ran their columnar kernel.
-    kernels: frozenset[int]
+    #: Task ids whose end of an edge is columnar: operators that ran
+    #: their kernel, spouts whose events left as columns.
+    columnar: frozenset[int]
 
 
 def inline_rounds(
@@ -578,7 +589,9 @@ def inline_rounds(
             step.stats,
             step.queue_stats,
             step.spout_produced,
-            frozenset(step.kernels),
+            frozenset(step.kernels).union(
+                step.spout_iters if step.columnar_sources else ()
+            ),
         )
 
 

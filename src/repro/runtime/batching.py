@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.dsps.queues import MAX_BATCH_ROWS
 from repro.errors import PlanError
 from repro.runtime.lowering import RuntimeSpec
 
@@ -51,7 +52,7 @@ class AdaptiveBatchConfig:
     """AIMD parameters for the per-edge batch-size controller."""
 
     min_batch: int = 8
-    max_batch: int = 1024
+    max_batch: int = MAX_BATCH_ROWS
     #: Additive step in tuples when an edge earns an increase.
     increase: int = 32
     #: Multiplicative factor applied on pressure (0 < decrease < 1).

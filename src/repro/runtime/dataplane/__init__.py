@@ -43,6 +43,7 @@ from repro.runtime.dataplane.columns import (
     VECTORIZED_MODES,
     ColumnBatch,
     DictColumn,
+    StringTable,
     schema_accepts,
     schema_dtypes,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "ShmDataPlane",
     "ShmRing",
     "ShmRingChannel",
+    "StringTable",
     "create_dataplane",
     "infer_schema",
     "shm_available",

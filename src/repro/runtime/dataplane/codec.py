@@ -87,6 +87,7 @@ from repro.runtime.dataplane.columns import (  # noqa: F401  (re-exports)
     FIELD_TYPECODES,
     ColumnBatch,
     DictColumn,
+    StringTable,
     infer_schema,
     validate_schema,
 )
@@ -361,7 +362,7 @@ class BatchCodec:
         key = (edge, col_index)
         mirror = self._mirrors.get(key)
         if mirror is None:
-            mirror = self._mirrors[key] = []
+            mirror = self._mirrors[key] = StringTable()
         base, n_new = struct.unpack_from("<II", payload, offset)
         offset += 8
         size = len(mirror)

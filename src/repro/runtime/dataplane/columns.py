@@ -27,6 +27,7 @@ scalar path instead.  Correctness never depends on a batch qualifying.
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -59,6 +60,9 @@ VECTORIZED_MODES = ("auto", "off")
 #: fixed-width columns that support zero-copy views.  Variable-length
 #: typecodes ("s", "y") are absent on purpose — they decode to lists.
 COLUMN_DTYPES = {"q": "<i8", "d": "<f8", "?": "|b1"}
+
+#: The exact Python type a field of each declared typecode holds.
+_FIELD_TYPES = {"q": int, "d": float, "?": bool, "s": str, "y": bytes}
 
 #: Mirrors ``repro.dsps.tuples._payload_bytes_uncached`` for the scalar
 #: types a columnar batch can hold; ``tests/test_dataplane_columns.py``
@@ -135,10 +139,34 @@ def take(column, index):
     return column[index]
 
 
+class StringTable(list):
+    """An append-only ``list[str]`` decode table that keeps its strings'
+    lengths beside it: :meth:`lengths` measures only the entries appended
+    since it was last asked, so byte accounting over a
+    :class:`DictColumn` costs its rows, not its vocabulary."""
+
+    #: Lengths of the entries measured so far (replaced, never written
+    #: to: an instance that was never asked shares the class's).
+    _lengths = np.empty(0, dtype="<i8")
+
+    def lengths(self) -> "npt.NDArray":
+        """``len()`` of every entry, as an ``<i8`` array."""
+        known = len(self._lengths)
+        if known < len(self):
+            fresh = np.fromiter(
+                map(len, islice(self, known, None)),
+                dtype="<i8",
+                count=len(self) - known,
+            )
+            self._lengths = np.concatenate((self._lengths, fresh))
+        return self._lengths
+
+
 class DictColumn:
     """A dictionary-encoded string column: ``<i4`` codes + a shared table.
 
-    The decode ``table`` is an append-only ``list[str]`` shared by every
+    The decode ``table`` is an append-only ``list[str]`` (a
+    :class:`StringTable` where the runtime builds it) shared by every
     batch of one edge (consumer side: the codec's per-edge mirror, grown
     by in-band delta pages; producer side: a kernel's own vocabulary).
     ``codes`` index into it.  The view is read-only by contract — kernels
@@ -187,9 +215,11 @@ class DictColumn:
         without materializing any string."""
         if len(self.codes) == 0:
             return 0
-        lens = np.fromiter(
-            map(len, self.table), dtype="<i8", count=len(self.table)
-        )
+        table = self.table
+        if isinstance(table, StringTable):
+            lens = table.lengths()
+        else:
+            lens = np.fromiter(map(len, table), dtype="<i8", count=len(table))
         return int(lens[self.codes].sum())
 
 
@@ -266,67 +296,69 @@ class ColumnBatch:
         cls, tuples: Sequence[StreamTuple], schema: str | None = None
     ) -> "ColumnBatch | None":
         """Transpose a scalar batch into columns, or ``None`` if it does
-        not qualify: uniform stream/source/arity and exact field types
-        throughout.  This is the runtime's single acceptance rule — the
-        step's kernel intake and the codec's row encoder both go through
-        it.  The produced columns are **copies** — mutating them never
-        aliases the input tuples.
+        not qualify: uniform stream/source throughout, and rows
+        :meth:`from_rows` accepts.  This is the runtime's single
+        acceptance rule — the step's kernel intake and the codec's row
+        encoder both go through it.  The produced columns are **copies**
+        — mutating them never aliases the input tuples.
         """
         if not tuples:
             return None
         first = tuples[0]
         stream = first.stream
         source = first.source_task
+        for item in tuples:
+            if item.stream != stream or item.source_task != source:
+                return None
+        batch = cls.from_rows(
+            [t.values for t in tuples],
+            stream,
+            source,
+            [t.event_time_ns for t in tuples],
+            schema,
+        )
+        if batch is not None:
+            batch._tuples = list(tuples)
+        return batch
+
+    @classmethod
+    def from_rows(
+        cls,
+        rows: Sequence[tuple],
+        stream: str,
+        source_task: int,
+        event_times,
+        schema: str | None = None,
+    ) -> "ColumnBatch | None":
+        """Transpose value tuples that never were :class:`StreamTuple`
+        rows (a spout's events), or ``None`` if they do not qualify:
+        uniform arity and exact field types throughout (``schema``'s, or
+        the first row's).  ``event_times`` is anything ``np.asarray``
+        takes, one per row.
+        """
+        if not rows:
+            return None
         if schema is None:
-            schema = infer_schema(first.values)
+            schema = infer_schema(rows[0])
             if schema is None:
                 return None
         arity = len(schema)
-        for item in tuples:
-            if (
-                item.stream != stream
-                or item.source_task != source
-                or len(item.values) != arity
-            ):
-                return None
-        raw = tuple(zip(*(t.values for t in tuples)))
+        if any(len(values) != arity for values in rows):
+            return None
         columns: list = []
         try:
-            for code, column in zip(schema, raw):
-                if code == "q":
-                    if any(type(v) is not int for v in column):
-                        return None
-                    columns.append(np.array(column, dtype="<i8"))
-                elif code == "d":
-                    if any(type(v) is not float for v in column):
-                        return None
-                    columns.append(np.array(column, dtype="<f8"))
-                elif code == "?":
-                    if any(type(v) is not bool for v in column):
-                        return None
-                    columns.append(np.array(column, dtype="|b1"))
-                elif code == "s":
-                    if any(type(v) is not str for v in column):
-                        return None
-                    columns.append(list(column))
-                else:  # 'y'
-                    if any(type(v) is not bytes for v in column):
-                        return None
-                    columns.append(list(column))
-            event_times = np.array(
-                [t.event_time_ns for t in tuples], dtype="<f8"
-            )
+            for code, column in zip(schema, zip(*rows)):
+                if set(map(type, column)) != {_FIELD_TYPES.get(code)}:
+                    return None
+                dtype = COLUMN_DTYPES.get(code)
+                columns.append(
+                    list(column) if dtype is None else np.array(column, dtype=dtype)
+                )
+            event_times = np.asarray(event_times, dtype="<f8")
         except (OverflowError, TypeError, ValueError):
             # Out-of-range int64, non-float event times.
             return None
-        return cls(
-            stream,
-            source,
-            schema,
-            event_times,
-            columns,
-            _tuples=list(tuples),
-        )
+        return cls(stream, source_task, schema, event_times, columns)
 
     @classmethod
     def build(
@@ -424,6 +456,54 @@ class ColumnBatch:
             None if self.event_times is None else self.event_times[rows],
             [column[rows] for column in self.columns],
             _tuples=None if self._tuples is None else self._tuples[rows],
+        )
+
+    def joins(self, other: object) -> bool:
+        """Whether ``other`` may follow this batch in one :meth:`concat`:
+        a stamped batch of the same stream, source task and schema whose
+        "D" columns index the *same* table object (codes of two tables
+        do not mix)."""
+        return (
+            type(other) is ColumnBatch
+            and other.stream == self.stream
+            and other.source_task == self.source_task
+            and other.schema == self.schema
+            and self.event_times is not None
+            and other.event_times is not None
+            and all(
+                mine.table is theirs.table
+                for code, mine, theirs in zip(
+                    self.schema, self.columns, other.columns
+                )
+                if code == DICT_TYPECODE
+            )
+        )
+
+    @classmethod
+    def concat(cls, batches: Sequence["ColumnBatch"]) -> "ColumnBatch":
+        """The rows of ``batches``, in order, as one batch — the inverse
+        of :meth:`chunks`.  Every batch must :meth:`join <joins>` the
+        first; the lineage :attr:`index` (spent once a batch is stamped)
+        is not carried over."""
+        first = batches[0]
+        columns: list = []
+        for position, column in enumerate(first.columns):
+            parts = [batch.columns[position] for batch in batches]
+            if isinstance(column, DictColumn):
+                column = DictColumn(
+                    np.concatenate([part.codes for part in parts]), column.table
+                )
+            elif isinstance(column, list):
+                column = list(chain.from_iterable(parts))
+            else:
+                column = np.concatenate(parts)
+            columns.append(column)
+        return cls(
+            first.stream,
+            first.source_task,
+            first.schema,
+            np.concatenate([batch.event_times for batch in batches]),
+            columns,
         )
 
     # ------------------------------------------------------------------

@@ -47,8 +47,9 @@ SAMPLE_SHARE = 16
 #: One message between workers, at each end: pack + ring write +
 #: descriptor put on the sender; poll + consume + decode on the receiver.
 MESSAGE_NS = 45_000.0
-#: Codec cost per tuple and end, by how the batch travels: row-coded
-#: (a scalar producer or consumer) or columnar (kernel to kernel).
+#: Codec cost per tuple and end, by how the batch leaves or arrives:
+#: row-coded (a scalar producer or consumer) or columnar (a kernel, or
+#: a spout whose events leave as columns).
 ROW_NS = 570.0
 COLUMN_NS = 10.0
 #: The uniform prior's cost of every task, and of every hop at each end.
@@ -215,7 +216,7 @@ def calibrate(
         key = (edge.producer, edge.consumer)
         stats = sample.queue_stats[key]
         messages[key] = stats.enqueued_batches / max(events, 1)
-        codec = sum(COLUMN_NS if end in sample.kernels else ROW_NS for end in key) / 2
+        codec = sum(COLUMN_NS if end in sample.columnar else ROW_NS for end in key) / 2
         stream = (component[edge.producer], edge.stream)
         cost[stream] += MESSAGE_NS * stats.enqueued_batches
         cost[stream] += codec * stats.enqueued_tuples

@@ -784,7 +784,7 @@ class _Worker:
         #: The step's counters; this worker adds its transport counters.
         self.metrics = self.step.metrics
         #: Arrival mode: per consumer, the in-edges of its queued
-        #: batches in the order they arrived.
+        #: batches in the order they arrived, as ``[edge, batches]`` runs.
         self.arrival: dict[int, deque] = {task_id: deque() for task_id in mine}
         self.eof: set[tuple[int, int]] = set()
         self.completed: set[int] = set()
@@ -1021,8 +1021,12 @@ class _Worker:
         """Queue an admitted batch (a tuple list or a ColumnBatch) on
         its in-edge; arrival mode also notes when it came."""
         self.step.queues[key].offer(payload, force=True)
-        if not self.ordered:
-            self.arrival[key[1]].append(key)
+        if not self.ordered and len(payload):  # an empty batch is not queued
+            fifo = self.arrival[key[1]]
+            if fifo and fifo[-1][0] == key:
+                fifo[-1][1] += 1
+            else:
+                fifo.append([key, 1])
 
     def _receive(self, limit: int, soft: bool) -> int:
         """Drain up to ``limit`` inbox messages; returns how many landed.
@@ -1217,12 +1221,16 @@ class _Worker:
                 continue
             step = self.step
             produced = step.spout_produced[rt.task_id]
-            for _ in range(max(0, min(_SPOUT_CHUNK, self.limit - produced))):
-                values = step.draw(rt)
-                if values is None:
-                    break
-                self._deliver(step.emit(rt, values))
-                progress += 1
+            chunk = max(0, min(_SPOUT_CHUNK, self.limit - produced))
+            if step.columnar_sources:
+                self._deliver(step.emit_columns(rt, chunk))
+            else:
+                for _ in range(chunk):
+                    values = step.draw(rt)
+                    if values is None:
+                        break
+                    self._deliver(step.emit(rt, values))
+            progress += step.spout_produced[rt.task_id] - produced
             if (
                 rt.task_id in step.exhausted
                 or step.spout_produced[rt.task_id] >= self.limit
@@ -1246,14 +1254,23 @@ class _Worker:
             # may be processed; if it has no data yet, wait.
             for edge in rt.in_edges:
                 key = (edge.producer, edge.consumer)
-                batch = queues[key].poll()
+                batch, _ = queues[key].take()
                 if batch is not None:
                     return batch
                 if key not in self.eof:
                     return None
             return None
         fifo = self.arrival[rt.task_id]
-        return queues[fifo.popleft()].poll() if fifo else None
+        if not fifo:
+            return None
+        # The head edge's run, up to the next arrival on another edge.
+        key, waiting = head = fifo[0]
+        batch, merged = queues[key].take(waiting)
+        if merged == waiting:
+            fifo.popleft()
+        else:
+            head[1] -= merged
+        return batch
 
     def _process_one(self, consumer: int) -> bool:
         """Process one queued batch of chain head ``consumer``; False

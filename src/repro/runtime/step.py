@@ -19,7 +19,9 @@ task's columnar kernel when :meth:`~TaskStep.intake` lets it
 lineage stamped, outputs routed without bursting by
 :meth:`~TaskStep.route_columns`) and goes row at a time otherwise
 (:meth:`~TaskStep.run_item`, routed by :meth:`~TaskStep.route`).  Spouts
-enter through :meth:`~TaskStep.emit`; closing a stream is
+enter through :meth:`~TaskStep.emit_columns` — a draw of events,
+transposed once — or, while something must see single events, through
+:meth:`~TaskStep.draw` and :meth:`~TaskStep.emit`; closing a stream is
 :meth:`~TaskStep.flush_chain`, closing a phase
 :meth:`~TaskStep.flush_buffers`.  An unfused task is a chain of one.
 
@@ -39,13 +41,16 @@ continues scalar.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import islice
 from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.dsps.operators import Emission, Operator, Sink
 from repro.dsps.queues import CommunicationQueue, OutputBuffer, QueueStats
 from repro.dsps.streams import BroadcastGrouping, GlobalGrouping, ShuffleGrouping
-from repro.dsps.tuples import StreamTuple
+from repro.dsps.tuples import DEFAULT_STREAM, StreamTuple
 from repro.metrics.registry import MetricsRegistry
 from repro.runtime.dataplane.columns import (
     ColumnBatch,
@@ -164,8 +169,9 @@ class TaskStep:
         pool relaunched by a migration).
 
     ``tick`` and ``histograms`` observe individual tuples, so either one
-    disables kernels for the run: every batch at a kernel-capable task
-    is then a counted fallback.
+    disables kernels for the run — every batch at a kernel-capable task
+    is then a counted fallback — and keeps the spouts emitting event by
+    event (:attr:`columnar_sources`).
 
     The scalar and the columnar path advance the same :attr:`counters`
     and fill the same :attr:`buffers`, which is what keeps per-edge FIFO
@@ -290,9 +296,13 @@ class TaskStep:
         self.schemas: dict[int, frozenset | None] = {}
         #: Sinks that take columnar payloads only (see ``transpose_sinks``).
         self.columnar_only: set[int] = set()
+        #: Whether something sees every tuple of the run one by one:
+        #: no kernel is dispatched to, no spout emits columns.
+        self.per_tuple = (
+            self.vectorized == "off" or self.tick is not None or bool(self.histograms)
+        )
         if self.vectorized == "off":
             return
-        per_tuple = self.tick is not None or bool(self.histograms)
         for task_id, operator in self.instances.items():
             if not isinstance(operator, Operator) or not operator.supports_columns():
                 continue
@@ -300,7 +310,9 @@ class TaskStep:
             is_sink = isinstance(operator, Sink)
             if is_sink and not self.transpose_sinks:
                 self.columnar_only.add(task_id)
-            if per_tuple or (is_sink and type(operator).process is not Sink.process):
+            if self.per_tuple or (
+                is_sink and type(operator).process is not Sink.process
+            ):
                 continue
             self.kernels[task_id] = operator.process_columns
             accepted = operator.column_schemas
@@ -376,6 +388,14 @@ class TaskStep:
         for key, size in edge_batches.items():
             if key in self.buffers:
                 self.buffers[key].batch_size = size
+
+    @property
+    def columnar_sources(self) -> bool:
+        """Whether the hosted spouts' events leave as columns right now
+        (:meth:`emit_columns`) rather than one by one (:meth:`draw`,
+        :meth:`emit`): nothing watches single tuples this run, and no
+        shed rung is deciding per event and consumer."""
+        return not self.per_tuple and self.shedder is None
 
     @property
     def queue_stats(self) -> dict[tuple[int, int], QueueStats]:
@@ -586,6 +606,36 @@ class TaskStep:
         )
         self.spout_produced[task_id] = produced + 1
         return deliveries
+
+    def emit_columns(self, rt: TaskRuntime, n: int) -> Iterator[Delivery]:
+        """Draw up to ``n`` events of spout ``rt`` and emit them as one
+        :class:`ColumnBatch` — transposed once, through the acceptance
+        rule every row batch goes through, stamped and accounted as
+        :meth:`emit` stamps and accounts them one by one.  Events the
+        rule declines go through :meth:`emit`.  Only while
+        :attr:`columnar_sources` holds: nothing here ticks, times or
+        sheds a single event.
+        """
+        task_id = rt.task_id
+        rows = list(islice(self.spout_iters[task_id], n))
+        if len(rows) < n:
+            self.exhausted.add(task_id)
+        produced = self.spout_produced[task_id]
+        batch = ColumnBatch.from_rows(
+            rows,
+            DEFAULT_STREAM,
+            task_id,
+            np.arange(produced, produced + len(rows), dtype="<f8"),
+        )
+        if batch is None:
+            for values in rows:
+                yield from self.emit(rt, values)
+            return
+        self.stats[task_id].record_out_many(
+            batch.stream, len(batch), batch.payload_bytes()
+        )
+        yield from self.route_columns(rt, batch)
+        self.spout_produced[task_id] = produced + len(batch)
 
     def flush_buffers(self, rt: TaskRuntime) -> Iterator[Delivery]:
         """Seal and deliver whatever ``rt``'s output buffers still hold."""

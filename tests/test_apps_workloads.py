@@ -1,6 +1,8 @@
 """Unit tests for the synthetic workload generators."""
 
+import random
 from collections import Counter
+from itertools import count
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.apps.workloads import (
     ACCOUNT_BALANCE_REQUEST,
     DAILY_EXPENDITURE_REQUEST,
     POSITION_REPORT,
+    _WORDS,
 )
 
 
@@ -29,6 +32,37 @@ class TestSentences:
     def test_custom_length(self):
         for (sentence,) in take(sentences(seed=1, words_per_sentence=3), 10):
             assert len(sentence.split()) == 3
+
+
+    @pytest.mark.parametrize(
+        "options",
+        (
+            {},
+            {"empty_fraction": 0.25},
+            {"shift_at": 4000, "shift_words_per_sentence": 3},
+        ),
+        ids=("plain", "empty_fraction", "shift_at"),
+    )
+    def test_stream_is_the_one_random_choice_draws(self, options):
+        """The generator draws word indices with ``Random``'s own
+        rejection loop, inline; the stream must stay the one the public
+        ``choice`` gives, sentence for sentence."""
+
+        def with_choice(seed, empty_fraction=0.0, shift_at=None, shift_words_per_sentence=None):
+            rng = random.Random(seed)
+            for produced in count():
+                length = 10
+                if shift_at is not None and produced >= shift_at:
+                    length = shift_words_per_sentence
+                if empty_fraction > 0.0 and rng.random() < empty_fraction:
+                    yield ("",)
+                else:
+                    yield (" ".join(rng.choice(_WORDS) for _ in range(length)),)
+
+        for seed in (7, 11):
+            assert take(sentences(seed=seed, **options), 10_000) == take(
+                with_choice(seed, **options), 10_000
+            )
 
 
 class TestTransactions:

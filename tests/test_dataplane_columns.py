@@ -11,12 +11,15 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dsps.tuples import StreamTuple
 from repro.runtime.dataplane import (
     BatchCodec,
     ColumnBatch,
     DictColumn,
+    StringTable,
     create_dataplane,
     schema_accepts,
     shm_available,
@@ -199,6 +202,135 @@ class TestBuildAndLineage:
         out = ColumnBatch.build("s1", "q", [[1, 2, 3]])  # no index, 3 != 2
         with pytest.raises(ValueError):
             out.stamp_from(parent, source_task=7)
+
+
+class TestFromRows:
+    """The half of the acceptance rule a spout's events go through:
+    value tuples that never were ``StreamTuple`` rows."""
+
+    def test_equals_from_tuples_on_the_same_rows(self):
+        tuples = make_tuples(MIXED_ROWS)
+        batch = ColumnBatch.from_rows(
+            MIXED_ROWS, "default", 3, np.arange(len(MIXED_ROWS), dtype="<f8")
+        )
+        assert same_batch(batch, ColumnBatch.from_tuples(tuples))
+        assert batch.to_tuples() == tuples
+
+    @pytest.mark.parametrize(
+        "rows",
+        (
+            [],
+            [(1, "a"), (2,)],  # ragged
+            [(1,), (True,)],  # bool in an int column
+            [(1,), (1 << 70,)],  # past int64
+            [(None,)],
+            [([1],)],
+        ),
+    )
+    def test_declines_what_from_tuples_declines(self, rows):
+        times = np.arange(len(rows), dtype="<f8")
+        assert ColumnBatch.from_rows(rows, "default", 3, times) is None
+        assert ColumnBatch.from_tuples(make_tuples(rows)) is None
+
+    def test_declared_schema_is_checked_not_trusted(self):
+        times = np.zeros(2)
+        assert ColumnBatch.from_rows([(1,), (2,)], "default", 3, times, "q")
+        assert ColumnBatch.from_rows([(1,), (2,)], "default", 3, times, "d") is None
+        assert ColumnBatch.from_rows([("a",)], "default", 3, times[:1], "D") is None
+
+
+def same_batch(left, right) -> bool:
+    """Equal rows, event times, metadata and column representation."""
+    return (
+        (left.stream, left.source_task, left.schema)
+        == (right.stream, right.source_task, right.schema)
+        and np.array_equal(left.event_times, right.event_times)
+        and [type(c) for c in left.columns] == [type(c) for c in right.columns]
+        and all(
+            getattr(a, "dtype", None) == getattr(b, "dtype", None)
+            and (a.table is b.table if isinstance(a, DictColumn) else True)
+            for a, b in zip(left.columns, right.columns)
+        )
+        and left.to_tuples() == right.to_tuples()
+    )
+
+
+_WORDS = ["", "a", "bb", "ccc", "dddd"]
+_ROW = st.tuples(
+    st.integers(-(1 << 63), (1 << 63) - 1),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.text(max_size=4),
+    st.binary(max_size=4),
+    st.integers(0, len(_WORDS) - 1),
+)
+
+
+def typed_batch(rows, table=_WORDS, stream="s1", source=5):
+    """One column per typecode, "D" included, stamped like a routed
+    kernel output."""
+    columns = [list(c) for c in zip(*rows)]
+    columns[5] = DictColumn(columns[5], table)
+    batch = ColumnBatch.build(stream, "qd?syD", columns)
+    batch.source_task = source
+    batch.event_times = np.arange(len(rows), dtype="<f8")
+    return batch
+
+
+class TestConcat:
+    """``concat`` is the inverse of ``chunks``, and ``joins`` says which
+    neighbours it may be asked to merge (the rule consumers coalesce
+    queued batches by)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(_ROW, min_size=1, max_size=40), k=st.integers(1, 45))
+    def test_concat_of_chunks_is_the_batch(self, rows, k):
+        batch = typed_batch(rows)
+        chunks = list(batch.chunks(k))
+        assert all(chunks[0].joins(chunk) for chunk in chunks)
+        merged = ColumnBatch.concat(chunks)
+        assert same_batch(merged, batch)
+        assert merged.payload_bytes() == batch.payload_bytes()
+        assert merged.index is None
+
+    def test_zero_arity_rows_keep_their_count(self):
+        batch = ColumnBatch.from_tuples(make_tuples([(), (), ()]))
+        merged = ColumnBatch.concat(list(batch.chunks(2)))
+        assert len(merged) == 3 and merged.to_tuples() == batch.to_tuples()
+
+    def test_joins_refuses_what_must_not_mix(self):
+        rows = [(1, 0.5, True, "x", b"y", 2)] * 3
+        head = typed_batch(rows)
+        assert head.joins(typed_batch(rows))
+        assert not head.joins(typed_batch(rows, stream="s2"))
+        assert not head.joins(typed_batch(rows, source=6))
+        # Equal strings, another table object: codes of two tables do
+        # not mix (a restarted kernel starts a fresh vocabulary).
+        assert not head.joins(typed_batch(rows, table=list(_WORDS)))
+        other_schema = ColumnBatch.from_tuples(make_tuples([(1,)], "s1", 5))
+        assert not head.joins(other_schema)
+        unstamped = typed_batch(rows)
+        unstamped.event_times = None
+        assert not head.joins(unstamped) and not unstamped.joins(head)
+        assert not head.joins(head.to_tuples())  # a row batch
+
+
+class TestStringTable:
+    def test_lengths_extend_only_when_the_table_grew(self):
+        table = StringTable(["a", "bb"])
+        first = table.lengths()
+        assert first.tolist() == [1, 2]
+        assert table.lengths() is first  # nothing new: nothing measured
+        table.append("cccc")
+        assert table.lengths().tolist() == [1, 2, 4]
+
+    def test_char_total_is_the_same_over_either_table(self):
+        codes = [0, 2, 2, 1]
+        plain = DictColumn(codes, ["a", "bb", "cccc"])
+        kept = DictColumn(codes, StringTable(["a", "bb", "cccc"]))
+        assert plain.char_total() == kept.char_total() == 11
+        kept.table.append("eeeee")
+        assert DictColumn([3, 0], kept.table).char_total() == 6
 
 
 class TestChunksAndAccounting:

@@ -373,6 +373,17 @@ class TestCalibrationIsSideEffectFree:
         fresh = instantiate_tasks(spec)
         assert fresh[0].drawn == 0 and fresh[1].seen == 0
 
+    def test_a_spout_end_is_priced_by_how_its_events_leave(self):
+        """Columns from the source when kernels are on (nothing watches
+        single events in a calibration run), rows otherwise — the edge's
+        codec term follows."""
+        spec = app_engine("wc").spec
+        per_message = rp.MESSAGE_NS / rp.ROUND_EVENTS  # one batch a round
+        for vectorized, codec in (("auto", rp.COLUMN_NS), ("off", rp.ROW_NS)):
+            profiles, _, _ = rp.calibrate(spec, rp.ROUNDS, vectorized)
+            hop = profiles["spout"].output_bytes["default"]
+            assert hop == pytest.approx(per_message + codec)
+
     def test_the_run_ingests_exactly_its_budget_from_the_first_event(self):
         calibrated = LocalEngine(
             counting_topology(), backend=ProcessPoolBackend(n_workers=2)

@@ -31,7 +31,7 @@ from repro.errors import (
 )
 from repro.runtime import ProcessPoolBackend, SendRetryPolicy
 from repro.runtime.config import RunConfig
-from repro.runtime.dataplane import PickleQueueChannel
+from repro.runtime.dataplane import ColumnBatch, PickleQueueChannel
 from repro.runtime.process_pool import _STATUS_RUNNING, _Worker
 
 
@@ -148,6 +148,46 @@ class TestBacklogDrainOrder:
         assert worker._next_batch(rt) is None
         stats = worker.step.queues[keys[0]].stats
         assert stats.dequeued_tuples == 5 and stats.pending_tuples == 0
+
+    @pytest.mark.parametrize("ordered", (False, True))
+    def test_queued_column_batches_merge_within_an_edge(self, ordered):
+        """One kernel call covers what is queued — but arrival mode never
+        merges across another edge's arrival, and its FIFO gives up one
+        entry per merged batch."""
+        topology, _ = load_application("lr")
+        spec = LocalEngine(topology).spec
+        rt = next(r for r in spec.tasks if len(r.in_edges) >= 2)
+        worker = _Worker(
+            0,
+            spec,
+            {t.task_id: 0 for t in spec.tasks},
+            100,
+            PickleQueueChannel(0, [queue.Queue()]),
+            RunConfig(ordered=ordered),
+        )
+        early, late = [(e.producer, e.consumer) for e in rt.in_edges][:2]
+        batch = ColumnBatch.from_tuples(tuples_of(12, producer=early[0]))
+        first, second, third = batch.chunks(4)
+        stranger = ColumnBatch.from_tuples(tuples_of(4, producer=late[0]))
+        for key, payload in (
+            (early, first),
+            (early, second),
+            (late, stranger),
+            (early, third),
+        ):
+            worker._land(key, payload)
+        if ordered:
+            # Strict edge order: the live edge's whole backlog is one run.
+            worker.eof.add(early)
+            expected = [12, 4]
+        else:
+            expected = [8, 4, 4]
+        taken = [worker._next_batch(rt) for _ in expected]
+        assert [len(b) for b in taken] == expected
+        assert taken[0].to_tuples() == batch.to_tuples()[: expected[0]]
+        assert taken[1] is stranger
+        assert worker._next_batch(rt) is None
+        assert ordered or not worker.arrival[rt.task_id]
 
     def test_ordered_mode_respects_edge_declaration_order(self):
         # LR has true multi-input operators; use one to get >= 2 in-edges.

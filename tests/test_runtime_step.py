@@ -23,6 +23,7 @@ from collections import Counter as Multiset
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.runtime
@@ -30,8 +31,8 @@ import repro.runtime
 from repro.apps import build_application
 from repro.apps.wordcount import Counter, Parser, SentenceSpout, Splitter
 from repro.dsps import LocalEngine
-from repro.dsps.operators import Operator, Sink, Spout
-from repro.dsps.queues import CommunicationQueue, OutputBuffer
+from repro.dsps.operators import IterableSpout, Operator, Sink, Spout
+from repro.dsps.queues import MAX_BATCH_ROWS, CommunicationQueue, OutputBuffer
 from repro.dsps.streams import (
     BroadcastGrouping,
     FieldsGrouping,
@@ -43,9 +44,11 @@ from repro.dsps.tuples import DEFAULT_STREAM, JumboTuple, StreamTuple
 from repro.errors import TopologyError
 from repro.metrics import MetricsRegistry
 from repro.metrics.registry import NULL_REGISTRY
-from repro.runtime import EpochConfig, Migration, ProcessPoolBackend
+from repro.runtime import EpochConfig, Migration, OverloadConfig, ProcessPoolBackend
 from repro.runtime.backends import _InlineRun
-from repro.runtime.dataplane import ColumnBatch
+from repro.runtime.dataplane import ColumnBatch, DictColumn
+from repro.runtime.faults import FaultPlan
+from repro.runtime.lowering import instantiate_task
 from repro.runtime.overload import Shedder
 from repro.runtime.step import STEP_COUNTERS, TaskStep, partition
 
@@ -378,12 +381,14 @@ class TestRouter:
         harness = Harness(route_spec("shuffle", 1))
         (edge,) = harness.rt.out_edges
         key = (edge.producer, edge.consumer)
+        queue = harness.step.queues[key]
         harness.columnar(rows(20))
-        assert [len(p) for p in harness.step.queues[key].drain()] == [8, 8, 4]
+        # As queued, batch by batch: drain() would hand the run over merged.
+        assert [len(b) for b in iter(queue.poll, None)] == [8, 8, 4]
         # A barrier's AIMD step resizes the buffer, not the lowered spec.
         harness.step.buffers[key].batch_size = 5
         harness.columnar(rows(12, start=20))
-        assert [len(p) for p in harness.step.queues[key].drain()] == [5, 5, 2]
+        assert [len(b) for b in iter(queue.poll, None)] == [5, 5, 2]
         assert harness.spec.batch_for(key) == BATCH
 
     def test_small_batch_is_delivered_by_reference(self):
@@ -506,6 +511,63 @@ class TestMixedPayloadQueue:
         assert stats.enqueued_tuples == stats.dequeued_tuples == 17
         assert stats.max_depth_tuples == 17 and stats.pending_tuples == 0
         assert queue.is_empty and not queue.is_full
+
+
+    def test_queued_chunks_come_back_as_the_batch_they_were_cut_from(self):
+        queue = CommunicationQueue(0, 1)
+        batch = ColumnBatch.from_tuples(rows(20))
+        for chunk in batch.chunks(BATCH):
+            queue.put(chunk)
+        (payload,) = queue.drain()
+        assert payload.to_tuples() == batch.to_tuples()
+        assert queue.stats.enqueued_batches == 3
+        assert queue.stats.dequeued_tuples == 20
+
+    @pytest.mark.parametrize(
+        "odd_one",
+        (
+            lambda: ColumnBatch.from_tuples(rows(4, source=2)),
+            lambda: ColumnBatch.from_tuples(
+                [dc_replace(t, stream="side") for t in rows(4)]
+            ),
+            lambda: ColumnBatch.from_tuples([dc_replace(t, values=(1,)) for t in rows(4)]),
+            lambda: ColumnBatch.build(DEFAULT_STREAM, "sq", [["k"] * 4, [0] * 4]),
+            lambda: ColumnBatch.from_tuples(rows(MAX_BATCH_ROWS)),  # full by itself
+        ),
+        ids=("source", "stream", "schema", "no_event_times", "row_bound"),
+    )
+    def test_a_batch_that_does_not_join_closes_the_run(self, odd_one):
+        queue = CommunicationQueue(0, 1)
+        before = list(ColumnBatch.from_tuples(rows(16)).chunks(BATCH))
+        odd = odd_one()
+        after = ColumnBatch.from_tuples(rows(BATCH, start=16))
+        for batch in (*before, odd, after):
+            queue.put(batch)
+        merged, alone, last = queue.drain()
+        assert merged.to_tuples() == rows(16)
+        # Handed over as queued, in its place: nothing reordered, nothing
+        # held back for a better fit.
+        assert alone is odd and last is after
+
+    def test_codes_of_two_tables_never_share_a_run(self):
+        words = ["a", "b"]
+
+        def coded(table):
+            batch = ColumnBatch.build(
+                DEFAULT_STREAM, "s", [DictColumn([0, 1, 1], table)]
+            )
+            batch.source_task, batch.event_times = 1, np.zeros(3)
+            return batch
+
+        queue = CommunicationQueue(0, 1)
+        same = [coded(words), coded(words)]
+        restarted = coded(list(words))  # equal strings, a fresh table
+        for batch in (*same, restarted):
+            queue.put(batch)
+        merged, alone = queue.drain()
+        assert merged.columns[0].table is words and len(merged) == 6
+        assert merged.columns[0].tolist() == ["a", "b", "b", "a", "b", "b"]
+        assert alone is restarted
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +756,221 @@ class TestInlineParity:
 
 
 # ---------------------------------------------------------------------------
+# Columnar from the source, coalesced at the consumer
+# ---------------------------------------------------------------------------
+def _finite_source(topology, n):
+    """Replace the spout by one that dries up after ``n`` events."""
+    spout = topology.component("spout").template
+    events = list(spout.clone().next_batch(n))
+    spout.__class__ = IterableSpout
+    spout.__dict__ = dict(vars(IterableSpout(events)))
+
+
+#: Forces the ladder up a rung at every barrier, whatever the host's
+#: timing: any lag at all violates the SLO.
+_ALWAYS_OVERLOADED = OverloadConfig(
+    max_lag_ms=1e-9, enter_epochs=1, shed_mode="random", shed_rate=0.5, shed_seed=9
+)
+
+#: Condition -> (engine options, events asked for, finite source size).
+SOURCE_CONDITIONS = {
+    "no_barriers": ({}, EVENTS, None),
+    # 300 events in epochs of 70: every boundary cuts a source chunk
+    # (1 024 inline, 256 in a worker) short.
+    "epoch_cuts_mid_chunk": ({"epoch_interval": 70}, EVENTS, None),
+    "shed_rung_active": (
+        {"epoch_interval": 50, "overload": _ALWAYS_OVERLOADED},
+        EVENTS,
+        None,
+    ),
+    "fault_plan_ticks_the_spout": (
+        {
+            "fault_plan": FaultPlan(
+                seed=3, kinds=("crash",), target="spout", at_tuple=150
+            ),
+            "recovery_policy": "retry",
+        },
+        EVENTS,
+        None,
+    ),
+    "source_dries_up_early": ({}, EVENTS, 200),
+    "queue_one_batch_deep": (
+        {"batch_size": BATCH, "queue_capacity": BATCH},
+        EVENTS,
+        None,
+    ),
+}
+
+
+def source_run(app, backend, vectorized, condition):
+    options, events, finite = SOURCE_CONDITIONS[condition]
+    options = dict(options)
+    executor = {"vectorized": vectorized}
+    if "overload" in options:
+        executor["overload"] = options.pop("overload")
+    if backend == "process":
+        executor = {
+            "backend": ProcessPoolBackend(
+                n_workers=2, ordered=(app == "lr"), **executor
+            )
+        }
+    topology = build_application(app)
+    topology.component("sink").template.keep_samples = 10**6
+    if finite is not None:
+        _finite_source(topology, finite)
+    engine = LocalEngine(
+        topology,
+        replication={name: 1 for name in topology.components},
+        **executor,
+        **options,
+    )
+    return engine.run(events)
+
+
+class TestColumnarSource:
+    """Events leave the spout as columns whenever nothing asks to see
+    them one by one, and a consumer's kernel takes what is queued in one
+    call: against the scalar run, nothing but the speed may differ."""
+
+    @pytest.mark.parametrize("condition", SOURCE_CONDITIONS)
+    @pytest.mark.parametrize("backend", ("inline", "process"))
+    @pytest.mark.parametrize("app", APPS)
+    def test_parity_with_the_scalar_run(self, app, backend, condition):
+        reference = source_run(app, "inline", "off", condition)
+        candidate = source_run(app, backend, "auto", condition)
+        # Several producers into one sink (LR), bounded queues and worker
+        # schedules interleave differently; per-edge order never does.
+        ordered = backend == "inline" and condition != "queue_one_batch_deep"
+        assert_same_run(reference, candidate, ordered=ordered)
+        if condition == "source_dries_up_early":
+            assert candidate.events_ingested == 200
+        if condition == "shed_rung_active":
+            assert candidate.overload.shed == reference.overload.shed > 0
+        if condition == "fault_plan_ticks_the_spout":
+            assert candidate.recovery.restarts == 1
+
+    def test_the_source_is_columnar_exactly_when_nothing_watches_events(self):
+        spec = app_engine("wc", "auto").spec
+        options = dict(vectorized="auto", transpose_sinks=False)
+        step = TaskStep(spec, 10, **options)
+        assert step.columnar_sources
+        step.shedder = Shedder("random", 0.5, 1)  # the shed rung, active
+        assert not step.columnar_sources
+        assert not TaskStep(spec, 10, **{**options, "vectorized": "off"}).columnar_sources
+        assert not TaskStep(spec, 10, tick=lambda rt: None, **options).columnar_sources
+        assert not TaskStep(spec, 10, histograms={0: None}, **options).columnar_sources
+
+    def test_emit_columns_accounts_like_emit(self):
+        spec = app_engine("lr", "auto").spec
+        spout = next(rt for rt in spec.tasks if rt.is_spout)
+
+        def drive(columnar):
+            step = TaskStep(spec, 100, vectorized="auto", transpose_sinks=False)
+            deliveries = []
+            if columnar:
+                # Whole batches per draw: the chunks are the jumbo
+                # tuples the scalar path seals.  36 left: dries up.
+                deliveries += step.emit_columns(spout, 64)
+                deliveries += step.emit_columns(spout, 64)
+            else:
+                while (values := step.draw(spout)) is not None:
+                    deliveries += step.emit(spout, values)
+            deliveries += step.flush_buffers(spout)
+            rows = [
+                (consumer, t.values, t.event_time_ns, t.source_task)
+                for _, consumer, payload in deliveries
+                for t in (
+                    payload.to_tuples()
+                    if isinstance(payload, ColumnBatch)
+                    else payload.tuples
+                )
+            ]
+            stats = step.stats[spout.task_id]
+            return (
+                rows,
+                [len(payload) for _, _, payload in deliveries],
+                (stats.tuples_out, stats.out_by_stream, stats.bytes_out_by_stream),
+                dict(step.counters),
+                step.spout_produced[spout.task_id],
+                spout.task_id in step.exhausted,
+            )
+
+        assert drive(columnar=True) == drive(columnar=False)
+
+    def test_rows_the_acceptance_rule_declines_go_scalar(self):
+        class Ragged(Spout):
+            def next_batch(self, max_tuples):
+                for i in range(max_tuples):
+                    yield ("k", i) if i % 2 else ("k", None)
+
+        builder = TopologyBuilder("ragged")
+        builder.set_spout("spout", Ragged())
+        builder.add_sink("sink", Sink(keep_samples=100)).shuffle_from("spout")
+        runs = [
+            LocalEngine(builder.build(), vectorized=mode).run(40)
+            for mode in ("off", "auto")
+        ]
+        assert_same_run(*runs)
+        assert runs[1].sink_received() == 40
+
+
+def kernel_inputs(app, monkeypatch):
+    """The input batches every kernel of ``app`` took on an inline run,
+    per task, in order (whole runs: up to 1 024 rows each)."""
+    taken = {}
+    run_columns = TaskStep.run_columns
+
+    def spy(self, chain, position, batch):
+        taken.setdefault(chain[position].task_id, []).append(batch)
+        return run_columns(self, chain, position, batch)
+
+    monkeypatch.setattr(TaskStep, "run_columns", spy)
+    spec = app_engine(app, "auto", batch_size=BATCH).spec
+    _InlineRun(spec, 2000, NULL_REGISTRY, vectorized="auto").execute()
+    monkeypatch.undo()
+    return spec, taken
+
+
+def kernel_trace(spec, task_id, batches):
+    """What a fresh instance of ``task_id`` emits for ``batches``, one
+    kernel call each — rows and event times per stream — and the state
+    it ends in."""
+    rt = next(rt for rt in spec.tasks if rt.task_id == task_id)
+    operator = instantiate_task(spec, rt)
+    emitted = {}
+    for batch in batches:
+        for out in operator.process_columns(batch) or ():
+            out.stamp_from(batch, task_id)
+            emitted.setdefault(out.stream, []).extend(
+                (t.values, t.event_time_ns) for t in out.to_tuples()
+            )
+    return emitted, operator.snapshot_state()
+
+
+class TestKernelContract:
+    """``kernel(A ++ B)`` is ``kernel(A)`` then ``kernel(B)``: what
+    coalescing queued batches into one call rests on, for every
+    ``process_columns`` the four applications run."""
+
+    @pytest.mark.parametrize("app", APPS)
+    def test_one_call_over_a_run_equals_a_call_per_batch(self, app, monkeypatch):
+        spec, taken = kernel_inputs(app, monkeypatch)
+        kernels = {
+            rt.task_id
+            for rt in spec.tasks
+            if not rt.is_spout
+            and spec.topology.component(rt.component).template.supports_columns()
+        }
+        assert set(taken) == kernels  # every kernel of the app ran
+        for task_id, runs in taken.items():
+            assert max(len(run) for run in runs) > 3 * BATCH, task_id
+            pieces = [piece for run in runs for piece in run.chunks(BATCH)]
+            merged = kernel_trace(spec, task_id, runs)
+            apart = kernel_trace(spec, task_id, pieces)
+            assert merged == apart, spec.tasks[task_id].component
+
+
+# ---------------------------------------------------------------------------
 # Gates shared by both executors
 # ---------------------------------------------------------------------------
 class _QuietKernel(_Pass):
@@ -742,13 +1019,14 @@ class TestSharedGates:
         assert metrics["vectorized_batches"] > 0
 
     def test_inline_sink_takes_columns_but_never_transposes(self):
-        # Kernel upstream: the sink counts each chunk through process_columns.
+        # Kernel upstream: the sink counts through process_columns — the
+        # 13 queued chunks of either hop coalesce into one kernel call.
         result, metrics = inline_metrics(
             small_topology(_Pass(), Sink()), batch_size=BATCH
         )
         assert result.sink_received() == 100
-        chunks = -(-100 // BATCH)
-        assert metrics["vectorized_batches"] == 1 + chunks  # op once, sink per chunk
+        assert metrics["vectorized_batches"] == 2  # op once, sink once
+        assert metrics["vectorized_tuples"] == 200
         assert metrics["vectorized_fallbacks"] == 0
 
         # Scalar upstream: the sink's batches stay scalar and are not
