@@ -24,14 +24,11 @@ from repro.errors import ExecutionError
 from repro.hardware import server_a, server_b
 from repro.metrics import MetricsRegistry, build_report, format_table, write_report
 from repro.runtime import (
-    FUSE_MODES,
     RECOVERY_POLICIES,
     SHED_MODES,
-    STRING_DICT_MODES,
     VECTORIZED_MODES,
     DegradeContext,
     FaultPlan,
-    FusionConfig,
     OverloadConfig,
     ReconfigController,
 )
@@ -122,21 +119,16 @@ def _run_config(args: argparse.Namespace, profiles) -> dict:
 
     Overload control is armed when ``--max-lag-ms`` or ``--shed`` departs
     from its inert default; with both at rest the run carries no overload
-    machinery at all.  ``--fuse`` gets the app's measured profiles and
-    the selected machine model attached, so ``auto`` applies the RLAS
-    cost model's profitability test; ``degrade`` replans against the
-    same two.
+    machinery at all.  ``degrade`` replans against the app's measured
+    profiles on the machine model ``--server`` / ``--sockets`` select.
     """
     armed = args.max_lag_ms is not None or args.shed != "off"
-    machine = _machine(args)
     return dict(
         batch_size=args.batch_size,
         queue_capacity=args.queue_capacity,
-        fuse=FusionConfig(mode=args.fuse, profiles=profiles, machine=machine),
         backend=args.backend,
         vectorized=args.vectorized,
         n_workers=args.workers,
-        string_dict=args.string_dict,
         heartbeat_timeout_s=args.watchdog_timeout,
         epoch_interval=args.epoch_interval,
         adaptive_batch=args.adaptive_batch,
@@ -156,7 +148,7 @@ def _run_config(args: argparse.Namespace, profiles) -> dict:
         recovery_policy=args.recovery_policy,
         max_restarts=args.max_restarts,
         degrade=(
-            DegradeContext(profiles=profiles, machine=machine)
+            DegradeContext(profiles=profiles, machine=_machine(args))
             if args.recovery_policy == "degrade"
             else None
         ),
@@ -170,8 +162,6 @@ _META_FLAGS = (
     "batch_size",
     "backend",
     "vectorized",
-    "string_dict",
-    "fuse",
     "adaptive_batch",
     "epoch_interval",
     "adapt",
@@ -517,27 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
             "columnar kernel dispatch: auto (use numpy kernels when "
             "operator and schema qualify) or off (scalar dispatch only; "
             "see docs/vectorized.md)"
-        ),
-    )
-    run.add_argument(
-        "--string-dict",
-        choices=STRING_DICT_MODES,
-        default="auto",
-        help=(
-            "adaptive string-dictionary encoding on the shm data plane: "
-            "auto (per-edge columns promote to int32 codes once observed "
-            "repetition warrants it) or off (raw strings on the wire; "
-            "see docs/dataplane.md)"
-        ),
-    )
-    run.add_argument(
-        "--fuse",
-        choices=FUSE_MODES,
-        default="auto",
-        help=(
-            "runtime operator-chain fusion: auto (fuse profitable "
-            "same-socket 1:1 edges) or off (run the spec as lowered; "
-            "see docs/fusion.md)"
         ),
     )
     run.add_argument(

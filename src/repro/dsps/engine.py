@@ -29,7 +29,6 @@ from repro.dsps.topology import Topology
 from repro.metrics.registry import NULL_REGISTRY, MetricsRegistry
 from repro.runtime.backends import ExecutorBackend, resolve_backend
 from repro.runtime.epochs import EpochConfig, require_barriers
-from repro.runtime.fusion import plan_fusion
 from repro.runtime.lowering import RuntimeSpec, lower_graph, lower_plan
 from repro.runtime.reconfigure import ReconfigController
 from repro.runtime.results import RunResult, TaskStats
@@ -148,7 +147,7 @@ class LocalEngine:
             if config.epoch_interval is not None
             else None
         )
-        self.spec = plan_fusion(lower(**config.lowering()), config.fuse)
+        self.spec = lower(**config.lowering())
         self.topology = self.spec.topology
         self.graph = self.spec.graph
         if config.fault_plan is not None or config.recovery_policy is not None:

@@ -22,10 +22,11 @@ and a live reconfiguration controller that re-plans the placement at a
 barrier when the observed workload drifts; see docs/reconfiguration.md.
 
 The fusion layer (:mod:`repro.runtime.fusion`,
-:mod:`repro.runtime.batching`) derives fused operator chains from the
-deployed placement (intra-chain edges execute inline, skipping queues and
-codecs) and sizes each surviving edge's jumbo batches with a per-edge
-AIMD controller stepped at epoch barriers; see docs/fusion.md.
+:mod:`repro.runtime.batching`) derives fused operator chains from where
+each executor runs its tasks (an exclusive edge inside one process
+executes inline, skipping its queue and codec) and sizes each surviving
+edge's jumbo batches with a per-edge AIMD controller stepped at epoch
+barriers; see docs/fusion.md.
 
 The placement layer (:mod:`repro.runtime.placement`, imported by the
 process backend on demand: it sits on the optimizer stack, which imports
@@ -75,15 +76,7 @@ from repro.runtime.faults import (
     merge_fault_summaries,
 )
 from repro.runtime.batching import AdaptiveBatchConfig, AdaptiveBatchController
-from repro.runtime.fusion import (
-    FUSE_MODES,
-    FusionConfig,
-    as_fusion_config,
-    chain_map,
-    plan_fusion,
-    refit_fusion,
-    validate_fuse,
-)
+from repro.runtime.fusion import FusionConfig, plan_fusion, with_chains
 from repro.runtime.overload import (
     RUNGS,
     SHED_MODES,
@@ -110,6 +103,7 @@ from repro.runtime.lowering import (
     instantiate_tasks,
     lower_graph,
     lower_plan,
+    with_sockets,
 )
 from repro.runtime.process_pool import ProcessPoolBackend
 from repro.runtime.reconfigure import ReconfigController, ReconfigReport
@@ -152,7 +146,6 @@ __all__ = [
     "ShmRingChannel",
     "shm_available",
     "FAULT_KINDS",
-    "FUSE_MODES",
     "Fault",
     "FaultInjector",
     "FaultPlan",
@@ -185,8 +178,6 @@ __all__ = [
     "TaskRuntime",
     "TaskStats",
     "apply_edge_batches",
-    "as_fusion_config",
-    "chain_map",
     "instantiate_task",
     "instantiate_tasks",
     "lower_graph",
@@ -194,7 +185,7 @@ __all__ = [
     "merge_fault_summaries",
     "plan_fusion",
     "publish_engine_metrics",
-    "refit_fusion",
     "resolve_backend",
-    "validate_fuse",
+    "with_chains",
+    "with_sockets",
 ]

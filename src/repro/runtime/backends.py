@@ -49,6 +49,7 @@ from repro.runtime.epochs import (
     EpochDriver,
     Migration,
 )
+from repro.runtime.fusion import in_one_process
 from repro.runtime.lowering import RuntimeSpec, TaskRuntime
 from repro.runtime.results import RunResult, TaskStats
 from repro.runtime.step import Delivery, TaskStep, publish_step_counters
@@ -175,14 +176,11 @@ def publish_engine_metrics(
             registry.gauge(f"{prefix}.blocked_ns").set(stats.blocked_ns)
         blocked_total += stats.blocked_batches
     registry.counter("engine.run.backpressure_blocks").inc(blocked_total)
-    if spec.fusion:
-        registry.gauge("runtime.fusion.chains").set(len(spec.fusion))
-        registry.gauge("runtime.fusion.fused_tasks").set(
-            sum(len(chain) for chain in spec.fusion)
-        )
-        registry.gauge("runtime.fusion.edges_eliminated").set(
-            sum(len(chain) - 1 for chain in spec.fusion)
-        )
+    # The chains that ran: ``spec`` is the executor's own.
+    fused = sum(len(chain) for chain in spec.fusion)
+    registry.gauge("runtime.fusion.chains").set(len(spec.fusion))
+    registry.gauge("runtime.fusion.fused_tasks").set(fused)
+    registry.gauge("runtime.fusion.edges_eliminated").set(fused - len(spec.fusion))
 
 
 class InlineBackend(ExecutorBackend):
@@ -203,8 +201,10 @@ class InlineBackend(ExecutorBackend):
     ) -> RunResult:
         config = self.config
         registry = registry if registry is not None else NULL_REGISTRY
+        # One process hosts every task, so every eligible edge fuses; a
+        # migration re-sockets the spec and leaves these chains as they are.
         return _InlineRun(
-            spec,
+            in_one_process(spec),
             max_events,
             registry,
             injector,
@@ -245,6 +245,8 @@ class _InlineRun:
         self.spec = spec
         self.registry = registry
         self.injector = injector
+        if injector is not None:
+            injector.follow_chains(spec.fusion)
         #: ``barriers`` are the driver's keywords: ``epochs``, ``resume``,
         #: ``on_epoch``, ``batching``, ``overload``.
         self.driver = EpochDriver(spec, max_events, registry, **barriers)

@@ -15,8 +15,7 @@ with the outcome.  docs/runtime.md ("Run options") tabulates the fields
 beside their CLI flags.
 
 Sub-configs validate themselves where they are built
-(:class:`~repro.runtime.fusion.FusionConfig`,
-:class:`~repro.runtime.overload.OverloadConfig`,
+(:class:`~repro.runtime.overload.OverloadConfig`,
 :class:`~repro.runtime.batching.AdaptiveBatchConfig`,
 :class:`~repro.runtime.epochs.EpochConfig`, the
 :class:`~repro.runtime.supervisor.Supervisor`'s policy rules); the one
@@ -32,12 +31,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.errors import ExecutionError
 from repro.runtime.batching import AdaptiveBatchConfig
-from repro.runtime.dataplane import (
-    DATAPLANE_NAMES,
-    STRING_DICT_MODES,
-    VECTORIZED_MODES,
-)
-from repro.runtime.fusion import FusionConfig, as_fusion_config
+from repro.runtime.dataplane import DATAPLANE_NAMES, VECTORIZED_MODES
 from repro.runtime.overload import OverloadConfig
 
 if TYPE_CHECKING:
@@ -53,7 +47,6 @@ _EXECUTOR_OPTIONS = frozenset(
         "n_workers",
         "ordered",
         "dataplane",
-        "string_dict",
         "timeout_s",
         "heartbeat_timeout_s",
         "adaptive_batch",
@@ -108,11 +101,6 @@ class RunConfig:
     #: Per-consumer-task buffered-tuple budget (Eq. 5), split over the
     #: consumer's input edges; ``queue_capacity`` overrides it.
     queue_budget: int | None = None
-    #: Runtime operator-chain fusion (docs/fusion.md): a mode name
-    #: (``"auto"``/``"off"``) or a
-    #: :class:`~repro.runtime.fusion.FusionConfig`; reads back as the
-    #: config.  Off by default.  Fused chains live on the *spec*.
-    fuse: "FusionConfig | str" = as_fusion_config(None)
 
     # -- executor ------------------------------------------------------
     #: Name of the executor backend the run was built on (``"inline"``,
@@ -140,11 +128,6 @@ class RunConfig:
     #: ``"pickle"`` (pickled payloads inside the control queues — the
     #: reference the parity tests compare against).
     dataplane: str = "shm"
-    #: shm data plane: adaptive string-dictionary encoding: ``"auto"``
-    #: (a per-edge string column promotes to dictionary codes once
-    #: observed repetition warrants it) or ``"off"`` (raw strings on the
-    #: wire).
-    string_dict: str = "auto"
     #: Process backend: bound on the whole execution.  One deadline,
     #: armed when ``execute()`` starts and shipped to the workers once,
     #: that every epoch, barrier observer and migration relaunch draws
@@ -186,7 +169,6 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         put = object.__setattr__  # frozen: normalize in place, once
-        put(self, "fuse", as_fusion_config(self.fuse))
         if isinstance(self.adaptive_batch, bool):
             put(
                 self,
@@ -218,11 +200,6 @@ class RunConfig:
             raise ExecutionError(
                 f"unknown dataplane {self.dataplane!r}; "
                 f"expected one of {DATAPLANE_NAMES}"
-            )
-        if self.string_dict not in STRING_DICT_MODES:
-            raise ExecutionError(
-                f"unknown string_dict {self.string_dict!r}; "
-                f"expected one of {STRING_DICT_MODES}"
             )
         if self.timeout_s <= 0:
             raise ExecutionError(f"timeout_s must be positive, got {self.timeout_s}")

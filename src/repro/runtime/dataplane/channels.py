@@ -355,12 +355,10 @@ class ShmRingChannel(ChannelEndpoint):
         inboxes: list,
         ring_names: Mapping[tuple[int, int], str],
         edge_schemas: Mapping[tuple[int, int], str] | None = None,
-        string_dict: str = "auto",
     ) -> None:
         super().__init__(worker_id, inboxes)
         self.ring_names = dict(ring_names)
         self.edge_schemas = dict(edge_schemas or {})
-        self.string_dict = string_dict
         self.codec: BatchCodec | None = None
         self.send_rings: dict[int, ShmRing] = {}
         self.recv_rings: dict[int, ShmRing] = {}
@@ -370,9 +368,7 @@ class ShmRingChannel(ChannelEndpoint):
         # is built fresh inside the worker process, once per execution
         # attempt: a Supervisor retry or a new epoch slice reconnects,
         # resetting producer dictionaries and consumer mirrors together.
-        self.codec = BatchCodec(
-            self.edge_schemas, string_dict=self.string_dict
-        )
+        self.codec = BatchCodec(self.edge_schemas)
         for (sender, dest), name in self.ring_names.items():
             if sender == self.me:
                 self.send_rings[dest] = ShmRing.attach(name)
@@ -485,11 +481,9 @@ class ShmDataPlane(DataPlane):
         n_workers: int,
         *,
         edge_schemas: Mapping[tuple[int, int], str] | None = None,
-        string_dict: str = "auto",
     ) -> None:
         super().__init__(ctx, n_workers)
         self.edge_schemas = dict(edge_schemas or {})
-        self.string_dict = string_dict
         self.rings: dict[tuple[int, int], ShmRing] = {}
         run_tag = f"{SHM_NAME_PREFIX}{os.getpid():x}_{next(_ring_sequence):x}"
         try:
@@ -513,7 +507,6 @@ class ShmDataPlane(DataPlane):
             self.inboxes,
             {key: ring.name for key, ring in self.rings.items()},
             self.edge_schemas,
-            self.string_dict,
         )
 
     def close(self) -> None:
@@ -530,7 +523,6 @@ def create_dataplane(
     n_workers: int,
     *,
     edge_schemas: Mapping[tuple[int, int], str] | None = None,
-    string_dict: str = "auto",
 ) -> DataPlane:
     """Build the parent-side data plane for one pool: the shm plane, or
     the pickle plane when asked for by name or when this platform has no
@@ -540,7 +532,5 @@ def create_dataplane(
             f"unknown dataplane {name!r}; expected one of {DATAPLANE_NAMES}"
         )
     if name == "shm" and shm_available():
-        return ShmDataPlane(
-            ctx, n_workers, edge_schemas=edge_schemas, string_dict=string_dict
-        )
+        return ShmDataPlane(ctx, n_workers, edge_schemas=edge_schemas)
     return PickleDataPlane(ctx, n_workers)

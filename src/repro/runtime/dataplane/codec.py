@@ -97,8 +97,9 @@ _MAGIC_COLUMNAR = 1
 
 _HEADER = struct.Struct("<IqH")  # n, source_task, stream length
 
-#: ``--string-dict`` modes.  "auto" promotes per (edge, column) once the
-#: observed repetition proves worthwhile (at first sight with
+#: String-dictionary modes of a codec.  "auto" — what the shm plane
+#: always runs — promotes per (edge, column) once the observed
+#: repetition proves worthwhile (at first sight with
 #: ``dict_min_observed=0, dict_max_ratio=1.0``), "off" never
 #: dictionary-encodes.  Decoding understands "D" payloads in both — the
 #: wire is self-describing.
@@ -157,7 +158,7 @@ class BatchCodec:
         self,
         edge_schemas: Mapping[tuple[int, int], str] | None = None,
         *,
-        string_dict: str = "off",
+        string_dict: str = "auto",
         dict_min_observed: int = DICT_PROMOTE_MIN_OBSERVED,
         dict_max_ratio: float = DICT_PROMOTE_MAX_RATIO,
         dict_max_entries: int = DICT_MAX_ENTRIES,

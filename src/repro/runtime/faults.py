@@ -42,7 +42,7 @@ import random
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from repro.errors import ExecutionError
 from repro.runtime.lowering import RuntimeSpec
@@ -267,6 +267,8 @@ class FaultInjector:
         self.fired: list[Fault] = []
         self.stalled: set[int] = set()
         self._pending_drops: dict[int, int] = defaultdict(int)
+        #: Chain member -> the chain's tail (:meth:`follow_chains`).
+        self._drop_from: dict[int, int] = {}
         self.dropped_batches = 0
         self.dropped_tuples = 0
 
@@ -294,9 +296,14 @@ class FaultInjector:
                 if fault.kind == "stall":
                     self.stalled.add(task_id)
                 elif fault.kind == "drop":
-                    self._pending_drops[task_id] += 1
+                    self._pending_drops[self._drop_from.get(task_id, task_id)] += 1
                 return fault
         return None
+
+    def follow_chains(self, chains: Iterable[tuple[int, ...]]) -> None:
+        """A drop armed at a fused chain's member loses the chain's next
+        sealed batch: an edge inside a chain carries no message to lose."""
+        self._drop_from = {task_id: chain[-1] for chain in chains for task_id in chain}
 
     def take_drop(self, producer: int, n_tuples: int) -> bool:
         """Consume a pending drop for ``producer``'s next sealed batch."""

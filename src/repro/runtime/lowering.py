@@ -26,7 +26,7 @@ semantics, still the default for ``LocalEngine`` runs without a plan).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace as dc_replace
 from typing import TYPE_CHECKING, Mapping
 
 from repro.dsps.graph import ExecutionGraph, Task, TaskEdge
@@ -117,12 +117,10 @@ class RuntimeSpec:
     #: Fused task chains, head first: every intra-chain edge is executed
     #: inline by the chain head instead of through a queue.  Task ids stay
     #: stable — constituents keep their instances, stats and state, so
-    #: epochs, migration and parity checks are unaffected by fusion (see
-    #: :mod:`repro.runtime.fusion`).
+    #: epochs, migration and parity checks are unaffected by fusion.  A
+    #: lowering has none: an executor derives them from where it runs
+    #: each task (:mod:`repro.runtime.fusion`).
     fusion: tuple[tuple[int, ...], ...] = ()
-    #: The `--fuse` mode that produced :attr:`fusion` ("off" when unfused);
-    #: replans re-derive chains under this mode.
-    fuse_mode: str = "off"
     #: Per-edge jumbo batch size overrides (adaptive batching); edges not
     #: listed use the global :attr:`batch_size`.
     edge_batch_size: Mapping[tuple[int, int], int] = field(default_factory=dict)
@@ -365,8 +363,6 @@ def apply_edge_batches(
     inside the edge's queue capacity (a sealed batch must always be
     admissible) — the bound the adaptive controller clamps against.
     """
-    from dataclasses import replace as dc_replace
-
     merged = dict(spec.edge_batch_size)
     merged.update(sizes)
     for key, size in merged.items():
@@ -381,6 +377,20 @@ def apply_edge_batches(
                 f"capacity {capacity}"
             )
     return dc_replace(spec, edge_batch_size=merged)
+
+
+def with_sockets(spec: RuntimeSpec, sockets: Mapping[int, int | None]) -> RuntimeSpec:
+    """``spec`` re-placed: each task on ``sockets[task id]`` (a task not
+    named keeps its socket).  The one way a running spec changes
+    sockets: a live migration and a degraded re-plan both come through
+    here, and the executor that runs the result derives its chains."""
+    return dc_replace(
+        spec,
+        tasks=tuple(
+            dc_replace(rt, socket=sockets.get(rt.task_id, rt.socket))
+            for rt in spec.tasks
+        ),
+    )
 
 
 def instantiate_tasks(spec: RuntimeSpec) -> dict[int, Spout | Operator]:

@@ -54,8 +54,6 @@ ROW_NS = 570.0
 COLUMN_NS = 10.0
 #: The uniform prior's cost of every task, and of every hop at each end.
 PRIOR_NS = 1000.0
-#: ``N`` of an edge inside a fused chain: its ends share one loop.
-NEVER_CUT_NS = 1e12
 #: Branch-and-bound node budget per task.  The first dive (one node per
 #: task) follows the bound into a balanced plan — on LR within 5 % of
 #: the best found at any budget, less than the inputs' own noise; the
@@ -130,15 +128,8 @@ def _profiles(
     selectivity: Callable[[str, str], float],
     hop_ns: Callable[[str, str], float],
 ) -> ProfileSet:
-    """The model's operator inputs, per component and stream; an edge
-    inside a fused chain is priced so that no search cuts it."""
-    links = {pair for chain in spec.fusion for pair in zip(chain, chain[1:])}
-    component = {rt.task_id: rt.component for rt in spec.tasks}
-    fused = {
-        (component[edge.producer], edge.stream)
-        for edge in spec.edges
-        if (edge.producer, edge.consumer) in links
-    }
+    """The model's operator inputs, per component and stream.  Chains
+    are not priced: they follow from the map this search decides."""
     topology = spec.topology
     profiles = {}
     for name in topology.components:
@@ -147,10 +138,7 @@ def _profiles(
             component=name,
             te_cycles=te_ns(name),
             selectivity={s: selectivity(name, s) for s in streams},
-            output_bytes={
-                s: NEVER_CUT_NS if (name, s) in fused else hop_ns(name, s)
-                for s in streams
-            },
+            output_bytes={s: hop_ns(name, s) for s in streams},
         )
     return ProfileSet(topology, profiles)
 
@@ -172,7 +160,8 @@ def calibrate(
     edge and the events sampled — or None when an operator raised on the
     sample.  ``Te`` is a component's wall per input tuple in its cheapest
     round (a spout's input is what it drew); selectivities and traffic
-    are the whole sample's.
+    are the whole sample's.  The sample runs ``spec`` as lowered, unfused:
+    a chain would hide its members' ``Te`` and its edges' hops.
     """
     te: dict[str, float] = {}
     wall: dict[str, float] = defaultdict(float)

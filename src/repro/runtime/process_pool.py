@@ -114,6 +114,7 @@ from repro.runtime.epochs import (
     Migration,
 )
 from repro.runtime.faults import FaultInjector, merge_fault_summaries
+from repro.runtime.fusion import with_chains
 from repro.runtime.overload import (
     CircuitBreaker,
     SendRetryPolicy,
@@ -228,26 +229,18 @@ class ProcessPoolBackend(ExecutorBackend):
         the spec carries a placement, else as this execution's search
         decided.  A plan is never spread further than it asks: with fewer
         sockets than workers the workers beyond them host no task."""
-        if spec.placed:
-            # One worker per socket (wrapping when sockets > workers) keeps
-            # same-socket tasks colocated, so their edges stay in-process.
-            n = self._n_workers(spec)
-            groups = spec.socket_groups()
-            owner = {
-                task_id: index % n
-                for index, socket in enumerate(sorted(groups))
-                for task_id in groups[socket]
-            }
-            searched = Placement(owner, n, "plan", spec.cut_edges(owner))
-        # A fused chain executes inline in its head's scheduling loop, so
-        # every constituent must live in the head's process.  Chains only
-        # span one socket (plan_fusion's eligibility rule) and the search
-        # never cuts one: this restates it where the workers rely on it.
-        owner = searched.owner
-        for chain in spec.fusion:
-            for task_id in chain[1:]:
-                owner[task_id] = owner[chain[0]]
-        return searched
+        if not spec.placed:
+            return searched
+        # One worker per socket (wrapping when sockets > workers) keeps
+        # same-socket tasks colocated, so their edges stay in-process.
+        n = self._n_workers(spec)
+        groups = spec.socket_groups()
+        owner = {
+            task_id: index % n
+            for index, socket in enumerate(sorted(groups))
+            for task_id in groups[socket]
+        }
+        return Placement(owner, n, "plan", spec.cut_edges(owner))
 
     def _sockets_of_workers(
         self, spec: RuntimeSpec, owner: Mapping[int, int]
@@ -369,11 +362,16 @@ class _PoolRun:
         partition from the newest committed checkpoint (``resume=``
         before the first commit), if any, and parks for its first
         directive."""
-        backend, spec = self.backend, self.spec
+        backend = self.backend
         config = backend.config
-        self.placement = backend._assign(spec, self.searched)
+        self.placement = backend._assign(self.spec, self.searched)
         # The pool is n_workers wide even if the search left one empty.
         n_workers, owner = self.placement.n_workers, self.placement.owner
+        # Chains follow the owner map: an exclusive edge inside one
+        # worker is one loop.  The spec keeps its plan sockets, which
+        # failures are attributed to.
+        spec = self.spec = with_chains(self.spec, owner)
+        self.placement.chains = list(spec.fusion)
         self.worker_sockets = backend._sockets_of_workers(spec, owner)
         ctx = _mp_context()
         # The data plane owns the pool's transport resources (control
@@ -381,11 +379,7 @@ class _PoolRun:
         # guarantees no shared-memory segment survives the run, even
         # when workers crashed or the watchdog fired mid-flight.
         self.plane = create_dataplane(
-            config.dataplane,
-            ctx,
-            n_workers,
-            edge_schemas=spec.edge_schemas,
-            string_dict=config.string_dict,
+            config.dataplane, ctx, n_workers, edge_schemas=spec.edge_schemas
         )
         self.placement.dataplane = self.plane.name
         self.results: Any = ctx.Queue()
@@ -763,9 +757,12 @@ class _Worker:
             if schedule
             else None
         )
+        if self.injector is not None:
+            self.injector.follow_chains(spec.fusion)
         # The task host: this worker's partition (a fused chain runs
-        # inline in its head, so _assign colocated all its members
-        # here), resumed from the checkpoint the pool was launched from;
+        # inline in its head, and chains were derived from the owner map,
+        # so all its members are here), resumed from the checkpoint the
+        # pool was launched from;
         # its input queues continue a stopped pool's cumulative stats.
         # An armed injector needs per-tuple fault ticks, so it disables
         # kernels for the run; the shedder follows the directives.

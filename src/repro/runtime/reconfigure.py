@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 from repro.errors import ExecutionError, PlanError, ProfilingError
 from repro.metrics.registry import NULL_REGISTRY, MetricsRegistry
 from repro.runtime.epochs import EpochCommit, Migration
-from repro.runtime.fusion import with_sockets
+from repro.runtime.lowering import with_sockets
 
 # The planning stack (repro.core.*) imports the dsps/runtime layers for
 # graph and plan types, so importing it at module scope here would close
@@ -61,7 +61,7 @@ from repro.runtime.fusion import with_sockets
 # the methods that need them.
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.adaptation import AdaptationAction
-    from repro.core.profiles import ProfileSet, SystemProfile
+    from repro.core.profiles import ProfileSet
     from repro.core.rlas import OptimizedPlan
 
 __all__ = ["ReconfigController", "ReconfigReport"]
@@ -134,8 +134,9 @@ class ReconfigController:
         (validated here, with the CLI-facing error type).
     registry:
         Metrics registry for ``runtime.reconfig.*`` instruments.
-    system:
-        Runtime cost structure for re-planning models.
+
+    Re-planning models run on the cost structure the
+    :class:`~repro.core.adaptation.AdaptiveController` judges drift with.
     """
 
     def __init__(
@@ -147,10 +148,8 @@ class ReconfigController:
         replace_threshold: float = 0.10,
         reoptimize_threshold: float = 0.35,
         registry: MetricsRegistry | None = None,
-        system: "SystemProfile | None" = None,
     ) -> None:
         from repro.core.adaptation import AdaptiveController
-        from repro.core.model import BRISKSTREAM
 
         if not 0 < replace_threshold <= reoptimize_threshold:
             raise ExecutionError(
@@ -166,12 +165,10 @@ class ReconfigController:
         self.plan = plan
         self.ingress_rate = ingress_rate
         self.registry = registry if registry is not None else NULL_REGISTRY
-        self.system = system if system is not None else BRISKSTREAM
         self.controller = AdaptiveController(
             plan,
             profiles,
             ingress_rate,
-            system=self.system,
             replace_threshold=replace_threshold,
             reoptimize_threshold=reoptimize_threshold,
         )
@@ -373,8 +370,6 @@ class ReconfigController:
             modeled_before=before,
             modeled_after=after,
         )
-        # Chains are re-derived under the new placement (a no-op when the
-        # run started with fusion off).
         return Migration(
             spec=with_sockets(spec, target), moved=moved, detail=detail
         )
@@ -411,7 +406,7 @@ class ReconfigController:
         model = PerformanceModel(
             observed,
             self.plan.machine,
-            system=self.system,
+            system=self.controller.system,
             tf_mode=TfMode.RELATIVE,
         )
         evaluator = IncrementalEvaluator(

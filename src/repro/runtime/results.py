@@ -122,6 +122,10 @@ class Placement:
     #: ``pickle`` — by name, or because the host has no POSIX shm.
     #: Empty until a pool is launched under the placement.
     dataplane: str = ""
+    #: The fused chains the pool forked with (task ids, head first):
+    #: derived from ``owner``, never searched.  Empty until a pool is
+    #: launched under the placement.
+    chains: list[tuple[int, ...]] = field(default_factory=list)
     #: Modelled load of each worker relative to the busiest one.
     load_share: list[float] = field(default_factory=list)
     #: Ingress the busiest worker's core admits (calibrated runs only:
@@ -159,6 +163,7 @@ class Placement:
             ),
             f"{len(self.cut_edges)} cut edges"
             + (f" over {self.dataplane}" if self.dataplane else ""),
+            f"{len(self.chains)} fused chains",
         ]
         if self.predicted_events_per_s is not None:
             parts.append(f"{self.messages_per_event:.3f} messages/event")

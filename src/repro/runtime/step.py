@@ -370,8 +370,8 @@ class TaskStep:
         The stream is paused and every queue empty; moved tasks are
         re-instantiated under the new placement and restored *from the
         checkpoint blob* — the exact serialize → deserialize → restore
-        path a cross-process handoff needs — and the chains are
-        re-derived (a migration may have refit them).  Counters,
+        path a cross-process handoff needs — and the chains, stages
+        and kernel tables are bound again from ``spec``.  Counters,
         statistics, queues and buffers carry on.
         """
         hosted = self.instances

@@ -60,9 +60,8 @@ from repro.metrics.registry import NULL_REGISTRY, MetricsRegistry
 from repro.runtime.backends import ExecutorBackend
 from repro.runtime.epochs import EpochCheckpoint, EpochConfig
 from repro.runtime.faults import FaultInjector, FaultPlan, merge_fault_summaries
-from repro.runtime.fusion import with_sockets
+from repro.runtime.lowering import RuntimeSpec, with_sockets
 from repro.runtime.overload import decorrelated_jitter
-from repro.runtime.lowering import RuntimeSpec
 from repro.runtime.results import RecoveryReport, RunResult
 
 if TYPE_CHECKING:

@@ -7,6 +7,7 @@ generated schemas and adversarial values.
 """
 
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -343,7 +344,34 @@ class TestDictCodec:
         assert encoder.dict_pages == pages
         # ... which is what dictionaries are for: fewer bytes than the
         # same repetitive batch with every string spelled out.
-        assert len(second) < len(BatchCodec({EDGE: "s"}).encode(EDGE, original))
+        raw = BatchCodec({EDGE: "s"}, string_dict="off")
+        assert len(second) < len(raw.encode(EDGE, original))
+
+    def test_auto_ships_fewer_bytes_than_off_where_words_repeat(self):
+        """The adaptive rule the shm plane always runs, at its default
+        thresholds, against raw strings: words that repeat cost fewer
+        bytes; all-distinct sentences are rejected and cost the same."""
+        rng = random.Random(7)
+        vocabulary = [f"word{i}" for i in range(50)]
+        words = [
+            make_tuples([(rng.choice(vocabulary),) for _ in range(64)])
+            for _ in range(20)
+        ]
+        sentences = [
+            make_tuples([(f"sentence {b} {i}",) for i in range(64)])
+            for b in range(20)
+        ]
+
+        def wire_bytes(mode, batches):
+            codec = BatchCodec({EDGE: "s"}, string_dict=mode)
+            return sum(len(codec.encode(EDGE, batch)) for batch in batches), codec
+
+        auto, codec = wire_bytes("auto", words)
+        assert auto < wire_bytes("off", words)[0]
+        assert codec.dict_promotions == 1
+        auto, codec = wire_bytes("auto", sentences)
+        assert auto == wire_bytes("off", sentences)[0]
+        assert codec.dict_pages == 0
 
     def test_fresh_consumer_detects_page_gap(self):
         encoder = BatchCodec({EDGE: "s"}, **FIRST_SIGHT)

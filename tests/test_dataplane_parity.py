@@ -166,13 +166,15 @@ class TestPickleShmParity:
 class TestStringDictParity:
     """Dictionary encoding must be semantically invisible on every plane.
 
-    The matrix runs each app under ``string_dict`` off and auto, on both
-    the pickle and shm planes with vectorized kernels, and compares
-    sink multisets, ingest counts and per-task tuple counts against the
-    inline reference.  ``auto`` promotes WC's word edge and FD's trace
-    edge mid-run, so the matrix exercises the raw->dict transition, the
-    pickle plane's ``"D"``->``"s"`` decay, and LR's no-op path (integer
-    schemas never consult the dictionary machinery).
+    The shm plane always runs the adaptive rule.  The matrix runs each
+    app with kernels off and on — the two ways a string column reaches
+    the codec: rows whose observed repetition promotes it, or a kernel's
+    ``DictColumn`` that promotes at first sight — on both the pickle and
+    shm planes, and compares sink multisets, ingest counts and per-task
+    tuple counts against the inline reference.  WC's word edge and FD's
+    trace edge promote mid-run, so the matrix exercises the raw->dict
+    transition, the pickle plane's ``"D"``->``"s"`` decay, and LR's
+    no-op path (integer schemas never consult the dictionary machinery).
     """
 
     @pytest.fixture(scope="class")
@@ -185,7 +187,7 @@ class TestStringDictParity:
     def test_shm_dict_matches_inline(self, app, mode, references):
         candidate = run_app(
             app,
-            backend=process_backend(app, "shm", string_dict=mode),
+            backend=process_backend(app, "shm", vectorized=mode),
         )
         assert_parity(references[app], candidate)
 
@@ -194,17 +196,18 @@ class TestStringDictParity:
     def test_pickle_dict_matches_inline(self, app, mode, references):
         candidate = run_app(
             app,
-            backend=process_backend(app, "pickle", string_dict=mode),
+            backend=process_backend(app, "pickle", vectorized=mode),
         )
         assert_parity(references[app], candidate)
 
     def test_backend_rejects_unknown_mode(self):
-        with pytest.raises(ExecutionError, match="unknown string_dict"):
-            ProcessPoolBackend(string_dict="zstd")
+        # No mode to choose: the option itself is unknown.
+        with pytest.raises(TypeError, match="'string_dict'"):
+            ProcessPoolBackend(string_dict="off")
 
     def test_resolve_rejects_unknown_mode(self):
-        with pytest.raises(ExecutionError, match="unknown string_dict"):
-            resolve_backend("process", string_dict="zstd")
+        with pytest.raises(TypeError, match="'string_dict'"):
+            resolve_backend("process", string_dict="off")
 
 
 class TestStringDictRecovery:
@@ -271,28 +274,17 @@ class TestDataplaneMetrics:
 
     @needs_shm
     def test_dict_run_publishes_dict_counters(self):
-        registry, raw_registry = MetricsRegistry(), MetricsRegistry()
+        # That the dictionary cuts the bytes is the codec's test
+        # (test_dataplane_codec.py, TestDictCodec).
+        registry = MetricsRegistry()
         result = run_app(
             "wc",
             backend=process_backend("wc", "shm"),
             registry=registry,
             alternate=True,
         )
-        run_app(
-            "wc",
-            backend=process_backend("wc", "shm", string_dict="off"),
-            registry=raw_registry,
-            alternate=True,
-        )
         assert result.sink_received() == EVENTS * 10
         counters = registry.snapshot()["counters"]
-        # Auto rejects the all-distinct sentence column (pages for it
-        # would inflate the wire) and still cuts the plane's total.
-        raw_counters = raw_registry.snapshot()["counters"]
-        assert (
-            counters["runtime.run.dataplane_bytes"]
-            < raw_counters["runtime.run.dataplane_bytes"]
-        )
         assert counters["runtime.dataplane.dict.promotions"] >= 1
         assert counters["runtime.dataplane.dict.columns"] >= 1
         assert counters["runtime.dataplane.dict.pages"] >= 1
@@ -307,13 +299,20 @@ class TestDataplaneMetrics:
 
     @needs_shm
     def test_dict_off_publishes_no_dict_counters(self):
+        """Where the adaptive rule keeps a column raw, a run ships no
+        dictionary: a map that cuts only the spout's edges moves nothing
+        but all-distinct sentences, which the rule rejects."""
         registry = MetricsRegistry()
-        run_app(
-            "wc",
-            backend=process_backend("wc", "shm", string_dict="off"),
+        topology, _profiles = load_application("wc")
+        graph = ExecutionGraph(topology, REPLICATION["wc"], group_size=1)
+        owner = {task.task_id: int(task.component != "spout") for task in graph.tasks}
+        result = LocalEngine.from_plan(
+            ExecutionPlan(graph, owner),
+            backend=process_backend("wc", "shm"),
             registry=registry,
-            alternate=True,
-        )
+        ).run(EVENTS)
+        assert result.sink_received() == EVENTS * 10
         counters = registry.snapshot()["counters"]
+        assert counters["runtime.dataplane.bytes_inline"] > 0
         assert counters.get("runtime.dataplane.dict.promotions", 0) == 0
         assert counters.get("runtime.dataplane.dict.bytes", 0) == 0

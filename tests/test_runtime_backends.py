@@ -94,7 +94,6 @@ class TestBackendResolution:
             {"ordered": True},
             {"dataplane": "pickle"},
             {"vectorized": "off"},
-            {"string_dict": "off"},
             {"batching": AdaptiveBatchConfig()},
             {"overload": OverloadConfig()},
             {"timeout_s": 5.0},
@@ -107,9 +106,9 @@ class TestBackendResolution:
         with pytest.raises(ExecutionError, match=f"^{name}= configures"):
             resolve_backend(backend, **argument)
 
-    def test_instance_accepts_fuse_which_lives_on_the_spec(self):
+    def test_instance_accepts_what_lives_on_the_spec(self):
         backend = ProcessPoolBackend()
-        assert resolve_backend(backend, fuse="auto") is backend
+        assert resolve_backend(backend, queue_budget=512) is backend
 
     def test_engine_names_the_argument_an_instance_would_drop(self):
         # The case ROADMAP item 1 records: AIMD asked of the engine next

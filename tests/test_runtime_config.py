@@ -21,14 +21,13 @@ from repro.cli import _run_config, build_parser, main
 from repro.core.plan import collocated_plan
 from repro.dsps.engine import LocalEngine
 from repro.dsps.graph import ExecutionGraph
-from repro.errors import ExecutionError, PlanError
+from repro.errors import ExecutionError
 from repro.hardware import server_a, server_b
 from repro.metrics import load_report
 from repro.runtime import (
     AdaptiveBatchConfig,
     DegradeContext,
     FaultPlan,
-    FusionConfig,
     InlineBackend,
     OverloadConfig,
     ProcessPoolBackend,
@@ -108,7 +107,7 @@ class TestDoorsDeclareNothingTwice:
         doors[door](**options)
 
     def test_there_are_no_more_options_than_before(self):
-        assert len(FIELDS) <= 19
+        assert len(FIELDS) <= 17
 
 
 #: (bad options, exception, message, the doors the option exists at).
@@ -116,13 +115,13 @@ class TestDoorsDeclareNothingTwice:
 RULES = [
     ({"dataplane": "rdma"}, ExecutionError, "unknown dataplane 'rdma'", EVERY),
     ({"vectorized": "turbo"}, ExecutionError, "unknown vectorized mode 'turbo'", EVERY),
-    ({"string_dict": "zstd"}, ExecutionError, "unknown string_dict 'zstd'", EVERY),
     ({"backend": "threads"}, ExecutionError, "unknown backend 'threads'", BY_NAME),
-    ({"fuse": "sometimes"}, PlanError, "unknown fuse mode 'sometimes'", EVERY),
     # The modes are two-valued: "on" is as unknown as "turbo", not an alias.
     ({"vectorized": "on"}, ExecutionError, "unknown vectorized mode 'on'", EVERY),
-    ({"string_dict": "on"}, ExecutionError, "unknown string_dict 'on'", EVERY),
-    ({"fuse": "on"}, PlanError, "unknown fuse mode 'on'", EVERY),
+    # What the code works out is not an option: fusion follows placement,
+    # and the shm plane always runs the adaptive dictionary rule.
+    ({"fuse": "auto"}, TypeError, "unexpected keyword argument 'fuse'", EVERY),
+    ({"string_dict": "auto"}, TypeError, "unexpected keyword argument 'string_dict'", EVERY),
     ({"n_workers": 0}, ExecutionError, "n_workers must be >= 1, got 0", EVERY),
     ({"batch_size": 0}, ExecutionError, "batch_size must be >= 1, got 0", EVERY),
     ({"queue_capacity": 0}, ExecutionError, "queue_capacity must be positive, got 0", EVERY),
@@ -177,17 +176,15 @@ class TestEveryRuleThroughEveryDoor:
 class TestNormalizedOnce:
     def test_spellings_read_back_as_configs(self):
         config = RunConfig.of(
-            fuse="auto",
             adaptive_batch=True,
             overload={"shed_mode": "random"},
             epoch_interval=10,
         )
-        assert config.fuse == FusionConfig(mode="auto")
         assert config.adaptive_batch == AdaptiveBatchConfig()
         assert config.overload == OverloadConfig(shed_mode="random")
         assert RunConfig.of(**dict.fromkeys(FIELDS)) == RunConfig()  # None: default
-        off = RunConfig.of(adaptive_batch=False, overload=False, fuse=None)
-        assert (off.adaptive_batch, off.overload, off.fuse.mode) == (None, None, "off")
+        off = RunConfig.of(adaptive_batch=False, overload=False)
+        assert (off.adaptive_batch, off.overload) == (None, None)
         respelled = RunConfig.of(batching=AdaptiveBatchConfig(min_batch=4))
         assert respelled.adaptive_batch.min_batch == 4
 
@@ -197,7 +194,6 @@ class TestNormalizedOnce:
         def build():
             return RunConfig.of(
                 backend="process",
-                fuse=FusionConfig(mode="auto", profiles=profiles, machine=server_a(2)),
                 adaptive_batch=True,
                 overload=OverloadConfig(max_lag_ms=50.0, shed_mode="random"),
                 fault_plan=FaultPlan.from_cli("seed=7,kinds=crash|stall,n=2,at=100"),
@@ -212,8 +208,7 @@ class TestNormalizedOnce:
         assert " at 0x" not in json.dumps(first)
         assert first["overload"]["max_lag_ms"] == 50.0
         assert first["fault_plan"]["kinds"] == ["crash", "stall"]
-        assert first["fuse"]["mode"] == "auto"
-        assert first["fuse"]["profiles"] == "ProfileSet"
+        assert first["degrade"]["profiles"] == "ProfileSet"
         assert first["degrade"]["machine"] == "MachineSpec"
 
 
@@ -228,8 +223,6 @@ FLAG_FIELDS = {
     "--backend": (["--backend", "process"], [], {"backend": "process"}),
     "--workers": (["--workers", "3"], [], {"n_workers": 3}),
     "--vectorized": (["--vectorized", "off"], [], {"vectorized": "off"}),
-    "--string-dict": (["--string-dict", "off"], [], {"string_dict": "off"}),
-    "--fuse": (["--fuse", "off"], [], {"fuse": lambda fuse: fuse.mode == "off"}),
     "--adaptive-batch": (["--adaptive-batch"], [], {"adaptive_batch": AdaptiveBatchConfig()}),
     "--queue-capacity": (["--queue-capacity", "128"], [], {"queue_capacity": 128}),
     "--epoch-interval": (["--epoch-interval", "250"], [], {"epoch_interval": 250}),
@@ -253,8 +246,17 @@ FLAG_FIELDS = {
     "--recovery-policy": (["--recovery-policy", "retry"], [], {"recovery_policy": "retry"}),
     "--max-restarts": (["--max-restarts", "7"], [], {"max_restarts": 7}),
     "--watchdog-timeout": (["--watchdog-timeout", "5"], [], {"heartbeat_timeout_s": 5.0}),
-    "--server": (["--server", "B"], [], {"fuse": lambda fuse: fuse.machine == server_b(4)}),
-    "--sockets": (["--sockets", "2"], [], {"fuse": lambda fuse: fuse.machine == server_a(2)}),
+    # --server / --sockets select the machine degrade replans against.
+    "--server": (
+        ["--recovery-policy", "degrade", "--server", "B"],
+        ["--recovery-policy", "degrade"],
+        {"degrade": lambda degrade: degrade.machine == server_b(4)},
+    ),
+    "--sockets": (
+        ["--recovery-policy", "degrade", "--sockets", "2"],
+        ["--recovery-policy", "degrade"],
+        {"degrade": lambda degrade: degrade.machine == server_a(2)},
+    ),
 }
 # fmt: on
 
@@ -266,7 +268,6 @@ NO_FLAG = {
     "dataplane": "the pickle reference plane; benchmarks/perf names shm",
     "ordered": "LR parity with the inline drain order; waits on ROADMAP item 1",
     "timeout_s": "the whole-run deadline",
-    "degrade": "derived from --recovery-policy degrade",
 }
 
 #: Flags that say *what* to run or where to report it, not how.
@@ -297,7 +298,7 @@ class TestFlagToField:
         flagged = {name for _, _, fields_ in FLAG_FIELDS.values() for name in fields_}
         assert not flagged & set(NO_FLAG)
         assert flagged | set(NO_FLAG) == set(FIELDS)
-        assert len(NO_FLAG) == 5
+        assert len(NO_FLAG) == 4
 
     @pytest.mark.parametrize("flag", FLAG_FIELDS)
     def test_flag_changes_its_fields_and_nothing_else(self, flag, wc):
@@ -321,9 +322,14 @@ class TestFlagToField:
 
     def test_defaults_are_the_configs_own(self, wc):
         _, profiles, _ = wc
-        flags = self.config([], profiles)
-        own = RunConfig(fuse=flags.fuse)  # the CLI fuses (auto) by default
-        assert flags == own
+        assert self.config([], profiles) == RunConfig()
+
+    @pytest.mark.parametrize("flag", ["--fuse", "--string-dict"])
+    def test_deleted_flags_are_argparse_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as caught:
+            build_parser().parse_args(["run", "wc", flag, "auto"])
+        assert caught.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import load_application
+from repro.core.plan import ExecutionPlan
 from repro.dsps import LocalEngine, Sink, Spout, TopologyBuilder
 from repro.dsps.operators import MapOperator
 from repro.errors import ExecutionError, StallError, WorkerCrashError
@@ -433,16 +434,25 @@ class TestPersistentWorkerParity:
         assert task_counts(result) == task_counts(baselines["wc"])
         assert sink_multiset(result) == sink_multiset(baselines["wc"])
 
-    @pytest.mark.parametrize("fuse", [None, "auto"])
-    def test_markers_align_with_queues_one_batch_deep(self, fuse):
-        """A fused chain (WC) and a multi-in-edge fan-in (LR) park on
-        their markers while every sealed batch fills its queue."""
+    @pytest.mark.parametrize(
+        "owner, chains",
+        [({0: 0, 1: 1, 2: 0, 3: 1, 4: 0}, []), ({0: 0, 1: 1, 2: 1, 3: 1, 4: 0}, [(1, 2, 3)])],
+        ids=["unfused", "fused"],
+    )
+    def test_markers_align_with_queues_one_batch_deep(self, owner, chains):
+        """A fused chain (WC's, where one worker hosts it) and a
+        multi-in-edge fan-in (LR) park on their markers while every
+        sealed batch fills its queue."""
         batch = 8
         bounds = dict(batch_size=batch, queue_capacity=batch, epoch_interval=70)
         reference = build_engine("wc", **bounds).run(EVENTS)
-        engine = build_engine("wc", backend=process_backend(), fuse=fuse, **bounds)
-        assert bool(engine.spec.fusion) == (fuse == "auto")
-        assert_same_run(reference, engine.run(EVENTS))
+        result = LocalEngine.from_plan(
+            ExecutionPlan(build_engine("wc").graph, owner),
+            backend=process_backend(),
+            **bounds,
+        ).run(EVENTS)
+        assert result.placement.chains == chains
+        assert_same_run(reference, result)
         # Arrival order interleaves LR's fan-in differently from the
         # inline run; what each component consumed and produced does not
         # depend on it.

@@ -39,6 +39,7 @@ from repro.runtime import (
     FaultInjector,
     FaultPlan,
     ProcessPoolBackend,
+    with_sockets,
 )
 
 EVENTS = 300
@@ -226,7 +227,6 @@ class TestChaosMatrixInline:
             fault_plan=FaultPlan(seed=3, kinds=(kind,), at_tuple=AT),
             recovery_policy="degrade",
             with_degrade=True,
-            fuse="auto",
         )
         executed = []
         inner = engine.backend.backend
@@ -243,16 +243,14 @@ class TestChaosMatrixInline:
         assert recovery.replans == 1
         assert recovery.degraded_sockets  # at least one socket dropped
         assert "replan" in [e.kind for e in recovery.events]
-        # The replanned spec's chains were re-derived under its sockets:
-        # none spans two (the unplaced spec fused everything it could; the
-        # re-plan splits WC's chain of three and both of LR's).
+        # The re-plan re-sockets the spec and nothing else: chains are the
+        # executor's, derived where it runs the tasks.
         first, replanned = executed
-        assert first.fusion and replanned.placed
-        socket = {rt.task_id: rt.socket for rt in replanned.tasks}
-        assert all(
-            len({socket[task_id] for task_id in chain}) == 1
-            for chain in replanned.fusion
-        )
+        assert not first.placed and replanned.placed
+        assert first.fusion == replanned.fusion == ()
+        assert replanned.tasks == with_sockets(
+            first, {rt.task_id: rt.socket for rt in replanned.tasks}
+        ).tasks
         baseline = baselines[app]
         assert result.sink_received() == baseline.sink_received()
         assert sink_multiset(result) == sink_multiset(baseline)

@@ -1,46 +1,53 @@
 """Runtime operator-chain fusion + adaptive batch sizing suite.
 
-Fusion's whole contract is *semantic invisibility*: a fused run must be
-bit-identical to the unfused run — same per-task tuple counts, same sink
-multisets — while skipping the intra-chain queues entirely.  The parity
-matrix here drives every example application through both backends, both
-kernel modes and both fusion settings against one unfused scalar inline
-baseline per app.  Around the matrix: unit tests for the chain planner
-(eligibility, socket discipline, live refit),
-the AIMD batch-size controller, the spec-level batch validation, and
-fault recovery with a crash landing *inside* a fused chain.
+Fusion follows placement: an exclusive edge whose two ends run in one
+process is one loop, derived by the executor from where it runs each
+task — every eligible edge inline, the ones inside a worker on the
+process backend.  Its whole contract is *semantic invisibility*: a run
+must be bit-identical to the unfused run — same per-task tuple counts,
+same sink multisets — while skipping the intra-chain queues entirely.
+The parity tests drive every example application through both backends
+under the conditions that move chains (kernels on and off, epoch
+barriers, a live migration, a crash inside a chain member) against one
+unfused scalar ``_InlineRun`` reference per app.  Around them: the chains
+each app gets in one process (the derivation's property over random DAGs
+and owner maps is in tests/test_runtime_placement.py), the AIMD
+batch-size controller and the spec-level batch validation.
 """
 
 from collections import Counter as Multiset
-from dataclasses import replace as dc_replace
 
 import pytest
 
 from repro.apps import load_application
+from repro.core.plan import ExecutionPlan
 from repro.dsps import LocalEngine
 from repro.errors import ExecutionError, PlanError
 from repro.metrics import MetricsRegistry
+from repro.metrics.registry import NULL_REGISTRY
 from repro.runtime import (
     AdaptiveBatchConfig,
     AdaptiveBatchController,
+    EpochConfig,
     FaultPlan,
     FusionConfig,
+    Migration,
     ProcessPoolBackend,
     apply_edge_batches,
-    as_fusion_config,
-    chain_map,
     lower_graph,
     plan_fusion,
-    refit_fusion,
-    validate_fuse,
+    with_chains,
+    with_sockets,
 )
+from repro.runtime.backends import _InlineRun
+from repro.runtime.fusion import in_one_process
 from repro.dsps.queues import QueueStats
 
 EVENTS = 300
 APPS = ("wc", "sd", "fd", "lr")
 
-#: Expected fused chains per app at replication 1 (task ids, head first):
-#: every exclusive operator->operator pair on one socket collapses.
+#: Fused chains per app at replication 1 in one process (task ids, head
+#: first): every exclusive operator->operator pair collapses.
 EXPECTED_CHAINS = {
     "wc": ((1, 2, 3),),
     "sd": ((1, 2, 3),),
@@ -48,7 +55,15 @@ EXPECTED_CHAINS = {
     "lr": ((1, 2), (3, 8)),
 }
 
-def build_engine(app, *, fuse=None, backend="inline", vectorized="off", **kwargs):
+
+def process_backend(app, vectorized="off", **kwargs):
+    # LR's multi-input joins need strict edge order for inline parity.
+    return ProcessPoolBackend(
+        n_workers=2, ordered=(app == "lr"), vectorized=vectorized, **kwargs
+    )
+
+
+def build_engine(app, *, backend="inline", vectorized="off", **kwargs):
     topology, _profiles = load_application(app)
     topology.component("sink").template.keep_samples = 10**6
     replication = {name: 1 for name in topology.components}
@@ -56,10 +71,9 @@ def build_engine(app, *, fuse=None, backend="inline", vectorized="off", **kwargs
         # resolve_backend rejects backend options beside an instance, so
         # the adaptive config lands on the instance and only there (the
         # CLI watchdog path does the same).
-        backend = ProcessPoolBackend(
-            n_workers=2,
-            ordered=(app == "lr"),
-            vectorized=vectorized,
+        backend = process_backend(
+            app,
+            vectorized,
             batching=(
                 AdaptiveBatchConfig() if kwargs.pop("adaptive_batch", None) else None
             ),
@@ -70,7 +84,6 @@ def build_engine(app, *, fuse=None, backend="inline", vectorized="off", **kwargs
         replication=replication,
         backend=backend,
         vectorized=vectorized,
-        fuse=fuse,
         **kwargs,
     )
 
@@ -91,16 +104,33 @@ def task_counts(result):
     }
 
 
-def assert_identical(reference, candidate):
-    assert candidate.events_ingested == reference.events_ingested
-    assert task_counts(candidate) == task_counts(reference)
-    assert sink_multiset(candidate) == sink_multiset(reference)
+def assert_identical(reference, candidate, label=""):
+    assert candidate.events_ingested == reference.events_ingested, label
+    assert task_counts(candidate) == task_counts(reference), label
+    assert sink_multiset(candidate) == sink_multiset(reference), label
+
+
+def ran_chains(engine, result):
+    """The chains the run executed: every eligible edge inline (the
+    gauges of ``test_expected_chains_at_replication_one`` witness it),
+    the ones inside a worker on the process backend, which says so."""
+    if result.placement is None:
+        return in_one_process(engine.spec).fusion
+    assert result.placement.chains == list(
+        with_chains(engine.spec, result.placement.owner).fusion
+    )
+    return tuple(result.placement.chains)
 
 
 @pytest.fixture(scope="module")
 def baselines():
-    """Unfused scalar inline runs: the semantics every config must hit."""
-    return {app: build_engine(app).run(EVENTS) for app in APPS}
+    """Unfused scalar ``_InlineRun``s: the semantics every run must hit."""
+    return {
+        app: _InlineRun(
+            build_engine(app).spec, EVENTS, NULL_REGISTRY, vectorized="off"
+        ).execute()
+        for app in APPS
+    }
 
 
 def wc_spec(**kwargs):
@@ -113,41 +143,29 @@ def wc_spec(**kwargs):
 
 
 # ---------------------------------------------------------------------------
-# Chain planning
+# Chains in one process
 # ---------------------------------------------------------------------------
 class TestPlanFusion:
-    def test_modes_validated(self):
-        assert validate_fuse("auto") == "auto"
-        with pytest.raises(PlanError, match="unknown fuse mode"):
-            validate_fuse("maybe")
-        with pytest.raises(PlanError, match="unknown fuse mode"):
-            FusionConfig(mode="maybe")
-        with pytest.raises(PlanError, match="min_benefit"):
-            FusionConfig(min_benefit=-0.1)
-
-    def test_as_fusion_config_coercion(self):
-        assert as_fusion_config(None).mode == "off"
-        assert as_fusion_config("auto").mode == "auto"
-        config = FusionConfig(mode="auto")
-        assert as_fusion_config(config) is config
-
-    def test_off_mode_plans_no_chains(self):
-        spec = plan_fusion(wc_spec(), FusionConfig(mode="off"))
-        assert spec.fusion == ()
-        assert spec.fuse_mode == "off"
-        assert spec.fused_member_ids == frozenset()
-
     @pytest.mark.parametrize("app", APPS)
     def test_expected_chains_at_replication_one(self, app):
-        engine = build_engine(app, fuse="auto")
-        assert engine.spec.fusion == EXPECTED_CHAINS[app]
-        heads = chain_map(engine.spec)
-        for chain in engine.spec.fusion:
-            assert heads[chain[0]] == chain
-            assert all(tid in engine.spec.fused_member_ids for tid in chain[1:])
+        spec = in_one_process(build_engine(app).spec)
+        assert spec.fusion == EXPECTED_CHAINS[app]
+        for chain in spec.fusion:
+            assert all(tid in spec.fused_member_ids for tid in chain[1:])
+        # The inline run executes exactly these, and says so.
+        registry = MetricsRegistry()
+        build_engine(app, registry=registry).run(50)
+        gauges = registry.snapshot()["gauges"]
+        assert gauges["runtime.fusion.chains"] == len(spec.fusion)
+        assert gauges["runtime.fusion.fused_tasks"] == len(spec.fused_member_ids) + len(
+            spec.fusion
+        )
 
     def test_spout_and_sink_edges_never_fuse(self):
-        spec = plan_fusion(wc_spec(), FusionConfig(mode="auto"))
+        # plan_fusion is the whole-spec entry to the same derivation.
+        lowered = wc_spec()
+        spec = plan_fusion(lowered, FusionConfig(mode="auto"))
+        assert spec == in_one_process(lowered)
         spout = next(rt.task_id for rt in spec.tasks if rt.is_spout)
         sink = next(rt.task_id for rt in spec.tasks if rt.is_sink)
         for chain in spec.fusion:
@@ -156,8 +174,7 @@ class TestPlanFusion:
 
     def test_replicated_edges_are_ineligible(self):
         # Replication breaks 1:1 exclusivity: parser feeds two splitter
-        # replicas, each splitter feeds two counters, so only the single
-        # remaining exclusive pair (if any) may fuse.
+        # replicas, each splitter feeds two counters.
         topology, _profiles = load_application("wc")
         engine = LocalEngine(
             topology,
@@ -168,66 +185,34 @@ class TestPlanFusion:
                 "counter": 2,
                 "sink": 1,
             },
-            fuse="auto",
         )
-        for chain in engine.spec.fusion:
-            for tid in chain:
-                rt = next(t for t in engine.spec.tasks if t.task_id == tid)
-                assert rt.component in ("parser",) or len(chain) == 1
-        assert engine.spec.fusion == ()  # parser->splitter fans out too
+        assert in_one_process(engine.spec).fusion == ()
+
+    def test_off_mode_plans_no_chains(self):
+        # There is no mode to turn fusion off: a map that gives every task
+        # its own process is the unfused run, whatever the spec carried.
+        spec = in_one_process(wc_spec())
+        unfused = with_chains(spec, {rt.task_id: rt.task_id for rt in spec.tasks})
+        assert unfused.fusion == ()
+        assert unfused.fused_member_ids == frozenset()
 
     def test_cross_socket_skipped_under_auto(self):
         spec = wc_spec()
-        tasks = tuple(
-            dc_replace(rt, socket=1 if rt.component == "splitter" else 0)
-            for rt in spec.tasks
-        )
-        spec = dc_replace(spec, tasks=tasks)
-        fused = plan_fusion(spec, FusionConfig(mode="auto"))
+        sockets = {rt.task_id: int(rt.component == "splitter") for rt in spec.tasks}
         # parser(1)->splitter(2) and splitter(2)->counter(3) both cross
-        # sockets now; nothing is left to fuse.
-        assert fused.fusion == ()
-
-    def test_profitability_bar_applies_under_auto(self):
-        # An impossible benefit bar rejects every candidate.
-        topology, profiles = load_application("wc")
-        from repro.hardware import server_a
-
-        engine_spec = plan_fusion(
-            wc_spec(),
-            FusionConfig(
-                mode="auto",
-                profiles=profiles,
-                machine=server_a(4),
-                min_benefit=float("inf"),
-            ),
-        )
-        assert engine_spec.fusion == ()
+        # owners now; nothing is left to fuse.
+        assert with_chains(with_sockets(spec, sockets), sockets).fusion == ()
 
     def test_refit_dissolves_and_revives_chains(self):
-        spec = plan_fusion(wc_spec(), FusionConfig(mode="auto"))
+        # A migration re-derives chains from the new map: the chain
+        # shrinks when the counter leaves and is whole again when it returns.
+        spec = in_one_process(wc_spec())
         assert spec.fusion == ((1, 2, 3),)
-        moved = dc_replace(
-            spec,
-            tasks=tuple(
-                dc_replace(rt, socket=1 if rt.component == "counter" else 0)
-                for rt in spec.tasks
-            ),
-        )
-        refit = refit_fusion(moved)
-        assert refit.fusion == ((1, 2),)  # counter left the socket
-        assert refit.fuse_mode == "auto"
-        back = refit_fusion(
-            dc_replace(
-                refit,
-                tasks=tuple(dc_replace(rt, socket=0) for rt in refit.tasks),
-            )
-        )
+        apart = {rt.task_id: int(rt.component == "counter") for rt in spec.tasks}
+        split = with_chains(spec, apart)
+        assert split.fusion == ((1, 2),)
+        back = with_chains(split, dict.fromkeys(apart, 0))
         assert back.fusion == ((1, 2, 3),)
-
-    def test_refit_is_noop_when_off(self):
-        spec = wc_spec()
-        assert refit_fusion(spec) is spec
 
 
 # ---------------------------------------------------------------------------
@@ -349,18 +334,20 @@ class TestEngineValidation:
             build_engine("wc", adaptive_batch=True)
 
     def test_unknown_fuse_mode_rejected(self):
-        with pytest.raises(PlanError, match="unknown fuse mode"):
+        # fusion has no modes: fuse= is not an option at all.
+        with pytest.raises(TypeError, match="unexpected keyword argument 'fuse'"):
             build_engine("wc", fuse="sometimes")
 
     def test_engine_default_is_unfused(self):
+        # The engine's spec is the lowering; chains are the executor's.
         assert build_engine("wc").spec.fusion == ()
 
 
 # ---------------------------------------------------------------------------
-# The parity matrix
+# Parity with the unfused scalar reference
 # ---------------------------------------------------------------------------
 class TestFusionParity:
-    """Fused runs are bit-identical to the unfused scalar baseline."""
+    """Default runs are bit-identical to the unfused scalar reference."""
 
     @pytest.mark.parametrize("app", APPS)
     @pytest.mark.parametrize("backend", ["inline", "process"])
@@ -372,42 +359,81 @@ class TestFusionParity:
     def test_fused_matches_unfused_baseline(
         self, baselines, app, backend, vectorized
     ):
-        engine = build_engine(
-            app, fuse="auto", backend=backend, vectorized=vectorized
-        )
-        assert engine.spec.fusion == EXPECTED_CHAINS[app]
-        assert_identical(baselines[app], engine.run(EVENTS))
+        engine = build_engine(app, backend=backend, vectorized=vectorized)
+        result = engine.run(EVENTS)
+        ran_chains(engine, result)
+        assert_identical(baselines[app], result)
 
     @pytest.mark.parametrize("app", APPS)
     @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_unfused_matches_baseline(self, baselines, app, backend):
-        engine = build_engine(app, fuse="off", backend=backend)
-        assert engine.spec.fusion == ()
-        assert_identical(baselines[app], engine.run(EVENTS))
+        """Where nothing fuses — the inline run calibration samples, a
+        worker map that cuts every exclusive edge — kernels on."""
+        spec = build_engine(app).spec
+        if backend == "inline":
+            result = _InlineRun(spec, EVENTS, NULL_REGISTRY, vectorized="auto").execute()
+        else:
+            alternating = {rt.task_id: rt.task_id % 2 for rt in spec.tasks}
+            result = LocalEngine.from_plan(
+                ExecutionPlan(spec.graph, alternating),
+                backend=process_backend(app, "auto"),
+            ).run(EVENTS)
+            assert result.placement.chains == []
+        assert_identical(baselines[app], result)
 
     def test_fusion_survives_epoch_barriers(self, baselines):
-        result = build_engine(
-            "wc", fuse="auto", epoch_interval=100, queue_budget=2048
-        ).run(EVENTS)
-        assert_identical(baselines["wc"], result)
-        assert result.epochs.committed >= 2
+        for app in APPS:
+            for backend in ("inline", "process"):
+                result = build_engine(
+                    app, backend=backend, vectorized="auto", epoch_interval=70
+                ).run(EVENTS)
+                assert_identical(baselines[app], result, (app, backend))
+                assert result.epochs.committed == 4
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_fusion_survives_live_migration(self, baselines, backend):
+        """At the first barrier every task but the spout moves to socket
+        0: the inline run keeps its chains (one process either way), the
+        process backend relaunches its pool and re-derives them — from
+        whatever its own map fused to every eligible edge."""
+        for app in APPS:
+            engine = build_engine(app, backend=backend, vectorized="auto")
+
+            def relocate(commit):
+                if commit.epoch != 0:
+                    return None
+                sockets = {rt.task_id: int(rt.is_spout) for rt in commit.spec.tasks}
+                return Migration(
+                    spec=with_sockets(commit.spec, sockets),
+                    moved=tuple(sockets),
+                    detail="test move",
+                )
+
+            result = engine.backend.execute(
+                engine.spec, EVENTS, epochs=EpochConfig(interval=70), on_epoch=relocate
+            )
+            assert result.epochs.migrations == 1, app
+            assert ran_chains(engine, result) == EXPECTED_CHAINS[app], app
+            assert_identical(baselines[app], result, app)
 
     def test_adaptive_batching_preserves_results(self, baselines):
         for backend in ("inline", "process"):
             registry = MetricsRegistry()
-            result = build_engine(
+            engine = build_engine(
                 "wc",
-                fuse="auto",
                 backend=backend,
                 adaptive_batch=True,
                 epoch_interval=100,
                 queue_budget=2048,
                 registry=registry,
-            ).run(EVENTS)
+            )
+            result = engine.run(EVENTS)
             assert_identical(baselines["wc"], result)
             snapshot = registry.snapshot()
             assert "runtime.batch.adjustments" in snapshot["counters"]
-            assert snapshot["gauges"]["runtime.fusion.chains"] == 1.0
+            assert snapshot["gauges"]["runtime.fusion.chains"] == len(
+                ran_chains(engine, result)
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -419,26 +445,26 @@ class TestFusionUnderFault:
 
     @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_chain_member_crash_recovers(self, baselines, backend):
-        result = build_engine(
-            "wc",
-            fuse="auto",
-            backend=backend,
-            queue_budget=2048,
-            fault_plan=FaultPlan(
-                seed=3, kinds=("crash",), at_tuple=150, target="splitter"
-            ),
-            recovery_policy="retry",
-            epoch_interval=100,
-        ).run(EVENTS)
-        assert result.recovery.completed is True
-        assert result.recovery.restarts >= 1
-        assert result.sink_received() == baselines["wc"].sink_received()
-        assert sink_multiset(result) == sink_multiset(baselines["wc"])
+        for app in APPS:
+            spec = build_engine(app).spec
+            member = spec.runtime_of(EXPECTED_CHAINS[app][0][1]).component
+            result = build_engine(
+                app,
+                backend=backend,
+                vectorized="auto",
+                fault_plan=FaultPlan(
+                    seed=3, kinds=("crash",), at_tuple=150, target=member
+                ),
+                recovery_policy="retry",
+                epoch_interval=70,
+            ).run(EVENTS)
+            assert result.recovery.completed is True, app
+            assert result.recovery.restarts >= 1, app
+            assert_identical(baselines[app], result, app)
 
     def test_chain_member_raise_fails_fast_by_default(self):
         engine = build_engine(
             "wc",
-            fuse="auto",
             queue_budget=2048,
             fault_plan=FaultPlan(
                 seed=3, kinds=("raise",), at_tuple=50, target="counter"

@@ -7,11 +7,12 @@ Four groups, in the order the change leans on them:
   random maps) on both data planes equal the scalar inline run;
 * **the search** on synthetic costs (no clock): heavy edges stay
   uncut, loads respect the model's own bound, equal inputs give equal
-  maps, plan sockets and fused chains are honoured, the prior yields
-  contiguous topological blocks;
+  maps, plan sockets are honoured, chains follow the map and never
+  steer it, the prior yields contiguous topological blocks;
 * **calibration is side-effect free** and the decision is made once per
   execution;
-* a hypothesis property over random DAG shapes and costs.
+* a hypothesis property over random DAG shapes, costs and owner maps:
+  the search's map, and the chains any map allows.
 """
 
 import random
@@ -19,7 +20,7 @@ from collections import Counter as Multiset
 from dataclasses import replace as dc_replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import load_application
@@ -28,9 +29,10 @@ from repro.core.profiles import OperatorProfile, ProfileSet
 from repro.dsps import LocalEngine, MapOperator, Sink, TopologyBuilder
 from repro.dsps.operators import IterableSpout
 from repro.errors import ExecutionError
-from repro.runtime import FaultPlan, ProcessPoolBackend, shm_available
+from repro.runtime import FaultPlan, ProcessPoolBackend, shm_available, with_chains
 from repro.runtime import placement as rp
 from repro.runtime.faults import FaultInjector
+from repro.runtime.fusion import in_one_process
 from repro.runtime.lowering import instantiate_tasks
 
 PLANES = ["pickle"] + (["shm"] if shm_available() else [])
@@ -262,14 +264,23 @@ class TestSearch:
         assert first.owner[0] == 0
 
     def test_fused_chain_stays_with_its_head(self):
-        engine = app_engine("wc", fuse="auto")
-        spec = engine.spec
-        assert spec.fusion == ((1, 2, 3),)
-        # Costs under which cutting inside the chain would balance best.
-        profiles = rp.prior(spec).replace("splitter", te_cycles=10 * rp.PRIOR_NS)
-        for candidate in (rp.prior(spec), profiles):
+        """Placement is blind to chains, and chains follow the map: a
+        spec that carries WC's chain of three is placed exactly as one
+        that does not — even where the cut falls inside the chain — and
+        WC's calibrated map ``0,1 | 2,3,4`` runs chain ``(2,3)`` on
+        worker 1."""
+        spec = app_engine("wc").spec
+        fused = in_one_process(spec)
+        assert fused.fusion == ((1, 2, 3),)
+        # Costs under which cutting inside the chain balances best.
+        heavy = rp.prior(spec).replace("splitter", te_cycles=10 * rp.PRIOR_NS)
+        for candidate in (rp.prior(spec), heavy):
             owner = rp.search(spec, 2, candidate).owner
-            assert owner[1] == owner[2] == owner[3]
+            assert rp.search(fused, 2, candidate).owner == owner
+        assert len({owner[1], owner[2], owner[3]}) == 2
+        result = pinned_engine("wc", {0: 0, 1: 0, 2: 1, 3: 1, 4: 1}, "pickle").run(300)
+        assert result.placement.chains == [(2, 3)]
+        assert "1 fused chains" in result.placement.describe()
 
     def test_plan_sockets_are_honoured(self):
         spec = app_engine("wc").spec
@@ -521,15 +532,62 @@ def dags(draw):
     return LocalEngine(topology).spec, ProfileSet(topology, profiles)
 
 
+def assert_chains_follow(spec, owner):
+    """The chains ``owner`` allows are maximal, each inside one owner,
+    free of spouts, sinks and non-exclusive edges, and a pure function of
+    ``(spec, owner)``."""
+    chains = with_chains(spec, owner).fusion
+    by_id = {rt.task_id: rt for rt in spec.tasks}
+
+    def fusible(producer, consumer):
+        return (
+            len(producer.out_edges) == 1
+            and len(consumer.in_edges) == 1
+            and not producer.is_spout
+            and not consumer.is_sink
+        )
+
+    links = {pair for chain in chains for pair in zip(chain, chain[1:])}
+    members = [task_id for chain in chains for task_id in chain]
+    assert len(members) == len(set(members))
+    assert all(len(chain) >= 2 for chain in chains)
+    for chain in chains:
+        assert len({owner[task_id] for task_id in chain}) == 1
+    for producer, consumer in links:
+        assert fusible(by_id[producer], by_id[consumer])
+    for edge in spec.edges:
+        pair = (edge.producer, edge.consumer)
+        if fusible(by_id[pair[0]], by_id[pair[1]]) and owner[pair[0]] == owner[pair[1]]:
+            assert pair in links  # maximal
+    carried = dc_replace(spec, fusion=((max(by_id) + 1,),))
+    assert with_chains(carried, dict(owner)).fusion == chains
+
+
 class TestSearchProperties:
+    # Random DAGs rarely grow an exclusive run of three operators; a
+    # linear one, whole and cut inside the run, always has one.
+    @example(chain([500.0] * 5), 2, [0] * 8)
+    @example(chain([500.0] * 5), 2, [0, 0, 0, 1, 1, 1, 0, 0])
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(dags(), st.integers(min_value=1, max_value=3))
+    @given(
+        dags(),
+        st.integers(min_value=1, max_value=3),
+        st.lists(st.integers(min_value=0, max_value=2), min_size=8, max_size=8),
+    )
     def test_map_is_complete_in_range_and_not_worse_than_round_robin(
-        self, dag, n_workers
+        self, dag, n_workers, workers
     ):
         spec, profiles = dag
         placement = rp.search(spec, n_workers, profiles)
         task_ids = [rt.task_id for rt in spec.tasks]
+        # Chains follow any map, the search's or a drawn one, and never
+        # steer the search.
+        drawn = {t: w % n_workers for t, w in zip(task_ids, workers)}
+        for owner in (placement.owner, drawn):
+            assert_chains_follow(spec, owner)
+        assert rp.search(in_one_process(spec), n_workers, profiles).owner == (
+            placement.owner
+        )
         assert sorted(placement.owner) == sorted(task_ids)
         assert set(placement.owner.values()) <= set(range(n_workers))
         assert placement.cut_edges == spec.cut_edges(placement.owner)

@@ -75,7 +75,7 @@ class TestConstructorValidation:
             {"timeout_s": -5.0},
             {"heartbeat_timeout_s": 0},
             {"vectorized": "on"},
-            {"string_dict": "on"},
+            {"dataplane": "rdma"},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):

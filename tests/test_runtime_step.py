@@ -30,6 +30,7 @@ import repro.runtime
 
 from repro.apps import build_application
 from repro.apps.wordcount import Counter, Parser, SentenceSpout, Splitter
+from repro.core.plan import ExecutionPlan
 from repro.dsps import LocalEngine
 from repro.dsps.operators import IterableSpout, Operator, Sink, Spout
 from repro.dsps.queues import MAX_BATCH_ROWS, CommunicationQueue, OutputBuffer
@@ -48,6 +49,7 @@ from repro.runtime import EpochConfig, Migration, OverloadConfig, ProcessPoolBac
 from repro.runtime.backends import _InlineRun
 from repro.runtime.dataplane import ColumnBatch, DictColumn
 from repro.runtime.faults import FaultPlan
+from repro.runtime.fusion import in_one_process
 from repro.runtime.lowering import instantiate_task
 from repro.runtime.overload import Shedder
 from repro.runtime.step import STEP_COUNTERS, TaskStep, partition
@@ -189,7 +191,7 @@ class _Synchronous:
     """The smallest executor the step admits: every delivery runs its
     consumer in place, as a worker does for a local edge."""
 
-    def __init__(self, fuse, replicas=1, shedder=None):
+    def __init__(self, fused, replicas=1, shedder=None):
         builder = TopologyBuilder("pairs")
         builder.set_spout("spout", _Numbers())
         previous = "spout"
@@ -198,9 +200,9 @@ class _Synchronous:
             previous = name
         builder.add_sink("sink", Sink(keep_samples=10**6)).shuffle_from("c")
         replication = {"spout": 1, "a": 1, "b": 1, "c": 1, "sink": replicas}
-        spec = LocalEngine(
-            builder.build(), replication=replication, fuse=fuse, batch_size=3
-        ).spec
+        spec = LocalEngine(builder.build(), replication=replication, batch_size=3).spec
+        if fused:
+            spec = in_one_process(spec)
         self.run = _InlineRun(spec, 0, NULL_REGISTRY, vectorized="off")
         self.by_name = {rt.component: rt for rt in reversed(spec.tasks)}
         self.step = self.run.step
@@ -254,7 +256,7 @@ class TestScalarStep:
             executor.deliver(executor.step.run_item(chain, 0, item))
 
     def test_chain_of_three_equals_the_three_tasks_unfused(self):
-        unfused, fused = _Synchronous("off", replicas=2), _Synchronous("auto", replicas=2)
+        unfused, fused = _Synchronous(False, replicas=2), _Synchronous(True, replicas=2)
         assert [len(c) for c in fused.chains.values()].count(3) == 1
         assert all(len(c) == 1 for c in unfused.chains.values())
         for executor in (unfused, fused):
@@ -270,7 +272,7 @@ class TestScalarStep:
         assert b[0] == 12 and b[2]["side"] == 12
 
     def test_flush_chain_is_staged(self):
-        fused = _Synchronous("auto")
+        fused = _Synchronous(True)
         chain = fused.chains[fused.by_name["a"].task_id]
         self.feed(fused, 1)  # a holds it; b and c saw nothing
         fused.deliver(fused.step.flush_chain(chain))
@@ -282,7 +284,7 @@ class TestScalarStep:
             ("flush", "c"),
         ]
         # Same order as end-of-stream propagation through real queues.
-        unfused = _Synchronous("off")
+        unfused = _Synchronous(False)
         del _Pairs.LOG[:]
         self.feed(unfused, 1)
         unfused.close()
@@ -302,9 +304,8 @@ class TestScalarStep:
     def test_shedding_advances_the_route_counters_exactly_as_unshed(self):
         shedder = Shedder("random", 0.5, seed=5)
         shedder.active = True
-        unshed, shed = _Synchronous("off", replicas=3), _Synchronous(
-            "off", replicas=3, shedder=shedder
-        )
+        unshed = _Synchronous(False, replicas=3)
+        shed = _Synchronous(False, replicas=3, shedder=shedder)
         tail = shed.by_name["c"]
         for executor, offsets in ((unshed, [None] * 40), (shed, range(40))):
             for item, offset in zip(rows(40, source=tail.task_id), offsets):
@@ -701,21 +702,21 @@ class TestInlineParity:
         """Chain heads drain queues too: a head fed ColumnBatch chunks by
         an upstream kernel (parser -> [dispatcher, ...] in LR; forced
         here by fusing only the tail of each pipeline) must take them."""
-        engine = app_engine(app, "auto", fuse="auto")
-        assert engine.spec.fusion
+        engine = app_engine(app, "auto")
+        fused = in_one_process(engine.spec)
         # Behead the chain that starts right after the spout, so that the
         # new head has a kernel task upstream (FD's chain of two stays).
         spout_fed = {
             edge.consumer
-            for rt in engine.spec.tasks
+            for rt in fused.tasks
             if rt.is_spout
             for edge in rt.out_edges
         }
         trimmed = tuple(
             chain[1:] if chain[0] in spout_fed and len(chain) > 2 else chain
-            for chain in engine.spec.fusion
+            for chain in fused.fusion
         )
-        spec = dc_replace(engine.spec, fusion=trimmed)
+        spec = dc_replace(fused, fusion=trimmed)
         registry_free = _InlineRun(spec, EVENTS, NULL_REGISTRY, vectorized="auto")
         candidate = registry_free.execute()
         assert_same_run(scalar_runs[app], candidate)
@@ -1073,18 +1074,20 @@ class TestSharedGates:
 
         reference = LocalEngine(build(), vectorized="off").run(100)
         if backend == "inline":
-            engine = LocalEngine(build(), vectorized="auto", fuse="auto")
-            assert engine.spec.fusion == ((1, 2),)
-            run = _InlineRun(engine.spec, 100, NULL_REGISTRY, vectorized="auto")
+            spec = in_one_process(LocalEngine(build(), vectorized="auto").spec)
+            assert spec.fusion == ((1, 2),)
+            run = _InlineRun(spec, 100, NULL_REGISTRY, vectorized="auto")
             candidate, metrics = run.execute(), run.step.metrics
         else:
+            # The chain's two ends share worker 0, the sink runs on 1.
             registry = MetricsRegistry()
-            candidate = LocalEngine(
-                build(),
+            graph = LocalEngine(build()).graph
+            candidate = LocalEngine.from_plan(
+                ExecutionPlan(graph, {0: 0, 1: 0, 2: 0, 3: 1}),
                 backend=ProcessPoolBackend(n_workers=2, vectorized="auto"),
-                fuse="auto",
                 registry=registry,
             ).run(100)
+            assert candidate.placement.chains == [(1, 2)]
             metrics = {
                 key.removeprefix("runtime.").replace(".", "_", 1): value
                 for key, value in registry.snapshot()["counters"].items()

@@ -20,7 +20,6 @@ from repro.dsps.tuples import DEFAULT_STREAM
 from repro.errors import ExecutionError
 from repro.metrics import MetricsRegistry
 from repro.runtime import (
-    FUSE_MODES,
     STRING_DICT_MODES,
     VECTORIZED_MODES,
     FaultPlan,
@@ -238,7 +237,7 @@ class TestModeValidation:
             ProcessPoolBackend(vectorized="turbo")
 
     def test_modes_are_two_valued(self):
-        assert VECTORIZED_MODES == FUSE_MODES == STRING_DICT_MODES == ("auto", "off")
+        assert VECTORIZED_MODES == STRING_DICT_MODES == ("auto", "off")
 
     def test_cli_accepts_vectorized_flag(self, capsys):
         from repro.cli import main
