@@ -211,6 +211,7 @@ class AverageSpeed(Operator):
     """
 
     declared_fields = {AVG_STREAM: "qqqd"}
+    column_schemas = ("qqqqqqqq",)
 
     def __init__(self, window: int = 256) -> None:
         self.window = window
@@ -232,6 +233,38 @@ class AverageSpeed(Operator):
         average = self._sums[key] / len(history)
         yield AVG_STREAM, (*key, average)
 
+    def process_columns(self, batch: ColumnBatch) -> Iterable[ColumnBatch]:
+        # A windowed running sum is sequential per segment, so the loop
+        # stays scalar over pure-Python values, in ``process``'s float
+        # order: add the new speed, subtract the evicted one, divide.
+        cols = batch.columns
+        speeds = cols[_POS_SPEED].tolist()
+        xways = cols[_POS_XWAY].tolist()
+        dirs = cols[_POS_DIR].tolist()
+        segs = cols[_POS_SEG].tolist()
+        histories = self._speeds
+        sums = self._sums
+        window = self.window
+        averages = np.empty(len(speeds), dtype="<f8")
+        for i in range(len(speeds)):
+            key = (xways[i], dirs[i], segs[i])
+            speed = speeds[i]
+            history = histories.get(key)
+            if history is None:
+                history = histories[key] = deque()
+                sums[key] = 0.0
+            history.append(speed)
+            total = sums[key] + speed
+            if len(history) > window:
+                total -= history.popleft()
+            sums[key] = total
+            averages[i] = total / len(history)
+        yield ColumnBatch.build(
+            AVG_STREAM,
+            "qqqd",
+            [cols[_POS_XWAY], cols[_POS_DIR], cols[_POS_SEG], averages],
+        )
+
     def snapshot_state(self) -> dict:
         # Sums are snapshotted as-is (never recomputed) so restored
         # replicas continue the exact float accumulation sequence.
@@ -252,6 +285,7 @@ class LastAverageSpeed(Operator):
     """
 
     declared_fields = {LAS_STREAM: "qqqd"}
+    column_schemas = ("qqqd",)
 
     def __init__(self) -> None:
         self._lav: dict[tuple[int, int, int], float] = {}
@@ -261,6 +295,19 @@ class LastAverageSpeed(Operator):
         key = (xway, direction, segment)
         self._lav[key] = average
         yield LAS_STREAM, (xway, direction, segment, average)
+
+    def process_columns(self, batch: ColumnBatch) -> Iterable[ColumnBatch]:
+        # ``dict.update`` over the rows in order: the last row of a key
+        # wins and first-seen keys keep their insertion order, as one
+        # assignment per tuple leaves them.  The batch passes through.
+        cols = batch.columns
+        self._lav.update(
+            zip(
+                zip(cols[0].tolist(), cols[1].tolist(), cols[2].tolist()),
+                cols[3].tolist(),
+            )
+        )
+        yield ColumnBatch.build(LAS_STREAM, "qqqd", list(cols))
 
     def snapshot_state(self) -> dict:
         return {"lav": dict(self._lav)}
@@ -393,6 +440,7 @@ class AccidentNotifier(Operator):
     """
 
     declared_fields = {NOTIFY_STREAM: "qqqqq"}
+    column_schemas = ("qqqq", "qqqqqqqq")
 
     def __init__(self) -> None:
         self._accidents: set[tuple[int, int, int]] = set()
@@ -411,6 +459,36 @@ class AccidentNotifier(Operator):
                 *key,
                 item.values[_POS_TIME],
             )
+
+    def process_columns(self, batch: ColumnBatch) -> Iterable[ColumnBatch]:
+        # Wire batches carry one stream each, as in ``TollNotifier``.
+        cols = batch.columns
+        accidents = self._accidents
+        if batch.stream == DETECT_STREAM:
+            accidents.update(
+                zip(cols[0].tolist(), cols[1].tolist(), cols[2].tolist())
+            )
+            return
+        if not accidents:
+            return  # the common case: no accident yet, nobody to notify
+        keys = zip(
+            cols[_POS_XWAY].tolist(),
+            cols[_POS_DIR].tolist(),
+            cols[_POS_SEG].tolist(),
+        )
+        rows = [i for i, key in enumerate(keys) if key in accidents]
+        if not rows:
+            return
+        self.notified += len(rows)
+        yield ColumnBatch.build(
+            NOTIFY_STREAM,
+            "qqqqq",
+            [
+                cols[field][rows]
+                for field in (_POS_VID, _POS_XWAY, _POS_DIR, _POS_SEG, _POS_TIME)
+            ],
+            index=rows,
+        )
 
     def snapshot_state(self) -> dict:
         return {"accidents": sorted(self._accidents), "notified": self.notified}
@@ -537,6 +615,7 @@ class DailyExpenditure(Operator):
     """Answers historical daily-expenditure queries from a synthetic table."""
 
     declared_fields = {DEFAULT_STREAM: "qqq"}
+    column_schemas = ("qqqq",)
 
     def process(self, item: StreamTuple) -> Iterable[Emission]:
         time, vid, query_id, day = item.values
@@ -544,11 +623,19 @@ class DailyExpenditure(Operator):
         charge = (vid * 31 + day * 7) % 90
         yield DEFAULT_STREAM, (query_id, time, charge)
 
+    def process_columns(self, batch: ColumnBatch) -> Iterable[ColumnBatch]:
+        time, vid, query_id, day = batch.columns
+        # Reduced mod 90 first, so no int64 product can overflow: numpy's
+        # ``%`` floors like Python's, and the residue is the same.
+        charge = ((vid % 90) * 31 + (day % 90) * 7) % 90
+        yield ColumnBatch.build(DEFAULT_STREAM, "qqq", [query_id, time, charge])
+
 
 class AccountBalance(Operator):
     """Answers account-balance queries from per-vehicle running balances."""
 
     declared_fields = {DEFAULT_STREAM: "qqq"}
+    column_schemas = ("qqq",)
 
     def __init__(self) -> None:
         self._balances: dict[int, int] = {}
@@ -557,6 +644,12 @@ class AccountBalance(Operator):
         time, vid, query_id = item.values
         balance = self._balances.get(vid, 0)
         yield DEFAULT_STREAM, (query_id, time, balance)
+
+    def process_columns(self, batch: ColumnBatch) -> Iterable[ColumnBatch]:
+        time, vid, query_id = batch.columns
+        get = self._balances.get
+        balances = [get(v, 0) for v in vid.tolist()]
+        yield ColumnBatch.build(DEFAULT_STREAM, "qqq", [query_id, time, balances])
 
     def snapshot_state(self) -> dict:
         return {"balances": dict(self._balances)}

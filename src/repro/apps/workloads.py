@@ -9,7 +9,6 @@ reproduce their statistical shape deterministically from a seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterator
 
 #: Word pool used by the sentence generator (average length ~5 characters,
@@ -116,38 +115,6 @@ ACCOUNT_BALANCE_REQUEST = 2
 DAILY_EXPENDITURE_REQUEST = 3
 
 
-@dataclass(frozen=True)
-class LinearRoadRecord:
-    """One Linear Road input record, flattened to primitive fields."""
-
-    record_type: int
-    time: int
-    vid: int
-    speed: int
-    xway: int
-    lane: int
-    direction: int
-    segment: int
-    position: int
-    query_id: int = 0
-    day: int = 0
-
-    def as_values(self) -> tuple:
-        return (
-            self.record_type,
-            self.time,
-            self.vid,
-            self.speed,
-            self.xway,
-            self.lane,
-            self.direction,
-            self.segment,
-            self.position,
-            self.query_id,
-            self.day,
-        )
-
-
 def linear_road_records(
     seed: int = 17,
     n_vehicles: int = 2000,
@@ -161,62 +128,49 @@ def linear_road_records(
     daily-expenditure requests, matching the dispatcher selectivities of
     Table 8.  A sliver of vehicles reports speed 0 repeatedly at the same
     position so accident detection has something to find.
+
+    Each record is the flat 11-field tuple ``(record_type, time, vid,
+    speed, xway, lane, direction, segment, position, query_id, day)``,
+    built in place.  The ``rng`` calls and their order fix the stream
+    (tests/test_apps_workloads.py pins it); a tuple display evaluates
+    its fields left to right, so draws inside one keep that order.
     """
     rng = random.Random(seed)
+    random_ = rng.random
+    randrange = rng.randrange
+    road_length = n_segments * 5280
+    half_queries = query_fraction / 2
     time = 0
-    positions = {vid: rng.randrange(n_segments * 5280) for vid in range(n_vehicles)}
+    positions = {vid: randrange(road_length) for vid in range(n_vehicles)}
     stopped = set(
         rng.sample(range(n_vehicles), max(1, int(n_vehicles * stopped_fraction)))
     )
     while True:
         time += 1
-        roll = rng.random()
-        vid = rng.randrange(n_vehicles)
-        if roll < query_fraction / 2:
-            yield LinearRoadRecord(
-                record_type=ACCOUNT_BALANCE_REQUEST,
-                time=time,
-                vid=vid,
-                speed=0,
-                xway=0,
-                lane=0,
-                direction=0,
-                segment=0,
-                position=0,
-                query_id=rng.randrange(1 << 16),
-            ).as_values()
+        roll = random_()
+        vid = randrange(n_vehicles)
+        if roll < half_queries:
+            yield (
+                ACCOUNT_BALANCE_REQUEST, time, vid, 0, 0, 0, 0, 0, 0,
+                randrange(1 << 16), 0,
+            )
         elif roll < query_fraction:
-            yield LinearRoadRecord(
-                record_type=DAILY_EXPENDITURE_REQUEST,
-                time=time,
-                vid=vid,
-                speed=0,
-                xway=0,
-                lane=0,
-                direction=0,
-                segment=0,
-                position=0,
-                query_id=rng.randrange(1 << 16),
-                day=rng.randrange(1, 70),
-            ).as_values()
+            yield (
+                DAILY_EXPENDITURE_REQUEST, time, vid, 0, 0, 0, 0, 0, 0,
+                randrange(1 << 16), randrange(1, 70),
+            )
         else:
             if vid in stopped:
                 speed = 0
             else:
-                speed = rng.randrange(40, 100)
-                positions[vid] = (positions[vid] + speed) % (n_segments * 5280)
+                speed = randrange(40, 100)
+                positions[vid] = (positions[vid] + speed) % road_length
             position = positions[vid]
-            yield LinearRoadRecord(
-                record_type=POSITION_REPORT,
-                time=time,
-                vid=vid,
-                speed=speed,
-                xway=rng.randrange(2),
-                lane=rng.randrange(4),
-                direction=rng.randrange(2),
-                segment=position // 5280,
-                position=position,
-            ).as_values()
+            yield (
+                POSITION_REPORT, time, vid, speed,
+                randrange(2), randrange(4), randrange(2),
+                position // 5280, position, 0, 0,
+            )
 
 
 def take(iterator: Iterator, n: int) -> list:

@@ -461,6 +461,8 @@ class ReconfigController:
             "moved": list(moved),
         }
         if modeled_before is not None:
-            event["modeled_before"] = round(modeled_before, 3)
-            event["modeled_after"] = round(modeled_after or 0.0, 3)
+            # The floats the decision compared, unrounded: a migration is
+            # taken on any strict gain, however small.
+            event["modeled_before"] = modeled_before
+            event["modeled_after"] = modeled_after
         self.report.events.append(event)

@@ -14,6 +14,8 @@ from repro.apps.linear_road import (
     TOLL_STREAM,
 )
 from repro.dsps import LocalEngine, StreamTuple
+from repro.dsps.operators import Operator
+from repro.runtime import ProcessPoolBackend
 
 
 class TestDispatcher:
@@ -166,3 +168,65 @@ class TestEndToEnd:
         run = LocalEngine(build_linear_road(), replication=replication).run(1500)
         assert run.selectivity("toll_notify") == pytest.approx(1.0, abs=0.05)
         assert run.sink_received() > 2.5 * run.events_ingested
+
+
+def per_component(result):
+    components = sorted({s.component for s in result.task_stats.values()})
+    return (
+        result.events_ingested,
+        result.sink_received(),
+        {c: (result.component_in(c), result.component_out(c)) for c in components},
+    )
+
+
+class TestKernels:
+    """LR runs columnar from spout to sink; only the accident detector
+    keeps its scalar path."""
+
+    @pytest.mark.parametrize("epoch_interval", (None, 2500), ids=("free", "epochs"))
+    @pytest.mark.parametrize("seed", (7, 11))
+    def test_benchmark_operating_point_equals_the_scalar_reference(
+        self, seed, epoch_interval
+    ):
+        """``lr_epochs_shm``'s per-slice oracle: 8 000 events, inline and
+        on two process workers in arrival order, equal per component to
+        the scalar inline run.  ``accident_notify``'s count depends on
+        when the detections reach it, so a detector kernel — routing its
+        detections at once instead of holding them in an output buffer
+        until the phase flush — fails here on the process backend."""
+        barriers = {} if epoch_interval is None else {"epoch_interval": epoch_interval}
+        reference = per_component(
+            LocalEngine(
+                build_linear_road(seed=seed), vectorized="off", **barriers
+            ).run(8000)
+        )
+        inline = LocalEngine(build_linear_road(seed=seed), **barriers).run(8000)
+        process = LocalEngine(
+            build_linear_road(seed=seed),
+            backend=ProcessPoolBackend(n_workers=2),
+            queue_budget=4096,
+            **barriers,
+        ).run(8000)
+        assert per_component(inline) == reference
+        assert per_component(process) == reference
+
+    def test_the_detector_is_the_only_per_tuple_operator(self, monkeypatch):
+        topology = build_linear_road(seed=7)
+        called = set()
+        for name in topology.components:
+            template = topology.component(name).template
+            if not isinstance(template, Operator):
+                continue
+            # Patch where ``process`` is defined, so a sink keeps the
+            # default ``Sink.process`` its columnar intake is gated on.
+            owner = next(c for c in type(template).__mro__ if "process" in vars(c))
+
+            def spy(self, item, _process=owner.process):
+                called.add(type(self).__name__)
+                return _process(self, item)
+
+            monkeypatch.setattr(owner, "process", spy)
+        result = LocalEngine(topology).run(8000)
+        assert result.component_in("accident_detect") > 0
+        assert called == {"AccidentDetector"}
+        assert not AccidentDetector.supports_columns()

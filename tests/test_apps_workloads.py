@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import dataclass
 from itertools import count
 
 import pytest
@@ -119,3 +120,92 @@ class TestLinearRoadRecords:
         a = take(linear_road_records(seed=9), 100)
         b = take(linear_road_records(seed=9), 100)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "options",
+        ({}, {"stopped_fraction": 0.05}, {"query_fraction": 0.2}),
+        ids=("defaults", "stopped_fraction", "query_fraction"),
+    )
+    def test_stream_is_the_one_the_record_dataclass_built(self, options):
+        """The generator builds each record's tuple in place; the stream
+        must stay the one it produced through a frozen 11-field record
+        dataclass, value for value and type for type (``reference.json``
+        of the benchmark rests on it)."""
+
+        @dataclass(frozen=True)
+        class Record:
+            record_type: int
+            time: int
+            vid: int
+            speed: int
+            xway: int
+            lane: int
+            direction: int
+            segment: int
+            position: int
+            query_id: int = 0
+            day: int = 0
+
+            def as_values(self):
+                return (
+                    self.record_type, self.time, self.vid, self.speed,
+                    self.xway, self.lane, self.direction, self.segment,
+                    self.position, self.query_id, self.day,
+                )
+
+        def with_dataclass(
+            seed, n_vehicles=2000, n_segments=100, query_fraction=0.01,
+            stopped_fraction=0.003,
+        ):
+            rng = random.Random(seed)
+            time = 0
+            positions = {
+                vid: rng.randrange(n_segments * 5280) for vid in range(n_vehicles)
+            }
+            stopped = set(
+                rng.sample(
+                    range(n_vehicles), max(1, int(n_vehicles * stopped_fraction))
+                )
+            )
+            while True:
+                time += 1
+                roll = rng.random()
+                vid = rng.randrange(n_vehicles)
+                if roll < query_fraction / 2:
+                    yield Record(
+                        record_type=ACCOUNT_BALANCE_REQUEST, time=time, vid=vid,
+                        speed=0, xway=0, lane=0, direction=0, segment=0,
+                        position=0, query_id=rng.randrange(1 << 16),
+                    ).as_values()
+                elif roll < query_fraction:
+                    yield Record(
+                        record_type=DAILY_EXPENDITURE_REQUEST, time=time,
+                        vid=vid, speed=0, xway=0, lane=0, direction=0,
+                        segment=0, position=0,
+                        query_id=rng.randrange(1 << 16),
+                        day=rng.randrange(1, 70),
+                    ).as_values()
+                else:
+                    if vid in stopped:
+                        speed = 0
+                    else:
+                        speed = rng.randrange(40, 100)
+                        positions[vid] = (positions[vid] + speed) % (
+                            n_segments * 5280
+                        )
+                    position = positions[vid]
+                    yield Record(
+                        record_type=POSITION_REPORT, time=time, vid=vid,
+                        speed=speed, xway=rng.randrange(2),
+                        lane=rng.randrange(4), direction=rng.randrange(2),
+                        segment=position // 5280, position=position,
+                    ).as_values()
+
+        def typed(records):
+            return [tuple(map(type, record)) for record in records]
+
+        for seed in (7, 11, 17):
+            got = take(linear_road_records(seed=seed, **options), 20_000)
+            want = take(with_dataclass(seed, **options), 20_000)
+            assert got == want
+            assert typed(got) == typed(want)

@@ -964,7 +964,10 @@ class TestKernelContract:
         }
         assert set(taken) == kernels  # every kernel of the app ran
         for task_id, runs in taken.items():
-            assert max(len(run) for run in runs) > 3 * BATCH, task_id
+            # A task fed enough rows must have taken a coalesced run; a
+            # rare stream (LR's balance queries: ~10 rows) may not have.
+            if sum(map(len, runs)) > 3 * BATCH:
+                assert max(len(run) for run in runs) > 3 * BATCH, task_id
             pieces = [piece for run in runs for piece in run.chunks(BATCH)]
             merged = kernel_trace(spec, task_id, runs)
             apart = kernel_trace(spec, task_id, pieces)
