@@ -35,9 +35,8 @@ with RLAS, the workers standing in for sockets; see docs/runtime.md.
 
 The overload-control layer (:mod:`repro.runtime.overload`) adds lag
 SLOs, a hysteretic degradation ladder (batch shrink, deterministic load
-shedding, spout throttling, degrade replans) and retrying channel sends
-with circuit breaking, also stepped at epoch barriers; see
-docs/overload.md.
+shedding, spout throttling, degrade replans), also stepped at epoch
+barriers; see docs/overload.md.
 """
 
 from repro.runtime.backends import (
@@ -80,14 +79,12 @@ from repro.runtime.fusion import FusionConfig, plan_fusion, with_chains
 from repro.runtime.overload import (
     RUNGS,
     SHED_MODES,
-    CircuitBreaker,
     DegradationLadder,
     LagTracker,
     OverloadConfig,
     OverloadDetector,
     OverloadManager,
     OverloadReport,
-    SendRetryPolicy,
     Shedder,
     TokenBucket,
     decorrelated_jitter,
@@ -150,7 +147,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FusionConfig",
-    "CircuitBreaker",
     "DegradationLadder",
     "LagTracker",
     "OverloadConfig",
@@ -159,7 +155,6 @@ __all__ = [
     "OverloadReport",
     "RUNGS",
     "SHED_MODES",
-    "SendRetryPolicy",
     "Shedder",
     "TokenBucket",
     "decorrelated_jitter",

@@ -135,8 +135,8 @@ class RunConfig:
     #: supervised retry is a new ``execute()`` with a new deadline.
     timeout_s: float = 300.0
     #: Process backend: a worker whose heartbeat is older than this is
-    #: stalled (parent side) or dead (peer side, with the status array).
-    #: Workers stamp it once per scheduling loop, every few milliseconds.
+    #: stalled, says the parent's watchdog.  Workers stamp it once per
+    #: scheduling loop and in every wait, every few milliseconds.
     heartbeat_timeout_s: float = 10.0
 
     # -- barriers ------------------------------------------------------

@@ -49,15 +49,11 @@ reconfiguration (reconfigure.py):
   tuples the producing operator declared sheddable
   (:meth:`repro.dsps.operators.Operator.sheddable`); accuracy loss is
   accounted per edge in the run report.
-* :class:`SendRetryPolicy` / :class:`CircuitBreaker` — bound a blocked
-  process-backend send by a deadline +
-  decorrelated-jitter backoff + half-open probe, so a transient peer
-  stall recovers instead of killing the run (process_pool.py's
-  ``_blocking_put``, both pickle and shm planes).
 
 One :class:`OverloadManager` per run owns all of the above; backends
 feed it one window of queue statistics per epoch and read back the
-current directives (see docs/overload.md).
+current directives (see docs/overload.md).  :func:`decorrelated_jitter`
+is the :class:`~repro.runtime.supervisor.Supervisor`'s restart backoff.
 """
 
 from __future__ import annotations
@@ -121,7 +117,7 @@ def decorrelated_jitter(
 
     ``sleep = min(cap, uniform(base, prev * 3))`` — grows roughly
     exponentially in expectation but desynchronizes concurrent retriers,
-    which is exactly what thundering-herd restarts and send probes need.
+    which is exactly what thundering-herd restarts need.
     """
     return min(cap_s, rng.uniform(base_s, max(base_s, prev_s * 3)))
 
@@ -388,67 +384,6 @@ class Shedder:
             "shed": {f"{p}-{c}": n for (p, c), n in self.shed.items()},
             "protected": self.protected,
         }
-
-
-@dataclass(frozen=True)
-class SendRetryPolicy:
-    """Retry/timeout/backoff policy for blocking channel sends.
-
-    A blocked send retries under decorrelated-jitter backoff until
-    ``deadline_s`` (or the run's global watchdog deadline, whichever is
-    sooner).  After
-    ``open_after_s`` of continuous blocking the circuit *opens* and the
-    sender stops hammering the peer, probing half-open once per
-    ``probe_interval_s`` while it keeps heartbeating and draining its
-    own inbox — so a transient peer stall recovers instead of killing
-    the run.
-    """
-
-    deadline_s: float = 30.0
-    base_sleep_s: float = 0.0002
-    max_sleep_s: float = 0.02
-    open_after_s: float = 0.5
-    probe_interval_s: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.deadline_s <= 0:
-            raise PlanError("send deadline must be positive")
-        if not 0 < self.base_sleep_s <= self.max_sleep_s:
-            raise PlanError("need 0 < base_sleep_s <= max_sleep_s")
-        if self.open_after_s <= 0 or self.probe_interval_s <= 0:
-            raise PlanError("circuit thresholds must be positive")
-
-
-class CircuitBreaker:
-    """Per-destination half-open send circuit for :class:`SendRetryPolicy`."""
-
-    def __init__(self, policy: SendRetryPolicy) -> None:
-        self.policy = policy
-        self.blocked_since: float | None = None
-        self.next_probe = 0.0
-        #: Times the circuit opened (``runtime.worker.<id>.circuit_opens``).
-        self.opens = 0
-
-    @property
-    def open(self) -> bool:
-        return self.blocked_since is not None and self.next_probe > 0.0
-
-    def allow(self, now: float) -> bool:
-        """Whether a ``try_put`` attempt is allowed right now."""
-        return not self.open or now >= self.next_probe
-
-    def on_blocked(self, now: float) -> None:
-        if self.blocked_since is None:
-            self.blocked_since = now
-        if self.open:
-            self.next_probe = now + self.policy.probe_interval_s
-        elif now - self.blocked_since >= self.policy.open_after_s:
-            self.opens += 1
-            self.next_probe = now + self.policy.probe_interval_s
-
-    def on_success(self) -> None:
-        self.blocked_since = None
-        self.next_probe = 0.0
 
 
 @dataclass

@@ -52,38 +52,35 @@ a migration, which stops the pool and relaunches it re-partitioned.
 
 Liveness
 --------
-Every worker stamps a shared heartbeat slot once per scheduling loop, and
-the parent writes observed exit codes into a shared status array.  Three
-watchdogs turn what used to be silent hangs into typed, bounded errors
-(see docs/robustness.md):
+Only the parent decides that a worker died (see docs/robustness.md).
+Its watchdog (:meth:`_PoolRun._await`) polls for worker reports and
+turns a dead worker into :class:`~repro.errors.WorkerCrashError`, and a
+stale heartbeat or the run's deadline into
+:class:`~repro.errors.StallError` — always naming the worker, and with a
+partial :class:`~repro.runtime.results.RunResult`: task counters as last
+reported, sink deliveries from shared counters the sinks' workers stamp
+per batch, so they survive whichever worker died.  The pool is then
+stopped, survivors included.
 
-* the **parent watchdog** polls worker reports, converting a dead worker
-  into :class:`~repro.errors.WorkerCrashError` and a stale-but-alive
-  worker (or an exhausted overall budget) into
-  :class:`~repro.errors.StallError`, always with a partial
-  :class:`~repro.runtime.results.RunResult`: task counters as last
-  reported, sink deliveries from shared counters the sinks' workers
-  stamp per batch, so they survive whichever worker died;
-* a **blocked send** (:meth:`_Worker._blocking_put`) raises
-  :class:`~repro.errors.WorkerCrashError` as soon as the parent marks the
-  destination worker dead, and :class:`~repro.errors.QueueDeadlockError`
-  when the send exceeds its :class:`~repro.runtime.overload.SendRetryPolicy`
-  deadline with the peer still alive;
-* an **idle worker** whose upstream producers' workers died raises
-  :class:`~repro.errors.WorkerCrashError` instead of waiting forever for
-  EOF markers that will never arrive.
+A worker never raises about a peer; it reports on itself.  It stamps a
+shared heartbeat slot once per scheduling loop, and every wait — idle,
+parked at a barrier, blocked on a send — goes through
+:meth:`_Worker._wait`, which heartbeats and raises
+:class:`~repro.errors.StallError` past the run deadline, so no worker
+outlives its run even if the parent is gone.  A send still blocked
+after :data:`_SEND_DEADLINE_S` raises
+:class:`~repro.errors.QueueDeadlockError`.
 
 Fault injection (:mod:`repro.runtime.faults`) threads through the same
 paths: each worker arms an injector over its own task partition, so a
 ``crash`` fault genuinely kills the hosting process (``os._exit``) and
-the watchdogs above are what detect it.
+the parent's watchdog is what detects it.
 """
 
 from __future__ import annotations
 
 import os
 import queue as queue_mod
-import random
 import time
 import traceback
 from collections import defaultdict, deque
@@ -115,12 +112,7 @@ from repro.runtime.epochs import (
 )
 from repro.runtime.faults import FaultInjector, merge_fault_summaries
 from repro.runtime.fusion import with_chains
-from repro.runtime.overload import (
-    CircuitBreaker,
-    SendRetryPolicy,
-    Shedder,
-    decorrelated_jitter,
-)
+from repro.runtime.overload import Shedder
 from repro.runtime.lowering import RuntimeSpec, TaskRuntime
 from repro.runtime.results import Placement, RunResult
 from repro.runtime.step import (
@@ -139,25 +131,27 @@ _SPOUT_CHUNK = 256
 #: Batches an operator processes per scheduling quantum.
 _PROCESS_QUANTUM = 8
 
-#: Sleep while no local progress is possible (seconds).
+#: A worker's wait quantum while no local progress is possible (s).
 _IDLE_SLEEP_S = 0.0002
 
-#: Parent watchdog poll interval while waiting for worker results (s).
+#: Parent watchdog poll interval while waiting for worker results, and a
+#: parked worker's wait quantum on its control pipe (s).
 _POLL_INTERVAL_S = 0.05
 
 #: Grace window for late result messages from a worker seen dead (s).
 _DEATH_GRACE_S = 0.5
 
+#: Longest one remote send may stay blocked on a full peer inbox before
+#: it raises :class:`~repro.errors.QueueDeadlockError` (s).
+_SEND_DEADLINE_S = 30.0
+
 #: Exit code an injected ``crash`` fault dies with (distinguishable from
 #: interpreter crashes in the parent's diagnostics).
 CRASH_EXIT_CODE = 70
 
-#: Sentinel in the shared status array: worker still running.
-_STATUS_RUNNING = -1000
-
-#: Worker-side error kinds mapped back to typed exceptions in the parent.
+#: The error kinds a worker raises about itself, mapped back to typed
+#: exceptions in the parent.
 _ERROR_CLASSES = {
-    "WorkerCrashError": WorkerCrashError,
     "StallError": StallError,
     "QueueDeadlockError": QueueDeadlockError,
     "InjectedFaultError": InjectedFaultError,
@@ -302,7 +296,6 @@ _WORKER_COUNTERS = (
     "remote_batches_out",
     "overflow_admissions",
     "spout_throttles",
-    "circuit_opens",
 )
 
 
@@ -383,13 +376,11 @@ class _PoolRun:
         )
         self.placement.dataplane = self.plane.name
         self.results: Any = ctx.Queue()
-        # Shared liveness state: heartbeat timestamps (monotonic seconds,
-        # stamped by each worker once per loop), exit-status slots the
-        # parent fills in as soon as it observes a death, so blocked peers
-        # can distinguish "dead" from "slow", and one delivery counter per
-        # sink task, which outlives the worker that stamps it.
+        # Shared state the parent's watchdog reads: heartbeat timestamps
+        # (monotonic seconds, stamped by each worker once per loop and in
+        # every wait), and one delivery counter per sink task, which
+        # outlives the worker that stamps it.
         self.heartbeats = ctx.Array("d", [monotonic()] * n_workers, lock=False)
-        self.status = ctx.Array("i", [_STATUS_RUNNING] * n_workers, lock=False)
         self.progress = ctx.Array("q", len(spec.sink_tasks), lock=False)
         self.controls = [ctx.Pipe(duplex=False) for _ in range(n_workers)]
         self.reports = {}
@@ -402,7 +393,6 @@ class _PoolRun:
                     channel=self.plane.endpoint(worker_id),
                     config=config,
                     heartbeats=self.heartbeats,
-                    status=self.status,
                     schedule=injector.schedule if injector else (),
                     attempt=injector.attempt if injector else 0,
                     run_deadline=self.deadline,
@@ -493,10 +483,13 @@ class _PoolRun:
     # Watchdog
     # ------------------------------------------------------------------
     def _await(self) -> None:
-        """Collect one report per worker under the parent watchdog.
+        """Collect one report per worker under the parent watchdog, the
+        only place a worker's death becomes an error.
 
-        Raises a typed :class:`ExecutionError` subclass on any worker
-        failure, stall or timeout — this method never blocks unboundedly.
+        Raises a typed :class:`ExecutionError` subclass naming the
+        worker on any worker failure, stall or timeout — this method
+        never blocks unboundedly.  The caller's ``stop()`` then tears
+        down the survivors, which never judge their peers.
         """
         config = self.backend.config
         workers = self.workers
@@ -530,11 +523,8 @@ class _PoolRun:
             now = monotonic()
             dead = [w for w in sorted(pending) if not workers[w].is_alive()]
             if dead:
-                # Publish the deaths so blocked peers stop waiting, then
-                # give the result queue a grace window: a worker that
+                # A grace window on the result queue: a worker that
                 # exited cleanly may still have its outcome in flight.
-                for wid in dead:
-                    self.status[wid] = workers[wid].exitcode or 0
                 grace = monotonic() + _DEATH_GRACE_S
                 while monotonic() < grace and pending & set(dead):
                     drain(_POLL_INTERVAL_S)
@@ -704,11 +694,10 @@ class _Worker:
         config: RunConfig,
         *,
         heartbeats: Any = None,
-        status: Any = None,
         schedule: tuple = (),
         attempt: int = 0,
-        send_policy: SendRetryPolicy | None = None,
         run_deadline: float | None = None,
+        send_deadline_s: float = _SEND_DEADLINE_S,
         checkpoint: EpochCheckpoint | None = None,
         edge_stats: Mapping[tuple[int, int], QueueStats] | None = None,
         results: Any = None,
@@ -721,19 +710,13 @@ class _Worker:
         self.channel.connect()
         self.ordered = config.ordered
         self.heartbeats = heartbeats
-        self.status = status
-        self.heartbeat_timeout_s = config.heartbeat_timeout_s
         self.results = results
         self.control = control
-        # Blocked-send retry/backoff state (repro.runtime.overload): one
-        # circuit breaker per destination, a jitter RNG that only shapes
-        # sleep timing (never data), and the run watchdog's deadline so a
-        # stalled send cannot outlive ``timeout_s`` by up to the send
-        # deadline.  (``send_policy`` is the white-box tests' seam.)
-        self.send_policy = send_policy or SendRetryPolicy()
+        # What bounds a wait: the run's deadline bounds every one, a
+        # send's own deadline a blocked send (``send_deadline_s`` is the
+        # white-box tests' seam).
         self.run_deadline = run_deadline
-        self.breakers: dict[int, CircuitBreaker] = {}
-        self.send_rng = random.Random(0x5EED ^ worker_id)
+        self.send_deadline_s = send_deadline_s
         # The current phase, set by each resume directive: the cumulative
         # per-spout bound, and whether it closes the stream.
         self.limit = max_events
@@ -815,28 +798,22 @@ class _Worker:
         if self.heartbeats is not None:
             self.heartbeats[self.me] = monotonic()
 
-    def _peer_dead(self, worker: int) -> bool:
-        """True once the parent has recorded ``worker``'s exit."""
-        return self.status is not None and self.status[worker] != _STATUS_RUNNING
-
-    def _check_dead_producers(self) -> None:
-        """Raise if an idle wait depends on EOFs from a dead worker."""
-        if self.status is None:
-            return
-        for rt in self.step.mine:
-            if rt.task_id in self.completed:
-                continue
-            for edge in rt.in_edges:
-                key = (edge.producer, edge.consumer)
-                peer = self.owner[edge.producer]
-                if key in self.eof or peer == self.me:
-                    continue
-                if self._peer_dead(peer):
-                    raise WorkerCrashError(
-                        f"worker {self.me}: upstream worker {peer} died "
-                        f"before finishing edge {edge.producer}->"
-                        f"{edge.consumer}"
-                    )
+    def _wait(self, parked: bool = False) -> float:
+        """The one place a worker waits — idle, parked at a barrier or
+        blocked on a send: heartbeat, give up past the run deadline, then
+        block for one quantum (the control pipe's poll when ``parked``,
+        a short sleep otherwise).  Returns the seconds waited, timed
+        rather than assumed: a 200 us sleep takes a millisecond or more
+        on a busy host, and busy_fraction is 1 - idle."""
+        self._beat()
+        started = monotonic()
+        if self.run_deadline is not None and started > self.run_deadline:
+            raise StallError(f"worker {self.me}: still waiting past the run deadline")
+        if parked:
+            self.control.poll(_POLL_INTERVAL_S)
+        else:
+            time.sleep(_IDLE_SLEEP_S)
+        return monotonic() - started
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -860,7 +837,7 @@ class _Worker:
             # Stop heartbeating and stop working: the parent watchdog
             # converts this into a StallError within its timeout.
             while True:
-                time.sleep(_IDLE_SLEEP_S * 50)
+                time.sleep(_POLL_INTERVAL_S)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -886,7 +863,6 @@ class _Worker:
         """Until every local task has closed its outputs for the phase:
         spouts at the boundary, the others once a marker (an EOF that
         the next ``resume`` resets) arrived on every in-edge."""
-        idle_since: float | None = None
         while len(self.completed) < len(self.step.mine):
             self._beat()
             progress = self._receive(limit=64, soft=False)
@@ -894,19 +870,7 @@ class _Worker:
             progress += self._step_process(_PROCESS_QUANTUM)
             progress += self._complete_ready()
             if not progress:
-                now = monotonic()
-                if idle_since is None:
-                    idle_since = now
-                elif now - idle_since > self.heartbeat_timeout_s:
-                    # Long idle: are we waiting on a dead upstream worker?
-                    self._check_dead_producers()
-                    idle_since = now
-                # Timed, not assumed: a 200 us sleep takes a millisecond
-                # or more on a busy host, and busy_fraction is 1 - idle.
-                time.sleep(_IDLE_SLEEP_S)
-                self.idle_s += monotonic() - now
-            else:
-                idle_since = None
+                self.idle_s += self._wait()
 
     # ------------------------------------------------------------------
     # Barriers
@@ -946,14 +910,8 @@ class _Worker:
         pool).  Parked workers keep heartbeating — a slow barrier
         observer (an RLAS re-plan takes seconds) must not read as a
         stall — and give up with the run's deadline."""
-        parked = perf_counter()
-        while not self.control.poll(_POLL_INTERVAL_S):
-            self._beat()
-            if self.run_deadline is not None and monotonic() > self.run_deadline:
-                raise StallError(
-                    f"worker {self.me}: parked at a barrier past the run deadline"
-                )
-        self.idle_s += perf_counter() - parked
+        while not self.control.poll():
+            self.idle_s += self._wait(parked=True)
         return self.control.recv()
 
     def _resume(self, directive: Mapping) -> None:
@@ -979,7 +937,6 @@ class _Worker:
         wall_s = max(perf_counter() - self.started, 1e-9)
         metrics = dict(self.metrics)
         metrics["busy_fraction"] = max(0.0, 1.0 - self.idle_s / wall_s)
-        metrics["circuit_opens"] = sum(b.opens for b in self.breakers.values())
         for key, value in self.channel.snapshot_metrics().items():
             metrics[key] = metrics.get(key, 0.0) + value
         if self.injector is not None:
@@ -1034,7 +991,7 @@ class _Worker:
         worker is itself blocked on a send) admits everything to keep the
         worker graph deadlock-free.  Never blocks: inbox reads are
         non-blocking polls, so a dead producer cannot hang this path (the
-        main loop's dead-producer check bounds the resulting idle wait).
+        parent's watchdog ends the resulting idle wait).
         """
         received = 0
         for _ in range(limit):
@@ -1116,61 +1073,29 @@ class _Worker:
         self._land(key, tuples)
 
     def _blocking_put(self, target_worker: int, message: tuple) -> None:
-        """Send to a peer inbox, retrying with bounded patience.
+        """Send to a peer inbox, waiting while it is full.
 
-        While blocked the worker keeps heartbeating and draining its own
-        inbox (softly: never refuse) so a ring of mutually-blocked
-        workers cannot deadlock.  Retries back off under decorrelated
-        jitter (:func:`repro.runtime.overload.decorrelated_jitter`), and
-        after ``open_after_s`` of continuous blocking the per-destination
-        circuit opens: the sender stops hammering the channel and probes
-        it half-open once per ``probe_interval_s`` until the peer drains.
-        The wait is bounded three ways: a peer the parent has marked dead
-        raises :class:`~repro.errors.WorkerCrashError` immediately; a
-        peer alive but not draining past the policy deadline raises
-        :class:`~repro.errors.QueueDeadlockError`; and the run watchdog's
-        own deadline is honoured too, so a stalled send can never outlive
-        ``timeout_s`` by up to the send deadline.
+        While blocked the worker keeps draining its own inbox (softly:
+        never refuse) so a ring of mutually-blocked workers cannot
+        deadlock, and waits in :meth:`_wait` when nothing arrived.  A
+        send still blocked after ``send_deadline_s`` raises
+        :class:`~repro.errors.QueueDeadlockError`.  A dead peer is the
+        parent's to report, and it stops this worker long before that.
         """
-        policy = self.send_policy
-        breaker = self.breakers.get(target_worker)
-        if breaker is None:
-            breaker = self.breakers[target_worker] = CircuitBreaker(policy)
         if self.channel.try_put(target_worker, message):
-            breaker.on_success()
             return
         self.metrics["send_blocks"] += 1
         blocked_from = perf_counter()
-        deadline = monotonic() + policy.deadline_s
-        if self.run_deadline is not None:
-            deadline = min(deadline, self.run_deadline)
-        sleep_s = policy.base_sleep_s
-        while True:
+        deadline = monotonic() + self.send_deadline_s
+        while not self.channel.try_put(target_worker, message):
             self._beat()
-            now = monotonic()
-            if breaker.allow(now):
-                if self.channel.try_put(target_worker, message):
-                    breaker.on_success()
-                    break
-                breaker.on_blocked(now)
-            if self._peer_dead(target_worker):
-                raise WorkerCrashError(
-                    f"worker {self.me}: peer worker {target_worker} died "
-                    "with its inbox full; message undeliverable"
-                ) from None
-            if now > deadline:
+            if monotonic() > deadline:
                 raise QueueDeadlockError(
                     f"worker {self.me}: send to worker {target_worker} "
-                    f"blocked past its deadline "
-                    f"(send budget {policy.deadline_s}s, "
-                    f"circuit {'open' if breaker.open else 'closed'}, "
-                    "peer alive but not draining)"
-                ) from None
-            if not self._receive(limit=16, soft=True):
-                sleep_s = decorrelated_jitter(
-                    self.send_rng, policy.base_sleep_s, policy.max_sleep_s, sleep_s
+                    f"blocked past its {self.send_deadline_s}s deadline"
                 )
-                time.sleep(sleep_s)
+            if not self._receive(limit=16, soft=True):
+                self._wait()
         self.metrics["blocked_send_ns"] += (perf_counter() - blocked_from) * 1e9
 
     def _send_eof(self, producer: int, consumer: int) -> None:

@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.apps import load_application
+from repro.core.plan import ExecutionPlan
 from repro.dsps import LocalEngine
 from repro.errors import (
     ExecutionError,
@@ -41,6 +42,7 @@ from repro.runtime import (
     ProcessPoolBackend,
     with_sockets,
 )
+from repro.runtime.process_pool import CRASH_EXIT_CODE
 
 EVENTS = 300
 #: REPRO_CHAOS_QUICK=1 (CI's chaos-smoke job) trims the app matrix to WC;
@@ -398,6 +400,67 @@ class TestProcessBackendChaos:
         )
         with pytest.raises(StallError, match="heartbeat"):
             engine.run(EVENTS)
+
+    @staticmethod
+    def pinned_wc_crash(mirrored, seed, **kwargs):
+        """WC pinned on two sockets, one worker each (``spout, parser |
+        splitter, counter, sink``, or the mirror map), whose counter
+        crashes at its 3 000th tuple; returns the engine and the
+        counter's socket, which is also its worker."""
+        topology, _ = load_application("wc")
+        spec = LocalEngine(
+            topology, replication={name: 1 for name in topology.components}
+        ).spec
+        front = {"spout", "parser"}
+        socket = {
+            rt.component: int((rt.component in front) == mirrored)
+            for rt in spec.tasks
+        }
+        engine = LocalEngine.from_plan(
+            ExecutionPlan(
+                spec.graph, {rt.task_id: socket[rt.component] for rt in spec.tasks}
+            ),
+            backend=ProcessPoolBackend(n_workers=2, timeout_s=60.0),
+            queue_budget=4096,
+            fault_plan=FaultPlan(
+                seed=seed, kinds=("crash",), target="counter", at_tuple=3000
+            ),
+            **kwargs,
+        )
+        return engine, socket["counter"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["front|back", "back|front"])
+    def test_the_dead_worker_is_blamed_not_its_peer(self, mirrored, seed):
+        """Only the parent decides that a worker died, and it names the
+        one that did — never the survivor blocked on the dead counter's
+        full inbox."""
+        engine, counter = self.pinned_wc_crash(
+            mirrored, seed, recovery_policy="fail-fast"
+        )
+        with pytest.raises(WorkerCrashError) as excinfo:
+            engine.run(20_000)
+        assert excinfo.value.failed_workers == (counter,)
+        assert "died without reporting a result" in str(excinfo.value)
+        assert f"{{{counter}: {CRASH_EXIT_CODE}}}" in str(excinfo.value)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_degrade_drops_the_dead_workers_socket(self, seed):
+        """What ``degrade`` reads: the socket it drops is the dead
+        counter's (both maps, alternating by seed: a degraded run
+        replays all 20 000 events per tuple, on one worker)."""
+        _, profiles = load_application("wc")
+        engine, counter = self.pinned_wc_crash(
+            seed % 2 == 1,
+            seed,
+            recovery_policy="degrade",
+            degrade=DegradeContext(
+                profiles=profiles, machine=replace(server_a(2), cores_per_socket=8)
+            ),
+        )
+        result = engine.run(20_000)
+        assert result.recovery.completed
+        assert result.recovery.degraded_sockets == [counter]
 
 
 class TestDeterminism:

@@ -3,7 +3,7 @@
 The parity suite (tests/test_overload_parity.py) proves ``--shed off``
 is invisible; this file pins the mechanisms themselves — the pure
 shed-decision function, detector hysteresis, the ladder's escalation
-policy, the token bucket, the send circuit breaker, lag estimation —
+policy, the token bucket, the restart jitter, lag estimation —
 and ends with deterministic chaos runs where an overdriven dataflow
 walks the full ladder and recovers.
 """
@@ -21,14 +21,12 @@ from repro.errors import ExecutionError, PlanError
 from repro.metrics import MetricsRegistry
 from repro.runtime import (
     RUNGS,
-    CircuitBreaker,
     DegradationLadder,
     LagTracker,
     OverloadConfig,
     OverloadDetector,
     OverloadManager,
     ProcessPoolBackend,
-    SendRetryPolicy,
     Shedder,
     TokenBucket,
     decorrelated_jitter,
@@ -72,20 +70,6 @@ class TestConfigValidation:
     def test_rejects_bad_knobs(self, kwargs, match):
         with pytest.raises(PlanError, match=match):
             OverloadConfig(**kwargs)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"deadline_s": 0.0},
-            {"base_sleep_s": 0.0},
-            {"base_sleep_s": 0.5, "max_sleep_s": 0.1},
-            {"open_after_s": 0.0},
-            {"probe_interval_s": -1.0},
-        ],
-    )
-    def test_send_policy_rejects_bad_knobs(self, kwargs):
-        with pytest.raises(PlanError):
-            SendRetryPolicy(**kwargs)
 
     def test_engine_requires_epochs(self):
         topology, _ = load_application("wc")
@@ -329,35 +313,6 @@ class TestTokenBucket:
         bucket = TokenBucket(100)
         bucket.refill(1000)
         assert bucket.tokens == 100
-
-
-class TestCircuitBreaker:
-    def test_opens_after_sustained_blocking_then_probes(self):
-        breaker = CircuitBreaker(
-            SendRetryPolicy(open_after_s=0.5, probe_interval_s=0.05)
-        )
-        assert breaker.allow(0.0)
-        breaker.on_blocked(0.0)
-        assert not breaker.open  # brief blocking keeps the circuit closed
-        breaker.on_blocked(0.3)
-        assert not breaker.open
-        breaker.on_blocked(0.6)
-        assert breaker.open and breaker.opens == 1
-        assert not breaker.allow(0.62)  # inside the probe interval
-        assert breaker.allow(0.66)  # half-open probe
-        breaker.on_blocked(0.66)  # probe failed: next probe rescheduled
-        assert not breaker.allow(0.68)
-        breaker.on_success()
-        assert not breaker.open
-        assert breaker.allow(0.70)
-
-    def test_success_resets_the_blocking_clock(self):
-        breaker = CircuitBreaker(SendRetryPolicy(open_after_s=0.5))
-        breaker.on_blocked(0.0)
-        breaker.on_success()
-        breaker.on_blocked(0.4)
-        breaker.on_blocked(0.8)  # only 0.4s since the new streak began
-        assert not breaker.open
 
 
 class FakeQueueStats(SimpleNamespace):

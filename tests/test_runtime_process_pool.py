@@ -11,13 +11,15 @@ end-to-end suites can only observe indirectly:
 * ``_land`` / ``_next_batch``: arrival mode drains cross-edge batches in
   arrival order, ordered mode in strict edge-declaration order;
 * ``_blocking_put``: a full peer inbox blocks with bounded patience —
-  a dead peer raises WorkerCrashError, a live-but-stuck one raises
-  QueueDeadlockError after its send deadline (this path used to spin
-  forever).
+  a stuck peer raises QueueDeadlockError after the send deadline (this
+  path used to spin forever); whether the peer died is the parent's to
+  decide;
+* ``_wait``: the run deadline bounds every worker wait, an idle one too.
 """
 
 import queue
 import threading
+import time
 
 import pytest
 
@@ -27,12 +29,12 @@ from repro.dsps.tuples import StreamTuple
 from repro.errors import (
     ExecutionError,
     QueueDeadlockError,
-    WorkerCrashError,
+    StallError,
 )
-from repro.runtime import ProcessPoolBackend, SendRetryPolicy
+from repro.runtime import ProcessPoolBackend
 from repro.runtime.config import RunConfig
 from repro.runtime.dataplane import ColumnBatch, PickleQueueChannel
-from repro.runtime.process_pool import _STATUS_RUNNING, _Worker
+from repro.runtime.process_pool import _Worker
 
 
 def make_worker(*, ordered=False, queue_capacity=None, inboxes=None, **kwargs):
@@ -217,25 +219,30 @@ class TestBacklogDrainOrder:
         assert worker._next_batch(rt) is late_edge_batch
 
 
+def sink_worker(**kwargs):
+    """Worker 1 of two, hosting only WC's sink: idle until its one
+    in-edge, from worker 0, delivers."""
+    topology, _ = load_application("wc")
+    spec = LocalEngine(topology).spec
+    sink = spec.sink_tasks[0]
+    owner = {rt.task_id: int(rt.is_sink) for rt in spec.tasks}
+    inboxes = [queue.Queue(), queue.Queue()]
+    worker = _Worker(
+        1, spec, owner, 100, PickleQueueChannel(1, inboxes), RunConfig(), **kwargs
+    )
+    return worker, sink, inboxes[1]
+
+
 class TestIdleAccounting:
     def test_idle_time_is_the_sleep_it_got_not_the_sleep_it_asked_for(
         self, monkeypatch
     ):
         """``busy_fraction`` is ``1 - idle_s / wall``: an idle turn asks
         for 200 us and, on a busy host, gets a millisecond or more."""
-        import time
-
         from repro.runtime import process_pool
 
-        topology, _ = load_application("wc")
-        spec = LocalEngine(topology).spec
-        sink = spec.sink_tasks[0]
+        worker, sink, inbox = sink_worker()
         (edge,) = sink.in_edges
-        owner = {rt.task_id: int(rt.is_sink) for rt in spec.tasks}
-        inboxes = [queue.Queue(), queue.Queue()]
-        worker = _Worker(
-            1, spec, owner, 100, PickleQueueChannel(1, inboxes), RunConfig()
-        )
 
         slept = []
         real_sleep = time.sleep
@@ -247,7 +254,7 @@ class TestIdleAccounting:
 
         monkeypatch.setattr(process_pool.time, "sleep", slow_sleep)
         feeder = threading.Timer(
-            0.05, inboxes[1].put, [("eof", edge.producer, edge.consumer)]
+            0.05, inbox.put, [("eof", edge.producer, edge.consumer)]
         )
         feeder.start()
         worker._run_phase()
@@ -260,45 +267,50 @@ class TestIdleAccounting:
         assert worker.idle_s <= sum(slept) + 0.05
 
 
+class TestRunDeadline:
+    def test_idle_worker_gives_up_at_the_run_deadline(self):
+        """An idle worker whose inbox never delivers — its producer and
+        the parent are gone — stops at the run deadline: no worker
+        process outlives its run.  Driven in a thread, so a worker that
+        never stops fails the test instead of hanging it."""
+        worker, _sink, _inbox = sink_worker(run_deadline=time.monotonic() + 0.2)
+        raised = []
+
+        def phase():
+            try:
+                worker._run_phase()
+            except StallError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=phase, daemon=True)
+        thread.start()
+        thread.join(timeout=2.0)
+        assert not thread.is_alive(), "idle worker ignored the run deadline"
+        (error,) = raised
+        assert "run deadline" in str(error)
+
+
 class TestBoundedBlockingPut:
-    def _two_worker_setup(self, *, status):
+    def test_live_stuck_peer_raises_deadlock_after_timeout(self):
         own_inbox = queue.Queue()
         peer_inbox = queue.Queue(maxsize=1)
         peer_inbox.put(("batch", 0, 0, b"full"))  # peer inbox already full
         worker, _spec = make_worker(
-            inboxes=[own_inbox, peer_inbox],
-            status=status,
-            send_policy=SendRetryPolicy(deadline_s=0.2, open_after_s=0.05),
+            inboxes=[own_inbox, peer_inbox], send_deadline_s=0.2
         )
-        return worker
-
-    def test_dead_peer_raises_worker_crash(self):
-        status = [_STATUS_RUNNING, 70]  # parent recorded peer's exit code
-        worker = self._two_worker_setup(status=status)
-        with pytest.raises(WorkerCrashError, match="died"):
-            worker._blocking_put(1, ("batch", 0, 0, b"payload"))
-
-    def test_live_stuck_peer_raises_deadlock_after_timeout(self):
-        status = [_STATUS_RUNNING, _STATUS_RUNNING]
-        worker = self._two_worker_setup(status=status)
+        started = time.monotonic()
         with pytest.raises(QueueDeadlockError, match="blocked"):
             worker._blocking_put(1, ("batch", 0, 0, b"payload"))
-        # Blocked for the whole 0.2 s send budget, past the policy's
-        # 0.05 s threshold: the circuit opened once, and the worker's
-        # next report says so.
+        assert time.monotonic() - started >= 0.2
         worker.results = queue.Queue()
         worker._report("ok")
         _kind, _worker_id, report = worker.results.get_nowait()
-        assert report["metrics"]["circuit_opens"] == 1
         assert report["metrics"]["send_blocks"] == 1
 
     def test_send_completes_when_peer_drains(self):
         own_inbox = queue.Queue()
         peer_inbox = queue.Queue(maxsize=1)
-        worker, _spec = make_worker(
-            inboxes=[own_inbox, peer_inbox],
-            status=[_STATUS_RUNNING, _STATUS_RUNNING],
-        )
+        worker, _spec = make_worker(inboxes=[own_inbox, peer_inbox])
         worker._blocking_put(1, ("batch", 0, 0, b"payload"))
         assert peer_inbox.get_nowait() == ("batch", 0, 0, b"payload")
 
@@ -307,9 +319,7 @@ class TestBoundedBlockingPut:
         peer_inbox = queue.Queue(maxsize=1)
         peer_inbox.put(("stuck",))
         worker, spec = make_worker(
-            inboxes=[own_inbox, peer_inbox],
-            status=[_STATUS_RUNNING, _STATUS_RUNNING],
-            send_policy=SendRetryPolicy(deadline_s=0.2),
+            inboxes=[own_inbox, peer_inbox], send_deadline_s=0.2
         )
         # An EOF waiting in our own inbox must be absorbed while blocked
         # (soft receive), not left to deadlock the worker graph.
@@ -333,9 +343,7 @@ class TestSealedBatchByteAccounting:
         peer_inbox = queue.Queue(maxsize=1)
         peer_inbox.put(("stuck",))  # first try_put attempts fail
         worker, spec = make_worker(
-            inboxes=[own_inbox, peer_inbox],
-            status=[_STATUS_RUNNING, _STATUS_RUNNING],
-            send_policy=SendRetryPolicy(deadline_s=5.0),
+            inboxes=[own_inbox, peer_inbox], send_deadline_s=5.0
         )
         producer, consumer = some_edge(spec)
         worker.owner[consumer] = 1  # force the remote-dispatch path
@@ -353,10 +361,7 @@ class TestSealedBatchByteAccounting:
     def test_unblocked_send_counts_bytes_once(self):
         own_inbox = queue.Queue()
         peer_inbox = queue.Queue()
-        worker, spec = make_worker(
-            inboxes=[own_inbox, peer_inbox],
-            status=[_STATUS_RUNNING, _STATUS_RUNNING],
-        )
+        worker, spec = make_worker(inboxes=[own_inbox, peer_inbox])
         producer, consumer = some_edge(spec)
         worker.owner[consumer] = 1
         for _ in range(3):
