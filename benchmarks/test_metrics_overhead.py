@@ -1,17 +1,20 @@
-"""Instrumentation overhead: the NullRegistry path must be ~free.
+"""Instrumentation overhead: the NullRegistry path must be ~free, and a
+live registry must time the same program, not a slower one.
 
 The engine's hot loop is shared between the seed (uninstrumented) engine
 and the observability layer: all instrumentation sits behind instrument
 handles that are ``None`` unless a live :class:`MetricsRegistry` is
-injected, so a default run executes the seed loop plus one local boolean
-test per tuple.  This micro-benchmark demonstrates that empirically:
+injected.  An instrumented run takes the same kernels and columnar
+spouts; it reads the clock twice per kernel call or source draw and
+publishes its instruments at the end.  This micro-benchmark demonstrates
+that empirically:
 
 * two interleaved sets of NullRegistry runs (the "seed-equivalent" call
   shape ``LocalEngine(topology)`` and the explicit ``NullRegistry()``
   injection) must agree within 5% — the acceptance bound for the
   observability PR;
 * the fully instrumented run must produce *identical* functional results
-  (tuple counts), whatever it costs in wall-clock;
+  (tuple counts) within 1.5× the uninstrumented wall-clock;
 * all three per-event costs are reported in the JSON artefact.
 
 Timings use best-of-N to shed scheduler noise; the whole experiment
@@ -30,6 +33,7 @@ EVENTS = 600 if QUICK else 2000
 ROUNDS = 5
 MAX_ATTEMPTS = 4
 TOLERANCE = 0.05
+INSTRUMENTED_CEILING = 1.5
 
 
 def _timed_run(topology, registry):
@@ -64,11 +68,17 @@ def run_experiment():
     }
 
 
+def _within_bounds(sample):
+    return (
+        abs(sample["null_s"] / sample["seed_s"] - 1.0) <= TOLERANCE
+        and sample["instrumented_s"] < sample["seed_s"] * INSTRUMENTED_CEILING
+    )
+
+
 def test_null_registry_overhead(benchmark):
     sample = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     for _ in range(MAX_ATTEMPTS - 1):
-        ratio = sample["null_s"] / sample["seed_s"]
-        if abs(ratio - 1.0) <= TOLERANCE:
+        if _within_bounds(sample):
             break
         sample = run_experiment()  # noisy round: measure again
 
@@ -112,5 +122,8 @@ def test_null_registry_overhead(benchmark):
     assert null_s <= seed_s * (1 + TOLERANCE), (
         f"NullRegistry overhead {null_s / seed_s:.3f}x exceeds 5%"
     )
-    # Sanity ceiling on the instrumented path (it times every tuple).
-    assert inst_s < seed_s * 5, f"instrumented run {inst_s / seed_s:.1f}x slower"
+    # The instrumented run times the same kernels: a clock read per
+    # kernel call, not per tuple.
+    assert inst_s < seed_s * INSTRUMENTED_CEILING, (
+        f"instrumented run {inst_s / seed_s:.2f}x slower"
+    )

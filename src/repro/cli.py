@@ -333,7 +333,9 @@ def _print_recovery(recovery) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """Execute an application on the functional engine, fully instrumented."""
+    """Execute an application on the functional engine, fully
+    instrumented: the registry times the same kernels an uninstrumented
+    run takes."""
     topology, profiles = load_application(args.app)
     registry = MetricsRegistry()
     engine = None

@@ -49,7 +49,8 @@ class LocalEngine:
         Metrics sink for run instrumentation (tuple counts, queue
         depths, per-operator wall-clock).  Defaults to the shared
         :data:`~repro.metrics.registry.NULL_REGISTRY`, in which case
-        the hot path stays the uninstrumented loop.
+        nothing is timed or published.  A live registry runs the same
+        program — the same kernels and columnar spouts — and times it.
     backend:
         Executor backend name (``"inline"``/``"process"``) or a
         ready-made :class:`~repro.runtime.backends.ExecutorBackend`,

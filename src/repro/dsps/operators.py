@@ -101,9 +101,8 @@ class Operator(ABC):
         per-stream output multiset, same state updates, same float
         arithmetic order where results depend on it.  Executors fall
         through to :meth:`process` whenever a batch does not qualify
-        (non-columnar schema, fault injection, per-tuple histograms,
-        ``--vectorized off``), and results must not depend on which path
-        ran.
+        (non-columnar schema, fault injection, ``--vectorized off``), and
+        results must not depend on which path ran.
         """
         raise NotImplementedError
 

@@ -83,6 +83,7 @@ class Histogram:
         "total",
         "min",
         "max",
+        "_samples",
         "_reservoir",
         "_capacity",
         "_rng_state",
@@ -98,6 +99,7 @@ class Histogram:
         self.total = 0.0
         self.min = math.inf
         self.max = -math.inf
+        self._samples = 0  # observe() calls: what the reservoir samples
         self._reservoir: list[float] = []
         self._capacity = reservoir
         # Deterministic per-instrument stream: a tiny xorshift seeded from
@@ -113,10 +115,14 @@ class Histogram:
         self._rng_state = x
         return x % n
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, weight: int = 1) -> None:
+        """Record ``value`` for ``weight`` items at once (a per-item mean
+        over a batch): the count and sum move by ``weight``, while min,
+        max and the quantile reservoir see one sample."""
         value = float(value)
-        self.count += 1
-        self.total += value
+        self.count += weight
+        self.total += value * weight
+        self._samples += 1
         if value < self.min:
             self.min = value
         if value > self.max:
@@ -124,7 +130,7 @@ class Histogram:
         if len(self._reservoir) < self._capacity:
             self._reservoir.append(value)
         else:
-            slot = self._rand_below(self.count)
+            slot = self._rand_below(self._samples)
             if slot < self._capacity:
                 self._reservoir[slot] = value
 
@@ -259,7 +265,7 @@ class _NullGauge(Gauge):
 class _NullHistogram(Histogram):
     __slots__ = ()
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, weight: int = 1) -> None:
         pass
 
 

@@ -86,7 +86,6 @@ from repro.runtime.overload import (
     OverloadManager,
     OverloadReport,
     Shedder,
-    TokenBucket,
     decorrelated_jitter,
     shed_score,
 )
@@ -156,7 +155,6 @@ __all__ = [
     "RUNGS",
     "SHED_MODES",
     "Shedder",
-    "TokenBucket",
     "decorrelated_jitter",
     "shed_score",
     "InlineBackend",

@@ -239,7 +239,6 @@ class _InlineRun:
         injector: "FaultInjector | None" = None,
         *,
         vectorized: str = "auto",
-        collect_wall: bool = False,
         **barriers: Any,
     ) -> None:
         self.spec = spec
@@ -251,22 +250,18 @@ class _InlineRun:
         #: ``on_epoch``, ``batching``, ``overload``.
         self.driver = EpochDriver(spec, max_events, registry, **barriers)
         self.instrumented = registry.enabled
-        # Per-task wall-clock: needed for gauges when instrumented, as the
-        # drift detector's Te signal when a barrier observer runs, and by
-        # :func:`inline_rounds`.
-        self.collect_wall = (
-            collect_wall or self.instrumented or self.driver.on_epoch is not None
-        )
+        #: Per-task wall time, summed over scheduler turns: the
+        #: ``task_wall_ns`` gauges, the drift detector's Te signal at a
+        #: barrier and :func:`inline_rounds`' samples.
         self.wall: dict[int, float] = defaultdict(float)
-        # The task host.  Its per-tuple observers — an armed injector,
-        # per-call latency histograms — disable kernels for the run
-        # (counted fallbacks).
+        # The task host.  An armed injector ticks per tuple, which
+        # disables kernels for the run (counted fallbacks); the
+        # histograms time whatever runs.
         self.step = TaskStep(
             spec,
             max_events,
             checkpoint=self.driver.checkpoint,
             vectorized=vectorized,
-            transpose_sinks=False,
             tick=self._fault_tick if injector is not None else None,
             histograms=(
                 {
@@ -328,10 +323,9 @@ class _InlineRun:
             before = self.ticks
             survivors: list[tuple[int, Iterator[None]]] = []
             for task_id, loop in active:
-                started = perf_counter() if self.collect_wall else 0.0
+                started = perf_counter()
                 alive = next(loop, _FINISHED) is not _FINISHED
-                if self.collect_wall:
-                    self.wall[task_id] += perf_counter() - started
+                self.wall[task_id] += perf_counter() - started
                 if alive:
                     survivors.append((task_id, loop))
             active = survivors
@@ -458,7 +452,6 @@ class _InlineRun:
     def _spout_loop(self, rt: TaskRuntime, limit: int) -> Iterator[None]:
         step = self.step
         task_id = rt.task_id
-        histogram = step.histograms.get(task_id)
         # Fixed for the phase: the shed rung only moves at barriers.
         columnar = step.columnar_sources
         # Positions are cumulative across phases (and across a resume):
@@ -474,12 +467,9 @@ class _InlineRun:
             values = step.draw(rt)
             if values is None:
                 break
-            started = perf_counter() if histogram is not None else 0.0
             for producer, consumer, sealed in step.emit(rt, values):
                 yield from self._enqueue(producer, consumer, sealed)
             self.ticks += 1
-            if histogram is not None:
-                histogram.observe((perf_counter() - started) * 1e9)
         if self.boundary_at is None:
             self.boundary_at = perf_counter()
         yield from self._deliver(step.flush_buffers(rt))
@@ -576,13 +566,7 @@ def inline_rounds(
     queues and counters — nothing another run of the spec touches),
     yielding after each round what a barrier observer would see, without
     a registry, a snapshot or a commit."""
-    run = _InlineRun(
-        spec,
-        rounds * round_events,
-        NULL_REGISTRY,
-        vectorized=vectorized,
-        collect_wall=True,
-    )
+    run = _InlineRun(spec, rounds * round_events, NULL_REGISTRY, vectorized=vectorized)
     step = run.step
     for index in range(rounds):
         run.run_phase((index + 1) * round_events, False, {})

@@ -36,7 +36,7 @@ reconfiguration (reconfigure.py):
   0     normal         nothing
   1     batch-shrink   force AIMD pressure on every edge (finer batches)
   2     shed           seeded deterministic load shedding at the spouts
-  3     throttle       token-bucket spout admission (fraction of interval)
+  3     throttle       spouts admit a fraction of the interval per epoch
   4     replan         request a live degrade replan (reconfigure.py)
   ====  =============  ====================================================
 
@@ -309,31 +309,6 @@ class DegradationLadder:
         return self.rung
 
 
-class TokenBucket:
-    """Integer token bucket for spout admission, stepped once per epoch.
-
-    Deterministic (no wall clock): the bucket refills with the full
-    interval while healthy and with ``throttle_fraction`` of it while
-    the throttle rung is active, so a throttled epoch admits only a
-    fraction of its planned tuples and backlogged queues get room to
-    drain.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = max(1, capacity)
-        self.tokens = self.capacity
-        self.denied = 0
-
-    def refill(self, amount: int) -> None:
-        self.tokens = min(self.capacity, self.tokens + max(0, amount))
-
-    def take(self, requested: int) -> int:
-        granted = min(requested, self.tokens)
-        self.tokens -= granted
-        self.denied += requested - granted
-        return granted
-
-
 class Shedder:
     """Seeded deterministic load shedding at the spouts.
 
@@ -475,7 +450,6 @@ class OverloadManager:
         self.detector = OverloadDetector(config)
         self.ladder = DegradationLadder(config)
         self.shedder = Shedder(config.shed_mode, config.shed_rate, config.shed_seed)
-        self.bucket = TokenBucket(self.interval)
         self.report = OverloadReport(
             max_lag_ms=config.max_lag_ms,
             shed_mode=config.shed_mode,
@@ -572,16 +546,16 @@ class OverloadManager:
         return rung
 
     def spout_allowance(self) -> int:
-        """Tuples each spout may produce next epoch (token bucket)."""
-        if self.throttling:
-            refill = max(1, int(self.interval * self.config.throttle_fraction))
-            self.report.throttled_epochs += 1
-        else:
-            refill = self.interval
-        self.bucket.refill(refill)
-        granted = self.bucket.take(self.interval)
-        self.report.tokens_denied = self.bucket.denied
-        return max(1, granted)
+        """Tuples each spout may produce next epoch: the interval, or
+        ``throttle_fraction`` of it while the throttle rung is active, so
+        backlogged queues get room to drain.  What a throttled epoch
+        does not admit is counted in ``tokens_denied``."""
+        if not self.throttling:
+            return self.interval
+        granted = max(1, int(self.interval * self.config.throttle_fraction))
+        self.report.throttled_epochs += 1
+        self.report.tokens_denied += self.interval - granted
+        return granted
 
     # ------------------------------------------------------------------
     # shed accounting (local shedder + worker-side snapshots)
@@ -599,9 +573,7 @@ class OverloadManager:
     def merge_shed_snapshot(self, blob: Mapping | None) -> None:
         if not blob:
             return
-        for edge, n in blob.get("offered", {}).items():
-            self.report.offered += int(n)
-            del edge
+        self.report.offered += sum(int(n) for n in blob.get("offered", {}).values())
         for edge, n in blob.get("shed", {}).items():
             self.report.shed += int(n)
             self.report.shed_by_edge[edge] = (

@@ -756,7 +756,6 @@ class _Worker:
             tasks=mine,
             checkpoint=checkpoint,
             vectorized=config.vectorized,
-            transpose_sinks=True,
             tick=self._fault_tick if self.injector is not None else None,
             bounded=not config.ordered,
             queue_stats=edge_stats,

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import islice
-from time import perf_counter
+from time import perf_counter_ns
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -145,12 +145,6 @@ class TaskStep:
     vectorized:
         The run's ``--vectorized`` mode; ``"off"`` makes no task
         kernel-capable and every counter stays zero.
-    transpose_sinks:
-        Whether a *scalar* batch arriving at a sink is transposed for
-        ``Sink.process_columns``.  Workers do (their sinks mostly see
-        wire-decoded columns anyway); the inline run does not — a
-        transpose buys a sink nothing — and only hands its sinks the
-        ``ColumnBatch`` payloads that reach them as such.
     tick:
         The executor's fault tick, called with the :class:`TaskRuntime`
         once per tuple a task takes in (per event a spout emits) while
@@ -158,8 +152,12 @@ class TaskStep:
         executor's: the inline run raises the typed error or parks the
         task, a worker really exits or stops heartbeating.
     histograms:
-        Task id → histogram observing the wall time of each
-        ``process()`` call (the instrumented inline run).
+        Task id → histogram of the ns spent inside the task per tuple
+        it takes in (the instrumented inline run): one observation per
+        kernel call (the per-row mean, weighted by the rows), per
+        ``process()`` call, and per draw from a spout's source (per
+        event, or per chunk weighted by the events drawn).  Its count is
+        the task's ``tuples_in`` (a spout's events drawn).
     bounded:
         Whether the input queues enforce the spec's capacities (a worker
         in ``ordered`` mode cannot: strict edge order may have to hold a
@@ -168,10 +166,15 @@ class TaskStep:
         Per-edge :class:`QueueStats` the input queues continue from (a
         pool relaunched by a migration).
 
-    ``tick`` and ``histograms`` observe individual tuples, so either one
-    disables kernels for the run — every batch at a kernel-capable task
-    is then a counted fallback — and keeps the spouts emitting event by
-    event (:attr:`columnar_sources`).
+    ``tick`` observes individual tuples, so it disables kernels for the
+    run — every batch at a kernel-capable task is then a counted
+    fallback — and keeps the spouts emitting event by event
+    (:attr:`columnar_sources`).  ``histograms`` time whatever runs and
+    change nothing about what does.
+
+    A sink takes the :class:`ColumnBatch` payloads that reach it in its
+    kernel and runs row batches row by row: a transpose buys a sink
+    nothing.
 
     The scalar and the columnar path advance the same :attr:`counters`
     and fill the same :attr:`buffers`, which is what keeps per-edge FIFO
@@ -186,7 +189,6 @@ class TaskStep:
         tasks: Iterable[int] | None = None,
         checkpoint: EpochCheckpoint | None = None,
         vectorized: str,
-        transpose_sinks: bool,
         tick: Callable[[TaskRuntime], None] | None = None,
         histograms: Mapping[int, Any] | None = None,
         bounded: bool = True,
@@ -194,7 +196,6 @@ class TaskStep:
     ) -> None:
         self.max_events = max_events
         self.vectorized = vectorized
-        self.transpose_sinks = transpose_sinks
         self.tick = tick
         self.histograms = histograms or {}
         #: The overload ladder's shedder while its shed rung is active
@@ -294,13 +295,12 @@ class TaskStep:
         self.kernels: dict[int, Any] = {}
         #: Input-schema negotiation per kernel (None = any schema).
         self.schemas: dict[int, frozenset | None] = {}
-        #: Sinks that take columnar payloads only (see ``transpose_sinks``).
+        #: Sinks: their kernel takes only the payloads that arrive as
+        #: columns.
         self.columnar_only: set[int] = set()
         #: Whether something sees every tuple of the run one by one:
         #: no kernel is dispatched to, no spout emits columns.
-        self.per_tuple = (
-            self.vectorized == "off" or self.tick is not None or bool(self.histograms)
-        )
+        self.per_tuple = self.vectorized == "off" or self.tick is not None
         if self.vectorized == "off":
             return
         for task_id, operator in self.instances.items():
@@ -308,7 +308,7 @@ class TaskStep:
                 continue
             self.capable.add(task_id)
             is_sink = isinstance(operator, Sink)
-            if is_sink and not self.transpose_sinks:
+            if is_sink:
                 self.columnar_only.add(task_id)
             if self.per_tuple or (
                 is_sink and type(operator).process is not Sink.process
@@ -466,7 +466,14 @@ class TaskStep:
             metrics["fusion_composed_batches"] += 1
             metrics["fusion_composed_tuples"] += n
         last = position + 1 == len(chain)
-        for out in self.kernels[task_id](batch) or ():
+        # Materialized before anything is routed or composed, so a timed
+        # call covers this kernel's work alone.
+        started = perf_counter_ns()
+        outputs = list(self.kernels[task_id](batch) or ())
+        histogram = self.histograms.get(task_id)
+        if histogram is not None:
+            histogram.observe((perf_counter_ns() - started) / n, n)
+        for out in outputs:
             if len(out) == 0:
                 continue
             out.stamp_from(batch, task_id)
@@ -549,9 +556,9 @@ class TaskStep:
             else:
                 # Materialize the generator so the observed wall clock
                 # covers the operator's whole per-tuple work.
-                started = perf_counter()
+                started = perf_counter_ns()
                 emitted = list(process(item))
-                histogram.observe((perf_counter() - started) * 1e9)
+                histogram.observe(perf_counter_ns() - started)
                 yield item, emitted
 
     def _pass_on(
@@ -581,9 +588,14 @@ class TaskStep:
     def draw(self, rt: TaskRuntime) -> tuple | None:
         """Spout ``rt``'s next event, or ``None`` once its source has
         dried up (which :attr:`exhausted` then records)."""
-        values = next(self.spout_iters[rt.task_id], None)
+        task_id = rt.task_id
+        started = perf_counter_ns()
+        values = next(self.spout_iters[task_id], None)
+        histogram = self.histograms.get(task_id)
         if values is None:
-            self.exhausted.add(rt.task_id)
+            self.exhausted.add(task_id)
+        elif histogram is not None:
+            histogram.observe(perf_counter_ns() - started)
         return values
 
     def emit(self, rt: TaskRuntime, values: tuple) -> list[Delivery]:
@@ -613,11 +625,15 @@ class TaskStep:
         rule every row batch goes through, stamped and accounted as
         :meth:`emit` stamps and accounts them one by one.  Events the
         rule declines go through :meth:`emit`.  Only while
-        :attr:`columnar_sources` holds: nothing here ticks, times or
-        sheds a single event.
+        :attr:`columnar_sources` holds: nothing here ticks or sheds a
+        single event, and a histogram times the draw as a whole.
         """
         task_id = rt.task_id
+        started = perf_counter_ns()
         rows = list(islice(self.spout_iters[task_id], n))
+        histogram = self.histograms.get(task_id)
+        if histogram is not None and rows:
+            histogram.observe((perf_counter_ns() - started) / len(rows), len(rows))
         if len(rows) < n:
             self.exhausted.add(task_id)
         produced = self.spout_produced[task_id]

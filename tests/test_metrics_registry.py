@@ -97,6 +97,33 @@ class TestHistogram:
         with pytest.raises(MetricsError):
             histogram.quantile(0.5)
 
+    def test_weighted_observe_moves_moments_by_the_weight(self):
+        # One kernel call over 100 rows at 3 ns a row, then one row at 9.
+        histogram = Histogram("h")
+        histogram.observe(3.0, 100)
+        histogram.observe(9.0)
+        assert histogram.count == 101
+        assert histogram.total == 309.0
+        assert histogram.mean == pytest.approx(309.0 / 101)
+        assert (histogram.min, histogram.max) == (3.0, 9.0)
+        # Quantiles are over calls: two samples, not 101.
+        assert sorted(histogram._reservoir) == [3.0, 9.0]
+        assert histogram.percentile(50) == 6.0
+        null = NULL_REGISTRY.histogram("h")
+        null.observe(3.0, 100)
+        assert null.count == 0 and null.total == 0.0
+
+    def test_weighted_reservoir_samples_calls(self):
+        # Past a full reservoir, a call's chance of a slot is k / calls,
+        # not k / items: the weighted and unweighted streams keep the same
+        # slots.
+        plain, weighted = Histogram("same", reservoir=8), Histogram("same", reservoir=8)
+        for i in range(200):
+            plain.observe(float(i))
+            weighted.observe(float(i), 50)
+        assert plain._reservoir == weighted._reservoir
+        assert weighted.count == 50 * plain.count
+
     def test_quantile_bounds(self):
         histogram = Histogram("h")
         histogram.observe(1.0)

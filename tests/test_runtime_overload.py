@@ -3,7 +3,7 @@
 The parity suite (tests/test_overload_parity.py) proves ``--shed off``
 is invisible; this file pins the mechanisms themselves — the pure
 shed-decision function, detector hysteresis, the ladder's escalation
-policy, the token bucket, the restart jitter, lag estimation —
+policy, the throttled spout allowance, the restart jitter, lag estimation —
 and ends with deterministic chaos runs where an overdriven dataflow
 walks the full ladder and recovers.
 """
@@ -28,7 +28,6 @@ from repro.runtime import (
     OverloadManager,
     ProcessPoolBackend,
     Shedder,
-    TokenBucket,
     decorrelated_jitter,
     shed_score,
 )
@@ -301,20 +300,6 @@ class TestDegradationLadder:
         assert ladder.peak_rung == 3
 
 
-class TestTokenBucket:
-    def test_take_grants_and_accounts_denials(self):
-        bucket = TokenBucket(100)
-        assert bucket.take(100) == 100
-        bucket.refill(50)
-        assert bucket.take(100) == 50
-        assert bucket.denied == 50
-
-    def test_refill_caps_at_capacity(self):
-        bucket = TokenBucket(100)
-        bucket.refill(1000)
-        assert bucket.tokens == 100
-
-
 class FakeQueueStats(SimpleNamespace):
     pass
 
@@ -357,9 +342,36 @@ class TestOverloadManager:
         assert manager.throttling
         state = manager.commit_state()
         assert state["rung"] == "replan" and state["replan_requested"]
-        # Throttled refill is half the interval; the bucket was drained
-        # by the healthy allowance above.
+        # A throttled epoch admits half the interval.
         assert manager.spout_allowance() == 50
+
+    def test_spout_allowance_over_a_scripted_rung_sequence(self):
+        # Each epoch admits the interval, or throttle_fraction of it on
+        # the throttle rung and above; the shortfall accumulates.
+        manager = self.manager(throttle_fraction=0.3)
+        seen = []
+        for rung in (0, 3, 3, 4, 1, 0, 3, 2, 4, 0):
+            manager.ladder.rung = rung
+            allowance = manager.spout_allowance()
+            seen.append((allowance, manager.report.tokens_denied))
+        assert seen == [
+            (100, 0), (30, 70), (30, 140), (30, 210), (100, 210),
+            (100, 210), (30, 280), (100, 280), (30, 350), (100, 350),
+        ]
+        assert manager.report.throttled_epochs == 5
+
+    def test_a_healthy_epoch_admits_exactly_the_interval(self):
+        # Nothing is banked: neither a healthy stretch nor the shortfall
+        # of throttled epochs lets a later epoch admit more than the
+        # interval, and a throttled epoch still admits at least one.
+        manager = self.manager(throttle_fraction=0.001)
+        assert [manager.spout_allowance() for _ in range(5)] == [100] * 5
+        manager.ladder.rung = 3
+        assert [manager.spout_allowance() for _ in range(3)] == [1] * 3
+        assert manager.report.tokens_denied == 297
+        manager.ladder.rung = 0
+        assert manager.spout_allowance() == 100
+        assert manager.report.tokens_denied == 297
 
     def test_shed_context_round_trip(self):
         manager = self.manager(shed_rate=0.25, shed_seed=9)

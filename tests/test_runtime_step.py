@@ -13,6 +13,9 @@ columnar *between* tasks is invisible except for speed:
   ``vectorized="off"`` run under the conditions that stress the hand-off:
   queues exactly one batch deep, epoch barriers with a live migration,
   fused chains fed by a kernel task, sample-keeping and ``on_tuple`` sinks;
+* an instrumented inline run is the uninstrumented one, timed: same
+  results, same kernel calls, and each task's ``process_ns`` counts the
+  tuples it took in;
 * the gates both executors share — what counts as a fallback, what a
   sink takes, what a kernel may return.
 """
@@ -124,7 +127,7 @@ class Harness:
 
     def __init__(self, spec):
         self.spec = spec
-        self.step = TaskStep(spec, 0, vectorized="auto", transpose_sinks=False)
+        self.step = TaskStep(spec, 0, vectorized="auto")
         self.rt = next(rt for rt in spec.tasks if rt.component == "src")
 
     def enqueue(self, deliveries):
@@ -757,6 +760,60 @@ class TestInlineParity:
 
 
 # ---------------------------------------------------------------------------
+# A registry times the run it watches
+# ---------------------------------------------------------------------------
+def watched_run(app, registry, vectorized="auto", interval=None):
+    engine = app_engine(app, vectorized)
+    run = _InlineRun(
+        in_one_process(engine.spec),
+        EVENTS,
+        registry,
+        vectorized=vectorized,
+        epochs=None if interval is None else EpochConfig(interval=interval),
+    )
+    return run.execute(), run
+
+
+class TestInstrumentedRun:
+    @pytest.mark.parametrize("interval", (None, 70))
+    @pytest.mark.parametrize("app", APPS)
+    def test_a_registry_changes_nothing_that_runs(self, app, interval):
+        plain, plain_run = watched_run(app, NULL_REGISTRY, interval=interval)
+        registry = MetricsRegistry()
+        watched, _ = watched_run(app, registry, interval=interval)
+        assert_same_run(plain, watched)
+        published = {
+            name: value
+            for name, value in registry.snapshot()["counters"].items()
+            if name.startswith(("runtime.vectorized.", "runtime.fusion."))
+        }
+        assert published == {
+            f"runtime.{key.replace('_', '.', 1)}": plain_run.step.metrics[key]
+            for key in STEP_COUNTERS
+        }
+        assert published["runtime.vectorized.batches"] > 0
+        if app == "wc":
+            assert published["runtime.vectorized.fallbacks"] == 0
+
+    @pytest.mark.parametrize("vectorized", ("auto", "off"))
+    @pytest.mark.parametrize("app", APPS)
+    def test_process_ns_counts_what_each_task_took_in(self, app, vectorized):
+        registry = MetricsRegistry()
+        result, run = watched_run(app, registry, vectorized)
+        assert (run.step.metrics["vectorized_batches"] > 0) == (vectorized == "auto")
+        histograms = registry.snapshot()["histograms"]
+        for rt in run.spec.tasks:
+            name = f"engine.{rt.component}.{rt.task.replica_start}.process_ns"
+            taken = (
+                run.step.spout_produced[rt.task_id]
+                if rt.is_spout
+                else result.task_stats[rt.task_id].tuples_in
+            )
+            assert taken > 0
+            assert histograms[name]["count"] == taken, name
+
+
+# ---------------------------------------------------------------------------
 # Columnar from the source, coalesced at the consumer
 # ---------------------------------------------------------------------------
 def _finite_source(topology, n):
@@ -852,21 +909,20 @@ class TestColumnarSource:
 
     def test_the_source_is_columnar_exactly_when_nothing_watches_events(self):
         spec = app_engine("wc", "auto").spec
-        options = dict(vectorized="auto", transpose_sinks=False)
-        step = TaskStep(spec, 10, **options)
+        step = TaskStep(spec, 10, vectorized="auto")
         assert step.columnar_sources
         step.shedder = Shedder("random", 0.5, 1)  # the shed rung, active
         assert not step.columnar_sources
-        assert not TaskStep(spec, 10, **{**options, "vectorized": "off"}).columnar_sources
-        assert not TaskStep(spec, 10, tick=lambda rt: None, **options).columnar_sources
-        assert not TaskStep(spec, 10, histograms={0: None}, **options).columnar_sources
+        assert not TaskStep(spec, 10, vectorized="off").columnar_sources
+        ticked = TaskStep(spec, 10, vectorized="auto", tick=lambda rt: None)
+        assert not ticked.columnar_sources
 
     def test_emit_columns_accounts_like_emit(self):
         spec = app_engine("lr", "auto").spec
         spout = next(rt for rt in spec.tasks if rt.is_spout)
 
         def drive(columnar):
-            step = TaskStep(spec, 100, vectorized="auto", transpose_sinks=False)
+            step = TaskStep(spec, 100, vectorized="auto")
             deliveries = []
             if columnar:
                 # Whole batches per draw: the chunks are the jumbo
@@ -1103,11 +1159,7 @@ class TestSharedGates:
     def test_off_mode_and_per_tuple_observers_disable_kernels(self):
         _, metrics = inline_metrics(small_topology(_Pass(), Sink()), "off")
         assert all(metrics[key] == 0 for key in STEP_COUNTERS)
-        # A live registry times every process() call: one counted
-        # fallback per drained batch at the kernel-capable operator, none
-        # at the sink (its batches are scalar).
-        registry = MetricsRegistry()
-        LocalEngine(
-            small_topology(_Pass(), Sink()), vectorized="auto", registry=registry
-        ).run(100)
-        assert step_counters(registry) == {"batches": 0, "tuples": 0, "fallbacks": 1}
+        # A fault tick sees every tuple: capable tasks, no kernel.
+        spec = LocalEngine(small_topology(_Pass(), Sink())).spec
+        ticked = TaskStep(spec, 100, vectorized="auto", tick=lambda rt: None)
+        assert ticked.capable and not ticked.kernels
