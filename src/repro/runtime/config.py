@@ -121,11 +121,11 @@ class RunConfig:
     #: arrival order.
     ordered: bool = False
     #: Process backend: transport for remote batches
-    #: (docs/dataplane.md): ``"shm"`` (binary-codec payloads written once
-    #: into per-pair shared-memory rings, descriptors over the control
-    #: queues; a host without working POSIX shared memory gets the
-    #: pickle plane instead, and the run's placement says so) or
-    #: ``"pickle"`` (pickled payloads inside the control queues — the
+    #: (docs/dataplane.md): ``"shm"`` (binary-codec payloads and markers
+    #: written once, as frames, into per-pair shared-memory rings; a
+    #: host without working POSIX shared memory gets the pickle plane
+    #: instead, and the run's placement says so) or ``"pickle"``
+    #: (pickled payloads inside bounded ``mp.Queue`` inboxes — the
     #: reference the parity tests compare against).
     dataplane: str = "shm"
     #: Process backend: bound on the whole execution.  One deadline,

@@ -5,11 +5,11 @@ Two coordinated halves (see docs/dataplane.md):
 
 * **Transport** (:mod:`repro.runtime.dataplane.channels`) — how sealed
   jumbo batches cross worker processes: the :class:`ShmRingChannel`
-  (write-once shared-memory rings per worker pair, descriptor-only
-  control messages — the paper's pass-by-reference transfer) or, by
+  (batches and markers written once, as frames, into a shared-memory
+  ring per worker pair — the paper's pass-by-reference transfer) or, by
   name or on a host without POSIX shared memory, the historical
-  :class:`PickleQueueChannel` (pickled payloads through the bounded
-  control queue).
+  :class:`PickleQueueChannel` (pickled payloads through bounded
+  ``mp.Queue`` inboxes).
 * **Codec** (:mod:`repro.runtime.dataplane.codec`) — the compact binary
   columnar batch format the shm channel uses instead of per-batch
   pickle, with per-edge schema caching and an always-correct pickle

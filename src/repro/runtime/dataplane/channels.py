@@ -7,46 +7,52 @@ opposite — every sealed batch was pickled and *copied* through an
 OS-pipe-backed ``mp.Queue``.  This module makes the transport pluggable:
 
 * :class:`PickleQueueChannel` — the original behavior, refactored out of
-  ``process_pool.py``: batches travel as pickled payloads inside the
-  bounded control queue.  The reference the parity tests compare
-  against, and what :func:`create_dataplane` hands back on a host
-  without working POSIX shared memory.
+  ``process_pool.py``: batches travel as pickled payloads inside one
+  bounded ``mp.Queue`` inbox per worker.  The reference the parity tests
+  compare against, and what :func:`create_dataplane` hands back on a
+  host without working POSIX shared memory.
 * :class:`ShmRingChannel` — the default, the pass-by-reference
-  analogue.  One fixed-size :class:`ShmRing` (a SPSC byte ring over
+  analogue.  One fixed-size :class:`ShmRing` (a SPSC ring over
   ``multiprocessing.shared_memory``) per ordered producer→consumer
   *worker* pair.  A sealed batch is encoded once with the binary
   :class:`~repro.runtime.dataplane.codec.BatchCodec` and written once
-  into the ring; only a tiny ``(offset, length)`` descriptor crosses the
-  control queue.  When a ring is full (or a payload exceeds its
-  capacity) the encoded batch falls back to travelling out-of-band
-  inside the control message — counted, never blocking correctness.
+  into the ring as a frame; barrier/EOF markers are frames too.  Nothing
+  else crosses: no queue, no feeder thread, no descriptor.
 
-Both sides keep the worker's existing flow control: the bounded control
-queue is still what backpressure, spout throttling and the blocked-send
-watchdogs act on, so the ring only changes *where bytes live*, not the
-liveness story.
+Both planes keep the worker's flow control: a send that finds its
+channel at its bound is refused, and the worker's blocked-send loop,
+spout throttling and watchdogs act on that, so the planes differ only
+in *where bytes live*, not in the liveness story.
 
 Ring layout (one ring per directed worker pair)::
 
-      offset 0        8        16                       16+capacity
-      +--------+--------+------------------------------+
-      | write  | read   |  data region (byte ring)     |
-      | pos u64| pos u64|                              |
-      +--------+--------+------------------------------+
+      offset 0        8        16 .. 64       72       80 .. 128      128+capacity
+      +--------+--------+--------+--------+--------+------+--------------+
+      | write  | frames |        | read   | frames |      | data region: |
+      | pos u64| written|        | pos u64| read   |      | frames       |
+      +--------+--------+--------+--------+--------+------+--------------+
+       producer's half             consumer's half
 
-Positions are *monotonic* byte counters (never wrapped), so ``write_pos -
-read_pos`` is the exact number of unconsumed bytes; the physical offset
-of position ``p`` is ``16 + p % capacity`` and a payload crossing the end
-of the region is written/read as two slices.  The producer writes data
-before publishing ``write_pos``; the consumer copies data out before
-publishing ``read_pos``; each counter has exactly one writer, which makes
-the ring safe without locks on architectures with aligned 8-byte stores
-(every platform CPython's shared memory supports).
+      frame: | length u32 | producer u32 | consumer u32 | kind u32 | payload |
+      kind:  DATA (a batch), MARKER (an EOF / barrier marker) or PART
 
-Descriptor ordering relies on a per-sender FIFO guarantee the control
-queue provides (one feeder per sending process): descriptors for one
-ring arrive in write order, so the consumer's ``read_pos`` only ever
-advances to the end of the oldest unconsumed payload.
+Positions and frame counts are *monotonic* (never wrapped), so ``write_pos
+- read_pos`` is the exact number of unconsumed bytes and ``frames written
+- frames read`` the unconsumed frames; the physical offset of position
+``p`` is ``128 + p % capacity``, and a frame crossing the end of the
+region is written/read as two slices.  Each half of the header has one
+writer and is published with one store, a cache line apart: the producer
+copies a frame in before publishing ``write_pos``; the consumer copies
+it out before publishing ``read_pos``.  That makes the ring safe without
+locks on architectures with aligned 8-byte stores (every platform
+CPython's shared memory supports).
+
+A ring is bounded twice: :data:`DEFAULT_INBOX_BATCHES` frames and its
+byte capacity.  A message whose frame could never fit leaves as PART
+frames, each as large as the space freed so far, closed by its DATA
+frame; the consumer reassembles them.  Per-edge FIFO holds because an
+edge always maps to one sender→consumer ring, and a sender finishes one
+message before it starts the next.
 """
 
 from __future__ import annotations
@@ -74,14 +80,23 @@ SHM_NAME_PREFIX = "rdp"
 #: Per-pair ring capacity in bytes.
 DEFAULT_RING_BYTES = 1 << 20
 
-#: Bound, in jumbo batches, of each worker's inbox (the control queue
-#: backpressure, spout throttling and the blocked-send watchdogs act on).
+#: Bound, in jumbo batches and markers, of what may be in flight: per
+#: ring (sender→worker pair) on the shm plane, per inbox on the pickle one.
 DEFAULT_INBOX_BATCHES = 64
 
-#: Ring header: two u64 positions (write, read).
-_RING_HEADER_BYTES = 16
+#: Frame kinds: a batch, a barrier/EOF marker, and a non-final part of a
+#: message too large for the ring.
+DATA, MARKER, _PART = 0, 1, 2
 
+#: Each header half: a byte position and a frame count (u64 each).
+_HALF = struct.Struct("<QQ")
 _POS = struct.Struct("<Q")
+_PRODUCER_HALF = 0
+_CONSUMER_HALF = 64
+_RING_HEADER_BYTES = 128
+
+#: Frame header: payload length, producer task, consumer task, kind.
+_FRAME = struct.Struct("<IIII")
 
 _ring_sequence = itertools.count()
 
@@ -123,11 +138,24 @@ class _suppress_tracking:
 
 
 class ShmRing:
-    """Single-producer single-consumer byte ring over one shm segment."""
+    """Single-producer single-consumer ring over one shm segment.
+
+    It carries frames (:meth:`put` / :meth:`take`) or raw byte writes
+    (:meth:`try_write` / :meth:`consume`, what the layer benchmark
+    probes), never both.  An instance is one side's view: the producer's
+    remembers how much of a message going out in parts it has written,
+    the consumer's the parts it has received.
+    """
 
     def __init__(self, shm: Any, capacity: int) -> None:
         self._shm = shm
+        self._buf = shm.buf
         self.capacity = capacity
+        #: Producer side: ``(payload, bytes written)`` of a message whose
+        #: parts are partly in the ring.
+        self._sending: tuple[bytes, int] | None = None
+        #: Consumer side: the parts of a message not closed yet.
+        self._parts: list[bytes] = []
 
     # -- lifecycle ------------------------------------------------------
     @classmethod
@@ -153,6 +181,7 @@ class ShmRing:
         return self._shm.name
 
     def close(self) -> None:
+        self._buf = None
         try:
             self._shm.close()
         except Exception:  # pragma: no cover - idempotent teardown
@@ -164,61 +193,132 @@ class ShmRing:
         except FileNotFoundError:  # pragma: no cover - already gone
             pass
 
-    # -- positions ------------------------------------------------------
-    def _write_pos(self) -> int:
-        return _POS.unpack_from(self._shm.buf, 0)[0]
+    # -- bytes in the region --------------------------------------------
+    def _copy_in(self, position: int, data: Any) -> None:
+        start = _RING_HEADER_BYTES + position % self.capacity
+        end = _RING_HEADER_BYTES + self.capacity
+        size = len(data)
+        if start + size <= end:
+            self._buf[start : start + size] = data
+        else:
+            split = end - start
+            view = memoryview(data)
+            self._buf[start:end] = view[:split]
+            self._buf[_RING_HEADER_BYTES : _RING_HEADER_BYTES + size - split] = (
+                view[split:]
+            )
 
-    def _read_pos(self) -> int:
-        return _POS.unpack_from(self._shm.buf, 8)[0]
+    def _copy_out(self, position: int, size: int) -> bytes:
+        start = _RING_HEADER_BYTES + position % self.capacity
+        end = _RING_HEADER_BYTES + self.capacity
+        if start + size <= end:
+            return bytes(self._buf[start : start + size])
+        split = end - start
+        return bytes(self._buf[start:end]) + bytes(
+            self._buf[_RING_HEADER_BYTES : _RING_HEADER_BYTES + size - split]
+        )
 
-    # -- producer side --------------------------------------------------
+    def in_flight(self) -> tuple[int, int]:
+        """Frames and bytes written and not yet taken."""
+        write, written = _HALF.unpack_from(self._buf, _PRODUCER_HALF)
+        read, taken = _HALF.unpack_from(self._buf, _CONSUMER_HALF)
+        return written - taken, write - read
+
+    # -- raw bytes ------------------------------------------------------
     def try_write(self, payload: bytes) -> int | None:
         """Copy ``payload`` into the ring; its start position, or None
         when the payload does not fit right now (or ever)."""
         size = len(payload)
-        write = self._write_pos()
-        if size > self.capacity - (write - self._read_pos()):
+        write = _POS.unpack_from(self._buf, _PRODUCER_HALF)[0]
+        read = _POS.unpack_from(self._buf, _CONSUMER_HALF)[0]
+        if size > self.capacity - (write - read):
             return None
-        start = write % self.capacity
-        end = start + size
-        buf = self._shm.buf
-        if end <= self.capacity:
-            buf[
-                _RING_HEADER_BYTES + start : _RING_HEADER_BYTES + end
-            ] = payload
-        else:
-            split = self.capacity - start
-            buf[_RING_HEADER_BYTES + start : _RING_HEADER_BYTES + self.capacity] = (
-                payload[:split]
-            )
-            buf[_RING_HEADER_BYTES : _RING_HEADER_BYTES + size - split] = payload[
-                split:
-            ]
-        # Publish after the data is in place: the consumer never reads
-        # bytes beyond write_pos.
-        _POS.pack_into(buf, 0, write + size)
+        self._copy_in(write, payload)
+        _POS.pack_into(self._buf, _PRODUCER_HALF, write + size)
         return write
 
-    # -- consumer side --------------------------------------------------
     def consume(self, start: int, size: int) -> bytes:
         """Copy ``size`` bytes written at position ``start`` out of the
         ring and free them (advances ``read_pos`` past the payload)."""
-        offset = start % self.capacity
-        end = offset + size
-        buf = self._shm.buf
-        if end <= self.capacity:
-            payload = bytes(
-                buf[_RING_HEADER_BYTES + offset : _RING_HEADER_BYTES + end]
-            )
-        else:
-            split = self.capacity - offset
-            payload = bytes(
-                buf[_RING_HEADER_BYTES + offset : _RING_HEADER_BYTES + self.capacity]
-            ) + bytes(buf[_RING_HEADER_BYTES : _RING_HEADER_BYTES + size - split])
-        # Free only after the copy: the producer may reuse the space as
-        # soon as read_pos moves.
-        _POS.pack_into(buf, 8, start + size)
+        payload = self._copy_out(start, size)
+        _POS.pack_into(self._buf, _CONSUMER_HALF, start + size)
         return payload
+
+    # -- frames ---------------------------------------------------------
+    def put(
+        self,
+        kind: int,
+        producer: int,
+        consumer: int,
+        payload: bytes,
+        max_frames: int = DEFAULT_INBOX_BATCHES,
+    ) -> bool:
+        """Write one message (``kind`` is :data:`DATA` or :data:`MARKER`).
+
+        False while the ring is at its frame or byte bound; call again
+        with the same ``payload`` object until True.  A message whose
+        frame is larger than the ring goes out as parts, each as large as
+        the free space, so a False may leave some of it written.
+        """
+        buf, capacity, size = self._buf, self.capacity, len(payload)
+        sent = 0
+        if self._sending is not None:
+            pending, sent = self._sending
+            if pending is not payload:
+                raise ValueError("another message is partly written to this ring")
+        whole = _FRAME.size + size <= capacity
+        while True:
+            write, written = _HALF.unpack_from(buf, _PRODUCER_HALF)
+            read, taken = _HALF.unpack_from(buf, _CONSUMER_HALF)
+            free = capacity - (write - read)
+            rest = size - sent
+            if written - taken >= max_frames:
+                break
+            if _FRAME.size + rest <= free:
+                chunk, frame_kind = rest, kind
+            elif whole or free <= _FRAME.size:
+                break
+            else:
+                chunk, frame_kind = free - _FRAME.size, _PART
+            self._copy_in(write, _FRAME.pack(chunk, producer, consumer, frame_kind))
+            self._copy_in(write + _FRAME.size, memoryview(payload)[sent : sent + chunk])
+            # Publish after the frame is in place: the consumer never
+            # reads bytes beyond write_pos.
+            _HALF.pack_into(
+                buf, _PRODUCER_HALF, write + _FRAME.size + chunk, written + 1
+            )
+            sent += chunk
+            if frame_kind != _PART:
+                self._sending = None
+                return True
+        self._sending = (payload, sent) if sent else None
+        return False
+
+    def take(self) -> tuple[int, int, int, bytes] | None:
+        """The oldest whole message as ``(kind, producer, consumer,
+        payload)``, or None when none has arrived complete."""
+        buf = self._buf
+        while True:
+            write = _POS.unpack_from(buf, _PRODUCER_HALF)[0]
+            read, taken = _HALF.unpack_from(buf, _CONSUMER_HALF)
+            if write == read:
+                return None
+            size, producer, consumer, kind = _FRAME.unpack(
+                self._copy_out(read, _FRAME.size)
+            )
+            payload = self._copy_out(read + _FRAME.size, size)
+            # Free only after the copy: the producer may reuse the space
+            # as soon as read_pos moves.
+            _HALF.pack_into(
+                buf, _CONSUMER_HALF, read + _FRAME.size + size, taken + 1
+            )
+            if kind != _PART:
+                if self._parts:
+                    self._parts.append(payload)
+                    payload = b"".join(self._parts)
+                    self._parts = []
+                return kind, producer, consumer, payload
+            self._parts.append(payload)
 
 
 # ----------------------------------------------------------------------
@@ -231,9 +331,10 @@ class ChannelEndpoint(ABC):
     sends, soft draining, EOF bookkeeping) and talks to the transport
     only through this interface.  ``pack`` serializes a sealed batch —
     a tuple list or a :class:`ColumnBatch`, columnar end-to-end where the
-    content allows — exactly once: byte counters live here, so retried
-    puts of the same message can never double-count (see
-    docs/dataplane.md).
+    content allows — exactly once into a ``("batch", producer, consumer,
+    bytes)`` message; a marker is ``("eof", producer, consumer)``.  Byte
+    counters tick once per batch, and a retried put of the same message
+    never re-encodes (see docs/dataplane.md).
 
     Endpoints are built parent-side (picklable) and activated in the
     worker process via :meth:`connect`.
@@ -241,9 +342,8 @@ class ChannelEndpoint(ABC):
 
     plane: str = "abstract"
 
-    def __init__(self, worker_id: int, inboxes: list) -> None:
+    def __init__(self, worker_id: int) -> None:
         self.me = worker_id
-        self.inboxes = inboxes
         self.metrics: dict[str, float] = defaultdict(float)
 
     def connect(self) -> None:
@@ -265,7 +365,7 @@ class ChannelEndpoint(ABC):
         consumer: int,
         payload: "list[StreamTuple] | ColumnBatch",
     ) -> tuple:
-        """Serialize one sealed batch into a control message for ``dest``."""
+        """Serialize one sealed batch into a message for ``dest``."""
 
     @abstractmethod
     def unpack(
@@ -286,33 +386,32 @@ class ChannelEndpoint(ABC):
         consumers with a vectorized kernel, rows otherwise — before
         paying for the payload.
         """
-        return message[3] if message[0] == "shm" else message[2]
+        return message[2]
 
-    # -- control queue --------------------------------------------------
+    # -- transport ------------------------------------------------------
+    @abstractmethod
     def try_put(self, dest: int, message: tuple) -> bool:
-        try:
-            self.inboxes[dest].put_nowait(message)
-            return True
-        except queue_mod.Full:
-            return False
+        """Send a batch or marker to worker ``dest``; False, without
+        blocking, while that channel is at its bound."""
 
+    @abstractmethod
     def try_get(self) -> tuple | None:
-        try:
-            return self.inboxes[self.me].get_nowait()
-        except queue_mod.Empty:
-            return None
+        """The next message sent to this worker, or None."""
 
+    @abstractmethod
     def dest_full(self, dest: int) -> bool:
-        try:
-            return self.inboxes[dest].full()
-        except NotImplementedError:  # pragma: no cover - platform specific
-            return False
+        """Whether a put to worker ``dest`` would find its bound now."""
 
 
 class PickleQueueChannel(ChannelEndpoint):
-    """The historical transport: pickled batches inside the control queue."""
+    """The historical transport: pickled batches inside bounded
+    ``mp.Queue`` inboxes, one per worker."""
 
     plane = "pickle"
+
+    def __init__(self, worker_id: int, inboxes: list) -> None:
+        super().__init__(worker_id)
+        self.inboxes = inboxes
 
     def pack(
         self,
@@ -337,31 +436,53 @@ class PickleQueueChannel(ChannelEndpoint):
             payload = payload.to_tuples()
         return producer, consumer, payload
 
+    def try_put(self, dest: int, message: tuple) -> bool:
+        try:
+            self.inboxes[dest].put_nowait(message)
+            return True
+        except queue_mod.Full:
+            return False
+
+    def try_get(self) -> tuple | None:
+        try:
+            return self.inboxes[self.me].get_nowait()
+        except queue_mod.Empty:
+            return None
+
+    def dest_full(self, dest: int) -> bool:
+        try:
+            return self.inboxes[dest].full()
+        except NotImplementedError:  # pragma: no cover - platform specific
+            return False
+
+
+#: What a frame's kind reads as in a message.
+_TAGS = {DATA: "batch", MARKER: "eof"}
+
 
 class ShmRingChannel(ChannelEndpoint):
-    """Codec-encoded batches written once into per-pair shm rings.
-
-    Control messages are either ``("shm", sender, producer, consumer,
-    start, length)`` descriptors pointing into the sender→receiver ring,
-    or ``("batch", producer, consumer, payload)`` out-of-band fallbacks
-    when the ring is full or the payload oversized.
-    """
+    """Codec-encoded batches and markers written once, as frames, into
+    per-pair shm rings; the rings are the whole transport."""
 
     plane = "shm"
 
     def __init__(
         self,
         worker_id: int,
-        inboxes: list,
         ring_names: Mapping[tuple[int, int], str],
         edge_schemas: Mapping[tuple[int, int], str] | None = None,
     ) -> None:
-        super().__init__(worker_id, inboxes)
+        super().__init__(worker_id)
         self.ring_names = dict(ring_names)
         self.edge_schemas = dict(edge_schemas or {})
         self.codec: BatchCodec | None = None
         self.send_rings: dict[int, ShmRing] = {}
-        self.recv_rings: dict[int, ShmRing] = {}
+        self.recv_rings: list[ShmRing] = []
+        #: Receive ring the next poll starts at (round-robin).
+        self._turn = 0
+        #: The last message a put refused, so a retried send counts one
+        #: ``ring_full_blocks``.
+        self._refused: tuple | None = None
 
     def connect(self) -> None:
         # The codec — and with it all per-edge dictionary/mirror state —
@@ -369,14 +490,14 @@ class ShmRingChannel(ChannelEndpoint):
         # attempt: a Supervisor retry or a new epoch slice reconnects,
         # resetting producer dictionaries and consumer mirrors together.
         self.codec = BatchCodec(self.edge_schemas)
-        for (sender, dest), name in self.ring_names.items():
+        for (sender, dest), name in sorted(self.ring_names.items()):
             if sender == self.me:
                 self.send_rings[dest] = ShmRing.attach(name)
             elif dest == self.me:
-                self.recv_rings[sender] = ShmRing.attach(name)
+                self.recv_rings.append(ShmRing.attach(name))
 
     def close(self) -> None:
-        for ring in (*self.send_rings.values(), *self.recv_rings.values()):
+        for ring in (*self.send_rings.values(), *self.recv_rings):
             ring.close()
         self.send_rings.clear()
         self.recv_rings.clear()
@@ -407,26 +528,13 @@ class ShmRingChannel(ChannelEndpoint):
             if isinstance(payload, ColumnBatch)
             else self.codec.encode
         )
-        wire = encode((producer, consumer), payload)
         self.metrics["remote_batches_out"] += 1
-        ring = self.send_rings.get(dest)
-        if ring is not None:
-            start = ring.try_write(wire)
-            if start is not None:
-                self.metrics["bytes_inline"] += len(wire)
-                return ("shm", self.me, producer, consumer, start, len(wire))
-            self.metrics["ring_full_blocks"] += 1
-        self.metrics["bytes_oob"] += len(wire)
-        return ("batch", producer, consumer, wire)
+        return ("batch", producer, consumer, encode((producer, consumer), payload))
 
     def unpack(
         self, message: tuple, columns: bool = False
     ) -> "tuple[int, int, list[StreamTuple] | ColumnBatch]":
-        if message[0] == "shm":
-            _, sender, producer, consumer, start, length = message
-            payload = self.recv_rings[sender].consume(start, length)
-        else:
-            _, producer, consumer, payload = message
+        _, producer, consumer, payload = message
         edge = (producer, consumer)
         if columns:
             batch = self.codec.decode_columns(payload, edge)
@@ -434,6 +542,36 @@ class ShmRingChannel(ChannelEndpoint):
                 return producer, consumer, batch
             # pickle fallback or empty: rows it is
         return producer, consumer, self.codec.decode(payload, edge)
+
+    def try_put(self, dest: int, message: tuple) -> bool:
+        ring = self.send_rings[dest]
+        if message[0] == "eof":
+            kind, payload = MARKER, b""
+        else:
+            kind, payload = DATA, message[3]
+        if ring.put(kind, message[1], message[2], payload):
+            if kind == DATA:
+                parts = _FRAME.size + len(payload) > ring.capacity
+                self.metrics["bytes_oob" if parts else "bytes_inline"] += len(payload)
+            return True
+        if message is not self._refused:
+            self._refused = message
+            self.metrics["ring_full_blocks"] += 1
+        return False
+
+    def try_get(self) -> tuple | None:
+        rings = self.recv_rings
+        for _ in range(len(rings)):
+            ring = rings[self._turn]
+            self._turn = (self._turn + 1) % len(rings)
+            frame = ring.take()
+            if frame is not None:
+                kind, producer, consumer, payload = frame
+                return (_TAGS[kind], producer, consumer, payload)
+        return None
+
+    def dest_full(self, dest: int) -> bool:
+        return self.send_rings[dest].in_flight()[0] >= DEFAULT_INBOX_BATCHES
 
 
 # ----------------------------------------------------------------------
@@ -450,26 +588,29 @@ class DataPlane(ABC):
 
     name: str = "abstract"
 
-    def __init__(self, ctx: Any, n_workers: int) -> None:
-        self.n_workers = n_workers
-        self.inboxes = [
-            ctx.Queue(maxsize=DEFAULT_INBOX_BATCHES) for _ in range(n_workers)
-        ]
-
     @abstractmethod
     def endpoint(self, worker_id: int) -> ChannelEndpoint:
         """A (picklable, unconnected) endpoint for one worker."""
 
+    @abstractmethod
     def close(self) -> None:
-        for inbox in self.inboxes:
-            inbox.cancel_join_thread()
+        """Release what the plane created."""
 
 
 class PickleDataPlane(DataPlane):
     name = "pickle"
 
+    def __init__(self, ctx: Any, n_workers: int) -> None:
+        self.inboxes = [
+            ctx.Queue(maxsize=DEFAULT_INBOX_BATCHES) for _ in range(n_workers)
+        ]
+
     def endpoint(self, worker_id: int) -> PickleQueueChannel:
         return PickleQueueChannel(worker_id, self.inboxes)
+
+    def close(self) -> None:
+        for inbox in self.inboxes:
+            inbox.cancel_join_thread()
 
 
 class ShmDataPlane(DataPlane):
@@ -477,12 +618,10 @@ class ShmDataPlane(DataPlane):
 
     def __init__(
         self,
-        ctx: Any,
         n_workers: int,
         *,
         edge_schemas: Mapping[tuple[int, int], str] | None = None,
     ) -> None:
-        super().__init__(ctx, n_workers)
         self.edge_schemas = dict(edge_schemas or {})
         self.rings: dict[tuple[int, int], ShmRing] = {}
         run_tag = f"{SHM_NAME_PREFIX}{os.getpid():x}_{next(_ring_sequence):x}"
@@ -504,13 +643,11 @@ class ShmDataPlane(DataPlane):
     def endpoint(self, worker_id: int) -> ShmRingChannel:
         return ShmRingChannel(
             worker_id,
-            self.inboxes,
             {key: ring.name for key, ring in self.rings.items()},
             self.edge_schemas,
         )
 
     def close(self) -> None:
-        super().close()
         for ring in self.rings.values():
             ring.close()
             ring.unlink()
@@ -532,5 +669,5 @@ def create_dataplane(
             f"unknown dataplane {name!r}; expected one of {DATAPLANE_NAMES}"
         )
     if name == "shm" and shm_available():
-        return ShmDataPlane(ctx, n_workers, edge_schemas=edge_schemas)
+        return ShmDataPlane(n_workers, edge_schemas=edge_schemas)
     return PickleDataPlane(ctx, n_workers)

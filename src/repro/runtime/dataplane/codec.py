@@ -357,7 +357,7 @@ class BatchCodec:
         retry that replays an epoch through fresh codecs — or a page
         re-shipped after a pickle-fallback batch — never double-applies.
         A page starting *above* the mirror size means an entry was lost
-        in transit, which the FIFO control queues make impossible short
+        in transit, which the FIFO per-edge rings make impossible short
         of a bug, so it raises rather than decode garbage.
         """
         key = (edge, col_index)

@@ -44,8 +44,10 @@ from repro.runtime.results import Placement
 ROUNDS = 2
 ROUND_EVENTS = 64
 SAMPLE_SHARE = 16
-#: One message between workers, at each end: pack + ring write +
-#: descriptor put on the sender; poll + consume + decode on the receiver.
+#: One message between workers, at each end: pack + frame write on the
+#: sender; ring poll + frame copy + decode on the receiver.  Sized when a
+#: descriptor also crossed an ``mp.Queue``; docs/runtime.md has the
+#: figure re-measured without it.
 MESSAGE_NS = 45_000.0
 #: Codec cost per tuple and end, by how the batch leaves or arrives:
 #: row-coded (a scalar producer or consumer) or columnar (a kernel, or

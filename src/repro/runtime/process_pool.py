@@ -7,8 +7,8 @@ BriskStream's NUMA partitioning), otherwise where RLAS puts each task
 with the workers as its sockets (:mod:`repro.runtime.placement`: costs
 calibrated on the run's first events, crossing a process boundary as
 ``Tf``) — and ships sealed jumbo batches between workers over the data
-plane (:mod:`repro.runtime.dataplane`): shared-memory rings, with
-descriptors over bounded ``mp.Queue`` inboxes.
+plane (:mod:`repro.runtime.dataplane`): batches and markers written as
+frames into one shared-memory ring per worker pair.
 
 Flow control happens at three levels:
 
@@ -16,10 +16,10 @@ Flow control happens at three levels:
   spec's per-edge tuple capacities as hard bounds: an over-capacity
   append makes the producer process the consumer's backlog in place
   until the batch fits;
-* **remote edges** are physically bounded by the consumer worker's inbox
-  (``DEFAULT_INBOX_BATCHES`` jumbo batches): a full inbox blocks the
-  sending task.  While blocked, a worker keeps draining its *own* inbox
-  (admitting over-capacity batches rather than deadlocking; such
+* **remote edges** are physically bounded by the sender→consumer ring
+  (``DEFAULT_INBOX_BATCHES`` frames, and its bytes): a full ring blocks
+  the sending task.  While blocked, a worker keeps draining its *own*
+  rings (admitting over-capacity batches rather than deadlocking; such
   overflow is counted and reported) so that mutually-sending workers
   always make progress;
 * **spouts** additionally check every downstream channel before
@@ -141,7 +141,7 @@ _POLL_INTERVAL_S = 0.05
 #: Grace window for late result messages from a worker seen dead (s).
 _DEATH_GRACE_S = 0.5
 
-#: Longest one remote send may stay blocked on a full peer inbox before
+#: Longest one remote send may stay blocked on a full peer channel before
 #: it raises :class:`~repro.errors.QueueDeadlockError` (s).
 _SEND_DEADLINE_S = 30.0
 
@@ -367,8 +367,8 @@ class _PoolRun:
         self.placement.chains = list(spec.fusion)
         self.worker_sockets = backend._sockets_of_workers(spec, owner)
         ctx = _mp_context()
-        # The data plane owns the pool's transport resources (control
-        # queues, shm ring segments); closing it in stop() is what
+        # The data plane owns the pool's transport resources (shm ring
+        # segments, or pickle inboxes); closing it in stop() is what
         # guarantees no shared-memory segment survives the run, even
         # when workers crashed or the watchdog fired mid-flight.
         self.plane = create_dataplane(
@@ -633,7 +633,7 @@ class _PoolRun:
         publish_step_counters(registry, totals)
         # Total payload bytes the run moved between workers, whatever
         # the transport: pickled control-queue payloads plus the shm
-        # plane's in-ring and out-of-band codec payloads.
+        # plane's codec payloads, in one frame or in parts.
         registry.counter("runtime.run.dataplane_bytes").inc(
             int(
                 totals["pickled_bytes_out"]
@@ -982,13 +982,13 @@ class _Worker:
                 fifo.append([key, 1])
 
     def _receive(self, limit: int, soft: bool) -> int:
-        """Drain up to ``limit`` inbox messages; returns how many landed.
+        """Drain up to ``limit`` channel messages; returns how many landed.
 
         ``soft=False`` (main loop) refuses over-capacity batches, holding
-        the refused message so the inbox backs up and remote producers
+        the refused message so the channel backs up and remote producers
         block — per-edge backpressure.  ``soft=True`` (used while this
         worker is itself blocked on a send) admits everything to keep the
-        worker graph deadlock-free.  Never blocks: inbox reads are
+        worker graph deadlock-free.  Never blocks: channel reads are
         non-blocking polls, so a dead producer cannot hang this path (the
         parent's watchdog ends the resulting idle wait).
         """
@@ -1072,9 +1072,9 @@ class _Worker:
         self._land(key, tuples)
 
     def _blocking_put(self, target_worker: int, message: tuple) -> None:
-        """Send to a peer inbox, waiting while it is full.
+        """Send to a peer's channel, waiting while it is full.
 
-        While blocked the worker keeps draining its own inbox (softly:
+        While blocked the worker keeps draining its own channels (softly:
         never refuse) so a ring of mutually-blocked workers cannot
         deadlock, and waits in :meth:`_wait` when nothing arrived.  A
         send still blocked after ``send_deadline_s`` raises

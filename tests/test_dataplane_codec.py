@@ -6,12 +6,16 @@ batch it cannot encode — the property tests drive both paths with
 generated schemas and adversarial values.
 """
 
+import itertools
+import os
 import pickle
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.dsps.tuples import StreamTuple
 from repro.runtime.dataplane import (
@@ -21,6 +25,7 @@ from repro.runtime.dataplane import (
     shm_available,
     validate_schema,
 )
+from repro.runtime.dataplane.channels import DATA, MARKER
 from repro.runtime.dataplane.codec import FIELD_TYPECODES
 
 EDGE = (0, 1)
@@ -440,3 +445,152 @@ class TestShmRing:
         finally:
             ring.close()
             ring.unlink()
+
+
+@pytest.fixture
+def framed_ring():
+    """A 256-byte ring: the producer's mapping and a second, attached one
+    the consumer reads through."""
+    name = f"rdptest_frames{os.getpid():x}"
+    writer = ShmRing.create(name, 256)
+    reader = ShmRing.attach(name)
+    try:
+        yield writer, reader
+    finally:
+        reader.close()
+        writer.close()
+        writer.unlink()
+
+
+@pytest.mark.skipif(not shm_available(), reason="no POSIX shared memory")
+class TestFramedRing:
+    def test_batches_and_markers_arrive_in_order(self, framed_ring):
+        writer, reader = framed_ring
+        assert writer.put(DATA, 4, 9, b"batch")
+        assert writer.put(MARKER, 4, 9, b"")
+        assert writer.in_flight() == reader.in_flight() == (2, 2 * 16 + 5)
+        assert reader.take() == (DATA, 4, 9, b"batch")
+        assert reader.take() == (MARKER, 4, 9, b"")
+        assert reader.take() is None
+        assert writer.in_flight() == (0, 0)
+
+    def test_the_frame_bound_refuses_then_admits(self, framed_ring):
+        writer, reader = framed_ring
+        assert writer.put(DATA, 0, 1, b"a", max_frames=2)
+        assert writer.put(DATA, 0, 1, b"b", max_frames=2)
+        assert not writer.put(DATA, 0, 1, b"c", max_frames=2)
+        assert reader.take()[3] == b"a"
+        assert writer.put(DATA, 0, 1, b"c", max_frames=2)
+
+    def test_the_byte_bound_refuses_a_frame_that_fits_the_ring(self, framed_ring):
+        writer, reader = framed_ring
+        assert writer.put(DATA, 0, 1, b"x" * 150)
+        assert not writer.put(DATA, 0, 1, b"y" * 100)  # 90 B free, frame 116
+        assert writer.in_flight() == (1, 166)
+        reader.take()
+        assert writer.put(DATA, 0, 1, b"y" * 100)
+
+    def test_a_message_larger_than_the_ring_goes_in_parts(self, framed_ring):
+        writer, reader = framed_ring
+        payload = bytes(range(256)) * 4  # four rings' worth
+        refused = 0
+        while not writer.put(DATA, 2, 3, payload):
+            refused += 1
+            assert writer.in_flight()[1] > 0  # each refused put wrote a part
+            assert reader.take() is None  # ... which the consumer holds
+        assert refused >= 4
+        assert reader.take() == (DATA, 2, 3, payload)
+        assert writer.in_flight() == (0, 0)
+
+    def test_a_part_written_message_is_finished_first(self, framed_ring):
+        writer, _reader = framed_ring
+        assert not writer.put(DATA, 0, 1, b"z" * 1000)
+        with pytest.raises(ValueError, match="partly written"):
+            writer.put(MARKER, 0, 1, b"")
+
+
+_machine_rings = itertools.count()
+
+
+class FramedRingMachine(RuleBasedStateMachine):
+    """The framed ring against a deque of whole messages: data, marker
+    and part frames, wrap-around, both bounds, and every read through a
+    second mapping of the segment."""
+
+    CAPACITY = 256
+    MAX_FRAMES = 4
+
+    def __init__(self):
+        super().__init__()
+        self.name = f"rdptest_sm{os.getpid():x}_{next(_machine_rings)}"
+        self.writer = ShmRing.create(self.name, self.CAPACITY)
+        self.reader = ShmRing.attach(self.name)
+        self.model = deque()
+        #: A message the writer has only partly written (parts).
+        self.pending = None
+
+    @rule(
+        marker=st.booleans(),
+        producer=st.integers(0, 2**32 - 1),
+        consumer=st.integers(0, 2**32 - 1),
+        payload=st.one_of(
+            st.binary(max_size=80), st.binary(min_size=200, max_size=700)
+        ),
+    )
+    def put(self, marker, producer, consumer, payload):
+        message = self.pending or (
+            (MARKER, producer, consumer, b"")
+            if marker
+            else (DATA, producer, consumer, payload)
+        )
+        if self.writer.put(*message, max_frames=self.MAX_FRAMES):
+            self.model.append(message)
+            self.pending = None
+            return
+        # Refused only at a bound: the frame count, or too few free bytes
+        # for the whole frame (a part needs more than a frame header).
+        frames, used = self.writer.in_flight()
+        free = self.CAPACITY - used
+        whole = 16 + len(message[3]) <= self.CAPACITY
+        assert frames == self.MAX_FRAMES or (
+            free < 16 + len(message[3]) if whole else free <= 16
+        )
+        self.pending = None if whole else message
+
+    @rule()
+    def take(self):
+        got = self.reader.take()
+        assert got == (self.model.popleft() if self.model else None)
+
+    @rule()
+    def drain_then_finish(self):
+        """A part-written message completes once the consumer keeps up."""
+        for _ in range(64):
+            while (got := self.reader.take()) is not None:
+                assert got == self.model.popleft()
+            if self.pending is None:
+                return
+            if self.writer.put(*self.pending, max_frames=self.MAX_FRAMES):
+                self.model.append(self.pending)
+                self.pending = None
+        raise AssertionError("a part-written message never completed")
+
+    @invariant()
+    def within_bounds(self):
+        frames, used = self.writer.in_flight()
+        assert (frames, used) == self.reader.in_flight()
+        assert 0 <= frames <= self.MAX_FRAMES
+        assert 0 <= used <= self.CAPACITY
+
+    def teardown(self):
+        self.reader.close()
+        self.writer.close()
+        self.writer.unlink()
+
+
+TestFramedRingMachine = pytest.mark.skipif(
+    not shm_available(), reason="no POSIX shared memory"
+)(FramedRingMachine.TestCase)
+TestFramedRingMachine.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)

@@ -8,6 +8,7 @@ helpers the executors rely on.
 
 import multiprocessing
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -493,9 +494,20 @@ CHANNEL_PAYLOADS = {
 }
 
 
+def receive(endpoint, timeout_s=5.0):
+    """The next message for ``endpoint``: the pickle plane's inbox hands
+    a put over through a feeder thread, so it may take a moment."""
+    deadline = time.monotonic() + timeout_s
+    while (message := endpoint.try_get()) is None:
+        assert time.monotonic() < deadline, "nothing arrived"
+        time.sleep(0.001)
+    return message
+
+
 class TestChannelContract:
     """``ChannelEndpoint``: one ``pack`` taking either payload shape, one
-    ``unpack(message, columns=...)`` — on both planes."""
+    ``unpack(message, columns=...)``, with ``try_put`` / ``try_get`` in
+    between — on both planes."""
 
     @pytest.fixture(
         params=[
@@ -532,6 +544,9 @@ class TestChannelContract:
             payload.to_tuples() if isinstance(payload, ColumnBatch) else payload
         )
         message = sender.pack(1, 4, 9, payload)
+        assert sender.try_put(1, message)
+        message = receive(receiver)
+        assert receiver.try_get() is None
         assert receiver.peek_consumer(message) == 9
         producer, consumer, got = receiver.unpack(message, columns=columns)
         assert (producer, consumer) == (4, 9)
@@ -558,3 +573,12 @@ class TestChannelContract:
         else:
             assert "codec_fallbacks" not in metrics
             assert metrics["pickled_bytes_out"] == len(message[3])
+
+    def test_markers_keep_their_place_behind_batches(self, endpoints):
+        sender, receiver = endpoints
+        sender.try_put(1, sender.pack(1, 4, 9, make_tuples(MIXED_ROWS)))
+        sender.try_put(1, ("eof", 4, 9))
+        first, marker = receive(receiver), receive(receiver)
+        assert first[0] == "batch" and receiver.unpack(first)[:2] == (4, 9)
+        assert marker[:3] == ("eof", 4, 9)
+        assert receiver.try_get() is None

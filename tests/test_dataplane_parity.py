@@ -8,6 +8,7 @@ the data plane may only change *how* bytes move, never *which* tuples
 arrive.
 """
 
+import multiprocessing.queues
 from collections import Counter as Multiset
 from pathlib import Path
 
@@ -52,7 +53,8 @@ def run_app(app, *, backend="inline", registry=None, alternate=False, **kwargs):
     topology, _profiles = load_application(app)
     topology.component("sink").template.keep_samples = 10**6
     if alternate:
-        graph = ExecutionGraph(topology, REPLICATION[app], group_size=1)
+        replication = REPLICATION[app] or dict.fromkeys(topology.components, 1)
+        graph = ExecutionGraph(topology, replication, group_size=1)
         sockets = {
             task.task_id: position % 2
             for position, task in enumerate(graph.topological_task_order())
@@ -237,6 +239,53 @@ class TestStringDictRecovery:
         assert faulty.recovery.completed is True
         assert faulty.recovery.restarts >= 1
         assert_parity(reference, faulty)
+
+
+class TestRingTransport:
+    """The shm plane's rings are its whole transport: batches and
+    barrier markers cross as frames, and a batch larger than the ring as
+    parts — never through an ``mp.Queue``."""
+
+    @pytest.mark.parametrize("app", ["wc", "lr"])
+    @needs_shm
+    def test_no_queue_carries_a_batch_or_a_marker(self, app, monkeypatch):
+        def refuse(queue, *args, **kwargs):
+            raise AssertionError("the shm plane used an mp.Queue")
+
+        # The workers fork with the patch in place.
+        monkeypatch.setattr(multiprocessing.queues.Queue, "put_nowait", refuse)
+        monkeypatch.setattr(multiprocessing.queues.Queue, "get_nowait", refuse)
+        before = shm_segments()
+        registry = MetricsRegistry()
+        options = {"epoch_interval": 100} if app == "lr" else {}
+        candidate = run_app(
+            app,
+            backend=process_backend(app, "shm"),
+            registry=registry,
+            alternate=True,
+            **options,
+        )
+        assert_parity(run_app(app, vectorized="off", **options), candidate)
+        counters = registry.snapshot()["counters"]
+        assert counters["runtime.dataplane.bytes_inline"] > 0
+        assert shm_segments() == before
+
+    @needs_shm
+    def test_a_ring_smaller_than_a_batch_carries_it_in_parts(self, monkeypatch):
+        monkeypatch.setattr(channels, "DEFAULT_RING_BYTES", 4096)
+        before = shm_segments()
+        registry = MetricsRegistry()
+        candidate = run_app(
+            "wc",
+            backend=process_backend("wc", "shm"),
+            registry=registry,
+            alternate=True,
+        )
+        assert_parity(run_app("wc", vectorized="off"), candidate)
+        counters = registry.snapshot()["counters"]
+        assert counters["runtime.dataplane.bytes_oob"] > 0
+        assert counters["runtime.dataplane.ring_full_blocks"] > 0
+        assert shm_segments() == before
 
 
 class TestDataplaneMetrics:
