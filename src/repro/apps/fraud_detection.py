@@ -9,6 +9,7 @@ of whether fraud was detected.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -60,8 +61,7 @@ class TransactionSpout(Spout):
     def next_batch(self, max_tuples: int) -> Iterator[tuple[str, str]]:
         if self._source is None:
             self._source = transactions(self.seed, fraud_fraction=self.fraud_fraction)
-        for _ in range(max_tuples):
-            yield next(self._source)
+        return islice(self._source, max_tuples)
 
     def sheddable(self, item: StreamTuple) -> bool:
         """Routine traces may be shed under overload (``--shed semantic``).

@@ -29,6 +29,7 @@ on LR by construction: there is no "s" column to promote.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -90,8 +91,7 @@ class LinearRoadSpout(Spout):
     def next_batch(self, max_tuples: int) -> Iterator[tuple]:
         if self._source is None:
             self._source = linear_road_records(self.seed, n_vehicles=self.n_vehicles)
-        for _ in range(max_tuples):
-            yield next(self._source)
+        return islice(self._source, max_tuples)
 
 
 class LinearRoadParser(Operator):

@@ -10,6 +10,7 @@ input regardless of whether a spike triggered (selectivity 1 everywhere).
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -46,8 +47,7 @@ class SensorSpout(Spout):
     def next_batch(self, max_tuples: int) -> Iterator[tuple[str, float, int]]:
         if self._source is None:
             self._source = sensor_readings(self.seed, spike_fraction=self.spike_fraction)
-        for _ in range(max_tuples):
-            yield next(self._source)
+        return islice(self._source, max_tuples)
 
 
 class SensorParser(Operator):

@@ -14,6 +14,7 @@
 
 from __future__ import annotations
 
+from itertools import islice, repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -71,8 +72,7 @@ class SentenceSpout(Spout):
                 shift_at=self.shift_at,
                 shift_words_per_sentence=self.shift_words_per_sentence,
             )
-        for _ in range(max_tuples):
-            yield next(self._source)
+        return islice(self._source, max_tuples)
 
 
 class Parser(Operator):
@@ -160,60 +160,62 @@ class Counter(Operator):
         yield DEFAULT_STREAM, (word, count)
 
     def process_columns(self, batch: ColumnBatch) -> Iterable[ColumnBatch]:
-        """Whole-batch unique-counts kernel.
+        """Whole-batch counting kernel: one stable sort.
 
         For the ``k``-th occurrence (0-based) of a word within the batch
         the scalar path emits ``prior + k + 1``, where ``prior`` is the
-        word's running count before the batch.  The rank trick below
-        computes every occurrence's ``k`` in one vectorized pass: sort
-        row numbers by word group (stable, so within a group they stay
-        in batch order) and subtract each group's start offset.
+        word's running count before the batch.  A stable sort of the
+        rows by word keeps each word's occurrences together and in batch
+        order, so in sorted position ``i`` of a group starting at
+        ``start`` that count is ``prior + 1 - start + i``; scattering it
+        back through the sort order gives every row its count.
 
-        A dictionary-encoded word column skips ``np.unique`` entirely:
-        the codes *are* the group ids, so per-word sizes come from one
-        ``np.bincount`` over the code array and the word strings are
-        only touched once per distinct word (for the running-count
-        dict), never per occurrence.  Per-row emitted counts are
-        identical either way — the rank trick is insensitive to group
-        numbering — and the output passes the input column through, so
-        codes survive to the sink edge untouched.
+        A dictionary-encoded word column sorts its codes — as ``uint8``
+        or ``uint16`` when the table is small enough, which numpy
+        radix-sorts — and touches a word string once per distinct word
+        present (for the running-count dict), never per occurrence; a
+        plain-string column sorts the strings.  The output passes the
+        input column through, so codes survive to the sink edge
+        untouched.
         """
         words = batch.columns[0]
         if isinstance(words, DictColumn):
-            # Group by code: np.unique sorts int32 codes instead of
-            # strings, and only batch-present words are touched (the
-            # table itself keeps growing and would cost O(table) per
-            # batch if walked whole).
             table = words.table
-            present, inverse = np.unique(words.codes, return_inverse=True)
-            group_words = [table[code] for code in present.tolist()]
-            sizes = np.bincount(inverse, minlength=len(group_words))
+            keys = words.codes
+            # Narrow codes sort by radix (one pass per byte).
+            if len(table) <= 1 << 8:
+                keys = keys.astype(np.uint8)
+            elif len(table) <= 1 << 16:
+                keys = keys.astype(np.uint16)
         else:
-            arr = np.asarray(words)
-            uniq, inverse = np.unique(arr, return_inverse=True)
-            group_words = uniq.tolist()
-            sizes = np.bincount(inverse, minlength=len(group_words))
-        order = np.argsort(inverse, kind="stable")
-        group_starts = np.cumsum(sizes) - sizes
-        ranks = np.empty(len(inverse), dtype="<i8")
-        ranks[order] = np.arange(len(inverse), dtype="<i8") - np.repeat(
-            group_starts, sizes
-        )
+            table = None
+            keys = np.asarray(words)
+        n = len(keys)
+        order = keys.argsort(kind="stable")
+        ordered = keys.take(order)
+        # A group starts where the sorted key changes; the last ends at n.
+        edges = np.empty(n + 1, dtype=bool)
+        edges[0] = edges[n] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=edges[1:n])
+        bounds = edges.nonzero()[0]
+        starts = bounds[:-1]
+        sizes = bounds[1:] - starts
+        present = ordered[starts].tolist()
+        if table is None:
+            group_words = present
+        else:
+            group_words = list(map(table.__getitem__, present))
         counts = self.counts
         base = np.fromiter(
-            (counts.get(word, 0) for word in group_words),
+            map(counts.get, group_words, repeat(0)),
             dtype="<i8",
             count=len(group_words),
         )
-        out_counts = base[inverse] + ranks + 1
-        totals = base + sizes
-        for word, total, size in zip(
-            group_words, totals.tolist(), sizes.tolist()
-        ):
-            # Dict tables may list words absent from this batch; the
-            # scalar path would not touch their running counts either.
-            if size:
-                counts[word] = total
+        sorted_counts = (base + 1 - starts).repeat(sizes)
+        sorted_counts += np.arange(n)
+        out_counts = np.empty(n, dtype="<i8")
+        out_counts[order] = sorted_counts
+        counts.update(zip(group_words, (base + sizes).tolist()))
         yield ColumnBatch.build(DEFAULT_STREAM, "sq", [words, out_counts])
 
     def snapshot_state(self) -> dict:

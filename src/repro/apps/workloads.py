@@ -9,7 +9,10 @@ reproduce their statistical shape deterministically from a seed.
 from __future__ import annotations
 
 import random
+from itertools import repeat
 from typing import Iterator
+
+import numpy as np
 
 #: Word pool used by the sentence generator (average length ~5 characters,
 #: matching the paper's "ten random words" sentences).
@@ -19,6 +22,17 @@ _WORDS = (
     "split count parse shuffle fields window state query plan cost rate "
     "speed toll road lane exit ramp car accident segment minute daily"
 ).split()
+
+#: Words :func:`sentences` draws per bulk chunk.
+_CHUNK_WORDS = 4096
+
+#: Index ``i`` is ``_WORDS[i] + " "`` (a word inside a sentence), index
+#: ``len(_WORDS) + i`` is ``_WORDS[i] + "\n"`` (a sentence's last word);
+#: an object array, so one fancy index picks a chunk's tokens.
+_TOKENS = np.array(
+    [word + " " for word in _WORDS] + [word + "\n" for word in _WORDS],
+    dtype=object,
+)
 
 
 def sentences(
@@ -38,13 +52,71 @@ def sentences(
     on, sentences carry ``shift_words_per_sentence`` words instead, which
     multiplies the splitter's selectivity — the drift the reconfiguration
     controller reacts to (see docs/reconfiguration.md).
+
+    The stream is the one ``rng.choice(_WORDS)`` per word gives, sentence
+    for sentence (tests/test_apps_workloads.py holds the two together).
+    Without empty sentences the words are drawn in bulk, up to
+    :data:`_CHUNK_WORDS` of them ahead of the sentences read so far: the
+    stream is unchanged, but the generator's ``rng`` state after ``n``
+    sentences is not the one per-word draws leave.  Nothing reads it.
     """
     rng = random.Random(seed)
-    # ``rng.choice(_WORDS)``, ten times a sentence, is most of a Word
-    # Count source's cost: draw the index with the rejection loop
-    # ``Random._randbelow`` runs, inline.  Same calls on the same
-    # generator, so the stream is the one ``choice`` gives
-    # (tests/test_apps_workloads.py holds the two together).
+    if empty_fraction > 0.0:
+        # Each sentence's ``rng.random()`` sits between the word draws.
+        yield from _sentences_per_word(
+            rng, words_per_sentence, empty_fraction, shift_at,
+            shift_words_per_sentence,
+        )
+        return
+    # ``choice`` runs ``Random._randbelow``: ``getrandbits(bits)`` until
+    # the value is below ``len(_WORDS)``.  For ``bits`` <= 32 that is the
+    # top ``bits`` bits of one Mersenne Twister output, and
+    # ``getrandbits(32 * k)`` returns ``k`` consecutive outputs, least
+    # significant first: those outputs shifted down, less the values too
+    # large, are the same accepted indices.
+    getrandbits = rng.getrandbits
+    bits = len(_WORDS).bit_length()
+    pending = np.empty(0, dtype="<u4")
+    shifts = shift_at is not None and shift_words_per_sentence is not None
+    produced = 0
+    while True:
+        length = words_per_sentence
+        if shifts and produced >= shift_at:
+            length = shift_words_per_sentence
+        n = max(1, _CHUNK_WORDS // max(1, length))
+        if shifts and produced < shift_at:
+            n = min(n, shift_at - produced)
+        produced += n
+        if length <= 0:
+            yield from repeat(("",), n)
+            continue
+        need = n * length
+        while len(pending) < need:
+            # Enough outputs at the acceptance rate, plus a margin; a
+            # short draw goes round again.
+            k = ((need - len(pending)) << bits) // len(_WORDS) + 64
+            raw = np.frombuffer(
+                getrandbits(32 * k).to_bytes(4 * k, "little"), "<u4"
+            ) >> (32 - bits)
+            pending = np.concatenate((pending, raw[raw < len(_WORDS)]))
+        codes = pending[:need].astype(np.intp).reshape(n, length)
+        pending = pending[need:]
+        # A sentence's last word takes its "\n" token, so one join and
+        # one split cut the chunk into its sentences.
+        codes[:, -1] += len(_WORDS)
+        text = "".join(_TOKENS[codes.ravel()].tolist())
+        yield from zip(text.split("\n")[:-1])
+
+
+def _sentences_per_word(
+    rng: random.Random,
+    words_per_sentence: int,
+    empty_fraction: float,
+    shift_at: int | None,
+    shift_words_per_sentence: int | None,
+) -> Iterator[tuple[str]]:
+    """:func:`sentences` with empty ones: each word index drawn with the
+    rejection loop ``Random._randbelow`` runs, inline."""
     getrandbits = rng.getrandbits
     n_words = len(_WORDS)
     bits = n_words.bit_length()
@@ -57,7 +129,7 @@ def sentences(
             and produced >= shift_at
         ):
             length = shift_words_per_sentence
-        if empty_fraction > 0.0 and rng.random() < empty_fraction:
+        if rng.random() < empty_fraction:
             yield ("",)
         else:
             words = []
@@ -132,43 +204,69 @@ def linear_road_records(
     Each record is the flat 11-field tuple ``(record_type, time, vid,
     speed, xway, lane, direction, segment, position, query_id, day)``,
     built in place.  The ``rng`` calls and their order fix the stream
-    (tests/test_apps_workloads.py pins it); a tuple display evaluates
-    its fields left to right, so draws inside one keep that order.
+    (tests/test_apps_workloads.py pins it against ``randrange``).  Per
+    record, each ``randrange(n)`` — ``a + randrange(b - a)`` for
+    ``randrange(a, b)`` — is written out as the rejection loop
+    ``Random._randbelow`` runs: ``getrandbits(n.bit_length())`` until the
+    value is below ``n``.  That draws what ``randrange`` draws, in the
+    same order: vid, then speed / xway / lane / direction, or query id /
+    day.
     """
     rng = random.Random(seed)
     random_ = rng.random
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     road_length = n_segments * 5280
     half_queries = query_fraction / 2
     time = 0
-    positions = {vid: randrange(road_length) for vid in range(n_vehicles)}
+    positions = {vid: rng.randrange(road_length) for vid in range(n_vehicles)}
     stopped = set(
         rng.sample(range(n_vehicles), max(1, int(n_vehicles * stopped_fraction)))
     )
+    vid_bits = n_vehicles.bit_length()
     while True:
         time += 1
         roll = random_()
-        vid = randrange(n_vehicles)
-        if roll < half_queries:
-            yield (
-                ACCOUNT_BALANCE_REQUEST, time, vid, 0, 0, 0, 0, 0, 0,
-                randrange(1 << 16), 0,
-            )
-        elif roll < query_fraction:
-            yield (
-                DAILY_EXPENDITURE_REQUEST, time, vid, 0, 0, 0, 0, 0, 0,
-                randrange(1 << 16), randrange(1, 70),
-            )
+        vid = getrandbits(vid_bits)
+        while vid >= n_vehicles:
+            vid = getrandbits(vid_bits)
+        if roll < query_fraction:
+            query_id = getrandbits(17)  # randrange(1 << 16)
+            while query_id >= 1 << 16:
+                query_id = getrandbits(17)
+            if roll < half_queries:
+                yield (
+                    ACCOUNT_BALANCE_REQUEST, time, vid, 0, 0, 0, 0, 0, 0,
+                    query_id, 0,
+                )
+            else:
+                day = getrandbits(7)  # randrange(1, 70)
+                while day >= 69:
+                    day = getrandbits(7)
+                yield (
+                    DAILY_EXPENDITURE_REQUEST, time, vid, 0, 0, 0, 0, 0, 0,
+                    query_id, day + 1,
+                )
         else:
             if vid in stopped:
                 speed = 0
             else:
-                speed = randrange(40, 100)
+                speed = getrandbits(6)  # randrange(40, 100)
+                while speed >= 60:
+                    speed = getrandbits(6)
+                speed += 40
                 positions[vid] = (positions[vid] + speed) % road_length
             position = positions[vid]
+            xway = getrandbits(2)  # randrange(2)
+            while xway >= 2:
+                xway = getrandbits(2)
+            lane = getrandbits(3)  # randrange(4)
+            while lane >= 4:
+                lane = getrandbits(3)
+            direction = getrandbits(2)  # randrange(2)
+            while direction >= 2:
+                direction = getrandbits(2)
             yield (
-                POSITION_REPORT, time, vid, speed,
-                randrange(2), randrange(4), randrange(2),
+                POSITION_REPORT, time, vid, speed, xway, lane, direction,
                 position // 5280, position, 0, 0,
             )
 

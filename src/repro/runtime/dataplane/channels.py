@@ -41,11 +41,23 @@ Positions and frame counts are *monotonic* (never wrapped), so ``write_pos
 - frames read`` the unconsumed frames; the physical offset of position
 ``p`` is ``128 + p % capacity``, and a frame crossing the end of the
 region is written/read as two slices.  Each half of the header has one
-writer and is published with one store, a cache line apart: the producer
-copies a frame in before publishing ``write_pos``; the consumer copies
-it out before publishing ``read_pos``.  That makes the ring safe without
-locks on architectures with aligned 8-byte stores (every platform
-CPython's shared memory supports).
+writer, a cache line from the other: the producer copies a frame in,
+then stores its frame count, then ``write_pos``; the consumer copies the
+frame out, then stores its count, then ``read_pos``.
+
+The header is read and written through a native ``"Q"`` view of its 128
+bytes (``memoryview.cast``): every word moves as one aligned 8-byte load
+or store, which the other process sees whole (aligned 8-byte accesses
+are single-copy atomic on 64-bit CPUs).  That the frame's bytes land
+before the position that publishes them rests on x86-64's store order;
+nothing here fences a weakly ordered CPU.  ``struct``'s standard-size
+``"<Q"``, which the header went through before, moves a word a byte at
+a time: a consumer could read a ``write_pos`` half old and half new,
+below ``read_pos``, take it for "a frame arrived" and decode stale
+bytes (tests/test_dataplane_ring_stress.py saw it about once per
+250 000 frames on a 2-vCPU x86-64 host).  :meth:`ShmRing.take` raises
+:class:`~repro.errors.ExecutionError` when a position reads below the
+other or a frame runs past ``write_pos``, rather than decode.
 
 A ring is bounded twice: :data:`DEFAULT_INBOX_BATCHES` frames and its
 byte capacity.  A message whose frame could never fit leaves as PART
@@ -88,11 +100,10 @@ DEFAULT_INBOX_BATCHES = 64
 #: message too large for the ring.
 DATA, MARKER, _PART = 0, 1, 2
 
-#: Each header half: a byte position and a frame count (u64 each).
-_HALF = struct.Struct("<QQ")
-_POS = struct.Struct("<Q")
-_PRODUCER_HALF = 0
-_CONSUMER_HALF = 64
+#: Header words (u64, native order): the producer's half — write
+#: position, frames written — and the consumer's half — read position,
+#: frames read — a cache line apart.
+_WRITE, _WRITTEN, _READ, _TAKEN = 0, 1, 8, 9
 _RING_HEADER_BYTES = 128
 
 #: Frame header: payload length, producer task, consumer task, kind.
@@ -150,6 +161,9 @@ class ShmRing:
     def __init__(self, shm: Any, capacity: int) -> None:
         self._shm = shm
         self._buf = shm.buf
+        #: The header as native u64 words: each read or write is one
+        #: aligned 8-byte load or store (the segment is page-aligned).
+        self._header = shm.buf[:_RING_HEADER_BYTES].cast("Q")
         self.capacity = capacity
         #: Producer side: ``(payload, bytes written)`` of a message whose
         #: parts are partly in the ring.
@@ -182,6 +196,10 @@ class ShmRing:
 
     def close(self) -> None:
         self._buf = None
+        if self._header is not None:
+            # An exported view keeps the segment from closing.
+            self._header.release()
+            self._header = None
         try:
             self._shm.close()
         except Exception:  # pragma: no cover - idempotent teardown
@@ -220,28 +238,30 @@ class ShmRing:
 
     def in_flight(self) -> tuple[int, int]:
         """Frames and bytes written and not yet taken."""
-        write, written = _HALF.unpack_from(self._buf, _PRODUCER_HALF)
-        read, taken = _HALF.unpack_from(self._buf, _CONSUMER_HALF)
-        return written - taken, write - read
+        header = self._header
+        return (
+            header[_WRITTEN] - header[_TAKEN],
+            header[_WRITE] - header[_READ],
+        )
 
     # -- raw bytes ------------------------------------------------------
     def try_write(self, payload: bytes) -> int | None:
         """Copy ``payload`` into the ring; its start position, or None
         when the payload does not fit right now (or ever)."""
         size = len(payload)
-        write = _POS.unpack_from(self._buf, _PRODUCER_HALF)[0]
-        read = _POS.unpack_from(self._buf, _CONSUMER_HALF)[0]
-        if size > self.capacity - (write - read):
+        header = self._header
+        write = header[_WRITE]
+        if size > self.capacity - (write - header[_READ]):
             return None
         self._copy_in(write, payload)
-        _POS.pack_into(self._buf, _PRODUCER_HALF, write + size)
+        header[_WRITE] = write + size
         return write
 
     def consume(self, start: int, size: int) -> bytes:
         """Copy ``size`` bytes written at position ``start`` out of the
         ring and free them (advances ``read_pos`` past the payload)."""
         payload = self._copy_out(start, size)
-        _POS.pack_into(self._buf, _CONSUMER_HALF, start + size)
+        self._header[_READ] = start + size
         return payload
 
     # -- frames ---------------------------------------------------------
@@ -260,7 +280,7 @@ class ShmRing:
         frame is larger than the ring goes out as parts, each as large as
         the free space, so a False may leave some of it written.
         """
-        buf, capacity, size = self._buf, self.capacity, len(payload)
+        header, capacity, size = self._header, self.capacity, len(payload)
         sent = 0
         if self._sending is not None:
             pending, sent = self._sending
@@ -268,8 +288,8 @@ class ShmRing:
                 raise ValueError("another message is partly written to this ring")
         whole = _FRAME.size + size <= capacity
         while True:
-            write, written = _HALF.unpack_from(buf, _PRODUCER_HALF)
-            read, taken = _HALF.unpack_from(buf, _CONSUMER_HALF)
+            write, written = header[_WRITE], header[_WRITTEN]
+            read, taken = header[_READ], header[_TAKEN]
             free = capacity - (write - read)
             rest = size - sent
             if written - taken >= max_frames:
@@ -282,11 +302,10 @@ class ShmRing:
                 chunk, frame_kind = free - _FRAME.size, _PART
             self._copy_in(write, _FRAME.pack(chunk, producer, consumer, frame_kind))
             self._copy_in(write + _FRAME.size, memoryview(payload)[sent : sent + chunk])
-            # Publish after the frame is in place: the consumer never
-            # reads bytes beyond write_pos.
-            _HALF.pack_into(
-                buf, _PRODUCER_HALF, write + _FRAME.size + chunk, written + 1
-            )
+            # Publish after the frame is in place, the count before the
+            # position: the consumer never reads bytes beyond write_pos.
+            header[_WRITTEN] = written + 1
+            header[_WRITE] = write + _FRAME.size + chunk
             sent += chunk
             if frame_kind != _PART:
                 self._sending = None
@@ -297,21 +316,31 @@ class ShmRing:
     def take(self) -> tuple[int, int, int, bytes] | None:
         """The oldest whole message as ``(kind, producer, consumer,
         payload)``, or None when none has arrived complete."""
-        buf = self._buf
+        header = self._header
         while True:
-            write = _POS.unpack_from(buf, _PRODUCER_HALF)[0]
-            read, taken = _HALF.unpack_from(buf, _CONSUMER_HALF)
+            write = header[_WRITE]
+            read = header[_READ]
             if write == read:
                 return None
+            if write - read < _FRAME.size:
+                raise ExecutionError(
+                    f"shm ring {self.name}: write position {write} is not a"
+                    f" whole frame past read position {read}"
+                )
             size, producer, consumer, kind = _FRAME.unpack(
                 self._copy_out(read, _FRAME.size)
             )
+            end = read + _FRAME.size + size
+            if end > write:
+                raise ExecutionError(
+                    f"shm ring {self.name}: a {size}-byte frame at {read}"
+                    f" runs past write position {write}"
+                )
             payload = self._copy_out(read + _FRAME.size, size)
             # Free only after the copy: the producer may reuse the space
             # as soon as read_pos moves.
-            _HALF.pack_into(
-                buf, _CONSUMER_HALF, read + _FRAME.size + size, taken + 1
-            )
+            header[_TAKEN] += 1
+            header[_READ] = end
             if kind != _PART:
                 if self._parts:
                     self._parts.append(payload)

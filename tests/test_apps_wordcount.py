@@ -1,10 +1,15 @@
 """Functional tests for the Word Count application."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.apps import build_wordcount
 from repro.apps.wordcount import Counter, Parser, Splitter
 from repro.dsps import LocalEngine, StreamTuple
+from repro.dsps.tuples import DEFAULT_STREAM
+from repro.runtime.dataplane.columns import ColumnBatch, DictColumn, StringTable
 
 
 class TestOperators:
@@ -26,6 +31,80 @@ class TestOperators:
         second = list(counter.process(StreamTuple(values=("a",))))
         assert first == [("default", ("a", 1))]
         assert second == [("default", ("a", 2))]
+
+
+class TestCounterKernel:
+    """``Counter.process_columns`` emits, batch after batch, the rows and
+    leaves the running counts that ``process`` does tuple by tuple."""
+
+    @staticmethod
+    def assert_kernel_is_scalar(columns):
+        kernel, scalar = Counter(), Counter()
+        for column in columns:
+            (out,) = kernel.process_columns(
+                ColumnBatch.build(DEFAULT_STREAM, "s", [column])
+            )
+            assert out.columns[0] is column  # codes pass through untouched
+            want = [
+                values
+                for word in column
+                for _, values in scalar.process(StreamTuple(values=(word,)))
+            ]
+            assert list(zip(column, out.columns[1].tolist())) == want
+            assert kernel.counts == scalar.counts
+
+    @staticmethod
+    def coded(table, rng, rows, vocabulary):
+        return DictColumn(
+            np.array([rng.randrange(vocabulary) for _ in range(rows)]), table
+        )
+
+    def test_dictionary_batches(self):
+        rng = random.Random(1)
+        table = StringTable(f"w{i}" for i in range(45))
+        self.assert_kernel_is_scalar(
+            [self.coded(table, rng, rows, 45) for rows in (1000, 1024, 7)]
+        )
+
+    def test_plain_string_batches(self):
+        rng = random.Random(2)
+        words = [f"w{i}" for i in range(45)] + ["", "w1 ", "\u00e9t\u00e9"]
+        self.assert_kernel_is_scalar(
+            [[rng.choice(words) for _ in range(rows)] for rows in (500, 64, 3)]
+        )
+
+    def test_one_row_batches(self):
+        table = StringTable(["only", "other"])
+        self.assert_kernel_is_scalar(
+            [DictColumn([1], table), DictColumn([1], table), DictColumn([0], table)]
+        )
+        self.assert_kernel_is_scalar([["a"], ["a"], ["b"]])
+
+    @pytest.mark.parametrize("size", (256, 257, 65_536, 65_537))
+    def test_tables_either_side_of_a_narrow_code_width(self, size):
+        """Codes sort as uint8 up to 256 table entries, as uint16 up to
+        65 536, and as they come beyond."""
+        rng = random.Random(size)
+        table = StringTable(f"w{i}" for i in range(size))
+        hot = [0, 1, 255, size - 2, size - 1]
+        self.assert_kernel_is_scalar(
+            [
+                DictColumn(
+                    [rng.choice(hot) if rng.random() < 0.5 else rng.randrange(size)
+                     for _ in range(2000)],
+                    table,
+                )
+                for _ in range(3)
+            ]
+        )
+
+    def test_a_table_listing_words_absent_from_the_batch(self):
+        """Only words in the batch get a running count, as in ``process``."""
+        rng = random.Random(4)
+        table = StringTable(f"w{i}" for i in range(300))
+        self.assert_kernel_is_scalar(
+            [self.coded(table, rng, 200, 10) for _ in range(3)]
+        )
 
 
 class TestTopology:

@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, cycle, islice
 
 import pytest
 
@@ -12,6 +12,7 @@ from repro.apps.workloads import (
     ACCOUNT_BALANCE_REQUEST,
     DAILY_EXPENDITURE_REQUEST,
     POSITION_REPORT,
+    _CHUNK_WORDS,
     _WORDS,
 )
 
@@ -41,18 +42,31 @@ class TestSentences:
             {},
             {"empty_fraction": 0.25},
             {"shift_at": 4000, "shift_words_per_sentence": 3},
+            {"words_per_sentence": 0},
+            {"words_per_sentence": 1},
+            {"words_per_sentence": 3},
+            {"shift_at": 1234, "shift_words_per_sentence": 0},
+            {"words_per_sentence": 0, "shift_at": 50, "shift_words_per_sentence": 10},
+            {"empty_fraction": 0.25, "words_per_sentence": 1},
         ),
-        ids=("plain", "empty_fraction", "shift_at"),
+        ids=(
+            "plain", "empty_fraction", "shift_at", "words_0", "words_1",
+            "words_3", "shift_to_0", "shift_from_0", "empty_fraction_words_1",
+        ),
     )
     def test_stream_is_the_one_random_choice_draws(self, options):
-        """The generator draws word indices with ``Random``'s own
-        rejection loop, inline; the stream must stay the one the public
-        ``choice`` gives, sentence for sentence."""
+        """Word indices are drawn in bulk (or, with empty sentences, with
+        ``Random``'s own rejection loop inline); the stream must stay the
+        one the public ``choice`` gives, sentence for sentence, however
+        the reads cut it."""
 
-        def with_choice(seed, empty_fraction=0.0, shift_at=None, shift_words_per_sentence=None):
+        def with_choice(
+            seed, words_per_sentence=10, empty_fraction=0.0, shift_at=None,
+            shift_words_per_sentence=None,
+        ):
             rng = random.Random(seed)
             for produced in count():
-                length = 10
+                length = words_per_sentence
                 if shift_at is not None and produced >= shift_at:
                     length = shift_words_per_sentence
                 if empty_fraction > 0.0 and rng.random() < empty_fraction:
@@ -61,9 +75,16 @@ class TestSentences:
                     yield (" ".join(rng.choice(_WORDS) for _ in range(length)),)
 
         for seed in (7, 11):
-            assert take(sentences(seed=seed, **options), 10_000) == take(
-                with_choice(seed, **options), 10_000
-            )
+            want = take(with_choice(seed, **options), 10_000)
+            assert take(sentences(seed=seed, **options), 10_000) == want
+            # Reads of every size, straddling the bulk chunk's boundaries.
+            stream = sentences(seed=seed, **options)
+            got = []
+            for size in cycle((1, 409, 410, _CHUNK_WORDS + 1, 3, 0, 2047)):
+                got.extend(islice(stream, min(size, 10_000 - len(got))))
+                if len(got) == 10_000:
+                    break
+            assert got == want
 
 
 class TestTransactions:
@@ -122,15 +143,21 @@ class TestLinearRoadRecords:
         assert a == b
 
     @pytest.mark.parametrize(
-        "options",
-        ({}, {"stopped_fraction": 0.05}, {"query_fraction": 0.2}),
-        ids=("defaults", "stopped_fraction", "query_fraction"),
+        "options, records",
+        (
+            ({}, 100_000),
+            ({"stopped_fraction": 0.05}, 20_000),
+            ({"query_fraction": 0.2}, 20_000),
+            ({"n_vehicles": 500, "query_fraction": 0.2}, 100_000),
+        ),
+        ids=("defaults", "stopped_fraction", "query_fraction", "small_fleet"),
     )
-    def test_stream_is_the_one_the_record_dataclass_built(self, options):
-        """The generator builds each record's tuple in place; the stream
-        must stay the one it produced through a frozen 11-field record
-        dataclass, value for value and type for type (``reference.json``
-        of the benchmark rests on it)."""
+    def test_stream_is_the_one_the_record_dataclass_built(self, options, records):
+        """The generator builds each record's tuple in place and writes
+        each ``randrange`` out as ``Random._randbelow``'s rejection loop;
+        the stream must stay the one ``randrange`` calls produced through
+        a frozen 11-field record dataclass, value for value and type for
+        type (``reference.json`` of the benchmark rests on it)."""
 
         @dataclass(frozen=True)
         class Record:
@@ -204,8 +231,8 @@ class TestLinearRoadRecords:
         def typed(records):
             return [tuple(map(type, record)) for record in records]
 
-        for seed in (7, 11, 17):
-            got = take(linear_road_records(seed=seed, **options), 20_000)
-            want = take(with_dataclass(seed, **options), 20_000)
+        for seed in (7, 11, 17, 31):
+            got = take(linear_road_records(seed=seed, **options), records)
+            want = take(with_dataclass(seed, **options), records)
             assert got == want
             assert typed(got) == typed(want)
