@@ -88,10 +88,11 @@ class Parser(Operator):
 
     def process_columns(self, batch: ColumnBatch) -> Iterable[ColumnBatch]:
         sentences = batch.columns[0]
-        keep = [i for i, sentence in enumerate(sentences) if sentence]
-        if len(keep) == len(sentences):
+        if all(sentences):  # the usual batch: nothing to drop
             yield ColumnBatch.build(DEFAULT_STREAM, "s", [sentences])
-        elif keep:
+            return
+        keep = [i for i, sentence in enumerate(sentences) if sentence]
+        if keep:
             yield ColumnBatch.build(
                 DEFAULT_STREAM,
                 "s",

@@ -26,7 +26,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import defaultdict
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Collection, Iterator, Mapping, NamedTuple
 
 from repro.dsps.operators import Sink
 from repro.dsps.queues import MAX_BATCH_ROWS, CommunicationQueue, QueueStats
@@ -142,13 +142,17 @@ def publish_engine_metrics(
     spec: RuntimeSpec,
     result: RunResult,
     queue_stats: Mapping[tuple[int, int], QueueStats],
+    whole: Collection[tuple[int, int]],
 ) -> None:
     """Mirror a run's functional counters into the metrics registry.
 
     Shared by every backend so runs emit one schema regardless of how they
     executed.  Names follow ``component.replica.metric`` under the
     ``engine.`` prefix; per-queue metrics use the producer/consumer
-    task-id pair as the replica field (see docs/metrics.md).
+    task-id pair as the replica field (see docs/metrics.md).  ``whole``
+    are the edges whose columnar output was cut at ``MAX_BATCH_ROWS``
+    (:attr:`TaskStep.whole <repro.runtime.step.TaskStep.whole>`): their
+    fill ratio is taken against that size, not the jumbo batch size.
     """
     if not registry.enabled:
         return
@@ -165,8 +169,13 @@ def publish_engine_metrics(
         registry.counter(f"{prefix}.enqueued_batches").inc(stats.enqueued_batches)
         registry.counter(f"{prefix}.enqueued_tuples").inc(stats.enqueued_tuples)
         registry.gauge(f"{prefix}.max_depth_tuples").set(stats.max_depth_tuples)
+        cut_at = (
+            MAX_BATCH_ROWS
+            if (producer, consumer) in whole
+            else spec.batch_for((producer, consumer))
+        )
         registry.gauge(f"{prefix}.jumbo_fill_ratio").set(
-            stats.jumbo_fill_ratio(spec.batch_for((producer, consumer)))
+            stats.jumbo_fill_ratio(cut_at)
         )
         capacity = spec.queue_capacity.get((producer, consumer))
         if capacity is not None:
@@ -404,7 +413,11 @@ class _InlineRun:
                     f"engine.{rt.component}.{rt.task.replica_start}.task_wall_ns"
                 ).set(self.wall[rt.task_id] * 1e9)
             publish_engine_metrics(
-                self.registry, self.spec, result, self.step.queue_stats
+                self.registry,
+                self.spec,
+                result,
+                self.step.queue_stats,
+                self.step.whole,
             )
             publish_step_counters(self.registry, self.step.metrics)
         return result
@@ -568,6 +581,9 @@ def inline_rounds(
     a registry, a snapshot or a commit."""
     run = _InlineRun(spec, rounds * round_events, NULL_REGISTRY, vectorized=vectorized)
     step = run.step
+    # Every edge cuts at the batch size, so its enqueued batches are the
+    # messages it would carry cut between workers (what placement costs).
+    step.whole = frozenset()
     for index in range(rounds):
         run.run_phase((index + 1) * round_events, False, {})
         yield InlineSample(

@@ -27,6 +27,7 @@ scalar path instead.  Correctness never depends on a batch qualifying.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -61,6 +62,9 @@ VECTORIZED_MODES = ("auto", "off")
 #: typecodes ("s", "y") are absent on purpose — they decode to lists.
 COLUMN_DTYPES = {"q": "<i8", "d": "<f8", "?": "|b1"}
 
+#: :data:`COLUMN_DTYPES` as numpy dtypes, to recognise a canonical column.
+_NUMPY_DTYPES = {code: np.dtype(dtype) for code, dtype in COLUMN_DTYPES.items()}
+
 #: The exact Python type a field of each declared typecode holds.
 _FIELD_TYPES = {"q": int, "d": float, "?": bool, "s": str, "y": bytes}
 
@@ -70,6 +74,7 @@ _FIELD_TYPES = {"q": int, "d": float, "?": bool, "s": str, "y": bytes}
 _FIXED_PAYLOAD_BYTES = {"q": 28, "d": 24, "?": 16}
 
 
+@lru_cache(maxsize=256)
 def validate_schema(code: str, *, allow_dict: bool = False) -> None:
     """Raise ``ValueError`` unless ``code`` is a valid typecode string.
 
@@ -77,6 +82,10 @@ def validate_schema(code: str, *, allow_dict: bool = False) -> None:
     which batch schemas may carry but declared edge schemas may not —
     promotion to dictionary encoding is the codec's adaptive decision,
     never an operator declaration.
+
+    Memoized per string (every kernel output is built through it, from a
+    handful of schemas); a raise is not cached, so a bad schema raises
+    every time.
     """
     if not code:
         raise ValueError("schema must declare at least one field")
@@ -396,9 +405,11 @@ class ColumnBatch:
                         f"{type(column).__name__}, not DictColumn"
                     )
             else:
-                dtype = COLUMN_DTYPES.get(code)
+                dtype = _NUMPY_DTYPES.get(code)
                 if dtype is not None:
-                    column = np.asarray(column, dtype=dtype)
+                    # A canonical column is kept as it is.
+                    if type(column) is not np.ndarray or column.dtype != dtype:
+                        column = np.asarray(column, dtype=dtype)
                 elif not isinstance(column, list):
                     column = list(column)
             if n is None:

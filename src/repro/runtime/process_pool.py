@@ -609,7 +609,13 @@ class _PoolRun:
         registry = self.registry
         if partial or not registry.enabled:
             return result
-        publish_engine_metrics(registry, spec, result, self._union("edge_stats"))
+        publish_engine_metrics(
+            registry,
+            spec,
+            result,
+            self._union("edge_stats"),
+            {edge for report in reports.values() for edge in report["whole"]},
+        )
         self.placement.publish(registry)
         registry.gauge("runtime.run.workers").set(len(reports))
         totals = {
@@ -954,6 +960,7 @@ class _Worker:
                     "spout_produced": dict(self.step.spout_produced),
                     "exhausted": sorted(self.step.exhausted),
                     "edge_stats": self.step.queue_stats,
+                    "whole": self.step.whole,
                     "metrics": metrics,
                     "boundary_at": self.boundary_at,
                     "resumed_at": self.resumed_at,

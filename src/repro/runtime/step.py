@@ -48,7 +48,12 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.dsps.operators import Emission, Operator, Sink
-from repro.dsps.queues import CommunicationQueue, OutputBuffer, QueueStats
+from repro.dsps.queues import (
+    MAX_BATCH_ROWS,
+    CommunicationQueue,
+    OutputBuffer,
+    QueueStats,
+)
 from repro.dsps.streams import BroadcastGrouping, GlobalGrouping, ShuffleGrouping
 from repro.dsps.tuples import DEFAULT_STREAM, StreamTuple
 from repro.metrics.registry import MetricsRegistry
@@ -301,6 +306,20 @@ class TaskStep:
         #: Whether something sees every tuple of the run one by one:
         #: no kernel is dispatched to, no spout emits columns.
         self.per_tuple = self.vectorized == "off" or self.tick is not None
+        #: Edges whose columnar output goes onto the consumer's queue
+        #: whole (:meth:`route_columns` cuts it at ``MAX_BATCH_ROWS``):
+        #: both ends hosted here and the queue unbounded (none while
+        #: something sees single tuples: nothing is columnar).  Such a
+        #: queue never blocks a producer, so no chunk is ever seen by
+        #: backpressure or AIMD, and the consumer's ``take()`` would
+        #: glue the chunks straight back together.
+        self.whole: frozenset[tuple[int, int]] = frozenset(
+            key
+            for key, queue in self.queues.items()
+            if not self.per_tuple
+            and key in self.buffers
+            and queue.capacity_tuples is None
+        )
         if self.vectorized == "off":
             return
         for task_id, operator in self.instances.items():
@@ -707,14 +726,17 @@ class TaskStep:
 
         The route counter advances by ``len(out)``, exactly as the scalar
         loop would, and each receiving edge's pending scalar buffer is
-        flushed *first*, so per-edge FIFO order holds; the consumer's
-        share then leaves in chunks of that edge's live batch size (the
-        buffer's — barriers resize it — not the spec's as lowered).
-        Content-keyed groupings with several consumers burst to tuples
-        and keep the scalar discipline.
+        flushed *first*, so per-edge FIFO order holds.  The consumer's
+        share then leaves in chunks of ``MAX_BATCH_ROWS`` on an edge in
+        :attr:`whole`, and of that edge's live batch size elsewhere (the
+        buffer's — barriers resize it — not the spec's as lowered): a
+        bounded queue's backpressure and AIMD, and a remote edge's wire,
+        see the batch size.  Content-keyed groupings with several
+        consumers burst to tuples and keep the scalar discipline.
         """
         task_id = rt.task_id
         buffers = self.buffers
+        whole = self.whole
         burst: list[StreamTuple] | None = None
         for route in rt.routes:
             if route.stream != out.stream:
@@ -734,9 +756,11 @@ class TaskStep:
             self.counters[key] += len(out)
             for index, rows in parts:
                 consumer = consumers[index]
-                buffer = buffers[(task_id, consumer)]
+                edge = (task_id, consumer)
+                buffer = buffers[edge]
                 sealed = buffer.flush()
                 if sealed is not None:
                     yield task_id, consumer, sealed
-                for chunk in rows.chunks(buffer.batch_size):
+                size = MAX_BATCH_ROWS if edge in whole else buffer.batch_size
+                for chunk in rows.chunks(size):
                     yield task_id, consumer, chunk

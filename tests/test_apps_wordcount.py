@@ -7,6 +7,7 @@ import pytest
 
 from repro.apps import build_wordcount
 from repro.apps.wordcount import Counter, Parser, Splitter
+from repro.apps.workloads import sentences
 from repro.dsps import LocalEngine, StreamTuple
 from repro.dsps.tuples import DEFAULT_STREAM
 from repro.runtime.dataplane.columns import ColumnBatch, DictColumn, StringTable
@@ -31,6 +32,34 @@ class TestOperators:
         second = list(counter.process(StreamTuple(values=("a",))))
         assert first == [("default", ("a", 1))]
         assert second == [("default", ("a", 2))]
+
+
+class TestParserKernel:
+    """``Parser.process_columns`` keeps the rows, and the lineage, that
+    ``process`` keeps tuple by tuple: whole batches of valid sentences
+    and batches with empty ones (``empty_fraction > 0``)."""
+
+    @pytest.mark.parametrize("empty_fraction", (0.0, 0.3, 1.0))
+    def test_kernel_equals_process(self, empty_fraction):
+        source = sentences(seed=5, empty_fraction=empty_fraction)
+        parser = Parser()
+        for rows in (1024, 64, 1):
+            column = [next(source)[0] for _ in range(rows)]
+            want = [
+                (i, values)
+                for i, sentence in enumerate(column)
+                for _, values in parser.process(StreamTuple(values=(sentence,)))
+            ]
+            batch = ColumnBatch.build(DEFAULT_STREAM, "s", [column])
+            outs = list(parser.process_columns(batch))
+            if not want:
+                assert outs == []
+                continue
+            (out,) = outs
+            index = range(len(column)) if out.index is None else out.index.tolist()
+            assert list(zip(index, [(s,) for s in out.columns[0]])) == want
+        if empty_fraction == 0.0:
+            assert out.columns[0] is column  # passed through untouched
 
 
 class TestCounterKernel:

@@ -30,6 +30,7 @@ from repro.runtime.dataplane.columns import (
     _FIXED_PAYLOAD_BYTES,
     schema_dtypes,
     take,
+    validate_schema,
 )
 
 EDGE = (0, 1)
@@ -175,6 +176,28 @@ class TestBuildAndLineage:
         batch = ColumnBatch.build("s1", "qd", [[1, 2], [0.5, 1.5]])
         assert batch.columns[0].dtype == np.dtype("<i8")
         assert batch.columns[1].dtype == np.dtype("<f8")
+
+    def test_build_keeps_canonical_columns_and_recasts_the_rest(self):
+        ints = np.array([1, 2], dtype="<i8")
+        narrow = np.array([1, 2], dtype="<i4")
+        words = ["a", "b"]
+        batch = ColumnBatch.build("s1", "qqs", [ints, narrow, words])
+        assert batch.columns[0] is ints
+        assert batch.columns[1] is not narrow
+        assert batch.columns[1].dtype == np.dtype("<i8")
+        assert batch.columns[2] is words
+
+    @pytest.mark.parametrize("schema", ("qx", "", "D?z"))
+    def test_a_bad_schema_raises_every_time(self, schema):
+        # validate_schema is memoized per string; a raise is not.
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                ColumnBatch.build("s1", schema, [[1]] * len(schema))
+            with pytest.raises(ValueError):
+                validate_schema(schema, allow_dict=True)
+        validate_schema("qD", allow_dict=True)
+        with pytest.raises(ValueError):
+            validate_schema("qD")  # the memo keys on allow_dict too
 
     def test_build_rejects_ragged_columns(self):
         with pytest.raises(ValueError):

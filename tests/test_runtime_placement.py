@@ -395,6 +395,18 @@ class TestCalibrationIsSideEffectFree:
             hop = profiles["spout"].output_bytes["default"]
             assert hop == pytest.approx(per_message + codec)
 
+    def test_an_edge_is_sampled_as_a_cut_edge_would_carry_it(self):
+        """A run hands a kernel's output to a consumer in its own process
+        whole when the queue is unbounded; between workers it goes in
+        batch-size chunks, and those are the messages placement prices.
+        WC's splitter turns a round's 64 sentences into 640 words: ten
+        chunks, not one batch."""
+        _, got, _ = rp.calibrate(app_engine("wc").spec, rp.ROUNDS, "auto")
+        bounded = app_engine("wc", queue_capacity=10**9).spec
+        _, want, _ = rp.calibrate(bounded, rp.ROUNDS, "auto")
+        assert got == want
+        assert got[(2, 3)] == pytest.approx(10 / rp.ROUND_EVENTS)
+
     def test_the_run_ingests_exactly_its_budget_from_the_first_event(self):
         calibrated = LocalEngine(
             counting_topology(), backend=ProcessPoolBackend(n_workers=2)

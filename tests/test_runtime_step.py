@@ -8,7 +8,8 @@ columnar *between* tasks is invisible except for speed:
   and a structural guard: no executor calls an operator or a grouping;
 * router units — the route counter, per-edge FIFO (pending scalar tuples
   leave before the chunks that follow them), chunking by the live buffer
-  size, and every grouping against the scalar router on random batches;
+  size on a bounded edge and at ``MAX_BATCH_ROWS`` on an unbounded local
+  one, and every grouping against the scalar router on random batches;
 * the inline executor end to end — all four applications against their
   ``vectorized="off"`` run under the conditions that stress the hand-off:
   queues exactly one batch deep, epoch barriers with a live migration,
@@ -31,7 +32,7 @@ import pytest
 
 import repro.runtime
 
-from repro.apps import build_application
+from repro.apps import build_application, build_linear_road
 from repro.apps.wordcount import Counter, Parser, SentenceSpout, Splitter
 from repro.core.plan import ExecutionPlan
 from repro.dsps import LocalEngine
@@ -90,7 +91,7 @@ def _connect(handle, kind):
     return getattr(handle, f"{kind}_from")("src")
 
 
-def route_spec(kind, consumers, batch_size=BATCH):
+def route_spec(kind, consumers, batch_size=BATCH, queue_capacity=None):
     """Lowered spec of spout -> src -> dst(xN, grouping ``kind``) -> sink."""
     builder = TopologyBuilder("route")
     builder.set_spout("spout", _Numbers())
@@ -101,6 +102,7 @@ def route_spec(kind, consumers, batch_size=BATCH):
         builder.build(),
         replication={"spout": 1, "src": 1, "dst": consumers, "sink": 1},
         batch_size=batch_size,
+        queue_capacity=queue_capacity,
     )
     return engine.spec
 
@@ -381,19 +383,43 @@ class TestRouter:
         assert isinstance(second, ColumnBatch)
         assert second.columns[1].tolist() == [3, 4, 5, 6]
 
-    def test_chunk_size_follows_the_live_buffer(self):
-        harness = Harness(route_spec("shuffle", 1))
+    def test_bounded_edge_chunks_follow_the_live_buffer(self):
+        harness = Harness(route_spec("shuffle", 1, queue_capacity=10 * BATCH))
         (edge,) = harness.rt.out_edges
         key = (edge.producer, edge.consumer)
         queue = harness.step.queues[key]
+        assert queue.capacity_tuples is not None and key not in harness.step.whole
         harness.columnar(rows(20))
         # As queued, batch by batch: drain() would hand the run over merged.
         assert [len(b) for b in iter(queue.poll, None)] == [8, 8, 4]
         # A barrier's AIMD step resizes the buffer, not the lowered spec.
-        harness.step.buffers[key].batch_size = 5
+        harness.step.resize({key: 5})
         harness.columnar(rows(12, start=20))
         assert [len(b) for b in iter(queue.poll, None)] == [5, 5, 2]
         assert harness.spec.batch_for(key) == BATCH
+
+    def test_unbounded_local_edge_takes_the_output_whole(self):
+        harness = Harness(route_spec("shuffle", 1))
+        (edge,) = harness.rt.out_edges
+        key = (edge.producer, edge.consumer)
+        queue = harness.step.queues[key]
+        assert queue.capacity_tuples is None and key in harness.step.whole
+        n = 2 * MAX_BATCH_ROWS + 7
+        for size in (BATCH, 5):
+            harness.step.resize({key: size})
+            harness.columnar(rows(n))
+            # Cut only where take() would stop merging anyway.
+            assert [len(b) for b in iter(queue.poll, None)] == [
+                MAX_BATCH_ROWS,
+                MAX_BATCH_ROWS,
+                7,
+            ]
+            # Scalar rows still seal at the live batch size.
+            harness.scalar(rows(2 * size + 1))
+            assert [len(b) for b in iter(queue.poll, None)] == [size, size]
+            assert harness.step.buffers[key].pending == 1
+            harness.enqueue(harness.step.flush_buffers(harness.rt))
+            assert [len(b) for b in iter(queue.poll, None)] == [1]
 
     def test_small_batch_is_delivered_by_reference(self):
         harness = Harness(route_spec("shuffle", 1))
@@ -757,6 +783,112 @@ class TestInlineParity:
         if hooked:
             assert columnar_sink.seen == scalar_sink.seen
             assert len(scalar_sink.seen) == scalar_sink.received
+
+
+# ---------------------------------------------------------------------------
+# An unbounded local edge takes a kernel's output whole
+# ---------------------------------------------------------------------------
+#: A bound no queue ever reaches: the run is scheduled exactly as an
+#: unbounded one, but its edges are bounded, so they keep batch-size
+#: chunks.
+NEVER_FULL = 10**9
+
+
+def rows_of(payload):
+    tuples = payload.to_tuples() if isinstance(payload, ColumnBatch) else payload
+    if isinstance(tuples, JumboTuple):
+        tuples = tuples.tuples
+    return [(t.stream, t.values, t.source_task, t.event_time_ns) for t in tuples]
+
+
+def recorded_run(spec, events, vectorized, interval=None):
+    """Run ``spec`` inline (fused as ``InlineBackend`` fuses it) and
+    record every edge's enqueued rows, in order, and batch lengths."""
+    run = _InlineRun(
+        in_one_process(spec),
+        events,
+        NULL_REGISTRY,
+        vectorized=vectorized,
+        epochs=None if interval is None else EpochConfig(interval=interval),
+    )
+    edges = {key: ([], []) for key in run.step.queues}
+    for key, queue in run.step.queues.items():
+
+        def offer(batch, force=False, _offer=queue.offer, _seen=edges[key]):
+            _seen[0].extend(rows_of(batch))
+            _seen[1].append(len(batch))
+            return _offer(batch, force)
+
+        queue.offer = offer
+    return run, run.execute(), edges
+
+
+def replicated(app):
+    """Two replicas of every operator between the spouts and the sinks,
+    so shuffles split kernel outputs and fewer edges fuse."""
+    topology = build_application(app)
+    return {
+        name: 1 if isinstance(topology.component(name).template, (Spout, Sink)) else 2
+        for name in topology.components
+    }
+
+
+class TestCutWhole:
+    """The cut rule changes how many chunks cross an edge, never what
+    crosses it: counters equal the scalar reference, and every edge's
+    rows, concatenated, equal those of the same run with bounded queues
+    (which cut at the batch size)."""
+
+    def check(self, make_engine, vectorized, events=EVENTS, interval=None):
+        barriers = {} if interval is None else {"epoch_interval": interval}
+        reference = make_engine("off", **barriers).run(events)
+        spec = make_engine(vectorized).spec
+        run, candidate, edges = recorded_run(spec, events, vectorized, interval)
+        assert_same_run(reference, candidate)
+        bounded, _, bounded_edges = recorded_run(
+            make_engine(vectorized, queue_capacity=NEVER_FULL).spec,
+            events,
+            vectorized,
+            interval,
+        )
+        assert not bounded.step.whole
+        assert {key: seen[0] for key, seen in edges.items()} == {
+            key: seen[0] for key, seen in bounded_edges.items()
+        }
+        if vectorized == "off":
+            assert not run.step.whole
+            assert edges == bounded_edges
+        else:
+            assert run.step.whole == set(run.step.queues)
+        return edges
+
+    @pytest.mark.parametrize("vectorized", ("off", "auto"))
+    @pytest.mark.parametrize("batch_size", (1, 64))
+    @pytest.mark.parametrize("app", APPS)
+    def test_rows_and_counters_are_the_bounded_runs(self, app, batch_size, vectorized):
+        def make_engine(mode, **kwargs):
+            return app_engine(
+                app,
+                mode,
+                batch_size=batch_size,
+                replication=replicated(app),
+                **kwargs,
+            )
+
+        edges = self.check(make_engine, vectorized)
+        if vectorized == "auto":
+            # Some output crossed in one piece larger than a batch.
+            largest = max(max(lengths, default=0) for _, lengths in edges.values())
+            assert batch_size < largest <= MAX_BATCH_ROWS
+
+    @pytest.mark.parametrize("interval", (None, 5000, 2500, 1000, 70))
+    def test_linear_road_interval_sweep(self, interval):
+        def make_engine(mode, **kwargs):
+            # The sink keeps its default few samples: a barrier snapshots
+            # what it keeps, 114 times at interval 70.
+            return LocalEngine(build_linear_road(seed=11), vectorized=mode, **kwargs)
+
+        self.check(make_engine, "auto", 8000, interval)
 
 
 # ---------------------------------------------------------------------------
