@@ -101,6 +101,23 @@ class Parser(Operator):
             )
 
 
+#: ``str.split()``'s ASCII whitespace (``\t \n \x0b \x0c \r``,
+#: ``\x1c``-``\x1f`` and space) as a ``bytes.translate`` table: 1 for
+#: whitespace, 0 for any other byte.
+_WHITESPACE = bytes(
+    int(chr(byte).isspace()) if byte < 128 else 0 for byte in range(256)
+)
+#: Pad after a batch's text: whitespace, so no word runs into it, and
+#: eight bytes, so an 8-byte read at any word start stays in bounds.
+_PAD = b" " * 8
+#: ``_KEY_MASK[n]`` keeps the low ``n`` bytes of a little-endian read.
+_KEY_MASK = np.array([(1 << (8 * n)) - 1 for n in range(9)], dtype=np.uint64)
+#: Fibonacci hashing's multiplier (2**64 / golden ratio).
+_HASH = np.uint64(0x9E3779B97F4A7C15)
+#: Slots the splitter's word cache starts with (a power of two).
+_SLOTS = 4096
+
+
 class Splitter(Operator):
     """Splits each sentence into words, one output tuple per word.
 
@@ -117,32 +134,147 @@ class Splitter(Operator):
     def __init__(self) -> None:
         self._codes: dict[str, int] = {}
         self._table = StringTable()
+        #: The word cache :meth:`_lookup` reads, built at its first call
+        #: (so that copying an unused prototype copies no table).
+        self._slot_keys = None
 
     def process(self, item: StreamTuple) -> Iterable[Emission]:
         for word in item.values[0].split():
             yield DEFAULT_STREAM, (word,)
 
     def process_columns(self, batch: ColumnBatch) -> Iterable[ColumnBatch]:
+        """Find the batch's words in its bytes (:meth:`_split_bytes`), or,
+        in a batch with non-ASCII text, a NUL or a word longer than eight
+        bytes, with the per-word ``split()`` loop.  Both give a word the
+        code the loop would: its first appearance's rank in the table."""
+        sentences = batch.columns[0]
+        found = self._split_bytes(sentences)
+        if found is None:
+            codes = self._codes
+            table = self._table
+            lookup = codes.get
+            word_codes: list[int] = []
+            counts: list[int] = []
+            for sentence in sentences:
+                parts = sentence.split()
+                for word in parts:
+                    code = lookup(word)
+                    if code is None:
+                        code = len(table)
+                        codes[word] = code
+                        table.append(word)
+                    word_codes.append(code)
+                counts.append(len(parts))
+            index = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
+            found = np.asarray(word_codes, dtype="<i4"), index
+        word_codes, index = found
+        if not len(word_codes):
+            return
+        column = DictColumn(word_codes, self._table)
+        yield ColumnBatch.build(DEFAULT_STREAM, "s", [column], index=index)
+
+    def _split_bytes(self, sentences):
+        """``(codes, index)`` of the words of ``sentences``, found in bytes,
+        or ``None`` if a word's bytes cannot be its key.
+
+        The sentences are joined by one space and encoded once.  A byte
+        table of ``str.split()``'s ASCII whitespace marks where words
+        start and end; a word of at most eight bytes, read as one
+        zero-padded little-endian ``uint64``, is its own key (no NUL in
+        the text, so no two words share one).  Sentence ``k``'s first
+        word is the first to start at or after the sentence does.
+        """
+        text = " ".join(sentences)
+        if not text.isascii() or "\0" in text:
+            return None
+        # A space before the text: text[i] is byte i + 1 of ``data``.
+        data = b"".join((b" ", text.encode("ascii"), _PAD))
+        ws = np.frombuffer(data.translate(_WHITESPACE), dtype=bool)
+        # The class flips where a word starts and where it ends, and
+        # ``data`` starts and ends in whitespace: the flips alternate.
+        flips = np.flatnonzero(ws[:-1] != ws[1:])
+        starts = flips[0::2]
+        ends = flips[1::2]
+        lengths = ends - starts
+        if len(lengths) and lengths.max() > 8:
+            return None
+        # An unaligned view: ``take`` would copy all of it aligned first.
+        keys = np.ndarray((len(text),), "<u8", data, 1, (1,))[starts]
+        keys &= _KEY_MASK.take(lengths)
+        word_codes = self._lookup(keys, text, starts, ends)
+        # A sentence and the space after it.
+        spans = np.fromiter(map(len, sentences), np.intp, len(sentences)) + 1
+        first = np.append(starts.searchsorted(spans.cumsum() - spans), len(starts))
+        index = np.repeat(np.arange(len(spans), dtype=np.intp), np.diff(first))
+        return word_codes, index
+
+    def _lookup(self, keys, text, starts, ends):
+        """The codes of the words ``keys`` stand for, adding new words.
+
+        A direct-mapped slot table, indexed by the key's Fibonacci hash,
+        holds the codes of words already seen.  Rows whose slot holds
+        another key go through the ``_codes`` dict, new words in order
+        of first appearance; the table doubles, rebuilt from ``_table``,
+        when the vocabulary passes a quarter of it.
+        """
+        if self._slot_keys is None:
+            self._grow()
+        slots = self._slots(keys)
+        hit = self._slot_keys.take(slots) == keys
+        word_codes = self._slot_codes.take(slots)
+        if hit.all():
+            return word_codes
+        missed = np.flatnonzero(~hit)
+        unique, first, inverse = np.unique(
+            keys.take(missed), return_index=True, return_inverse=True
+        )
+        # Visit the missed words in order of first appearance.
+        order = first.argsort()
+        at = missed.take(first.take(order))
         codes = self._codes
         table = self._table
-        lookup = codes.get
-        word_codes: list[int] = []
-        counts: list[int] = []
-        for sentence in batch.columns[0]:
-            parts = sentence.split()
-            for word in parts:
-                code = lookup(word)
-                if code is None:
-                    code = len(table)
-                    codes[word] = code
-                    table.append(word)
-                word_codes.append(code)
-            counts.append(len(parts))
-        if not word_codes:
-            return
-        index = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
-        column = DictColumn(np.asarray(word_codes, dtype="<i4"), table)
-        yield ColumnBatch.build(DEFAULT_STREAM, "s", [column], index=index)
+        fresh = np.empty(len(unique), dtype="<i4")
+        for rank, start, end in zip(
+            order.tolist(), starts.take(at).tolist(), ends.take(at).tolist()
+        ):
+            word = text[start:end]
+            code = codes.get(word)
+            if code is None:
+                code = len(table)
+                codes[word] = code
+                table.append(word)
+            fresh[rank] = code
+        word_codes[missed] = fresh.take(inverse)
+        if 4 * len(table) > self._slot_keys.size:
+            self._grow()
+        else:
+            self._install(unique, fresh)
+        return word_codes
+
+    def _slots(self, keys):
+        """Each key's slot: the top bits of its Fibonacci hash."""
+        return ((keys * _HASH) >> self._shift).view(np.intp)
+
+    def _install(self, keys, codes) -> None:
+        slots = self._slots(keys)
+        self._slot_keys[slots] = keys
+        self._slot_codes[slots] = codes
+
+    def _grow(self) -> None:
+        """(Re)build the slot table from ``_table``, with the vocabulary
+        at most a quarter of it."""
+        slots = _SLOTS
+        while 4 * len(self._table) > slots:
+            slots *= 2
+        self._slot_keys = np.zeros(slots, dtype=np.uint64)
+        self._slot_codes = np.zeros(slots, dtype="<i4")
+        self._shift = np.uint64(65 - slots.bit_length())
+        keys, codes = [], []
+        for code, word in enumerate(self._table):
+            if len(word) <= 8 and word.isascii() and "\0" not in word:
+                keys.append(int.from_bytes(word.encode("ascii"), "little"))
+                codes.append(code)
+        self._install(np.array(keys, dtype=np.uint64), np.array(codes, dtype="<i4"))
 
 
 class Counter(Operator):

@@ -376,6 +376,7 @@ class _InlineRun:
             exhausted=step.exhausted,
             sink_received=sink_received,
             queue_stats=step.queue_stats,
+            whole=step.whole,
             task_wall_ns={t: s * 1e9 for t, s in self.wall.items()},
             quiesce_ns=(
                 (started - self.boundary_at) * 1e9 if self.boundary_at else 0.0

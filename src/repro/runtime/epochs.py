@@ -367,6 +367,9 @@ class BarrierState:
     #: Edges whose worker stalled on its transport this epoch (shm ring
     #: full, blocked remote send) — pressure beyond ``blocked_batches``.
     pressure: frozenset[tuple[int, int]] = frozenset()
+    #: Edges whose kernel output crosses whole (``TaskStep.whole``): no
+    #: batch size cuts it there, so AIMD leaves them alone.
+    whole: frozenset[tuple[int, int]] = frozenset()
     task_wall_ns: Mapping[int, float] = field(default_factory=dict)
     quiesce_ns: float = 0.0
     snapshot_ns: float = 0.0
@@ -519,10 +522,15 @@ class EpochDriver:
             overload_state = self.manager.commit_state()
         changed: dict = {}
         if self.controller is not None:
+            stats = {
+                edge: st
+                for edge, st in state.queue_stats.items()
+                if edge not in state.whole
+            }
             pressure = set(state.pressure)
             if self.manager is not None and self.manager.force_batch_pressure:
-                pressure.update(state.queue_stats)
-            changed = self.controller.observe(state.queue_stats, pressure)
+                pressure.update(stats)
+            changed = self.controller.observe(stats, pressure)
             if changed:
                 # Live output buffers pick the sizes up from the
                 # directive; the spec carries them so that a migration,

@@ -27,6 +27,7 @@ semantics, still the default for ``LocalEngine`` runs without a plan).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dc_replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
 from repro.dsps.graph import ExecutionGraph, Task, TaskEdge
@@ -67,9 +68,10 @@ class RouteSpec:
     consumers: tuple[int, ...]
     mode: str
 
-    @property
+    @cached_property
     def counter_key(self) -> str:
-        """Per-producer routing-counter key (stable across backends)."""
+        """Per-producer routing-counter key (stable across backends),
+        built once per route: the routers read it per call."""
         return f"{self.stream}->{self.consumers}"
 
 

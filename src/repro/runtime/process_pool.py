@@ -463,6 +463,7 @@ class _PoolRun:
             sink_received=sum(r["sink_received"] for r in reports),
             queue_stats=union("edge_stats"),
             pressure=frozenset(e for r in reports for e in r["pressure"]),
+            whole=frozenset(e for r in reports for e in r["whole"]),
             # No task_wall_ns: per-task wall-clock is an inline-backend
             # signal; workers only report per-process busy time.
             quiesce_ns=float(parked - min(boundaries)) if boundaries else 0.0,

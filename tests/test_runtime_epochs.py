@@ -637,6 +637,64 @@ class TestOnePoolPerRun:
         assert 1.0 <= ratio < 1.1
 
 
+class TestAimdLeavesWholeEdges:
+    """An edge whose kernel output crosses whole (``TaskStep.whole``:
+    both ends in one step, queue unbounded) is cut at ``MAX_BATCH_ROWS``,
+    not at its batch size, so its mean enqueued batch reads above the
+    size and AIMD used to grow it at every barrier (WC inline: 30
+    increases over 8 000 events, every edge at 544).  AIMD leaves such
+    edges alone; the rows are those of a run without AIMD."""
+
+    @staticmethod
+    def assert_whole_edges_unresized(app, whole, registry, result, reference):
+        gauges = registry.snapshot()["gauges"]
+        for producer, consumer in whole:
+            size = gauges.get(f"runtime.batch.size.{producer}-{consumer}", 64)
+            assert size == 64, (app, producer, consumer)
+        assert result.sink_received() == reference.sink_received(), app
+        assert task_counts(result) == task_counts(reference), app
+
+    @pytest.mark.parametrize("app", ["wc", "lr"])
+    def test_inline(self, app):
+        reference = build_engine(app, epoch_interval=500).run(8000)
+        registry = MetricsRegistry()
+        engine = build_engine(
+            app, epoch_interval=500, adaptive_batch=True, registry=registry
+        )
+        result = engine.run(8000)
+        # Inline, every task is hosted by the one step: each unbounded
+        # queue is a whole edge, and by default every queue is unbounded.
+        whole = [e for e, cap in engine.spec.queue_capacity.items() if cap is None]
+        assert whole
+        self.assert_whole_edges_unresized(app, whole, registry, result, reference)
+        assert registry.snapshot()["counters"]["runtime.batch.increases"] == 0
+
+    @pytest.mark.parametrize("app", ["wc", "lr"])
+    def test_process(self, app):
+        ordered = app == "lr"
+        reference = build_engine(
+            app, backend=process_backend(ordered=ordered), epoch_interval=500
+        ).run(4000)
+        registry = MetricsRegistry()
+        engine = build_engine(
+            app,
+            backend=process_backend(
+                ordered=ordered, batching=AdaptiveBatchConfig()
+            ),
+            epoch_interval=500,
+            registry=registry,
+        )
+        result = engine.run(4000)
+        owner = result.placement.owner
+        whole = [
+            (producer, consumer)
+            for (producer, consumer), cap in engine.spec.queue_capacity.items()
+            if cap is None and owner[producer] == owner[consumer]
+        ]
+        assert whole
+        self.assert_whole_edges_unresized(app, whole, registry, result, reference)
+
+
 class TestBarrierExplainsItself:
     @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_commit_entries_and_gauges(self, backend):

@@ -1,5 +1,7 @@
 """Tests for the unified lowering (repro.runtime.lowering)."""
 
+import pickle
+
 import pytest
 
 from repro.apps import build_wordcount
@@ -102,6 +104,16 @@ class TestLowerGraph:
         }
         # WC uses shuffle and fields groupings only -> everything unicast.
         assert set(modes.values()) == {"pick"}
+
+    def test_counter_key_is_built_once(self, topology, graph):
+        spec = lower_graph(topology, graph)
+        for rt in spec.tasks:
+            for route in rt.routes:
+                # The key checkpoints and route counters are stored under.
+                assert route.counter_key == f"{route.stream}->{route.consumers}"
+                assert route.counter_key is route.counter_key
+                copy = pickle.loads(pickle.dumps(route))
+                assert copy.counter_key == route.counter_key
 
 
 class TestLowerPlan:
