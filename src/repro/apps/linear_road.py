@@ -29,7 +29,7 @@ on LR by construction: there is no "s" column to promote.
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -516,14 +516,17 @@ class TollNotifier(Operator):
         self._accidents: set[tuple[int, int, int]] = set()
         self.tolls_charged = 0
 
-    def _toll_for(self, key: tuple[int, int, int]) -> int:
+    def _toll(self, key: tuple[int, int, int], lav: float, count: int) -> int:
+        """The toll a segment with LAV ``lav`` and ``count`` vehicles
+        charges: nonzero only while it is congested and accident-free."""
         if key in self._accidents:
             return 0  # tolls suspended in accident segments
-        lav = self._lav.get(key, 100.0)
-        count = self._counts.get(key, 0)
         if lav >= CONGESTION_SPEED or count <= CONGESTION_THRESHOLD:
             return 0
         return BASE_TOLL * (count - CONGESTION_THRESHOLD) ** 2
+
+    def _toll_for(self, key: tuple[int, int, int]) -> int:
+        return self._toll(key, self._lav.get(key, 100.0), self._counts.get(key, 0))
 
     def process(self, item: StreamTuple) -> Iterable[Emission]:
         if item.stream == DETECT_STREAM:
@@ -555,43 +558,60 @@ class TollNotifier(Operator):
 
     def process_columns(self, batch: ColumnBatch) -> Iterable[ColumnBatch]:
         # Wire batches carry one stream each, so the per-tuple stream
-        # branch becomes a per-batch branch; the toll lookups stay a
-        # scalar loop over the (small) per-segment state tables.
+        # branch becomes a per-batch branch.  A toll is nonzero only on
+        # a congested, accident-free segment — usually none — so no row
+        # pays a lookup unless its own value, or its segment, can toll.
         cols = batch.columns
         if batch.stream == DETECT_STREAM:
-            accidents = self._accidents
-            for xway, direction, segment in zip(
-                cols[0].tolist(), cols[1].tolist(), cols[2].tolist()
-            ):
-                accidents.add((xway, direction, segment))
+            self._accidents.update(
+                zip(cols[0].tolist(), cols[1].tolist(), cols[2].tolist())
+            )
             return
+        n = len(batch)
+        tolls = np.zeros(n, dtype="<i8")
         if batch.stream in (LAS_STREAM, COUNTS_STREAM):
-            xways = cols[0].tolist()
-            dirs = cols[1].tolist()
-            segs = cols[2].tolist()
+            keys = list(zip(cols[0].tolist(), cols[1].tolist(), cols[2].tolist()))
             latest = cols[3].tolist()
-            table = self._lav if batch.stream == LAS_STREAM else self._counts
-            tolls = np.empty(len(xways), dtype="<i8")
-            for i in range(len(xways)):
-                key = (xways[i], dirs[i], segs[i])
-                table[key] = latest[i]
-                tolls[i] = self._toll_for(key)
+            # A row's toll reads its own new value and the other table,
+            # which this batch leaves alone; rows whose value cannot
+            # toll (LAV not below the speed, count not above the
+            # threshold) read nothing.
+            las = batch.stream == LAS_STREAM
+            tolling = np.flatnonzero(
+                ~(cols[3] >= CONGESTION_SPEED) if las else cols[3] > CONGESTION_THRESHOLD
+            )
+            # One update in row order: the last row of a key wins and
+            # first-seen keys keep their order, as per-row assignment.
+            (self._lav if las else self._counts).update(zip(keys, latest))
+            for i in tolling.tolist():
+                key = keys[i]
+                if las:
+                    tolls[i] = self._toll(key, latest[i], self._counts.get(key, 0))
+                else:
+                    tolls[i] = self._toll(key, self._lav.get(key, 100.0), latest[i])
             yield ColumnBatch.build(
                 TOLL_STREAM, "qqqq", [cols[0], cols[1], cols[2], tolls]
             )
             return
-        # Position reports: charge each vehicle the current segment toll.
-        xways = cols[_POS_XWAY].tolist()
-        dirs = cols[_POS_DIR].tolist()
-        segs = cols[_POS_SEG].tolist()
-        tolls = np.empty(len(xways), dtype="<i8")
-        charged = 0
-        for i in range(len(xways)):
-            toll = self._toll_for((xways[i], dirs[i], segs[i]))
-            if toll > 0:
-                charged += 1
-            tolls[i] = toll
-        self.tolls_charged += charged
+        # Position reports: charge each vehicle its segment's toll,
+        # computed once per tolled segment and gathered into the rows.
+        counts = self._counts
+        tolled = {
+            key: toll
+            for key, lav in self._lav.items()
+            if not lav >= CONGESTION_SPEED
+            and (toll := self._toll(key, lav, counts.get(key, 0)))
+        }
+        if tolled:
+            keys = zip(
+                cols[_POS_XWAY].tolist(),
+                cols[_POS_DIR].tolist(),
+                cols[_POS_SEG].tolist(),
+            )
+            tolls = np.fromiter(
+                map(tolled.get, keys, repeat(0)), dtype="<i8", count=n
+            )
+            self.tolls_charged += int(np.count_nonzero(tolls))
         yield ColumnBatch.build(
             TOLL_STREAM, "qqq", [cols[_POS_VID], tolls, cols[_POS_TIME]]
         )

@@ -26,7 +26,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import defaultdict
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Collection, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, NamedTuple
 
 from repro.dsps.operators import Sink
 from repro.dsps.queues import MAX_BATCH_ROWS, CommunicationQueue, QueueStats
@@ -142,7 +142,7 @@ def publish_engine_metrics(
     spec: RuntimeSpec,
     result: RunResult,
     queue_stats: Mapping[tuple[int, int], QueueStats],
-    whole: Collection[tuple[int, int]],
+    whole: Mapping[tuple[int, int], int],
 ) -> None:
     """Mirror a run's functional counters into the metrics registry.
 
@@ -150,9 +150,10 @@ def publish_engine_metrics(
     executed.  Names follow ``component.replica.metric`` under the
     ``engine.`` prefix; per-queue metrics use the producer/consumer
     task-id pair as the replica field (see docs/metrics.md).  ``whole``
-    are the edges whose columnar output was cut at ``MAX_BATCH_ROWS``
-    (:attr:`TaskStep.whole <repro.runtime.step.TaskStep.whole>`): their
-    fill ratio is taken against that size, not the jumbo batch size.
+    maps the edges that carried columnar output to the size it was cut
+    at (:attr:`TaskStep.whole <repro.runtime.step.TaskStep.whole>`):
+    their fill ratio is taken against that cut, every other edge's
+    against its jumbo batch size.
     """
     if not registry.enabled:
         return
@@ -169,10 +170,8 @@ def publish_engine_metrics(
         registry.counter(f"{prefix}.enqueued_batches").inc(stats.enqueued_batches)
         registry.counter(f"{prefix}.enqueued_tuples").inc(stats.enqueued_tuples)
         registry.gauge(f"{prefix}.max_depth_tuples").set(stats.max_depth_tuples)
-        cut_at = (
-            MAX_BATCH_ROWS
-            if (producer, consumer) in whole
-            else spec.batch_for((producer, consumer))
+        cut_at = whole.get((producer, consumer)) or spec.batch_for(
+            (producer, consumer)
         )
         registry.gauge(f"{prefix}.jumbo_fill_ratio").set(
             stats.jumbo_fill_ratio(cut_at)
@@ -583,8 +582,9 @@ def inline_rounds(
     run = _InlineRun(spec, rounds * round_events, NULL_REGISTRY, vectorized=vectorized)
     step = run.step
     # Every edge cuts at the batch size, so its enqueued batches are the
-    # messages it would carry cut between workers (what placement costs).
-    step.whole = frozenset()
+    # messages the calibrated message cost was priced on (the run itself
+    # cuts columnar output at ``TaskStep.whole``'s sizes).
+    step.whole = {edge: buffer.batch_size for edge, buffer in step.buffers.items()}
     for index in range(rounds):
         run.run_phase((index + 1) * round_events, False, {})
         yield InlineSample(

@@ -352,7 +352,7 @@ class ColumnBatch:
             if schema is None:
                 return None
         arity = len(schema)
-        if any(len(values) != arity for values in rows):
+        if set(map(len, rows)) != {arity}:
             return None
         columns: list = []
         try:

@@ -42,7 +42,7 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Collection, Mapping
 
 from repro.errors import ExecutionError, TopologyError
 from repro.metrics.registry import MetricsRegistry
@@ -367,9 +367,10 @@ class BarrierState:
     #: Edges whose worker stalled on its transport this epoch (shm ring
     #: full, blocked remote send) — pressure beyond ``blocked_batches``.
     pressure: frozenset[tuple[int, int]] = frozenset()
-    #: Edges whose kernel output crosses whole (``TaskStep.whole``): no
-    #: batch size cuts it there, so AIMD leaves them alone.
-    whole: frozenset[tuple[int, int]] = frozenset()
+    #: Edges that carry columnar output (``TaskStep.whole``): no batch
+    #: size cuts it there, so AIMD and the batch-shrink rung leave them
+    #: alone.
+    whole: Collection[tuple[int, int]] = frozenset()
     task_wall_ns: Mapping[int, float] = field(default_factory=dict)
     quiesce_ns: float = 0.0
     snapshot_ns: float = 0.0

@@ -463,7 +463,7 @@ class _PoolRun:
             sink_received=sum(r["sink_received"] for r in reports),
             queue_stats=union("edge_stats"),
             pressure=frozenset(e for r in reports for e in r["pressure"]),
-            whole=frozenset(e for r in reports for e in r["whole"]),
+            whole=union("whole"),
             # No task_wall_ns: per-task wall-clock is an inline-backend
             # signal; workers only report per-process busy time.
             quiesce_ns=float(parked - min(boundaries)) if boundaries else 0.0,
@@ -615,7 +615,7 @@ class _PoolRun:
             spec,
             result,
             self._union("edge_stats"),
-            {edge for report in reports.values() for edge in report["whole"]},
+            self._union("whole"),
         )
         self.placement.publish(registry)
         registry.gauge("runtime.run.workers").set(len(reports))

@@ -128,6 +128,14 @@ def partition(
     return None
 
 
+def column_cut(capacity: int | None) -> int:
+    """Where columnar output is cut on an edge whose consumer's queue
+    holds ``capacity`` tuples (``None``: unbounded): at
+    ``MAX_BATCH_ROWS``, where the consumer's ``take()`` stops merging
+    anyway, or at the capacity, so that every chunk is admissible."""
+    return MAX_BATCH_ROWS if capacity is None else min(MAX_BATCH_ROWS, capacity)
+
+
 #: What ``flush()`` output derives from: no input tuple, event time zero.
 _NO_INPUT = StreamTuple(values=())
 
@@ -306,24 +314,12 @@ class TaskStep:
         #: Whether something sees every tuple of the run one by one:
         #: no kernel is dispatched to, no spout emits columns.
         self.per_tuple = self.vectorized == "off" or self.tick is not None
-        #: Edges whose columnar output goes onto the consumer's queue
-        #: whole (:meth:`route_columns` cuts it at ``MAX_BATCH_ROWS``):
-        #: both ends hosted here and the queue unbounded (none while
-        #: something sees single tuples: nothing is columnar).  Such a
-        #: queue never blocks a producer, so no chunk is ever seen by
-        #: backpressure or AIMD, and the consumer's ``take()`` would
-        #: glue the chunks straight back together.
-        self.whole: frozenset[tuple[int, int]] = frozenset(
-            key
-            for key, queue in self.queues.items()
-            if not self.per_tuple
-            and key in self.buffers
-            and queue.capacity_tuples is None
-        )
-        if self.vectorized == "off":
-            return
         for task_id, operator in self.instances.items():
-            if not isinstance(operator, Operator) or not operator.supports_columns():
+            if (
+                self.vectorized == "off"
+                or not isinstance(operator, Operator)
+                or not operator.supports_columns()
+            ):
                 continue
             self.capable.add(task_id)
             is_sink = isinstance(operator, Sink)
@@ -336,6 +332,21 @@ class TaskStep:
             self.kernels[task_id] = operator.process_columns
             accepted = operator.column_schemas
             self.schemas[task_id] = None if accepted is None else frozenset(accepted)
+        #: Out-edges of the hosted kernel tasks and columnar spouts (none
+        #: while something sees single tuples), each with the size
+        #: :meth:`route_columns` cuts their columnar output at:
+        #: :func:`column_cut` of the consumer's queue capacity.  A
+        #: kernel's output already exists whole, so cutting it at the
+        #: batch size buys no latency, only messages the consumer's
+        #: ``take()`` glues straight back together; the batch size only
+        #: says where *scalar* rows seal, and AIMD leaves these edges
+        #: alone.
+        self.whole: dict[tuple[int, int], int] = {
+            key: column_cut(spec.queue_capacity.get(key))
+            for key in self.buffers
+            if key[0] in self.kernels
+            or (key[0] in self.spout_iters and not self.per_tuple)
+        }
 
     def _restore(
         self,
@@ -727,12 +738,13 @@ class TaskStep:
         The route counter advances by ``len(out)``, exactly as the scalar
         loop would, and each receiving edge's pending scalar buffer is
         flushed *first*, so per-edge FIFO order holds.  The consumer's
-        share then leaves in chunks of ``MAX_BATCH_ROWS`` on an edge in
-        :attr:`whole`, and of that edge's live batch size elsewhere (the
-        buffer's — barriers resize it — not the spec's as lowered): a
-        bounded queue's backpressure and AIMD, and a remote edge's wire,
-        see the batch size.  Content-keyed groupings with several
-        consumers burst to tuples and keep the scalar discipline.
+        share then leaves in chunks of the edge's cut in :attr:`whole`
+        — ``MAX_BATCH_ROWS``, or the consumer's queue capacity where
+        that is less, so every chunk fits an empty queue and neither
+        local backpressure nor a worker's refusal can wedge — whether
+        the queue is local and unbounded, local and bounded, or across
+        a ring.  Content-keyed groupings with several consumers burst to
+        tuples and keep the scalar discipline.
         """
         task_id = rt.task_id
         buffers = self.buffers
@@ -757,10 +769,8 @@ class TaskStep:
             for index, rows in parts:
                 consumer = consumers[index]
                 edge = (task_id, consumer)
-                buffer = buffers[edge]
-                sealed = buffer.flush()
+                sealed = buffers[edge].flush()
                 if sealed is not None:
                     yield task_id, consumer, sealed
-                size = MAX_BATCH_ROWS if edge in whole else buffer.batch_size
-                for chunk in rows.chunks(size):
+                for chunk in rows.chunks(whole[edge]):
                     yield task_id, consumer, chunk

@@ -1,14 +1,18 @@
 """Functional tests for the Linear Road application."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import build_linear_road
 from repro.apps.linear_road import (
     AccidentDetector,
     BALANCE_STREAM,
+    COUNTS_STREAM,
     DAILY_STREAM,
     DETECT_STREAM,
     Dispatcher,
+    LAS_STREAM,
     POSITION_STREAM,
     TollNotifier,
     TOLL_STREAM,
@@ -16,6 +20,7 @@ from repro.apps.linear_road import (
 from repro.dsps import LocalEngine, StreamTuple
 from repro.dsps.operators import Operator
 from repro.runtime import ProcessPoolBackend
+from repro.runtime.dataplane import ColumnBatch
 
 
 class TestDispatcher:
@@ -117,6 +122,83 @@ class TestTollNotifier:
             )
         )
         assert out[0][1][1] == 0
+
+
+#: A few segments, so that one batch repeats keys.
+_SEGMENT = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 2))
+#: One batch of one stream, its values around the congestion thresholds
+#: (LAV 40, 50 vehicles), so that tolls are charged and suspended.
+_TOLL_BATCH = st.one_of(
+    st.tuples(
+        st.just(LAS_STREAM),
+        st.lists(st.tuples(_SEGMENT, st.floats(0.0, 80.0)), min_size=1, max_size=12),
+    ),
+    st.tuples(
+        st.just(COUNTS_STREAM),
+        st.lists(st.tuples(_SEGMENT, st.integers(0, 100)), min_size=1, max_size=12),
+    ),
+    st.tuples(
+        st.just(DETECT_STREAM),
+        st.lists(st.tuples(_SEGMENT, st.integers(0, 9)), min_size=1, max_size=2),
+    ),
+    st.tuples(
+        st.just(POSITION_STREAM),
+        st.lists(st.tuples(_SEGMENT, st.integers(0, 99)), min_size=1, max_size=12),
+    ),
+)
+
+
+def _toll_inputs(stream, rows):
+    """``rows`` as the notifier's input tuples of ``stream``."""
+    if stream == POSITION_STREAM:
+        # (time, vid, speed, xway, lane, dir, seg, pos)
+        values = [(vid, vid + 1, 0, x, 1, d, s, 0) for (x, d, s), vid in rows]
+    else:
+        values = [(*segment, value) for segment, value in rows]
+    return [StreamTuple(values=v, stream=stream) for v in values]
+
+
+class TestTollKernel:
+    """``TollNotifier.process_columns`` is ``process`` batch by batch:
+    the seed-7 stream charges no toll, so this drives congested segments,
+    accidents and keys repeated within one batch."""
+
+    @staticmethod
+    def assert_kernel_is_process(batches):
+        scalar, columnar = TollNotifier(), TollNotifier()
+        for stream, rows in batches:
+            items = _toll_inputs(stream, rows)
+            want = [
+                values for item in items for _, values in scalar.process(item)
+            ]
+            got = [
+                row
+                for out in columnar.process_columns(ColumnBatch.from_tuples(items))
+                for row in zip(*(column.tolist() for column in out.columns))
+            ]
+            assert got == want
+        assert columnar.tolls_charged == scalar.tolls_charged
+        want_state, got_state = scalar.snapshot_state(), columnar.snapshot_state()
+        assert got_state == want_state
+        for table in ("lav", "counts"):
+            assert list(got_state[table]) == list(want_state[table])
+        return scalar.tolls_charged
+
+    def test_congested_segments_charge_in_one_batch(self):
+        charged = self.assert_kernel_is_process(
+            [
+                (LAS_STREAM, [((0, 0, 0), 20.0), ((0, 0, 1), 20.0), ((0, 0, 0), 30.0)]),
+                (COUNTS_STREAM, [((0, 0, 0), 80), ((0, 0, 1), 60), ((0, 0, 0), 70)]),
+                (DETECT_STREAM, [((0, 0, 1), 5)]),
+                (POSITION_STREAM, [((0, 0, 0), 1), ((0, 0, 1), 2), ((0, 0, 2), 3)]),
+            ]
+        )
+        assert charged == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_TOLL_BATCH, min_size=1, max_size=12))
+    def test_any_batch_sequence(self, batches):
+        self.assert_kernel_is_process(batches)
 
 
 class TestEndToEnd:

@@ -256,6 +256,15 @@ class TestFromRows:
         assert ColumnBatch.from_rows(rows, "default", 3, times) is None
         assert ColumnBatch.from_tuples(make_tuples(rows)) is None
 
+    @pytest.mark.parametrize("schema", (None, "qs"))
+    @pytest.mark.parametrize("ragged", ((1,), (1, "a", 2), ()))
+    @pytest.mark.parametrize("position", (0, 2, 4))
+    def test_declines_a_ragged_row_anywhere(self, position, ragged, schema):
+        rows = [(i, "a") for i in range(5)]
+        rows[position] = ragged
+        times = np.arange(len(rows), dtype="<f8")
+        assert ColumnBatch.from_rows(rows, "default", 3, times, schema) is None
+
     def test_declared_schema_is_checked_not_trusted(self):
         times = np.zeros(2)
         assert ColumnBatch.from_rows([(1,), (2,)], "default", 3, times, "q")

@@ -7,9 +7,10 @@ columnar *between* tasks is invisible except for speed:
   tasks run unfused, the staged ``flush_chain``, shedding in ``route`` —
   and a structural guard: no executor calls an operator or a grouping;
 * router units — the route counter, per-edge FIFO (pending scalar tuples
-  leave before the chunks that follow them), chunking by the live buffer
-  size on a bounded edge and at ``MAX_BATCH_ROWS`` on an unbounded local
-  one, and every grouping against the scalar router on random batches;
+  leave before the chunks that follow them), columnar output cut at
+  ``MAX_BATCH_ROWS`` or the queue capacity where that is less (scalar
+  rows seal at the live buffer size), and every grouping against the
+  scalar router on random batches;
 * the inline executor end to end — all four applications against their
   ``vectorized="off"`` run under the conditions that stress the hand-off:
   queues exactly one batch deep, epoch barriers with a live migration,
@@ -22,8 +23,11 @@ columnar *between* tasks is invisible except for speed:
 """
 
 import ast
+import os
+import pickle
 import random
 from collections import Counter as Multiset
+from contextlib import contextmanager
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
@@ -36,6 +40,7 @@ from repro.apps import build_application, build_linear_road
 from repro.apps.wordcount import Counter, Parser, SentenceSpout, Splitter
 from repro.core.plan import ExecutionPlan
 from repro.dsps import LocalEngine
+from repro.dsps.graph import ExecutionGraph
 from repro.dsps.operators import IterableSpout, Operator, Sink, Spout
 from repro.dsps.queues import MAX_BATCH_ROWS, CommunicationQueue, OutputBuffer
 from repro.dsps.streams import (
@@ -56,7 +61,8 @@ from repro.runtime.faults import FaultPlan
 from repro.runtime.fusion import in_one_process
 from repro.runtime.lowering import instantiate_task
 from repro.runtime.overload import Shedder
-from repro.runtime.step import STEP_COUNTERS, TaskStep, partition
+from repro.runtime.process_pool import _Worker
+from repro.runtime.step import STEP_COUNTERS, TaskStep, column_cut, partition
 
 APPS = ("wc", "sd", "fd", "lr")
 EVENTS = 300
@@ -383,19 +389,37 @@ class TestRouter:
         assert isinstance(second, ColumnBatch)
         assert second.columns[1].tolist() == [3, 4, 5, 6]
 
-    def test_bounded_edge_chunks_follow_the_live_buffer(self):
-        harness = Harness(route_spec("shuffle", 1, queue_capacity=10 * BATCH))
+    @pytest.mark.parametrize("capacity", (10 * BATCH, 2 * MAX_BATCH_ROWS))
+    def test_bounded_edge_chunks_follow_the_queue_capacity(self, capacity):
+        harness = Harness(route_spec("shuffle", 1, queue_capacity=capacity))
         (edge,) = harness.rt.out_edges
         key = (edge.producer, edge.consumer)
-        queue = harness.step.queues[key]
-        assert queue.capacity_tuples is not None and key not in harness.step.whole
-        harness.columnar(rows(20))
-        # As queued, batch by batch: drain() would hand the run over merged.
-        assert [len(b) for b in iter(queue.poll, None)] == [8, 8, 4]
-        # A barrier's AIMD step resizes the buffer, not the lowered spec.
-        harness.step.resize({key: 5})
-        harness.columnar(rows(12, start=20))
-        assert [len(b) for b in iter(queue.poll, None)] == [5, 5, 2]
+        cut = min(MAX_BATCH_ROWS, capacity)
+        assert harness.step.queues[key].capacity_tuples == capacity
+        assert harness.step.whole[key] == cut
+
+        def lengths(deliveries):
+            # As delivered: a bounded queue admits one chunk at a time.
+            return [len(payload) for _, _, payload in deliveries]
+
+        for size in (BATCH, 5):
+            # A barrier's AIMD step resizes the buffer, not the lowered
+            # spec, and not where columnar output is cut.
+            harness.step.resize({key: size})
+            batch = ColumnBatch.from_tuples(rows(2 * cut + 3))
+            assert lengths(harness.step.route_columns(harness.rt, batch)) == [
+                cut,
+                cut,
+                3,
+            ]
+            # Scalar rows seal at the live batch size.
+            sealed = [
+                delivery
+                for item in rows(2 * size + 1)
+                for delivery in harness.step.route(harness.rt, item)
+            ]
+            assert lengths(sealed) == [size, size]
+            assert lengths(harness.step.flush_buffers(harness.rt)) == [1]
         assert harness.spec.batch_for(key) == BATCH
 
     def test_unbounded_local_edge_takes_the_output_whole(self):
@@ -786,11 +810,10 @@ class TestInlineParity:
 
 
 # ---------------------------------------------------------------------------
-# An unbounded local edge takes a kernel's output whole
+# A kernel's output crosses every edge whole, up to the consumer's capacity
 # ---------------------------------------------------------------------------
 #: A bound no queue ever reaches: the run is scheduled exactly as an
-#: unbounded one, but its edges are bounded, so they keep batch-size
-#: chunks.
+#: unbounded one, but its edges are bounded.
 NEVER_FULL = 10**9
 
 
@@ -801,7 +824,14 @@ def rows_of(payload):
     return [(t.stream, t.values, t.source_task, t.event_time_ns) for t in tuples]
 
 
-def recorded_run(spec, events, vectorized, interval=None):
+def cut_at_batch_size(step):
+    """Cut ``step``'s columnar output at each edge's batch size, as
+    every bounded and remote edge once did (and as placement's sample
+    still prices it)."""
+    step.whole = {edge: buffer.batch_size for edge, buffer in step.buffers.items()}
+
+
+def recorded_run(spec, events, vectorized, interval=None, batch_cut=False):
     """Run ``spec`` inline (fused as ``InlineBackend`` fuses it) and
     record every edge's enqueued rows, in order, and batch lengths."""
     run = _InlineRun(
@@ -811,6 +841,8 @@ def recorded_run(spec, events, vectorized, interval=None):
         vectorized=vectorized,
         epochs=None if interval is None else EpochConfig(interval=interval),
     )
+    if batch_cut:
+        cut_at_batch_size(run.step)
     edges = {key: ([], []) for key in run.step.queues}
     for key, queue in run.step.queues.items():
 
@@ -833,11 +865,20 @@ def replicated(app):
     }
 
 
+def assert_chunks_fit(spec, lengths):
+    """No batch on an edge is larger than ``MAX_BATCH_ROWS`` or than the
+    consumer's queue capacity."""
+    for key, seen in lengths.items():
+        cut = column_cut(spec.queue_capacity.get(key))
+        assert max(seen, default=0) <= cut, (key, cut, max(seen))
+
+
 class TestCutWhole:
     """The cut rule changes how many chunks cross an edge, never what
     crosses it: counters equal the scalar reference, and every edge's
-    rows, concatenated, equal those of the same run with bounded queues
-    (which cut at the batch size)."""
+    rows, concatenated, equal those of the same run cut at the batch
+    size everywhere — inline, and on two workers over the searched map
+    and over one that cuts every edge it can."""
 
     def check(self, make_engine, vectorized, events=EVENTS, interval=None):
         barriers = {} if interval is None else {"epoch_interval": interval}
@@ -845,21 +886,26 @@ class TestCutWhole:
         spec = make_engine(vectorized).spec
         run, candidate, edges = recorded_run(spec, events, vectorized, interval)
         assert_same_run(reference, candidate)
+        bounded_spec = make_engine(vectorized, queue_capacity=NEVER_FULL).spec
         bounded, _, bounded_edges = recorded_run(
-            make_engine(vectorized, queue_capacity=NEVER_FULL).spec,
-            events,
-            vectorized,
-            interval,
+            bounded_spec, events, vectorized, interval, batch_cut=True
         )
-        assert not bounded.step.whole
         assert {key: seen[0] for key, seen in edges.items()} == {
             key: seen[0] for key, seen in bounded_edges.items()
         }
+        assert_chunks_fit(spec, {key: seen[1] for key, seen in edges.items()})
         if vectorized == "off":
             assert not run.step.whole
             assert edges == bounded_edges
         else:
-            assert run.step.whole == set(run.step.queues)
+            # The out-edges of kernel tasks and spouts, cut where take()
+            # stops merging: every queue here is unbounded.
+            step = run.step
+            assert step.whole == {
+                key: MAX_BATCH_ROWS
+                for key in step.buffers
+                if key[0] in step.kernels or key[0] in step.spout_iters
+            }
         return edges
 
     @pytest.mark.parametrize("vectorized", ("off", "auto"))
@@ -889,6 +935,135 @@ class TestCutWhole:
             return LocalEngine(build_linear_road(seed=11), vectorized=mode, **kwargs)
 
         self.check(make_engine, "auto", 8000, interval)
+
+    @pytest.mark.parametrize("forced", (False, True), ids=("searched", "max_cut"))
+    @pytest.mark.parametrize("queue_budget", (4096, 256))
+    @pytest.mark.parametrize("batch_size", (1, 64))
+    @pytest.mark.parametrize("app", APPS)
+    def test_two_workers(
+        self, app, batch_size, queue_budget, forced, scalar_runs, landed
+    ):
+        def run(batch_cut):
+            registry = MetricsRegistry()
+            with landed.recording() as lengths, pytest.MonkeyPatch.context() as mp:
+                if batch_cut:
+                    real = TaskStep._bind
+
+                    def bind(step, spec):
+                        real(step, spec)
+                        cut_at_batch_size(step)
+
+                    mp.setattr(TaskStep, "_bind", bind)
+                result = two_worker_engine(
+                    app, forced, registry, batch_size=batch_size, queue_budget=queue_budget
+                ).run(EVENTS)
+            counters = registry.snapshot()["counters"]
+            overflow = sum(
+                count
+                for name, count in counters.items()
+                if name.endswith(".overflow_admissions")
+            )
+            return result, lengths, overflow
+
+        candidate, edges, overflow = run(batch_cut=False)
+        assert_same_run(scalar_runs[app], candidate, ordered=False)
+        reference, reference_edges, reference_overflow = run(batch_cut=True)
+        # A searched map may fuse other edges in the two runs.
+        common = edges.keys() & reference_edges.keys()
+        assert common
+        assert {key: edges[key][0] for key in common} == {
+            key: reference_edges[key][0] for key in common
+        }
+        spec = two_worker_engine(
+            app, forced, NULL_REGISTRY, batch_size=batch_size, queue_budget=queue_budget
+        ).spec
+        assert_chunks_fit(spec, {key: seen[1] for key, seen in edges.items()})
+        largest = max(max(seen[1]) for seen in edges.values())
+        assert batch_size < largest
+        if reference_overflow == 0:
+            assert overflow == 0
+
+
+def max_cut_sockets(spec):
+    """Task id -> worker (0 or 1) for a map that cuts as many edges as
+    two workers can: every edge of WC, SD and FD; LR's triangles
+    (dispatcher -> detector -> notifiers) keep some edges local."""
+    ids = [rt.task_id for rt in spec.tasks]
+    position = {task_id: index for index, task_id in enumerate(ids)}
+    pairs = [(position[e.producer], position[e.consumer]) for e in spec.edges]
+    best = max(
+        range(2 ** len(ids)),
+        key=lambda bits: sum((bits >> a ^ bits >> b) & 1 for a, b in pairs),
+    )
+    return {task_id: best >> position[task_id] & 1 for task_id in ids}
+
+
+def two_worker_engine(app, forced, registry, **options):
+    """``app`` on two workers over shm rings; LR in strict edge order, so
+    that its fan-in operators' output (and so each edge's rows) does not
+    follow the arrival schedule."""
+    backend = ProcessPoolBackend(
+        n_workers=2, ordered=app == "lr", timeout_s=60.0, heartbeat_timeout_s=5.0
+    )
+    topology = build_application(app)
+    topology.component("sink").template.keep_samples = 10**6
+    replication = {name: 1 for name in topology.components}
+    if not forced:
+        return LocalEngine(
+            topology,
+            replication=replication,
+            backend=backend,
+            registry=registry,
+            **options,
+        )
+    graph = ExecutionGraph(topology, replication, group_size=1)
+    sockets = max_cut_sockets(LocalEngine(topology, replication=replication).spec)
+    return LocalEngine.from_plan(
+        ExecutionPlan(graph, sockets), backend=backend, registry=registry, **options
+    )
+
+
+class _Landed:
+    """Every batch a worker admits onto an in-edge queue, recorded in
+    the worker (forked workers inherit the patched ``_land``) and read
+    back per edge as ``(rows, batch lengths)``."""
+
+    def __init__(self, directory):
+        self.directory = directory
+        self.runs = 0
+
+    def spy(self, real):
+        def land(worker, key, payload):
+            with (self.current / f"{os.getpid()}.pkl").open("ab") as handle:
+                pickle.dump((key, rows_of(payload), len(payload)), handle)
+            return real(worker, key, payload)
+
+        return land
+
+    @contextmanager
+    def recording(self):
+        self.runs += 1
+        self.current = self.directory / str(self.runs)
+        self.current.mkdir()
+        edges: dict = {}
+        yield edges
+        for path in sorted(self.current.iterdir()):
+            with path.open("rb") as handle:
+                while True:
+                    try:
+                        key, landed_rows, length = pickle.load(handle)
+                    except EOFError:
+                        break
+                    seen = edges.setdefault(key, ([], []))
+                    seen[0].extend(landed_rows)
+                    seen[1].append(length)
+
+
+@pytest.fixture
+def landed(tmp_path, monkeypatch):
+    recorder = _Landed(tmp_path)
+    monkeypatch.setattr(_Worker, "_land", recorder.spy(_Worker._land))
+    return recorder
 
 
 # ---------------------------------------------------------------------------
