@@ -211,16 +211,21 @@ class Splitter(Operator):
     def _lookup(self, keys, text, starts, ends):
         """The codes of the words ``keys`` stand for, adding new words.
 
-        A direct-mapped slot table, indexed by the key's Fibonacci hash,
-        holds the codes of words already seen.  Rows whose slot holds
-        another key go through the ``_codes`` dict, new words in order
-        of first appearance; the table doubles, rebuilt from ``_table``,
-        when the vocabulary passes a quarter of it.
+        A 2-way slot table holds the codes of words already seen: a key
+        sits in its own slot (its Fibonacci hash) or in ``slot ^ 1``,
+        probed for the rows the first missed.  Rows missing both go
+        through the ``_codes`` dict, new words in order of first
+        appearance; the table doubles, rebuilt from ``_table``, when the
+        vocabulary passes a quarter of it.
         """
         if self._slot_keys is None:
             self._grow()
         slots = self._slots(keys)
         hit = self._slot_keys.take(slots) == keys
+        if not hit.all():
+            again = np.flatnonzero(~hit)
+            slots[again] ^= 1
+            hit[again] = self._slot_keys.take(slots.take(again)) == keys.take(again)
         word_codes = self._slot_codes.take(slots)
         if hit.all():
             return word_codes
@@ -256,9 +261,16 @@ class Splitter(Operator):
         return ((keys * _HASH) >> self._shift).view(np.intp)
 
     def _install(self, keys, codes) -> None:
-        slots = self._slots(keys)
-        self._slot_keys[slots] = keys
-        self._slot_codes[slots] = codes
+        """Each key into its own slot, or ``slot ^ 1`` if only that one is
+        free; a key that another of the same call overwrote, the other."""
+        slot_keys = self._slot_keys
+        at = self._slots(keys)
+        at ^= (slot_keys.take(at) != 0) & (slot_keys.take(at ^ 1) == 0)
+        for _ in range(2):
+            slot_keys[at] = keys
+            self._slot_codes[at] = codes
+            lost = slot_keys.take(at) != keys
+            keys, codes, at = keys[lost], codes[lost], at[lost] ^ 1
 
     def _grow(self) -> None:
         """(Re)build the slot table from ``_table``, with the vocabulary

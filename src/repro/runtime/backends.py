@@ -48,6 +48,7 @@ from repro.runtime.epochs import (
     EpochConfig,
     EpochDriver,
     Migration,
+    seal_share,
 )
 from repro.runtime.fusion import in_one_process
 from repro.runtime.lowering import RuntimeSpec, TaskRuntime
@@ -363,13 +364,12 @@ class _InlineRun:
     # Barrier commits and live migration
     # ------------------------------------------------------------------
     def collect(self) -> BarrierState:
-        """The quiescent state, snapshotted and validated in place."""
+        """The quiescent state, snapshotted, validated and pickled as one share."""
         started = perf_counter()
         step = self.step
         states, sink_received = step.snapshot()
         return BarrierState(
-            states=states,
-            counters=step.counters,
+            shares=(seal_share(states, step.counters, step.stats),),
             stats=step.stats,
             spout_produced=step.spout_produced,
             exhausted=step.exhausted,

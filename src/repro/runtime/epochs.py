@@ -8,7 +8,7 @@ spout.  At each epoch boundary both executors run the dataflow to
 quiescence — spouts pause, queues drain, output buffers flush — and then
 **commit** a checkpoint: every task's :meth:`Operator.snapshot_state`
 value plus the runtime bookkeeping needed to resume (spout positions,
-routing counters, per-task statistics), serialized in one blob.
+routing counters, per-task statistics), pickled where it lives: a share each.
 
 Checkpoints serve two consumers:
 
@@ -30,8 +30,8 @@ workers live for the whole run and quiesce on barrier markers
 
     spout --marker--> task ... --marker--> sink      (every edge, in band)
     task: marker on every in-edge, depth 0 -> flush, forward, park
-    worker: all tasks parked -> validate + snapshot its share -> report
-    parent: union reports -> seal checkpoint -> observers -> directive
+    worker: all tasks parked -> validate + snapshot + pickle its share -> report
+    parent: union reports -> seal the shares -> observers -> directive
     worker: resume {limit, final, shed, edge_batches}
 
 See docs/reconfiguration.md for the full protocol walk-through.
@@ -41,8 +41,9 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
+from itertools import chain
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Collection, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Collection, Mapping, Sequence
 
 from repro.errors import ExecutionError, TopologyError
 from repro.metrics.registry import MetricsRegistry
@@ -63,18 +64,21 @@ __all__ = [
     "Migration",
     "check_serializable",
     "require_barriers",
+    "seal_share",
 ]
 
-#: Checkpoint blobs use pickle protocol 5, same as the data plane's codec
+#: Checkpoint shares use pickle protocol 5, same as the data plane's codec
 #: fallback: one serialization dialect for everything that crosses a
 #: process boundary.
 CHECKPOINT_PICKLE_PROTOCOL = 5
 
 #: What a commit's barrier splits into (``EpochReport``, ``runtime.epoch.*``).
-BARRIER_PARTS = ("quiesce", "snapshot", "commit", "resume")
+BARRIER_PARTS = ("quiesce", "snapshot", "report", "commit", "resume")
 
 _SCALAR_TYPES = (str, int, float, bool, bytes, type(None))
 _EXACT_SCALARS = frozenset(_SCALAR_TYPES)
+_PLAIN_TYPES = (*_SCALAR_TYPES, dict, list, tuple)
+_MAX_DEPTH = 1000
 
 
 @dataclass(frozen=True)
@@ -115,22 +119,24 @@ def require_barriers(barriers: Any, **acting: Any) -> None:
 
 
 def _plain(value: Any) -> bool:
-    """True when ``value`` is plain data.  Whole containers of exact
-    scalar types are vetted in C; only what is left (nested containers,
-    subclasses — still accepted) is visited node by node."""
-    if type(value) in _EXACT_SCALARS:
-        return True
-    if isinstance(value, dict):
-        if not (
-            _EXACT_SCALARS.issuperset(map(type, value)) or all(map(_plain, value))
-        ):
+    """True when ``value`` is plain data (subclasses too), vetted in C a
+    nesting level at a time; a cycle, past ``_MAX_DEPTH`` levels, is left
+    to the walk that names an offender."""
+    level = [value]
+    for _ in range(_MAX_DEPTH):
+        kinds = set(map(type, level)) - _EXACT_SCALARS
+        if not kinds:
+            return True
+        if not all(issubclass(kind, _PLAIN_TYPES) for kind in kinds):
             return False
-        items: Any = value.values()
-    elif isinstance(value, (list, tuple)):
-        items = value
-    else:
-        return isinstance(value, _SCALAR_TYPES)
-    return _EXACT_SCALARS.issuperset(map(type, items)) or all(map(_plain, items))
+        dicts = [*filter(dict.__instancecheck__, level)]
+        level = [
+            *chain.from_iterable(dicts),
+            *chain.from_iterable(map(dict.values, dicts)),
+            *chain.from_iterable(filter(list.__instancecheck__, level)),
+            *chain.from_iterable(filter(tuple.__instancecheck__, level)),
+        ]
+    return False
 
 
 def check_serializable(value: Any, path: str = "state") -> None:
@@ -169,15 +175,22 @@ def _name_offender(value: Any, path: str) -> None:
     )
 
 
+def seal_share(states: Mapping, counters: Mapping, stats: Mapping) -> bytes:
+    """One owner's part of a checkpoint, pickled where it lives: the
+    parent seals the bytes and never unpickles a share at a barrier."""
+    share = {"states": dict(states), "counters": dict(counters), "stats": dict(stats)}
+    return pickle.dumps(share, protocol=CHECKPOINT_PICKLE_PROTOCOL)
+
+
 @dataclass(frozen=True)
 class EpochCheckpoint:
     """One committed epoch: everything needed to resume after it.
 
     The operator states, routing counters and per-task statistics live in
-    a single pickled ``blob`` — serializing at commit time is the actual
-    barrier guarantee (a checkpoint that cannot cross a process boundary
-    is worthless), and it decouples the checkpoint's lifetime from the
-    live instances that produced it.
+    pickled ``shares``, one per owner (:func:`seal_share`) — serializing
+    at the barrier is the actual guarantee (a checkpoint that cannot
+    cross a process boundary is worthless), and it decouples the
+    checkpoint's lifetime from the live instances that produced it.
     """
 
     #: Zero-based index of the committed epoch.
@@ -189,56 +202,29 @@ class EpochCheckpoint:
     #: Tuples received across all sinks at the barrier (duplicate
     #: accounting baseline for exactly-once-per-epoch recovery).
     sink_received: int
-    #: Pickled ``{"states", "counters", "stats"}`` payload.
-    blob: bytes
+    #: Pickled ``{"states", "counters", "stats"}`` shares, one per owner.
+    shares: tuple[bytes, ...]
 
     @classmethod
     def capture(
-        cls, epoch: int, *, states: Mapping[int, Any], **parts: Any
+        cls, epoch: int, *, states: Mapping, counters: Mapping, stats: Mapping, **parts
     ) -> "EpochCheckpoint":
-        """Validate the operator states, then :meth:`seal` them (same
-        arguments)."""
+        """Validate the operator states, then seal them as one share."""
         for task_id, state in states.items():
             check_serializable(state, path=f"task {task_id} state")
-        return cls.seal(epoch, states=states, **parts)
-
-    @classmethod
-    def seal(
-        cls,
-        epoch: int,
-        *,
-        events_ingested: int,
-        spout_produced: Mapping[int, int],
-        states: Mapping[int, Any],
-        counters: Mapping[Any, int],
-        stats: Mapping[int, Any],
-        sink_received: int,
-    ) -> "EpochCheckpoint":
-        """Seal states their owner already validated into a blob (a
-        worker walks its own share before shipping it)."""
-        blob = pickle.dumps(
-            {
-                "states": dict(states),
-                "counters": dict(counters),
-                "stats": dict(stats),
-            },
-            protocol=CHECKPOINT_PICKLE_PROTOCOL,
-        )
-        return cls(
-            epoch=epoch,
-            events_ingested=events_ingested,
-            spout_produced=dict(spout_produced),
-            sink_received=sink_received,
-            blob=blob,
-        )
+        return cls(epoch, shares=(seal_share(states, counters, stats),), **parts)
 
     @property
     def snapshot_bytes(self) -> int:
-        return len(self.blob)
+        return sum(map(len, self.shares))
 
     def payload(self) -> dict:
-        """Deserialize the blob (states / counters / stats)."""
-        return pickle.loads(self.blob)
+        """The shares, unpickled and merged (states / counters / stats)."""
+        merged: dict = {"states": {}, "counters": {}, "stats": {}}
+        for share in self.shares:
+            for key, part in pickle.loads(share).items():
+                merged[key].update(part)
+        return merged
 
     def tick_counts(self) -> dict[int, int]:
         """Per-task tuple counts at this checkpoint, for seeding a
@@ -306,8 +292,9 @@ class EpochReport:
 
     Each ``commit`` entry of :attr:`events` splits its barrier into
     ``quiesce_ns`` (first spout at the boundary -> last task parked),
-    ``snapshot_ns`` (validate + ``snapshot_state``, the slowest worker),
-    ``commit_ns`` (sealing the blob) and ``resume_ns`` (directive issued
+    ``snapshot_ns`` (validate, ``snapshot_state``, pickle; the slowest
+    worker), ``report_ns`` (last share ready -> parent holds every report;
+    0 inline), ``commit_ns`` (sealing) and ``resume_ns`` (directive issued
     -> stream moving again); :meth:`total` sums one of them over the run.
     """
 
@@ -315,7 +302,7 @@ class EpochReport:
     committed: int = 0
     #: Epoch index this run resumed after (recovery), or None.
     resumed_from: int | None = None
-    #: Size of the last committed checkpoint blob.
+    #: Size of the last committed checkpoint (its shares' bytes).
     snapshot_bytes: int = 0
     #: Live migrations applied at barriers.
     migrations: int = 0
@@ -352,11 +339,11 @@ class EpochReport:
 @dataclass
 class BarrierState:
     """A quiescent executor at an epoch boundary (``collect()``).  The
-    ``states`` were validated where they live (``TaskStep.snapshot``, in
-    parallel on the process backend); counters are cumulative."""
+    ``shares`` were validated and pickled where they live
+    (``TaskStep.snapshot``, :func:`seal_share`; in parallel on the process
+    backend); counters are cumulative."""
 
-    states: Mapping[int, Any]
-    counters: Mapping[Any, int]
+    shares: Sequence[bytes]
     stats: Mapping[int, Any]
     spout_produced: Mapping[int, int]
     #: Spouts whose source dried up before the event budget.
@@ -374,6 +361,7 @@ class BarrierState:
     task_wall_ns: Mapping[int, float] = field(default_factory=dict)
     quiesce_ns: float = 0.0
     snapshot_ns: float = 0.0
+    report_ns: float = 0.0
 
 
 class EpochDriver:
@@ -492,14 +480,12 @@ class EpochDriver:
         report = self.report
         started = perf_counter()
         events = sum(state.spout_produced.values())
-        checkpoint = self.checkpoint = EpochCheckpoint.seal(
+        checkpoint = self.checkpoint = EpochCheckpoint(
             epoch,
             events_ingested=events,
-            spout_produced=state.spout_produced,
-            states=state.states,
-            counters=state.counters,
-            stats=state.stats,
+            spout_produced=dict(state.spout_produced),
             sink_received=state.sink_received,
+            shares=tuple(state.shares),
         )
         commit_ns = (perf_counter() - started) * 1e9
         report.committed += 1
@@ -511,6 +497,7 @@ class EpochDriver:
             "snapshot_bytes": checkpoint.snapshot_bytes,
             "quiesce_ns": round(state.quiesce_ns),
             "snapshot_ns": round(state.snapshot_ns),
+            "report_ns": round(state.report_ns),
             "commit_ns": round(commit_ns),
             "resume_ns": 0,
         }

@@ -43,19 +43,21 @@ execution.  At a non-final epoch boundary a spout flushes and sends a
 **barrier marker** down each out-edge — the EOF message on the EOF path,
 which the next phase resets; a task with the marker on every in-edge and
 nothing queued flushes, forwards it and parks; a worker whose tasks are
-all parked snapshots its own share, posts one barrier report and blocks,
-heartbeating, for the parent's ``resume`` directive
+all parked pickles its share of the checkpoint (sealed as those bytes),
+reports it and blocks, heartbeating, for the parent's ``resume``
 (:meth:`_Worker._barrier`; the sequence is drawn in
-:mod:`repro.runtime.epochs`).  State crosses a process boundary only
-when a pool is launched from a checkpoint: a supervised ``resume=``, or
-a migration, which stops the pool and relaunches it re-partitioned.
+:mod:`repro.runtime.epochs`).  Directives and reports cross one duplex
+pipe per worker, sent by the thread that has them.  State is unpickled
+only when a pool is launched from a checkpoint: a supervised
+``resume=``, or a migration, which relaunches it re-partitioned.
 
 Liveness
 --------
 Only the parent decides that a worker died (see docs/robustness.md).
-Its watchdog (:meth:`_PoolRun._await`) polls for worker reports and
-turns a dead worker into :class:`~repro.errors.WorkerCrashError`, and a
-stale heartbeat or the run's deadline into
+Its watchdog (:meth:`_PoolRun._await`) waits on the pending workers'
+pipes and sentinels, and turns one that exited without reporting into
+:class:`~repro.errors.WorkerCrashError` at once, and a stale heartbeat
+or the run's deadline into
 :class:`~repro.errors.StallError` — always naming the worker, and with a
 partial :class:`~repro.runtime.results.RunResult`: task counters as last
 reported, sink deliveries from shared counters the sinks' workers stamp
@@ -80,10 +82,10 @@ the parent's watchdog is what detects it.
 from __future__ import annotations
 
 import os
-import queue as queue_mod
 import time
 import traceback
 from collections import defaultdict, deque
+from contextlib import suppress
 from time import monotonic, monotonic_ns, perf_counter
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
@@ -109,6 +111,7 @@ from repro.runtime.epochs import (
     EpochConfig,
     EpochDriver,
     Migration,
+    seal_share,
 )
 from repro.runtime.faults import FaultInjector, merge_fault_summaries
 from repro.runtime.fusion import with_chains
@@ -134,12 +137,9 @@ _PROCESS_QUANTUM = 8
 #: A worker's wait quantum while no local progress is possible (s).
 _IDLE_SLEEP_S = 0.0002
 
-#: Parent watchdog poll interval while waiting for worker results, and a
-#: parked worker's wait quantum on its control pipe (s).
+#: Parent watchdog poll interval while waiting for worker reports, and a
+#: parked worker's wait quantum on its pipe (s).
 _POLL_INTERVAL_S = 0.05
-
-#: Grace window for late result messages from a worker seen dead (s).
-_DEATH_GRACE_S = 0.5
 
 #: Longest one remote send may stay blocked on a full peer channel before
 #: it raises :class:`~repro.errors.QueueDeadlockError` (s).
@@ -148,15 +148,6 @@ _SEND_DEADLINE_S = 30.0
 #: Exit code an injected ``crash`` fault dies with (distinguishable from
 #: interpreter crashes in the parent's diagnostics).
 CRASH_EXIT_CODE = 70
-
-#: The error kinds a worker raises about itself, mapped back to typed
-#: exceptions in the parent.
-_ERROR_CLASSES = {
-    "StallError": StallError,
-    "QueueDeadlockError": QueueDeadlockError,
-    "InjectedFaultError": InjectedFaultError,
-    "ExecutionError": ExecutionError,
-}
 
 
 def _mp_context() -> mp.context.BaseContext:
@@ -341,8 +332,12 @@ class _PoolRun:
         # on every platform we fork on).
         self.deadline = monotonic() + backend.config.timeout_s
         self.workers: list = []
-        #: Latest report per worker of the live pool.
+        #: The parent's end of each worker's duplex pipe.
+        self.pipes: list = []
+        #: Latest report per worker of the live pool, and when (monotonic
+        #: ns) the phase's last one arrived.
         self.reports: dict[int, dict] = {}
+        self.held_at = 0
         #: Cumulative metrics / queue stats of pools a migration stopped.
         self.carried: list[dict] = []
         self.edge_stats: dict[tuple[int, int], QueueStats] = {}
@@ -375,18 +370,17 @@ class _PoolRun:
             config.dataplane, ctx, n_workers, edge_schemas=spec.edge_schemas
         )
         self.placement.dataplane = self.plane.name
-        self.results: Any = ctx.Queue()
         # Shared state the parent's watchdog reads: heartbeat timestamps
         # (monotonic seconds, stamped by each worker once per loop and in
         # every wait), and one delivery counter per sink task, which
         # outlives the worker that stamps it.
         self.heartbeats = ctx.Array("d", [monotonic()] * n_workers, lock=False)
         self.progress = ctx.Array("q", len(spec.sink_tasks), lock=False)
-        self.controls = [ctx.Pipe(duplex=False) for _ in range(n_workers)]
         self.reports = {}
         injector = self.injector
-        self.workers = [
-            ctx.Process(
+        for worker_id in range(n_workers):
+            parent_end, worker_end = ctx.Pipe()
+            process = ctx.Process(
                 target=_worker_main,
                 args=(worker_id, spec, owner, self.max_events),
                 kwargs=dict(
@@ -398,16 +392,17 @@ class _PoolRun:
                     run_deadline=self.deadline,
                     checkpoint=self.driver.checkpoint,
                     edge_stats=self.edge_stats,
-                    results=self.results,
-                    control=self.controls[worker_id][0],
+                    control=worker_end,
                     progress=self.progress,
                 ),
                 daemon=True,
             )
-            for worker_id in range(n_workers)
-        ]
-        for process in self.workers:
             process.start()
+            # Closed before the next fork: the worker holds the only copy
+            # of its end, so the parent reads EOF the moment it exits.
+            worker_end.close()
+            self.workers.append(process)
+            self.pipes.append(parent_end)
 
     def stop(self) -> None:
         """Tear the pool down: whatever is still alive is terminated (a
@@ -421,11 +416,9 @@ class _PoolRun:
         for process in self.workers:
             process.join(timeout=5.0)
         self.plane.close()
-        self.results.cancel_join_thread()
-        for receiver, sender in self.controls:
-            receiver.close()
-            sender.close()
-        self.workers = []
+        for pipe in self.pipes:
+            pipe.close()
+        self.workers, self.pipes = [], []
 
     # ------------------------------------------------------------------
     # EpochDriver contract
@@ -434,8 +427,11 @@ class _PoolRun:
         if not self.workers:
             self._launch()
         issued = monotonic_ns()
-        for _, sender in self.controls:
-            sender.send({"limit": limit, "final": final, **directive})
+        message = {"limit": limit, "final": final, **directive}
+        for pipe in self.pipes:
+            # A worker that already exited refuses it: _await names it.
+            with suppress(OSError):
+                pipe.send(message)
         self._await()
         resumed = max(r["resumed_at"] for r in self.reports.values())
         self.streamed_s += (monotonic_ns() - resumed) / 1e9
@@ -448,15 +444,15 @@ class _PoolRun:
         }
 
     def collect(self) -> BarrierState:
-        """Union the workers' barrier reports (each already validated
-        its own states)."""
-        reports = list(self.reports.values())
+        """Union the workers' barrier reports; their checkpoint shares
+        stay the bytes each worker validated and pickled."""
+        reports = [self.reports[w] for w in sorted(self.reports)]
         union = self._union
         boundaries = [r["boundary_at"] for r in reports if r["boundary_at"]]
         parked = max(r["parked_at"] for r in reports)
+        shared = max(r["parked_at"] + r["snapshot_ns"] for r in reports)
         return BarrierState(
-            states=union("states"),
-            counters=union("counters"),
+            shares=[r["share"] for r in reports],
             stats=union("stats"),
             spout_produced=union("spout_produced"),
             exhausted={t for r in reports for t in r["exhausted"]},
@@ -468,6 +464,7 @@ class _PoolRun:
             # signal; workers only report per-process busy time.
             quiesce_ns=float(parked - min(boundaries)) if boundaries else 0.0,
             snapshot_ns=max(r["snapshot_ns"] for r in reports),
+            report_ns=max(0.0, self.held_at - shared),
         )
 
     def migrate(self, migration: Migration, checkpoint: EpochCheckpoint) -> None:
@@ -492,53 +489,37 @@ class _PoolRun:
         never blocks unboundedly.  The caller's ``stop()`` then tears
         down the survivors, which never judge their peers.
         """
+        # Imported here: the inline executor imports this module too, and
+        # has no use for the connection module's half megabyte.
+        from multiprocessing.connection import wait
+
         config = self.backend.config
         workers = self.workers
         pending = set(range(len(workers)))
-
-        def drain(timeout: float) -> bool:
-            try:
-                message = self.results.get(timeout=timeout)
-            except queue_mod.Empty:
-                return False
-            if message[0] == "error":
-                _, worker_id, error_kind, text, trace = message
-                raise _ERROR_CLASSES.get(error_kind, ExecutionError)(
-                    f"worker {worker_id} failed: {text}\n{trace}",
-                    failed_workers=(worker_id,),
-                    failed_sockets=self.worker_sockets.get(worker_id, ()),
-                )
-            _, worker_id, report = message
-            self.reports[worker_id] = report
-            pending.discard(worker_id)
-            return True
-
-        def sockets_of(worker_ids: list[int]) -> tuple[int, ...]:
-            return tuple(
-                sorted(s for w in worker_ids for s in self.worker_sockets.get(w, ()))
-            )
-
         while pending:
-            if drain(_POLL_INTERVAL_S):
-                continue
+            watched = {}
+            for w in pending:
+                watched[self.pipes[w]] = watched[workers[w].sentinel] = w
+            ready = {watched[r] for r in wait(list(watched), _POLL_INTERVAL_S)}
+            # Read to the end first: whatever a worker sent before it
+            # exited is there, so one still pending once its pipe closed
+            # or its sentinel fired died without a report.
+            lost = [
+                w for w in sorted(ready) if self._read(w, pending) and w in pending
+            ]
+            if lost:
+                for w in lost:
+                    workers[w].join(_POLL_INTERVAL_S)  # reap: the exit code
+                codes = {w: workers[w].exitcode for w in lost}
+                raise WorkerCrashError(
+                    f"worker(s) {lost} died without reporting a result "
+                    f"(exit codes {codes})",
+                    failed_workers=tuple(lost),
+                    failed_sockets=self._sockets_of(lost),
+                )
+            if not pending:
+                break
             now = monotonic()
-            dead = [w for w in sorted(pending) if not workers[w].is_alive()]
-            if dead:
-                # A grace window on the result queue: a worker that
-                # exited cleanly may still have its outcome in flight.
-                grace = monotonic() + _DEATH_GRACE_S
-                while monotonic() < grace and pending & set(dead):
-                    drain(_POLL_INTERVAL_S)
-                lost = sorted(pending & set(dead))
-                if lost:
-                    codes = {wid: workers[wid].exitcode for wid in lost}
-                    raise WorkerCrashError(
-                        f"worker(s) {lost} died without reporting a result "
-                        f"(exit codes {codes})",
-                        failed_workers=tuple(lost),
-                        failed_sockets=sockets_of(lost),
-                    )
-                continue
             stale = [
                 w
                 for w in sorted(pending)
@@ -551,7 +532,7 @@ class _PoolRun:
                     f"(last heartbeat {ages} s ago, "
                     f"watchdog {config.heartbeat_timeout_s}s)",
                     failed_workers=tuple(stale),
-                    failed_sockets=sockets_of(stale),
+                    failed_sockets=self._sockets_of(stale),
                 )
             if now > self.deadline:
                 raise StallError(
@@ -560,6 +541,32 @@ class _PoolRun:
                     "still running)",
                     failed_workers=tuple(sorted(pending)),
                 )
+        self.held_at = monotonic_ns()
+
+    def _read(self, worker_id: int, pending: set[int]) -> bool:
+        """Take every report (or raise the error) waiting on the pipe of
+        ``worker_id``; True once the worker exited."""
+        pipe = self.pipes[worker_id]
+        try:
+            while pipe.poll():
+                kind, *body = pipe.recv()
+                if kind == "error":
+                    error_class, text, trace = body
+                    raise error_class(
+                        f"worker {worker_id} failed: {text}\n{trace}",
+                        failed_workers=(worker_id,),
+                        failed_sockets=self._sockets_of([worker_id]),
+                    )
+                self.reports[worker_id] = body[0]
+                pending.discard(worker_id)
+        except (EOFError, OSError):
+            return True
+        return not self.workers[worker_id].is_alive()
+
+    def _sockets_of(self, worker_ids: list[int]) -> tuple[int, ...]:
+        return tuple(
+            sorted(s for w in worker_ids for s in self.worker_sockets.get(w, ()))
+        )
 
     # ------------------------------------------------------------------
     # Result
@@ -662,23 +669,19 @@ def _worker_main(
     **kwargs: Any,
 ) -> None:
     worker = None
-    results = kwargs["results"]
+    control = kwargs["control"]
     try:
         worker = _Worker(worker_id, spec, owner, max_events, **kwargs)
         worker.run()
     except BaseException as exc:
-        # Typed runtime errors keep their class and message across the
-        # process boundary; anything else travels as its repr.
+        # Typed runtime errors keep their class (pickled by name) and
+        # message across the process boundary; anything else travels as
+        # its repr.  The parent may be gone, or have stopped the pool.
         typed = isinstance(exc, ExecutionError)
-        results.put(
-            (
-                "error",
-                worker_id,
-                type(exc).__name__ if typed else "ExecutionError",
-                str(exc) if typed else repr(exc),
-                traceback.format_exc(),
-            )
-        )
+        error = type(exc) if typed else ExecutionError
+        text = str(exc) if typed else repr(exc)
+        with suppress(OSError):
+            control.send(("error", error, text, traceback.format_exc()))
     finally:
         # Detach this worker's channel resources (shm mappings must be
         # closed before exit; the parent owns segment lifetime/unlink).
@@ -707,7 +710,6 @@ class _Worker:
         send_deadline_s: float = _SEND_DEADLINE_S,
         checkpoint: EpochCheckpoint | None = None,
         edge_stats: Mapping[tuple[int, int], QueueStats] | None = None,
-        results: Any = None,
         control: Any = None,
         progress: Any = None,
     ) -> None:
@@ -717,7 +719,6 @@ class _Worker:
         self.channel.connect()
         self.ordered = config.ordered
         self.heartbeats = heartbeats
-        self.results = results
         self.control = control
         # What bounds a wait: the run's deadline bounds every one, a
         # send's own deadline a blocked send (``send_deadline_s`` is the
@@ -882,12 +883,13 @@ class _Worker:
     # Barriers
     # ------------------------------------------------------------------
     def _barrier(self) -> dict:
-        """Every local task is parked at the epoch boundary: validate and
-        snapshot this worker's share of the checkpoint in place, post it
-        as one small report, and wait for the parent's answer."""
+        """Every local task is parked at the epoch boundary: validate,
+        snapshot and pickle this worker's share in place, send it up as
+        one report, and wait for the parent's answer."""
         parked_at = monotonic_ns()
         started = perf_counter()
         states, sink_received = self.step.snapshot()
+        share = seal_share(states, self.step.counters, self.step.stats)
         # Pressure beyond blocked_batches: a worker that stalled on its
         # shm ring or blocked on remote sends this epoch marks all its
         # remote out-edges as pressured (the transport does not say
@@ -902,8 +904,7 @@ class _Worker:
         self.blocks_seen = blocks
         self._report(
             "barrier",
-            states=states,
-            counters=dict(self.step.counters),
+            share=share,
             sink_received=sink_received,
             pressure=pressure,
             parked_at=parked_at,
@@ -952,10 +953,9 @@ class _Worker:
             # run-level OverloadReport.
             metrics["overload_shed"] = self.shedder.snapshot()
         self._beat()
-        self.results.put(
+        self.control.send(
             (
                 kind,
-                self.me,
                 {
                     "stats": self.step.stats,
                     "spout_produced": dict(self.step.spout_produced),

@@ -154,7 +154,7 @@ class TaskStep:
     checkpoint:
         Resume the partition from this committed epoch instead of from
         the start of the stream: operator states, route counters and
-        statistics from its blob, every source re-drawn to its position.
+        statistics from its shares, every source re-drawn to its position.
     vectorized:
         The run's ``--vectorized`` mode; ``"off"`` makes no task
         kernel-capable and every counter stays zero.
@@ -399,7 +399,7 @@ class TaskStep:
 
         The stream is paused and every queue empty; moved tasks are
         re-instantiated under the new placement and restored *from the
-        checkpoint blob* — the exact serialize → deserialize → restore
+        checkpoint's shares* — the exact serialize → deserialize → restore
         path a cross-process handoff needs — and the chains, stages
         and kernel tables are bound again from ``spec``.  Counters,
         statistics, queues and buffers carry on.

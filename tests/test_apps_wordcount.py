@@ -174,24 +174,54 @@ class TestSplitterKernel:
         # Grown to keep the vocabulary under a quarter of the slots.
         assert len(splitter._slot_keys) >= 4 * 20_000
 
-    def test_two_words_in_one_slot(self):
+    @staticmethod
+    def one_slot(n):
+        """``n`` words whose keys hash to one slot of the first table."""
         seen = {}
-        for i in range(10_000):
+        for i in range(100_000):
             word = f"x{i}"
-            slot = slot_of(word)
-            if slot in seen:
-                pair = (seen[slot], word)
-                break
-            seen[slot] = word
-        first, second = pair
+            words = seen.setdefault(slot_of(word), [])
+            words.append(word)
+            if len(words) == n:
+                return words
+
+    @staticmethod
+    def resident(splitter, words):
+        keys = [int.from_bytes(word.encode("ascii"), "little") for word in words]
+        return [key in splitter._slot_keys for key in keys]
+
+    def test_two_words_in_one_slot(self):
+        first, second = self.one_slot(2)
         batches = [
-            [first, second, f"{first} {second} {first}"],
+            [first],
+            [second, f"{first} {second} {first}"],
             [second] * 3,
             [f"{first} {second}", first],
         ]
         splitter = self.assert_kernel_is_loop(batches)
-        # The slot holds one of the two; the other goes through the dict.
-        assert (splitter._slot_keys != 0).sum() == 1
+        # The slot holds one of the two, its neighbour the other.
+        assert (splitter._slot_keys != 0).sum() == 2
+        assert self.resident(splitter, [first, second]) == [True, True]
+
+    def test_two_colliding_words_new_in_one_batch(self):
+        """Both first seen in one batch: the install that writes one over
+        the other moves the overwritten one to the bucket's second way,
+        so the next batch finds both without the dict."""
+        first, second = self.one_slot(2)
+        splitter = self.assert_kernel_is_loop([[f"{second} {first}", first]])
+        assert self.resident(splitter, [first, second]) == [True, True]
+        codes = splitter._codes
+        splitter._codes = None  # a miss would read it
+        got, _ = self.kernel(splitter, [f"{first} {second}"] * 3)
+        assert got == [codes[first], codes[second]] * 3
+
+    def test_three_words_in_one_slot(self):
+        """A bucket holds two: the third word keeps missing into the dict,
+        and every code is still the loop's."""
+        words = self.one_slot(3)
+        self.assert_kernel_is_loop(
+            [[" ".join(words)], [" ".join(reversed(words))], words, [words[2]] * 4]
+        )
 
     def test_nul_is_a_letter(self):
         """``str.split()`` keeps a NUL inside its word, and a zero-padded

@@ -27,6 +27,7 @@ from repro.dsps import LocalEngine, Sink, Spout, TopologyBuilder
 from repro.dsps.operators import MapOperator
 from repro.errors import ExecutionError, StallError, WorkerCrashError
 from repro.metrics import MetricsRegistry
+from repro.metrics.registry import NULL_REGISTRY
 from repro.runtime import (
     AdaptiveBatchConfig,
     EpochConfig,
@@ -37,7 +38,9 @@ from repro.runtime import (
     shm_available,
 )
 from repro.runtime.dataplane import SHM_NAME_PREFIX
-from repro.runtime.process_pool import CRASH_EXIT_CODE, _Worker
+from repro.runtime.backends import _InlineRun
+from repro.runtime.epochs import BARRIER_PARTS
+from repro.runtime.process_pool import CRASH_EXIT_CODE, _PoolRun, _Worker
 from repro.runtime.lowering import instantiate_tasks
 from repro.runtime.step import TaskStep
 
@@ -732,8 +735,12 @@ class TestBarrierExplainsItself:
         commits = [e for e in result.epochs.events if e["kind"] == "commit"]
         assert len(commits) == 2
         gauges = registry.snapshot()["gauges"]
-        for part in ("quiesce", "snapshot", "commit", "resume"):
-            assert all(entry[f"{part}_ns"] > 0 for entry in commits)
+        for part in BARRIER_PARTS:
+            # The report hop is the pool's: the inline run reports 0.
+            if part == "report" and backend == "inline":
+                assert all(entry["report_ns"] == 0 for entry in commits)
+            else:
+                assert all(entry[f"{part}_ns"] > 0 for entry in commits)
             assert gauges[f"runtime.epoch.{part}_ns"] == pytest.approx(
                 sum(entry[f"{part}_ns"] for entry in commits), abs=len(commits)
             )
@@ -758,6 +765,7 @@ class TestBarrierFaults:
         assert excinfo.value.failed_workers
         assert shm_segments() == before
         assert multiprocessing.active_children() == []
+        return excinfo.value
 
     def test_worker_killed_while_parked(self):
         """After its report, before ``resume``: the commit stands."""
@@ -784,6 +792,68 @@ class TestBarrierFaults:
 
         monkeypatch.setattr(_Worker, "_barrier", die_at_the_second)
         self._assert_crash(self._engine(), None, committed_epoch=0)
+
+    #: A crash verdict without a grace window: well under one 50 ms poll
+    #: plus a 0.5 s grace.
+    PROMPT_S = 0.4
+
+    def test_worker_exits_right_after_its_barrier_report(self, monkeypatch):
+        """Its report is read off its pipe — epoch 0 commits, and a commit
+        needs every worker's share — and the next phase's first wait
+        names it."""
+        report, await_ = _Worker._report, _PoolRun._await
+        spent = []
+
+        def exit_after_barrier(worker, kind, **extra):
+            report(worker, kind, **extra)
+            if kind == "barrier" and worker.me == 1:
+                os._exit(CRASH_EXIT_CODE)
+
+        def timed(run):
+            started = time.monotonic()
+            try:
+                await_(run)
+            except WorkerCrashError:
+                spent.append(time.monotonic() - started)
+                raise
+
+        monkeypatch.setattr(_Worker, "_report", exit_after_barrier)
+        monkeypatch.setattr(_PoolRun, "_await", timed)
+        error = self._assert_crash(self._engine(), None, committed_epoch=0)
+        assert error.failed_workers == (1,)
+        assert f"{{1: {CRASH_EXIT_CODE}}}" in str(error)
+        (seconds,) = spent
+        assert seconds < self.PROMPT_S
+
+    def test_worker_killed_mid_phase_is_named_at_once(self, monkeypatch):
+        """The dead one, with its exit code, within a wait of its death."""
+        died = multiprocessing.get_context("fork").Value("d", 0.0, lock=False)
+        complete, await_ = _Worker._complete_ready, _PoolRun._await
+        loops = []  # per worker process: each forks its own copy
+        since_death = []
+
+        def die_in_the_second_phase(worker):
+            loops.append(worker.limit)
+            if worker.me == 1 and worker.limit > INTERVAL and len(loops) > 3:
+                died.value = time.monotonic()
+                os._exit(CRASH_EXIT_CODE)
+            return complete(worker)
+
+        def noted(run):
+            try:
+                await_(run)
+            except WorkerCrashError:
+                since_death.append(time.monotonic() - died.value)
+                raise
+
+        monkeypatch.setattr(_Worker, "_complete_ready", die_in_the_second_phase)
+        monkeypatch.setattr(_PoolRun, "_await", noted)
+        error = self._assert_crash(self._engine(), None, committed_epoch=0)
+        assert error.failed_workers == (1,)
+        assert "died without reporting a result" in str(error)
+        assert f"{{1: {CRASH_EXIT_CODE}}}" in str(error)
+        (seconds,) = since_death
+        assert 0 < seconds < self.PROMPT_S
 
     def test_crash_mid_epoch_resumes_with_fewer_duplicates(self, baselines):
         """The sink dies on its 1500th tuple, half way through the second
@@ -812,6 +882,60 @@ class TestBarrierFaults:
         # exact to within one batch of 64.
         assert 1499 - 64 <= replayed.recovery.duplicate_deliveries <= 1499
         assert 499 - 64 <= resumed.recovery.duplicate_deliveries <= 499
+
+
+class TestSharesSealedAsBytes:
+    """Each worker pickles its share of a checkpoint; the parent keeps
+    the bytes and ``payload()`` merges them."""
+
+    @pytest.mark.parametrize("app", ["wc", "lr"])
+    def test_shares_seal_the_inline_checkpoint(self, app):
+        """A checkpoint sealed from the workers' pickled shares restores
+        what the inline run's single share does, and a supervised resume
+        from it reproduces the uninterrupted run.  Tasks alternate
+        between the workers, so no edge is fused on either side (the
+        inline reference is the unfused lowering)."""
+        if not shm_available():
+            pytest.skip("no POSIX shared memory")
+        graph = build_engine(app).graph
+        owner = {task.task_id: task.task_id % 2 for task in graph.tasks}
+
+        def pool(**kwargs):
+            return LocalEngine.from_plan(
+                ExecutionPlan(graph, owner),
+                backend=process_backend(ordered=app == "lr", dataplane="shm"),
+                **kwargs,
+            )
+
+        inline, pooled = [], []
+        _InlineRun(
+            pool().spec,
+            EVENTS,
+            NULL_REGISTRY,
+            epochs=EpochConfig(interval=INTERVAL),
+            on_epoch=inline.append,
+        ).execute()
+        registry = MetricsRegistry()
+        whole = execute(pool(), pooled.append, registry=registry)
+        assert whole.placement.chains == []
+        assert len(pooled) == len(inline) == EVENTS // INTERVAL - 1
+        for ours, theirs in zip(pooled, inline):
+            assert len(ours.checkpoint.shares) == 2
+            assert len(theirs.checkpoint.shares) == 1
+            assert ours.checkpoint.payload() == theirs.checkpoint.payload()
+        # Still reported: the bytes of the last commit's shares.
+        last = pooled[-1].checkpoint
+        assert whole.epochs.snapshot_bytes == last.snapshot_bytes > 0
+        assert last.snapshot_bytes == sum(map(len, last.shares))
+        gauges = registry.snapshot()["gauges"]
+        assert gauges["runtime.epoch.snapshot_bytes"] == last.snapshot_bytes
+        resumed = execute(
+            pool(recovery_policy="retry"), resume=pooled[0].checkpoint
+        )
+        assert resumed.epochs.resumed_from == 0
+        assert task_counts(resumed) == task_counts(whole)
+        assert resumed.sink_received() == whole.sink_received()
+        assert multiprocessing.active_children() == []
 
 
 class TestOneDeadline:

@@ -17,6 +17,7 @@ end-to-end suites can only observe indirectly:
 * ``_wait``: the run deadline bounds every worker wait, an idle one too.
 """
 
+import multiprocessing
 import queue
 import threading
 import time
@@ -302,9 +303,9 @@ class TestBoundedBlockingPut:
         with pytest.raises(QueueDeadlockError, match="blocked"):
             worker._blocking_put(1, ("batch", 0, 0, b"payload"))
         assert time.monotonic() - started >= 0.2
-        worker.results = queue.Queue()
+        parent_end, worker.control = multiprocessing.Pipe()
         worker._report("ok")
-        _kind, _worker_id, report = worker.results.get_nowait()
+        _kind, report = parent_end.recv()
         assert report["metrics"]["send_blocks"] == 1
 
     def test_send_completes_when_peer_drains(self):

@@ -9,7 +9,7 @@ resume and live migration correct (docs/reconfiguration.md), so it is
 checked property-style across every stateful operator of the four
 applications, with the snapshot additionally forced through
 ``check_serializable`` and a real pickle round-trip — exactly the path a
-checkpoint blob takes.
+checkpoint share takes.
 """
 
 import pickle
