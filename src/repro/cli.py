@@ -131,7 +131,6 @@ def _run_config(args: argparse.Namespace, profiles) -> dict:
         n_workers=args.workers,
         heartbeat_timeout_s=args.watchdog_timeout,
         epoch_interval=args.epoch_interval,
-        adaptive_batch=args.adaptive_batch,
         overload=(
             OverloadConfig(
                 max_lag_ms=args.max_lag_ms,
@@ -162,7 +161,6 @@ _META_FLAGS = (
     "batch_size",
     "backend",
     "vectorized",
-    "adaptive_batch",
     "epoch_interval",
     "adapt",
     "max_lag_ms",
@@ -509,15 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
             "columnar kernel dispatch: auto (use numpy kernels when "
             "operator and schema qualify) or off (scalar dispatch only; "
             "see docs/vectorized.md)"
-        ),
-    )
-    run.add_argument(
-        "--adaptive-batch",
-        action="store_true",
-        help=(
-            "size each edge's jumbo batches with a per-edge AIMD "
-            "controller stepped at epoch barriers (requires "
-            "--epoch-interval; see docs/fusion.md)"
         ),
     )
     run.add_argument(

@@ -136,7 +136,6 @@ class LocalEngine:
         # barriers for them at execute(): the engine vouches for its own.
         require_barriers(
             config.epoch_interval,
-            adaptive_batch=config.adaptive_batch if built else None,
             overload=config.overload if built else None,
             reconfig=reconfig,
         )

@@ -22,11 +22,11 @@ from typing import Any
 from repro.dsps.tuples import JumboTuple, StreamTuple
 from repro.errors import SimulationError
 
-#: The most rows one hand-off carries: the ceiling AIMD puts on a sealed
-#: batch (:mod:`repro.runtime.batching`) and the bound on a coalesced run
-#: of columnar batches (:meth:`CommunicationQueue.take`) — the size the
-#: benchmark's kernel probes measure at.  Unbounded runs buy nothing
-#: more per call and hold every merged copy at once.
+#: The most rows one hand-off carries: the cut on a kernel's or columnar
+#: spout's output (:func:`repro.runtime.step.column_cut`) and the bound
+#: on a coalesced run of columnar batches (:meth:`CommunicationQueue.take`)
+#: — the size the benchmark's kernel probes measure at.  Unbounded runs
+#: buy nothing more per call and hold every merged copy at once.
 MAX_BATCH_ROWS = 1024
 
 

@@ -21,12 +21,10 @@ consistent state checkpoints every backend can commit and resume from —
 and a live reconfiguration controller that re-plans the placement at a
 barrier when the observed workload drifts; see docs/reconfiguration.md.
 
-The fusion layer (:mod:`repro.runtime.fusion`,
-:mod:`repro.runtime.batching`) derives fused operator chains from where
-each executor runs its tasks (an exclusive edge inside one process
-executes inline, skipping its queue and codec) and sizes each surviving
-edge's jumbo batches with a per-edge AIMD controller stepped at epoch
-barriers; see docs/fusion.md.
+The fusion layer (:mod:`repro.runtime.fusion`) derives fused operator
+chains from where each executor runs its tasks (an exclusive edge inside
+one process executes inline, skipping its queue and codec); see
+docs/fusion.md.
 
 The placement layer (:mod:`repro.runtime.placement`, imported by the
 process backend on demand: it sits on the optimizer stack, which imports
@@ -34,8 +32,8 @@ this package) places the tasks of an unplaced spec on worker processes
 with RLAS, the workers standing in for sockets; see docs/runtime.md.
 
 The overload-control layer (:mod:`repro.runtime.overload`) adds lag
-SLOs, a hysteretic degradation ladder (batch shrink, deterministic load
-shedding, spout throttling, degrade replans), also stepped at epoch
+SLOs, a hysteretic degradation ladder (deterministic load shedding,
+spout throttling, degrade replans), also stepped at epoch
 barriers; see docs/overload.md.
 """
 
@@ -74,7 +72,6 @@ from repro.runtime.faults import (
     FaultPlan,
     merge_fault_summaries,
 )
-from repro.runtime.batching import AdaptiveBatchConfig, AdaptiveBatchController
 from repro.runtime.fusion import FusionConfig, plan_fusion, with_chains
 from repro.runtime.overload import (
     RUNGS,
@@ -94,7 +91,6 @@ from repro.runtime.lowering import (
     RouteSpec,
     RuntimeSpec,
     TaskRuntime,
-    apply_edge_batches,
     instantiate_task,
     instantiate_tasks,
     lower_graph,
@@ -117,8 +113,6 @@ from repro.runtime.supervisor import (
 )
 
 __all__ = [
-    "AdaptiveBatchConfig",
-    "AdaptiveBatchController",
     "BACKEND_NAMES",
     "BatchCodec",
     "ChannelEndpoint",
@@ -170,7 +164,6 @@ __all__ = [
     "Supervisor",
     "TaskRuntime",
     "TaskStats",
-    "apply_edge_batches",
     "instantiate_task",
     "instantiate_tasks",
     "lower_graph",

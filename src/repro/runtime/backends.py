@@ -171,9 +171,7 @@ def publish_engine_metrics(
         registry.counter(f"{prefix}.enqueued_batches").inc(stats.enqueued_batches)
         registry.counter(f"{prefix}.enqueued_tuples").inc(stats.enqueued_tuples)
         registry.gauge(f"{prefix}.max_depth_tuples").set(stats.max_depth_tuples)
-        cut_at = whole.get((producer, consumer)) or spec.batch_for(
-            (producer, consumer)
-        )
+        cut_at = whole.get((producer, consumer)) or spec.batch_size
         registry.gauge(f"{prefix}.jumbo_fill_ratio").set(
             stats.jumbo_fill_ratio(cut_at)
         )
@@ -218,7 +216,6 @@ class InlineBackend(ExecutorBackend):
             registry,
             injector,
             vectorized=config.vectorized,
-            batching=config.adaptive_batch,
             overload=config.overload,
             epochs=epochs,
             resume=resume,
@@ -256,7 +253,7 @@ class _InlineRun:
         if injector is not None:
             injector.follow_chains(spec.fusion)
         #: ``barriers`` are the driver's keywords: ``epochs``, ``resume``,
-        #: ``on_epoch``, ``batching``, ``overload``.
+        #: ``on_epoch``, ``overload``.
         self.driver = EpochDriver(spec, max_events, registry, **barriers)
         self.instrumented = registry.enabled
         #: Per-task wall time, summed over scheduler turns: the
@@ -308,7 +305,6 @@ class _InlineRun:
         """
         entered = perf_counter()
         step = self.step
-        step.resize(directive.get("edge_batches", {}))
         # The overload ladder only moves at barriers.
         manager = self.driver.manager
         step.shedder = (
@@ -375,7 +371,6 @@ class _InlineRun:
             exhausted=step.exhausted,
             sink_received=sink_received,
             queue_stats=step.queue_stats,
-            whole=step.whole,
             task_wall_ns={t: s * 1e9 for t, s in self.wall.items()},
             quiesce_ns=(
                 (started - self.boundary_at) * 1e9 if self.boundary_at else 0.0

@@ -16,7 +16,6 @@ beside their CLI flags.
 
 Sub-configs validate themselves where they are built
 (:class:`~repro.runtime.overload.OverloadConfig`,
-:class:`~repro.runtime.batching.AdaptiveBatchConfig`,
 :class:`~repro.runtime.epochs.EpochConfig`, the
 :class:`~repro.runtime.supervisor.Supervisor`'s policy rules); the one
 cross-option rule — what acts only at an epoch barrier needs barriers —
@@ -30,7 +29,6 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.errors import ExecutionError
-from repro.runtime.batching import AdaptiveBatchConfig
 from repro.runtime.dataplane import DATAPLANE_NAMES, VECTORIZED_MODES
 from repro.runtime.overload import OverloadConfig
 
@@ -49,25 +47,14 @@ _EXECUTOR_OPTIONS = frozenset(
         "dataplane",
         "timeout_s",
         "heartbeat_timeout_s",
-        "adaptive_batch",
         "overload",
     }
 )
 
-#: The backends' historical spelling of ``adaptive_batch``: accepted at
-#: every door, and the name :func:`reject_executor_options` reports.
-_BATCHING = "batching"
-
-
 def _given(options: Mapping[str, Any]) -> dict[str, Any]:
     """A door's keyword options by field name.  ``None`` means "the
     default" (or, laid over a config, "as it is") at every door."""
-    named = {name: value for name, value in options.items() if value is not None}
-    if _BATCHING in named:
-        if "adaptive_batch" in named:
-            raise TypeError("batching= and adaptive_batch= are one option; pass one")
-        named["adaptive_batch"] = named.pop(_BATCHING)
-    return named
+    return {name: value for name, value in options.items() if value is not None}
 
 
 def reject_executor_options(instance: Any, options: Mapping[str, Any]) -> None:
@@ -77,8 +64,7 @@ def reject_executor_options(instance: Any, options: Mapping[str, Any]) -> None:
     for name, value in _given(options).items():
         if name in _EXECUTOR_OPTIONS and value is not False:
             raise ExecutionError(
-                f"{_BATCHING if name == 'adaptive_batch' else name}= "
-                "configures a backend built from its name; "
+                f"{name}= configures a backend built from its name; "
                 f"a {type(instance).__name__} instance was passed, which "
                 "would ignore it — set it on the instance"
             )
@@ -144,14 +130,9 @@ class RunConfig:
     #: events per spout replica (docs/reconfiguration.md); supervised
     #: ``retry`` then resumes from the last commit instead of replaying.
     epoch_interval: int | None = None
-    #: Per-edge AIMD batch sizing (docs/fusion.md), one step per barrier
-    #: commit: ``True`` for the default
-    #: :class:`~repro.runtime.batching.AdaptiveBatchConfig`, or a config
-    #: (``batching=`` on the backends).  Needs barriers.
-    adaptive_batch: "AdaptiveBatchConfig | bool | None" = None
-    #: Overload control (docs/overload.md) — lag SLOs and the
-    #: shrink / shed / throttle / replan ladder, stepped once per
-    #: barrier commit: ``True`` for the default
+    #: Overload control (docs/overload.md) — lag SLOs and the shed /
+    #: throttle / replan ladder, stepped once per barrier commit:
+    #: ``True`` for the default
     #: :class:`~repro.runtime.overload.OverloadConfig`, a mapping of its
     #: keywords, or a config.  Needs barriers.
     overload: "OverloadConfig | Mapping[str, Any] | bool | None" = None
@@ -169,12 +150,6 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         put = object.__setattr__  # frozen: normalize in place, once
-        if isinstance(self.adaptive_batch, bool):
-            put(
-                self,
-                "adaptive_batch",
-                AdaptiveBatchConfig() if self.adaptive_batch else None,
-            )
         if isinstance(self.overload, bool):
             put(self, "overload", OverloadConfig() if self.overload else None)
         elif isinstance(self.overload, Mapping):

@@ -23,7 +23,7 @@ Checkpoints serve two consumers:
 
 The epoch loop and the commit sequence are written once, here
 (:class:`EpochDriver`, which states what an executor supplies): capture
--> overload step -> AIMD step -> ``on_epoch`` -> migration.  Inline
+-> overload step -> ``on_epoch`` -> migration.  Inline
 phases are cooperative generators over persistent queues; process
 workers live for the whole run and quiesce on barrier markers
 (:mod:`repro.runtime.process_pool`)::
@@ -32,7 +32,7 @@ workers live for the whole run and quiesce on barrier markers
     task: marker on every in-edge, depth 0 -> flush, forward, park
     worker: all tasks parked -> validate + snapshot + pickle its share -> report
     parent: union reports -> seal the shares -> observers -> directive
-    worker: resume {limit, final, shed, edge_batches}
+    worker: resume {limit, final, shed}
 
 See docs/reconfiguration.md for the full protocol walk-through.
 """
@@ -43,12 +43,11 @@ import pickle
 from dataclasses import dataclass, field
 from itertools import chain
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Collection, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.errors import ExecutionError, TopologyError
 from repro.metrics.registry import MetricsRegistry
-from repro.runtime.batching import AdaptiveBatchConfig, AdaptiveBatchController
-from repro.runtime.lowering import RuntimeSpec, apply_edge_batches
+from repro.runtime.lowering import RuntimeSpec
 from repro.runtime.overload import OverloadConfig, OverloadManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -96,7 +95,6 @@ class EpochConfig:
 
 #: What acts only at an epoch barrier, by option name.
 _BARRIER_BOUND = {
-    "adaptive_batch": "adaptive batch sizing adjusts at epoch barriers",
     "overload": "overload control steps at epoch barriers",
     "reconfig": "live reconfiguration requires epoch barriers",
     "resume": "resume from a checkpoint requires epoch barriers",
@@ -354,10 +352,6 @@ class BarrierState:
     #: Edges whose worker stalled on its transport this epoch (shm ring
     #: full, blocked remote send) — pressure beyond ``blocked_batches``.
     pressure: frozenset[tuple[int, int]] = frozenset()
-    #: Edges that carry columnar output (``TaskStep.whole``): no batch
-    #: size cuts it there, so AIMD and the batch-shrink rung leave them
-    #: alone.
-    whole: Collection[tuple[int, int]] = frozenset()
     task_wall_ns: Mapping[int, float] = field(default_factory=dict)
     quiesce_ns: float = 0.0
     snapshot_ns: float = 0.0
@@ -368,13 +362,13 @@ class EpochDriver:
     """The epoch loop and barrier commit sequence of one execution.
 
     ``run(executor)`` drives any executor that supplies ``spec`` (the
-    deployed spec; the driver swaps it when AIMD resizes edges) and:
+    deployed spec) and:
 
     ``run_phase(limit, final, directive) -> resume_ns``
         Advance every spout to the cumulative position ``limit`` (or
         until it dries up) and run to quiescence; a ``final`` phase also
         closes the stream (``flush()``).  ``directive`` is what the last
-        commit changed: ``{"shed": ctx | None, "edge_batches": {...}}``.
+        commit changed: ``{"shed": ctx | None}``.
     ``collect() -> BarrierState``
         The quiescent state after a non-final phase.
     ``migrate(migration, checkpoint)``
@@ -392,14 +386,11 @@ class EpochDriver:
         epochs: EpochConfig | None = None,
         resume: EpochCheckpoint | None = None,
         on_epoch: "Callable[[EpochCommit], Migration | None] | None" = None,
-        batching: AdaptiveBatchConfig | None = None,
         overload: OverloadConfig | None = None,
     ) -> None:
         if max_events < 0:
             raise TopologyError("max_events must be >= 0")
-        require_barriers(
-            epochs, adaptive_batch=batching, overload=overload, resume=resume
-        )
+        require_barriers(epochs, overload=overload, resume=resume)
         self.max_events = max_events
         self.registry = registry
         self.on_epoch = on_epoch
@@ -412,9 +403,6 @@ class EpochDriver:
             )
             if epochs is not None
             else None
-        )
-        self.controller = (
-            AdaptiveBatchController(spec, batching) if batching is not None else None
         )
         self.manager = (
             OverloadManager(spec, overload, epochs.interval, registry)
@@ -504,26 +492,8 @@ class EpochDriver:
         report.events.append(entry)
         overload_state = None
         if self.manager is not None:
-            # The ladder steps before AIMD so its batch-shrink rung can
-            # force pressure at this same barrier.
             self.manager.observe_queue_stats(epoch, state.queue_stats, state.pressure)
             overload_state = self.manager.commit_state()
-        changed: dict = {}
-        if self.controller is not None:
-            stats = {
-                edge: st
-                for edge, st in state.queue_stats.items()
-                if edge not in state.whole
-            }
-            pressure = set(state.pressure)
-            if self.manager is not None and self.manager.force_batch_pressure:
-                pressure.update(stats)
-            changed = self.controller.observe(stats, pressure)
-            if changed:
-                # Live output buffers pick the sizes up from the
-                # directive; the spec carries them so that a migration,
-                # which rebuilds from the spec, preserves them.
-                executor.spec = apply_edge_batches(executor.spec, changed)
         if self.on_epoch is not None:
             migration = self.on_epoch(
                 EpochCommit(
@@ -557,7 +527,7 @@ class EpochDriver:
                     }
                 )
         shed = self.manager.shed_context() if self.manager is not None else None
-        return {"shed": shed, "edge_batches": changed}, entry
+        return {"shed": shed}, entry
 
     def _finish(self, executor: Any, partial: bool) -> "RunResult":
         """The executor's result with the barrier accounting attached —
@@ -569,13 +539,6 @@ class EpochDriver:
         registry = self.registry
         if partial or not registry.enabled:
             return result
-        if self.controller is not None:
-            for name, value in self.controller.report().items():
-                registry.counter(f"runtime.batch.{name}").inc(value)
-            for (producer, consumer), size in sorted(
-                executor.spec.edge_batch_size.items()
-            ):
-                registry.gauge(f"runtime.batch.size.{producer}-{consumer}").set(size)
         if self.report is not None:
             report = self.report
             for name in ("interval", "committed", "snapshot_bytes", "barrier_ns"):

@@ -123,14 +123,6 @@ class RuntimeSpec:
     #: lowering has none: an executor derives them from where it runs
     #: each task (:mod:`repro.runtime.fusion`).
     fusion: tuple[tuple[int, ...], ...] = ()
-    #: Per-edge jumbo batch size overrides (adaptive batching); edges not
-    #: listed use the global :attr:`batch_size`.
-    edge_batch_size: Mapping[tuple[int, int], int] = field(default_factory=dict)
-
-    def batch_for(self, key: tuple[int, int]) -> int:
-        """Jumbo batch size for one (producer, consumer) task edge."""
-        return self.edge_batch_size.get(key, self.batch_size)
-
     @property
     def fused_member_ids(self) -> frozenset[int]:
         """Task ids executed inline by a chain head (everything after the
@@ -354,31 +346,6 @@ def lower_plan(
         queue_budget=queue_budget,
         placement=plan.placement,
     )
-
-
-def apply_edge_batches(
-    spec: RuntimeSpec, sizes: Mapping[tuple[int, int], int]
-) -> RuntimeSpec:
-    """Return ``spec`` with per-edge jumbo batch sizes, validated.
-
-    Every override must name a real edge, be at least one tuple, and fit
-    inside the edge's queue capacity (a sealed batch must always be
-    admissible) — the bound the adaptive controller clamps against.
-    """
-    merged = dict(spec.edge_batch_size)
-    merged.update(sizes)
-    for key, size in merged.items():
-        if key not in spec.queue_capacity:
-            raise PlanError(f"batch override names unknown edge {key}")
-        if size < 1:
-            raise PlanError(f"batch size for edge {key} must be >= 1, got {size}")
-        capacity = spec.queue_capacity[key]
-        if capacity is not None and size > capacity:
-            raise PlanError(
-                f"batch size {size} for edge {key} exceeds its queue "
-                f"capacity {capacity}"
-            )
-    return dc_replace(spec, edge_batch_size=merged)
 
 
 def with_sockets(spec: RuntimeSpec, sockets: Mapping[int, int | None]) -> RuntimeSpec:

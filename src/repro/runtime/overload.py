@@ -5,8 +5,7 @@ runtime that executes them assumed the plan keeps up.  When real input
 outruns the plan, the pre-PR-9 runtime had exactly two behaviours —
 block producers on bounded queues, and eventually die on a watchdog —
 with no path in between.  This module adds that path, stepped at the
-same epoch barriers that drive adaptive batching (batching.py) and live
-reconfiguration (reconfigure.py):
+same epoch barriers that drive live reconfiguration (reconfigure.py):
 
 * :class:`LagTracker` — per-edge queue-residence and end-to-end tuple
   lag estimates (``runtime.overload.lag_ms.*``).  Tuples deliberately
@@ -20,13 +19,13 @@ reconfiguration (reconfigure.py):
   per-tuple spout emit timestamps.
 * :class:`OverloadDetector` — sustained-pressure detection with
   hysteresis.  An epoch is *pressured* when any edge spent a
-  significant fraction of its sealed batches blocked on a full queue
-  (the same signal AIMD batching shrinks on), when a worker reported
-  shm-ring stalls / blocking remote sends, or when the estimated
-  end-to-end lag violated the configured SLO (``--max-lag-ms``).  Only
-  ``enter_epochs`` *consecutive* pressured epochs flip the detector to
-  overloaded, and only ``exit_epochs`` consecutive clean epochs flip it
-  back — one noisy window never triggers degradation.
+  significant fraction of its sealed batches blocked on a full queue,
+  when a worker reported shm-ring stalls / blocking remote sends, or
+  when the estimated end-to-end lag violated the configured SLO
+  (``--max-lag-ms``).  Only ``enter_epochs`` *consecutive* pressured
+  epochs flip the detector to overloaded, and only ``exit_epochs``
+  consecutive clean epochs flip it back — one noisy window never
+  triggers degradation.
 * :class:`DegradationLadder` — an explicit escalation policy between
   "keep up" and "crash", one rung per epoch while overload persists:
 
@@ -34,10 +33,9 @@ reconfiguration (reconfigure.py):
   rung  name           effect
   ====  =============  ====================================================
   0     normal         nothing
-  1     batch-shrink   force AIMD pressure on every edge (finer batches)
-  2     shed           seeded deterministic load shedding at the spouts
-  3     throttle       spouts admit a fraction of the interval per epoch
-  4     replan         request a live degrade replan (reconfigure.py)
+  1     shed           seeded deterministic load shedding at the spouts
+  2     throttle       spouts admit a fraction of the interval per epoch
+  3     replan         request a live degrade replan (reconfigure.py)
   ====  =============  ====================================================
 
   Rungs are exited in reverse order, one per clean epoch, and every
@@ -75,13 +73,12 @@ EdgeKey = tuple[int, int]
 SHED_MODES = ("off", "random", "semantic")
 
 #: Ladder rungs, lowest (healthy) first.
-RUNGS = ("normal", "batch-shrink", "shed", "throttle", "replan")
+RUNGS = ("normal", "shed", "throttle", "replan")
 
 RUNG_NORMAL = 0
-RUNG_BATCH_SHRINK = 1
-RUNG_SHED = 2
-RUNG_THROTTLE = 3
-RUNG_REPLAN = 4
+RUNG_SHED = 1
+RUNG_THROTTLE = 2
+RUNG_REPLAN = 3
 
 _MASK64 = (1 << 64) - 1
 
@@ -429,9 +426,9 @@ class OverloadManager:
     The epoch driver (:class:`repro.runtime.epochs.EpochDriver`) feeds
     it the run's cumulative per-edge queue statistics once per barrier
     (:meth:`observe_queue_stats` — the same dialect from both executors)
-    and reads back directives: whether to force AIMD batch pressure,
-    whether shedding is active, the spout admission allowance for the
-    next epoch, and whether a degrade replan is requested.
+    and reads back directives: whether shedding is active, the spout
+    admission allowance for the next epoch, and whether a degrade replan
+    is requested.
     """
 
     def __init__(
@@ -465,10 +462,6 @@ class OverloadManager:
     @property
     def rung(self) -> int:
         return self.ladder.rung
-
-    @property
-    def force_batch_pressure(self) -> bool:
-        return self.ladder.rung >= RUNG_BATCH_SHRINK
 
     @property
     def shed_active(self) -> bool:

@@ -256,7 +256,6 @@ class ProcessPoolBackend(ExecutorBackend):
             epochs=epochs,
             resume=resume,
             on_epoch=on_epoch,
-            batching=config.adaptive_batch,
             overload=config.overload,
         )
         searched = self._place(spec, max_events, injector, resume)
@@ -459,7 +458,6 @@ class _PoolRun:
             sink_received=sum(r["sink_received"] for r in reports),
             queue_stats=union("edge_stats"),
             pressure=frozenset(e for r in reports for e in r["pressure"]),
-            whole=union("whole"),
             # No task_wall_ns: per-task wall-clock is an inline-backend
             # signal; workers only report per-process busy time.
             quiesce_ns=float(parked - min(boundaries)) if boundaries else 0.0,
@@ -862,7 +860,8 @@ class _Worker:
                     for task_id, instance in self.step.instances.items()
                     if isinstance(instance, Sink)
                 }
-                self._report("ok", sinks=sinks)
+                # Where columnar output was cut: the jumbo_fill_ratio basis.
+                self._report("ok", sinks=sinks, whole=self.step.whole)
                 return
             directive = self._barrier()
 
@@ -893,7 +892,7 @@ class _Worker:
         # Pressure beyond blocked_batches: a worker that stalled on its
         # shm ring or blocked on remote sends this epoch marks all its
         # remote out-edges as pressured (the transport does not say
-        # which edge).  Shared by the AIMD controller and the ladder.
+        # which edge).  The overload ladder reads it.
         blocks = self.metrics["send_blocks"] + self.channel.metrics["ring_full_blocks"]
         pressure = [
             (edge.producer, edge.consumer)
@@ -923,7 +922,7 @@ class _Worker:
 
     def _resume(self, directive: Mapping) -> None:
         """Start the next phase on warm state: new bounds, the ladder's
-        shed rung, AIMD's batch sizes; markers and completions reset."""
+        shed rung; markers and completions reset."""
         self.limit = directive["limit"]
         self.final = directive["final"]
         shed = directive.get("shed")
@@ -932,7 +931,6 @@ class _Worker:
                 self.shedder = Shedder(shed["mode"], shed["rate"], shed["seed"])
             self.shedder.active = shed["active"]
             self.step.shedder = self.shedder if shed["active"] else None
-        self.step.resize(directive.get("edge_batches", {}))
         self.eof.clear()
         self.completed.clear()
         self.boundary_at = None
@@ -940,7 +938,8 @@ class _Worker:
 
     def _report(self, kind: str, **extra: Any) -> None:
         """Post this worker's cumulative counters to the parent, plus
-        what only a barrier (``states`` ...) or the end (``sinks``) has."""
+        what only a barrier (``share`` ...) or the end (``sinks``,
+        ``whole``) has."""
         wall_s = max(perf_counter() - self.started, 1e-9)
         metrics = dict(self.metrics)
         metrics["busy_fraction"] = max(0.0, 1.0 - self.idle_s / wall_s)
@@ -961,7 +960,6 @@ class _Worker:
                     "spout_produced": dict(self.step.spout_produced),
                     "exhausted": sorted(self.step.exhausted),
                     "edge_stats": self.step.queue_stats,
-                    "whole": self.step.whole,
                     "metrics": metrics,
                     "boundary_at": self.boundary_at,
                     "resumed_at": self.resumed_at,

@@ -249,7 +249,7 @@ class TaskStep:
                     (queue_stats or {}).get(key),
                 )
             if edge.producer in self.instances:
-                self.buffers[key] = OutputBuffer(*key, spec.batch_for(key))
+                self.buffers[key] = OutputBuffer(*key, spec.batch_size)
         self._bind(spec)
         if checkpoint is not None:
             payload = checkpoint.payload()
@@ -339,8 +339,8 @@ class TaskStep:
         #: kernel's output already exists whole, so cutting it at the
         #: batch size buys no latency, only messages the consumer's
         #: ``take()`` glues straight back together; the batch size only
-        #: says where *scalar* rows seal, and AIMD leaves these edges
-        #: alone.
+        #: says where *scalar* rows seal.  The run's ``jumbo_fill_ratio``
+        #: gauges are taken against these cuts.
         self.whole: dict[tuple[int, int], int] = {
             key: column_cut(spec.queue_capacity.get(key))
             for key in self.buffers
@@ -412,12 +412,6 @@ class TaskStep:
             self._instantiate(spec, by_id[task_id])
         self._restore(checkpoint, checkpoint.payload(), moved)
         self._bind(spec)
-
-    def resize(self, edge_batches: Mapping[tuple[int, int], int]) -> None:
-        """Apply a barrier's AIMD step to the live output buffers."""
-        for key, size in edge_batches.items():
-            if key in self.buffers:
-                self.buffers[key].batch_size = size
 
     @property
     def columnar_sources(self) -> bool:

@@ -122,8 +122,8 @@ class TestActiveSheddingIsDeterministic:
     """With shedding engaged, identical runs shed identical tuples."""
 
     #: Tight queues force sustained blocked-put pressure, walking the
-    #: ladder up to the shed rung; enough epochs must elapse for the
-    #: ladder to climb past batch-shrink (one rung per pressured epoch).
+    #: ladder up to the shed rung, its first (one rung per pressured
+    #: epoch).
     PRESSURE = dict(queue_capacity=24, batch_size=8, events=800)
     SHED = OverloadConfig(shed_mode="random", shed_rate=0.5, shed_seed=9)
 

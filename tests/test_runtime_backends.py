@@ -25,7 +25,6 @@ from repro.dsps import LocalEngine
 from repro.errors import ExecutionError
 from repro.metrics import MetricsRegistry
 from repro.runtime import (
-    AdaptiveBatchConfig,
     InlineBackend,
     OverloadConfig,
     ProcessPoolBackend,
@@ -94,7 +93,6 @@ class TestBackendResolution:
             {"ordered": True},
             {"dataplane": "pickle"},
             {"vectorized": "off"},
-            {"batching": AdaptiveBatchConfig()},
             {"overload": OverloadConfig()},
             {"timeout_s": 5.0},
         ],
@@ -111,14 +109,14 @@ class TestBackendResolution:
         assert resolve_backend(backend, queue_budget=512) is backend
 
     def test_engine_names_the_argument_an_instance_would_drop(self):
-        # The case ROADMAP item 1 records: AIMD asked of the engine next
-        # to a ready-made backend used to run without it, silently.
+        # An executor option asked of the engine next to a ready-made
+        # backend used to run without it, silently.
         topology, _ = load_application("wc")
-        with pytest.raises(ExecutionError, match="^batching= configures"):
+        with pytest.raises(ExecutionError, match="^overload= configures"):
             LocalEngine(
                 topology,
                 backend=ProcessPoolBackend(n_workers=2),
-                adaptive_batch=True,
+                overload=True,
                 epoch_interval=100,
             )
         with pytest.raises(ExecutionError, match="^n_workers= configures"):

@@ -25,7 +25,6 @@ from repro.errors import ExecutionError
 from repro.hardware import server_a, server_b
 from repro.metrics import load_report
 from repro.runtime import (
-    AdaptiveBatchConfig,
     DegradeContext,
     FaultPlan,
     InlineBackend,
@@ -107,7 +106,7 @@ class TestDoorsDeclareNothingTwice:
         doors[door](**options)
 
     def test_there_are_no_more_options_than_before(self):
-        assert len(FIELDS) <= 17
+        assert len(FIELDS) <= 16
 
 
 #: (bad options, exception, message, the doors the option exists at).
@@ -119,9 +118,13 @@ RULES = [
     # The modes are two-valued: "on" is as unknown as "turbo", not an alias.
     ({"vectorized": "on"}, ExecutionError, "unknown vectorized mode 'on'", EVERY),
     # What the code works out is not an option: fusion follows placement,
-    # and the shm plane always runs the adaptive dictionary rule.
+    # and the shm plane always runs the adaptive dictionary rule.  Nor is
+    # what never acted: a kernel's output crosses at its edge's cut, so
+    # per-edge AIMD batch sizing had nothing left to size.
     ({"fuse": "auto"}, TypeError, "unexpected keyword argument 'fuse'", EVERY),
     ({"string_dict": "auto"}, TypeError, "unexpected keyword argument 'string_dict'", EVERY),
+    ({"adaptive_batch": True}, TypeError, "unexpected keyword argument 'adaptive_batch'", EVERY),
+    ({"batching": True}, TypeError, "unexpected keyword argument 'batching'", EVERY),
     ({"n_workers": 0}, ExecutionError, "n_workers must be >= 1, got 0", EVERY),
     ({"batch_size": 0}, ExecutionError, "batch_size must be >= 1, got 0", EVERY),
     ({"queue_capacity": 0}, ExecutionError, "queue_capacity must be positive, got 0", EVERY),
@@ -131,12 +134,9 @@ RULES = [
     ({"epoch_interval": 0}, ExecutionError, "epoch interval must be >= 1, got 0", ENGINE),
     ({"recovery_policy": "degrade"}, ExecutionError, "policy 'degrade' needs a DegradeContext", ENGINE),
     ({"recovery_policy": "reboot"}, ExecutionError, "unknown recovery policy 'reboot'", ENGINE),
-    ({"adaptive_batch": True}, ExecutionError, "adaptive batch sizing adjusts at epoch barriers: pass epoch_interval", EVERY),
-    ({"batching": AdaptiveBatchConfig()}, ExecutionError, "adaptive batch sizing adjusts at epoch barriers: pass epoch_interval", EVERY),
     ({"overload": {"shed_mode": "random"}}, ExecutionError, "overload control steps at epoch barriers: pass epoch_interval", EVERY),
     ({"reconfig": object()}, ExecutionError, "live reconfiguration requires epoch barriers: pass epoch_interval", ENGINE),
     ({"bogus": 1}, TypeError, "unexpected keyword argument 'bogus'", EVERY),
-    ({"batching": AdaptiveBatchConfig(), "adaptive_batch": True}, TypeError, "are one option", EVERY),
 ]
 # fmt: on
 
@@ -175,18 +175,11 @@ class TestEveryRuleThroughEveryDoor:
 
 class TestNormalizedOnce:
     def test_spellings_read_back_as_configs(self):
-        config = RunConfig.of(
-            adaptive_batch=True,
-            overload={"shed_mode": "random"},
-            epoch_interval=10,
-        )
-        assert config.adaptive_batch == AdaptiveBatchConfig()
+        config = RunConfig.of(overload={"shed_mode": "random"}, epoch_interval=10)
         assert config.overload == OverloadConfig(shed_mode="random")
+        assert RunConfig.of(overload=True).overload == OverloadConfig()
         assert RunConfig.of(**dict.fromkeys(FIELDS)) == RunConfig()  # None: default
-        off = RunConfig.of(adaptive_batch=False, overload=False)
-        assert (off.adaptive_batch, off.overload) == (None, None)
-        respelled = RunConfig.of(batching=AdaptiveBatchConfig(min_batch=4))
-        assert respelled.adaptive_batch.min_batch == 4
+        assert RunConfig.of(overload=False).overload is None
 
     def test_to_dict_is_json_and_repeats(self, wc):
         _, profiles, _ = wc
@@ -194,7 +187,6 @@ class TestNormalizedOnce:
         def build():
             return RunConfig.of(
                 backend="process",
-                adaptive_batch=True,
                 overload=OverloadConfig(max_lag_ms=50.0, shed_mode="random"),
                 fault_plan=FaultPlan.from_cli("seed=7,kinds=crash|stall,n=2,at=100"),
                 recovery_policy="degrade",
@@ -223,7 +215,6 @@ FLAG_FIELDS = {
     "--backend": (["--backend", "process"], [], {"backend": "process"}),
     "--workers": (["--workers", "3"], [], {"n_workers": 3}),
     "--vectorized": (["--vectorized", "off"], [], {"vectorized": "off"}),
-    "--adaptive-batch": (["--adaptive-batch"], [], {"adaptive_batch": AdaptiveBatchConfig()}),
     "--queue-capacity": (["--queue-capacity", "128"], [], {"queue_capacity": 128}),
     "--epoch-interval": (["--epoch-interval", "250"], [], {"epoch_interval": 250}),
     "--max-lag-ms": (["--max-lag-ms", "40"], [], {"overload": OverloadConfig(max_lag_ms=40.0)}),
@@ -324,7 +315,7 @@ class TestFlagToField:
         _, profiles, _ = wc
         assert self.config([], profiles) == RunConfig()
 
-    @pytest.mark.parametrize("flag", ["--fuse", "--string-dict"])
+    @pytest.mark.parametrize("flag", ["--fuse", "--string-dict", "--adaptive-batch"])
     def test_deleted_flags_are_argparse_errors(self, flag, capsys):
         with pytest.raises(SystemExit) as caught:
             build_parser().parse_args(["run", "wc", flag, "auto"])
@@ -338,15 +329,14 @@ class TestFlagToField:
 class TestOptionsThatUsedToDoNothing:
     SILENT = [
         "run", "wc", "--events", "50", "--backend", "process", "--workers", "2",
-        "--adaptive-batch",
+        "--shed", "random",
     ]  # fmt: skip
 
     def test_watchdog_flag_does_not_bypass_the_barrier_rule(self, capsys):
         for argv in (self.SILENT, [*self.SILENT, "--watchdog-timeout", "5"]):
             assert main(argv) == 1
             assert (
-                "adaptive batch sizing adjusts at epoch barriers"
-                in capsys.readouterr().err
+                "overload control steps at epoch barriers" in capsys.readouterr().err
             )
 
     def test_shed_without_barriers_reads_the_same_on_every_path(self, capsys):
@@ -359,11 +349,11 @@ class TestOptionsThatUsedToDoNothing:
         assert "overload control steps at epoch barriers" in said.pop()
 
     @pytest.mark.parametrize("backend", [InlineBackend, ProcessPoolBackend])
-    def test_batching_without_epochs_raises_at_execute(self, backend, wc):
+    def test_overload_without_epochs_raises_at_execute(self, backend, wc):
         topology, _, _ = wc
         spec = LocalEngine(topology).spec
-        with pytest.raises(ExecutionError, match="adaptive batch sizing adjusts"):
-            backend(batching=AdaptiveBatchConfig()).execute(spec, 200)
+        with pytest.raises(ExecutionError, match="overload control steps at epoch"):
+            backend(overload=True).execute(spec, 200)
 
 
 class TestReportRemembersTheConfig:
@@ -403,12 +393,12 @@ class TestReportRemembersTheConfig:
 
     def test_a_run_that_never_got_an_engine_says_so(self, tmp_path, capsys):
         target = tmp_path / "m.json"
-        argv = ["run", "wc", "--adaptive-batch", "--emit-metrics", str(target)]
+        argv = ["run", "wc", "--shed", "random", "--emit-metrics", str(target)]
         assert main(argv) == 1
         capsys.readouterr()
         meta = load_report(target).meta
         assert meta["failed"] is True and meta["config"] is None
-        assert meta["adaptive_batch"] is True
+        assert meta["shed"] == "random"
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from repro.errors import ExecutionError, StallError, WorkerCrashError
 from repro.metrics import MetricsRegistry
 from repro.metrics.registry import NULL_REGISTRY
 from repro.runtime import (
-    AdaptiveBatchConfig,
     EpochConfig,
     FaultPlan,
     Migration,
@@ -41,7 +40,6 @@ from repro.runtime.dataplane import SHM_NAME_PREFIX
 from repro.runtime.backends import _InlineRun
 from repro.runtime.epochs import BARRIER_PARTS
 from repro.runtime.process_pool import CRASH_EXIT_CODE, _PoolRun, _Worker
-from repro.runtime.lowering import instantiate_tasks
 from repro.runtime.step import TaskStep
 
 EVENTS = 300
@@ -564,40 +562,6 @@ class TestOnePoolPerRun:
             == plain.snapshot()["counters"]["runtime.vectorized.tuples"]
         )
 
-    def test_aimd_resizes_live_buffers(self, baselines):
-        pids = []
-        registry = MetricsRegistry()
-        # AIMD sizes where scalar rows seal, so the producers here are
-        # scalar: a kernel's output crosses at its edge's cut instead
-        # (TestAimdLeavesWholeEdges).
-        engine = build_engine(
-            "wc",
-            backend=process_backend(
-                batching=AdaptiveBatchConfig(), vectorized="off"
-            ),
-            queue_budget=2048,
-        )
-        result = execute(
-            engine, lambda commit: pids.append(worker_pids()), registry=registry
-        )
-        snapshot = registry.snapshot()
-        assert snapshot["counters"]["runtime.batch.increases"] > 0
-        assert pids[0] == pids[-1]  # resized in place, no new pool
-        grown = [
-            name.removeprefix("runtime.batch.size.")
-            for name, size in snapshot["gauges"].items()
-            if name.startswith("runtime.batch.size.") and size > 64
-        ]
-        assert grown
-        for edge in grown:
-            counters = snapshot["counters"]
-            mean = (
-                counters[f"engine.queue.{edge}.enqueued_tuples"]
-                / counters[f"engine.queue.{edge}.enqueued_batches"]
-            )
-            assert mean > 64  # whole-run mean: later epochs sealed bigger
-        assert sink_multiset(result) == sink_multiset(baselines["wc"])
-
     def test_counters_describe_the_whole_run(self):
         """Dataplane and step counters of a barrier run equal those of
         the same run without barriers, give or take the barrier flushes
@@ -653,75 +617,6 @@ class TestOnePoolPerRun:
                 assert barriers[name] == count, name
         ratio = barriers["runtime.run.dataplane_bytes"] / plain["runtime.run.dataplane_bytes"]
         assert abs(ratio - 1.0) < 0.01
-
-
-def columnar_edges(spec):
-    """The edges that carry columnar output when nothing runs scalar
-    (``TaskStep.whole``): the out-edges of spouts and of operators with
-    a kernel."""
-    instances = instantiate_tasks(spec)
-    return [
-        (edge.producer, edge.consumer)
-        for edge in spec.edges
-        if isinstance(instances[edge.producer], Spout)
-        or instances[edge.producer].supports_columns()
-    ]
-
-
-class TestAimdLeavesWholeEdges:
-    """An edge that carries a kernel's or a columnar spout's output
-    (``TaskStep.whole``) is cut at ``MAX_BATCH_ROWS`` or its queue's
-    capacity, not at its batch size, so its mean enqueued batch reads
-    above the size and AIMD used to grow it at every barrier (WC
-    inline: 30 increases over 8 000 events, every edge at 544).  AIMD
-    leaves such edges alone, in one process and on two workers; the
-    rows are those of a run without AIMD."""
-
-    @staticmethod
-    def assert_whole_edges_unresized(app, whole, registry, result, reference):
-        gauges = registry.snapshot()["gauges"]
-        for producer, consumer in whole:
-            size = gauges.get(f"runtime.batch.size.{producer}-{consumer}", 64)
-            assert size == 64, (app, producer, consumer)
-        assert result.sink_received() == reference.sink_received(), app
-        assert task_counts(result) == task_counts(reference), app
-
-    @pytest.mark.parametrize("app", ["wc", "lr"])
-    def test_inline(self, app):
-        reference = build_engine(app, epoch_interval=500).run(8000)
-        registry = MetricsRegistry()
-        engine = build_engine(
-            app, epoch_interval=500, adaptive_batch=True, registry=registry
-        )
-        result = engine.run(8000)
-        whole = columnar_edges(engine.spec)
-        assert whole
-        self.assert_whole_edges_unresized(app, whole, registry, result, reference)
-        if app == "wc":
-            # Every WC producer is columnar: nothing is left to resize.
-            assert len(whole) == len(engine.spec.edges)
-            assert registry.snapshot()["counters"]["runtime.batch.increases"] == 0
-
-    @pytest.mark.parametrize("app", ["wc", "sd", "fd", "lr"])
-    def test_process(self, app):
-        ordered = app == "lr"
-        reference = build_engine(
-            app, backend=process_backend(ordered=ordered), epoch_interval=500
-        ).run(4000)
-        registry = MetricsRegistry()
-        engine = build_engine(
-            app,
-            backend=process_backend(
-                ordered=ordered, batching=AdaptiveBatchConfig()
-            ),
-            epoch_interval=500,
-            registry=registry,
-        )
-        result = engine.run(4000)
-        # Local or across a ring, bounded or not: every columnar edge.
-        whole = columnar_edges(engine.spec)
-        assert whole
-        self.assert_whole_edges_unresized(app, whole, registry, result, reference)
 
 
 class TestBarrierExplainsItself:

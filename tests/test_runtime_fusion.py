@@ -1,4 +1,4 @@
-"""Runtime operator-chain fusion + adaptive batch sizing suite.
+"""Runtime operator-chain fusion suite.
 
 Fusion follows placement: an exclusive edge whose two ends run in one
 process is one loop, derived by the executor from where it runs each
@@ -11,8 +11,8 @@ under the conditions that move chains (kernels on and off, epoch
 barriers, a live migration, a crash inside a chain member) against one
 unfused scalar ``_InlineRun`` reference per app.  Around them: the chains
 each app gets in one process (the derivation's property over random DAGs
-and owner maps is in tests/test_runtime_placement.py), the AIMD
-batch-size controller and the spec-level batch validation.
+and owner maps is in tests/test_runtime_placement.py) and the engine's
+validation of the options near it.
 """
 
 from collections import Counter as Multiset
@@ -22,18 +22,15 @@ import pytest
 from repro.apps import load_application
 from repro.core.plan import ExecutionPlan
 from repro.dsps import LocalEngine
-from repro.errors import ExecutionError, PlanError
+from repro.errors import ExecutionError
 from repro.metrics import MetricsRegistry
 from repro.metrics.registry import NULL_REGISTRY
 from repro.runtime import (
-    AdaptiveBatchConfig,
-    AdaptiveBatchController,
     EpochConfig,
     FaultPlan,
     FusionConfig,
     Migration,
     ProcessPoolBackend,
-    apply_edge_batches,
     lower_graph,
     plan_fusion,
     with_chains,
@@ -41,7 +38,6 @@ from repro.runtime import (
 )
 from repro.runtime.backends import _InlineRun
 from repro.runtime.fusion import in_one_process
-from repro.dsps.queues import QueueStats
 
 EVENTS = 300
 APPS = ("wc", "sd", "fd", "lr")
@@ -68,16 +64,8 @@ def build_engine(app, *, backend="inline", vectorized="off", **kwargs):
     topology.component("sink").template.keep_samples = 10**6
     replication = {name: 1 for name in topology.components}
     if backend == "process":
-        # resolve_backend rejects backend options beside an instance, so
-        # the adaptive config lands on the instance and only there (the
-        # CLI watchdog path does the same).
-        backend = process_backend(
-            app,
-            vectorized,
-            batching=(
-                AdaptiveBatchConfig() if kwargs.pop("adaptive_batch", None) else None
-            ),
-        )
+        # resolve_backend rejects backend options beside an instance.
+        backend = process_backend(app, vectorized)
         vectorized = None
     return LocalEngine(
         topology,
@@ -216,122 +204,12 @@ class TestPlanFusion:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive batch sizing
-# ---------------------------------------------------------------------------
-class TestAdaptiveBatchConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"min_batch": 0},
-            {"max_batch": 4, "min_batch": 8},
-            {"increase": 0},
-            {"decrease": 0.0},
-            {"decrease": 1.0},
-            {"fill_target": 0.0},
-            {"fill_target": 1.5},
-        ],
-    )
-    def test_rejects_bad_parameters(self, kwargs):
-        with pytest.raises(PlanError):
-            AdaptiveBatchConfig(**kwargs)
-
-
-class TestAdaptiveController:
-    def controller(self, **kwargs):
-        spec = wc_spec(queue_budget=2048)
-        return spec, AdaptiveBatchController(
-            spec, AdaptiveBatchConfig(**kwargs)
-        )
-
-    def test_decrease_on_blocked_edge(self):
-        spec, ctl = self.controller()
-        key = next(iter(spec.queue_capacity))
-        changed = ctl.observe_window({key: (10, 640, 3)})
-        assert changed == {key: 32}  # 64 * 0.5
-        assert ctl.decreases == 1
-
-    def test_decrease_on_external_pressure(self):
-        spec, ctl = self.controller()
-        key = next(iter(spec.queue_capacity))
-        changed = ctl.observe_window(
-            {key: (10, 640, 0)}, pressure_keys={key}
-        )
-        assert changed == {key: 32}
-
-    def test_increase_only_when_batches_run_full(self):
-        spec, ctl = self.controller()
-        key = next(iter(spec.queue_capacity))
-        assert ctl.observe_window({key: (10, 320, 0)}) == {}  # fill 0.5
-        assert ctl.observe_window({key: (10, 640, 0)}) == {key: 96}
-        assert ctl.increases == 1
-
-    def test_idle_edges_are_skipped(self):
-        spec, ctl = self.controller()
-        key = next(iter(spec.queue_capacity))
-        assert ctl.observe_window({key: (0, 0, 0)}) == {}
-        assert ctl.adjustments == 0
-
-    def test_clamped_to_bounds_and_capacity(self):
-        spec, ctl = self.controller(min_batch=48, max_batch=80)
-        key = next(iter(spec.queue_capacity))
-        assert ctl.observe_window({key: (10, 640, 1)}) == {key: 48}
-        ctl.sizes[key] = 80
-        assert ctl.observe_window({key: (10, 800, 0)}) == {}  # at max
-        capped = AdaptiveBatchController(
-            wc_spec(batch_size=8, queue_capacity=16), AdaptiveBatchConfig()
-        )
-        key2 = next(iter(capped.capacity))
-        capped.sizes[key2] = 8
-        assert capped.observe_window({key2: (10, 80, 0)}) == {key2: 16}
-
-    def test_observe_differences_cumulative_stats(self):
-        spec, ctl = self.controller()
-        key = next(iter(spec.queue_capacity))
-        stats = QueueStats()
-        stats.enqueued_batches, stats.enqueued_tuples = 10, 640
-        assert ctl.observe({key: stats}) == {key: 96}
-        # Same cumulative numbers again = an idle window.
-        assert ctl.observe({key: stats}) == {}
-        assert ctl.report()["adjustments"] == 1
-
-
-class TestApplyEdgeBatches:
-    def test_valid_sizes_apply(self):
-        spec = wc_spec(queue_budget=2048)
-        key = next(iter(spec.queue_capacity))
-        updated = apply_edge_batches(spec, {key: 128})
-        assert updated.batch_for(key) == 128
-        assert spec.batch_for(key) == 64  # original untouched
-
-    def test_unknown_edge_rejected(self):
-        spec = wc_spec(queue_budget=2048)
-        with pytest.raises(PlanError, match="unknown edge"):
-            apply_edge_batches(spec, {(97, 98): 32})
-
-    def test_nonpositive_size_rejected(self):
-        spec = wc_spec(queue_budget=2048)
-        key = next(iter(spec.queue_capacity))
-        with pytest.raises(PlanError, match=">= 1"):
-            apply_edge_batches(spec, {key: 0})
-
-    def test_size_beyond_capacity_rejected(self):
-        spec = wc_spec(queue_capacity=100)
-        key = next(iter(spec.queue_capacity))
-        with pytest.raises(PlanError, match="capacity"):
-            apply_edge_batches(spec, {key: 101})
-
-
-# ---------------------------------------------------------------------------
 # Engine surface
 # ---------------------------------------------------------------------------
 class TestEngineValidation:
     def test_batch_size_must_be_positive(self):
         with pytest.raises(ExecutionError, match="batch_size"):
             build_engine("wc", batch_size=0)
-
-    def test_adaptive_requires_epoch_barriers(self):
-        with pytest.raises(ExecutionError, match="epoch"):
-            build_engine("wc", adaptive_batch=True)
 
     def test_unknown_fuse_mode_rejected(self):
         # fusion has no modes: fuse= is not an option at all.
@@ -415,25 +293,6 @@ class TestFusionParity:
             assert result.epochs.migrations == 1, app
             assert ran_chains(engine, result) == EXPECTED_CHAINS[app], app
             assert_identical(baselines[app], result, app)
-
-    def test_adaptive_batching_preserves_results(self, baselines):
-        for backend in ("inline", "process"):
-            registry = MetricsRegistry()
-            engine = build_engine(
-                "wc",
-                backend=backend,
-                adaptive_batch=True,
-                epoch_interval=100,
-                queue_budget=2048,
-                registry=registry,
-            )
-            result = engine.run(EVENTS)
-            assert_identical(baselines["wc"], result)
-            snapshot = registry.snapshot()
-            assert "runtime.batch.adjustments" in snapshot["counters"]
-            assert snapshot["gauges"]["runtime.fusion.chains"] == len(
-                ran_chains(engine, result)
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -279,8 +279,8 @@ class TestDegradationLadder:
         ladder = DegradationLadder(config)
         detector.overloaded = True
         detector.last_reasons = ("blocked-put",)
-        rungs = [ladder.step(epoch, detector) for epoch in range(6)]
-        assert rungs == [1, 2, 3, 4, 4, 4]  # clamped at replan
+        rungs = [ladder.step(epoch, detector) for epoch in range(5)]
+        assert rungs == [1, 2, 3, 3, 3]  # clamped at replan
         assert [e["rung"] for e in ladder.timeline] == list(RUNGS[1:])
         assert all(e["kind"] == "escalate" for e in ladder.timeline)
 
@@ -290,14 +290,14 @@ class TestDegradationLadder:
         ladder = DegradationLadder(config)
         detector.overloaded = True
         detector.last_reasons = ("lag-slo",)
-        for epoch in range(3):
+        for epoch in range(2):
             ladder.step(epoch, detector)
         detector.overloaded = False
-        rungs = [ladder.step(epoch, detector) for epoch in range(3, 8)]
-        assert rungs == [2, 1, 0, 0, 0]
+        rungs = [ladder.step(epoch, detector) for epoch in range(2, 6)]
+        assert rungs == [1, 0, 0, 0]
         down = [e for e in ladder.timeline if e["kind"] == "de-escalate"]
-        assert [e["rung"] for e in down] == ["shed", "batch-shrink", "normal"]
-        assert ladder.peak_rung == 3
+        assert [e["rung"] for e in down] == ["shed", "normal"]
+        assert ladder.peak_rung == 2
 
 
 class FakeQueueStats(SimpleNamespace):
@@ -331,13 +331,12 @@ class TestOverloadManager:
 
     def test_directives_follow_the_rung(self):
         manager = self.manager()
-        assert not manager.force_batch_pressure
+        assert not manager.shed_active
         assert manager.spout_allowance() == 100
-        stats = [cumulative(blocked=5 * (n + 1)) for n in range(4)]
+        stats = [cumulative(blocked=5 * (n + 1)) for n in range(3)]
         for epoch, stat in enumerate(stats):
             manager.observe_queue_stats(epoch, {(0, 1): stat})
-        assert manager.rung == 4
-        assert manager.force_batch_pressure
+        assert manager.rung == 3
         assert manager.shed_active and manager.shedder.active
         assert manager.throttling
         state = manager.commit_state()
@@ -350,7 +349,7 @@ class TestOverloadManager:
         # the throttle rung and above; the shortfall accumulates.
         manager = self.manager(throttle_fraction=0.3)
         seen = []
-        for rung in (0, 3, 3, 4, 1, 0, 3, 2, 4, 0):
+        for rung in (0, 2, 2, 3, 1, 0, 2, 1, 3, 0):
             manager.ladder.rung = rung
             allowance = manager.spout_allowance()
             seen.append((allowance, manager.report.tokens_denied))
@@ -366,7 +365,7 @@ class TestOverloadManager:
         # interval, and a throttled epoch still admits at least one.
         manager = self.manager(throttle_fraction=0.001)
         assert [manager.spout_allowance() for _ in range(5)] == [100] * 5
-        manager.ladder.rung = 3
+        manager.ladder.rung = 2
         assert [manager.spout_allowance() for _ in range(3)] == [1] * 3
         assert manager.report.tokens_denied == 297
         manager.ladder.rung = 0

@@ -67,6 +67,9 @@ from repro.runtime.step import STEP_COUNTERS, TaskStep, column_cut, partition
 APPS = ("wc", "sd", "fd", "lr")
 EVENTS = 300
 BATCH = 8
+#: Batch sizes the cut tests build their harness at: the default and a
+#: small one.
+CUT_BATCH_SIZES = (64, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -391,28 +394,28 @@ class TestRouter:
 
     @pytest.mark.parametrize("capacity", (10 * BATCH, 2 * MAX_BATCH_ROWS))
     def test_bounded_edge_chunks_follow_the_queue_capacity(self, capacity):
-        harness = Harness(route_spec("shuffle", 1, queue_capacity=capacity))
-        (edge,) = harness.rt.out_edges
-        key = (edge.producer, edge.consumer)
         cut = min(MAX_BATCH_ROWS, capacity)
-        assert harness.step.queues[key].capacity_tuples == capacity
-        assert harness.step.whole[key] == cut
 
         def lengths(deliveries):
             # As delivered: a bounded queue admits one chunk at a time.
             return [len(payload) for _, _, payload in deliveries]
 
-        for size in (BATCH, 5):
-            # A barrier's AIMD step resizes the buffer, not the lowered
-            # spec, and not where columnar output is cut.
-            harness.step.resize({key: size})
+        for size in CUT_BATCH_SIZES:
+            harness = Harness(
+                route_spec("shuffle", 1, batch_size=size, queue_capacity=capacity)
+            )
+            (edge,) = harness.rt.out_edges
+            key = (edge.producer, edge.consumer)
+            assert harness.step.queues[key].capacity_tuples == capacity
+            # The batch size does not move where columnar output is cut.
+            assert harness.step.whole[key] == cut
             batch = ColumnBatch.from_tuples(rows(2 * cut + 3))
             assert lengths(harness.step.route_columns(harness.rt, batch)) == [
                 cut,
                 cut,
                 3,
             ]
-            # Scalar rows seal at the live batch size.
+            # Scalar rows seal at the batch size.
             sealed = [
                 delivery
                 for item in rows(2 * size + 1)
@@ -420,17 +423,15 @@ class TestRouter:
             ]
             assert lengths(sealed) == [size, size]
             assert lengths(harness.step.flush_buffers(harness.rt)) == [1]
-        assert harness.spec.batch_for(key) == BATCH
 
     def test_unbounded_local_edge_takes_the_output_whole(self):
-        harness = Harness(route_spec("shuffle", 1))
-        (edge,) = harness.rt.out_edges
-        key = (edge.producer, edge.consumer)
-        queue = harness.step.queues[key]
-        assert queue.capacity_tuples is None and key in harness.step.whole
         n = 2 * MAX_BATCH_ROWS + 7
-        for size in (BATCH, 5):
-            harness.step.resize({key: size})
+        for size in CUT_BATCH_SIZES:
+            harness = Harness(route_spec("shuffle", 1, batch_size=size))
+            (edge,) = harness.rt.out_edges
+            key = (edge.producer, edge.consumer)
+            queue = harness.step.queues[key]
+            assert queue.capacity_tuples is None and key in harness.step.whole
             harness.columnar(rows(n))
             # Cut only where take() would stop merging anyway.
             assert [len(b) for b in iter(queue.poll, None)] == [
@@ -438,7 +439,7 @@ class TestRouter:
                 MAX_BATCH_ROWS,
                 7,
             ]
-            # Scalar rows still seal at the live batch size.
+            # Scalar rows still seal at the batch size.
             harness.scalar(rows(2 * size + 1))
             assert [len(b) for b in iter(queue.poll, None)] == [size, size]
             assert harness.step.buffers[key].pending == 1
