@@ -85,7 +85,10 @@ def _optimize(args: argparse.Namespace, registry: MetricsRegistry | None = None)
         f"  planning {planning_s:.2f} s: "
         f"search {registry.histogram('rlas.bnb.search_runtime_s').total:.2f} s · "
         f"refine {registry.histogram('rlas.refine.runtime_s').total:.2f} s · "
-        f"rebalance {registry.gauge('rlas.scaling.rebalance_s').snapshot():.2f} s"
+        f"rebalance {registry.gauge('rlas.scaling.rebalance_s').snapshot():.2f} s; "
+        f"packing proofs {registry.counter('rlas.bnb.packing_proofs').value} · "
+        f"skipped: twin swaps {registry.counter('rlas.refine.skipped_twins').value}, "
+        f"repeats {registry.counter('rlas.refine.skipped_repeats').value}"
     )
     return plan, rate, profiles, machine
 

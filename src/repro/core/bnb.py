@@ -26,6 +26,11 @@ The paper's three branching heuristics appear as follows:
 3. **Graph compression** is handled upstream by building the execution
    graph with ``group_size > 1`` (see :mod:`repro.core.compression`).
 
+Before any of that, a graph whose task weights cannot be packed into the
+sockets' cores at all is answered at once (:func:`packing_exists`): no
+branch could ever complete it, since a task never lands on a socket whose
+cores it would overfill.
+
 Evaluation cost, the innermost loop of the search, is paid two ways
 (see docs/optimizer.md):
 
@@ -74,6 +79,11 @@ class SearchStats:
     runtime_s: float = 0.0
     time_to_best_s: float = 0.0
     optimal: bool = True
+    #: Searches answered "infeasible" without branching, because the task
+    #: weights were proven not to fit the sockets' cores: 0 or 1 for one
+    #: search, plus the coarser graph's proof when
+    #: ``ScalingOptimizer._place_with_fallback`` discards it for a finer one.
+    packing_proofs: int = 0
 
     def publish(self, registry, prefix: str = "rlas.bnb") -> None:
         """Accumulate this search's counts into a metrics registry.
@@ -90,6 +100,7 @@ class SearchStats:
         registry.counter(f"{prefix}.plans_evaluated").inc(self.evaluations)
         registry.counter(f"{prefix}.solutions_found").inc(self.solutions_found)
         registry.counter(f"{prefix}.cache_hits").inc(self.cache_hits)
+        registry.counter(f"{prefix}.packing_proofs").inc(self.packing_proofs)
         registry.counter("rlas.model.incremental_evals").inc(self.incremental_evals)
         registry.counter("rlas.model.full_evals").inc(self.full_evals)
         registry.gauge(f"{prefix}.runtime_s").set(self.runtime_s)
@@ -113,6 +124,51 @@ class PlacementResult:
         if self.model_result is None:
             return []
         return self.model_result.bottlenecks
+
+
+#: States the exact packing search may visit before it gives up and
+#: leaves the question to the placement search.
+PACKING_STEP_CAP = 4096
+
+
+def packing_exists(weights: list[int], bins: int, capacity: int) -> bool | None:
+    """Whether ``weights`` fit into ``bins`` bins of ``capacity`` each.
+
+    First-fit-decreasing answers most instances (True when it packs);
+    otherwise an exact search walks the weights largest first over the
+    distinct reachable bin loads, kept as sorted tuples (bins of equal load
+    are interchangeable), so each sub-problem is explored once.  Returns
+    None when that search would visit more than ``PACKING_STEP_CAP`` states.
+    """
+    items = sorted(weights, reverse=True)
+    if sum(items) > bins * capacity or (items and items[0] > capacity):
+        return False
+    loads = [0] * bins
+    for weight in items:
+        fits = next((k for k in range(bins) if loads[k] + weight <= capacity), None)
+        if fits is None:
+            break
+        loads[fits] += weight
+    else:
+        return True
+    states = {(0,) * bins}
+    steps = 0
+    for weight in items:
+        reached = set()
+        for state in states:
+            for k, load in enumerate(state):
+                if load + weight > capacity or (k and state[k - 1] == load):
+                    continue
+                reached.add(
+                    tuple(sorted(state[:k] + (load + weight,) + state[k + 1 :]))
+                )
+        steps += len(reached)
+        if not reached:
+            return False
+        if steps > PACKING_STEP_CAP:
+            return None
+        states = reached
+    return True
 
 
 @dataclass
@@ -210,46 +266,28 @@ class PlacementOptimizer:
         """Find the throughput-maximizing feasible placement of ``graph``.
 
         ``initial_plan`` optionally seeds the incumbent (e.g. a first-fit
-        plan) so pruning can start early (Appendix D discussion).
+        plan) so pruning can start early (Appendix D discussion).  When the
+        task weights provably do not pack into the sockets' cores, the
+        infeasible result returns without a search
+        (``stats.packing_proofs``).
         """
         stats = self._stats = SearchStats()
         start = time.perf_counter()
-        node_budget = (
-            self.max_nodes
-            if self.max_nodes is not None
-            else min(max(256, 16 * graph.n_tasks), 1500)
+        # Necessary, not sufficient: a packing may still break a CPU,
+        # memory or bandwidth constraint, which the search then finds.
+        stats.packing_proofs = int(
+            packing_exists(
+                [t.weight for t in graph.tasks],
+                self.machine.n_sockets,
+                self.machine.cores_per_socket,
+            )
+            is False
         )
-        # Infeasible configurations (e.g. replica counts that cannot tile
-        # the sockets) should fail fast: if the deep-first descent has not
-        # produced a single complete plan within this budget, alternatives
-        # will not rescue it either.
-        no_solution_budget = max(256, 6 * graph.n_tasks)
-
-        self._prepare(graph)
-        best_plan: ExecutionPlan | None = None
-        best_value = 0.0
-        best_result: ModelResult | None = None
-
-        if initial_plan is not None and initial_plan.is_complete:
-            seeded = self._seed_incumbent(initial_plan)
-            if seeded is not None:
-                best_plan, best_value, best_result = seeded
-                stats.solutions_found += 1
-                stats.time_to_best_s = time.perf_counter() - start
-
-        best_plan, best_value, best_result = self._search(
-            [_Node(bound=float("inf"), rank=0, placement={})],
-            set(),
-            best_plan,
-            best_value,
-            best_result,
-            stats,
-            start,
-            node_budget,
-            no_solution_budget,
+        best_plan, best_value, best_result = (
+            (None, 0.0, None)
+            if stats.packing_proofs
+            else self._run(graph, initial_plan, stats, start)
         )
-
-        self._collect_eval_counters(stats)
         stats.runtime_s = time.perf_counter() - start
         if best_plan is None:
             return PlacementResult(
@@ -265,6 +303,51 @@ class PlacementOptimizer:
             model_result=best_result,
             stats=stats,
         )
+
+    def _run(
+        self,
+        graph: ExecutionGraph,
+        initial_plan: ExecutionPlan | None,
+        stats: SearchStats,
+        start: float,
+    ) -> tuple[ExecutionPlan | None, float, ModelResult | None]:
+        """Seed the incumbent and run the search; returns the incumbent."""
+        node_budget = (
+            self.max_nodes
+            if self.max_nodes is not None
+            else min(max(256, 16 * graph.n_tasks), 1500)
+        )
+        # Infeasible configurations that do pack the cores (a CPU or
+        # bandwidth constraint breaks) should still fail fast: if the
+        # deep-first descent has not produced a single complete plan within
+        # this budget, alternatives will not rescue it either.
+        no_solution_budget = max(256, 6 * graph.n_tasks)
+
+        self._prepare(graph)
+        best_plan: ExecutionPlan | None = None
+        best_value = 0.0
+        best_result: ModelResult | None = None
+
+        if initial_plan is not None and initial_plan.is_complete:
+            seeded = self._seed_incumbent(initial_plan)
+            if seeded is not None:
+                best_plan, best_value, best_result = seeded
+                stats.solutions_found += 1
+                stats.time_to_best_s = time.perf_counter() - start
+
+        found = self._search(
+            [_Node(bound=float("inf"), rank=0, placement={})],
+            set(),
+            best_plan,
+            best_value,
+            best_result,
+            stats,
+            start,
+            node_budget,
+            no_solution_budget,
+        )
+        self._collect_eval_counters(stats)
+        return found
 
     # ------------------------------------------------------------------
     # Search core

@@ -161,28 +161,6 @@ class ModelResult:
         )
 
 
-class _CompiledEdge:
-    """Plan-independent constants of one task edge."""
-
-    __slots__ = ("producer", "consumer", "stream", "share", "wire_bytes", "cache_lines")
-
-    def __init__(
-        self,
-        producer: int,
-        consumer: int,
-        stream: str,
-        share: float,
-        wire_bytes: float,
-        cache_lines: int,
-    ) -> None:
-        self.producer = producer
-        self.consumer = consumer
-        self.stream = stream
-        self.share = share
-        self.wire_bytes = wire_bytes
-        self.cache_lines = cache_lines
-
-
 class _CompiledTask:
     """Plan-independent constants of one task."""
 
@@ -202,7 +180,10 @@ class _CompiledTask:
     )
 
     def __init__(self) -> None:
-        self.in_edges: list[_CompiledEdge] = []
+        #: One ``(producer, stream, share, wire_bytes, cache_lines)`` per
+        #: in-edge, in graph edge order: the plan-independent constants the
+        #: forward pass folds, unpacked without an attribute lookup.
+        self.in_edges: list[tuple[int, str, float, float, int]] = []
         #: Task ids of ``in_edges``' producers (set once edges are known).
         self.producers: frozenset[int] = frozenset()
 
@@ -272,13 +253,12 @@ class _CompiledGraph:
             payload = profiles.edge_payload_bytes(producer.component, edge.stream)
             wire = system.wire_bytes(payload)
             by_id[edge.consumer].in_edges.append(
-                _CompiledEdge(
-                    producer=edge.producer,
-                    consumer=edge.consumer,
-                    stream=edge.stream,
-                    share=edge.share,
-                    wire_bytes=wire,
-                    cache_lines=machine.cache_lines(wire),
+                (
+                    edge.producer,
+                    edge.stream,
+                    edge.share,
+                    wire,
+                    machine.cache_lines(wire),
                 )
             )
             consumers.setdefault(edge.producer, set()).add(edge.consumer)
@@ -286,7 +266,7 @@ class _CompiledGraph:
             producer: tuple(sorted(seen)) for producer, seen in consumers.items()
         }
         for ct in self.tasks:
-            ct.producers = frozenset(edge.producer for edge in ct.in_edges)
+            ct.producers = frozenset(edge[0] for edge in ct.in_edges)
 
     def downstream_closure(self, task_id: int) -> tuple[int, ...]:
         """Task ids whose model state can depend on ``task_id``'s placement.
@@ -429,39 +409,39 @@ class PerformanceModel:
                 total_rate = 0.0
                 weighted_tf = 0.0
                 weighted_bytes = 0.0
-                for edge in ct.in_edges:
-                    producer_out = out_rates[edge.producer].get(edge.stream)
+                for producer, stream, share, wire, lines in ct.in_edges:
+                    producer_out = out_rates[producer].get(stream)
                     if not producer_out:
                         continue
-                    rate = producer_out * edge.share
-                    producer_socket = placement.get(edge.producer)
+                    rate = producer_out * share
+                    producer_socket = placement.get(producer)
                     if zero_tf:
                         fetch = 0.0
                     elif worst_tf:
-                        fetch = edge.cache_lines * worst_latency
+                        fetch = lines * worst_latency
                     elif producer_socket is None or socket is None:
                         fetch = 0.0  # bounding relaxation: assume collocated
                     elif producer_socket == socket:
                         fetch = 0.0
                     else:
-                        fetch = edge.cache_lines * latency[producer_socket][socket]
+                        fetch = lines * latency[producer_socket][socket]
                     total_rate += rate
                     weighted_tf += rate * fetch
-                    weighted_bytes += rate * edge.wire_bytes
+                    weighted_bytes += rate * wire
                     if (
                         producer_socket is not None
                         and socket is not None
                         and producer_socket != socket
                     ):
-                        interconnect[producer_socket, socket] += rate * edge.wire_bytes
+                        interconnect[producer_socket, socket] += rate * wire
                     if collect_flows:
                         flows.append(
                             EdgeFlow(
-                                producer=edge.producer,
-                                consumer=edge.consumer,
-                                stream=edge.stream,
+                                producer=producer,
+                                consumer=ct.task_id,
+                                stream=stream,
                                 tuple_rate=rate,
-                                wire_bytes_per_tuple=edge.wire_bytes,
+                                wire_bytes_per_tuple=wire,
                                 producer_socket=producer_socket,
                                 consumer_socket=socket,
                                 fetch_ns_per_tuple=fetch,
@@ -842,33 +822,31 @@ class IncrementalEvaluator:
                 total_rate = 0.0
                 weighted_tf = 0.0
                 weighted_bytes = 0.0
-                for edge in ct.in_edges:
-                    producer_out = out[edge.producer].get(edge.stream)
+                for producer, stream, share, wire, lines in ct.in_edges:
+                    producer_out = out[producer].get(stream)
                     if not producer_out:
                         continue
-                    rate = producer_out * edge.share
-                    producer_socket = socket_of[edge.producer]
+                    rate = producer_out * share
+                    producer_socket = socket_of[producer]
                     if zero_tf:
                         fetch = 0.0
                     elif worst_tf:
-                        fetch = edge.cache_lines * worst
+                        fetch = lines * worst
                     elif producer_socket is None or socket is None:
                         fetch = 0.0  # bounding relaxation: assume collocated
                     elif producer_socket == socket:
                         fetch = 0.0
                     else:
-                        fetch = edge.cache_lines * latency[producer_socket][socket]
+                        fetch = lines * latency[producer_socket][socket]
                     total_rate += rate
                     weighted_tf += rate * fetch
-                    weighted_bytes += rate * edge.wire_bytes
+                    weighted_bytes += rate * wire
                     if (
                         producer_socket is not None
                         and socket is not None
                         and producer_socket != socket
                     ):
-                        contribs.append(
-                            (producer_socket, socket, rate * edge.wire_bytes)
-                        )
+                        contribs.append((producer_socket, socket, rate * wire))
                 if total_rate > 0.0:
                     input_rate = total_rate
                     tf_ns = weighted_tf / total_rate

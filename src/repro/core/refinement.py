@@ -10,6 +10,13 @@ the highest measured fetch cost.
 This is an implementation extension over the paper's Algorithm 2 (the kind
 of post-optimization a production scheduler would run); it only ever
 *improves* the modelled throughput, and DESIGN.md records it.
+
+Two kinds of candidate are skipped unevaluated, because their verdict is
+known (docs/optimizer.md, "Exact prunings"): swaps of *twins* — tasks with
+the same component, weight, producers and consumers, whose swap permutes
+the model's state and moves throughput by rounding alone — and a move set
+already rejected since the last accepted step, which a rejection leaves
+the evaluator exactly as it found it.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from dataclasses import dataclass
 
 from repro.core.model import ModelResult, PerformanceModel
 from repro.core.plan import ExecutionPlan
+from repro.dsps.graph import ExecutionGraph
 from repro.errors import PlanError
 
 
@@ -29,6 +37,10 @@ class RefinementStats:
     moves_accepted: int = 0
     swaps_accepted: int = 0
     evaluations: int = 0
+    #: Candidates answered without an evaluation: swaps of twins, and move
+    #: sets rejected before in the same state (see the module docstring).
+    skipped_twins: int = 0
+    skipped_repeats: int = 0
     initial_throughput: float = 0.0
     final_throughput: float = 0.0
 
@@ -37,6 +49,8 @@ class RefinementStats:
         registry (one plan refines many times; the counters add up)."""
         registry.counter("rlas.refine.runs").inc()
         registry.counter("rlas.refine.evaluations").inc(self.evaluations)
+        registry.counter("rlas.refine.skipped_twins").inc(self.skipped_twins)
+        registry.counter("rlas.refine.skipped_repeats").inc(self.skipped_repeats)
         registry.counter("rlas.refine.moves_accepted").inc(self.moves_accepted)
         registry.counter("rlas.refine.swaps_accepted").inc(self.swaps_accepted)
         registry.histogram("rlas.refine.runtime_s").observe(runtime_s)
@@ -74,6 +88,9 @@ def refine_plan(
         Number of highest-fetch-cost tasks considered per sweep.
 
     Returns the (possibly unchanged) plan, its evaluation, and statistics.
+    The plan, its evaluation and every statistic but ``evaluations`` and
+    the skip counters are those of evaluating every candidate: a skipped
+    one would be rejected.
     """
     if not plan.is_complete:
         raise PlanError("refinement needs a complete plan")
@@ -81,18 +98,34 @@ def refine_plan(
     evaluator.reset(plan.placement)
     placement = dict(plan.placement)
     stats = RefinementStats(evaluations=1, initial_throughput=evaluator.throughput)
+    twin_of = twin_classes(plan.graph)
+    # Move sets rejected since the last accepted step.
+    rejected: set[frozenset] = set()
 
     def feasible() -> bool:
         return evaluator.check().feasible
 
     def improves(*moves: tuple[int, int]) -> bool:
         """Keep ``moves`` iff they are feasible and model strictly better."""
+        key = frozenset(moves)
+        if key in rejected:
+            stats.skipped_repeats += 1
+            return False
         stats.evaluations += 1
         threshold = evaluator.throughput * (1 + 1e-9)
         kept = evaluator.try_moves(moves, threshold, feasible)
         if kept:
             placement.update(moves)
+            rejected.clear()
+        else:
+            rejected.add(key)
         return kept
+
+    def swap_improves(task_id: int, other_id: int, home: int) -> bool:
+        if twin_of[task_id] == twin_of[other_id]:
+            stats.skipped_twins += 1
+            return False
+        return improves((task_id, placement[other_id]), (other_id, home))
 
     def fetch_ns(task_id: int) -> float:
         return evaluator.task_values(task_id)[1]
@@ -121,7 +154,7 @@ def refine_plan(
             elif any(
                 other_id != task_id
                 and placement[other_id] != home
-                and improves((task_id, placement[other_id]), (other_id, home))
+                and swap_improves(task_id, other_id, home)
                 for other_id in hot_ids
             ):
                 stats.swaps_accepted += 1
@@ -133,3 +166,36 @@ def refine_plan(
     if stats.moves_accepted or stats.swaps_accepted:
         plan = ExecutionPlan(graph=plan.graph, placement=placement)
     return plan, evaluator.result(), stats
+
+
+def twin_classes(graph: ExecutionGraph) -> list[int]:
+    """Number each task by its twin class, indexed by task id.
+
+    Twins share component and weight, and have the same producer task ids
+    and the same consumer task ids over the same streams with the same
+    shares: each computes from exactly the other's inputs, so exchanging
+    their sockets only permutes the model's per-task state.
+    """
+    number: dict[tuple, int] = {}
+    return [
+        number.setdefault(
+            (
+                task.component,
+                task.weight,
+                tuple(
+                    sorted(
+                        (e.producer, e.stream, e.share)
+                        for e in graph.incoming(task.task_id)
+                    )
+                ),
+                tuple(
+                    sorted(
+                        (e.consumer, e.stream, e.share)
+                        for e in graph.outgoing(task.task_id)
+                    )
+                ),
+            ),
+            len(number),
+        )
+        for task in graph.tasks
+    ]

@@ -454,17 +454,24 @@ class ScalingOptimizer:
         """Optimize placement; on failure retry once with finer compression.
 
         A compressed group may be too coarse to fit any socket even though
-        the same replicas would fit individually (Appendix D); halving the
-        ratio often restores feasibility.  The retry is bounded to one
-        step — fully uncompressed graphs of a saturated machine are far too
-        expensive to search just to prove a configuration infeasible.
+        the same replicas would fit individually (Appendix D): groups of 5
+        cannot tile sockets of 18 cores.  Such a graph costs no search —
+        ``PlacementOptimizer`` proves first that its weights do not pack
+        (counted as ``rlas.bnb.packing_proofs``) — and halving the ratio
+        often restores feasibility.  The retry is bounded to one step —
+        fully uncompressed graphs of a saturated machine are far too
+        expensive to search when they do pack the cores but break another
+        constraint.  The returned search's statistics carry the discarded
+        one's packing proof, if it had one.
         """
         result = placer.optimize(graph)
         if result.plan is None and self.compress_ratio > 1:
+            coarse_proofs = result.stats.packing_proofs
             finer = self._build_graph(
                 replication, group_size=max(1, self.compress_ratio // 2)
             )
             result = placer.optimize(finer)
+            result.stats.packing_proofs += coarse_proofs
         return result
 
     #: Per-iteration growth clamp: a bottleneck at most doubles, so the

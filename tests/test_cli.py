@@ -48,6 +48,13 @@ class TestParser:
         )
         total, *parts = map(float, phases.groups())
         assert sum(parts) <= total + 0.02  # each part rounds to 10 ms
+        # And what the planner answered without a search or an evaluation.
+        assert re.search(
+            r"rebalance [\d.]+ s; packing proofs \d+ · "
+            r"skipped: twin swaps \d+, repeats \d+$",
+            out,
+            re.MULTILINE,
+        )
 
     def test_simulate_small(self, capsys):
         assert main(["simulate", "--app", "fd", "--sockets", "1"]) == 0

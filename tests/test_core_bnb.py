@@ -1,13 +1,20 @@
 """Unit tests for branch-and-bound placement (Algorithm 2)."""
 
+import itertools
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     PerformanceModel,
     PlacementOptimizer,
     TfMode,
+    bnb,
     collocated_plan,
 )
+from repro.core.bnb import packing_exists
 from repro.dsps import ExecutionGraph
 from repro.errors import PlanError
 
@@ -218,3 +225,97 @@ class TestDeterministicTieBreak:
         tray0 = [s for s in used if tiny_machine.topology.tray_of(s) == 0]
         if tray0:
             assert tray0 == list(range(len(tray0)))
+
+
+def _brute_force_packs(weights, bins, capacity):
+    """Whether some assignment of ``weights`` to bins respects capacity."""
+    return any(
+        all(
+            sum(w for w, b in zip(weights, assignment) if b == k) <= capacity
+            for k in range(bins)
+        )
+        for assignment in itertools.product(range(bins), repeat=len(weights))
+    )
+
+
+def _wc_search(replication, **optimizer):
+    """The WC graph of one scaling step at 4 sockets, and its search."""
+    from repro.apps import load_application
+    from repro.core.scaling import saturation_ingress
+    from repro.hardware import server_a
+
+    topology, profiles = load_application("wc")
+    model = PerformanceModel(profiles, server_a(4))
+    rate = saturation_ingress(topology, model)
+    graph = ExecutionGraph(topology, replication, group_size=5)
+    return PlacementOptimizer(model, rate, **optimizer).optimize(graph)
+
+
+#: The four WC replications whose groups of 5 cannot tile 4 x 18 cores:
+#: the compressed searches of the benchmark's WC plan that find nothing.
+_UNPACKABLE_WC = (
+    {"spout": 3, "parser": 2, "splitter": 16, "counter": 37, "sink": 14},
+    {"spout": 2, "parser": 4, "splitter": 9, "counter": 33, "sink": 24},
+    {"spout": 2, "parser": 3, "splitter": 8, "counter": 34, "sink": 25},
+    {"spout": 2, "parser": 2, "splitter": 7, "counter": 35, "sink": 26},
+)
+
+
+class TestPackingProof:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.integers(1, 6), max_size=7),
+        bins=st.integers(2, 3),
+        capacity=st.integers(1, 8),
+    )
+    def test_matches_brute_force(self, weights, bins, capacity):
+        expected = _brute_force_packs(weights, bins, capacity)
+        assert packing_exists(weights, bins, capacity) is expected
+        # A capped search may give up, but never answers wrongly.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bnb, "PACKING_STEP_CAP", 2)
+            assert packing_exists(weights, bins, capacity) in (expected, None)
+
+    def test_exact_search_packs_what_first_fit_decreasing_misses(self, monkeypatch):
+        # FFD: 3+3 | 2+2+2 | and the last 2 fits nowhere; 3+2+2 twice fits.
+        assert packing_exists([3, 3, 2, 2, 2, 2], 2, 7) is True
+        monkeypatch.setattr(bnb, "PACKING_STEP_CAP", 0)
+        assert packing_exists([3, 3, 2, 2, 2, 2], 2, 7) is None
+
+    def test_a_graph_first_fit_decreasing_misses_is_searched(
+        self, model, topology, tiny_machine
+    ):
+        graph = ExecutionGraph(
+            topology,
+            {"spout": 1, "stage": 4, "fan": 10, "sink": 12},
+            group_size={"spout": 1, "stage": 2, "fan": 2, "sink": 3},
+        )
+        weights = sorted((t.weight for t in graph.tasks), reverse=True)
+        assert weights == [3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 1]
+        machine = replace(tiny_machine, cores_per_socket=7)
+        result = PlacementOptimizer(
+            PerformanceModel(model.profiles, machine), 1e5
+        ).optimize(graph)
+        assert result.stats.packing_proofs == 0
+        assert result.stats.nodes_expanded > 0
+
+    @pytest.mark.parametrize("replication", _UNPACKABLE_WC, ids=str)
+    def test_unpackable_wc_graphs_cost_no_search(self, replication, monkeypatch):
+        proven = _wc_search(replication)
+        assert proven.stats.packing_proofs == 1
+        assert proven.stats.nodes_expanded == 0
+        assert proven.stats.evaluations == 0
+        monkeypatch.setattr(bnb, "packing_exists", lambda *args: None)
+        searched = _wc_search(replication)
+        assert searched.stats.packing_proofs == 0
+        assert searched.stats.nodes_expanded == 256  # the no-solution budget
+        for result in (proven, searched):
+            assert result.plan is None and result.model_result is None
+            assert not result.feasible and result.throughput == 0.0
+
+    def test_step_cap_overflow_falls_back_to_the_search(self, monkeypatch):
+        monkeypatch.setattr(bnb, "PACKING_STEP_CAP", 0)
+        result = _wc_search(_UNPACKABLE_WC[0])
+        assert result.stats.packing_proofs == 0
+        assert result.stats.nodes_expanded == 256
+        assert result.plan is None and not result.feasible

@@ -3,13 +3,15 @@
 ``reference_refine_plan`` is the previous implementation, verbatim: a fresh
 ``ExecutionPlan``, a batch ``PerformanceModel.evaluate`` and a full
 ``resource_report`` per candidate.  The production pass scores the same
-candidates in the same order on one ``IncrementalEvaluator``, so placement,
-every ``ModelResult`` field and every statistic must be equal — not close.
+candidates in the same order on one ``IncrementalEvaluator``, skipping
+those whose rejection is known, so placement, every ``ModelResult`` field
+and every statistic but the evaluation count must be equal — not close.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -131,7 +133,15 @@ def _assert_same(got, expected, model, rate):
     plan, result, stats = got
     ref_plan, ref_result, ref_stats = expected
     assert plan.placement == ref_plan.placement
-    assert stats == ref_stats
+    # The pass skips candidates whose verdict is known (twin swaps, repeats
+    # of a rejected move set); it evaluates no more than the reference, and
+    # every candidate it skips is one the reference evaluates and rejects.
+    assert stats.evaluations <= ref_stats.evaluations
+    skipped = stats.skipped_twins + stats.skipped_repeats
+    assert stats.evaluations + skipped == ref_stats.evaluations
+    assert replace(
+        stats, evaluations=ref_stats.evaluations, skipped_twins=0, skipped_repeats=0
+    ) == ref_stats
     for other in (ref_result, model.evaluate(plan, rate)):
         assert result.throughput == other.throughput
         assert result.rates == other.rates
@@ -233,3 +243,25 @@ def test_verdict_does_not_depend_on_insertion_order(app, tiny_machine):
     assert result_f.rates == result_b.rates
     assert stats_f == stats_b
     assert stats_f.moves_accepted + stats_f.swaps_accepted > 0
+
+
+@pytest.mark.parametrize("app", APPS)
+def test_skips_change_nothing_but_the_work(app):
+    """Four replicas of every component on four sockets: twins abound and
+    passes repeat rejected candidates.  Skipping both leaves placement,
+    every ``ModelResult`` field and every other statistic as the reference
+    that evaluates them all."""
+    topology, profiles = _app(app)
+    model = PerformanceModel(profiles, server_a(4))
+    graph = ExecutionGraph(topology, {n: 4 for n in topology.components})
+    rate = 0.5 * saturation_ingress(topology, model)
+    skipped_twins = skipped_repeats = 0
+    for seed in range(3):
+        plan = _dealt_plan(graph, 4, random.Random(f"{app}/{seed}"))
+        budget = {"max_passes": 3, "top_k": 32}
+        got = refine_plan(plan, model, rate, **budget)
+        expected = reference_refine_plan(plan, model, rate, **budget)
+        _assert_same(got, expected, model, rate)
+        skipped_twins += got[2].skipped_twins
+        skipped_repeats += got[2].skipped_repeats
+    assert skipped_twins > 0 and skipped_repeats > 0

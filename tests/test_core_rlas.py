@@ -104,15 +104,19 @@ class TestFixedModes:
 
 
 #: The two plans ``benchmarks/perf`` times as ``rlas_plan``: throughput to
-#: the last bit, replication, and what the search and the refinement did
-#: to get there.  A change to any of these is a change of algorithm, not
-#: of speed, and only the traced benchmark would otherwise notice.
+#: the last bit, replication, the final placement (socket of each task of
+#: the compressed plan, by task id), and what the search and the
+#: refinement did to get there.  A change to any of these is a change of
+#: algorithm, not of speed, and only the traced benchmark would otherwise
+#: notice.
 _PINNED = {
     "wc": (
         39115338.164251216,
         {"spout": 2, "parser": 2, "splitter": 7, "counter": 35, "sink": 26},
+        "0000000003321111112223301222221133333",
         {
             "rlas.bnb.searches": 8,
+            "rlas.bnb.packing_proofs": 1,
             "rlas.bnb.nodes_expanded": 1368,
             "rlas.bnb.nodes_pruned": 476,
             "rlas.bnb.nodes_deduplicated": 491,
@@ -123,11 +127,14 @@ _PINNED = {
             "rlas.scaling.iterations": 8,
             "rlas.scaling.graph_builds": 15,
             "rlas.refine.runs": 12,
-            "rlas.refine.evaluations": 1832,
             "rlas.refine.moves_accepted": 0,
             "rlas.refine.swaps_accepted": 5,
         },
-        {"rlas.model.incremental_evals": 3677, "rlas.model.full_evals": 152},
+        {
+            "rlas.model.incremental_evals": 3677,
+            "rlas.model.full_evals": 152,
+            "rlas.refine.evaluations": 649,
+        },
     ),
     "lr": (
         3214665.149840727,
@@ -145,8 +152,10 @@ _PINNED = {
             "account_balance": 1,
             "sink": 2,
         },
+        "0000001131112222111222222222222223333333333333333",
         {
             "rlas.bnb.searches": 6,
+            "rlas.bnb.packing_proofs": 0,
             "rlas.bnb.nodes_expanded": 2058,
             "rlas.bnb.nodes_pruned": 314,
             "rlas.bnb.nodes_deduplicated": 1576,
@@ -157,11 +166,14 @@ _PINNED = {
             "rlas.scaling.iterations": 6,
             "rlas.scaling.graph_builds": 9,
             "rlas.refine.runs": 10,
-            "rlas.refine.evaluations": 1868,
             "rlas.refine.moves_accepted": 7,
             "rlas.refine.swaps_accepted": 5,
         },
-        {"rlas.model.incremental_evals": 4975, "rlas.model.full_evals": 85},
+        {
+            "rlas.model.incremental_evals": 4975,
+            "rlas.model.full_evals": 85,
+            "rlas.refine.evaluations": 679,
+        },
     ),
 }
 
@@ -172,7 +184,7 @@ def test_benchmark_plan_and_search_tree_are_pinned(app):
     from repro.hardware import server_a
     from repro.metrics import MetricsRegistry
 
-    throughput, replication, tree, evaluator_ceiling = _PINNED[app]
+    throughput, replication, sockets, tree, ceilings = _PINNED[app]
     topology, profiles = load_application(app)
     machine = server_a(4)
     rate = saturation_ingress(topology, PerformanceModel(profiles, machine))
@@ -183,12 +195,17 @@ def test_benchmark_plan_and_search_tree_are_pinned(app):
     assert plan.realized_throughput == throughput
     assert plan.throughput == throughput
     assert plan.replication == replication
+    placement = plan.plan.placement
+    assert "".join(str(placement[i]) for i in range(len(placement))) == sockets
     snapshot = registry.snapshot()
     counters = snapshot["counters"]
     assert {name: counters[name] for name in tree} == tree
-    # What the search asks of its evaluator may fall, never rise.
-    for name, ceiling in evaluator_ceiling.items():
+    # What the search and the refinement ask of the evaluator may fall,
+    # never rise; the refinement answers some candidates without it.
+    for name, ceiling in ceilings.items():
         assert 0 < counters[name] <= ceiling
+    assert counters["rlas.refine.skipped_twins"] > 0
+    assert counters["rlas.refine.skipped_repeats"] > 0
     # Where the time went is on record: one observation per refinement.
     assert snapshot["histograms"]["rlas.refine.runtime_s"]["count"] == tree[
         "rlas.refine.runs"
